@@ -104,7 +104,7 @@ def _bundle_from(args, cfg: dict):
         params["n"] = args.n
     if args.alpha is not None:
         params["alpha"] = args.alpha
-    if args.epsilon is not None and name in ("cauchy", "normal_mean"):
+    if args.epsilon is not None:
         params["epsilon"] = args.epsilon
     clean = {}
     for key, value in params.items():

@@ -61,6 +61,7 @@ __all__ = [
     "Interval",
     "Support",
     "Family",
+    "StatLaw",
     "ExpFamilyDescriptor",
     "FactorInputs",
     "validate_param",
@@ -199,9 +200,55 @@ class Support:
 
 
 @dataclass(frozen=True)
+class StatLaw:
+    """The law of a family's statistic g(X), vectorized.
+
+    ``cdf(theta, v)``, ``sf(theta, v)`` and ``ppf(theta, q)`` (q in (0, 1))
+    broadcast over both arguments.  A discrete law is indexed by support
+    point rather than statistic value: g is increasing on the support, so
+    ``cdf(theta, x) = P(g(X) <= g(x))`` without mapping g(x) back to a
+    count, which floats get wrong ((1/49) * 49 < 1).  ``lo``/``hi`` bound
+    the support of the statistic (of the sample, for discrete laws).
+    ``sample(theta, m, rng)`` draws m samples X: shape (m,) for scalar
+    samples, (m, n) for n-vectors.  ``statistic_is_sample`` says g(x) = x.
+
+    Location families with unit scale also carry ``moment(theta, v)``,
+    returning the CDF and the partial-first-moment antiderivative
+    G(v) = int^v t p_theta(t) dt, and ``moment_reach``, the number of unit
+    cells around theta over which that moment is integrated.
+    """
+
+    discrete: bool
+    cdf: Callable[[object, object], np.ndarray]
+    sf: Callable[[object, object], np.ndarray]
+    ppf: Callable[[object, object], np.ndarray]
+    sample: Callable[[float, int, np.random.Generator], np.ndarray]
+    lo: float = -math.inf
+    hi: float = math.inf
+    statistic_is_sample: bool = True
+    #: heavy tails: the window is theta +/- cap instead of quantiles
+    cap: float | None = None
+    #: smallest lower quantile level a window uses (keeps it off g = 0)
+    tail_floor: float = 0.0
+    moment: Callable[[float, np.ndarray], tuple] | None = None
+    moment_reach: int = 0
+
+    def window(self, theta: float, tail: float) -> tuple[float, float]:
+        """Statistic interval [lo, hi] (support points, for discrete laws)
+        holding all but ``tail`` of the mass under theta -- or all but what
+        lies beyond the heavy-tail cap -- clamped to the support."""
+        if self.cap is not None:
+            lo, hi = theta - self.cap, theta + self.cap
+        else:
+            q = np.array([max(tail / 2.0, self.tail_floor), 1.0 - tail / 2.0])
+            lo, hi = (float(v) for v in self.ppf(theta, q))
+        return min(max(lo, self.lo), self.hi), min(max(hi, self.lo), self.hi)
+
+
+@dataclass(frozen=True)
 class Family:
-    """A one-parameter family: log-density, divergence and pointwise
-    parameter estimate.
+    """A one-parameter family: log-density, divergence, pointwise
+    parameter estimate and the law of that estimate's statistic.
 
     ``log_density(theta, x)`` accepts a scalar or an array of samples (for
     product families, the last axis is the coordinate axis) and returns
@@ -209,7 +256,7 @@ class Family:
     numpy-aware in both arguments and must satisfy d(t, t) = 0, d >= 0.
     ``estimator_g`` maps a sample to the parameter value it indicates
     (mean, rate, squared norm over n, ...), possibly on the closure of the
-    parameter space.
+    parameter space; ``law`` is the distribution of g(X).
     """
 
     name: str
@@ -219,6 +266,7 @@ class Family:
     log_density: Callable[[float, object], object]
     divergence_fn: Callable[[object, object], object]
     estimator_g: Callable[[object], float]
+    law: StatLaw
 
     def validate_param(self, theta: float, *, closure: bool = False) -> float:
         theta = float(theta)
@@ -734,6 +782,11 @@ class Estimator:
     def __call__(self, x) -> float:
         return self.net.point(self.index(x))
 
+    def statistic_index(self, v: float) -> int:
+        """The net index selected by statistic value v (the same as
+        ``index`` where the statistic is the sample itself)."""
+        return self.index(v)
+
     def cell(self, k: int) -> Cell:
         raise NotImplementedError
 
@@ -754,6 +807,9 @@ class RoundToNet(Estimator):
 
     def index(self, x) -> int:
         return self.net.round_index(self.statistic(x))
+
+    def statistic_index(self, v: float) -> int:
+        return self.net.round_index(v)
 
     def cell(self, k: int) -> Cell:
         net = self.net

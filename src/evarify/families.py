@@ -27,6 +27,12 @@ and the factor gets a 10% safety margin.
 Divergences are the Kullback-Leibler divergence for the exponential
 families, ``log(1 + (t1 - t2)^2)`` for the Cauchy location family, and
 the (one-sided, +inf when reversed) uniform log-ratio for the uniforms.
+
+Each family also carries ``law``, the one description of its statistic's
+distribution (vectorized cdf/sf/ppf, sampling and truncation window, plus
+the partial first moment of the two location families), built from
+``scipy.special`` ufuncs with the arithmetic ``scipy.stats`` uses, so the
+verifier gets the same values without importing ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -37,7 +43,24 @@ from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
-from scipy.special import expit, gammaln, logit, rel_entr, xlogy
+from scipy.special import (
+    chdtr,
+    chdtrc,
+    expit,
+    gammaincinv,
+    gammaln,
+    logit,
+    ndtr,
+    ndtri,
+    pdtr,
+    pdtrc,
+    pdtrik,
+    rel_entr,
+    xlogy,
+)
+# the ufuncs scipy.stats.binom itself calls (scipy.special.bdtr is about
+# 1000 times less accurate at n = 10^4); scipy.stats stays off the import path
+from scipy.special._ufuncs import _binom_cdf, _binom_ppf, _binom_sf, _cauchy_ppf
 
 from .core import (
     BinomialSine,
@@ -60,6 +83,7 @@ from .core import (
     RoundToNet,
     ScaledLattice,
     Squares,
+    StatLaw,
     Support,
     factor_from_growth,
     factor_from_steps,
@@ -97,11 +121,48 @@ FAMILY_IDS = (
 ESTIMATED_FACTOR_MARGIN = 1.1
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+#: Half-width of the Cauchy statistic's window: its tails are too heavy to
+#: pin down by quantiles, so the mass beyond goes into the error bound.
+CAUCHY_WINDOW = 10_000
 
 
 # ---------------------------------------------------------------------------
 # Distribution families
 # ---------------------------------------------------------------------------
+
+
+def _discrete_law(cdf, sf, ppf, sample, top, hi=math.inf) -> StatLaw:
+    """A law on the integers 0..top(theta) from its cdf/sf at integer
+    points, with the values scipy.stats gives off the support."""
+
+    def edge(theta, x, core, below, above):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(invalid="ignore"):
+            inside = np.clip(core(theta, np.floor(x)), 0.0, 1.0)
+        return np.where(x >= top(theta), above, np.where(x < 0.0, below, inside))
+
+    return StatLaw(
+        discrete=True,
+        cdf=lambda t, x: edge(t, x, cdf, 0.0, 1.0),
+        sf=lambda t, x: edge(t, x, sf, 1.0, 0.0),
+        ppf=ppf,
+        sample=sample,
+        lo=0.0,
+        hi=float(hi),
+    )
+
+
+def _standard_normals(rng, m: int, n: int) -> np.ndarray:
+    """m scalar draws for n == 1, else m rows of n."""
+    return rng.standard_normal(m if n == 1 else (m, n))
+
+
+def _poisson_ppf(lam, q):
+    vals = np.ceil(pdtrik(q, lam))
+    below = np.maximum(vals - 1, 0)
+    return np.where(pdtr(below, lam) >= q, below, vals)
 
 
 def poisson_family() -> Family:
@@ -127,6 +188,13 @@ def poisson_family() -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda x: float(x),
+        law=_discrete_law(
+            lambda lam, k: pdtr(k, lam),
+            lambda lam, k: pdtrc(k, lam),
+            _poisson_ppf,
+            lambda lam, m, rng: rng.poisson(lam, m).astype(float),
+            top=lambda lam: math.inf,
+        ),
     )
 
 
@@ -161,7 +229,25 @@ def binomial_family(n: int) -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda k: float(k) / n,
+        law=_discrete_law(
+            lambda p, k: _binom_cdf(k, n, p),
+            lambda p, k: _binom_sf(k, n, p),
+            lambda p, q: _binom_ppf(q, n, p),
+            lambda p, m, rng: rng.binomial(n, p, m).astype(float),
+            top=lambda p: n,
+            hi=n,
+        ),
     )
+
+
+def _du_cdf(N, k):
+    return (k + 1.0) / (N + 1.0)
+
+
+def _du_ppf(N, q):
+    vals = np.ceil(q * (N + 1.0)) - 1.0
+    below = np.clip(vals - 1.0, 0.0, N + 1.0)
+    return np.where(_du_cdf(N, below) >= q, below, vals)
 
 
 def discrete_uniform_family() -> Family:
@@ -185,10 +271,18 @@ def discrete_uniform_family() -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda x: float(x),
+        law=_discrete_law(
+            _du_cdf, lambda N, k: 1.0 - _du_cdf(N, k), _du_ppf,
+            lambda N, m, rng: rng.integers(0, int(N) + 1, m).astype(float),
+            top=lambda N: N,
+        ),
     )
 
 
 def continuous_uniform_family() -> Family:
+    def cdf(theta, v):
+        return np.clip(np.asarray(v, dtype=float) / theta, 0.0, 1.0)
+
     def log_density(theta, x):
         x = np.asarray(x, dtype=float)
         ok = (x > 0) & (x <= theta)
@@ -210,6 +304,16 @@ def continuous_uniform_family() -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda x: float(x),
+        law=StatLaw(
+            discrete=False,
+            cdf=cdf,
+            sf=lambda theta, v: 1.0 - cdf(theta, v),
+            ppf=lambda theta, q: q * theta,
+            sample=lambda theta, m, rng: theta * (1.0 - rng.random(m)),
+            lo=0.0,
+            # the ceiling estimator is undefined at 0
+            tail_floor=2.0 ** -60,
+        ),
     )
 
 
@@ -233,6 +337,17 @@ def normal_mean_family(n: int) -> Family:
     def g(x):
         return float(np.mean(np.asarray(x, dtype=float)))
 
+    # the mean of n unit-variance draws is N(mu, 1/n)
+    scale = 1.0 / math.sqrt(n)
+
+    def cdf(mu, v):
+        return ndtr((v - mu) / scale)
+
+    def moment(mu, v):
+        z = v - mu
+        F = cdf(mu, v)
+        return F, mu * F - np.exp(-z**2 / 2.0) / _SQRT_2PI
+
     return Family(
         name="normal_mean",
         param_space=Interval(),
@@ -241,6 +356,16 @@ def normal_mean_family(n: int) -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=g,
+        law=StatLaw(
+            discrete=False,
+            cdf=cdf,
+            sf=lambda mu, v: ndtr(-((v - mu) / scale)),
+            ppf=lambda mu, q: ndtri(q) * scale + mu,
+            sample=lambda mu, m, rng: mu + _standard_normals(rng, m, n),
+            statistic_is_sample=n == 1,
+            moment=moment if n == 1 else None,
+            moment_reach=16,
+        ),
     )
 
 
@@ -266,6 +391,10 @@ def normal_variance_family(n: int) -> Family:
         flat = np.ravel(np.asarray(x, dtype=float))
         return float(np.dot(flat, flat)) / n
 
+    # n g(X) / var is chi-square with n degrees of freedom
+    def chi2(var, v):
+        return n * np.asarray(v, dtype=float) / var
+
     return Family(
         name="normal_variance",
         param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
@@ -274,6 +403,15 @@ def normal_variance_family(n: int) -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=g,
+        law=StatLaw(
+            discrete=False,
+            cdf=lambda var, v: np.where(chi2(var, v) > 0, chdtr(n, chi2(var, v)), 0.0),
+            sf=lambda var, v: np.where(chi2(var, v) > 0, chdtrc(n, chi2(var, v)), 1.0),
+            ppf=lambda var, q: var * (2 * gammaincinv(n / 2, q)) / n,
+            sample=lambda var, m, rng: math.sqrt(var) * _standard_normals(rng, m, n),
+            lo=0.0,
+            statistic_is_sample=False,
+        ),
     )
 
 
@@ -289,6 +427,15 @@ def cauchy_family() -> Family:
         out = np.log1p((t1 - t2) ** 2)
         return float(out) if out.ndim == 0 else out
 
+    def cdf(theta, v):
+        return np.arctan2(1, -(v - theta)) / np.pi
+
+    def moment(theta, v):
+        z = v - theta
+        F = cdf(theta, v)
+        # d/dv [log(1 + z^2) / (2 pi)] = z * pdf(z)
+        return F, theta * F + np.log1p(z * z) / (2.0 * math.pi)
+
     return Family(
         name="cauchy",
         param_space=Interval(),
@@ -297,6 +444,16 @@ def cauchy_family() -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda x: float(x),
+        law=StatLaw(
+            discrete=False,
+            cdf=cdf,
+            sf=lambda theta, v: np.arctan2(1, v - theta) / np.pi,
+            ppf=lambda theta, q: _cauchy_ppf(q, 0.0, 1.0) + theta,
+            sample=lambda theta, m, rng: theta + rng.standard_cauchy(m),
+            cap=CAUCHY_WINDOW,
+            moment=moment,
+            moment_reach=CAUCHY_WINDOW,
+        ),
     )
 
 
@@ -429,6 +586,8 @@ class FamilyBundle:
     descriptor: ExpFamilyDescriptor | None
     params: Mapping[str, float] = field(default_factory=dict)
     bundle_id: str = ""
+    #: net index of each support point 0..n, for finite discrete supports
+    support_index: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def estimate(self, x) -> float:
         """The selected net point for sample ``x``."""
@@ -483,7 +642,8 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
     net = BinomialSine(n)
     est = RoundToNet(net, statistic=lambda k: float(k) / n)
     ks = np.arange(n + 1)
-    sel = np.array([net.point(est.index(k)) for k in ks])
+    index = np.array([est.index(k) for k in ks])
+    sel = np.array([net.point(k) for k in index])
     c_prime = float(np.max(fam.divergence_fn(ks / n, sel)))
     alpha = _binomial_growth_alpha(net, fam.divergence_fn)
     inputs = FactorInputs(c_prime=c_prime, alpha=alpha)
@@ -498,6 +658,7 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         descriptor=binomial_descriptor(n),
         params={"n": n},
         bundle_id=f"binomial(n={n})",
+        support_index=index,
     )
 
 

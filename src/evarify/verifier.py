@@ -18,8 +18,13 @@ explicit error bounds and sweeps them over adversarial parameter grids:
   Monte Carlo with a 99% CI half-width as the error bound for generic
   components.
 
-Monte Carlo uses a counter-based generator keyed by (master seed, theta
-index), so sweeps are reproducible and order-independent.
+Every engine reads the statistic's distribution from the family's law
+(``bundle.family.law``, built in :mod:`evarify.families`): cell
+probabilities come from one array of cell bounds and one vectorized CDF
+call, truncation windows from ``law.window`` and Monte Carlo draws from
+``law.sample``.  Monte Carlo uses a counter-based generator keyed by
+(master seed, theta index), so sweeps are reproducible and
+order-independent.
 
 Adversarial generators include the spike suite (each component is the
 reciprocal cell probability on its own cell, the tightest component the
@@ -34,10 +39,10 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 from .combinator import (
     EVariable,
@@ -48,7 +53,7 @@ from .combinator import (
     combine_discrete,
     combine_interpolated,
 )
-from .core import CeilDyadic, DomainError, REpsilon
+from .core import DomainError
 from .families import FamilyBundle
 
 __all__ = [
@@ -71,124 +76,8 @@ __all__ = [
     "certify_interpolated_factor",
 ]
 
-#: Cell half-window used when a statistic has tails too heavy to pin down
-#: by quantiles (Cauchy); mass beyond it goes into the error bound.
-HEAVY_TAIL_CELL_WINDOW = 10_000
-
 #: Error attributed to closed-form CDF evaluations per cell.
 _CDF_EPS = 5e-16
-
-
-# ---------------------------------------------------------------------------
-# Per-family numerics: statistic distribution, sampling, windows
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Numerics:
-    discrete: bool
-    heavy_tails: bool
-    stat_cdf: Callable[[FamilyBundle, float, np.ndarray], np.ndarray]
-    stat_ppf: Callable[[FamilyBundle, float, float], float]
-    sample: Callable[[FamilyBundle, float, int, np.random.Generator], np.ndarray]
-    stat_sf: Callable[[FamilyBundle, float, np.ndarray], np.ndarray] | None = None
-
-    def sf(self, bundle, theta, v):
-        if self.stat_sf is not None:
-            return self.stat_sf(bundle, theta, v)
-        return 1.0 - self.stat_cdf(bundle, theta, v)
-
-
-def _du_cdf(bundle, N, v):
-    v = np.asarray(v, dtype=float)
-    out = np.clip((np.floor(v) + 1.0) / (N + 1.0), 0.0, 1.0)
-    return np.where(v < 0.0, 0.0, out)
-
-
-def _du_sf(bundle, N, v):
-    v = np.asarray(v, dtype=float)
-    out = np.clip((N - np.floor(v)) / (N + 1.0), 0.0, 1.0)
-    return np.where(v < 0.0, 1.0, out)
-
-
-def _cu_cdf(bundle, theta, v):
-    v = np.asarray(v, dtype=float)
-    return np.clip(v / theta, 0.0, 1.0)
-
-
-_NUMERICS: dict[str, _Numerics] = {
-    "poisson": _Numerics(
-        discrete=True,
-        heavy_tails=False,
-        stat_cdf=lambda b, t, v: stats.poisson.cdf(v, mu=t),
-        stat_ppf=lambda b, t, q: float(stats.poisson.ppf(q, mu=t)),
-        sample=lambda b, t, m, rng: rng.poisson(t, m).astype(float),
-        stat_sf=lambda b, t, v: stats.poisson.sf(v, mu=t),
-    ),
-    "binomial": _Numerics(
-        discrete=True,
-        heavy_tails=False,
-        stat_cdf=lambda b, t, v: stats.binom.cdf(v, int(b.params["n"]), t),
-        stat_ppf=lambda b, t, q: float(stats.binom.ppf(q, int(b.params["n"]), t)),
-        sample=lambda b, t, m, rng: rng.binomial(int(b.params["n"]), t, m).astype(float),
-        stat_sf=lambda b, t, v: stats.binom.sf(v, int(b.params["n"]), t),
-    ),
-    "discrete_uniform": _Numerics(
-        discrete=True,
-        heavy_tails=False,
-        stat_cdf=_du_cdf,
-        stat_ppf=lambda b, t, q: float(min(t, math.ceil(q * (t + 1)) - 1)),
-        sample=lambda b, t, m, rng: rng.integers(0, int(t) + 1, m).astype(float),
-        stat_sf=_du_sf,
-    ),
-    "continuous_uniform": _Numerics(
-        discrete=False,
-        heavy_tails=False,
-        stat_cdf=_cu_cdf,
-        stat_ppf=lambda b, t, q: q * t,
-        sample=lambda b, t, m, rng: t * (1.0 - rng.random(m)),
-    ),
-    "normal_mean": _Numerics(
-        discrete=False,
-        heavy_tails=False,
-        stat_cdf=lambda b, t, v: stats.norm.cdf(
-            v, loc=t, scale=1.0 / math.sqrt(b.family.sample_dim)
-        ),
-        stat_ppf=lambda b, t, q: float(
-            stats.norm.ppf(q, loc=t, scale=1.0 / math.sqrt(b.family.sample_dim))
-        ),
-        sample=lambda b, t, m, rng: t
-        + rng.standard_normal((m, b.family.sample_dim)),
-        stat_sf=lambda b, t, v: stats.norm.sf(
-            v, loc=t, scale=1.0 / math.sqrt(b.family.sample_dim)
-        ),
-    ),
-    "normal_variance": _Numerics(
-        discrete=False,
-        heavy_tails=False,
-        stat_cdf=lambda b, t, v: stats.chi2.cdf(
-            b.family.sample_dim * np.asarray(v, dtype=float) / t,
-            df=b.family.sample_dim,
-        ),
-        stat_ppf=lambda b, t, q: float(
-            t * stats.chi2.ppf(q, df=b.family.sample_dim) / b.family.sample_dim
-        ),
-        sample=lambda b, t, m, rng: math.sqrt(t)
-        * rng.standard_normal((m, b.family.sample_dim)),
-        stat_sf=lambda b, t, v: stats.chi2.sf(
-            b.family.sample_dim * np.asarray(v, dtype=float) / t,
-            df=b.family.sample_dim,
-        ),
-    ),
-    "cauchy": _Numerics(
-        discrete=False,
-        heavy_tails=True,
-        stat_cdf=lambda b, t, v: stats.cauchy.cdf(v, loc=t),
-        stat_ppf=lambda b, t, q: float(stats.cauchy.ppf(q, loc=t)),
-        sample=lambda b, t, m, rng: t + rng.standard_cauchy(m),
-        stat_sf=lambda b, t, v: stats.cauchy.sf(v, loc=t),
-    ),
-}
 
 
 def _rng_for(seed: int, theta_index: int) -> np.random.Generator:
@@ -243,93 +132,36 @@ class ExpectationResult:
 # ---------------------------------------------------------------------------
 
 
-def _clip_bounds(bundle: FamilyBundle) -> tuple[float, float]:
-    sup = bundle.family.support
-    return sup.lo, sup.hi
+def _cell_bounds(bundle: FamilyBundle, ks: Sequence[int]) -> np.ndarray:
+    """Per-cell (lo, hi), shape (len(ks), 2), with P_theta(cell k) =
+    law.cdf(theta, hi) - law.cdf(theta, lo).
 
-
-def _stat_quantile(bundle: FamilyBundle, theta: float, q: float) -> float:
-    """Quantile of the estimator's statistic under theta.  The registry
-    works in count space for the binomial family; its statistic is the
-    success fraction, so the quantile is rescaled."""
-    num = _NUMERICS[bundle.family.name]
-    value = num.stat_ppf(bundle, theta, q)
-    if bundle.family.name == "binomial":
-        return value / int(bundle.params["n"])
-    return value
-
-
-def _index_of_stat(bundle: FamilyBundle, v: float) -> int:
-    """Net index whose cell contains (or is nearest to) statistic value v."""
-    est = bundle.estimator
-    if isinstance(est, CeilDyadic):
-        if v <= 0.0:
-            return est.net.k_min if est.net.k_min is not None else 0
-        m, e = math.frexp(v)
-        k = e - 1 if m == 0.5 else e
-        if est.net.k_min is not None:
-            k = max(k, est.net.k_min)
-        return k
-    if isinstance(est, REpsilon):
-        return est.index(v)
-    return est.net.round_index(v)
-
-
-def _binomial_groups(bundle: FamilyBundle) -> dict[int, tuple[int, int]]:
-    """Contiguous count ranges per net index (the binomial estimator's
-    statistic is k/n, so integer cells are derived from the estimator
-    itself rather than from float cell boundaries)."""
-    n = int(bundle.params["n"])
-    est = bundle.estimator
-    groups: dict[int, tuple[int, int]] = {}
-    for k in range(n + 1):
-        idx = est.index(k)
-        a, b = groups.get(idx, (k, k))
-        groups[idx] = (min(a, k), max(b, k))
-    return groups
-
-
-def _discrete_cell_int_range(
-    bundle: FamilyBundle, k: int, groups: dict | None = None
-) -> tuple[int, int]:
-    """Inclusive integer range of support points in cell k; (1, 0) when
-    the cell holds no support point."""
-    if bundle.family.name == "binomial":
-        groups = _binomial_groups(bundle) if groups is None else groups
-        return groups.get(k, (1, 0))
-    lo, hi = _clip_bounds(bundle)
-    return bundle.estimator.cell(k).clip(lo, min(hi, 2.0**62)).integer_range()
-
-
-def _cell_prob(bundle: FamilyBundle, theta: float, k: int) -> float:
-    """P_theta(statistic lands in estimator cell k), exact via CDFs."""
-    num = _NUMERICS[bundle.family.name]
-    if num.discrete:
-        a, b = _discrete_cell_int_range(bundle, k)
-        if b < a:
-            return 0.0
-        return float(num.stat_cdf(bundle, theta, np.array([b]))[0]
-                     - num.stat_cdf(bundle, theta, np.array([a - 1.0]))[0])
-    cell = bundle.estimator.cell(k)
-    lo, hi = _clip_bounds(bundle)
-    clo = max(cell.lo, lo)
-    chi = min(cell.hi, hi)
-    if not clo < chi:
-        return 0.0
-    vals = num.stat_cdf(bundle, theta, np.array([clo, chi]))
-    return float(vals[1] - vals[0])
-
-
-def spike_evar(bundle: FamilyBundle, k: int) -> EVariable:
-    """The spike at net index k: the indicator of the cell shat^{-1}(s_k)
-    divided by its probability under P_{s_k}.
-
-    By construction E_{P_s}[spike_s] = 1 exactly: it is the tightest
-    component the e-variable constraint allows concentrated on its own
-    cell.  Raises :class:`DomainError` for a zero-probability cell.
+    Continuous laws: the cell's statistic interval clipped to the support.
+    Discrete laws: the support points just before the cell and at its
+    end, found by applying the estimator to support points (the bundle's
+    table, where the support is finite) or from the cell's integer range.
     """
-    s = bundle.net.point(k)
-    p = _cell_prob(bundle, s, k)
+    law = bundle.family.law
+    table = bundle.support_index
+    if table is not None:
+        ends = [np.searchsorted(table, ks, side) for side in ("left", "right")]
+        return np.stack(ends, axis=1) - 1.0
+    cells = [bundle.estimator.cell(int(k)) for k in ks]
+    if law.discrete:
+        top = min(law.hi, 2.0**62)
+        ranges = [c.clip(law.lo, top).integer_range() for c in cells]
+        return np.array([(a - 1, b) for a, b in ranges], dtype=float).reshape(-1, 2)
+    return np.clip(np.array([(c.lo, c.hi) for c in cells]).reshape(-1, 2), law.lo, law.hi)
+
+
+def _cell_probs(bundle: FamilyBundle, theta, ks: Sequence[int]) -> np.ndarray:
+    """P_theta(statistic lands in cell k) for each k, from one CDF call;
+    ``theta`` is a scalar or a column aligned with ``ks``."""
+    F = bundle.family.law.cdf(theta, _cell_bounds(bundle, ks))
+    return F[:, 1] - F[:, 0]
+
+
+def _spike(bundle: FamilyBundle, k: int, p: float) -> EVariable:
     if not p > 0.0:
         raise DomainError(
             f"cell {k} of {bundle.bundle_id} has zero probability under its own point"
@@ -342,7 +174,7 @@ def spike_evar(bundle: FamilyBundle, k: int) -> EVariable:
 
     return EVariable(
         fn=fn,
-        valid_for=s,
+        valid_for=bundle.net.point(k),
         sup_bound=level,
         kind="cell_indicator",
         level=level,
@@ -350,9 +182,31 @@ def spike_evar(bundle: FamilyBundle, k: int) -> EVariable:
     )
 
 
+def spike_evar(bundle: FamilyBundle, k: int) -> EVariable:
+    """The spike at net index k: the indicator of the cell shat^{-1}(s_k)
+    divided by its probability under P_{s_k}.
+
+    By construction E_{P_s}[spike_s] = 1 exactly: it is the tightest
+    component the e-variable constraint allows concentrated on its own
+    cell.  Raises :class:`DomainError` for a zero-probability cell.
+    """
+    return _spike(bundle, k, float(_cell_probs(bundle, bundle.net.point(k), [k])[0]))
+
+
 def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> dict[int, EVariable]:
-    """Spikes for every index in ``indices``."""
-    return {int(k): spike_evar(bundle, int(k)) for k in indices}
+    """Spikes for every index in ``indices``, each cell under its own net
+    point."""
+    ks = [int(k) for k in indices]
+    points = np.array([bundle.net.point(k) for k in ks])
+    probs = _cell_probs(bundle, points[:, None], ks)
+    return {k: _spike(bundle, k, float(p)) for k, p in zip(ks, probs)}
+
+
+def _index_at(bundle: FamilyBundle, v: float) -> int:
+    """Net index selected at a window end: a support point for discrete
+    laws, a statistic value otherwise."""
+    est = bundle.estimator
+    return est.index(v) if bundle.family.law.discrete else est.statistic_index(v)
 
 
 def _grid_index_envelope(
@@ -361,29 +215,10 @@ def _grid_index_envelope(
     """Net-index range whose cells carry all but ``tail`` of the mass for
     every theta in the grid (heavy-tailed statistics are capped and the
     remainder charged to the error bound)."""
-    num = _NUMERICS[bundle.family.name]
-    sup_lo, sup_hi = _clip_bounds(bundle)
-    k_lo, k_hi = None, None
-    stat_lo = 0.0 if bundle.family.name == "binomial" else sup_lo
-    stat_hi = 1.0 if bundle.family.name == "binomial" else sup_hi
-    for theta in theta_grid:
-        if num.heavy_tails:
-            lo_stat = theta - HEAVY_TAIL_CELL_WINDOW
-            hi_stat = theta + HEAVY_TAIL_CELL_WINDOW
-        else:
-            lo_stat = _stat_quantile(bundle, theta, tail / 4.0)
-            hi_stat = _stat_quantile(bundle, theta, 1.0 - tail / 4.0)
-        if bundle.family.name == "continuous_uniform":
-            lo_stat = max(lo_stat, theta * 2.0 ** -60)
-        lo_stat = min(max(lo_stat, stat_lo), stat_hi)
-        hi_stat = min(max(hi_stat, stat_lo), stat_hi)
-        a = _index_of_stat(bundle, lo_stat)
-        b = _index_of_stat(bundle, hi_stat)
-        k_lo = a if k_lo is None else min(k_lo, a)
-        k_hi = b if k_hi is None else max(k_hi, b)
+    law = bundle.family.law
+    ends = [_index_at(bundle, v) for t in theta_grid for v in law.window(t, tail / 2.0)]
+    k_lo, k_hi = min(ends) - 2, max(ends) + 2
     net = bundle.net
-    k_lo -= 2
-    k_hi += 2
     if net.k_min is not None:
         k_lo = max(k_lo, net.k_min)
     if net.k_max is not None:
@@ -411,15 +246,14 @@ def upper_tail_calibrated_evar(
 ) -> EVariable:
     """kappa * P**(kappa-1) with the upper-tail p-variable
     P(x) = P_{s_k}(stat(X) >= stat(x))."""
-    num = _NUMERICS[bundle.family.name]
+    law = bundle.family.law
     s = bundle.net.point(k)
     est = bundle.estimator
 
     def p_fn(x) -> float:
-        # the registry's distributions live in count space for discrete
-        # families (the sample itself) and statistic space otherwise
-        edge = float(x) - 1.0 if num.discrete else est.statistic(x)
-        return float(num.sf(bundle, s, np.array([edge]))[0])
+        # a discrete law is indexed by support point: P(X >= x) = sf(x - 1)
+        edge = float(x) - 1.0 if law.discrete else est.statistic(x)
+        return float(law.sf(s, np.array([edge]))[0])
 
     return calibrated_p_evar(kappa, p_fn, valid_for=s)
 
@@ -438,44 +272,22 @@ class _CellwiseEngine:
     def __init__(self, composite: CompositeEVariable, k_lo: int, k_hi: int):
         bundle = composite.bundle
         profile: CellwiseProfile = composite.profile
-        est = bundle.estimator
-        num = _NUMERICS[bundle.family.name]
-        lo, hi = _clip_bounds(bundle)
-        ks = list(range(k_lo, k_hi + 1))
-        if num.discrete:
-            groups = (
-                _binomial_groups(bundle)
-                if bundle.family.name == "binomial"
-                else None
-            )
-            ranges = [_discrete_cell_int_range(bundle, k, groups) for k in ks]
-            keep = [i for i, (a, b) in enumerate(ranges) if b >= a]
-            ks = [ks[i] for i in keep]
-            ranges = [ranges[i] for i in keep]
-            edges = [ranges[0][0] - 0.5]
-            for (a, b), (prev_a, prev_b) in zip(ranges[1:], ranges[:-1]):
-                if a != prev_b + 1:  # pragma: no cover - cells are contiguous
-                    raise DomainError("non-contiguous estimator cells")
-            for a, b in ranges:
-                edges.append(b + 0.5)
-        else:
-            edges = [max(est.cell(ks[0]).lo, lo)]
-            for k in ks:
-                edges.append(min(est.cell(k).hi, hi))
-        self.bundle = bundle
-        self.numerics = num
-        self.edges = np.asarray(edges, dtype=float)
+        ks = range(k_lo, k_hi + 1)
+        self.law = bundle.family.law
+        self.bounds = _cell_bounds(bundle, ks)
         self.levels = np.array([profile.level(k) for k in ks])
         self.default = profile.default_level
         self.sup = profile.sup_level
 
     def expectation(self, theta: float) -> ExpectationResult:
-        cdf = self.numerics.stat_cdf(self.bundle, theta, self.edges)
-        probs = np.diff(cdf)
-        outside = max(0.0, 1.0 - float(cdf[-1] - cdf[0]))
+        # the cells are contiguous: the mass outside them lies below the
+        # first one and above the last
+        F = self.law.cdf(theta, self.bounds)
+        probs = F[:, 1] - F[:, 0]
+        outside = max(0.0, 1.0 - float(F[-1, 1] - F[0, 0]))
         estimate = float(np.dot(self.levels, probs)) + outside * self.default
         eb = _CDF_EPS * (len(self.levels) + 2.0) * max(1.0, self.sup)
-        method = "exact_sum" if self.numerics.discrete else "quadrature"
+        method = "exact_sum" if self.law.discrete else "quadrature"
         return ExpectationResult(estimate, eb, method)
 
 
@@ -486,33 +298,21 @@ class _PeriodicTrapezoidEngine:
 
     def __init__(self, composite: CompositeEVariable):
         profile: PeriodicTrapezoidProfile = composite.profile
-        self.bundle = composite.bundle
-        self.name = self.bundle.family.name
+        law = composite.bundle.family.law
+        self.moment = law.moment
+        self.R = law.moment_reach
         self.h = profile.height
         self.eps = profile.epsilon
         self.C = profile.factor_C
-        self.R = HEAVY_TAIL_CELL_WINDOW if self.name == "cauchy" else 16
-
-    def _cdf_m1(self, theta: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """CDF and partial-first-moment antiderivative at v."""
-        z = v - theta
-        if self.name == "cauchy":
-            F = stats.cauchy.cdf(z)
-            # d/dv [log(1 + z^2) / (2 pi)] = z * pdf(z)
-            G = theta * F + np.log1p(z * z) / (2.0 * math.pi)
-        else:
-            F = stats.norm.cdf(z)
-            G = theta * F - stats.norm.pdf(z)
-        return F, G
 
     def expectation(self, theta: float) -> ExpectationResult:
         m = np.arange(math.floor(theta) - self.R, math.floor(theta) + self.R + 1)
         a = m + (0.5 - self.eps)
         c = m + 0.5
         b = m + (0.5 + self.eps)
-        Fa, Ga = self._cdf_m1(theta, a)
-        Fc, Gc = self._cdf_m1(theta, c)
-        Fb, Gb = self._cdf_m1(theta, b)
+        Fa, Ga = self.moment(theta, a)
+        Fc, Gc = self.moment(theta, c)
+        Fb, Gb = self.moment(theta, b)
         rising = (Gc - Ga) - a * (Fc - Fa)
         falling = b * (Fb - Fc) - (Gb - Gc)
         deficit = float(np.sum(rising + falling)) / (2.0 * self.eps)
@@ -534,11 +334,9 @@ def _as_callable(e) -> Callable[[object], float]:
 
 
 def _generic_discrete(e, theta, bundle, plan) -> ExpectationResult:
-    num = _NUMERICS[bundle.family.name]
-    lo, hi = _clip_bounds(bundle)
-    hi_q = num.stat_ppf(bundle, theta, 1.0 - plan.tail_mass / 2.0)
-    hi_x = min(hi, hi_q + 8.0)
-    xs = np.arange(max(lo, 0.0), hi_x + 1.0)
+    law = bundle.family.law
+    _, top = law.window(theta, plan.tail_mass)
+    xs = np.arange(law.lo, min(law.hi, top + 8.0) + 1.0)
     pmf = np.exp(np.asarray(bundle.family.log_density(theta, xs), dtype=float))
     fn = _as_callable(e)
     values = np.array([fn(float(x)) for x in xs])
@@ -554,23 +352,16 @@ def _generic_discrete(e, theta, bundle, plan) -> ExpectationResult:
 
 
 def _generic_quadrature(e, theta, bundle, plan) -> ExpectationResult:
-    num = _NUMERICS[bundle.family.name]
-    sup_lo, sup_hi = _clip_bounds(bundle)
-    if num.heavy_tails:
-        lo = theta - HEAVY_TAIL_CELL_WINDOW
-        hi = theta + HEAVY_TAIL_CELL_WINDOW
-    else:
-        lo = num.stat_ppf(bundle, theta, plan.tail_mass / 2.0)
-        hi = num.stat_ppf(bundle, theta, 1.0 - plan.tail_mass / 2.0)
-    lo, hi = max(lo, sup_lo), min(hi, sup_hi)
-    if bundle.family.name == "continuous_uniform":
-        lo = max(lo, theta * plan.tail_mass)
-    fn = _as_callable(e)
-    if bundle.family.sample_dim > 1:
+    law = bundle.family.law
+    if not law.statistic_is_sample:
+        # the window lives in statistic space; integrating samples over it
+        # would miss mass (x < 0 when the statistic is x^2)
         raise DomainError(
-            "generic quadrature works on scalar samples; use monte_carlo for "
-            "product families or give the composite a cellwise profile"
+            "generic quadrature needs a statistic equal to the scalar sample; "
+            "use monte_carlo or give the composite a cellwise profile"
         )
+    lo, hi = law.window(theta, plan.tail_mass)
+    fn = _as_callable(e)
 
     def integrand(x: float) -> float:
         return fn(x) * math.exp(float(bundle.family.log_density(theta, x)))
@@ -583,7 +374,7 @@ def _generic_quadrature(e, theta, bundle, plan) -> ExpectationResult:
                                      epsabs=plan.abs_tol, epsrel=1e-10)
         total += val
         err += abserr
-    coverage = num.stat_cdf(bundle, theta, np.array([lo, hi]))
+    coverage = law.cdf(theta, np.array([lo, hi]))
     tail = max(0.0, 1.0 - float(coverage[1] - coverage[0]))
     sup = getattr(e, "sup_bound", None)
     if sup is None:
@@ -613,9 +404,8 @@ def _statistic_knots(bundle, lo, hi, epsilon) -> list[float]:
 
 
 def _monte_carlo(e, theta, bundle, plan, theta_index) -> ExpectationResult:
-    num = _NUMERICS[bundle.family.name]
     rng = _rng_for(plan.seed, theta_index)
-    xs = num.sample(bundle, theta, plan.mc_samples, rng)
+    xs = bundle.family.law.sample(theta, plan.mc_samples, rng)
     if isinstance(e, CompositeEVariable):
         values = e.eval_many(xs)
     else:
@@ -648,19 +438,18 @@ def expectation(
         bundle = e.bundle
     plan = plan or ExpectationPlan()
     theta = bundle.family.validate_param(theta)
-    num = _NUMERICS[bundle.family.name]
+    discrete = bundle.family.law.discrete
     if plan.method == "monte_carlo":
         return _monte_carlo(e, theta, bundle, plan, theta_index)
-    if plan.method == "exact_sum" and not num.discrete:
+    if plan.method == "exact_sum" and not discrete:
         raise DomainError("exact_sum is only valid for discrete families")
+    method = "exact_sum" if discrete else "quadrature"
     if isinstance(e, EVariable) and e.kind == "constant":
-        method = "exact_sum" if num.discrete else "quadrature"
         return ExpectationResult(e.level, _CDF_EPS, method)
     if isinstance(e, EVariable) and e.kind == "cell_indicator":
         # exact: level times the cell probability (valid for product
         # families too -- the indicator is a function of the statistic)
-        p = _cell_prob(bundle, theta, e.cell_index)
-        method = "exact_sum" if num.discrete else "quadrature"
+        p = float(_cell_probs(bundle, theta, [e.cell_index])[0])
         return ExpectationResult(e.level * p, _CDF_EPS * max(1.0, e.level), method)
     if isinstance(e, CompositeEVariable) and isinstance(e.profile, CellwiseProfile):
         keys = list(e.components.keys())
@@ -672,7 +461,7 @@ def expectation(
         e.profile, PeriodicTrapezoidProfile
     ):
         return _PeriodicTrapezoidEngine(e).expectation(theta)
-    if num.discrete:
+    if discrete:
         return _generic_discrete(e, theta, bundle, plan)
     return _generic_quadrature(e, theta, bundle, plan)
 
@@ -927,53 +716,34 @@ def uniform_ceiling_budget_max(n_max: int = 2**20) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 
 
-class _UnitCellSpikes(Mapping):
-    """The conceptually total family of unit-cell spikes e_n: the
-    indicator of [n - 1/2, n + 1/2) over its probability under P_n (the
-    same height for every n by translation invariance)."""
+class _UnitCellSpikes:
+    """The unbounded family of unit-cell spikes e_n, built on demand by
+    ``get(n)``: the indicator of [n - 1/2, n + 1/2) over its probability
+    under P_n (the same height for every n by translation invariance).
 
-    def __init__(self, bundle: FamilyBundle, height: float):
-        self._bundle = bundle
+    That interval is not an estimator cell (r^epsilon moves the cell
+    edges), so the spikes are generic components with a known sup."""
+
+    def __init__(self, height: float):
         self.height = height
 
-    def __getitem__(self, n: int) -> EVariable:
+    def get(self, n: int, default=None) -> EVariable:
         h = self.height
         return EVariable(
-            fn=lambda x, _n=n: h if _n - 0.5 <= float(x) < _n + 0.5 else 0.0,
+            fn=lambda x: h if n - 0.5 <= float(x) < n + 0.5 else 0.0,
             valid_for=float(n),
             sup_bound=h,
-            kind="cell_indicator",
-            level=h,
-            cell_index=n,
         )
-
-    def get(self, n: int, default=None) -> EVariable:
-        return self[n]
-
-    def __iter__(self):  # pragma: no cover - unbounded conceptually
-        return iter(())
-
-    def __len__(self) -> int:  # pragma: no cover
-        return 0
-
-    def keys(self):
-        return ()
-
-    def items(self):
-        return ()
 
 
 def unit_cell_spikes(bundle: FamilyBundle) -> _UnitCellSpikes:
-    name = bundle.family.name
-    if name == "normal_mean":
-        if bundle.family.sample_dim != 1:
-            raise DomainError("interpolated spikes need single observations")
-        mass = float(stats.norm.cdf(0.5) - stats.norm.cdf(-0.5))
-    elif name == "cauchy":
-        mass = float(stats.cauchy.cdf(0.5) - stats.cauchy.cdf(-0.5))
-    else:
-        raise DomainError("interpolation is certified for normal_mean and cauchy")
-    return _UnitCellSpikes(bundle, 1.0 / mass)
+    law = bundle.family.law
+    if law.moment is None:
+        raise DomainError(
+            "interpolation is certified for cauchy and single-observation normal_mean"
+        )
+    F = law.cdf(0.0, np.array([-0.5, 0.5]))
+    return _UnitCellSpikes(1.0 / float(F[1] - F[0]))
 
 
 def interpolated_spike_composite(

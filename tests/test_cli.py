@@ -49,6 +49,11 @@ class TestExitCodes:
         assert run(["certify", "--family", "cauchy",
                     "--epsilon", "0.4"]) == EXIT_CONFIG
 
+    def test_epsilon_rejected_for_a_family_without_one(self, capsys):
+        assert run(["certify", "--family", "poisson",
+                    "--epsilon", "0.1"]) == EXIT_CONFIG
+        assert "epsilon" in capsys.readouterr().err
+
     def test_binomial_without_n_rejected(self):
         assert run(["check-conditions", "--family", "binomial"]) == EXIT_CONFIG
 

@@ -259,3 +259,106 @@ class TestBundleInvariants:
         )
         with pytest.raises(DomainError):
             make_bundle("normal_mean", epsilon=0.2, n=4)
+
+
+def _law_references():
+    """(bundle, thetas, points, frozen scipy.stats reference) per family.
+
+    The binomial, Poisson and discrete uniform laws are indexed by support
+    point; the others by statistic value.  The normal-variance reference
+    rescales its statistic to the chi-square it is."""
+    from scipy import stats
+
+    class _ScaledChi2:
+        def __init__(self, n, var):
+            self.n, self.var = n, var
+
+        def cdf(self, v):
+            return stats.chi2.cdf(self.n * v / self.var, df=self.n)
+
+        def sf(self, v):
+            return stats.chi2.sf(self.n * v / self.var, df=self.n)
+
+        def ppf(self, q):
+            return self.var * stats.chi2.ppf(q, df=self.n) / self.n
+
+    counts = lambda top: np.concatenate([np.arange(-2.0, top + 3.0), [0.5, 3.25]])  # noqa: E731
+    reals = np.concatenate([np.linspace(-40.0, 40.0, 161), [-1e4, 1e4, 0.0]])
+    positive = np.concatenate([np.geomspace(1e-6, 1e3, 91), [-1.0, 0.0]])
+    cases = []
+    for n in (49, 10_000):
+        cases.append((make_bundle("binomial", n=n), (1e-4, 0.02, 0.5, 0.97), counts(n),
+                      lambda p, n=n: stats.binom(n, p)))
+    cases.append((make_bundle("poisson"), (0.5, 9.0, 1234.5), counts(1500),
+                  lambda lam: stats.poisson(lam)))
+    cases.append((make_bundle("discrete_uniform"), (1.0, 7.0, 513.0), counts(600),
+                  lambda N: stats.randint(0, int(N) + 1)))
+    cases.append((make_bundle("continuous_uniform"), (1e-3, 0.7, 1024.0), positive,
+                  lambda t: stats.uniform(scale=t)))
+    for n in (1, 16):
+        cases.append((make_bundle("normal_mean", n=n), (-3.3, 0.0, 500.25), reals,
+                      lambda mu, n=n: stats.norm(loc=mu, scale=1.0 / math.sqrt(n))))
+    for n in (1, 64):
+        cases.append((make_bundle("normal_variance", n=n), (1e-3, 1.0, 37.5), positive,
+                      lambda var, n=n: _ScaledChi2(n, var)))
+    cases.append((make_bundle("cauchy", epsilon=0.2), (-7.0, 0.0, 0.4), reals,
+                  lambda t: stats.cauchy(loc=t)))
+    return cases
+
+
+class TestStatLaw:
+    def test_cdf_sf_ppf_bit_equal_to_scipy_stats(self):
+        """Oracle: scipy.stats, whose arithmetic each law repeats with the
+        same scipy.special ufuncs."""
+        qs = np.array([1e-13, 2.5e-13, 1e-6, 0.01, 0.3, 0.5, 0.77, 0.99,
+                       1 - 1e-6, 1 - 2.5e-13])
+        for bundle, thetas, points, reference in _law_references():
+            law = bundle.family.law
+            for theta in thetas:
+                ref = reference(theta)
+                where = (bundle.bundle_id, theta)
+                np.testing.assert_array_equal(law.cdf(theta, points), ref.cdf(points), where)
+                np.testing.assert_array_equal(law.sf(theta, points), ref.sf(points), where)
+                np.testing.assert_array_equal(law.ppf(theta, qs), ref.ppf(qs), where)
+
+    def test_laws_broadcast_over_theta(self):
+        law = make_bundle("binomial", n=64).family.law
+        ps = np.array([[0.1], [0.5]])
+        ks = np.array([3.0, 40.0])
+        both = law.cdf(ps, ks)
+        assert both.shape == (2, 2)
+        np.testing.assert_array_equal(both[1], law.cdf(0.5, ks))
+
+    def test_scalar_samples_are_one_dimensional(self):
+        rng = np.random.default_rng(0)
+        for name, kw in [("normal_mean", {"n": 1}), ("normal_variance", {"n": 1}),
+                         ("cauchy", {}), ("poisson", {})]:
+            law = make_bundle(name, **kw).family.law
+            assert law.sample(2.0, 5, rng).shape == (5,), name
+        law = make_bundle("normal_mean", n=16).family.law
+        assert law.sample(0.0, 5, rng).shape == (5, 16)
+
+    def test_window_caps_heavy_tails_and_floors_the_uniform(self):
+        cauchy = make_bundle("cauchy").family.law
+        assert cauchy.window(3.0, 1e-12) == (3.0 - 10_000, 3.0 + 10_000)
+        uniform = make_bundle("continuous_uniform").family.law
+        lo, hi = uniform.window(4.0, 1e-30)
+        assert lo == 4.0 * 2.0**-60 and hi == 4.0
+        binom = make_bundle("binomial", n=64).family.law
+        assert binom.window(0.5, 1e-12) == tuple(binom.ppf(0.5, np.array([5e-13, 1 - 5e-13])))
+
+    def test_import_does_not_load_scipy_stats(self):
+        import os
+        import subprocess
+        import sys
+
+        import evarify
+
+        src = os.path.dirname(os.path.dirname(evarify.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, evarify; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"

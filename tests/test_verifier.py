@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from evarify.combinator import combine_discrete, constant_evar
+from evarify.combinator import combine_discrete, constant_evar, likelihood_ratio_evar
 from evarify.core import Cell, DomainError
 from evarify.families import make_bundle
 from evarify.verifier import (
@@ -26,6 +26,7 @@ from evarify.verifier import (
     sweep,
     uniform_ceiling_budget,
     uniform_ceiling_budget_max,
+    unit_cell_spikes,
 )
 
 
@@ -146,6 +147,27 @@ class TestExpectation:
         # sanity: between the all-halves and all-max composites
         assert 0.4 < res.estimate < 0.8
 
+    def test_generic_quadrature_refuses_a_statistic_other_than_the_sample(self):
+        """The quadrature window lives in statistic space; for x^2 it would
+        miss every x < 0 (it returned 0.5 for this likelihood ratio)."""
+        b = make_bundle("normal_variance", n=1)
+        lr = likelihood_ratio_evar(b.family, 1.0, 1.3)
+        with pytest.raises(DomainError, match="monte_carlo"):
+            expectation(lr, 1.0, b)
+        mc = expectation(lr, 1.0, b, ExpectationPlan(
+            method="monte_carlo", mc_samples=50_000, seed=5))
+        assert abs(mc.estimate - 1.0) <= mc.error_bound
+
+    def test_monte_carlo_on_a_plain_component_with_one_observation(self):
+        """Scalar Gaussian samples reach a plain callable as floats; the
+        Monte Carlo value agrees with quadrature."""
+        b = make_bundle("normal_mean", n=1)
+        lr = likelihood_ratio_evar(b.family, 0.3, 0.8)
+        quad = expectation(lr, 0.3, b)
+        mc = expectation(lr, 0.3, b, ExpectationPlan(
+            method="monte_carlo", mc_samples=50_000, seed=2))
+        assert abs(mc.estimate - quad.estimate) <= mc.error_bound + quad.error_bound
+
 
 class TestSpikes:
     def test_discrete_uniform_cell_and_level(self):
@@ -185,6 +207,21 @@ class TestSpikes:
         b = make_bundle("poisson")
         suite = spike_suite(b, range(1, 9))
         assert sorted(suite) == list(range(1, 9))
+
+    def test_binomial_levels_from_the_estimator_on_each_count(self):
+        """Oracle: group the counts 0..49 by the estimator's index (float
+        cell edges would misplace some: (1/49) * 49 < 1) and take each
+        group's mass from scipy.stats."""
+        n = 49
+        b = make_bundle("binomial", n=n)
+        index = [b.estimator.index(c) for c in range(n + 1)]
+        suite = spike_suite(b, b.net.indices())
+        for k in b.net.indices():
+            counts = [c for c in range(n + 1) if index[c] == k]
+            p = b.net.point(k)
+            mass = stats.binom.cdf(max(counts), n, p) - stats.binom.cdf(min(counts) - 1, n, p)
+            assert suite[k].level == 1.0 / mass
+            assert spike_evar(b, k).level == suite[k].level
 
 
 class TestSweep:
@@ -362,6 +399,16 @@ class TestInterpolatedCertification:
                 theta - 12, theta + 12, limit=400,
             )
             assert res.estimate == pytest.approx(val, abs=5e-8)
+
+    def test_unit_cell_spike_has_unit_mean_at_its_point(self):
+        """The spike on [-1/2, 1/2) is not an r^epsilon cell, so it is a
+        generic component; tagged as cell 0 it was integrated over
+        [-0.7, 0.3) instead."""
+        b = make_bundle("normal_mean", epsilon=0.2)
+        e0 = unit_cell_spikes(b).get(0)
+        assert e0.kind == "generic" and e0.sup_bound == unit_cell_spikes(b).height
+        res = expectation(e0, 0.0, b)
+        assert abs(res.estimate - 1.0) <= res.error_bound
 
     def test_smaller_epsilon_is_harder(self):
         b = make_bundle("normal_mean", epsilon=0.2)

@@ -17,9 +17,10 @@ realized here as a deterministic grid/sample check producing a
   the constant c (estimated, both directions)
 
 Checks are pure functions of their inputs plus an explicit seed, so two
-runs with the same arguments produce identical reports.  Grids are
-geometric in scale parameters and arithmetic in location parameters.
-Identities use tolerance ``IDENTITY_TOL``; inequalities allow slack
+runs with the same arguments produce identical reports.  The grids are
+each family's own, carried by its bundle (:mod:`evarify.families`);
+continuous families get cell samples from a fill of the estimator's
+cells.  Identities use tolerance ``IDENTITY_TOL``; inequalities allow slack
 ``SLACK_TOL`` (double-precision closed forms).
 """
 
@@ -31,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError
 from .families import FamilyBundle
 
 __all__ = [
@@ -105,60 +105,9 @@ class GridSpec:
     g_values: tuple
 
 
-def _lift(bundle: FamilyBundle, v: float):
-    """A support sample whose pointwise estimate g equals v (constant
-    vector for the mean, scaled constant vector for the squared norm,
-    count v * n for the binomial success fraction)."""
-    name = bundle.family.name
-    n = bundle.family.sample_dim
-    if name == "normal_mean" and n > 1:
-        return np.full(n, float(v))
-    if name == "normal_variance":
-        return np.full(n, math.sqrt(float(v)))
-    if name == "binomial":
-        return float(round(v * int(bundle.params["n"])))
-    return float(v)
-
-
-def default_grid_spec(bundle: FamilyBundle, points: int = 50) -> GridSpec:
-    """Per-family default axes (about ``points`` values each)."""
-    name = bundle.family.name
-    net = bundle.net
-    if name == "poisson":
-        thetas = np.geomspace(0.1, 100.0, points)
-        indices = range(1, points + 1)
-        gs = np.unique(np.concatenate([[0.0, 1.0, 2.0],
-                                       np.round(np.geomspace(1, 300, points - 3))]))
-    elif name == "binomial":
-        thetas = np.linspace(0.02, 0.98, points)
-        indices = net.indices()
-        n = int(bundle.params["n"])
-        gs = np.arange(0, n + 1) / n
-    elif name == "normal_mean":
-        thetas = np.linspace(-5.0, 5.0, points)
-        indices = range(-points // 2, points // 2)
-        gs = np.linspace(-6.0, 6.0, points)
-    elif name == "normal_variance":
-        # the geometric net dives towards 0 quickly; indices are kept in
-        # a range where the identity's terms stay within float64 reach of
-        # an absolute 1e-9 residual
-        thetas = np.geomspace(0.01, 100.0, points)
-        indices = range(-12, 13)
-        gs = np.geomspace(0.005, 200.0, points)
-    elif name == "cauchy":
-        thetas = np.linspace(-5.0, 5.0, points)
-        indices = range(-points // 2, points // 2)
-        gs = np.linspace(-30.0, 30.0, points)
-    elif name == "discrete_uniform":
-        thetas = np.unique(np.round(np.geomspace(1, 4096, points)))
-        indices = range(0, 12)
-        gs = np.unique(np.round(np.geomspace(1, 4096, points)))
-    elif name == "continuous_uniform":
-        thetas = np.geomspace(1e-3, 1e3, points)
-        indices = range(-10, 11)
-        gs = np.geomspace(1e-3, 1e3, points)
-    else:  # pragma: no cover
-        raise DomainError(f"no default grid for {name!r}")
+def default_grid_spec(bundle: FamilyBundle) -> GridSpec:
+    """The bundle's identity axes (``FamilyBundle.identity_axes``)."""
+    thetas, indices, gs = bundle.identity_axes(bundle)
     return GridSpec(
         thetas=tuple(float(t) for t in thetas),
         net_indices=tuple(int(i) for i in indices),
@@ -171,27 +120,15 @@ def default_cell_samples(bundle: FamilyBundle, n_cells: int = 120,
     """Support samples concentrated on cell extremes plus a seeded fill;
     the divergence to the selected point is monotone towards the cell
     edges for every family here, so including exact edges makes the
-    estimated cell bound sharp."""
-    name = bundle.family.name
-    est = bundle.estimator
+    estimated cell bound sharp.  Discrete families bring their own
+    (``FamilyBundle.cell_samples``); continuous ones get both edges and
+    ``per_cell`` draws in each of ``n_cells`` cells, lifted to samples."""
     rng = np.random.default_rng(seed)
+    if bundle.cell_samples is not None:
+        return bundle.cell_samples(bundle, n_cells, per_cell, rng)
+    est = bundle.estimator
+    lift = bundle.family.lift
     samples: list = []
-    if name == "binomial":
-        return [int(k) for k in range(int(bundle.params["n"]) + 1)]
-    if name == "poisson":
-        samples.append(0.0)
-        for t in range(1, n_cells + 1):
-            a, b = t * t - t + 1, t * t + t
-            samples += [float(a), float(b)]
-            if b - a <= per_cell:
-                samples += [float(v) for v in range(a + 1, b)]
-            else:
-                samples += [float(v) for v in rng.integers(a, b + 1, per_cell)]
-        return samples
-    if name == "discrete_uniform":
-        top = 2 ** min(n_cells, 14)
-        return [float(v) for v in range(0, top + 1)]
-    # continuous families: fill each cell of a centred index window
     half = n_cells // 2
     lo_k = est.net.k_min if est.net.k_min is not None else -half
     ks = range(max(lo_k, -half), max(lo_k, -half) + n_cells)
@@ -199,13 +136,12 @@ def default_cell_samples(bundle: FamilyBundle, n_cells: int = 120,
         cell = est.cell(k)
         lo = cell.lo if math.isfinite(cell.lo) else cell.hi - 1.0
         hi = cell.hi if math.isfinite(cell.hi) else cell.lo + 1.0
-        lo = max(lo, bundle.family.support.lo)
         inner = rng.uniform(lo, hi, per_cell)
         edge_lo = lo if cell.lo_closed else np.nextafter(lo, hi)
         edge_hi = hi if cell.hi_closed else np.nextafter(hi, lo)
         for v in [edge_lo, edge_hi, *inner]:
             if cell.contains(float(v)):
-                samples.append(_lift(bundle, float(v)))
+                samples.append(lift(float(v)))
     return samples
 
 
@@ -278,7 +214,7 @@ def check_log_ratio_identity(
     fam = bundle.family
     net = bundle.net
     gs = np.asarray(spec.g_values, dtype=float)
-    xs = [_lift(bundle, g) for g in gs]
+    xs = [fam.lift(g) for g in gs]
     if fam.sample_dim > 1:
         x_arr = np.stack(xs)
     else:
@@ -513,10 +449,9 @@ def run_all_checks(bundle: FamilyBundle, seed: int = 0) -> dict[str, ConditionRe
     """
     reports: dict[str, ConditionReport] = {}
     reports["log_ratio_identity"] = check_log_ratio_identity(bundle)
-    reports["cell_sandwich"] = check_cell_sandwich(
-        bundle, default_cell_samples(bundle, seed=seed)
-    )
-    c_hat = estimate_cell_bound(bundle)
+    samples = default_cell_samples(bundle, seed=seed)
+    reports["cell_sandwich"] = check_cell_sandwich(bundle, samples)
+    c_hat = estimate_cell_bound(bundle, samples)
     declared = bundle.factor_inputs.c_prime if bundle.factor_inputs else None
     ok = True if declared is None else c_hat <= declared + SLACK_TOL
     reports["cell_bound"] = ConditionReport(

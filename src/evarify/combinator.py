@@ -348,13 +348,14 @@ def product_evar(
 
     Selects the component at the rounded sample mean (net spacing
     1/sqrt(n)) and multiplies its value across all n coordinates, then
-    divides by the bundle's factor once.
+    divides by the bundle's factor once.  Only normal-mean bundles carry
+    ``alpha``, so the spacing check also rejects every other family.
     """
-    if bundle.family.name != "normal_mean":
-        raise DomainError("the product rule is defined for the normal-mean bundle")
-    alpha = bundle.params.get("alpha")
-    if alpha != 1.0:
-        raise DomainError("the product rule needs net spacing 1/sqrt(n) (alpha = 1)")
+    if bundle.params.get("alpha") != 1.0:
+        raise DomainError(
+            "the product rule needs the normal-mean bundle with net spacing "
+            "1/sqrt(n) (alpha = 1)"
+        )
     arr = np.asarray(x, dtype=float)
     n = bundle.family.sample_dim
     if arr.shape != (n,):

@@ -59,12 +59,10 @@ __all__ = [
     "ContractViolationError",
     "ConfigError",
     "Interval",
-    "Support",
     "Family",
     "StatLaw",
     "ExpFamilyDescriptor",
     "FactorInputs",
-    "validate_param",
     "divergence",
     "factor_from_growth",
     "factor_from_steps",
@@ -84,8 +82,6 @@ __all__ = [
     "Estimator",
     "RoundToNet",
     "CeilDyadic",
-    "MeanThenRound",
-    "Norm2ThenRound",
     "REpsilon",
 ]
 
@@ -129,7 +125,7 @@ class ConfigError(EvarifyError):
 
 
 # ---------------------------------------------------------------------------
-# Parameter spaces and supports
+# Parameter spaces
 # ---------------------------------------------------------------------------
 
 
@@ -162,36 +158,6 @@ class Interval:
         if value in (self.lo, self.hi):
             return True
         return self.contains(value)
-
-
-@dataclass(frozen=True)
-class Support:
-    """Ambient sample space of a family.
-
-    ``sample_dim > 1`` means the sample is an n-vector of i.i.d.
-    coordinates; scalar families use ``sample_dim == 1``.  A parameter-
-    dependent support (uniform families) is expressed by the log-density
-    returning ``-inf`` outside the current support, not here.
-    """
-
-    kind: Literal["integer_range", "half_line", "real_line"]
-    lo: float = -math.inf
-    hi: float = math.inf
-    lo_open: bool = False
-    sample_dim: int = 1
-
-    def contains(self, x) -> bool:
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if arr.shape[-1] != self.sample_dim and self.sample_dim > 1:
-            return False
-        if self.kind == "integer_range":
-            if not np.all(arr == np.floor(arr)):
-                return False
-        if self.kind in ("integer_range", "half_line"):
-            if self.lo_open:
-                return bool(np.all(arr > self.lo) and np.all(arr <= self.hi))
-            return bool(np.all(arr >= self.lo) and np.all(arr <= self.hi))
-        return bool(np.all(np.isfinite(arr)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +222,18 @@ class Family:
     numpy-aware in both arguments and must satisfy d(t, t) = 0, d >= 0.
     ``estimator_g`` maps a sample to the parameter value it indicates
     (mean, rate, squared norm over n, ...), possibly on the closure of the
-    parameter space; ``law`` is the distribution of g(X).
+    parameter space; ``lift(v)`` is a sample x with ``estimator_g(x) == v``
+    (the checker's way onto the statistic axis); ``law`` is the
+    distribution of g(X).
     """
 
     name: str
     param_space: Interval
-    support: Support
     sample_dim: int
     log_density: Callable[[float, object], object]
     divergence_fn: Callable[[object, object], object]
     estimator_g: Callable[[object], float]
+    lift: Callable[[float], object]
     law: StatLaw
 
     def validate_param(self, theta: float, *, closure: bool = False) -> float:
@@ -280,11 +248,6 @@ class Family:
                 f"parameter {theta!r} outside the {self.name} parameter space"
             )
         return theta
-
-
-def validate_param(family: Family, theta: float, *, closure: bool = False) -> float:
-    """Module-level alias for :meth:`Family.validate_param`."""
-    return family.validate_param(theta, closure=closure)
 
 
 def divergence(family: Family, theta1: float, theta2: float) -> float:
@@ -458,13 +421,6 @@ class Net:
         raise NotImplementedError
 
     # -- derived access ----------------------------------------------------
-
-    def index_to_param(self, k: int) -> float:
-        if self.k_min is not None and k < self.k_min:
-            raise DomainError(f"index {k} below the net's smallest index")
-        if self.k_max is not None and k > self.k_max:
-            raise DomainError(f"index {k} above the net's largest index")
-        return self.point(k)
 
     def pred_index(self, t: float) -> int | None:
         """Index of max{s in S : s < t}, or None."""
@@ -823,31 +779,6 @@ class RoundToNet(Estimator):
         else:
             hi, hi_closed = 0.5 * (s + net.point(k + 1)), False
         return Cell(lo, hi, lo_closed, hi_closed)
-
-
-class MeanThenRound(RoundToNet):
-    """Round the sample mean to the nearest net point."""
-
-    kind = "mean_then_round"
-
-    def __init__(self, net: Net):
-        super().__init__(net, statistic=lambda x: float(np.mean(np.asarray(x, dtype=float))))
-
-
-class Norm2ThenRound(RoundToNet):
-    """Round the mean squared norm ||x||^2 / n to the nearest net point."""
-
-    kind = "norm2_then_round"
-
-    def __init__(self, net: Net, n: int):
-        self.n = int(n)
-        super().__init__(
-            net,
-            statistic=lambda x: float(
-                np.dot(np.ravel(np.asarray(x, dtype=float)), np.ravel(np.asarray(x, dtype=float)))
-            )
-            / self.n,
-        )
 
 
 class CeilDyadic(Estimator):

@@ -33,6 +33,11 @@ distribution (vectorized cdf/sf/ppf, sampling and truncation window, plus
 the partial first moment of the two location families), built from
 ``scipy.special`` ufuncs with the arithmetic ``scipy.stats`` uses, so the
 verifier gets the same values without importing ``scipy.stats``.
+
+Each bundle also carries its family's adversarial grids (the verifier's
+theta grid, the checker's identity axes and cell samples).  This is the
+only module that knows which families exist; the others read everything
+family-specific from the bundle.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.special import (
@@ -76,15 +81,12 @@ from .core import (
     Geometric,
     IntegerLattice,
     Interval,
-    MeanThenRound,
     Net,
-    Norm2ThenRound,
     REpsilon,
     RoundToNet,
     ScaledLattice,
     Squares,
     StatLaw,
-    Support,
     factor_from_growth,
     factor_from_steps,
 )
@@ -183,11 +185,11 @@ def poisson_family() -> Family:
     return Family(
         name="poisson",
         param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
-        support=Support(kind="integer_range", lo=0.0, hi=math.inf),
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda x: float(x),
+        lift=float,
         law=_discrete_law(
             lambda lam, k: pdtr(k, lam),
             lambda lam, k: pdtrc(k, lam),
@@ -224,11 +226,11 @@ def binomial_family(n: int) -> Family:
     return Family(
         name="binomial",
         param_space=Interval(lo=0.0, hi=1.0, lo_open=True, hi_open=True),
-        support=Support(kind="integer_range", lo=0.0, hi=float(n)),
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda k: float(k) / n,
+        lift=lambda v: float(round(v * n)),
         law=_discrete_law(
             lambda p, k: _binom_cdf(k, n, p),
             lambda p, k: _binom_sf(k, n, p),
@@ -266,11 +268,11 @@ def discrete_uniform_family() -> Family:
     return Family(
         name="discrete_uniform",
         param_space=Interval(lo=0.0, hi=math.inf, lo_open=False, integer=True),
-        support=Support(kind="integer_range", lo=0.0, hi=math.inf),
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda x: float(x),
+        lift=float,
         law=_discrete_law(
             _du_cdf, lambda N, k: 1.0 - _du_cdf(N, k), _du_ppf,
             lambda N, m, rng: rng.integers(0, int(N) + 1, m).astype(float),
@@ -299,11 +301,11 @@ def continuous_uniform_family() -> Family:
     return Family(
         name="continuous_uniform",
         param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
-        support=Support(kind="half_line", lo=0.0, hi=math.inf, lo_open=True),
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda x: float(x),
+        lift=float,
         law=StatLaw(
             discrete=False,
             cdf=cdf,
@@ -351,11 +353,11 @@ def normal_mean_family(n: int) -> Family:
     return Family(
         name="normal_mean",
         param_space=Interval(),
-        support=Support(kind="real_line", sample_dim=n),
         sample_dim=n,
         log_density=log_density,
         divergence_fn=div,
         estimator_g=g,
+        lift=float if n == 1 else (lambda v: np.full(n, float(v))),
         law=StatLaw(
             discrete=False,
             cdf=cdf,
@@ -398,11 +400,11 @@ def normal_variance_family(n: int) -> Family:
     return Family(
         name="normal_variance",
         param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
-        support=Support(kind="real_line", sample_dim=n),
         sample_dim=n,
         log_density=log_density,
         divergence_fn=div,
         estimator_g=g,
+        lift=lambda v: np.full(n, math.sqrt(float(v))),
         law=StatLaw(
             discrete=False,
             cdf=lambda var, v: np.where(chi2(var, v) > 0, chdtr(n, chi2(var, v)), 0.0),
@@ -439,11 +441,11 @@ def cauchy_family() -> Family:
     return Family(
         name="cauchy",
         param_space=Interval(),
-        support=Support(kind="real_line"),
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda x: float(x),
+        lift=float,
         law=StatLaw(
             discrete=False,
             cdf=cdf,
@@ -569,12 +571,22 @@ def normal_variance_descriptor(n: int) -> ExpFamilyDescriptor:
 
 @dataclass(frozen=True)
 class FamilyBundle:
-    """A family wired to its net, estimator and normalizing factor.
+    """A family wired to its net, estimator and normalizing factor, with
+    the family's adversarial grids.
 
     ``route`` records how ``factor_C`` was certified: "growth" and
     "steps" use the closed-form factor formulas applied to
-    ``factor_inputs``; "direct" means an explicit constant.  Bundles are
-    immutable and safe for concurrent reads.
+    ``factor_inputs``; "direct" means an explicit constant.
+
+    The grids are functions of the bundle they are given (a bundle made
+    by ``dataclasses.replace`` is read afresh), run only when asked for:
+    ``theta_grid(b)``, the parameters a sweep certifies at, in any order;
+    ``identity_axes(b)``, the (thetas, net indices, statistic values) of
+    the checker's log-ratio identity grid; ``cell_samples(b, n_cells,
+    per_cell, rng)``, the discrete families' samples for the cell checks
+    (None: the checker fills the estimator's cells).
+
+    Bundles are immutable and safe for concurrent reads.
     """
 
     family: Family
@@ -584,6 +596,9 @@ class FamilyBundle:
     factor_C: float
     route: str  # "growth" | "steps" | "direct"
     descriptor: ExpFamilyDescriptor | None
+    theta_grid: Callable[["FamilyBundle"], list]
+    identity_axes: Callable[["FamilyBundle"], tuple]
+    cell_samples: Callable[..., list] | None = None
     params: Mapping[str, float] = field(default_factory=dict)
     bundle_id: str = ""
     #: net index of each support point 0..n, for finite discrete supports
@@ -596,14 +611,107 @@ class FamilyBundle:
     def estimate_index(self, x) -> int:
         return self.estimator.index(x)
 
-    @property
-    def name(self) -> str:
-        return self.family.name
-
 
 def estimate(bundle: FamilyBundle, x) -> float:
     """Module-level alias for :meth:`FamilyBundle.estimate`."""
     return bundle.estimate(x)
+
+
+# ---------------------------------------------------------------------------
+# Adversarial grids, one set per family (see FamilyBundle)
+#
+# Location families sweep a wide span plus cell-boundary and half-integer
+# points (the worst cases sit at cell boundaries); scale families sweep
+# six decades plus net points and their perturbations; the discrete
+# uniform hits powers of two and their neighbours up to 2**20.
+# ---------------------------------------------------------------------------
+
+_LOCATION_BASES = (0.0, 1.0, -1.0, 10.0, 500.0, -500.0, 1000.0, -1000.0)
+
+
+def _location_grid(offsets) -> list:
+    return [base + o for base in _LOCATION_BASES for o in offsets]
+
+
+def _scale_grid(points) -> list:
+    """Six decades, plus each net point and its 1 +/- 1e-6 neighbours."""
+    grid = list(np.geomspace(1e-3, 1e3, 61))
+    for s in points:
+        grid += [s, s * (1 + 1e-6), s * (1 - 1e-6)]
+    return grid
+
+
+def _location_axes(span: float):
+    """Identity axes of a location family: thetas in [-5, 5], the 50 net
+    indices around 0 and statistic values in [-span, span]."""
+    return lambda b: (np.linspace(-5.0, 5.0, 50), range(-25, 25),
+                      np.linspace(-span, span, 50))
+
+
+#: the discrete uniform's identity axes: 50 sizes spread over 1..4096
+_DYADIC_SIZES = np.unique(np.round(np.geomspace(1, 4096, 50)))
+
+
+def _binomial_theta_grid(b: FamilyBundle) -> list:
+    pts = [b.net.point(k) for k in b.net.indices()]
+    grid = [1e-4, 1e-3, 0.01, 0.05, 0.95, 0.99, 0.999, 0.9999]
+    grid += list(np.linspace(0.05, 0.95, 19))
+    for s in pts:
+        grid += [s, min(1 - 1e-9, s * 1.01), max(1e-9, s * 0.99)]
+    for a, c in zip(pts[:-1], pts[1:]):
+        mid = 0.5 * (a + c)
+        grid += [mid, np.nextafter(mid, 0.0), np.nextafter(mid, 1.0)]
+    return grid
+
+
+def _discrete_uniform_theta_grid(b: FamilyBundle) -> list:
+    grid = list(range(1, 65))
+    for j in range(1, 21):
+        grid += [2**j - 1, 2**j, min(2**20, 2**j + 1)]
+    return grid + [int(v) for v in np.geomspace(64, 2**20, 40)]
+
+
+def _poisson_theta_grid(b: FamilyBundle) -> list:
+    grid = list(np.geomspace(0.5, 1e4, 97))
+    for t in range(1, 13):
+        grid += [t * t, t * t + t, t * t + t + 0.25, t * t + t + 0.75,
+                 max(0.5, t * t - t)]
+    return grid
+
+
+def _poisson_cell_samples(b: FamilyBundle, n_cells: int, per_cell: int, rng) -> list:
+    """Both ends of the cells {t^2 - t + 1 .. t^2 + t} of the first
+    ``n_cells`` squares, filled in full or by ``per_cell`` seeded draws."""
+    samples = [0.0]
+    for t in range(1, n_cells + 1):
+        a, c = t * t - t + 1, t * t + t
+        samples += [float(a), float(c)]
+        if c - a <= per_cell:
+            samples += [float(v) for v in range(a + 1, c)]
+        else:
+            samples += [float(v) for v in rng.integers(a, c + 1, per_cell)]
+    return samples
+
+
+def _normal_mean_theta_grid(b: FamilyBundle) -> list:
+    h = b.net.point(1) - b.net.point(0)
+    grid = _location_grid([0.0, h / 8, h / 4, 3 * h / 8, h / 2, h / 2 + h / 64,
+                           5 * h / 8, 3 * h / 4, h])
+    eps = b.params.get("epsilon")
+    if eps is not None:
+        grid += [0.5 - eps, 0.5 - eps / 2, 0.5, 0.5 + eps / 2, 0.5 + eps]
+    return grid
+
+
+def _normal_variance_theta_grid(b: FamilyBundle) -> list:
+    pts = [b.net.point(k) for k in range(-6, 7)]
+    return _scale_grid(pts) + [0.5 * (a + c) for a, c in zip(pts[:-1], pts[1:])]
+
+
+def _cauchy_theta_grid(b: FamilyBundle) -> list:
+    eps = b.params.get("epsilon", 0.0)
+    return _location_grid([0.0, 0.1, 0.25, 0.5 - eps, 0.5 - eps / 2, 0.5,
+                           0.5 + eps / 2, 0.5 + eps, 0.75, 1.0])
 
 
 def _binomial_growth_alpha(net: BinomialSine, div_fn) -> float:
@@ -640,7 +748,7 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         raise DomainError("binomial bundle needs n >= 4")
     fam = binomial_family(n)
     net = BinomialSine(n)
-    est = RoundToNet(net, statistic=lambda k: float(k) / n)
+    est = RoundToNet(net, fam.estimator_g)
     ks = np.arange(n + 1)
     index = np.array([est.index(k) for k in ks])
     sel = np.array([net.point(k) for k in index])
@@ -656,6 +764,10 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         factor_C=C,
         route="growth",
         descriptor=binomial_descriptor(n),
+        theta_grid=_binomial_theta_grid,
+        identity_axes=lambda b: (np.linspace(0.02, 0.98, 50), b.net.indices(),
+                                 np.arange(0, b.params["n"] + 1) / b.params["n"]),
+        cell_samples=lambda b, n_cells, per_cell, rng: list(range(int(b.params["n"]) + 1)),
         params={"n": n},
         bundle_id=f"binomial(n={n})",
         support_index=index,
@@ -672,6 +784,11 @@ def _make_discrete_uniform() -> FamilyBundle:
         factor_C=3.0,
         route="direct",
         descriptor=None,
+        theta_grid=_discrete_uniform_theta_grid,
+        identity_axes=lambda b: (_DYADIC_SIZES, range(0, 12), _DYADIC_SIZES),
+        # every support point of the first min(n_cells, 14) dyadic cells
+        cell_samples=lambda b, n_cells, per_cell, rng: [
+            float(v) for v in range(2 ** min(n_cells, 14) + 1)],
         params={},
         bundle_id="discrete_uniform",
     )
@@ -688,6 +805,10 @@ def _make_poisson() -> FamilyBundle:
         factor_C=factor_from_steps(1.0, 1.0),
         route="steps",
         descriptor=poisson_descriptor(),
+        theta_grid=_poisson_theta_grid,
+        identity_axes=lambda b: (np.geomspace(0.1, 100.0, 50), range(1, 51), np.unique(
+            np.concatenate([[0.0, 1.0, 2.0], np.round(np.geomspace(1, 300, 47))]))),
+        cell_samples=_poisson_cell_samples,
         params={},
         bundle_id="poisson",
     )
@@ -703,6 +824,9 @@ def _make_continuous_uniform() -> FamilyBundle:
         factor_C=3.0,
         route="direct",
         descriptor=None,
+        theta_grid=lambda b: _scale_grid(b.net.point(j) for j in range(-10, 11)),
+        identity_axes=lambda b: (np.geomspace(1e-3, 1e3, 50), range(-10, 11),
+                                 np.geomspace(1e-3, 1e3, 50)),
         params={},
         bundle_id="continuous_uniform",
     )
@@ -731,6 +855,8 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
             factor_C=factor_from_growth(c_prime, 1.0),
             route="growth",
             descriptor=normal_mean_descriptor(1),
+            theta_grid=_normal_mean_theta_grid,
+            identity_axes=_location_axes(6.0),
             params={"n": 1, "epsilon": eps},
             bundle_id=f"normal_mean(epsilon={eps})",
         )
@@ -742,11 +868,13 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
     return FamilyBundle(
         family=fam,
         net=net,
-        estimator=MeanThenRound(net),
+        estimator=RoundToNet(net, fam.estimator_g),
         factor_inputs=inputs,
         factor_C=factor_from_steps(alpha ** 2 / 8.0, alpha ** 2 / 2.0),
         route="steps",
         descriptor=normal_mean_descriptor(n),
+        theta_grid=_normal_mean_theta_grid,
+        identity_axes=_location_axes(6.0),
         params={"alpha": alpha, "n": n},
         bundle_id=f"normal_mean(alpha={alpha},n={n})",
     )
@@ -762,15 +890,22 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
         net = Geometric(float(exact), exact_ratio=exact)
     else:
         net = Geometric(1.0 + 1.0 / math.sqrt(n))
+    fam = normal_variance_family(n)
     inputs = FactorInputs(c_prime=0.5, c=1.0 / 32.0)
     return FamilyBundle(
-        family=normal_variance_family(n),
+        family=fam,
         net=net,
-        estimator=Norm2ThenRound(net, n),
+        estimator=RoundToNet(net, fam.estimator_g),
         factor_inputs=inputs,
         factor_C=factor_from_steps(0.5, 1.0 / 32.0),
         route="steps",
         descriptor=normal_variance_descriptor(n),
+        theta_grid=_normal_variance_theta_grid,
+        # the geometric net dives towards 0 quickly; indices are kept in a
+        # range where the identity's terms stay within float64 reach of an
+        # absolute 1e-9 residual
+        identity_axes=lambda b: (np.geomspace(0.01, 100.0, 50), range(-12, 13),
+                                 np.geomspace(0.005, 200.0, 50)),
         params={"n": n},
         bundle_id=f"normal_variance(n={n})",
     )
@@ -793,6 +928,8 @@ def _make_cauchy(epsilon: float | None = None) -> FamilyBundle:
         factor_C=factor_from_growth(math.log(2.0), 1.0),
         route="growth",
         descriptor=None,
+        theta_grid=_cauchy_theta_grid,
+        identity_axes=_location_axes(30.0),
         params={} if epsilon is None else {"epsilon": float(epsilon)},
         bundle_id=f"cauchy{eps_id}",
     )

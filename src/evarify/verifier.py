@@ -438,32 +438,47 @@ def expectation(
         bundle = e.bundle
     plan = plan or ExpectationPlan()
     theta = bundle.family.validate_param(theta)
-    discrete = bundle.family.law.discrete
+    engine = _closed_form_engine(e, bundle, [theta], plan)
+    if engine is not None:
+        return engine(theta)
     if plan.method == "monte_carlo":
         return _monte_carlo(e, theta, bundle, plan, theta_index)
+    if bundle.family.law.discrete:
+        return _generic_discrete(e, theta, bundle, plan)
+    return _generic_quadrature(e, theta, bundle, plan)
+
+
+def _closed_form_engine(
+    e, bundle: FamilyBundle, theta_grid: Sequence[float], plan: ExpectationPlan
+) -> Callable[[float], ExpectationResult] | None:
+    """The engine giving E_theta[e] in closed form over the grid, or None
+    when e must be evaluated pointwise (Monte Carlo, generic sum or
+    quadrature).  :func:`expectation` and :func:`sweep` both dispatch here."""
+    discrete = bundle.family.law.discrete
     if plan.method == "exact_sum" and not discrete:
         raise DomainError("exact_sum is only valid for discrete families")
+    if plan.method == "monte_carlo":
+        return None
     method = "exact_sum" if discrete else "quadrature"
     if isinstance(e, EVariable) and e.kind == "constant":
-        return ExpectationResult(e.level, _CDF_EPS, method)
+        return lambda theta: ExpectationResult(e.level, _CDF_EPS, method)
     if isinstance(e, EVariable) and e.kind == "cell_indicator":
         # exact: level times the cell probability (valid for product
         # families too -- the indicator is a function of the statistic)
-        p = float(_cell_probs(bundle, theta, [e.cell_index])[0])
-        return ExpectationResult(e.level * p, _CDF_EPS * max(1.0, e.level), method)
+        return lambda theta: ExpectationResult(
+            e.level * float(_cell_probs(bundle, theta, [e.cell_index])[0]),
+            _CDF_EPS * max(1.0, e.level), method)
     if isinstance(e, CompositeEVariable) and isinstance(e.profile, CellwiseProfile):
+        k_lo, k_hi = _grid_index_envelope(bundle, theta_grid, plan.tail_mass)
         keys = list(e.components.keys())
-        k_lo, k_hi = _grid_index_envelope(bundle, [theta], plan.tail_mass)
         if keys:
             k_lo, k_hi = min(k_lo, min(keys)), max(k_hi, max(keys))
-        return _CellwiseEngine(e, k_lo, k_hi).expectation(theta)
+        return _CellwiseEngine(e, k_lo, k_hi).expectation
     if isinstance(e, CompositeEVariable) and isinstance(
         e.profile, PeriodicTrapezoidProfile
     ):
-        return _PeriodicTrapezoidEngine(e).expectation(theta)
-    if discrete:
-        return _generic_discrete(e, theta, bundle, plan)
-    return _generic_quadrature(e, theta, bundle, plan)
+        return _PeriodicTrapezoidEngine(e).expectation
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -472,71 +487,11 @@ def expectation(
 
 
 def default_theta_grid(bundle: FamilyBundle) -> list[float]:
-    """Adversarial parameter grid for a bundle.
-
-    Location families sweep a wide span plus cell-boundary and
-    half-integer points (the worst cases sit at cell boundaries); scale
-    families sweep geometric grids over six decades plus net points and
-    their perturbations; the discrete uniform hits powers of two and
-    their neighbours up to 2**20.
-    """
-    name = bundle.family.name
-    if name == "poisson":
-        grid = list(np.geomspace(0.5, 1e4, 97))
-        for t in range(1, 13):
-            grid += [t * t, t * t + t, t * t + t + 0.25, t * t + t + 0.75,
-                     max(0.5, t * t - t)]
-    elif name == "binomial":
-        net = bundle.net
-        pts = [net.point(k) for k in net.indices()]
-        grid = [1e-4, 1e-3, 0.01, 0.05, 0.95, 0.99, 0.999, 0.9999]
-        grid += list(np.linspace(0.05, 0.95, 19))
-        for s in pts:
-            grid += [s, min(1 - 1e-9, s * 1.01), max(1e-9, s * 0.99)]
-        for a, b in zip(pts[:-1], pts[1:]):
-            mid = 0.5 * (a + b)
-            grid += [mid, np.nextafter(mid, 0.0), np.nextafter(mid, 1.0)]
-    elif name == "discrete_uniform":
-        grid = list(range(1, 65))
-        for j in range(1, 21):
-            grid += [2**j - 1, 2**j, min(2**20, 2**j + 1)]
-        grid += [int(v) for v in np.geomspace(64, 2**20, 40)]
-        grid = sorted({int(v) for v in grid if 1 <= v <= 2**20})
-        return [float(v) for v in grid]
-    elif name == "continuous_uniform":
-        grid = list(np.geomspace(1e-3, 1e3, 61))
-        for j in range(-10, 11):
-            s = 2.0**j
-            grid += [s, s * (1 + 1e-6), s * (1 - 1e-6)]
-    elif name == "normal_mean":
-        h = bundle.net.point(1) - bundle.net.point(0)
-        offs = [0.0, h / 8, h / 4, 3 * h / 8, h / 2, h / 2 + h / 64,
-                5 * h / 8, 3 * h / 4, h]
-        grid = []
-        for base in (0.0, 1.0, -1.0, 10.0, 500.0, -500.0, 1000.0, -1000.0):
-            grid += [base + o for o in offs]
-        eps = bundle.params.get("epsilon")
-        if eps is not None:
-            grid += [0.5 - eps, 0.5 - eps / 2, 0.5, 0.5 + eps / 2, 0.5 + eps]
-    elif name == "normal_variance":
-        grid = list(np.geomspace(1e-3, 1e3, 61))
-        for k in range(-6, 7):
-            s = bundle.net.point(k)
-            grid += [s, s * (1 + 1e-6), s * (1 - 1e-6)]
-        for k in range(-6, 6):
-            grid.append(0.5 * (bundle.net.point(k) + bundle.net.point(k + 1)))
-    elif name == "cauchy":
-        eps = bundle.params.get("epsilon", 0.0)
-        offs = [0.0, 0.1, 0.25, 0.5 - eps, 0.5 - eps / 2, 0.5,
-                0.5 + eps / 2, 0.5 + eps, 0.75, 1.0]
-        grid = []
-        for base in (0.0, 1.0, -1.0, 10.0, 500.0, -500.0, 1000.0, -1000.0):
-            grid += [base + o for o in offs]
-    else:  # pragma: no cover
-        raise DomainError(f"no default grid for family {name!r}")
+    """Adversarial parameter grid for a bundle: its family's own points
+    (``FamilyBundle.theta_grid``, written in :mod:`evarify.families`)
+    that lie in the parameter space, sorted and without repeats."""
     space = bundle.family.param_space
-    out = sorted({float(v) for v in grid if space.contains(float(v))})
-    return out
+    return sorted({float(v) for v in bundle.theta_grid(bundle) if space.contains(float(v))})
 
 
 # ---------------------------------------------------------------------------
@@ -602,25 +557,11 @@ def sweep(
     grid = default_theta_grid(bundle) if theta_grid is None else [
         bundle.family.validate_param(t) for t in theta_grid
     ]
-    engine = None
-    if (
-        isinstance(composite.profile, CellwiseProfile)
-        and plan.method in ("auto", "exact_sum", "quadrature")
-    ):
-        k_lo, k_hi = _grid_index_envelope(bundle, grid, plan.tail_mass)
-        keys = list(composite.components.keys())
-        if keys:
-            k_lo, k_hi = min(k_lo, min(keys)), max(k_hi, max(keys))
-        engine = _CellwiseEngine(composite, k_lo, k_hi)
-    elif (
-        isinstance(composite.profile, PeriodicTrapezoidProfile)
-        and plan.method in ("auto", "quadrature")
-    ):
-        engine = _PeriodicTrapezoidEngine(composite)
+    engine = _closed_form_engine(composite, bundle, grid, plan)
     rows = []
     for i, theta in enumerate(grid):
         if engine is not None:
-            res = engine.expectation(theta)
+            res = engine(theta)
         else:
             res = expectation(composite, theta, plan=plan, theta_index=i)
         rows.append((float(theta), res.estimate, res.error_bound, res.method))

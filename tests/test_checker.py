@@ -235,6 +235,22 @@ class TestRunAllChecks:
         for cname, rep in reports.items():
             assert rep.passing, (cname, rep.max_violation)
 
+    def test_cell_samples_built_once(self, monkeypatch):
+        """The sandwich check and the cell-bound estimate share one set of
+        cell samples, drawn with the run's seed."""
+        from evarify import checker
+
+        seeds = []
+        original = checker.default_cell_samples
+
+        def counting(bundle, *args, **kwargs):
+            seeds.append(kwargs.get("seed"))
+            return original(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(checker, "default_cell_samples", counting)
+        run_all_checks(make_bundle("poisson"), seed=7)
+        assert seeds == [7]
+
     def test_deterministic_given_seed(self):
         b = make_bundle("poisson")
         r1 = run_all_checks(b, seed=5)

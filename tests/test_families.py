@@ -163,6 +163,13 @@ class TestBundleInvariants:
             assert bundle.net.point(k) == bundle.estimate(x)
 
     @pytest.mark.parametrize("name,kw", ALL_BUNDLES)
+    def test_estimator_statistic_is_the_family_statistic(self, name, kw):
+        bundle = make_bundle(name, **kw)
+        rng = np.random.default_rng(31)
+        for x in _support_samples(bundle, rng, 1_000):
+            assert bundle.estimator.statistic(x) == bundle.family.estimator_g(x)
+
+    @pytest.mark.parametrize("name,kw", ALL_BUNDLES)
     def test_cell_sandwich_on_random_support_points(self, name, kw):
         """pred(s) <= pred(g(x)) <= succ(g(x)) <= succ(s) with absent
         neighbours vacuous, over 10^4 random support points."""
@@ -362,3 +369,15 @@ class TestStatLaw:
             capture_output=True, text=True, check=True,
         )
         assert out.stdout.strip() == "False"
+
+
+class TestFamilyKnowledgeInOneModule:
+    def test_no_other_module_reads_the_family_name(self):
+        """Everything family-specific is on the bundle: no other module
+        branches on the family's name."""
+        import inspect
+
+        from evarify import checker, cli, combinator, verifier
+
+        for module in (checker, combinator, verifier, cli):
+            assert "family.name" not in inspect.getsource(module), module.__name__

@@ -271,6 +271,28 @@ class TestSweep:
         assert csv.splitlines()[0] == "theta,estimate,error_bound,method"
         assert len(csv.splitlines()) == 2
 
+    def test_sweep_and_expectation_reject_the_same_plan(self, tmp_path, capsys):
+        """One dispatch picks the engine: exact_sum on a continuous family
+        raises in a sweep, as it does for one expectation, and the CLI
+        exits with the config-error code."""
+        import json
+
+        from evarify.cli import EXIT_CONFIG, run
+
+        b = make_bundle("normal_mean", n=1)
+        comp = spike_composite(b, [0.0, 0.3])
+        plan = ExpectationPlan(method="exact_sum")
+        with pytest.raises(DomainError, match="exact_sum"):
+            expectation(comp, 0.0, plan=plan)
+        with pytest.raises(DomainError, match="exact_sum"):
+            sweep(comp, [0.0, 0.3], plan)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"plan": {"method": "exact_sum"},
+                                   "theta_grid": {"values": [0.0, 0.3]}}))
+        assert run(["certify", "--family", "normal_mean", "--n", "1",
+                    "--config", str(cfg)]) == EXIT_CONFIG
+        assert "exact_sum" in capsys.readouterr().err
+
     def test_default_grids_respect_parameter_spaces(self):
         for name, kw in [
             ("binomial", {"n": 64}), ("discrete_uniform", {}), ("poisson", {}),

@@ -8,7 +8,7 @@ e(x) = e_{shat(x)}(x) / C a valid e-variable for the whole family.
 
 import math
 
-from evarify import divergence, estimate, make_bundle, net_neighbors
+from evarify import divergence, make_bundle, net_neighbors
 from evarify.core import DyadicInt, ScaledLattice, Squares
 
 # --- the seven bundles -----------------------------------------------------
@@ -39,10 +39,10 @@ print("neighbors of 0.5 in {2^k}:    ", net_neighbors(DyadicInt(), 0.5))
 # --- estimators ---------------------------------------------------------
 
 du, pois, nm = bundles[1], bundles[2], bundles[4]
-print("\nceil-power-of-two estimate of 5:       ", estimate(du, 5))
-print("nearest-square estimate of 12:         ", estimate(pois, 12))
+print("\nceil-power-of-two estimate of 5:       ", du.estimate(5))
+print("nearest-square estimate of 12:         ", pois.estimate(12))
 print("rounded mean of (0.1, 0.2, 0.3, 0.6):  ",
-      estimate(nm, [0.1, 0.2, 0.3, 0.6]))
+      nm.estimate([0.1, 0.2, 0.3, 0.6]))
 
 # --- divergences ---------------------------------------------------------
 

@@ -9,22 +9,18 @@ behind the closed-form normalizing factors.
 """
 
 from .core import (
-    BoundaryMLEError,
     ConfigError,
     ContractViolationError,
     DomainError,
     EvarifyError,
     FactorInputs,
-    SupportMismatchError,
     calibrate_p_to_e,
     divergence,
     factor_from_growth,
     factor_from_steps,
-    log_likelihood_ratio,
-    mle_likelihood_eq,
     net_neighbors,
 )
-from .families import FAMILY_IDS, FamilyBundle, estimate, make_bundle
+from .families import FAMILY_IDS, FamilyBundle, make_bundle
 from .combinator import (
     EVariable,
     CompositeEVariable,
@@ -65,23 +61,18 @@ from .verifier import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryMLEError",
     "ConfigError",
     "ContractViolationError",
     "DomainError",
     "EvarifyError",
     "FactorInputs",
-    "SupportMismatchError",
     "calibrate_p_to_e",
     "divergence",
     "factor_from_growth",
     "factor_from_steps",
-    "log_likelihood_ratio",
-    "mle_likelihood_eq",
     "net_neighbors",
     "FAMILY_IDS",
     "FamilyBundle",
-    "estimate",
     "make_bundle",
     "EVariable",
     "CompositeEVariable",

@@ -193,6 +193,11 @@ def _cmd_certify(args, cfg) -> int:
     if suite not in ("spikes", "ones"):
         raise ConfigError(f"unknown suite {suite!r} (spikes | ones)")
     if mode == "interpolated":
+        # the interpolated combiner certifies its own unit-cell spikes only
+        if "components" in cfg:
+            raise ConfigError("interpolated mode takes no 'components'")
+        if suite == "ones":
+            raise ConfigError("interpolated mode supports the spikes suite only")
         eps = args.epsilon if args.epsilon is not None else mode_cfg.get("epsilon")
         eps = _num(eps) if eps is not None else 0.2
         try:

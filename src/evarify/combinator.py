@@ -232,10 +232,15 @@ class CompositeEVariable:
         return total / self.factor_C
 
     def eval_many(self, xs) -> np.ndarray:
-        """Evaluate on a batch: rows of an array for product families,
-        elements otherwise."""
+        """Evaluate on a batch: the rows of an (m, n) array for product
+        families of n-vectors, the elements otherwise."""
         arr = np.asarray(xs, dtype=float)
-        if self.bundle.family.sample_dim > 1 and arr.ndim == 2:
+        n = self.bundle.family.sample_dim
+        if n > 1:
+            if arr.ndim != 2 or arr.shape[1] != n:
+                raise DomainError(
+                    f"expected an (m, {n}) batch of samples, got shape {arr.shape}"
+                )
             return np.array([self(row) for row in arr])
         flat = np.ravel(arr)
         out = np.array([self(v) for v in flat])

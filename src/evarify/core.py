@@ -15,8 +15,7 @@ family:
 * the two closed-form normalizing factors ``factor_from_growth`` and
   ``factor_from_steps`` that certify the selection rule
   ``e(x) = e_{shat(x)}(x) / C``,
-* likelihood-ratio / divergence identities for canonical exponential
-  families, and the ``kappa * p**(kappa - 1)`` p-to-e calibrator.
+* the ``kappa * p**(kappa - 1)`` p-to-e calibrator.
 
 Conventions
 -----------
@@ -54,21 +53,16 @@ import numpy as np
 __all__ = [
     "EvarifyError",
     "DomainError",
-    "SupportMismatchError",
-    "BoundaryMLEError",
     "ContractViolationError",
     "ConfigError",
     "Interval",
     "Family",
     "StatLaw",
-    "ExpFamilyDescriptor",
     "FactorInputs",
     "divergence",
     "factor_from_growth",
     "factor_from_steps",
     "calibrate_p_to_e",
-    "log_likelihood_ratio",
-    "mle_likelihood_eq",
     "Net",
     "IntegerLattice",
     "ScaledLattice",
@@ -98,21 +92,6 @@ class EvarifyError(Exception):
 class DomainError(EvarifyError, ValueError):
     """An argument lies outside its declared domain (parameter space,
     calibrator exponent, factor inputs, ...)."""
-
-
-class SupportMismatchError(EvarifyError):
-    """A density is zero where a positive one is required, e.g. a
-    likelihood ratio evaluated outside the common support of the two
-    parameters."""
-
-
-class BoundaryMLEError(EvarifyError):
-    """The likelihood equation has no interior solution; ``boundary``
-    carries the closure point the solution degenerates to."""
-
-    def __init__(self, message: str, boundary: float):
-        super().__init__(message)
-        self.boundary = boundary
 
 
 class ContractViolationError(EvarifyError):
@@ -161,7 +140,7 @@ class Interval:
 
 
 # ---------------------------------------------------------------------------
-# Family and exponential-family descriptors
+# Families and the laws of their statistics
 # ---------------------------------------------------------------------------
 
 
@@ -262,45 +241,6 @@ def divergence(family: Family, theta1: float, theta2: float) -> float:
     return float(family.divergence_fn(t1, t2))
 
 
-@dataclass(frozen=True)
-class ExpFamilyDescriptor:
-    """Canonical exponential family p_eta(x) = h(x) exp(eta T(x) - A(eta)).
-
-    ``mean_to_canonical`` inverts the mean map ``dA``: it returns the
-    canonical parameter solving T(x) = E_eta[T(X)] and raises
-    :class:`BoundaryMLEError` when the solution degenerates to the closure
-    of the canonical space.
-    """
-
-    name: str
-    log_h: Callable[[object], object]
-    T: Callable[[object], float]
-    A: Callable[[float], float]
-    dA: Callable[[float], float]
-    to_canonical: Callable[[float], float]
-    from_canonical: Callable[[float], float]
-    canonical_space: Interval
-    mean_to_canonical: Callable[[float], float]
-
-    def log_density(self, theta: float, x) -> object:
-        eta = self.to_canonical(theta)
-        return self.log_h(x) + eta * self.T(x) - self.A(eta)
-
-
-def mle_likelihood_eq(desc: ExpFamilyDescriptor, x) -> float:
-    """Solve the likelihood equation T(x) = E_eta[T(X)] for the parameter
-    in the family's standard parametrisation.
-
-    Raises :class:`BoundaryMLEError` when no interior solution exists
-    (e.g. a zero Poisson count); the exception carries the boundary value
-    in standard parametrisation so the caller can apply a continuous
-    extension if it wants one.
-    """
-    t_val = desc.T(x)
-    eta = desc.mean_to_canonical(float(t_val))
-    return float(desc.from_canonical(eta))
-
-
 # ---------------------------------------------------------------------------
 # Normalizing factors and the p-to-e calibrator
 # ---------------------------------------------------------------------------
@@ -378,24 +318,6 @@ def calibrate_p_to_e(kappa: float, p) -> object:
     return out
 
 
-def log_likelihood_ratio(family: Family, theta: float, s: float, x) -> float:
-    """log(p_theta(x) / p_s(x)) computed in log space.
-
-    Raises :class:`SupportMismatchError` when either density vanishes at
-    ``x`` -- the checker uses this to flag families whose likelihood-ratio
-    identity only holds on the common support.
-    """
-    t = family.validate_param(theta)
-    ss = family.validate_param(s)
-    num = float(family.log_density(t, x))
-    den = float(family.log_density(ss, x))
-    if math.isinf(num) and num < 0 or math.isinf(den) and den < 0:
-        raise SupportMismatchError(
-            f"zero density at x={x!r} for theta={t!r} or s={ss!r}"
-        )
-    return num - den
-
-
 # ---------------------------------------------------------------------------
 # Nets
 # ---------------------------------------------------------------------------
@@ -449,9 +371,6 @@ class Net:
     def succ(self, t: float) -> float | None:
         k = self.succ_index(t)
         return None if k is None else self.point(k)
-
-    def param_to_bracket(self, t: float) -> tuple[float | None, float | None]:
-        return self.pred(t), self.succ(t)
 
     def round_index(self, t: float) -> int:
         """Index of the nearest net element; ties go to the successor."""

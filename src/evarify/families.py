@@ -24,9 +24,11 @@ are estimated numerically at construction time (exhaustive enumeration of
 the finite support for c', a closure scan over net-point pairs for alpha)
 and the factor gets a 10% safety margin.
 
-Divergences are the Kullback-Leibler divergence for the exponential
-families, ``log(1 + (t1 - t2)^2)`` for the Cauchy location family, and
-the (one-sided, +inf when reversed) uniform log-ratio for the uniforms.
+Each family is written once, as its ``Family``.  Divergences are the
+Kullback-Leibler divergence in closed form for the exponential families
+(equal to the Bregman divergence of their cumulants),
+``log(1 + (t1 - t2)^2)`` for the Cauchy location family, and the
+(one-sided, +inf when reversed) uniform log-ratio for the uniforms.
 
 Each family also carries ``law``, the one description of its statistic's
 distribution (vectorized cdf/sf/ppf, sampling and truncation window, plus
@@ -51,10 +53,8 @@ import numpy as np
 from scipy.special import (
     chdtr,
     chdtrc,
-    expit,
     gammaincinv,
     gammaln,
-    logit,
     ndtr,
     ndtri,
     pdtr,
@@ -69,13 +69,11 @@ from scipy.special._ufuncs import _binom_cdf, _binom_ppf, _binom_sf, _cauchy_ppf
 
 from .core import (
     BinomialSine,
-    BoundaryMLEError,
     CeilDyadic,
     DomainError,
     DyadicInt,
     DyadicReal,
     Estimator,
-    ExpFamilyDescriptor,
     FactorInputs,
     Family,
     Geometric,
@@ -95,7 +93,6 @@ __all__ = [
     "FAMILY_IDS",
     "FamilyBundle",
     "make_bundle",
-    "estimate",
     "binomial_family",
     "discrete_uniform_family",
     "poisson_family",
@@ -103,10 +100,6 @@ __all__ = [
     "normal_mean_family",
     "normal_variance_family",
     "cauchy_family",
-    "poisson_descriptor",
-    "binomial_descriptor",
-    "normal_mean_descriptor",
-    "normal_variance_descriptor",
 ]
 
 FAMILY_IDS = (
@@ -460,111 +453,6 @@ def cauchy_family() -> Family:
 
 
 # ---------------------------------------------------------------------------
-# Canonical exponential-family descriptors
-# ---------------------------------------------------------------------------
-
-
-def poisson_descriptor() -> ExpFamilyDescriptor:
-    def mean_to_canonical(t: float) -> float:
-        if t < 0:
-            raise DomainError("a Poisson count cannot be negative")
-        if t == 0:
-            raise BoundaryMLEError("zero count: rate MLE degenerates to 0", 0.0)
-        return math.log(t)
-
-    return ExpFamilyDescriptor(
-        name="poisson",
-        log_h=lambda x: -gammaln(np.asarray(x, dtype=float) + 1.0),
-        T=lambda x: float(x),
-        A=math.exp,
-        dA=math.exp,
-        to_canonical=math.log,
-        from_canonical=math.exp,
-        canonical_space=Interval(),
-        mean_to_canonical=mean_to_canonical,
-    )
-
-
-def binomial_descriptor(n: int) -> ExpFamilyDescriptor:
-    n = int(n)
-    log_binom = gammaln(n + 1.0)
-
-    def mean_to_canonical(t: float) -> float:
-        if not 0 <= t <= n:
-            raise DomainError("count outside [0, n]")
-        if t == 0:
-            raise BoundaryMLEError("all failures: success-probability MLE is 0", 0.0)
-        if t == n:
-            raise BoundaryMLEError("all successes: success-probability MLE is 1", 1.0)
-        return float(logit(t / n))
-
-    def log_h(k):
-        k = np.asarray(k, dtype=float)
-        return log_binom - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-
-    return ExpFamilyDescriptor(
-        name="binomial",
-        log_h=log_h,
-        T=lambda k: float(k),
-        A=lambda eta: n * float(np.logaddexp(0.0, eta)),
-        dA=lambda eta: n * float(expit(eta)),
-        to_canonical=lambda p: float(logit(p)),
-        from_canonical=lambda eta: float(expit(eta)),
-        canonical_space=Interval(),
-        mean_to_canonical=mean_to_canonical,
-    )
-
-
-def normal_mean_descriptor(n: int) -> ExpFamilyDescriptor:
-    n = int(n)
-
-    def log_h(x):
-        x = np.asarray(x, dtype=float)
-        sq = np.sum(x * x, axis=-1) if x.ndim else x * x
-        return -0.5 * n * _LOG_2PI - 0.5 * sq
-
-    return ExpFamilyDescriptor(
-        name="normal_mean",
-        log_h=log_h,
-        T=lambda x: float(np.sum(np.asarray(x, dtype=float))),
-        A=lambda eta: 0.5 * n * eta * eta,
-        dA=lambda eta: n * eta,
-        to_canonical=lambda mu: float(mu),
-        from_canonical=lambda eta: float(eta),
-        canonical_space=Interval(),
-        mean_to_canonical=lambda t: t / n,
-    )
-
-
-def normal_variance_descriptor(n: int) -> ExpFamilyDescriptor:
-    n = int(n)
-
-    def mean_to_canonical(t: float) -> float:
-        # T(x) = -||x||^2 / 2 is non-positive; t == 0 is the zero vector
-        if t > 0:
-            raise DomainError("negative squared norm")
-        if t == 0:
-            raise BoundaryMLEError("zero vector: variance MLE degenerates to 0", 0.0)
-        return -0.5 * n / t
-
-    def T(x):
-        flat = np.ravel(np.asarray(x, dtype=float))
-        return -0.5 * float(np.dot(flat, flat))
-
-    return ExpFamilyDescriptor(
-        name="normal_variance",
-        log_h=lambda x: -0.5 * n * _LOG_2PI,
-        T=T,
-        A=lambda eta: -0.5 * n * math.log(eta),
-        dA=lambda eta: -0.5 * n / eta,
-        to_canonical=lambda var: 1.0 / var,
-        from_canonical=lambda eta: 1.0 / eta,
-        canonical_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
-        mean_to_canonical=mean_to_canonical,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Bundles
 # ---------------------------------------------------------------------------
 
@@ -595,7 +483,6 @@ class FamilyBundle:
     factor_inputs: FactorInputs | None
     factor_C: float
     route: str  # "growth" | "steps" | "direct"
-    descriptor: ExpFamilyDescriptor | None
     theta_grid: Callable[["FamilyBundle"], list]
     identity_axes: Callable[["FamilyBundle"], tuple]
     cell_samples: Callable[..., list] | None = None
@@ -610,11 +497,6 @@ class FamilyBundle:
 
     def estimate_index(self, x) -> int:
         return self.estimator.index(x)
-
-
-def estimate(bundle: FamilyBundle, x) -> float:
-    """Module-level alias for :meth:`FamilyBundle.estimate`."""
-    return bundle.estimate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +645,6 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         factor_inputs=inputs,
         factor_C=C,
         route="growth",
-        descriptor=binomial_descriptor(n),
         theta_grid=_binomial_theta_grid,
         identity_axes=lambda b: (np.linspace(0.02, 0.98, 50), b.net.indices(),
                                  np.arange(0, b.params["n"] + 1) / b.params["n"]),
@@ -783,7 +664,6 @@ def _make_discrete_uniform() -> FamilyBundle:
         factor_inputs=None,
         factor_C=3.0,
         route="direct",
-        descriptor=None,
         theta_grid=_discrete_uniform_theta_grid,
         identity_axes=lambda b: (_DYADIC_SIZES, range(0, 12), _DYADIC_SIZES),
         # every support point of the first min(n_cells, 14) dyadic cells
@@ -804,7 +684,6 @@ def _make_poisson() -> FamilyBundle:
         factor_inputs=inputs,
         factor_C=factor_from_steps(1.0, 1.0),
         route="steps",
-        descriptor=poisson_descriptor(),
         theta_grid=_poisson_theta_grid,
         identity_axes=lambda b: (np.geomspace(0.1, 100.0, 50), range(1, 51), np.unique(
             np.concatenate([[0.0, 1.0, 2.0], np.round(np.geomspace(1, 300, 47))]))),
@@ -823,7 +702,6 @@ def _make_continuous_uniform() -> FamilyBundle:
         factor_inputs=None,
         factor_C=3.0,
         route="direct",
-        descriptor=None,
         theta_grid=lambda b: _scale_grid(b.net.point(j) for j in range(-10, 11)),
         identity_axes=lambda b: (np.geomspace(1e-3, 1e3, 50), range(-10, 11),
                                  np.geomspace(1e-3, 1e3, 50)),
@@ -854,7 +732,6 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
             factor_inputs=inputs,
             factor_C=factor_from_growth(c_prime, 1.0),
             route="growth",
-            descriptor=normal_mean_descriptor(1),
             theta_grid=_normal_mean_theta_grid,
             identity_axes=_location_axes(6.0),
             params={"n": 1, "epsilon": eps},
@@ -872,7 +749,6 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
         factor_inputs=inputs,
         factor_C=factor_from_steps(alpha ** 2 / 8.0, alpha ** 2 / 2.0),
         route="steps",
-        descriptor=normal_mean_descriptor(n),
         theta_grid=_normal_mean_theta_grid,
         identity_axes=_location_axes(6.0),
         params={"alpha": alpha, "n": n},
@@ -899,7 +775,6 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
         factor_inputs=inputs,
         factor_C=factor_from_steps(0.5, 1.0 / 32.0),
         route="steps",
-        descriptor=normal_variance_descriptor(n),
         theta_grid=_normal_variance_theta_grid,
         # the geometric net dives towards 0 quickly; indices are kept in a
         # range where the identity's terms stay within float64 reach of an
@@ -927,7 +802,6 @@ def _make_cauchy(epsilon: float | None = None) -> FamilyBundle:
         factor_inputs=inputs,
         factor_C=factor_from_growth(math.log(2.0), 1.0),
         route="growth",
-        descriptor=None,
         theta_grid=_cauchy_theta_grid,
         identity_axes=_location_axes(30.0),
         params={} if epsilon is None else {"epsilon": float(epsilon)},

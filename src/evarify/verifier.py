@@ -586,34 +586,35 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def mle_counterexample_poisson_with_bound(
-    lam: float, plan: ExpectationPlan | None = None
-) -> ExpectationResult:
+def mle_counterexample_poisson_with_bound(lam: float) -> ExpectationResult:
     """E_lambda[exp(X) X! / X^X] by exact truncated summation in log space.
 
     The integrand is the inverse own-probability spike selected by the
     maximum-likelihood "estimator" shat(x) = x; because it grows like
     sqrt(2 pi x), no fixed normalizing constant can make this selection
     rule a valid e-variable over all lambda.
+
+    The terms t_n = e^-lam (e lam / n)^n have ratio t_{n+1} / t_n =
+    e lam / (n + 1) * (n / (n + 1))^n, decreasing in n; with rho that
+    ratio at N = n_max + 1 (below 1 since N > lam), the tail beyond the
+    sum is at most t_N / (1 - rho).
     """
     if lam <= 0:
         raise DomainError("lambda must be > 0")
-    plan = plan or ExpectationPlan()
     n_max = int(lam + 20.0 * math.sqrt(lam) + 60.0)
     n = np.arange(1, n_max + 1, dtype=float)
     # pmf(n) * e^n n! / n^n  ==  exp(-lam + n (1 + log lam - log n))
     log_terms = -lam + n * (1.0 + math.log(lam) - np.log(n))
     total = math.exp(-lam) + float(np.sum(np.exp(log_terms)))
-    t_last = math.exp(-lam + (n_max + 1.0) * (1.0 + math.log(lam) - math.log(n_max + 1.0)))
-    ratio = lam * math.e / (n_max + 2.0)  # term ratio bound beyond n_max + 1
-    tail = t_last / (1.0 - ratio) if ratio < 1.0 else math.inf
-    return ExpectationResult(total, tail, "exact_sum")
+    big_n = n_max + 1.0
+    t_last = math.exp(-lam + big_n * (1.0 + math.log(lam) - math.log(big_n)))
+    rho = math.exp(1.0 + math.log(lam) - math.log(big_n + 1.0)
+                   - big_n * math.log1p(1.0 / big_n))
+    return ExpectationResult(total, t_last / (1.0 - rho), "exact_sum")
 
 
-def mle_counterexample_poisson(
-    lam: float, plan: ExpectationPlan | None = None
-) -> float:
-    return mle_counterexample_poisson_with_bound(lam, plan).estimate
+def mle_counterexample_poisson(lam: float) -> float:
+    return mle_counterexample_poisson_with_bound(lam).estimate
 
 
 # ---------------------------------------------------------------------------

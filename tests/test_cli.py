@@ -154,3 +154,19 @@ class TestConfigFile:
     def test_interpolated_mode_rejects_poisson(self):
         assert run(["certify", "--family", "poisson", "--mode",
                     "interpolated"]) == EXIT_CONFIG
+
+    def test_interpolated_mode_rejects_components(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "family": {"name": "cauchy", "params": {"epsilon": "0.2"}},
+            "mode": {"kind": "interpolated", "epsilon": "0.1"},
+            "components": [{"index": 0, "type": "constant", "value": "50"}],
+            "theta_grid": {"values": [0.0]},
+        }))
+        assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "components" in capsys.readouterr().err
+
+    def test_interpolated_mode_rejects_the_ones_suite(self, capsys):
+        assert run(["certify", "--family", "cauchy", "--epsilon", "0.2",
+                    "--mode", "interpolated", "--suite", "ones"]) == EXIT_CONFIG
+        assert "spikes" in capsys.readouterr().err

@@ -309,3 +309,11 @@ class TestCompositeContract:
         comp = combine_discrete(b, {})
         xs = np.zeros((5, 4))
         np.testing.assert_allclose(comp.eval_many(xs), [comp(row) for row in xs])
+
+    def test_eval_many_rejects_a_single_vector_on_a_product_family(self):
+        """A 1-D array of length n is one n-vector, not n samples."""
+        b = make_bundle("normal_mean", alpha=1.0, n=4)
+        comp = combine_discrete(b, {})
+        for bad in (np.zeros(4), np.zeros((5, 3)), np.zeros((2, 5, 4))):
+            with pytest.raises(DomainError):
+                comp.eval_many(bad)

@@ -15,7 +15,6 @@ from scipy import integrate
 
 from evarify.core import (
     BinomialSine,
-    BoundaryMLEError,
     Cell,
     CeilDyadic,
     DomainError,
@@ -27,23 +26,18 @@ from evarify.core import (
     RoundToNet,
     ScaledLattice,
     Squares,
-    SupportMismatchError,
     calibrate_p_to_e,
     divergence,
     factor_from_growth,
     factor_from_steps,
-    log_likelihood_ratio,
-    mle_likelihood_eq,
     net_neighbors,
 )
 from evarify.families import (
-    binomial_descriptor,
+    binomial_family,
     cauchy_family,
     make_bundle,
-    normal_mean_descriptor,
     normal_mean_family,
-    normal_variance_descriptor,
-    poisson_descriptor,
+    normal_variance_family,
     poisson_family,
 )
 
@@ -178,87 +172,110 @@ class TestCalibrator:
             calibrate_p_to_e(0.5, 1.5)
 
 
+def _log_ratio(fam, theta, s, x):
+    return float(fam.log_density(theta, x)) - float(fam.log_density(s, x))
+
+
 class TestLogLikelihoodRatio:
     def test_poisson_example_both_sides(self):
         """Oracle: evaluate the ratio directly and through the divergence
         difference; the two must agree to 1e-12."""
         fam = poisson_family()
-        lhs = log_likelihood_ratio(fam, 2.0, 4.0, 4)
+        lhs = _log_ratio(fam, 2.0, 4.0, 4)
         assert lhs == pytest.approx(4.0 * math.log(0.5) + 2.0, abs=1e-12)
         rhs = divergence(fam, 4.0, 4.0) - divergence(fam, 4.0, 2.0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_identical_parameters(self):
         fam = cauchy_family()
-        assert log_likelihood_ratio(fam, 1.0, 1.0, 0.3) == 0.0
+        assert _log_ratio(fam, 1.0, 1.0, 0.3) == 0.0
 
     def test_normal_symmetry(self):
         fam = normal_mean_family(1)
-        assert log_likelihood_ratio(fam, 0.0, 1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
+        assert _log_ratio(fam, 0.0, 1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
 
-    def test_support_mismatch_raises(self):
-        bundle = make_bundle("discrete_uniform")
-        with pytest.raises(SupportMismatchError):
-            log_likelihood_ratio(bundle.family, 4.0, 16.0, 9)
+
+def _score(fam, theta, x, h=1e-5):
+    """Central difference of the log-likelihood in theta."""
+    up = float(fam.log_density(theta + h, x))
+    down = float(fam.log_density(theta - h, x))
+    return (up - down) / (2.0 * h)
 
 
 class TestLikelihoodEquation:
+    """The pointwise estimate g(x) of each exponential family is its
+    maximum-likelihood estimate: it solves the likelihood equation of the
+    family's log-density."""
+
     def test_poisson(self):
-        assert mle_likelihood_eq(poisson_descriptor(), 9) == pytest.approx(9.0, rel=1e-12)
+        fam = poisson_family()
+        assert fam.estimator_g(9) == 9.0
+        assert _score(fam, 9.0, 9) == pytest.approx(0.0, abs=1e-8)
 
     def test_normal_mean(self):
-        assert mle_likelihood_eq(normal_mean_descriptor(2), [1.0, 3.0]) == pytest.approx(2.0)
+        fam = normal_mean_family(2)
+        assert fam.estimator_g([1.0, 3.0]) == 2.0
+        assert _score(fam, 2.0, [1.0, 3.0]) == pytest.approx(0.0, abs=1e-8)
 
     def test_normal_variance(self):
-        desc = normal_variance_descriptor(4)
-        assert mle_likelihood_eq(desc, [1.0, 1.0, 1.0, 1.0]) == pytest.approx(1.0)
+        fam = normal_variance_family(4)
+        x = [1.0, 1.0, 1.0, 1.0]
+        assert fam.estimator_g(x) == 1.0
+        assert _score(fam, 1.0, x) == pytest.approx(0.0, abs=1e-8)
 
     def test_binomial(self):
-        desc = binomial_descriptor(10)
-        assert mle_likelihood_eq(desc, 3) == pytest.approx(0.3, rel=1e-12)
+        fam = binomial_family(10)
+        assert fam.estimator_g(3) == pytest.approx(0.3, rel=1e-12)
+        assert _score(fam, 0.3, 3, h=1e-6) == pytest.approx(0.0, abs=1e-6)
 
-    def test_boundary_cases_signal(self):
-        with pytest.raises(BoundaryMLEError) as info:
-            mle_likelihood_eq(poisson_descriptor(), 0)
-        assert info.value.boundary == 0.0
-        with pytest.raises(BoundaryMLEError) as info:
-            mle_likelihood_eq(binomial_descriptor(5), 5)
-        assert info.value.boundary == 1.0
-        with pytest.raises(BoundaryMLEError):
-            mle_likelihood_eq(normal_variance_descriptor(2), [0.0, 0.0])
 
-    def test_descriptor_density_matches_family(self):
-        """The canonical form h(x) exp(eta T(x) - A(eta)) must reproduce
-        each family's log-density wherever it is positive."""
-        from evarify.families import binomial_family, normal_variance_family
+class TestBregmanDivergence:
+    """The KL divergence of a canonical exponential family
+    p_eta(x) = h(x) exp(eta T(x) - A(eta)) is the Bregman divergence of
+    its cumulant: KL(eta1 || eta2) = A(eta2) - A(eta1) - A'(eta1)(eta2 - eta1)
+    (Banerjee et al., JMLR 2005).  Each cumulant is written here, apart
+    from the library's hand-written divergences."""
 
-        cases = [
-            (poisson_family(), poisson_descriptor(),
-             (0.3, 1.0, 7.5), (0, 1, 5, 40)),
-            (binomial_family(10), binomial_descriptor(10),
-             (0.1, 0.5, 0.9), (0, 3, 10)),
-            (normal_mean_family(3), normal_mean_descriptor(3),
-             (-2.0, 0.0, 1.5), ([0.0, 0.0, 0.0], [1.0, -2.0, 0.5])),
-            (normal_variance_family(4), normal_variance_descriptor(4),
-             (0.25, 1.0, 9.0), ([1.0, 1.0, 1.0, 1.0], [0.1, -2.0, 0.5, 3.0])),
-        ]
-        for fam, desc, thetas, xs in cases:
-            for theta in thetas:
-                for x in xs:
-                    assert float(desc.log_density(theta, x)) == pytest.approx(
-                        float(fam.log_density(theta, x)), abs=1e-10
-                    ), (fam.name, theta)
+    CASES = {
+        # name: (family, eta(theta), A(eta), A'(eta), thetas)
+        "poisson": (
+            poisson_family(), np.log, np.exp, np.exp,
+            [0.05, 0.7, 1.0, 4.0, 30.25, 500.0],
+        ),
+        "binomial": (
+            binomial_family(16),
+            lambda p: np.log(p) - np.log1p(-p),
+            lambda eta: 16 * np.log1p(np.exp(eta)),
+            lambda eta: 16 / (1.0 + np.exp(-eta)),
+            [0.01, 0.2, 0.5, 0.77, 0.99],
+        ),
+        "normal_mean": (
+            normal_mean_family(4), lambda mu: mu,
+            lambda eta: 4 * eta * eta / 2.0, lambda eta: 4 * eta,
+            [-7.0, -1.0, 0.0, 0.5, 3.25],
+        ),
+        "normal_variance": (
+            normal_variance_family(8), lambda var: 1.0 / var,
+            lambda eta: -(8 / 2.0) * np.log(eta), lambda eta: -(8 / 2.0) / eta,
+            [0.01, 0.3, 1.0, 2.5, 90.0],
+        ),
+    }
 
-    def test_cumulant_convexity_on_grid(self):
-        # dA must be non-decreasing over the canonical space
-        for desc, etas in [
-            (poisson_descriptor(), np.linspace(-3, 3, 101)),
-            (binomial_descriptor(16), np.linspace(-4, 4, 101)),
-            (normal_mean_descriptor(4), np.linspace(-5, 5, 101)),
-            (normal_variance_descriptor(4), np.geomspace(0.01, 100, 101)),
-        ]:
-            vals = [desc.dA(float(e)) for e in etas]
-            assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_kl_is_the_bregman_divergence_of_the_cumulant(self, name):
+        fam, eta, A, dA, thetas = self.CASES[name]
+        checked = 0
+        for t1 in thetas:
+            for t2 in thetas:
+                e1, e2 = eta(t1), eta(t2)
+                # the Bregman form cancels catastrophically as eta1 -> eta2
+                if abs(e2 - e1) < 0.1:
+                    continue
+                bregman = A(e2) - A(e1) - dA(e1) * (e2 - e1)
+                kl = float(fam.divergence_fn(t1, t2))
+                assert kl == pytest.approx(bregman, rel=1e-9), (t1, t2)
+                checked += 1
+        assert checked == len(thetas) * (len(thetas) - 1)  # only t1 == t2 skipped
 
 
 class TestNets:
@@ -306,7 +323,7 @@ class TestNets:
                 if isinstance(net, BinomialSine):
                     t = float(rng.uniform(0.0, 1.0))
                 rnd = net.round(t)
-                pred, succ = net.param_to_bracket(t)
+                pred, succ = net.pred(t), net.succ(t)
                 for other in (pred, succ):
                     if other is not None:
                         assert abs(t - rnd) <= abs(t - other) + 1e-15

@@ -1,0 +1,21 @@
+"""Demos: each script in demos/ runs to the end in-process.
+
+A smoke test only -- the demos print their results; this keeps a change
+to the library's public surface from breaking one unnoticed."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

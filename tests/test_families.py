@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from evarify.core import DomainError, REpsilon, factor_from_growth, factor_from_steps
-from evarify.families import FAMILY_IDS, estimate, make_bundle
+from evarify.families import FAMILY_IDS, make_bundle
 
 
 class TestMakeBundle:
@@ -88,38 +88,38 @@ class TestMakeBundle:
 class TestEstimate:
     def test_discrete_uniform_ceiling(self):
         b = make_bundle("discrete_uniform")
-        assert estimate(b, 5) == 8.0
-        assert estimate(b, 0) == 1.0
-        assert estimate(b, 8) == 8.0
+        assert b.estimate(5) == 8.0
+        assert b.estimate(0) == 1.0
+        assert b.estimate(8) == 8.0
 
     def test_poisson_nearest_square(self):
         b = make_bundle("poisson")
-        assert estimate(b, 12) == 9.0
-        assert estimate(b, 13) == 16.0
+        assert b.estimate(12) == 9.0
+        assert b.estimate(13) == 16.0
 
     def test_normal_mean_rounds_the_mean(self):
         b = make_bundle("normal_mean", alpha=1.0, n=4)
-        assert estimate(b, [0.1, 0.2, 0.3, 0.6]) == 0.5
+        assert b.estimate([0.1, 0.2, 0.3, 0.6]) == 0.5
 
     def test_normal_variance_rounds_mean_square(self):
         b = make_bundle("normal_variance", n=4)
         x = [1.0, 1.0, 1.0, 1.0]
-        assert estimate(b, x) == 1.0
+        assert b.estimate(x) == 1.0
 
     def test_continuous_uniform_ceiling(self):
         b = make_bundle("continuous_uniform")
-        assert estimate(b, 5.0) == 8.0
-        assert estimate(b, 0.25) == 0.25
+        assert b.estimate(5.0) == 8.0
+        assert b.estimate(0.25) == 0.25
 
     def test_binomial_rounds_fraction(self):
         b = make_bundle("binomial", n=64)
-        s = estimate(b, 32)
+        s = b.estimate(32)
         assert s == pytest.approx(0.5, abs=1e-15)  # sin^2(pi/4), middle index
         assert s == b.net.point(4)
 
     def test_deterministic(self):
         b = make_bundle("poisson")
-        assert [estimate(b, 7)] * 3 == [estimate(b, 7) for _ in range(3)]
+        assert [b.estimate(7)] * 3 == [b.estimate(7) for _ in range(3)]
 
 
 def _support_samples(bundle, rng, size=10_000):
@@ -228,8 +228,8 @@ class TestBundleInvariants:
             mid = t * t + t + 0.5
             assert mid != math.floor(mid)
             # the two sides of the midpoint select different squares
-            assert estimate(b, math.floor(mid)) == t * t
-            assert estimate(b, math.ceil(mid)) == (t + 1) * (t + 1)
+            assert b.estimate(math.floor(mid)) == t * t
+            assert b.estimate(math.ceil(mid)) == (t + 1) * (t + 1)
 
     def test_binomial_net_strictly_increasing_in_unit_interval(self):
         for n in (4, 16, 64, 256):

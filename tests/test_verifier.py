@@ -337,6 +337,26 @@ class TestMLECounterexample:
         with pytest.raises(DomainError):
             mle_counterexample_poisson(0.0)
 
+    @pytest.mark.parametrize("lam", [1000.0, 1e4, 1e6])
+    def test_tail_bound_finite_and_above_the_exact_tail_for_large_rates(self, lam):
+        """Oracle: 40-digit summation of the terms e^{-lam} (e lam / n)^n
+        beyond the truncation point, until they fall below 1e-30 of the
+        running sum."""
+        res = mle_counterexample_poisson_with_bound(lam)
+        assert math.isfinite(res.error_bound)
+        mp.mp.dps = 40
+        lam_mp = mp.mpf(lam)
+        n = int(lam + 20.0 * math.sqrt(lam) + 60.0) + 1
+        tail = mp.mpf(0)
+        while True:
+            term = mp.exp(-lam_mp + n * (1 + mp.log(lam_mp) - mp.log(n)))
+            tail += term
+            if term < tail * mp.mpf("1e-30"):
+                break
+            n += 1
+        assert res.error_bound >= float(tail)
+        assert res.error_bound <= 1.01 * float(tail)
+
 
 class TestUniformBudget:
     def test_brute_force_oracle_small_n(self):

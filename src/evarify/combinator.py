@@ -16,6 +16,12 @@ the net point; exact float keys would be fragile.  A missing component
 defaults to the constant-1 e-variable, which is valid for every
 hypothesis, so users may supply components only near their data.
 
+Constants and spikes are *structured*: each carries a
+:class:`~evarify.core.Piecewise` on the line of the family's law.  A
+composite of them builds its own piecewise once, reads it at the sample's
+point on that line and is integrated in closed form; other components
+are called one sample at a time.
+
 The e-variable property of the composites (sup over the family of the
 expectation is at most 1) is certified numerically by
 :mod:`evarify.verifier`; nothing here asserts it.
@@ -24,8 +30,9 @@ expectation is at most 1) is certified numerically by
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from .core import (
     DomainError,
     Family,
     IntegerLattice,
+    Piecewise,
     REpsilon,
     calibrate_p_to_e,
 )
@@ -41,12 +49,11 @@ from .families import FamilyBundle
 
 __all__ = [
     "EVariable",
+    "SpikeSuite",
     "constant_evar",
     "zero_evar",
     "likelihood_ratio_evar",
     "calibrated_p_evar",
-    "CellwiseProfile",
-    "PeriodicTrapezoidProfile",
     "CompositeEVariable",
     "combine_discrete",
     "bump_weight",
@@ -69,24 +76,64 @@ class EVariable:
     """A non-negative test function tagged with the hypothesis it is
     valid for.
 
-    ``kind`` / ``level`` / ``cell_index`` are optional structure hints:
-    "constant" components equal ``level`` everywhere; "cell_indicator"
-    components equal ``level`` on estimator cell ``cell_index`` and 0
-    elsewhere.  The hints let the verifier integrate composites in closed
-    form; ``kind == "generic"`` disables that fast path.  ``sup_bound``
-    is an optional a-priori bound on sup_x e(x) used for truncation-tail
-    error accounting.
+    A structured component carries ``piecewise``, its values on the line
+    of the family's law (``FamilyBundle.locate`` maps a sample there): a
+    constant has no pieces, a spike one.  ``sup_bound`` is an optional
+    a-priori bound on sup_x e(x) used for truncation-tail error accounting.
     """
 
     fn: Callable[[object], float]
     valid_for: object = "any"
     sup_bound: float | None = None
-    kind: str = "generic"
-    level: float | None = None
-    cell_index: int | None = None
+    piecewise: Piecewise | None = None
 
     def __call__(self, x) -> float:
         return float(self.fn(x))
+
+    @property
+    def level(self) -> float | None:
+        """A structured component's largest value (a spike's height)."""
+        return None if self.piecewise is None else self.piecewise.sup
+
+
+class _PieceTable(NamedTuple):
+    """Components as arrays: component keys[i] equals level[i] on the piece
+    [lo[i], hi[i]) of the law's line and out[i] elsewhere (a constant has
+    lo = hi = inf).  ``cells``: each piece is its key's estimator cell."""
+
+    keys: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    level: np.ndarray
+    out: np.ndarray
+    cells: bool = False
+
+
+class SpikeSuite(Mapping):
+    """Spikes keyed by net index, spike k valid for net point k, held as
+    the arrays of their piece ``table``: tens of thousands are built and
+    combined without an object per spike; ``suite[k]`` builds one."""
+
+    def __init__(self, bundle: FamilyBundle, keys: Sequence[int], edges: np.ndarray,
+                 levels: np.ndarray, right_closed: bool, cells: bool):
+        self.bundle, self.right_closed = bundle, right_closed
+        lo, hi = np.reshape(edges, (-1, 2)).T
+        self.table = _PieceTable(np.asarray(keys, dtype=int), lo, hi,
+                                 np.asarray(levels, dtype=float), np.zeros(len(lo)), cells)
+        self._row = {int(k): i for i, k in enumerate(self.table.keys)}
+
+    def __getitem__(self, k: int) -> EVariable:
+        i, t, locate = self._row[k], self.table, self.bundle.locate
+        pw = Piecewise(np.array([t.lo[i], t.hi[i]]), t.level[i:i + 1], np.zeros(1), 0.0,
+                       self.right_closed)
+        return EVariable(lambda x: pw(locate(x)), self.bundle.net.point(k),
+                         float(t.level[i]), pw)
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
 
 
 def constant_evar(value: float = 1.0, valid_for: object = "any") -> EVariable:
@@ -96,8 +143,7 @@ def constant_evar(value: float = 1.0, valid_for: object = "any") -> EVariable:
         fn=lambda x: value,
         valid_for=valid_for,
         sup_bound=value,
-        kind="constant",
-        level=value,
+        piecewise=Piecewise.constant(value),
     )
 
 
@@ -145,48 +191,26 @@ def calibrated_p_evar(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellwiseProfile:
-    """Structure hint: the composite is constant on estimator cells.
-
-    ``levels[k]`` is the composite's value (already divided by C) on cell
-    k; cells without an entry take ``default_level``.  ``sup_level``
-    bounds the composite everywhere.
-    """
-
-    levels: Mapping[int, float]
-    default_level: float
-    sup_level: float
-
-    def level(self, k: int) -> float:
-        return self.levels.get(k, self.default_level)
-
-
-@dataclass(frozen=True)
-class PeriodicTrapezoidProfile:
-    """Structure hint for interpolated composites whose components are
-    equal-height cell indicators: the composite equals
-    ``height * w_round(x) / C`` with the trapezoid weight of the nearest
-    integer, the same in every cell."""
-
-    height: float
-    epsilon: float
-    factor_C: float
-
-    @property
-    def sup_level(self) -> float:
-        return self.height / self.factor_C
+def _component_value(components: Mapping[int, EVariable], k: int, x) -> float:
+    """Component k (the constant 1 when missing) at x, checked to be an
+    e-value."""
+    comp = components.get(k, ONE)
+    value = (ONE if comp is None else comp)(x)
+    if value < 0 or math.isnan(value):
+        raise ContractViolationError(f"component {k} evaluated to {value!r} at x={x!r}")
+    return value
 
 
 @dataclass(frozen=True)
 class CompositeEVariable:
     """A composite test built from per-net-point components.
 
-    In "discrete" mode, evaluation selects the estimator's net index and
-    evaluates that single component; in "interpolated" mode it sums the
-    at-most-two active trapezoid-weighted components.  Negative component
-    values raise :class:`ContractViolationError`.  ``factor_C`` must be
-    at least 1 (all certified factors exceed 1).
+    In "discrete" mode the estimator's net index selects one component; in
+    "interpolated" mode the at-most-two active trapezoid-weighted
+    components are summed.  With structured components it is its
+    ``piecewise``, read at the sample's point on the law's line; otherwise
+    it calls its components, and negative values raise
+    :class:`ContractViolationError`.  ``factor_C`` must be at least 1.
     """
 
     bundle: FamilyBundle
@@ -194,7 +218,7 @@ class CompositeEVariable:
     factor_C: float
     mode: str = "discrete"  # "discrete" | "interpolated"
     epsilon: float | None = None
-    profile: object | None = None
+    piecewise: Piecewise | None = None
 
     def __post_init__(self) -> None:
         if self.factor_C < 1.0:
@@ -204,31 +228,19 @@ class CompositeEVariable:
         ):
             raise DomainError("interpolated mode needs epsilon in (0, 1/5]")
 
-    def _component(self, k: int) -> EVariable:
-        comp = self.components.get(k, ONE)
-        return ONE if comp is None else comp
-
     def __call__(self, x) -> float:
+        if self.piecewise is not None:
+            return self.piecewise(self.bundle.locate(x))
         if self.mode == "discrete":
             k = self.bundle.estimate_index(x)
-            value = self._component(k)(x)
-            if value < 0 or math.isnan(value):
-                raise ContractViolationError(
-                    f"component {k} evaluated to {value!r} at x={x!r}"
-                )
-            return value / self.factor_C
+            return _component_value(self.components, k, x) / self.factor_C
         v = float(x)
         m = math.floor(v + 0.5)
         total = 0.0
         for n in (m - 1, m, m + 1):
             w = bump_weight(n, self.epsilon, v)
             if w > 0.0:
-                value = self._component(n)(v)
-                if value < 0 or math.isnan(value):
-                    raise ContractViolationError(
-                        f"component {n} evaluated to {value!r} at x={v!r}"
-                    )
-                total += value * w
+                total += _component_value(self.components, n, v) * w
         return total / self.factor_C
 
     def eval_many(self, xs) -> np.ndarray:
@@ -236,43 +248,51 @@ class CompositeEVariable:
         families of n-vectors, the elements otherwise."""
         arr = np.asarray(xs, dtype=float)
         n = self.bundle.family.sample_dim
-        if n > 1:
-            if arr.ndim != 2 or arr.shape[1] != n:
-                raise DomainError(
-                    f"expected an (m, {n}) batch of samples, got shape {arr.shape}"
-                )
-            return np.array([self(row) for row in arr])
-        flat = np.ravel(arr)
-        out = np.array([self(v) for v in flat])
-        return out.reshape(arr.shape)
+        if n > 1 and (arr.ndim != 2 or arr.shape[1] != n):
+            raise DomainError(f"expected an (m, {n}) batch of samples, got shape {arr.shape}")
+        out = np.array([self(v) for v in (arr if n > 1 else np.ravel(arr))])
+        return out if n > 1 else out.reshape(arr.shape)
 
-    @property
-    def sup_bound(self) -> float | None:
-        if self.profile is not None:
-            return self.profile.sup_level
+
+def _frozen(components: Mapping[int, EVariable]):
+    """The components as a composite keeps them (a suite as it is, any
+    other mapping copied) and their piece table: None unless each is
+    structured with at most one constant piece."""
+    if isinstance(components, SpikeSuite):
+        return components, components.table
+    components = dict(components)
+    pws = [getattr(ev, "piecewise", None) for ev in components.values()]
+    if any(pw is None or pw.period or len(pw.a) > 1 or np.any(pw.b != 0.0) for pw in pws):
+        return components, None
+    rows = [(*pw.edges, pw.a[0], pw.outside) if len(pw.a) else
+            (math.inf, math.inf, 0.0, pw.outside) for pw in pws]
+    return components, _PieceTable(np.fromiter(components, int, len(pws)),
+                                   *np.array(rows, dtype=float).reshape(-1, 4).T)
+
+
+def _cellwise_piecewise(
+    bundle: FamilyBundle, table: _PieceTable | None, C: float
+) -> Piecewise | None:
+    """The select-and-scale composite as a piecewise: the cells of the
+    indices from the smallest key to the largest (a table of cells on a
+    run of indices is its own edges), each at its component's value over
+    C, and 1/C beyond.  None unless every component is structured and
+    constant on its own cell."""
+    if table is None or not len(table.keys):
+        return None if table is None else Piecewise.constant(1.0 / C)
+    keys, lo, hi, level, out, cells = table
+    k0 = int(keys.min())
+    ks = range(k0, int(keys.max()) + 1)
+    run = cells and np.array_equal(keys, np.arange(k0, k0 + len(keys)))
+    bounds = np.column_stack([lo, hi]) if run else bundle.cell_bounds(ks)
+    cell = bounds[keys - k0]
+    own = (lo == cell[:, 0]) & (hi == cell[:, 1])
+    if not np.all(own | (hi <= cell[:, 0]) | (lo >= cell[:, 1])):
         return None
-
-
-def _auto_profile(
-    components: Mapping[int, EVariable], factor_C: float
-) -> CellwiseProfile | None:
-    """Build a cellwise profile when every component is structurally a
-    constant or an own-cell indicator."""
-    levels: dict[int, float] = {}
-    try:
-        items = components.items()
-    except AttributeError:
-        return None
-    for k, ev in items:
-        if ev.kind == "constant":
-            levels[k] = ev.level / factor_C
-        elif ev.kind == "cell_indicator":
-            levels[k] = (ev.level / factor_C) if ev.cell_index == k else 0.0
-        else:
-            return None
-    default = 1.0 / factor_C
-    sup = max([default, *levels.values()]) if levels else default
-    return CellwiseProfile(levels=levels, default_level=default, sup_level=sup)
+    levels = np.ones(len(ks))
+    levels[keys - k0] = np.where(own, level, out)
+    edges = np.append(bounds[:, 0], bounds[-1, 1])
+    return Piecewise(edges, levels / C, np.zeros(len(ks)), 1.0 / C, bundle.right_closed)
 
 
 def combine_discrete(
@@ -289,13 +309,9 @@ def combine_discrete(
     e-variable -- useful for demonstrating that the factor does real work.
     """
     C = bundle.factor_C if factor_C is None else float(factor_C)
-    return CompositeEVariable(
-        bundle=bundle,
-        components=dict(components),
-        factor_C=C,
-        mode="discrete",
-        profile=_auto_profile(components, C),
-    )
+    components, table = _frozen(components)
+    return CompositeEVariable(bundle, components, C, "discrete",
+                              piecewise=_cellwise_piecewise(bundle, table, C))
 
 
 def bump_weight(center: int, epsilon: float, x) -> float:
@@ -320,12 +336,43 @@ def bump_weight(center: int, epsilon: float, x) -> float:
     return 1.0 - t if d > 0 else t
 
 
+def _trapezoid_piecewise(table: _PieceTable | None, epsilon: float, C: float) -> Piecewise | None:
+    """The interpolated composite as a piecewise over the keys and the
+    ramps to the missing (constant-1) neighbours, 1/C beyond: each ramp
+    [c - eps, c + eps) around a half-integer c, split at c, blends the
+    two neighbours' levels linearly.  None unless every component is
+    structured with edges on half-integers, so constant on each piece."""
+    if table is None or not len(table.keys):
+        return None if table is None else Piecewise.constant(1.0 / C)
+    finite = np.concatenate([table.lo, table.hi])
+    if np.any(finite[finite < math.inf] % 1.0 != 0.5):
+        return None
+    first = int(table.keys.min()) - 1
+    size = int(table.keys.max()) - first + 2
+    lo, hi, level, out = slots = [np.full(size, v) for v in (math.inf, math.inf, 0.0, 1.0)]
+    for slot, values in zip(slots, table[1:5]):
+        slot[table.keys - first] = values
+    eps = float(epsilon)
+    centers = np.arange(first, first + size - 1) + 0.5
+    knots = np.column_stack([centers - eps, centers, centers + eps]).ravel()
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    j = np.arange(len(mids)) // 3  # the half-integer each piece follows
+
+    def at(i):
+        return np.where((lo[i] <= mids) & (mids < hi[i]), level[i], out[i])
+
+    L, R, c = at(j), at(j + 1), centers[j]  # the integers either side
+    ramp = np.arange(len(mids)) % 3 != 2
+    a = np.where(ramp, (L * (c + eps) - R * (c - eps)) / (2.0 * eps), R) / C
+    b = np.where(ramp, (R - L) / (2.0 * eps), 0.0) / C
+    return Piecewise(knots, a, b, 1.0 / C)
+
+
 def combine_interpolated(
     bundle: FamilyBundle,
     components: Mapping[int, EVariable],
     epsilon: float,
     factor_C: float,
-    profile: object | None = None,
 ) -> CompositeEVariable:
     """The interpolated composite (1/C) * sum_n e_n(x) * w_n(x).
 
@@ -336,14 +383,10 @@ def combine_interpolated(
         raise DomainError(
             "unsupported mode: interpolation is defined on integer nets only"
         )
-    return CompositeEVariable(
-        bundle=bundle,
-        components=components,
-        factor_C=float(factor_C),
-        mode="interpolated",
-        epsilon=float(epsilon),
-        profile=profile,
-    )
+    C = float(factor_C)
+    components, table = _frozen(components)
+    return CompositeEVariable(bundle, components, C, "interpolated", float(epsilon),
+                              _trapezoid_piecewise(table, epsilon, C))
 
 
 def product_evar(
@@ -366,16 +409,9 @@ def product_evar(
     if arr.shape != (n,):
         raise DomainError(f"expected an n-vector with n={n}, got shape {arr.shape}")
     k = bundle.estimate_index(arr)
-    comp = per_obs.get(k, ONE)
-    comp = ONE if comp is None else comp
     total = 1.0
     for coord in arr:
-        value = comp(float(coord))
-        if value < 0 or math.isnan(value):
-            raise ContractViolationError(
-                f"component {k} evaluated to {value!r} at coordinate {coord!r}"
-            )
-        total *= value
+        total *= _component_value(per_obs, k, float(coord))
     return total / bundle.factor_C
 
 

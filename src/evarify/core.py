@@ -58,6 +58,7 @@ __all__ = [
     "Interval",
     "Family",
     "StatLaw",
+    "Piecewise",
     "FactorInputs",
     "divergence",
     "factor_from_growth",
@@ -159,8 +160,7 @@ class StatLaw:
 
     Location families with unit scale also carry ``moment(theta, v)``,
     returning the CDF and the partial-first-moment antiderivative
-    G(v) = int^v t p_theta(t) dt, and ``moment_reach``, the number of unit
-    cells around theta over which that moment is integrated.
+    G(v) = int^v t p_theta(t) dt.
     """
 
     discrete: bool
@@ -176,7 +176,6 @@ class StatLaw:
     #: smallest lower quantile level a window uses (keeps it off g = 0)
     tail_floor: float = 0.0
     moment: Callable[[float, np.ndarray], tuple] | None = None
-    moment_reach: int = 0
 
     def window(self, theta: float, tail: float) -> tuple[float, float]:
         """Statistic interval [lo, hi] (support points, for discrete laws)
@@ -188,6 +187,45 @@ class StatLaw:
             q = np.array([max(tail / 2.0, self.tail_floor), 1.0 - tail / 2.0])
             lo, hi = (float(v) for v in self.ppf(theta, q))
         return min(max(lo, self.lo), self.hi), min(max(hi, self.lo), self.hi)
+
+
+@dataclass(frozen=True, eq=False)
+class Piecewise:
+    """A piecewise-affine function on the line of a family's law
+    (statistic values, or support points for a discrete law; see
+    :class:`StatLaw`): ``a[i] + b[i] * v`` between ``edges[i]`` and
+    ``edges[i + 1]``, ``outside`` beyond the edges.  Pieces are (lo, hi]
+    when ``right_closed`` and [lo, hi) otherwise, as the estimator's cells,
+    so a value on an edge selects the estimator's piece.  A constant has
+    no pieces.  With a ``period`` p the pieces make up one period,
+    edges[-1] = edges[0] + p, and repeat without end (``outside`` is
+    unused): the copy of piece i shifted by j p is a[i] + b[i] (v - j p)."""
+
+    edges: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    outside: float
+    right_closed: bool = False
+    period: float | None = None
+
+    @classmethod
+    def constant(cls, value: float) -> "Piecewise":
+        return cls(np.empty(0), np.empty(0), np.empty(0), float(value))
+
+    def __call__(self, v: float) -> float:
+        if self.period is not None:  # into the first period (floor may round)
+            p, e0 = self.period, self.edges.item(0)
+            v -= p * math.floor((v - e0) / p)
+            v += p if v < e0 else -p if v >= self.edges.item(-1) else 0.0
+        i = int(self.edges.searchsorted(v, "left" if self.right_closed else "right")) - 1
+        return self.a.item(i) + self.b.item(i) * v if 0 <= i < len(self.a) else self.outside
+
+    @property
+    def sup(self) -> float:
+        """The largest value taken (an affine piece peaks at an edge)."""
+        ends = [self.a + self.b * self.edges[:-1], self.a + self.b * self.edges[1:]]
+        values = [float(e.max()) for e in ends if len(e)]
+        return max(values if self.period else [self.outside, *values])
 
 
 @dataclass(frozen=True)
@@ -373,23 +411,18 @@ class Net:
         return None if k is None else self.point(k)
 
     def round_index(self, t: float) -> int:
-        """Index of the nearest net element; ties go to the successor."""
+        """Index of the nearest net element; ties (at the float midpoint,
+        the edge of :meth:`RoundToNet.cell`) go to the successor."""
         lo_k = self._floor_index(t)
         if lo_k is None:
             k = self.k_min
             if k is None:  # pragma: no cover - all nets unbounded below have points everywhere
                 raise DomainError("no net element below or at t on an unbounded net")
             return k
-        lo = self.point(lo_k)
-        if lo == t:
-            return lo_k
         hi_k = lo_k + 1
         if self.k_max is not None and hi_k > self.k_max:
             return lo_k
-        hi = self.point(hi_k)
-        if t - lo < hi - t:
-            return lo_k
-        return hi_k
+        return lo_k if t < 0.5 * (self.point(lo_k) + self.point(hi_k)) else hi_k
 
     def round(self, t: float) -> float:
         return self.point(self.round_index(t))
@@ -743,10 +776,12 @@ class REpsilon(Estimator):
     """Nearest-integer rounding, redefined on the epsilon-neighbourhoods
     of half-integers.
 
-    Outside every interval [m + 1/2 - eps, m + 1/2 + eps] the map is plain
+    Outside every interval [m + 1/2 - eps, m + 1/2 + eps) the map is plain
     nearest-integer rounding; on the neighbourhood of m + 1/2 it is the
     constant ``m`` or ``m + 1`` chosen by the tie rule ("up", "down",
-    "even", "odd", or a callable m -> chosen integer).  Requires
+    "even", "odd", or a callable m -> chosen integer).  Half-open like the
+    cells, so ``index`` and ``cell`` agree on every float (which end the
+    neighbourhood holds is a null set under continuous laws).  Requires
     eps <= 1/5 so neighbouring choices cannot interact.
     """
 
@@ -776,11 +811,11 @@ class REpsilon(Estimator):
         return float(x)
 
     def index(self, x) -> int:
-        v = self.statistic(x)
+        v = self.statistic(x)  # compared with the floats bounding the cells
         m = math.floor(v)  # half-integer m + 0.5 is the one in [m, m+1)
-        if abs(v - (m + 0.5)) <= self.epsilon:
-            return int(self._choice(m))
-        return int(math.floor(v + 0.5))
+        if v < m + 0.5 - self.epsilon:
+            return int(m)
+        return int(self._choice(m)) if v < m + 0.5 + self.epsilon else int(m) + 1
 
     def cell(self, n: int) -> Cell:
         eps = self.epsilon

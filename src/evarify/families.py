@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import (
@@ -359,7 +359,6 @@ def normal_mean_family(n: int) -> Family:
             sample=lambda mu, m, rng: mu + _standard_normals(rng, m, n),
             statistic_is_sample=n == 1,
             moment=moment if n == 1 else None,
-            moment_reach=16,
         ),
     )
 
@@ -447,7 +446,6 @@ def cauchy_family() -> Family:
             sample=lambda theta, m, rng: theta + rng.standard_cauchy(m),
             cap=CAUCHY_WINDOW,
             moment=moment,
-            moment_reach=CAUCHY_WINDOW,
         ),
     )
 
@@ -497,6 +495,35 @@ class FamilyBundle:
 
     def estimate_index(self, x) -> int:
         return self.estimator.index(x)
+
+    def locate(self, x) -> float:
+        """Sample x's point on the law's line (see ``StatLaw``), once the
+        estimator has accepted x: raises where ``estimator.index`` does."""
+        v = self.estimator.statistic(x)
+        self.estimator.statistic_index(v)
+        return float(x) if self.family.law.discrete else v
+
+    @property
+    def right_closed(self) -> bool:
+        """Whether a cell holds its right edge on the law's line."""
+        k = (self.net.k_min or 0) + 1  # a cell with both edges finite
+        return self.family.law.discrete or self.estimator.cell(k).hi_closed
+
+    def cell_bounds(self, ks: Sequence[int]) -> np.ndarray:
+        """Per-cell (lo, hi) on the law's line, shape (len(ks), 2), with
+        P_theta(cell k) = law.cdf(theta, hi) - law.cdf(theta, lo): the
+        statistic interval clipped to the support, or the support points
+        before the cell and at its end for discrete laws."""
+        law = self.family.law
+        if self.support_index is not None:
+            ends = [np.searchsorted(self.support_index, ks, side) for side in ("left", "right")]
+            return np.stack(ends, axis=1) - 1.0
+        cells = [self.estimator.cell(int(k)) for k in ks]
+        if law.discrete:
+            top = min(law.hi, 2.0**62)
+            ranges = [c.clip(law.lo, top).integer_range() for c in cells]
+            return np.array([(a - 1, b) for a, b in ranges], dtype=float).reshape(-1, 2)
+        return np.clip(np.array([(c.lo, c.hi) for c in cells]).reshape(-1, 2), law.lo, law.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -2,27 +2,18 @@
 
 The central claim about a composite test e is that sup over the family of
 E_theta[e(X)] is at most 1.  This module estimates those expectations with
-explicit error bounds and sweeps them over adversarial parameter grids:
+explicit error bounds and sweeps them over adversarial parameter grids.
 
-* exact truncated summation for the discrete families (binomial, discrete
-  uniform, Poisson), with the discarded tail mass times the composite's
-  sup charged to the error bound;
-* closed-form cellwise integration for continuous families when the
-  composite is piecewise constant on estimator cells (which covers spike
-  suites and constant components) -- this is the sharp form of
-  piecewise-aware quadrature, splitting exactly at cell boundaries;
-* closed-form partial-moment integration for interpolated composites with
-  equal-height cell-indicator components (the trapezoid weights make the
-  integrand piecewise linear);
-* adaptive quadrature (split at cell boundaries and ramp knots) and
-  Monte Carlo with a 99% CI half-width as the error bound for generic
-  components.
-
-Every engine reads the statistic's distribution from the family's law
-(``bundle.family.law``, built in :mod:`evarify.families`): cell
-probabilities come from one array of cell bounds and one vectorized CDF
-call, truncation windows from ``law.window`` and Monte Carlo draws from
-``law.sample``.  Monte Carlo uses a counter-based generator keyed by
+A composite of structured components (constants, spikes) carries a
+:class:`~evarify.core.Piecewise`, and one closed-form engine integrates it:
+E_theta = sum_i a_i dF_i + b_i dG_i over its pieces (their copies in the
+law's window, if it repeats), with F the law's CDF and G its partial
+first moment (only on ramps), plus the mass beyond.  Generic components fall
+back to exact truncated summation (discrete families), adaptive
+quadrature split at cell boundaries and ramp knots, or Monte Carlo with a
+99% CI half-width as the error bound; the mass beyond a truncation window
+(``law.window``) is charged against the composite's sup.  Monte Carlo
+draws (``law.sample``) come from a counter-based generator keyed by
 (master seed, theta index), so sweeps are reproducible and
 order-independent.
 
@@ -46,14 +37,13 @@ from scipy import integrate
 
 from .combinator import (
     EVariable,
-    CellwiseProfile,
     CompositeEVariable,
-    PeriodicTrapezoidProfile,
+    SpikeSuite,
+    _trapezoid_piecewise,
     calibrated_p_evar,
     combine_discrete,
-    combine_interpolated,
 )
-from .core import DomainError
+from .core import DomainError, Piecewise, StatLaw
 from .families import FamilyBundle
 
 __all__ = [
@@ -76,8 +66,10 @@ __all__ = [
     "certify_interpolated_factor",
 ]
 
-#: Error attributed to closed-form CDF evaluations per cell.
+#: Error of a closed-form CDF (or partial-moment) value, relative to its
+#: size; and the unit roundoff of float64.
 _CDF_EPS = 5e-16
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _rng_for(seed: int, theta_index: int) -> np.random.Generator:
@@ -132,56 +124,6 @@ class ExpectationResult:
 # ---------------------------------------------------------------------------
 
 
-def _cell_bounds(bundle: FamilyBundle, ks: Sequence[int]) -> np.ndarray:
-    """Per-cell (lo, hi), shape (len(ks), 2), with P_theta(cell k) =
-    law.cdf(theta, hi) - law.cdf(theta, lo).
-
-    Continuous laws: the cell's statistic interval clipped to the support.
-    Discrete laws: the support points just before the cell and at its
-    end, found by applying the estimator to support points (the bundle's
-    table, where the support is finite) or from the cell's integer range.
-    """
-    law = bundle.family.law
-    table = bundle.support_index
-    if table is not None:
-        ends = [np.searchsorted(table, ks, side) for side in ("left", "right")]
-        return np.stack(ends, axis=1) - 1.0
-    cells = [bundle.estimator.cell(int(k)) for k in ks]
-    if law.discrete:
-        top = min(law.hi, 2.0**62)
-        ranges = [c.clip(law.lo, top).integer_range() for c in cells]
-        return np.array([(a - 1, b) for a, b in ranges], dtype=float).reshape(-1, 2)
-    return np.clip(np.array([(c.lo, c.hi) for c in cells]).reshape(-1, 2), law.lo, law.hi)
-
-
-def _cell_probs(bundle: FamilyBundle, theta, ks: Sequence[int]) -> np.ndarray:
-    """P_theta(statistic lands in cell k) for each k, from one CDF call;
-    ``theta`` is a scalar or a column aligned with ``ks``."""
-    F = bundle.family.law.cdf(theta, _cell_bounds(bundle, ks))
-    return F[:, 1] - F[:, 0]
-
-
-def _spike(bundle: FamilyBundle, k: int, p: float) -> EVariable:
-    if not p > 0.0:
-        raise DomainError(
-            f"cell {k} of {bundle.bundle_id} has zero probability under its own point"
-        )
-    level = 1.0 / p
-    est = bundle.estimator
-
-    def fn(x) -> float:
-        return level if est.index(x) == k else 0.0
-
-    return EVariable(
-        fn=fn,
-        valid_for=bundle.net.point(k),
-        sup_bound=level,
-        kind="cell_indicator",
-        level=level,
-        cell_index=k,
-    )
-
-
 def spike_evar(bundle: FamilyBundle, k: int) -> EVariable:
     """The spike at net index k: the indicator of the cell shat^{-1}(s_k)
     divided by its probability under P_{s_k}.
@@ -190,16 +132,21 @@ def spike_evar(bundle: FamilyBundle, k: int) -> EVariable:
     component the e-variable constraint allows concentrated on its own
     cell.  Raises :class:`DomainError` for a zero-probability cell.
     """
-    return _spike(bundle, k, float(_cell_probs(bundle, bundle.net.point(k), [k])[0]))
+    return spike_suite(bundle, [k])[int(k)]
 
 
-def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> dict[int, EVariable]:
+def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
     """Spikes for every index in ``indices``, each cell under its own net
-    point."""
+    point; the cell probabilities come from one CDF call."""
     ks = [int(k) for k in indices]
-    points = np.array([bundle.net.point(k) for k in ks])
-    probs = _cell_probs(bundle, points[:, None], ks)
-    return {k: _spike(bundle, k, float(p)) for k, p in zip(ks, probs)}
+    bounds = bundle.cell_bounds(ks)
+    F = bundle.family.law.cdf(np.array([bundle.net.point(k) for k in ks])[:, None], bounds)
+    probs = F[:, 1] - F[:, 0]
+    if not np.all(probs > 0.0):
+        k = ks[int(np.argmin(probs > 0.0))]
+        raise DomainError(
+            f"cell {k} of {bundle.bundle_id} has zero probability under its own point")
+    return SpikeSuite(bundle, ks, bounds, 1.0 / probs, bundle.right_closed, cells=True)
 
 
 def _index_at(bundle: FamilyBundle, v: float) -> int:
@@ -259,67 +206,66 @@ def upper_tail_calibrated_evar(
 
 
 # ---------------------------------------------------------------------------
-# Cellwise engine: exact expectation of piecewise-constant composites
+# The closed-form engine of structured composites
 # ---------------------------------------------------------------------------
 
 
-class _CellwiseEngine:
-    """Exact expectation of a composite that is constant on estimator
-    cells, over a fixed index range; mass outside the range is charged at
-    the composite's default level (exact, because missing components are
-    the constant-1 e-variable)."""
+class _PiecewiseEngine:
+    """E_theta of a piecewise composite: sum_i a_i dF_i + b_i dG_i over
+    its pieces (G, the law's partial first moment, only on ramps, b != 0)
+    plus the mass beyond at the outside level.  A periodic piecewise is
+    integrated over its copies on the periods meeting the law's window,
+    the mass beyond at the sup with its spread down to the least value in
+    the bound.  Rounding: _CDF_EPS (pieces + 2) max(1, sup) for F's error
+    times a jump; ramps' a_i = value - b_i v grow with |v|, b_i with
+    1/(2 eps), so each piece adds _CDF_EPS (|a| F + |b| (|G| + |theta| F))
+    at both ends and the sum (pieces + 2) u sum_i |a_i dF_i| + |b_i dG_i|.
+    """
 
-    def __init__(self, composite: CompositeEVariable, k_lo: int, k_hi: int):
-        bundle = composite.bundle
-        profile: CellwiseProfile = composite.profile
-        ks = range(k_lo, k_hi + 1)
-        self.law = bundle.family.law
-        self.bounds = _cell_bounds(bundle, ks)
-        self.levels = np.array([profile.level(k) for k in ks])
-        self.default = profile.default_level
-        self.sup = profile.sup_level
-
-    def expectation(self, theta: float) -> ExpectationResult:
-        # the cells are contiguous: the mass outside them lies below the
-        # first one and above the last
-        F = self.law.cdf(theta, self.bounds)
-        probs = F[:, 1] - F[:, 0]
-        outside = max(0.0, 1.0 - float(F[-1, 1] - F[0, 0]))
-        estimate = float(np.dot(self.levels, probs)) + outside * self.default
-        eb = _CDF_EPS * (len(self.levels) + 2.0) * max(1.0, self.sup)
-        method = "exact_sum" if self.law.discrete else "quadrature"
-        return ExpectationResult(estimate, eb, method)
-
-
-class _PeriodicTrapezoidEngine:
-    """Closed-form expectation of the interpolated composite with
-    equal-height unit-cell spikes: height * (1 - deficit) / C with the
-    deficit integrated exactly over half-integer neighbourhoods."""
-
-    def __init__(self, composite: CompositeEVariable):
-        profile: PeriodicTrapezoidProfile = composite.profile
-        law = composite.bundle.family.law
-        self.moment = law.moment
-        self.R = law.moment_reach
-        self.h = profile.height
-        self.eps = profile.epsilon
-        self.C = profile.factor_C
+    def __init__(self, pw: Piecewise, law: StatLaw, tail: float):
+        self.pw, self.law, self.tail = pw, law, tail
+        self.ramps = bool(np.any(pw.b != 0.0))
+        self.sup = pw.sup
+        if pw.period:
+            ends = np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:])
+            self.spread = self.sup - float(ends.min())
 
     def expectation(self, theta: float) -> ExpectationResult:
-        m = np.arange(math.floor(theta) - self.R, math.floor(theta) + self.R + 1)
-        a = m + (0.5 - self.eps)
-        c = m + 0.5
-        b = m + (0.5 + self.eps)
-        Fa, Ga = self.moment(theta, a)
-        Fc, Gc = self.moment(theta, c)
-        Fb, Gb = self.moment(theta, b)
-        rising = (Gc - Ga) - a * (Fc - Fa)
-        falling = b * (Fb - Fc) - (Gb - Gc)
-        deficit = float(np.sum(rising + falling)) / (2.0 * self.eps)
-        tail = max(0.0, 1.0 - float(Fb[-1] - Fa[0]))
-        estimate = self.h * (1.0 - deficit) / self.C
-        eb = (self.h * 0.5 * tail) / self.C + _CDF_EPS * len(m)
-        return ExpectationResult(estimate, eb, "quadrature")
+        pw, law, n = self.pw, self.law, len(self.pw.a)
+
+        def at(v):  # rows F and, for ramps, G
+            return np.array(law.moment(theta, v) if self.ramps else [law.cdf(theta, v)])
+        if pw.period:  # each piece's copies on the periods meeting the window
+            j = [math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, self.tail)]
+            s = pw.period * np.arange(j[0], j[1] + 2.0)  # and the next period
+            rows, J = [at(e + s) for e in pw.edges[:-1]], len(s) - 1
+            # piece i runs from row i to row i + 1, the last to the next row 0
+            parts = [(pw.a[i], pw.b[i], s[:J], rows[i][:, :J],
+                      rows[i + 1][:, :J] if i + 1 < n else rows[0][:, 1:]) for i in range(n)]
+        else:
+            rows = [at(pw.edges)]
+            parts = [(pw.a, pw.b, 0.0, rows[0][:, :n], rows[0][:, 1:])]
+        F = rows[0][0]  # the pieces are contiguous: the mass beyond lies below and above
+        rest = max(0.0, 1.0 - float(F[-1] - F[0])) if F.size else 1.0
+        estimate = at_edges = terms = 0.0
+        for a, b, s, (F0, *G0), (F1, *G1) in parts:  # a copy shifted by s: a - b s for a
+            dF = F1 - F0
+            estimate += float(np.dot(a - b * s, dF))
+            if self.ramps:  # per piece |a - b s| <= |a| + |b| |s|
+                (G0,), (G1,) = G0, G1
+                dG = G1 - G0
+                estimate += float(np.sum(b * dG))
+                A, B = np.abs(a) + np.abs(b) * np.abs(s), np.abs(b)
+                at_edges += float(np.sum((A + abs(theta) * B) * (F0 + F1)
+                                         + B * (np.abs(G0) + np.abs(G1))))
+                terms += float(np.sum(A * np.abs(dF) + B * np.abs(dG)))
+        count = sum(part[3].shape[1] for part in parts)
+        estimate += rest * (self.sup if pw.period else pw.outside)
+        eb = _CDF_EPS * (count + 2.0) * max(1.0, self.sup)
+        eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
+        if pw.period:
+            eb += rest * self.spread
+        return ExpectationResult(estimate, eb, "exact_sum" if law.discrete else "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +273,12 @@ class _PeriodicTrapezoidEngine:
 # ---------------------------------------------------------------------------
 
 
-def _as_callable(e) -> Callable[[object], float]:
-    if callable(e):
-        return e
-    raise DomainError("e must be callable")
-
-
 def _generic_discrete(e, theta, bundle, plan) -> ExpectationResult:
     law = bundle.family.law
     _, top = law.window(theta, plan.tail_mass)
     xs = np.arange(law.lo, min(law.hi, top + 8.0) + 1.0)
     pmf = np.exp(np.asarray(bundle.family.log_density(theta, xs), dtype=float))
-    fn = _as_callable(e)
-    values = np.array([fn(float(x)) for x in xs])
+    values = np.array([e(float(x)) for x in xs])
     charged = values[pmf > 0]
     if np.any(np.isinf(charged)):
         return ExpectationResult(math.inf, 0.0, "exact_sum")
@@ -358,13 +297,12 @@ def _generic_quadrature(e, theta, bundle, plan) -> ExpectationResult:
         # would miss mass (x < 0 when the statistic is x^2)
         raise DomainError(
             "generic quadrature needs a statistic equal to the scalar sample; "
-            "use monte_carlo or give the composite a cellwise profile"
+            "use monte_carlo or structured components"
         )
     lo, hi = law.window(theta, plan.tail_mass)
-    fn = _as_callable(e)
 
     def integrand(x: float) -> float:
-        return fn(x) * math.exp(float(bundle.family.log_density(theta, x)))
+        return e(x) * math.exp(float(bundle.family.log_density(theta, x)))
 
     knots = _statistic_knots(bundle, lo, hi, getattr(e, "epsilon", None))
     pieces = [lo, *[k for k in knots if lo < k < hi], hi]
@@ -382,25 +320,15 @@ def _generic_quadrature(e, theta, bundle, plan) -> ExpectationResult:
     return ExpectationResult(total, err + tail * sup, "quadrature")
 
 
-def _statistic_knots(bundle, lo, hi, epsilon) -> list[float]:
-    """Cell boundaries (and ramp knots) between lo and hi."""
-    est = bundle.estimator
-    net = bundle.net
-    knots: list[float] = []
-    k = net.round_index(lo)
-    k_hi = net.round_index(hi)
-    while k <= k_hi:
-        cell = est.cell(k)
-        if math.isfinite(cell.lo):
-            knots.append(cell.lo)
-        if math.isfinite(cell.hi):
-            knots.append(cell.hi)
-        if epsilon is not None:
-            center = net.point(k)
-            for d in (-0.5 - epsilon, -0.5 + epsilon, 0.5 - epsilon, 0.5 + epsilon):
-                knots.append(center + d)
-        k += 1
-    return sorted(set(knots))
+def _statistic_knots(bundle, lo, hi, epsilon) -> np.ndarray:
+    """Cell boundaries (and, for interpolation on the integers, ramp
+    knots) between lo and hi."""
+    ks = range(bundle.net.round_index(lo), bundle.net.round_index(hi) + 1)
+    knots = [bundle.cell_bounds(ks).ravel()]
+    if epsilon is not None:
+        d = np.array([-0.5 - epsilon, -0.5 + epsilon, 0.5 - epsilon, 0.5 + epsilon])
+        knots.append((np.array([bundle.net.point(k) for k in ks])[:, None] + d).ravel())
+    return np.unique(np.concatenate(knots))
 
 
 def _monte_carlo(e, theta, bundle, plan, theta_index) -> ExpectationResult:
@@ -408,12 +336,10 @@ def _monte_carlo(e, theta, bundle, plan, theta_index) -> ExpectationResult:
     xs = bundle.family.law.sample(theta, plan.mc_samples, rng)
     if isinstance(e, CompositeEVariable):
         values = e.eval_many(xs)
+    elif xs.ndim == 2:
+        values = np.array([e(row) for row in xs])
     else:
-        fn = _as_callable(e)
-        if xs.ndim == 2:
-            values = np.array([fn(row) for row in xs])
-        else:
-            values = np.array([fn(float(v)) for v in xs])
+        values = np.array([e(float(v)) for v in xs])
     estimate = float(np.mean(values))
     half_width = 2.576 * float(np.std(values, ddof=1)) / math.sqrt(len(values))
     return ExpectationResult(estimate, half_width, "monte_carlo")
@@ -438,9 +364,11 @@ def expectation(
         bundle = e.bundle
     plan = plan or ExpectationPlan()
     theta = bundle.family.validate_param(theta)
-    engine = _closed_form_engine(e, bundle, [theta], plan)
+    engine = _closed_form_engine(e, bundle, plan)
     if engine is not None:
         return engine(theta)
+    if not callable(e):
+        raise DomainError("e must be callable")
     if plan.method == "monte_carlo":
         return _monte_carlo(e, theta, bundle, plan, theta_index)
     if bundle.family.law.discrete:
@@ -449,36 +377,18 @@ def expectation(
 
 
 def _closed_form_engine(
-    e, bundle: FamilyBundle, theta_grid: Sequence[float], plan: ExpectationPlan
+    e, bundle: FamilyBundle, plan: ExpectationPlan
 ) -> Callable[[float], ExpectationResult] | None:
-    """The engine giving E_theta[e] in closed form over the grid, or None
-    when e must be evaluated pointwise (Monte Carlo, generic sum or
-    quadrature).  :func:`expectation` and :func:`sweep` both dispatch here."""
-    discrete = bundle.family.law.discrete
-    if plan.method == "exact_sum" and not discrete:
+    """The engine giving E_theta[e] in closed form when e has a piecewise
+    (a structured component or a composite of them), else None: e is then
+    evaluated pointwise.  :func:`expectation` and :func:`sweep` use it."""
+    law = bundle.family.law
+    if plan.method == "exact_sum" and not law.discrete:
         raise DomainError("exact_sum is only valid for discrete families")
-    if plan.method == "monte_carlo":
+    pw = getattr(e, "piecewise", None)
+    if plan.method == "monte_carlo" or pw is None:
         return None
-    method = "exact_sum" if discrete else "quadrature"
-    if isinstance(e, EVariable) and e.kind == "constant":
-        return lambda theta: ExpectationResult(e.level, _CDF_EPS, method)
-    if isinstance(e, EVariable) and e.kind == "cell_indicator":
-        # exact: level times the cell probability (valid for product
-        # families too -- the indicator is a function of the statistic)
-        return lambda theta: ExpectationResult(
-            e.level * float(_cell_probs(bundle, theta, [e.cell_index])[0]),
-            _CDF_EPS * max(1.0, e.level), method)
-    if isinstance(e, CompositeEVariable) and isinstance(e.profile, CellwiseProfile):
-        k_lo, k_hi = _grid_index_envelope(bundle, theta_grid, plan.tail_mass)
-        keys = list(e.components.keys())
-        if keys:
-            k_lo, k_hi = min(k_lo, min(keys)), max(k_hi, max(keys))
-        return _CellwiseEngine(e, k_lo, k_hi).expectation
-    if isinstance(e, CompositeEVariable) and isinstance(
-        e.profile, PeriodicTrapezoidProfile
-    ):
-        return _PeriodicTrapezoidEngine(e).expectation
-    return None
+    return _PiecewiseEngine(pw, law, plan.tail_mass).expectation
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +467,7 @@ def sweep(
     grid = default_theta_grid(bundle) if theta_grid is None else [
         bundle.family.validate_param(t) for t in theta_grid
     ]
-    engine = _closed_form_engine(composite, bundle, grid, plan)
+    engine = _closed_form_engine(composite, bundle, plan)
     rows = []
     for i, theta in enumerate(grid):
         if engine is not None:
@@ -658,44 +568,34 @@ def uniform_ceiling_budget_max(n_max: int = 2**20) -> tuple[float, int]:
 # ---------------------------------------------------------------------------
 
 
-class _UnitCellSpikes:
-    """The unbounded family of unit-cell spikes e_n, built on demand by
-    ``get(n)``: the indicator of [n - 1/2, n + 1/2) over its probability
-    under P_n (the same height for every n by translation invariance).
-
-    That interval is not an estimator cell (r^epsilon moves the cell
-    edges), so the spikes are generic components with a known sup."""
-
-    def __init__(self, height: float):
-        self.height = height
-
-    def get(self, n: int, default=None) -> EVariable:
-        h = self.height
-        return EVariable(
-            fn=lambda x: h if n - 0.5 <= float(x) < n + 0.5 else 0.0,
-            valid_for=float(n),
-            sup_bound=h,
-        )
-
-
-def unit_cell_spikes(bundle: FamilyBundle) -> _UnitCellSpikes:
+def unit_cell_spikes(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
+    """The unit-cell spikes e_n, n in ``indices``: the indicator of the
+    piece [n - 1/2, n + 1/2) (not an r^epsilon cell) over its probability
+    under P_n, the same for every n by translation invariance."""
     law = bundle.family.law
     if law.moment is None:
         raise DomainError(
             "interpolation is certified for cauchy and single-observation normal_mean"
         )
     F = law.cdf(0.0, np.array([-0.5, 0.5]))
-    return _UnitCellSpikes(1.0 / float(F[1] - F[0]))
+    ns = [int(n) for n in indices]
+    edges = np.array(ns, dtype=float)[:, None] + [-0.5, 0.5]
+    return SpikeSuite(bundle, ns, edges, np.full(len(ns), 1.0 / float(F[1] - F[0])),
+                      right_closed=False, cells=False)
 
 
 def interpolated_spike_composite(
     bundle: FamilyBundle, epsilon: float, factor_C: float
 ) -> CompositeEVariable:
-    spikes = unit_cell_spikes(bundle)
-    profile = PeriodicTrapezoidProfile(
-        height=spikes.height, epsilon=float(epsilon), factor_C=float(factor_C)
-    )
-    return combine_interpolated(bundle, spikes, epsilon, factor_C, profile=profile)
+    """The interpolated composite of the unit-cell spikes on all integers,
+    h * w_round(x) / C.  It repeats with period 1, so its piecewise holds
+    one period, [1/2 - eps, 3/2 - eps), and its components are the
+    spikes on 0, 1 and 2 that make it up (pieces 3 to 5 of theirs)."""
+    C = float(factor_C)
+    spikes = unit_cell_spikes(bundle, range(3))
+    pw = _trapezoid_piecewise(spikes.table, epsilon, C)
+    one_period = Piecewise(pw.edges[3:7], pw.a[3:6], pw.b[3:6], 0.0, period=1.0)
+    return CompositeEVariable(bundle, spikes, C, "interpolated", float(epsilon), one_period)
 
 
 def certify_interpolated_factor(
@@ -714,12 +614,13 @@ def certify_interpolated_factor(
     C = 1 and the bisection runs on the cached values.
     """
     grid = default_theta_grid(bundle) if theta_grid is None else theta_grid
+    plan = ExpectationPlan()
     worst_u, worst_eb = 0.0, 0.0
     per_eps = {}
     for eps in epsilons:
         comp = interpolated_spike_composite(bundle, eps, 1.0)
-        engine = _PeriodicTrapezoidEngine(comp)
-        us = [engine.expectation(t) for t in grid]
+        engine = _closed_form_engine(comp, bundle, plan)
+        us = [engine(t) for t in grid]
         u = max(r.estimate for r in us)
         eb = max(r.error_bound for r in us)
         per_eps[float(eps)] = u

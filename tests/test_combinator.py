@@ -310,6 +310,26 @@ class TestCompositeContract:
         xs = np.zeros((5, 4))
         np.testing.assert_allclose(comp.eval_many(xs), [comp(row) for row in xs])
 
+    def test_structured_composites_still_check_the_sample(self):
+        """Reading the piecewise keeps the estimator's check of the
+        sample: a non-integer or negative count and a non-positive draw
+        of the continuous uniform raise, as does NaN; none of them is
+        mapped to a level."""
+        for name, kw, bad in [("discrete_uniform", {}, (2.5, -1.0)),
+                              ("continuous_uniform", {}, (-1.0, 0.0))]:
+            b = make_bundle(name, **kw)
+            for comp in (combine_discrete(b, {k: spike_evar(b, k) for k in range(1, 6)}),
+                         combine_discrete(b, {})):
+                assert comp.piecewise is not None
+                for x in bad:
+                    with pytest.raises(DomainError):
+                        comp(x)
+        b = make_bundle("cauchy", epsilon=0.2)
+        for comp in (combine_discrete(b, {0: spike_evar(b, 0)}),
+                     combine_interpolated(b, {0: constant_evar(2.0)}, 0.2, 2.0)):
+            with pytest.raises(ValueError):
+                comp(math.nan)
+
     def test_eval_many_rejects_a_single_vector_on_a_product_family(self):
         """A 1-D array of length n is one n-vector, not n samples."""
         b = make_bundle("normal_mean", alpha=1.0, n=4)

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from evarify.combinator import combine_discrete, constant_evar, likelihood_ratio_evar
+from evarify.combinator import (
+    bump_weight,
+    combine_discrete,
+    constant_evar,
+    likelihood_ratio_evar,
+)
 from evarify.core import Cell, DomainError
 from evarify.families import make_bundle
 from evarify.verifier import (
@@ -141,7 +146,7 @@ class TestExpectation:
         wavy = {0: EVariable(fn=lambda x: 1.0 + 0.5 * math.sin(float(x)),
                              sup_bound=1.5)}
         comp = combine_discrete(b, wavy, factor_C=2.0)
-        assert comp.profile is None
+        assert comp.piecewise is None
         res = expectation(comp, 0.0)
         assert res.method == "quadrature"
         # sanity: between the all-halves and all-max composites
@@ -222,6 +227,61 @@ class TestSpikes:
             mass = stats.binom.cdf(max(counts), n, p) - stats.binom.cdf(min(counts) - 1, n, p)
             assert suite[k].level == 1.0 / mass
             assert spike_evar(b, k).level == suite[k].level
+
+
+#: The benchmark's nine family configurations plus the r^epsilon normal mean.
+SELECTION_CONFIGS = [
+    ("binomial", {"n": 64}),
+    ("binomial", {"n": 10_000}),
+    ("discrete_uniform", {}),
+    ("poisson", {}),
+    ("continuous_uniform", {}),
+    ("normal_mean", {"n": 1}),
+    ("normal_mean", {"n": 16}),
+    ("normal_variance", {"n": 64}),
+    ("cauchy", {"epsilon": 0.2}),
+    ("normal_mean", {"epsilon": 0.2}),
+]
+
+
+class TestSpikeCompositeSelection:
+    @pytest.mark.parametrize("name,kw", SELECTION_CONFIGS)
+    def test_piecewise_selects_the_estimators_component(self, name, kw):
+        """The composite's piecewise, read at a point of the law's line,
+        equals the level of the component the estimator selects there
+        over C (1/C without a component): at every cell edge and both its
+        float neighbours, at the support points of the pieces for
+        discrete laws, and at 1,000 samples.
+
+        The discrete uniform's pieces hold 4.2 million support points;
+        there the points within 3 of an edge (where the selection can
+        change) and 10^5 seeded others are checked."""
+        b = make_bundle(name, **kw)
+        comp = spike_composite(b)
+        pw, est, C, law = comp.piecewise, b.estimator, comp.factor_C, b.family.law
+        levels = {k: ev.level / C for k, ev in comp.components.items()}
+
+        def expected(k):
+            return levels.get(k, 1.0 / C)
+
+        if law.discrete:
+            lo, hi = max(pw.edges[0], law.lo), min(pw.edges[-1] + 1.0, law.hi)
+            xs = np.arange(lo, hi + 1.0)
+            if len(xs) > 200_000:
+                near = (pw.edges[:, None] + np.arange(-2.0, 4.0)).ravel()
+                rng = np.random.default_rng(8)
+                xs = np.union1d(near[(near >= lo) & (near <= hi)],
+                                rng.integers(lo, hi, 100_000, endpoint=True))
+            index = [est.index(float(x)) for x in xs]
+        else:
+            xs = np.concatenate([np.nextafter(pw.edges, -np.inf), pw.edges,
+                                 np.nextafter(pw.edges, np.inf)])
+            index = [est.statistic_index(float(v)) for v in xs]
+        for v, k in zip(xs, index):
+            assert pw(float(v)) == expected(k), (v, k)
+        grid = default_theta_grid(b)
+        for x in law.sample(grid[len(grid) // 2], 1000, np.random.default_rng(3)):
+            assert comp(x) == expected(est.index(x)), x
 
 
 class TestSweep:
@@ -443,14 +503,83 @@ class TestInterpolatedCertification:
             assert res.estimate == pytest.approx(val, abs=5e-8)
 
     def test_unit_cell_spike_has_unit_mean_at_its_point(self):
-        """The spike on [-1/2, 1/2) is not an r^epsilon cell, so it is a
-        generic component; tagged as cell 0 it was integrated over
-        [-0.7, 0.3) instead."""
+        """The spike on [-1/2, 1/2) is not an r^epsilon cell: its single
+        piece is that interval (taken as cell 0 it was integrated over
+        [-0.7, 0.3) instead)."""
         b = make_bundle("normal_mean", epsilon=0.2)
-        e0 = unit_cell_spikes(b).get(0)
-        assert e0.kind == "generic" and e0.sup_bound == unit_cell_spikes(b).height
+        e0 = unit_cell_spikes(b, [0])[0]
+        pw = e0.piecewise
+        assert list(pw.edges) == [-0.5, 0.5] and not pw.right_closed
+        assert e0.sup_bound == e0.level == pw.a[0]
         res = expectation(e0, 0.0, b)
         assert abs(res.estimate - 1.0) <= res.error_bound
+
+    @pytest.mark.parametrize("name", ["normal_mean", "cauchy"])
+    def test_translation_by_1000_within_both_rows_bounds(self, name):
+        """The unit-cell spike composite repeats with period 1, so
+        E_{theta +/- 1000} = E_theta; the two rows may differ only by
+        rounding, which their error bounds must cover (the coefficients
+        a_i + b_i v of a ramp grow with |v| and 1/(2 eps))."""
+        b = make_bundle(name, epsilon=0.2)
+        for eps in (0.05, 0.2):
+            comp = interpolated_spike_composite(b, eps, 1.0)
+            for theta in (0.0, 0.3, 0.5):
+                base = expectation(comp, theta)
+                for shifted in (theta - 1000.0, theta + 1000.0):
+                    far = expectation(comp, shifted)
+                    gap = abs(far.estimate - base.estimate)
+                    assert gap <= base.error_bound + far.error_bound, (eps, theta, shifted)
+
+    @pytest.mark.parametrize("name", ["normal_mean", "cauchy"])
+    def test_exact_far_beyond_the_grid(self, name):
+        """The composite is h * w_round(x) / C on the whole line: far
+        beyond every grid theta it matches the trapezoid weight pointwise
+        and its mean passes as the sweep's rows do (at most 1 + 3 times
+        its bound), and a grid holding such a theta certifies the same
+        factor up to that theta's bound."""
+        b = make_bundle(name, epsilon=0.2)
+        C, _ = certify_interpolated_factor(b)
+        h = unit_cell_spikes(b, [0])[0].level
+        xs = np.concatenate([np.linspace(-50001.0, -49999.0, 401),
+                             np.linspace(49999.0, 50001.0, 401)])
+        for eps in (0.05, 0.2):
+            comp = interpolated_spike_composite(b, eps, C)
+            for x in xs:
+                want = h * bump_weight(math.floor(x + 0.5), eps, x) / C
+                assert comp(x) == pytest.approx(want, abs=1e-9), (eps, x)
+            for theta in (-50000.0, 50000.0):
+                res = expectation(comp, theta)
+                assert res.estimate <= 1.0 + 3.0 * res.error_bound, (eps, theta, res)
+        # C is the worst unnormalized mean less 3 bounds, to the bisection's
+        # 1e-6; the bound at 50000 carries more rounding than the grid's
+        far, _ = certify_interpolated_factor(b, theta_grid=default_theta_grid(b) + [50000.0])
+        eb = max(expectation(interpolated_spike_composite(b, e, 1.0), 50000.0).error_bound
+                 for e in (0.05, 0.1, 0.2))
+        assert abs(far - C) <= 3.0 * eb + 2e-6 * C, (far, C, eb)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_interpolated_constants_get_the_closed_form(self):
+        """The criterion-8 composite of random constants is integrated in
+        closed form (it fell to generic quadrature); checked against
+        scipy adaptive quadrature of the same integrand."""
+        from scipy import integrate
+
+        from evarify.combinator import combine_interpolated
+
+        b = make_bundle("normal_mean", epsilon=0.2)
+        rng = np.random.default_rng(12)
+        comps = {n: constant_evar(float(v)) for n, v in
+                 zip(range(-6, 7), rng.uniform(0.0, 4.0, 13))}
+        comp = combine_interpolated(b, comps, epsilon=0.2, factor_C=2.0)
+        assert comp.piecewise is not None
+        for theta in (0.0, 0.25, 0.5):
+            res = expectation(comp, theta)
+            assert res.error_bound < 1e-12
+            val, _ = integrate.quad(
+                lambda x: comp(x) * math.exp(float(b.family.log_density(theta, x))),
+                theta - 12, theta + 12, limit=400,
+            )
+            assert res.estimate == pytest.approx(val, abs=5e-8)
 
     def test_smaller_epsilon_is_harder(self):
         b = make_bundle("normal_mean", epsilon=0.2)

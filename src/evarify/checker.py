@@ -290,8 +290,6 @@ def check_cell_sandwich(
         ss, sg = net.succ(s), net.succ(g)
         if ss is not None and sg is not None and sg > ss:
             viol = max(viol, sg - ss)
-        if ss is None and sg is not None:
-            pass  # s has no successor: the right inequality is vacuous
         if sg is None and ss is not None:
             viol = max(viol, math.inf)
         if viol > worst:
@@ -316,8 +314,8 @@ def check_divergence_growth(
 ) -> ConditionReport:
     """Both directed divergences must clear (1 + alpha) * log(k - 1) where
     k counts net points strictly between the pair; pairs separating at
-    most two net points are vacuous (the logarithm of a non-positive
-    number counts as -inf).  With ``alpha=None`` the check estimates the
+    most two net points are vacuous (the bound is 0 at two; pairs with
+    fewer are skipped).  With ``alpha=None`` the check estimates the
     largest admissible exponent instead of asserting."""
     if alpha is None and bundle.factor_inputs is not None:
         alpha = bundle.factor_inputs.alpha
@@ -333,7 +331,7 @@ def check_divergence_growth(
         k = net.count_between(t1, t2)
         if k <= 1:
             continue
-        log_k1 = math.log(k - 1) if k >= 2 else -math.inf
+        log_k1 = math.log(k - 1)
         d12 = float(fam.divergence_fn(t1, t2))
         d21 = float(fam.divergence_fn(t2, t1))
         dmin = min(d12, d21)

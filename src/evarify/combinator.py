@@ -18,9 +18,11 @@ hypothesis, so users may supply components only near their data.
 
 Constants and spikes are *structured*: each carries a
 :class:`~evarify.core.Piecewise` on the line of the family's law.  A
-composite of them builds its own piecewise once, reads it at the sample's
-point on that line and is integrated in closed form; other components
-are called one sample at a time.
+composite of them builds its own piecewise once, reads it at a batch's
+points on that line in one call and is integrated in closed form.  Any
+other (generic) component is a user callable: a composite holding one
+locates its batch once and calls the selected components one sample at
+a time.
 
 The e-variable property of the composites (sup over the family of the
 expectation is at most 1) is certified numerically by
@@ -73,8 +75,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EVariable:
-    """A non-negative test function tagged with the hypothesis it is
-    valid for.
+    """A non-negative test function of one sample.
 
     A structured component carries ``piecewise``, its values on the line
     of the family's law (``FamilyBundle.locate`` maps a sample there): a
@@ -83,7 +84,6 @@ class EVariable:
     """
 
     fn: Callable[[object], float]
-    valid_for: object = "any"
     sup_bound: float | None = None
     piecewise: Piecewise | None = None
 
@@ -126,8 +126,7 @@ class SpikeSuite(Mapping):
         i, t, locate = self._row[k], self.table, self.bundle.locate
         pw = Piecewise(np.array([t.lo[i], t.hi[i]]), t.level[i:i + 1], np.zeros(1), 0.0,
                        self.right_closed)
-        return EVariable(lambda x: pw(locate(x)), self.bundle.net.point(k),
-                         float(t.level[i]), pw)
+        return EVariable(lambda x: pw(locate(x)), float(t.level[i]), pw)
 
     def __iter__(self):
         return iter(self._row)
@@ -136,22 +135,17 @@ class SpikeSuite(Mapping):
         return len(self._row)
 
 
-def constant_evar(value: float = 1.0, valid_for: object = "any") -> EVariable:
+def constant_evar(value: float = 1.0) -> EVariable:
     if value < 0:
         raise DomainError("an e-variable cannot be negative")
-    return EVariable(
-        fn=lambda x: value,
-        valid_for=valid_for,
-        sup_bound=value,
-        piecewise=Piecewise.constant(value),
-    )
+    return EVariable(fn=lambda x: value, sup_bound=value, piecewise=Piecewise.constant(value))
 
 
 ONE = constant_evar(1.0)
 
 
-def zero_evar(valid_for: object = "any") -> EVariable:
-    return constant_evar(0.0, valid_for)
+def zero_evar() -> EVariable:
+    return constant_evar(0.0)
 
 
 def likelihood_ratio_evar(
@@ -171,24 +165,26 @@ def likelihood_ratio_evar(
             return math.inf
         return math.exp(num - den)
 
-    return EVariable(fn=fn, valid_for=null_theta)
+    return EVariable(fn=fn)
 
 
-def calibrated_p_evar(
-    kappa: float, p_fn: Callable[[object], float], valid_for: object = "any"
-) -> EVariable:
+def calibrated_p_evar(kappa: float, p_fn: Callable[[object], float]) -> EVariable:
     """kappa * P(x)**(kappa - 1) for a user-supplied p-variable P."""
     if not 0.0 < kappa < 1.0:
         raise DomainError("kappa must lie strictly inside (0, 1)")
-    return EVariable(
-        fn=lambda x: float(calibrate_p_to_e(kappa, p_fn(x))),
-        valid_for=valid_for,
-    )
+    return EVariable(fn=lambda x: float(calibrate_p_to_e(kappa, p_fn(x))))
 
 
 # ---------------------------------------------------------------------------
 # Composites
 # ---------------------------------------------------------------------------
+
+
+def _index_at(bundle: FamilyBundle, v) -> int:
+    """The net index the estimator selects at a point v of the law's line
+    (a support point for discrete laws, a statistic value otherwise)."""
+    est = bundle.estimator
+    return est.index(v) if bundle.family.law.discrete else est.statistic_index(v)
 
 
 def _component_value(components: Mapping[int, EVariable], k: int, x) -> float:
@@ -207,10 +203,14 @@ class CompositeEVariable:
 
     In "discrete" mode the estimator's net index selects one component; in
     "interpolated" mode the at-most-two active trapezoid-weighted
-    components are summed.  With structured components it is its
-    ``piecewise``, read at the sample's point on the law's line; otherwise
-    it calls its components, and negative values raise
-    :class:`ContractViolationError`.  ``factor_C`` must be at least 1.
+    components are summed.  Samples go through ``bundle.locate``, which
+    rejects any off the law's support with :class:`DomainError`.  With
+    structured components the composite is its ``piecewise``, read at the
+    located points of a whole batch at once; otherwise it calls the
+    components each sample selects, and negative values raise
+    :class:`ContractViolationError`.  ``__call__`` and ``eval_many`` run
+    the same code, on one sample and on a batch.  ``factor_C`` must be at
+    least 1.
     """
 
     bundle: FamilyBundle
@@ -229,19 +229,10 @@ class CompositeEVariable:
             raise DomainError("interpolated mode needs epsilon in (0, 1/5]")
 
     def __call__(self, x) -> float:
+        v = self.bundle.locate(x)
         if self.piecewise is not None:
-            return self.piecewise(self.bundle.locate(x))
-        if self.mode == "discrete":
-            k = self.bundle.estimate_index(x)
-            return _component_value(self.components, k, x) / self.factor_C
-        v = float(x)
-        m = math.floor(v + 0.5)
-        total = 0.0
-        for n in (m - 1, m, m + 1):
-            w = bump_weight(n, self.epsilon, v)
-            if w > 0.0:
-                total += _component_value(self.components, n, v) * w
-        return total / self.factor_C
+            return float(self.piecewise(v))
+        return self._generic(x, v)
 
     def eval_many(self, xs) -> np.ndarray:
         """Evaluate on a batch: the rows of an (m, n) array for product
@@ -250,8 +241,25 @@ class CompositeEVariable:
         n = self.bundle.family.sample_dim
         if n > 1 and (arr.ndim != 2 or arr.shape[1] != n):
             raise DomainError(f"expected an (m, {n}) batch of samples, got shape {arr.shape}")
-        out = np.array([self(v) for v in (arr if n > 1 else np.ravel(arr))])
+        v = self.bundle.locate(arr)
+        if self.piecewise is not None:
+            return self.piecewise(v)
+        batch = arr if n > 1 else arr.ravel()
+        out = np.array([self._generic(x, p) for x, p in zip(batch, np.ravel(v))], dtype=float)
         return out if n > 1 else out.reshape(arr.shape)
+
+    def _generic(self, x, v) -> float:
+        """The composite of generic components at sample x, located at v."""
+        if self.mode == "discrete":
+            k = _index_at(self.bundle, v)
+            return _component_value(self.components, k, x) / self.factor_C
+        m = math.floor(v + 0.5)
+        total = 0.0
+        for n in (m - 1, m, m + 1):
+            w = bump_weight(n, self.epsilon, v)
+            if w > 0.0:
+                total += _component_value(self.components, n, v) * w
+        return total / self.factor_C
 
 
 def _frozen(components: Mapping[int, EVariable]):
@@ -408,7 +416,8 @@ def product_evar(
     n = bundle.family.sample_dim
     if arr.shape != (n,):
         raise DomainError(f"expected an n-vector with n={n}, got shape {arr.shape}")
-    k = bundle.estimate_index(arr)
+    # one sample: the vector, or its only coordinate when n = 1
+    k = _index_at(bundle, bundle.locate(arr if n > 1 else arr[0]))
     total = 1.0
     for coord in arr:
         total *= _component_value(per_obs, k, float(coord))
@@ -436,13 +445,12 @@ class ParityFamily:
 
     def __getitem__(self, n: int) -> EVariable:
         if n % 2 != self.parity:
-            return zero_evar(valid_for=n)
+            return zero_evar()
         base = self._components.get(n, ONE)
         base = ONE if base is None else base
         eps = self.epsilon
         return EVariable(
             fn=lambda x, _n=n, _b=base: _b(x) * bump_weight(_n, eps, x),
-            valid_for=base.valid_for,
             sup_bound=base.sup_bound,
         )
 
@@ -519,8 +527,7 @@ def components_from_specs(
         k = int(spec["index"])
         ctype = spec["type"]
         if ctype == "constant":
-            out[k] = constant_evar(float(spec.get("value", 1.0)),
-                                   valid_for=bundle.net.point(k))
+            out[k] = constant_evar(float(spec.get("value", 1.0)))
         elif ctype == "spike":
             out[k] = verifier.spike_evar(bundle, k)
         elif ctype == "likelihood_ratio":

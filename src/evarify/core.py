@@ -212,13 +212,19 @@ class Piecewise:
     def constant(cls, value: float) -> "Piecewise":
         return cls(np.empty(0), np.empty(0), np.empty(0), float(value))
 
-    def __call__(self, v: float) -> float:
+    def __call__(self, v) -> np.ndarray:
+        """The values at the points v (an array, or one point), shaped as v."""
+        v = np.asarray(v, dtype=float)
+        if not len(self.a):
+            return np.full(v.shape, self.outside)
         if self.period is not None:  # into the first period (floor may round)
-            p, e0 = self.period, self.edges.item(0)
-            v -= p * math.floor((v - e0) / p)
-            v += p if v < e0 else -p if v >= self.edges.item(-1) else 0.0
-        i = int(self.edges.searchsorted(v, "left" if self.right_closed else "right")) - 1
-        return self.a.item(i) + self.b.item(i) * v if 0 <= i < len(self.a) else self.outside
+            p, e0 = self.period, self.edges[0]
+            v = v - p * np.floor((v - e0) / p)
+            v = v + np.where(v < e0, p, np.where(v >= self.edges[-1], -p, 0.0))
+        i = self.edges.searchsorted(v, "left" if self.right_closed else "right") - 1
+        inside = (i >= 0) & (i < len(self.a))
+        i = np.where(inside, i, 0)
+        return np.where(inside, self.a[i] + self.b[i] * v, self.outside)
 
     @property
     def sup(self) -> float:
@@ -237,9 +243,11 @@ class Family:
     product families, the last axis is the coordinate axis) and returns
     log p_theta(x), with ``-inf`` off the support.  ``divergence_fn`` is
     numpy-aware in both arguments and must satisfy d(t, t) = 0, d >= 0.
-    ``estimator_g`` maps a sample to the parameter value it indicates
+    ``estimator_g`` maps samples to the parameter value each indicates
     (mean, rate, squared norm over n, ...), possibly on the closure of the
-    parameter space; ``lift(v)`` is a sample x with ``estimator_g(x) == v``
+    parameter space; it takes one sample or a batch with ``log_density``'s
+    convention and returns a float for one sample, an array of one value
+    per sample otherwise.  ``lift(v)`` is a sample x with ``estimator_g(x) == v``
     (the checker's way onto the statistic axis); ``law`` is the
     distribution of g(X).
     """
@@ -249,7 +257,7 @@ class Family:
     sample_dim: int
     log_density: Callable[[float, object], object]
     divergence_fn: Callable[[object, object], object]
-    estimator_g: Callable[[object], float]
+    estimator_g: Callable[[object], object]
     lift: Callable[[float], object]
     law: StatLaw
 
@@ -805,7 +813,6 @@ class REpsilon(Estimator):
             self._choice = lambda m: m if m % 2 != 0 else m + 1
         else:
             raise DomainError(f"unknown tie rule {tie!r}")
-        self.tie = tie if not callable(tie) else "custom"
 
     def statistic(self, x) -> float:
         return float(x)

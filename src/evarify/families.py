@@ -149,6 +149,15 @@ def _discrete_law(cdf, sf, ppf, sample, top, hi=math.inf) -> StatLaw:
     )
 
 
+def _as_floats(x):
+    """Samples as floats: a float for one sample, else an array (the
+    statistic of a family whose statistic is the sample)."""
+    if isinstance(x, (float, int)):  # one sample, without numpy's cost per call
+        return float(x)
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
+
+
 def _standard_normals(rng, m: int, n: int) -> np.ndarray:
     """m scalar draws for n == 1, else m rows of n."""
     return rng.standard_normal(m if n == 1 else (m, n))
@@ -181,7 +190,7 @@ def poisson_family() -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=lambda x: float(x),
+        estimator_g=_as_floats,
         lift=float,
         law=_discrete_law(
             lambda lam, k: pdtr(k, lam),
@@ -222,7 +231,7 @@ def binomial_family(n: int) -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=lambda k: float(k) / n,
+        estimator_g=lambda k: _as_floats(k) / n,
         lift=lambda v: float(round(v * n)),
         law=_discrete_law(
             lambda p, k: _binom_cdf(k, n, p),
@@ -264,7 +273,7 @@ def discrete_uniform_family() -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=lambda x: float(x),
+        estimator_g=_as_floats,
         lift=float,
         law=_discrete_law(
             _du_cdf, lambda N, k: 1.0 - _du_cdf(N, k), _du_ppf,
@@ -297,7 +306,7 @@ def continuous_uniform_family() -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=lambda x: float(x),
+        estimator_g=_as_floats,
         lift=float,
         law=StatLaw(
             discrete=False,
@@ -329,8 +338,9 @@ def normal_mean_family(n: int) -> Family:
         out = 0.5 * n * (m1 - m2) ** 2
         return float(out) if out.ndim == 0 else out
 
-    def g(x):
-        return float(np.mean(np.asarray(x, dtype=float)))
+    def mean(x):
+        out = np.mean(np.asarray(x, dtype=float), axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     # the mean of n unit-variance draws is N(mu, 1/n)
     scale = 1.0 / math.sqrt(n)
@@ -349,7 +359,7 @@ def normal_mean_family(n: int) -> Family:
         sample_dim=n,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=g,
+        estimator_g=_as_floats if n == 1 else mean,
         lift=float if n == 1 else (lambda v: np.full(n, float(v))),
         law=StatLaw(
             discrete=False,
@@ -382,8 +392,11 @@ def normal_variance_family(n: int) -> Family:
         return float(out) if np.ndim(out) == 0 else out
 
     def g(x):
-        flat = np.ravel(np.asarray(x, dtype=float))
-        return float(np.dot(flat, flat)) / n
+        x = np.asarray(x, dtype=float)
+        # each sample's dot product with itself, rounded as np.dot rounds
+        # it (summing x * x rounds differently and allocates a copy)
+        out = (x * x if n == 1 else (x[..., None, :] @ x[..., None])[..., 0, 0]) / n
+        return float(out) if np.ndim(out) == 0 else out
 
     # n g(X) / var is chi-square with n degrees of freedom
     def chi2(var, v):
@@ -436,7 +449,7 @@ def cauchy_family() -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=lambda x: float(x),
+        estimator_g=_as_floats,
         lift=float,
         law=StatLaw(
             discrete=False,
@@ -493,15 +506,26 @@ class FamilyBundle:
         """The selected net point for sample ``x``."""
         return self.estimator(x)
 
-    def estimate_index(self, x) -> int:
-        return self.estimator.index(x)
-
-    def locate(self, x) -> float:
-        """Sample x's point on the law's line (see ``StatLaw``), once the
-        estimator has accepted x: raises where ``estimator.index`` does."""
-        v = self.estimator.statistic(x)
-        self.estimator.statistic_index(v)
-        return float(x) if self.family.law.discrete else v
+    def locate(self, xs):
+        """The points on the law's line (see ``StatLaw``) of one sample or a
+        batch (``log_density``'s convention): the sample itself for a
+        discrete law, its statistic otherwise; a float, or one per sample.
+        The one check of which samples a composite accepts: an integer in
+        the law's [lo, hi], or a statistic strictly inside (lo, hi), so
+        never NaN or an infinity; raises :class:`DomainError` otherwise."""
+        law = self.family.law
+        if law.discrete:
+            v = _as_floats(xs)
+            ok = np.isfinite(v) & (v == np.floor(v)) & (law.lo <= v) & (v <= law.hi)
+        else:
+            v = self.family.estimator_g(xs)
+            ok = (law.lo < v) & (v < law.hi)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # one sample: a bool
+            need = (f"integers in [{law.lo:g}, {law.hi:g}]" if law.discrete else
+                    f"samples whose statistic lies in ({law.lo:g}, {law.hi:g})")
+            bad = np.ravel(v)[np.argmin(np.ravel(ok))]
+            raise DomainError(f"{self.bundle_id} takes {need} (got {float(bad)!r})")
+        return v
 
     @property
     def right_closed(self) -> bool:

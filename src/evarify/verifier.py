@@ -39,6 +39,7 @@ from .combinator import (
     EVariable,
     CompositeEVariable,
     SpikeSuite,
+    _index_at,
     _trapezoid_piecewise,
     calibrated_p_evar,
     combine_discrete,
@@ -149,13 +150,6 @@ def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
     return SpikeSuite(bundle, ks, bounds, 1.0 / probs, bundle.right_closed, cells=True)
 
 
-def _index_at(bundle: FamilyBundle, v: float) -> int:
-    """Net index selected at a window end: a support point for discrete
-    laws, a statistic value otherwise."""
-    est = bundle.estimator
-    return est.index(v) if bundle.family.law.discrete else est.statistic_index(v)
-
-
 def _grid_index_envelope(
     bundle: FamilyBundle, theta_grid: Sequence[float], tail: float
 ) -> tuple[int, int]:
@@ -202,7 +196,7 @@ def upper_tail_calibrated_evar(
         edge = float(x) - 1.0 if law.discrete else est.statistic(x)
         return float(law.sf(s, np.array([edge]))[0])
 
-    return calibrated_p_evar(kappa, p_fn, valid_for=s)
+    return calibrated_p_evar(kappa, p_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +267,20 @@ class _PiecewiseEngine:
 # ---------------------------------------------------------------------------
 
 
+def _values(e, xs: np.ndarray) -> np.ndarray:
+    """e on a batch of samples (elements, or the rows of an (m, n) array):
+    a composite in one call, any other callable sample by sample."""
+    if isinstance(e, CompositeEVariable):
+        return e.eval_many(xs)
+    return np.array([e(x) for x in xs], dtype=float)
+
+
 def _generic_discrete(e, theta, bundle, plan) -> ExpectationResult:
     law = bundle.family.law
     _, top = law.window(theta, plan.tail_mass)
     xs = np.arange(law.lo, min(law.hi, top + 8.0) + 1.0)
     pmf = np.exp(np.asarray(bundle.family.log_density(theta, xs), dtype=float))
-    values = np.array([e(float(x)) for x in xs])
+    values = _values(e, xs)
     charged = values[pmf > 0]
     if np.any(np.isinf(charged)):
         return ExpectationResult(math.inf, 0.0, "exact_sum")
@@ -333,13 +335,7 @@ def _statistic_knots(bundle, lo, hi, epsilon) -> np.ndarray:
 
 def _monte_carlo(e, theta, bundle, plan, theta_index) -> ExpectationResult:
     rng = _rng_for(plan.seed, theta_index)
-    xs = bundle.family.law.sample(theta, plan.mc_samples, rng)
-    if isinstance(e, CompositeEVariable):
-        values = e.eval_many(xs)
-    elif xs.ndim == 2:
-        values = np.array([e(row) for row in xs])
-    else:
-        values = np.array([e(float(v)) for v in xs])
+    values = _values(e, bundle.family.law.sample(theta, plan.mc_samples, rng))
     estimate = float(np.mean(values))
     half_width = 2.576 * float(np.std(values, ddof=1)) / math.sqrt(len(values))
     return ExpectationResult(estimate, half_width, "monte_carlo")

@@ -20,7 +20,7 @@ from evarify.combinator import (
 )
 from evarify.core import ContractViolationError, DomainError
 from evarify.families import make_bundle
-from evarify.verifier import spike_evar
+from evarify.verifier import default_theta_grid, spike_composite, spike_evar
 
 
 class TestBumpWeight:
@@ -183,7 +183,7 @@ class TestProductRule:
         fam1 = make_bundle("normal_mean", alpha=1.0, n=1).family
         lr = likelihood_ratio_evar(fam1, 0.5, 0.0)  # e-variable for N(1/2, 1)
         # the estimated net point for the all-0.5 vector is 0.5 (index 1)
-        k = b.estimate_index([0.5, 0.5, 0.5, 0.5])
+        k = b.estimator.index([0.5, 0.5, 0.5, 0.5])
         assert b.net.point(k) == 0.5
         # component at the selected point: ratio against the alternative 0
         comps = {k: likelihood_ratio_evar(fam1, 0.5, 0.0)}
@@ -311,10 +311,10 @@ class TestCompositeContract:
         np.testing.assert_allclose(comp.eval_many(xs), [comp(row) for row in xs])
 
     def test_structured_composites_still_check_the_sample(self):
-        """Reading the piecewise keeps the estimator's check of the
-        sample: a non-integer or negative count and a non-positive draw
-        of the continuous uniform raise, as does NaN; none of them is
-        mapped to a level."""
+        """Reading the piecewise keeps the check of the sample
+        (``FamilyBundle.locate``): a non-integer or negative count and a
+        non-positive draw of the continuous uniform raise, as does NaN;
+        none of them is mapped to a level."""
         for name, kw, bad in [("discrete_uniform", {}, (2.5, -1.0)),
                               ("continuous_uniform", {}, (-1.0, 0.0))]:
             b = make_bundle(name, **kw)
@@ -327,7 +327,7 @@ class TestCompositeContract:
         b = make_bundle("cauchy", epsilon=0.2)
         for comp in (combine_discrete(b, {0: spike_evar(b, 0)}),
                      combine_interpolated(b, {0: constant_evar(2.0)}, 0.2, 2.0)):
-            with pytest.raises(ValueError):
+            with pytest.raises(DomainError):
                 comp(math.nan)
 
     def test_eval_many_rejects_a_single_vector_on_a_product_family(self):
@@ -337,3 +337,57 @@ class TestCompositeContract:
         for bad in (np.zeros(4), np.zeros((5, 3)), np.zeros((2, 5, 4))):
             with pytest.raises(DomainError):
                 comp.eval_many(bad)
+
+
+#: the benchmark's nine discrete-mode family configurations
+BENCHMARK_CONFIGS = [
+    ("binomial", {"n": 64}),
+    ("binomial", {"n": 10_000}),
+    ("discrete_uniform", {}),
+    ("poisson", {}),
+    ("continuous_uniform", {}),
+    ("normal_mean", {"n": 1}),
+    ("normal_mean", {"n": 16}),
+    ("normal_variance", {"n": 64}),
+    ("cauchy", {"epsilon": 0.2}),
+]
+
+
+def _off_support(b) -> list:
+    """Samples off the support of the bundle's law: NaN and infinities
+    everywhere, non-integers, negatives and n + 1 for the discrete laws,
+    a zero statistic for the uniform and the variance (and a negative one
+    for the uniform, whose statistic is the sample)."""
+    law, bad = b.family.law, [math.nan, math.inf, -math.inf]
+    if law.discrete:
+        bad += [2.5, -1.0] + ([b.params["n"] + 1.0] if "n" in b.params else [])
+    elif law.lo == 0.0:
+        bad += [0.0] + ([-1.0] if law.statistic_is_sample else [])
+    return bad
+
+
+class TestSampleSupport:
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    def test_composites_accept_the_law_and_reject_off_its_support(self, name, kw):
+        """Structured and generic composites accept 1,000 draws of the law,
+        one at a time and as a batch; one sample off the law's support
+        makes both raise DomainError, alone or in a batch (an n-vector
+        filled with the value, for product families)."""
+        b = make_bundle(name, **kw)
+        grid = default_theta_grid(b)
+        theta = grid[len(grid) // 2]
+        draws = b.family.law.sample(theta, 1000, np.random.default_rng(4))
+        k = b.estimator.index(draws[0])
+        lr = likelihood_ratio_evar(b.family, b.net.point(k), theta)
+        n = b.family.sample_dim
+        for comp in (spike_composite(b), combine_discrete(b, {k: lr})):
+            assert (comp.piecewise is None) == (comp.components.get(k) is lr)
+            np.testing.assert_array_equal(comp.eval_many(draws), [comp(x) for x in draws])
+            for value in _off_support(b):
+                x = value if n == 1 else np.full(n, value)
+                batch = draws.copy()
+                batch[7] = x
+                with pytest.raises(DomainError):
+                    comp(x)
+                with pytest.raises(DomainError):
+                    comp.eval_many(batch)

@@ -159,7 +159,7 @@ class TestBundleInvariants:
         bundle = make_bundle(name, **kw)
         rng = np.random.default_rng(17)
         for x in _support_samples(bundle, rng, 500):
-            k = bundle.estimate_index(x)
+            k = bundle.estimator.index(x)
             assert bundle.net.point(k) == bundle.estimate(x)
 
     @pytest.mark.parametrize("name,kw", ALL_BUNDLES)

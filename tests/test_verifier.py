@@ -251,7 +251,9 @@ class TestSpikeCompositeSelection:
         equals the level of the component the estimator selects there
         over C (1/C without a component): at every cell edge and both its
         float neighbours, at the support points of the pieces for
-        discrete laws, and at 1,000 samples.
+        discrete laws, and at 1,000 samples.  The piecewise is read on all
+        points in one call, and the composite at the samples both one at a
+        time and as one batch.
 
         The discrete uniform's pieces hold 4.2 million support points;
         there the points within 3 of an edge (where the selection can
@@ -277,11 +279,12 @@ class TestSpikeCompositeSelection:
             xs = np.concatenate([np.nextafter(pw.edges, -np.inf), pw.edges,
                                  np.nextafter(pw.edges, np.inf)])
             index = [est.statistic_index(float(v)) for v in xs]
-        for v, k in zip(xs, index):
-            assert pw(float(v)) == expected(k), (v, k)
+        np.testing.assert_array_equal(pw(xs), [expected(k) for k in index])
         grid = default_theta_grid(b)
-        for x in law.sample(grid[len(grid) // 2], 1000, np.random.default_rng(3)):
-            assert comp(x) == expected(est.index(x)), x
+        draws = law.sample(grid[len(grid) // 2], 1000, np.random.default_rng(3))
+        want = [expected(est.index(x)) for x in draws]
+        assert [comp(x) for x in draws] == want
+        np.testing.assert_array_equal(comp.eval_many(draws), want)
 
 
 class TestSweep:
@@ -550,6 +553,9 @@ class TestInterpolatedCertification:
             for theta in (-50000.0, 50000.0):
                 res = expectation(comp, theta)
                 assert res.estimate <= 1.0 + 3.0 * res.error_bound, (eps, theta, res)
+                # a batch is folded into the period as each sample is
+                draws = b.family.law.sample(theta, 1000, np.random.default_rng(5))
+                np.testing.assert_array_equal(comp.eval_many(draws), [comp(x) for x in draws])
         # C is the worst unnormalized mean less 3 bounds, to the bisection's
         # 1e-6; the bound at 50000 carries more rounding than the grid's
         far, _ = certify_interpolated_factor(b, theta_grid=default_theta_grid(b) + [50000.0])

@@ -57,6 +57,11 @@ SLACK_TOL = 1e-7
 
 _WITNESS_CAP = 10
 
+#: Most values the identity check caches per theta-side array (1.5 MB of
+#: floats); larger grids take their thetas in blocks.  A larger cache
+#: raises the peak memory of `check-conditions` on binomial n = 10^4.
+_IDENTITY_CACHE = 3 << 16
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -201,6 +206,25 @@ def default_growth_pairs(bundle: FamilyBundle, max_gap: int = 1000,
 # ---------------------------------------------------------------------------
 
 
+def _batch(bundle: FamilyBundle, xs: Sequence):
+    """Samples as one batch in ``log_density``'s convention."""
+    if bundle.family.sample_dim > 1:
+        return np.stack(xs)
+    return np.asarray(xs, dtype=float)
+
+
+def _statistics(bundle: FamilyBundle, xs: Sequence) -> np.ndarray:
+    """Each sample's statistic g(x), from one batch call."""
+    if len(xs) == 0:
+        return np.empty(0)
+    return np.asarray(bundle.family.estimator_g(_batch(bundle, xs)), dtype=float)
+
+
+def _selected(bundle: FamilyBundle, g: float) -> float:
+    """The net point the estimator selects for statistic value g."""
+    return bundle.net.point(bundle.estimator.statistic_index(g))
+
+
 def check_log_ratio_identity(
     bundle: FamilyBundle,
     grid_spec: GridSpec | None = None,
@@ -209,49 +233,65 @@ def check_log_ratio_identity(
     """|log(p_theta(x)/p_s(x)) - (d(g(x)||s) - d(g(x)||theta))| over the
     grid; points where either density vanishes are skipped and counted
     (families with parameter-dependent support satisfy the identity on
-    the common support only)."""
+    the common support only).
+
+    The thetas are taken in blocks of at most ``_IDENTITY_CACHE`` cached
+    values per array: each block computes ``log p_theta(x)`` and
+    ``d(g(x)||theta)`` once per theta, then ``log p_s(x)`` and
+    ``d(g(x)||s)`` once per net point s, and uses them for every theta of
+    the block.  Each (theta, s) pair keeps its largest residual and where
+    it lies; the witnesses are the first ten pairs above the tolerance in
+    theta-major order (theta by theta, s by s within a theta)."""
     spec = grid_spec or default_grid_spec(bundle)
     fam = bundle.family
-    net = bundle.net
     gs = np.asarray(spec.g_values, dtype=float)
-    xs = [fam.lift(g) for g in gs]
-    if fam.sample_dim > 1:
-        x_arr = np.stack(xs)
-    else:
-        x_arr = np.asarray(xs, dtype=float)
-    worst = 0.0
-    witnesses: list = []
-    n_eval = n_skip = 0
-    for theta in spec.thetas:
-        ld_theta = np.asarray(fam.log_density(theta, x_arr), dtype=float)
-        d_g_theta = np.asarray(fam.divergence_fn(gs, theta), dtype=float)
-        for k in spec.net_indices:
-            s = net.point(k)
+    x_arr = _batch(bundle, [fam.lift(g) for g in gs])
+    thetas = spec.thetas
+    points = [bundle.net.point(k) for k in spec.net_indices]
+    # each pair's largest residual and its position on the g axis; NaN
+    # marks a pair with no common support (or a NaN residual), which
+    # neither raises the worst value nor makes a witness
+    peak = np.full((len(thetas), len(points)), np.nan)
+    at = np.zeros(peak.shape, dtype=int)
+    n_eval = 0
+    block = max(1, _IDENTITY_CACHE // max(1, len(gs)))
+    for start in range(0, len(thetas), block):
+        rows = range(start, min(start + block, len(thetas)))
+        ld_theta = [np.asarray(fam.log_density(thetas[i], x_arr), dtype=float)
+                    for i in rows]
+        d_g_theta = [np.asarray(fam.divergence_fn(gs, thetas[i]), dtype=float)
+                     for i in rows]
+        fin_theta = [np.isfinite(ld) for ld in ld_theta]
+        for j, s in enumerate(points):
             ld_s = np.asarray(fam.log_density(s, x_arr), dtype=float)
-            ok = np.isfinite(ld_theta) & np.isfinite(ld_s)
-            n_eval += int(np.sum(ok))
-            n_skip += int(np.sum(~ok))
-            if not np.any(ok):
-                continue
-            d_g_s = np.asarray(fam.divergence_fn(gs, s), dtype=float)
-            with np.errstate(invalid="ignore"):
-                resid = np.abs((ld_theta - ld_s) - (d_g_s - d_g_theta))
-            resid = np.where(ok, resid, 0.0)
-            i = int(np.argmax(resid))
-            if resid[i] > worst:
-                worst = float(resid[i])
-            if resid[i] > tolerance and len(witnesses) < _WITNESS_CAP:
-                witnesses.append((float(theta), float(s), float(gs[i]),
-                                  float(resid[i])))
+            fin_s = np.isfinite(ld_s)
+            d_g_s = None
+            for r, i in enumerate(rows):
+                ok = fin_theta[r] & fin_s
+                n_ok = int(np.count_nonzero(ok))
+                n_eval += n_ok
+                if n_ok == 0:
+                    continue
+                if d_g_s is None:
+                    d_g_s = np.asarray(fam.divergence_fn(gs, s), dtype=float)
+                with np.errstate(invalid="ignore"):
+                    resid = np.abs((ld_theta[r] - ld_s) - (d_g_s - d_g_theta[r]))
+                resid = np.where(ok, resid, 0.0)
+                at[i, j] = np.argmax(resid)
+                peak[i, j] = resid[at[i, j]]
+    worst = float(np.max(peak, initial=0.0, where=peak > 0.0))
+    witnesses = tuple(
+        (float(thetas[i]), float(points[j]), float(gs[at[i, j]]), float(peak[i, j]))
+        for i, j in np.argwhere(peak > tolerance)[:_WITNESS_CAP])
     return ConditionReport(
         condition="log_ratio_identity",
         max_violation=worst if worst > tolerance else 0.0,
         tolerance=tolerance,
         passing=worst <= tolerance,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         estimated_constant=worst,
         n_evaluated=n_eval,
-        n_skipped=n_skip,
+        n_skipped=peak.size * len(gs) - n_eval,
     )
 
 
@@ -261,9 +301,8 @@ def estimate_cell_bound(bundle: FamilyBundle, samples: Sequence | None = None) -
     not exceed it (checked by :func:`run_all_checks`)."""
     xs = default_cell_samples(bundle) if samples is None else samples
     fam = bundle.family
-    est = bundle.estimator
-    gs = np.array([fam.estimator_g(x) for x in xs], dtype=float)
-    sel = np.array([bundle.net.point(est.index(x)) for x in xs], dtype=float)
+    gs = _statistics(bundle, xs)
+    sel = np.array([_selected(bundle, g) for g in gs], dtype=float)
     ds = np.asarray(fam.divergence_fn(gs, sel), dtype=float)
     return float(np.max(ds))
 
@@ -274,13 +313,11 @@ def check_cell_sandwich(
     """pred(s) <= pred(g(x)) and succ(g(x)) <= succ(s) for s = shat(x);
     absent neighbours (net extremes) make the comparison vacuous."""
     xs = default_cell_samples(bundle) if samples is None else samples
-    fam = bundle.family
     net = bundle.net
     worst = 0.0
     witnesses: list = []
-    for x in xs:
-        s = bundle.estimate(x)
-        g = fam.estimator_g(x)
+    for g in _statistics(bundle, xs).tolist():
+        s = _selected(bundle, g)
         viol = 0.0
         ps, pg = net.pred(s), net.pred(g)
         if ps is not None and pg is not None and pg < ps:

@@ -658,12 +658,14 @@ def _binomial_growth_alpha(net: BinomialSine, div_fn) -> float:
     """
     pts = np.array([net.point(t) for t in net.indices()])
     m = len(pts)
+    # log(b - a) for b - a = 2 .. m - 1, rounded as math.log rounds them
+    log_gaps = np.array([math.log(gap) for gap in range(2, m)])
     best = math.inf
-    for a in range(m):
-        for b in range(a + 2, m):
-            d_ab = float(div_fn(pts[a], pts[b]))
-            d_ba = float(div_fn(pts[b], pts[a]))
-            best = min(best, min(d_ab, d_ba) / math.log(b - a))
+    for a in range(m - 2):
+        d_ab = np.asarray(div_fn(pts[a], pts[a + 2:]), dtype=float)
+        d_ba = np.asarray(div_fn(pts[a + 2:], pts[a]), dtype=float)
+        ratios = np.minimum(d_ab, d_ba) / log_gaps[: m - a - 2]
+        best = min(best, float(np.min(ratios)))
     if math.isinf(best):
         # fewer than three net points: every pair is vacuous and any
         # exponent is admissible, so the factor degenerates to 7 e^c'
@@ -682,10 +684,13 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
     fam = binomial_family(n)
     net = BinomialSine(n)
     est = RoundToNet(net, fam.estimator_g)
-    ks = np.arange(n + 1)
-    index = np.array([est.index(k) for k in ks])
-    sel = np.array([net.point(k) for k in index])
-    c_prime = float(np.max(fam.divergence_fn(ks / n, sel)))
+    gs = fam.estimator_g(np.arange(n + 1))
+    pts = np.array([net.point(k) for k in net.indices()])
+    # round to the nearest point, ties upward: the cell edges are the
+    # float midpoints of RoundToNet.cell
+    pos = np.searchsorted(0.5 * (pts[:-1] + pts[1:]), gs, "right")
+    index = net.k_min + pos
+    c_prime = float(np.max(fam.divergence_fn(gs, pts[pos])))
     alpha = _binomial_growth_alpha(net, fam.divergence_fn)
     inputs = FactorInputs(c_prime=c_prime, alpha=alpha)
     C = ESTIMATED_FACTOR_MARGIN * factor_from_growth(c_prime, alpha)

@@ -13,6 +13,7 @@ from evarify.checker import (
     check_log_ratio_identity,
     check_reverse_triangle,
     default_cell_samples,
+    default_grid_spec,
     estimate_cell_bound,
     estimate_step_lower_bound,
     run_all_checks,
@@ -42,6 +43,56 @@ class _OffByOneEstimator(Estimator):
 
     def cell(self, k):
         return self._base.cell(k - 1)
+
+
+def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL):
+    """The identity check as one plain loop over (theta, s) pairs, each
+    recomputing both densities and divergences: the reference the cached
+    check must reproduce exactly."""
+    spec = default_grid_spec(bundle)
+    fam = bundle.family
+    gs = np.asarray(spec.g_values, dtype=float)
+    xs = [fam.lift(g) for g in gs]
+    x_arr = np.stack(xs) if fam.sample_dim > 1 else np.asarray(xs, dtype=float)
+    worst = 0.0
+    witnesses = []
+    n_eval = n_skip = 0
+    for theta in spec.thetas:
+        ld_theta = np.asarray(fam.log_density(theta, x_arr), dtype=float)
+        d_g_theta = np.asarray(fam.divergence_fn(gs, theta), dtype=float)
+        for k in spec.net_indices:
+            s = bundle.net.point(k)
+            ld_s = np.asarray(fam.log_density(s, x_arr), dtype=float)
+            ok = np.isfinite(ld_theta) & np.isfinite(ld_s)
+            n_eval += int(np.sum(ok))
+            n_skip += int(np.sum(~ok))
+            if not np.any(ok):
+                continue
+            d_g_s = np.asarray(fam.divergence_fn(gs, s), dtype=float)
+            with np.errstate(invalid="ignore"):
+                resid = np.abs((ld_theta - ld_s) - (d_g_s - d_g_theta))
+            resid = np.where(ok, resid, 0.0)
+            i = int(np.argmax(resid))
+            if resid[i] > worst:
+                worst = float(resid[i])
+            if resid[i] > tolerance and len(witnesses) < 10:
+                witnesses.append([float(theta), float(s), float(gs[i]), float(resid[i])])
+    return {
+        "condition": "log_ratio_identity",
+        "max_violation": worst if worst > tolerance else 0.0,
+        "tolerance": tolerance,
+        "passing": worst <= tolerance,
+        "estimated_constant": worst,
+        "n_evaluated": n_eval,
+        "n_skipped": n_skip,
+        "witnesses": witnesses,
+    }
+
+
+def _zero_divergence_poisson():
+    b = make_bundle("poisson")
+    wrong = replace(b.family, divergence_fn=lambda a, c: np.asarray(a, float) * 0.0)
+    return replace(b, family=wrong)
 
 
 class TestLogRatioIdentity:
@@ -76,13 +127,51 @@ class TestLogRatioIdentity:
         assert rep.n_skipped > 0  # cells beyond the smaller parameter
 
     def test_detects_wrong_divergence(self):
-        b = make_bundle("poisson")
-        wrong = replace(
-            b.family, divergence_fn=lambda a, c: np.asarray(a, float) * 0.0
-        )
-        rep = check_log_ratio_identity(replace(b, family=wrong))
+        rep = check_log_ratio_identity(_zero_divergence_poisson())
         assert not rep.passing
         assert len(rep.witnesses) > 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: make_bundle("discrete_uniform"),  # skipped points
+         _zero_divergence_poisson,  # more than ten witnesses: order and cap
+         lambda: make_bundle("binomial", n=64),
+         lambda: make_bundle("normal_variance", n=4)],
+        ids=["discrete_uniform", "poisson_zero_divergence", "binomial_n64",
+             "normal_variance_n4"],
+    )
+    def test_same_report_as_the_plain_loop(self, make):
+        bundle = make()
+        doc = check_log_ratio_identity(bundle).to_dict()
+        ref = _reference_log_ratio_identity(bundle)
+        assert doc.keys() == ref.keys()
+        for key, value in ref.items():
+            assert doc[key] == value, key
+
+    def test_each_density_and_divergence_once_per_block(self):
+        """Each theta-side and s-side array is computed once per block of
+        thetas, not once per (theta, s) pair (50 * 99 = 4,950 calls)."""
+        b = make_bundle("binomial", n=10_000)
+        calls = {"log_density": 0, "divergence_fn": 0}
+
+        def counted(name):
+            fn = getattr(b.family, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        fam = replace(b.family, log_density=counted("log_density"),
+                      divergence_fn=counted("divergence_fn"))
+        spec = default_grid_spec(b)
+        rep = check_log_ratio_identity(replace(b, family=fam), spec)
+        limit = 3 * (len(spec.thetas) + len(spec.net_indices))
+        assert limit == 447
+        assert 0 < calls["log_density"] <= limit
+        assert 0 < calls["divergence_fn"] <= limit
+        assert rep.passing
+        assert rep.n_evaluated == 49_504_950
 
 
 class TestCellBound:

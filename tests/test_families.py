@@ -64,6 +64,25 @@ class TestMakeBundle:
         assert b.factor_C == pytest.approx(expected, rel=1e-12)
         assert b.factor_inputs.c_prime > 0
 
+    @pytest.mark.parametrize("n", [4, 64, 10_000])
+    def test_binomial_tables_match_scalar_loops(self, n):
+        """The count -> net index table and the growth exponent, built with
+        array calls, equal the scalar loops bit for bit."""
+        from evarify.families import _binomial_growth_alpha
+
+        b = make_bundle("binomial", n=n)
+        index = [b.estimator.index(k) for k in range(n + 1)]
+        assert b.support_index.tolist() == index
+        net, div = b.net, b.family.divergence_fn
+        pts = np.array([net.point(t) for t in net.indices()])
+        best = math.inf
+        for a in range(len(pts)):
+            for c in range(a + 2, len(pts)):
+                d = min(float(div(pts[a], pts[c])), float(div(pts[c], pts[a])))
+                best = min(best, d / math.log(c - a))
+        assert _binomial_growth_alpha(net, div) == best - 1.0
+        assert b.factor_inputs.alpha == best - 1.0
+
     def test_unknown_family_names_valid_ids(self):
         with pytest.raises(DomainError) as info:
             make_bundle("zeta")

@@ -311,36 +311,58 @@ def check_cell_sandwich(
     bundle: FamilyBundle, samples: Sequence | None = None
 ) -> ConditionReport:
     """pred(s) <= pred(g(x)) and succ(g(x)) <= succ(s) for s = shat(x);
-    absent neighbours (net extremes) make the comparison vacuous."""
+    absent neighbours (net extremes) make the comparison vacuous.  The
+    neighbours of the statistics and of the selected points come from one
+    search among the net's points over their range."""
     xs = default_cell_samples(bundle) if samples is None else samples
-    net = bundle.net
-    worst = 0.0
-    witnesses: list = []
-    for g in _statistics(bundle, xs).tolist():
-        s = _selected(bundle, g)
-        viol = 0.0
-        ps, pg = net.pred(s), net.pred(g)
-        if ps is not None and pg is not None and pg < ps:
-            viol = max(viol, ps - pg)
-        if ps is not None and pg is None:
-            viol = max(viol, math.inf)
-        ss, sg = net.succ(s), net.succ(g)
-        if ss is not None and sg is not None and sg > ss:
-            viol = max(viol, sg - ss)
-        if sg is None and ss is not None:
-            viol = max(viol, math.inf)
-        if viol > worst:
-            worst = viol
-        if viol > 0 and len(witnesses) < _WITNESS_CAP:
-            witnesses.append((None, float(s), float(g), float(viol)))
+    gs = _statistics(bundle, xs)
+    s, viol = _sandwich(bundle, gs) if len(gs) else (gs, gs)
+    witnesses = tuple((None, float(s[i]), float(gs[i]), float(viol[i]))
+                      for i in np.flatnonzero(viol > 0.0)[:_WITNESS_CAP])
+    worst = float(np.max(viol, initial=0.0))
     return ConditionReport(
         condition="cell_sandwich",
         max_violation=worst,
         tolerance=0.0,
         passing=worst <= 0.0,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         n_evaluated=len(list(xs)),
     )
+
+
+def _sandwich(bundle: FamilyBundle, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The selected point of each statistic and its sandwich violation."""
+    net = bundle.net
+    ks = np.array([bundle.estimator.statistic_index(g) for g in gs.tolist()])
+    # from below the floor of the least value to above the greatest, so a
+    # neighbour missing here is missing from the net
+    lo = min(int(ks.min()), net.round_index(float(gs.min())) - 1) - 1
+    hi = max(int(ks.max()), net.round_index(float(gs.max()))) + 1
+    lo = lo if net.k_min is None else max(lo, net.k_min)
+    hi = hi if net.k_max is None else min(hi, net.k_max)
+    points = np.array([net.point(k) for k in range(lo, hi + 1)])
+    s = points[ks - lo]
+    ps, pg = _pred(points, s), _pred(points, gs)
+    ss, sg = _succ(points, s), _succ(points, gs)
+    return s, np.maximum.reduce([
+        np.zeros(len(gs)),
+        np.where(pg < ps, ps - pg, 0.0),
+        np.where(~np.isnan(ps) & np.isnan(pg), math.inf, 0.0),
+        np.where(sg > ss, sg - ss, 0.0),
+        np.where(np.isnan(sg) & ~np.isnan(ss), math.inf, 0.0),
+    ])
+
+
+def _pred(points: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The largest of the sorted points below each v, NaN where none is."""
+    j = points.searchsorted(v, "left") - 1
+    return np.where(j >= 0, points[np.maximum(j, 0)], np.nan)
+
+
+def _succ(points: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest of the sorted points above each v, NaN where none is."""
+    j = points.searchsorted(v, "right")
+    return np.where(j < len(points), points[np.minimum(j, len(points) - 1)], np.nan)
 
 
 def check_divergence_growth(

@@ -20,9 +20,13 @@ Constants and spikes are *structured*: each carries a
 :class:`~evarify.core.Piecewise` on the line of the family's law.  A
 composite of them builds its own piecewise once, reads it at a batch's
 points on that line in one call and is integrated in closed form.  Any
-other (generic) component is a user callable: a composite holding one
-locates its batch once and calls the selected components one sample at
-a time.
+other (generic) component is a callable: a composite holding one locates
+its batch once, finds each sample's cell with one search over the cell
+edges of its keys' index range, and calls each selected component once
+on its own samples (a ``vectorized`` component, such as a likelihood
+ratio, in one call on that sub-batch; a plain callable sample by
+sample); samples whose cell has no component take the constant 1
+without a call.
 
 The e-variable property of the composites (sup over the family of the
 expectation is at most 1) is certified numerically by
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,11 +85,14 @@ class EVariable:
     of the family's law (``FamilyBundle.locate`` maps a sample there): a
     constant has no pieces, a spike one.  ``sup_bound`` is an optional
     a-priori bound on sup_x e(x) used for truncation-tail error accounting.
+    ``vectorized``: ``fn`` also takes a batch of samples (``log_density``'s
+    convention) and returns one value per sample, or one value for all.
     """
 
     fn: Callable[[object], float]
     sup_bound: float | None = None
     piecewise: Piecewise | None = None
+    vectorized: bool = False
 
     def __call__(self, x) -> float:
         return float(self.fn(x))
@@ -126,7 +133,7 @@ class SpikeSuite(Mapping):
         i, t, locate = self._row[k], self.table, self.bundle.locate
         pw = Piecewise(np.array([t.lo[i], t.hi[i]]), t.level[i:i + 1], np.zeros(1), 0.0,
                        self.right_closed)
-        return EVariable(lambda x: pw(locate(x)), float(t.level[i]), pw)
+        return EVariable(lambda x: pw(locate(x)), float(t.level[i]), pw, vectorized=True)
 
     def __iter__(self):
         return iter(self._row)
@@ -138,7 +145,8 @@ class SpikeSuite(Mapping):
 def constant_evar(value: float = 1.0) -> EVariable:
     if value < 0:
         raise DomainError("an e-variable cannot be negative")
-    return EVariable(fn=lambda x: value, sup_bound=value, piecewise=Piecewise.constant(value))
+    return EVariable(fn=lambda x: value, sup_bound=value, piecewise=Piecewise.constant(value),
+                     vectorized=True)
 
 
 ONE = constant_evar(1.0)
@@ -152,27 +160,41 @@ def likelihood_ratio_evar(
     family: Family, null_theta: float, alt_theta: float
 ) -> EVariable:
     """The likelihood ratio p_alt / p_null, an e-variable for the simple
-    null {P_null}.  Outside the null's support the ratio is +inf."""
+    null {P_null}, on one sample or a batch.  Outside the null's support
+    the ratio is +inf (0 where the alternative's density vanishes too)."""
     null_theta = family.validate_param(null_theta)
     alt_theta = family.validate_param(alt_theta)
 
-    def fn(x) -> float:
-        num = float(family.log_density(alt_theta, x))
-        den = float(family.log_density(null_theta, x))
-        if num == -math.inf:
-            return 0.0
-        if den == -math.inf:
-            return math.inf
-        return math.exp(num - den)
+    def fn(x):
+        num = np.asarray(family.log_density(alt_theta, x), dtype=float)
+        den = np.asarray(family.log_density(null_theta, x), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = np.exp(num - den)
+        return np.where(num == -np.inf, 0.0, np.where(den == -np.inf, np.inf, ratio))
 
-    return EVariable(fn=fn)
+    return EVariable(fn=fn, vectorized=True)
 
 
-def calibrated_p_evar(kappa: float, p_fn: Callable[[object], float]) -> EVariable:
-    """kappa * P(x)**(kappa - 1) for a user-supplied p-variable P."""
+def calibrated_p_evar(kappa: float, p_fn: Callable[[object], float],
+                      vectorized: bool = False) -> EVariable:
+    """kappa * P(x)**(kappa - 1) for a user-supplied p-variable P;
+    ``vectorized``: ``p_fn`` also takes a batch and returns one p-value
+    per sample."""
     if not 0.0 < kappa < 1.0:
         raise DomainError("kappa must lie strictly inside (0, 1)")
-    return EVariable(fn=lambda x: float(calibrate_p_to_e(kappa, p_fn(x))))
+    return EVariable(fn=lambda x: calibrate_p_to_e(kappa, p_fn(x)), vectorized=vectorized)
+
+
+def _many(e, xs) -> np.ndarray:
+    """e on a batch of samples (elements, or the rows of an (m, n) array):
+    a composite or a ``vectorized`` component in one call, any other
+    callable sample by sample."""
+    if isinstance(e, CompositeEVariable):
+        return e.eval_many(xs)
+    if getattr(e, "vectorized", False):
+        out = np.asarray(e.fn(xs), dtype=float)
+        return out if out.shape == (len(xs),) else np.full(len(xs), out)
+    return np.array([e(x) for x in xs], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +219,17 @@ def _component_value(components: Mapping[int, EVariable], k: int, x) -> float:
     return value
 
 
+def _groups(keys: np.ndarray):
+    """(key, positions) for each distinct key, the positions in order."""
+    if not len(keys):
+        return
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    cuts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), len(ks)]
+    for start, end in zip(cuts, cuts[1:]):
+        yield int(ks[start]), order[start:end]
+
+
 @dataclass(frozen=True)
 class CompositeEVariable:
     """A composite test built from per-net-point components.
@@ -206,11 +239,12 @@ class CompositeEVariable:
     components are summed.  Samples go through ``bundle.locate``, which
     rejects any off the law's support with :class:`DomainError`.  With
     structured components the composite is its ``piecewise``, read at the
-    located points of a whole batch at once; otherwise it calls the
-    components each sample selects, and negative values raise
-    :class:`ContractViolationError`.  ``__call__`` and ``eval_many`` run
-    the same code, on one sample and on a batch.  ``factor_C`` must be at
-    least 1.
+    located points of a whole batch at once.  Otherwise a discrete-mode
+    composite finds each sample's cell among the cells of its keys' index
+    range (their edges are computed once, when it is built), and each
+    selected component is called once on its own samples; negative or NaN
+    values raise :class:`ContractViolationError`.  ``__call__`` is
+    ``eval_many`` on a batch of one.  ``factor_C`` must be at least 1.
     """
 
     bundle: FamilyBundle
@@ -219,6 +253,9 @@ class CompositeEVariable:
     mode: str = "discrete"  # "discrete" | "interpolated"
     epsilon: float | None = None
     piecewise: Piecewise | None = None
+    #: generic discrete mode: (first index of the keys' range, its cell
+    #: edges on the law's line, the searchsorted side of the cells' closure)
+    _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.factor_C < 1.0:
@@ -227,12 +264,11 @@ class CompositeEVariable:
             self.epsilon is not None and 0.0 < self.epsilon <= 0.2
         ):
             raise DomainError("interpolated mode needs epsilon in (0, 1/5]")
+        if self.mode == "discrete" and self.piecewise is None:
+            object.__setattr__(self, "_cells", _key_cells(self.bundle, self.components))
 
     def __call__(self, x) -> float:
-        v = self.bundle.locate(x)
-        if self.piecewise is not None:
-            return float(self.piecewise(v))
-        return self._generic(x, v)
+        return self.eval_many(np.asarray(x, dtype=float)[None]).item()
 
     def eval_many(self, xs) -> np.ndarray:
         """Evaluate on a batch: the rows of an (m, n) array for product
@@ -244,22 +280,55 @@ class CompositeEVariable:
         v = self.bundle.locate(arr)
         if self.piecewise is not None:
             return self.piecewise(v)
-        batch = arr if n > 1 else arr.ravel()
-        out = np.array([self._generic(x, p) for x, p in zip(batch, np.ravel(v))], dtype=float)
+        out = self._generic(arr if n > 1 else arr.ravel(), np.ravel(v))
         return out if n > 1 else out.reshape(arr.shape)
 
-    def _generic(self, x, v) -> float:
-        """The composite of generic components at sample x, located at v."""
+    def _generic(self, batch: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The composite of generic components at the samples of a batch,
+        located at v."""
         if self.mode == "discrete":
-            k = _index_at(self.bundle, v)
-            return _component_value(self.components, k, x) / self.factor_C
-        m = math.floor(v + 0.5)
-        total = 0.0
-        for n in (m - 1, m, m + 1):
-            w = bump_weight(n, self.epsilon, v)
-            if w > 0.0:
-                total += _component_value(self.components, n, v) * w
+            k0, edges, side = self._cells
+            i = edges.searchsorted(v, side) - 1
+            inside = (i >= 0) & (i < len(edges) - 1)
+            return self._values(k0 + i, inside, batch) / self.factor_C
+        m = np.floor(v + 0.5)
+        total = np.zeros(len(v))
+        for n in (m - 1.0, m, m + 1.0):  # in bump_weight's order, adding 0 where inactive
+            w = _bump_weights(n, self.epsilon, v)
+            active = w > 0.0
+            total = total + np.where(active, self._values(n, active, v) * w, 0.0)
         return total / self.factor_C
+
+    def _values(self, keys: np.ndarray, active: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Component keys[j] at at[j] for each active j, each component
+        called once on its own points and checked to give e-values; 1
+        where inactive or where the key has no component."""
+        out = np.ones(len(keys))
+        rows = np.flatnonzero(active)
+        for k, idx in _groups(keys[rows]):
+            comp = self.components.get(k)
+            if comp is not None:
+                out[rows[idx]] = _many(comp, at[rows[idx]])
+        bad = active & ~(out >= 0.0)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ContractViolationError(
+                f"component {int(keys[j])} evaluated to {float(out[j])!r} at x={at[j].tolist()!r}")
+        return out
+
+
+def _key_cells(bundle: FamilyBundle, components: Mapping) -> tuple:
+    """``CompositeEVariable._cells`` for these components: the cells of the
+    indices from the smallest key to the largest the net holds (keys
+    beyond it are never selected)."""
+    net = bundle.net
+    ks = [int(k) for k in components if (net.k_min is None or k >= net.k_min)
+          and (net.k_max is None or k <= net.k_max)]
+    side = "left" if bundle.right_closed else "right"
+    if not ks:
+        return 0, np.empty(0), side
+    bounds = bundle.cell_bounds(range(min(ks), max(ks) + 1))
+    return min(ks), np.append(bounds[:, 0], bounds[-1, 1]), side
 
 
 def _frozen(components: Mapping[int, EVariable]):
@@ -342,6 +411,17 @@ def bump_weight(center: int, epsilon: float, x) -> float:
     t = (v - (half - epsilon)) / (2.0 * epsilon)
     t = min(max(t, 0.0), 1.0)
     return 1.0 - t if d > 0 else t
+
+
+def _bump_weights(centers: np.ndarray, epsilon: float, v: np.ndarray) -> np.ndarray:
+    """:func:`bump_weight` on arrays of centers and points, with its
+    arithmetic (so its values, bit for bit)."""
+    d = v - centers
+    ad = np.abs(d)
+    t = (v - (np.where(d > 0, centers + 0.5, centers - 0.5) - epsilon)) / (2.0 * epsilon)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    ramp = np.where(d > 0, 1.0 - t, t)
+    return np.where(ad <= 0.5 - epsilon, 1.0, np.where(ad >= 0.5 + epsilon, 0.0, ramp))
 
 
 def _trapezoid_piecewise(table: _PieceTable | None, epsilon: float, C: float) -> Piecewise | None:

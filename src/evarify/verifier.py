@@ -9,13 +9,15 @@ A composite of structured components (constants, spikes) carries a
 E_theta = sum_i a_i dF_i + b_i dG_i over its pieces (their copies in the
 law's window, if it repeats), with F the law's CDF and G its partial
 first moment (only on ramps), plus the mass beyond.  Generic components fall
-back to exact truncated summation (discrete families), adaptive
-quadrature split at cell boundaries and ramp knots, or Monte Carlo with a
-99% CI half-width as the error bound; the mass beyond a truncation window
-(``law.window``) is charged against the composite's sup.  Monte Carlo
-draws (``law.sample``) come from a counter-based generator keyed by
-(master seed, theta index), so sweeps are reproducible and
-order-independent.
+back to exact truncated summation (discrete families), Gauss-Legendre
+quadrature of two orders on every piece between cell boundaries and ramp
+knots at once (pieces whose orders disagree by more than their share of
+the tolerance are bisected), or Monte Carlo with a 99% CI half-width as
+the error bound; each evaluates the composite on whole batches of points,
+and the mass beyond a truncation window (``law.window``) is charged
+against the composite's sup.  Monte Carlo draws (``law.sample``) come
+from a counter-based generator keyed by (master seed, theta index), so
+sweeps are reproducible and order-independent.
 
 Adversarial generators include the spike suite (each component is the
 reciprocal cell probability on its own cell, the tightest component the
@@ -33,13 +35,13 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .combinator import (
     EVariable,
     CompositeEVariable,
     SpikeSuite,
     _index_at,
+    _many,
     _trapezoid_piecewise,
     calibrated_p_evar,
     combine_discrete,
@@ -93,8 +95,12 @@ class ExpectationPlan:
     "auto" picks exact summation for discrete families and cellwise /
     piecewise quadrature for continuous ones.  ``tail_mass`` is the
     probability mass allowed outside the truncation window (charged to
-    the error bound against the composite's sup).  Monte Carlo reports a
-    99% CI half-width as its error bound.
+    the error bound against the composite's sup).  ``abs_tol`` is the
+    target of generic quadrature's error estimate over the window: a
+    piece whose two Gauss-Legendre orders differ by more than abs_tol
+    over the number of pieces is bisected (a fixed number of rounds at
+    most), and the sum of the differences is reported.  Monte Carlo
+    reports a 99% CI half-width as its error bound.
     """
 
     method: str = "auto"  # auto | exact_sum | quadrature | monte_carlo
@@ -189,14 +195,13 @@ def upper_tail_calibrated_evar(
     P(x) = P_{s_k}(stat(X) >= stat(x))."""
     law = bundle.family.law
     s = bundle.net.point(k)
-    est = bundle.estimator
+    g = bundle.family.estimator_g
 
-    def p_fn(x) -> float:
+    def p_fn(x):
         # a discrete law is indexed by support point: P(X >= x) = sf(x - 1)
-        edge = float(x) - 1.0 if law.discrete else est.statistic(x)
-        return float(law.sf(s, np.array([edge]))[0])
+        return law.sf(s, np.asarray(x, dtype=float) - 1.0 if law.discrete else g(x))
 
-    return calibrated_p_evar(kappa, p_fn)
+    return calibrated_p_evar(kappa, p_fn, vectorized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -267,20 +272,12 @@ class _PiecewiseEngine:
 # ---------------------------------------------------------------------------
 
 
-def _values(e, xs: np.ndarray) -> np.ndarray:
-    """e on a batch of samples (elements, or the rows of an (m, n) array):
-    a composite in one call, any other callable sample by sample."""
-    if isinstance(e, CompositeEVariable):
-        return e.eval_many(xs)
-    return np.array([e(x) for x in xs], dtype=float)
-
-
 def _generic_discrete(e, theta, bundle, plan) -> ExpectationResult:
     law = bundle.family.law
     _, top = law.window(theta, plan.tail_mass)
     xs = np.arange(law.lo, min(law.hi, top + 8.0) + 1.0)
     pmf = np.exp(np.asarray(bundle.family.log_density(theta, xs), dtype=float))
-    values = _values(e, xs)
+    values = _many(e, xs)
     charged = values[pmf > 0]
     if np.any(np.isinf(charged)):
         return ExpectationResult(math.inf, 0.0, "exact_sum")
@@ -293,6 +290,19 @@ def _generic_discrete(e, theta, bundle, plan) -> ExpectationResult:
 
 
 def _generic_quadrature(e, theta, bundle, plan) -> ExpectationResult:
+    total, err, (lo, hi) = _window_quadrature(e, theta, bundle, plan)
+    coverage = bundle.family.law.cdf(theta, np.array([lo, hi]))
+    tail = max(0.0, 1.0 - float(coverage[1] - coverage[0]))
+    sup = getattr(e, "sup_bound", None)
+    if sup is None:
+        sup = 10.0 * max(1.0, abs(total))
+    return ExpectationResult(total, err + tail * sup, "quadrature")
+
+
+def _window_quadrature(e, theta, bundle, plan) -> tuple[float, float, tuple]:
+    """The integral of e p_theta over the law's window, its quadrature
+    error estimate and the window: Gauss-Legendre on the pieces between
+    the window's cell boundaries (and ramp knots)."""
     law = bundle.family.law
     if not law.statistic_is_sample:
         # the window lives in statistic space; integrating samples over it
@@ -303,23 +313,69 @@ def _generic_quadrature(e, theta, bundle, plan) -> ExpectationResult:
         )
     lo, hi = law.window(theta, plan.tail_mass)
 
-    def integrand(x: float) -> float:
-        return e(x) * math.exp(float(bundle.family.log_density(theta, x)))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        p = np.exp(np.asarray(bundle.family.log_density(theta, x), dtype=float))
+        return np.where(p > 0.0, _many(e, x) * p, 0.0)
 
     knots = _statistic_knots(bundle, lo, hi, getattr(e, "epsilon", None))
-    pieces = [lo, *[k for k in knots if lo < k < hi], hi]
-    total, err = 0.0, 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        val, abserr = integrate.quad(integrand, a, b, limit=200,
-                                     epsabs=plan.abs_tol, epsrel=1e-10)
-        total += val
-        err += abserr
-    coverage = law.cdf(theta, np.array([lo, hi]))
-    tail = max(0.0, 1.0 - float(coverage[1] - coverage[0]))
-    sup = getattr(e, "sup_bound", None)
-    if sup is None:
-        sup = 10.0 * max(1.0, abs(total))
-    return ExpectationResult(total, err + tail * sup, "quadrature")
+    edges = np.concatenate([[lo], knots[(lo < knots) & (knots < hi)], [hi]])
+    return (*_gauss_legendre(integrand, edges, plan.abs_tol), (lo, hi))
+
+
+#: Gauss-Legendre nodes and weights on [-1, 1] of the two orders whose
+#: difference estimates a piece's error (the higher order is the value).
+#: One is odd, with a node at the centre: two even orders agree exactly
+#: on a jump anywhere in about the middle tenth of a piece, and miss it
+_GL_ORDERS = tuple(np.polynomial.legendre.leggauss(n) for n in (8, 17))
+_GL_NODES = np.concatenate([x for x, _ in _GL_ORDERS])
+#: integrand points per call: bounds the temporaries of one evaluation
+_QUAD_BLOCK = 2**16
+#: bisection rounds at most; each bisects at most one block's worth of pieces
+_QUAD_ROUNDS = 60
+
+
+def _gauss_legendre(f, edges: np.ndarray, abs_tol: float) -> tuple[float, float]:
+    """The integral of f (an array of points to their values) from
+    edges[0] to edges[-1] and its error estimate: each piece between
+    consecutive edges gets both orders of ``_GL_ORDERS``, the higher order
+    is its value and their difference its error.  While some piece's error
+    exceeds abs_tol over the number of pieces, the worst of them (one
+    block of points) are bisected, ``_QUAD_ROUNDS`` times at most."""
+    a, b = edges[:-1], edges[1:]
+    keep = b > a
+    a, b = a[keep], b[keep]
+    value, err = _gl_pieces(f, a, b)
+    most = _QUAD_BLOCK // (2 * len(_GL_NODES))  # pieces whose halves fill one block
+    for _ in range(_QUAD_ROUNDS):
+        bad = np.flatnonzero(err > abs_tol / max(1, len(err)))
+        if not len(bad):
+            break
+        bad = bad[np.argsort(-err[bad], kind="stable")[:most]]
+        mid = 0.5 * (a[bad] + b[bad])
+        halves = _gl_pieces(f, np.concatenate([a[bad], mid]), np.concatenate([mid, b[bad]]))
+        rest = np.ones(len(a), dtype=bool)
+        rest[bad] = False
+        a = np.concatenate([a[rest], a[bad], mid])
+        b = np.concatenate([b[rest], mid, b[bad]])
+        value, err = (np.concatenate([old[rest], new]) for old, new in zip((value, err), halves))
+    return math.fsum(value), float(np.sum(err))
+
+
+def _gl_pieces(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each piece [a_i, b_i]'s higher-order value and its difference from
+    the lower order, f evaluated in blocks of at most ``_QUAD_BLOCK``
+    points."""
+    (_, w_lo), (_, w_hi) = _GL_ORDERS
+    n_lo, per = len(w_lo), _QUAD_BLOCK // len(_GL_NODES)
+    value, err = np.empty(len(a)), np.empty(len(a))
+    for s in range(0, len(a), per):
+        half = 0.5 * (b[s:s + per] - a[s:s + per])
+        mid = 0.5 * (a[s:s + per] + b[s:s + per])
+        fx = f((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(len(half), -1)
+        lo = half * (fx[:, :n_lo] * w_lo).sum(axis=1)
+        value[s:s + per] = half * (fx[:, n_lo:] * w_hi).sum(axis=1)
+        err[s:s + per] = np.abs(value[s:s + per] - lo)
+    return value, err
 
 
 def _statistic_knots(bundle, lo, hi, epsilon) -> np.ndarray:
@@ -335,7 +391,7 @@ def _statistic_knots(bundle, lo, hi, epsilon) -> np.ndarray:
 
 def _monte_carlo(e, theta, bundle, plan, theta_index) -> ExpectationResult:
     rng = _rng_for(plan.seed, theta_index)
-    values = _values(e, bundle.family.law.sample(theta, plan.mc_samples, rng))
+    values = _many(e, bundle.family.law.sample(theta, plan.mc_samples, rng))
     estimate = float(np.mean(values))
     half_width = 2.576 * float(np.std(values, ddof=1)) / math.sqrt(len(values))
     return ExpectationResult(estimate, half_width, "monte_carlo")

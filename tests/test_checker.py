@@ -22,6 +22,19 @@ from evarify.checker import (
 from evarify.core import Estimator
 from evarify.families import make_bundle
 
+#: the benchmark's nine discrete-mode family configurations
+BENCHMARK_CONFIGS = [
+    ("binomial", {"n": 64}),
+    ("binomial", {"n": 10_000}),
+    ("discrete_uniform", {}),
+    ("poisson", {}),
+    ("continuous_uniform", {}),
+    ("normal_mean", {"n": 1}),
+    ("normal_mean", {"n": 16}),
+    ("normal_variance", {"n": 64}),
+    ("cauchy", {"epsilon": 0.2}),
+]
+
 
 class _OffByOneEstimator(Estimator):
     """Deliberately corrupted estimator (selects the neighbouring cell)."""
@@ -36,10 +49,13 @@ class _OffByOneEstimator(Estimator):
         return self._base.statistic(x)
 
     def index(self, x):
-        k = self._base.index(x) + 1
-        if self.net.k_max is not None:
-            k = min(k, self.net.k_max)
-        return k
+        return self._shift(self._base.index(x))
+
+    def statistic_index(self, v):
+        return self._shift(self._base.statistic_index(v))
+
+    def _shift(self, k):
+        return k + 1 if self.net.k_max is None else min(k + 1, self.net.k_max)
 
     def cell(self, k):
         return self._base.cell(k - 1)
@@ -87,6 +103,33 @@ def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL):
         "n_skipped": n_skip,
         "witnesses": witnesses,
     }
+
+
+def _reference_cell_sandwich(bundle, samples=None):
+    """The sandwich check as a plain loop over samples with four
+    ``Net.pred``/``Net.succ`` calls each: the reference the vectorized
+    check must reproduce exactly."""
+    xs = default_cell_samples(bundle) if samples is None else samples
+    net = bundle.net
+    worst, witnesses = 0.0, []
+    for x in xs:
+        g = float(bundle.family.estimator_g(x))
+        s = net.point(bundle.estimator.statistic_index(g))
+        viol = 0.0
+        ps, pg = net.pred(s), net.pred(g)
+        if ps is not None and pg is not None and pg < ps:
+            viol = max(viol, ps - pg)
+        if ps is not None and pg is None:
+            viol = max(viol, math.inf)
+        ss, sg = net.succ(s), net.succ(g)
+        if ss is not None and sg is not None and sg > ss:
+            viol = max(viol, sg - ss)
+        if sg is None and ss is not None:
+            viol = max(viol, math.inf)
+        worst = max(worst, viol)
+        if viol > 0 and len(witnesses) < 10:
+            witnesses.append((None, float(s), float(g), float(viol)))
+    return worst, tuple(witnesses), len(xs)
 
 
 def _zero_divergence_poisson():
@@ -225,6 +268,20 @@ class TestCellSandwich:
         # n = 4 gives a one-point sine net: every comparison is vacuous
         rep = check_cell_sandwich(make_bundle("binomial", n=4))
         assert rep.passing
+
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_same_report_as_the_plain_loop(self, name, kw, corrupt):
+        """Worst violation, witnesses (first ten, in sample order) and
+        count equal the per-sample loop's, on the shipped estimator and on
+        one that selects the neighbouring cell (which violates it)."""
+        b = make_bundle(name, **kw)
+        if corrupt:
+            b = replace(b, estimator=_OffByOneEstimator(b.estimator))
+        rep = check_cell_sandwich(b)
+        assert (rep.max_violation, rep.witnesses, rep.n_evaluated) == \
+            _reference_cell_sandwich(b)
+        assert rep.passing is not corrupt
 
 
 class TestDivergenceGrowth:

@@ -7,6 +7,9 @@ import pytest
 
 from evarify.combinator import (
     CompositeEVariable,
+    EVariable,
+    _index_at,
+    _many,
     bump_weight,
     combine_discrete,
     combine_interpolated,
@@ -391,3 +394,163 @@ class TestSampleSupport:
                     comp(x)
                 with pytest.raises(DomainError):
                     comp.eval_many(batch)
+
+
+def _reference_value(comp, x) -> float:
+    """The generic composite at one sample as the per-sample code computed
+    it: the estimator's choice (``_index_at``) and, interpolated, the
+    scalar ``bump_weight`` terms in order.  Each component is called on a
+    batch of one, as the composite calls it on its samples (numpy rounds
+    ``z ** 2`` of a 0-d array differently from an array's)."""
+    b = comp.bundle
+
+    def at(c, y):
+        return 1.0 if c is None else float(_many(c, np.asarray(y, dtype=float)[None])[0])
+
+    v = float(np.ravel(b.locate(x))[0])
+    if comp.mode == "discrete":
+        return at(comp.components.get(_index_at(b, v)), x) / comp.factor_C
+    m = math.floor(v + 0.5)
+    total = 0.0
+    for n in (m - 1, m, m + 1):
+        w = bump_weight(n, comp.epsilon, v)
+        if w > 0.0:
+            total += at(comp.components.get(n), v) * w
+    return total / comp.factor_C
+
+
+def _probes(b, keys) -> np.ndarray:
+    """Samples at every cell edge of the keys' range and one cell beyond,
+    and at their neighbours (math.nextafter, or the next support points
+    of a discrete law), lifted to samples where the statistic is not the
+    sample."""
+    law = b.family.law
+    ks = range(min(keys) - 1, max(keys) + 2)
+    net = b.net
+    ks = [k for k in ks if (net.k_min is None or k >= net.k_min)
+          and (net.k_max is None or k <= net.k_max)]
+    edges = np.unique(b.cell_bounds(ks))
+    if law.discrete:
+        vs = np.unique(np.concatenate([edges - 1.0, edges, edges + 1.0]))
+        return vs[(vs >= law.lo) & (vs <= law.hi)]
+    vs = [w for e in edges.tolist() if math.isfinite(e)
+          for w in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+    vs = [w for w in vs if law.lo < w < law.hi]
+    if law.statistic_is_sample:
+        return np.array(vs)
+    return np.stack([b.family.lift(w) for w in vs])
+
+
+def _mixed_components(b, keys):
+    """A likelihood ratio, an upper-tail calibrated p-value, a plain
+    callable, a constant and a spike, in turn over the keys."""
+    from evarify.verifier import upper_tail_calibrated_evar
+
+    fam, out = b.family, {}
+    for j, k in enumerate(keys):
+        s = b.net.point(k)
+        lr = likelihood_ratio_evar(fam, s, s * 1.1 if fam.param_space.contains(s * 1.1) else s)
+        out[k] = [lr,
+                  upper_tail_calibrated_evar(b, k, 0.5),
+                  EVariable(fn=lambda x, lr=lr: 0.5 * lr(x) + 0.25),
+                  constant_evar(1.5),
+                  spike_evar(b, k)][j % 5]
+    return out
+
+
+class TestGenericBatchPath:
+    @staticmethod
+    def _setup(name, kw):
+        b = make_bundle(name, **kw)
+        grid = default_theta_grid(b)
+        theta = grid[len(grid) // 2]
+        draws = b.family.law.sample(theta, 500, np.random.default_rng(8))
+        k = _index_at(b, float(np.ravel(b.locate(draws[:1]))[0]))
+        net = b.net
+        keys = [j for j in range(k - 3, k + 4) if (net.k_min is None or j >= net.k_min)
+                and (net.k_max is None or j <= net.k_max)]
+        return b, draws, keys
+
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    def test_eval_many_equals_one_sample_calls_bit_for_bit(self, name, kw):
+        """A composite of likelihood ratios, calibrated p-values, plain
+        callables, constants and spikes gives, on law draws and on every
+        cell edge of its keys and the edges' neighbours, the same bits
+        from one eval_many, from one call per sample and from the
+        per-sample selection by ``_index_at``."""
+        b, draws, keys = self._setup(name, kw)
+        comp = combine_discrete(b, _mixed_components(b, keys))
+        assert comp.piecewise is None
+        xs = np.concatenate([draws, _probes(b, keys)])
+        many = comp.eval_many(xs)
+        np.testing.assert_array_equal(many, [comp(x) for x in xs])
+        np.testing.assert_array_equal(many, [_reference_value(comp, x) for x in xs])
+
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    def test_selected_component_is_the_estimators(self, name, kw):
+        """Component k returns 10 + k - k0: at every cell edge of the keys
+        (and one cell beyond) and at the edges' neighbours, each sample
+        gets the component of ``_index_at``'s choice, and 1 when that
+        choice has no component; each component is called once."""
+        b, _, keys = self._setup(name, kw)
+        calls = []
+
+        def own(k):
+            def fn(x):
+                calls.append(k)
+                return np.full(len(x), 10.0 + k - keys[0])
+            return EVariable(fn, vectorized=True)
+
+        comp = combine_discrete(b, {k: own(k) for k in keys}, factor_C=1.0)
+        xs = _probes(b, keys)
+        chosen = [_index_at(b, float(v)) for v in np.ravel(b.locate(xs))]
+        want = [10.0 + k - keys[0] if k in keys else 1.0 for k in chosen]
+        np.testing.assert_array_equal(comp.eval_many(xs), want)
+        assert sorted(calls) == sorted(set(chosen) & set(keys))
+
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_a_bad_value_names_its_sample(self, name, kw, bad):
+        """A component giving a negative or NaN value on one sample of a
+        batch raises ContractViolationError naming that sample, whether it
+        is called per sample or on its sub-batch."""
+        b, draws, keys = self._setup(name, kw)
+        k = keys[len(keys) // 2]
+        xs = _probes(b, [k])
+        target = next(x for x in xs if _index_at(b, float(np.ravel(b.locate(x))[0])) == k)
+        hit = float(np.ravel(b.family.estimator_g(target))[0])
+
+        def plain(x):
+            return bad if float(np.ravel(b.family.estimator_g(x))[0]) == hit else 1.0
+
+        def vector(x):
+            g = np.atleast_1d(b.family.estimator_g(x))
+            return np.where(g == hit, bad, 1.0)
+
+        batch = np.concatenate([draws[:5], [target], draws[5:20]])
+        for fn, vectorized in ((plain, False), (vector, True)):
+            comp = combine_discrete(b, {k: EVariable(fn, vectorized=vectorized)})
+            with pytest.raises(ContractViolationError) as info:
+                comp.eval_many(batch)
+            assert f"component {k} evaluated to {bad!r} at x={target.tolist()!r}" in str(info.value)
+
+    def test_interpolated_generic_matches_the_scalar_terms(self):
+        """Interpolated mode takes the bump-weighted neighbours on the
+        batch: the same bits as the scalar ``bump_weight`` terms, on draws
+        and on every ramp knot and its neighbours; a negative value raises
+        naming its point."""
+        b = make_bundle("cauchy", epsilon=0.2)
+        comps = {n: likelihood_ratio_evar(b.family, float(n), n + 0.3) for n in range(-3, 4)}
+        comps[1] = EVariable(fn=lambda x: 1.0 + 0.5 * math.sin(float(x)))
+        knots = np.add.outer(np.arange(-5, 5) + 0.5, [-0.2, 0.0, 0.2]).ravel()
+        xs = np.concatenate([b.family.law.sample(0.3, 400, np.random.default_rng(1)),
+                             knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+        for eps in (0.05, 0.2):
+            comp = combine_interpolated(b, comps, eps, 2.0)
+            assert comp.piecewise is None
+            np.testing.assert_array_equal(comp.eval_many(xs),
+                                          [_reference_value(comp, x) for x in xs])
+            np.testing.assert_array_equal(comp.eval_many(xs), [comp(x) for x in xs])
+        comp = combine_interpolated(b, {2: EVariable(fn=lambda x: -float(x))}, 0.2, 2.0)
+        with pytest.raises(ContractViolationError, match=r"component 2 evaluated to -2\.0 at x=2\.0"):
+            comp.eval_many(np.array([0.0, 2.0, 3.0]))

@@ -1,8 +1,12 @@
 """Expectation engines, spike suites, sweeps, and counterexamples."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from scipy import stats
 
 from evarify.combinator import (
+    EVariable,
     bump_weight,
     combine_discrete,
     constant_evar,
@@ -33,6 +38,7 @@ from evarify.verifier import (
     uniform_ceiling_budget_max,
     unit_cell_spikes,
 )
+from evarify.verifier import _QUAD_ROUNDS, _window_quadrature
 
 
 class TestExpectation:
@@ -592,3 +598,98 @@ class TestInterpolatedCertification:
         _, details = certify_interpolated_factor(b)
         per_eps = details["per_epsilon_unnormalized"]
         assert per_eps[0.05] > per_eps[0.1] > per_eps[0.2]
+
+
+def _lr_composite(name, kw, shift):
+    """The benchmark's generic composites: likelihood ratios on the net
+    points -3..3 against the alternatives k + shift."""
+    b = make_bundle(name, **kw)
+    comps = {k: likelihood_ratio_evar(b.family, b.net.point(k), k + shift) for k in range(-3, 4)}
+    return b, combine_discrete(b, comps)
+
+
+class TestGaussLegendreQuadrature:
+    @pytest.mark.parametrize("name,kw,shift,thetas", [
+        ("cauchy", {"epsilon": 0.2}, 0.3, (0.5, -1.7, 3.0)),
+        ("normal_mean", {"n": 1}, 0.4, (0.0, 0.5, 2.25)),
+    ])
+    def test_likelihood_ratio_composite_against_mpmath(self, name, kw, shift, thetas):
+        """Oracle at 30 digits over the same window: each key's cell holds
+        the ratio p_{k+shift} / p_k over C, integrated by mpmath.quad
+        against p_theta, and the rest of the window the level 1/C, whose
+        integral is a CDF difference.  The estimate must match within the
+        reported quadrature error plus 1e-15."""
+        b, comp = _lr_composite(name, kw, shift)
+        bounds = b.cell_bounds(range(-3, 4))
+        with mp.workdps(30):
+            if name == "cauchy":
+                def pdf(t, x):
+                    return 1 / (mp.pi * (1 + (x - t) ** 2))
+
+                def cdf(t, x):
+                    return mp.mpf(1) / 2 + mp.atan(x - t) / mp.pi
+            else:
+                def pdf(t, x):
+                    return mp.npdf(x, t, 1)
+
+                def cdf(t, x):
+                    return mp.ncdf(x, t, 1)
+            for theta in thetas:
+                total, err, (lo, hi) = _window_quadrature(comp, theta, b, ExpectationPlan())
+                t, C = mp.mpf(theta), mp.mpf(b.factor_C)
+                inside = cdf(t, mp.mpf(hi)) - cdf(t, mp.mpf(lo))
+                exact = mp.mpf(0)
+                for k, (a, z) in zip(range(-3, 4), bounds):
+                    a, z = mp.mpf(max(a, lo)), mp.mpf(min(z, hi))
+                    s, alt = mp.mpf(b.net.point(k)), mp.mpf(k + shift)
+                    exact += mp.quad(lambda x: pdf(alt, x) / pdf(s, x) * pdf(t, x), [a, z]) / C
+                    inside -= cdf(t, z) - cdf(t, a)
+                exact += inside / C
+                assert abs(total - float(exact)) <= err + 1e-15, (theta, total, exact, err)
+                assert err < 1e-10
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -1.1])
+    def test_kink_inside_a_cell_is_bisected(self, theta):
+        """1{x > 0.123} jumps inside the cell [-1/2, 1/2): the pieces
+        holding the jump are bisected until the two orders agree, and the
+        reported error covers the true one, P(0.123 < X <= hi) over the
+        window, with the error within the tolerance."""
+        b = make_bundle("normal_mean", n=1)
+        step = EVariable(fn=lambda x: float(x > 0.123))
+        plan = ExpectationPlan()
+        total, err, (lo, hi) = _window_quadrature(step, theta, b, plan)
+        with mp.workdps(30):
+            exact = mp.ncdf(hi, theta, 1) - mp.ncdf(mp.mpf(0.123), theta, 1)
+        assert abs(total - float(exact)) <= err + 1e-15
+        assert err <= plan.abs_tol
+        res = expectation(step, theta, b)
+        assert res.estimate == total and res.error_bound >= err
+
+    def test_a_rough_integrand_stops_at_the_round_cap(self):
+        """Values that never settle (a fresh draw at every point) keep the
+        two orders apart: bisection stops after its fixed rounds, each
+        one block of points at most, and the error estimate it reports
+        stays large."""
+        b = make_bundle("normal_mean", n=1)
+        rng = np.random.default_rng(0)
+        sizes = []
+
+        def noise(x):
+            sizes.append(np.size(x))
+            return rng.uniform(size=np.shape(x))
+
+        total, err, _ = _window_quadrature(EVariable(noise, vectorized=True), 0.0, b,
+                                           ExpectationPlan())
+        assert 0.3 < total < 0.7 and err > 1e-4
+        assert max(sizes) <= 2**16 and len(sizes) == 1 + _QUAD_ROUNDS
+
+    def test_import_leaves_scipy_integrate_and_optimize_out(self):
+        """``import evarify`` loads neither scipy.integrate nor the
+        scipy.optimize it pulls in (a quarter second and tens of MB)."""
+        code = ("import sys, evarify; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                                 [str(Path(__file__).resolve().parents[1] / "src"),
+                                  os.environ.get("PYTHONPATH", "")])})
+        assert out.stdout.strip() == "[]"

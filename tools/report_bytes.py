@@ -1,6 +1,6 @@
 """Write the reports of the benchmark's 33 CLI runs, for comparing trees.
 
-    python3 tools/report_bytes.py OUT_DIR
+    python3 tools/report_bytes.py OUT_DIR [--against OTHER_DIR]
 
 Runs, from the checkout this file sits in and with BLAS/OpenMP on one
 thread, every operation of the three benchmark workloads at seed 1 (28
@@ -10,6 +10,14 @@ it writes ``OUT_DIR/<op>.json`` (the report, absent when the run wrote
 none) and ``OUT_DIR/<op>.stdout`` (standard output, then the exit code).
 The exact twins are named ``<op>.exact``.  Two trees give the same
 results when ``diff -r`` finds no difference between their OUT_DIRs.
+
+With ``--against OTHER_DIR`` (an OUT_DIR written earlier, for example
+from another checkout) it then prints, for each run whose report differs
+from OTHER_DIR's, the op name, the largest |change| of any row's
+estimate and that row's ``error_bound`` here.  It exits with 1 when a
+move exceeds its row's bound, or when a report differs in anything but
+the rows' estimates and error bounds (and the worst row's copies of
+them).
 """
 
 from __future__ import annotations
@@ -43,9 +51,48 @@ def runs():
                 yield f"{op.name}.exact", op.argv, workloads.exact_config(op.config), op.seed
 
 
+#: report fields that may move within a row's error bound
+_MOVABLE = ("estimate", "error_bound", "worst_value", "worst_error_bound")
+
+
+def _fixed(records: list) -> list:
+    return [{k: v for k, v in r.items() if k not in _MOVABLE} for r in records]
+
+
+def _moves(out: Path, other: Path) -> int:
+    """Print each run whose report differs from OTHER_DIR's; 1 if any move
+    is not within its row's error bound."""
+    status = 0
+    for name, *_ in runs():
+        mine, theirs = out / f"{name}.json", other / f"{name}.json"
+        if mine.exists() and theirs.exists() and mine.read_bytes() == theirs.read_bytes():
+            continue
+        if not (mine.exists() and theirs.exists()):
+            print(f"{name}: report missing on one side")
+            status = 1
+            continue
+        new, old = json.loads(mine.read_bytes()), json.loads(theirs.read_bytes())
+        rows, old_rows = new.pop("rows", None), old.pop("rows", None)
+        if rows is None or old_rows is None or _fixed([new, *rows]) != _fixed([old, *old_rows]):
+            print(f"{name}: differs beyond row estimates and error bounds")
+            status = 1
+            continue
+        delta, row = max(((abs(r["estimate"] - o["estimate"]), r) for r, o in zip(rows, old_rows)),
+                         key=lambda pair: pair[0])
+        within = delta <= row["error_bound"]
+        print(f"{name}: max |delta estimate| = {delta:.3g} at theta = {row['theta']!r}, "
+              f"error_bound = {row['error_bound']:.3g}{'' if within else '  EXCEEDS'}")
+        status = status if within else 1
+    return status
+
+
 def main(argv: list[str]) -> int:
+    against = None
+    if len(argv) == 3 and argv[1] == "--against":
+        argv, against = argv[:1], Path(argv[2])
     if len(argv) != 1:
-        print("usage: python3 tools/report_bytes.py OUT_DIR", file=sys.stderr)
+        print("usage: python3 tools/report_bytes.py OUT_DIR [--against OTHER_DIR]",
+              file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
@@ -62,7 +109,7 @@ def main(argv: list[str]) -> int:
         if config is not None:
             path.unlink()
         (out / f"{name}.stdout").write_text(f"{stdout.getvalue()}exit code {rc}\n")
-    return 0
+    return 0 if against is None else _moves(out, against)
 
 
 if __name__ == "__main__":

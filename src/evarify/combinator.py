@@ -21,8 +21,8 @@ Constants and spikes are *structured*: each carries a
 composite of them builds its own piecewise once, reads it at a batch's
 points on that line in one call and is integrated in closed form.  Any
 other (generic) component is a callable: a composite holding one locates
-its batch once, finds each sample's cell with one search over the cell
-edges of its keys' index range, and calls each selected component once
+its batch once, reads each sample's key from a piecewise over its keys'
+cells (one search for the batch), and calls each selected component once
 on its own samples (a ``vectorized`` component, such as a likelihood
 ratio, in one call on that sub-batch; a plain callable sample by
 sample); samples whose cell has no component take the constant 1
@@ -175,14 +175,11 @@ def likelihood_ratio_evar(
     return EVariable(fn=fn, vectorized=True)
 
 
-def calibrated_p_evar(kappa: float, p_fn: Callable[[object], float],
-                      vectorized: bool = False) -> EVariable:
-    """kappa * P(x)**(kappa - 1) for a user-supplied p-variable P;
-    ``vectorized``: ``p_fn`` also takes a batch and returns one p-value
-    per sample."""
+def calibrated_p_evar(kappa: float, p_fn: Callable[[object], float]) -> EVariable:
+    """kappa * P(x)**(kappa - 1) for a user-supplied p-variable P."""
     if not 0.0 < kappa < 1.0:
         raise DomainError("kappa must lie strictly inside (0, 1)")
-    return EVariable(fn=lambda x: calibrate_p_to_e(kappa, p_fn(x)), vectorized=vectorized)
+    return EVariable(fn=lambda x: float(calibrate_p_to_e(kappa, p_fn(x))))
 
 
 def _many(e, xs) -> np.ndarray:
@@ -240,11 +237,10 @@ class CompositeEVariable:
     rejects any off the law's support with :class:`DomainError`.  With
     structured components the composite is its ``piecewise``, read at the
     located points of a whole batch at once.  Otherwise a discrete-mode
-    composite finds each sample's cell among the cells of its keys' index
-    range (their edges are computed once, when it is built), and each
-    selected component is called once on its own samples; negative or NaN
-    values raise :class:`ContractViolationError`.  ``__call__`` is
-    ``eval_many`` on a batch of one.  ``factor_C`` must be at least 1.
+    composite reads each sample's key from ``_keys``, a piecewise over its
+    keys' cells built once, when it is built, and each selected component
+    is called once on its own samples; negative or NaN values raise
+    :class:`ContractViolationError`.  ``factor_C`` must be at least 1.
     """
 
     bundle: FamilyBundle
@@ -253,9 +249,8 @@ class CompositeEVariable:
     mode: str = "discrete"  # "discrete" | "interpolated"
     epsilon: float | None = None
     piecewise: Piecewise | None = None
-    #: generic discrete mode: (first index of the keys' range, its cell
-    #: edges on the law's line, the searchsorted side of the cells' closure)
-    _cells: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    #: generic discrete mode: the key each point of the law's line selects
+    _keys: Piecewise | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.factor_C < 1.0:
@@ -265,32 +260,41 @@ class CompositeEVariable:
         ):
             raise DomainError("interpolated mode needs epsilon in (0, 1/5]")
         if self.mode == "discrete" and self.piecewise is None:
-            object.__setattr__(self, "_cells", _key_cells(self.bundle, self.components))
+            object.__setattr__(self, "_keys", _key_piecewise(self.bundle, self.components))
 
-    def __call__(self, x) -> float:
-        return self.eval_many(np.asarray(x, dtype=float)[None]).item()
+    def __call__(self, x):
+        """The composite at one sample, a float, or at a batch, one value
+        per sample (``log_density``'s convention: a batch holds elements,
+        or the rows of an (m, n) array for product families of
+        n-vectors).  One sample is evaluated as a batch of one."""
+        arr = np.asarray(x, dtype=float)
+        n = self.bundle.family.sample_dim
+        one = arr.ndim == (n > 1)
+        batch = arr[None] if one else arr
+        if n > 1 and (batch.ndim != 2 or batch.shape[1] != n):
+            raise DomainError(f"expected an (m, {n}) batch of samples, got shape {arr.shape}")
+        v = self.bundle.locate(batch)
+        if self.piecewise is not None:
+            out = self.piecewise(v)
+        else:
+            out = self._generic(batch if n > 1 else batch.ravel(), np.ravel(v))
+            out = out if n > 1 else out.reshape(batch.shape)
+        return out.item() if one else out
 
     def eval_many(self, xs) -> np.ndarray:
-        """Evaluate on a batch: the rows of an (m, n) array for product
-        families of n-vectors, the elements otherwise."""
+        """The composite on a batch (see ``__call__``)."""
         arr = np.asarray(xs, dtype=float)
         n = self.bundle.family.sample_dim
-        if n > 1 and (arr.ndim != 2 or arr.shape[1] != n):
+        if n > 1 and arr.ndim != 2:
             raise DomainError(f"expected an (m, {n}) batch of samples, got shape {arr.shape}")
-        v = self.bundle.locate(arr)
-        if self.piecewise is not None:
-            return self.piecewise(v)
-        out = self._generic(arr if n > 1 else arr.ravel(), np.ravel(v))
-        return out if n > 1 else out.reshape(arr.shape)
+        return np.asarray(self(arr))
 
     def _generic(self, batch: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The composite of generic components at the samples of a batch,
         located at v."""
         if self.mode == "discrete":
-            k0, edges, side = self._cells
-            i = edges.searchsorted(v, side) - 1
-            inside = (i >= 0) & (i < len(edges) - 1)
-            return self._values(k0 + i, inside, batch) / self.factor_C
+            keys = self._keys(v)
+            return self._values(keys, ~np.isnan(keys), batch) / self.factor_C
         m = np.floor(v + 0.5)
         total = np.zeros(len(v))
         for n in (m - 1.0, m, m + 1.0):  # in bump_weight's order, adding 0 where inactive
@@ -317,18 +321,20 @@ class CompositeEVariable:
         return out
 
 
-def _key_cells(bundle: FamilyBundle, components: Mapping) -> tuple:
-    """``CompositeEVariable._cells`` for these components: the cells of the
-    indices from the smallest key to the largest the net holds (keys
-    beyond it are never selected)."""
+def _key_piecewise(bundle: FamilyBundle, components: Mapping) -> Piecewise:
+    """``CompositeEVariable._keys`` for these components: each key the net
+    holds (keys beyond it are never selected) on its estimator cell, NaN
+    between the cells and beyond them.  Cells of distinct indices are
+    disjoint and in index order, so only the keys' own cells are built."""
     net = bundle.net
-    ks = [int(k) for k in components if (net.k_min is None or k >= net.k_min)
-          and (net.k_max is None or k <= net.k_max)]
-    side = "left" if bundle.right_closed else "right"
+    ks = sorted(int(k) for k in components if (net.k_min is None or k >= net.k_min)
+                and (net.k_max is None or k <= net.k_max))
     if not ks:
-        return 0, np.empty(0), side
-    bounds = bundle.cell_bounds(range(min(ks), max(ks) + 1))
-    return min(ks), np.append(bounds[:, 0], bounds[-1, 1]), side
+        return Piecewise.constant(math.nan)
+    a = np.full(2 * len(ks) - 1, math.nan)
+    a[::2] = ks
+    return Piecewise(bundle.cell_bounds(ks).ravel(), a, np.zeros(len(a)), math.nan,
+                     bundle.right_closed)
 
 
 def _frozen(components: Mapping[int, EVariable]):

@@ -43,10 +43,9 @@ from .combinator import (
     _index_at,
     _many,
     _trapezoid_piecewise,
-    calibrated_p_evar,
     combine_discrete,
 )
-from .core import DomainError, Piecewise, StatLaw
+from .core import DomainError, Piecewise, StatLaw, calibrate_p_to_e
 from .families import FamilyBundle
 
 __all__ = [
@@ -201,7 +200,9 @@ def upper_tail_calibrated_evar(
         # a discrete law is indexed by support point: P(X >= x) = sf(x - 1)
         return law.sf(s, np.asarray(x, dtype=float) - 1.0 if law.discrete else g(x))
 
-    return calibrated_p_evar(kappa, p_fn, vectorized=True)
+    if not 0.0 < kappa < 1.0:
+        raise DomainError("kappa must lie strictly inside (0, 1)")
+    return EVariable(fn=lambda x: calibrate_p_to_e(kappa, p_fn(x)), vectorized=True)
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,36 @@ class TestGenericBatchPath:
         assert sorted(calls) == sorted(set(chosen) & set(keys))
 
     @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    def test_sparse_wide_keys_build_only_their_own_cells(self, name, kw, monkeypatch):
+        """Keys with gaps between them, up to a million indices away where
+        the net reaches that far: building the composite computes the
+        cells of its keys only, and at each key's cell edges (and one cell
+        beyond) it selects as ``_index_at`` does, 1 between the keys."""
+        b, _, near = self._setup(name, kw)
+        k, net = near[len(near) // 2], b.net
+
+        def usable(j):  # in the net, at a finite point of the parameter space
+            if (net.k_min is not None and j < net.k_min) or (net.k_max is not None and j > net.k_max):
+                return False
+            try:
+                return b.family.param_space.contains(net.point(j))
+            except OverflowError:  # a dyadic net's point 2**j
+                return False
+
+        keys = [j for j in (k - 10**6, k - 30, k - 3, k, k + 3, k + 30, k + 10**6) if usable(j)]
+        comps, sizes = _mixed_components(b, keys), []
+        cell_bounds = type(b).cell_bounds
+        monkeypatch.setattr(type(b), "cell_bounds",
+                            lambda self, ks: sizes.append(len(ks)) or cell_bounds(self, ks))
+        comp = combine_discrete(b, comps)
+        assert comp.piecewise is None and sizes == [len(keys)]
+        monkeypatch.undo()
+        xs = np.concatenate([_probes(b, [j]) for j in keys])
+        np.testing.assert_array_equal(comp.eval_many(xs),
+                                      [_reference_value(comp, x) for x in xs])
+        np.testing.assert_array_equal(comp(xs), comp.eval_many(xs))
+
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
     @pytest.mark.parametrize("bad", [-1.0, math.nan])
     def test_a_bad_value_names_its_sample(self, name, kw, bad):
         """A component giving a negative or NaN value on one sample of a

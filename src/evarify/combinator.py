@@ -238,7 +238,7 @@ class CompositeEVariable:
     structured components the composite is its ``piecewise``, read at the
     located points of a whole batch at once.  Otherwise a discrete-mode
     composite reads each sample's key from ``_keys``, a piecewise over its
-    keys' cells built once, when it is built, and each selected component
+    keys' own cells made with the composite, and each selected component
     is called once on its own samples; negative or NaN values raise
     :class:`ContractViolationError`.  ``factor_C`` must be at least 1.
     """

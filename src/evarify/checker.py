@@ -2,8 +2,10 @@
 
 The closed-form normalizing factors rest on a handful of conditions
 relating the family's divergence, net, and estimator.  Each condition is
-realized here as a deterministic grid/sample check producing a
-:class:`ConditionReport` with the worst violation and witnesses:
+realized here as a deterministic check over its cases (grid points,
+samples, parameter pairs or triples), computed as array passes over all
+of them, producing a :class:`ConditionReport` with the worst violation
+and witnesses:
 
 * ``log_ratio_identity``   log(p_theta(x)/p_s(x)) = d(g(x)||s) - d(g(x)||theta)
 * ``cell_bound``           sup over cells of d(g(x) || selected point), the
@@ -150,16 +152,17 @@ def default_cell_samples(bundle: FamilyBundle, n_cells: int = 120,
     return samples
 
 
-def default_growth_pairs(bundle: FamilyBundle, max_gap: int = 1000,
-                         n_random: int = 300, seed: int = 0) -> list:
-    """Parameter pairs straddling net-point runs (realizing each between-
-    count near its binding infimum) plus seeded random pairs."""
+def default_growth_pairs(bundle: FamilyBundle) -> list:
+    """Parameter pairs straddling runs of up to 1000 net points (realizing
+    each between-count near its binding infimum) plus 300 random pairs
+    (seed 0), over the net's indices, from -500 to 500 where it is
+    unbounded."""
     net = bundle.net
-    rng = np.random.default_rng(seed)
-    lo_k = net.k_min if net.k_min is not None else -max_gap // 2
-    hi_k = net.k_max if net.k_max is not None else max_gap // 2
+    rng = np.random.default_rng(0)
+    lo_k = net.k_min if net.k_min is not None else -500
+    hi_k = net.k_max if net.k_max is not None else 500
     pairs: list[tuple[float, float]] = []
-    gaps = sorted({g for g in [2, 3, 4, 5, 8, 13, 21, 55, 144, 377, max_gap]
+    gaps = sorted({g for g in [2, 3, 4, 5, 8, 13, 21, 55, 144, 377, 1000]
                    if g <= hi_k - lo_k})
     anchors = sorted({a for a in (lo_k, (lo_k + hi_k) // 2, hi_k - 2)
                       if a >= lo_k})
@@ -188,7 +191,7 @@ def default_growth_pairs(bundle: FamilyBundle, max_gap: int = 1000,
             t2 = pb + next_gap / 64.0
             if space.contains(t1) and space.contains(t2):
                 pairs.append((float(t1), float(t2)))
-    for _ in range(n_random):
+    for _ in range(300):
         ka = int(rng.integers(lo_k, hi_k))
         kb = int(rng.integers(lo_k, hi_k))
         if ka == kb:
@@ -220,15 +223,9 @@ def _statistics(bundle: FamilyBundle, xs: Sequence) -> np.ndarray:
     return np.asarray(bundle.family.estimator_g(_batch(bundle, xs)), dtype=float)
 
 
-def _selected(bundle: FamilyBundle, g: float) -> float:
-    """The net point the estimator selects for statistic value g."""
-    return bundle.net.point(bundle.estimator.statistic_index(g))
-
-
 def check_log_ratio_identity(
     bundle: FamilyBundle,
     grid_spec: GridSpec | None = None,
-    tolerance: float = IDENTITY_TOL,
 ) -> ConditionReport:
     """|log(p_theta(x)/p_s(x)) - (d(g(x)||s) - d(g(x)||theta))| over the
     grid; points where either density vanishes are skipped and counted
@@ -241,7 +238,8 @@ def check_log_ratio_identity(
     ``d(g(x)||s)`` once per net point s, and uses them for every theta of
     the block.  Each (theta, s) pair keeps its largest residual and where
     it lies; the witnesses are the first ten pairs above the tolerance in
-    theta-major order (theta by theta, s by s within a theta)."""
+    theta-major order (theta by theta, s by s within a theta), and the
+    tolerance is ``IDENTITY_TOL``."""
     spec = grid_spec or default_grid_spec(bundle)
     fam = bundle.family
     gs = np.asarray(spec.g_values, dtype=float)
@@ -282,12 +280,12 @@ def check_log_ratio_identity(
     worst = float(np.max(peak, initial=0.0, where=peak > 0.0))
     witnesses = tuple(
         (float(thetas[i]), float(points[j]), float(gs[at[i, j]]), float(peak[i, j]))
-        for i, j in np.argwhere(peak > tolerance)[:_WITNESS_CAP])
+        for i, j in np.argwhere(peak > IDENTITY_TOL)[:_WITNESS_CAP])
     return ConditionReport(
         condition="log_ratio_identity",
-        max_violation=worst if worst > tolerance else 0.0,
-        tolerance=tolerance,
-        passing=worst <= tolerance,
+        max_violation=worst if worst > IDENTITY_TOL else 0.0,
+        tolerance=IDENTITY_TOL,
+        passing=worst <= IDENTITY_TOL,
         witnesses=witnesses,
         estimated_constant=worst,
         n_evaluated=n_eval,
@@ -295,16 +293,49 @@ def check_log_ratio_identity(
     )
 
 
+def _report(condition: str, excess: np.ndarray, tolerance: float, cases: Sequence,
+            **counts) -> ConditionReport:
+    """The report of a check whose cases exceed their bound by ``excess``
+    (a case holds where it is at most 0; a NaN, an undefined case, fails):
+    the worst violation max(0, excess), a pass when every case is within
+    ``tolerance``, and as witnesses the first ten cases beyond it in case
+    order, each its values in ``cases`` (arrays, or None for a field that
+    does not apply) and its violation."""
+    viol = np.where((excess > 0.0) | np.isnan(excess), excess, 0.0)
+    beyond = np.flatnonzero(~(viol <= tolerance))
+    return ConditionReport(
+        condition=condition,
+        max_violation=float(np.max(viol, initial=0.0)),
+        tolerance=tolerance,
+        passing=not len(beyond),
+        witnesses=tuple((*(None if c is None else float(c[i]) for c in cases), float(viol[i]))
+                        for i in beyond[:_WITNESS_CAP]),
+        **counts,
+    )
+
+
+def _selection(bundle: FamilyBundle, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The net's points from below the floor of the least statistic to
+    above the greatest (so a neighbour missing here is missing from the
+    net), and the point the estimator selects for each statistic."""
+    net = bundle.net
+    ks = np.array([bundle.estimator.statistic_index(g) for g in gs.tolist()])
+    lo = min(int(ks.min()), net.round_index(float(gs.min())) - 1) - 1
+    hi = max(int(ks.max()), net.round_index(float(gs.max()))) + 1
+    lo = lo if net.k_min is None else max(lo, net.k_min)
+    hi = hi if net.k_max is None else min(hi, net.k_max)
+    points = np.array([net.point(k) for k in range(lo, hi + 1)])
+    return points, points[ks - lo]
+
+
 def estimate_cell_bound(bundle: FamilyBundle, samples: Sequence | None = None) -> float:
     """sup over samples of d(g(x) || selected net point) -- the measured
     cell constant c'.  With a declared c' in the bundle the estimate must
     not exceed it (checked by :func:`run_all_checks`)."""
     xs = default_cell_samples(bundle) if samples is None else samples
-    fam = bundle.family
     gs = _statistics(bundle, xs)
-    sel = np.array([_selected(bundle, g) for g in gs], dtype=float)
-    ds = np.asarray(fam.divergence_fn(gs, sel), dtype=float)
-    return float(np.max(ds))
+    _, sel = _selection(bundle, gs)
+    return float(np.max(np.asarray(bundle.family.divergence_fn(gs, sel), dtype=float)))
 
 
 def check_cell_sandwich(
@@ -317,31 +348,12 @@ def check_cell_sandwich(
     xs = default_cell_samples(bundle) if samples is None else samples
     gs = _statistics(bundle, xs)
     s, viol = _sandwich(bundle, gs) if len(gs) else (gs, gs)
-    witnesses = tuple((None, float(s[i]), float(gs[i]), float(viol[i]))
-                      for i in np.flatnonzero(viol > 0.0)[:_WITNESS_CAP])
-    worst = float(np.max(viol, initial=0.0))
-    return ConditionReport(
-        condition="cell_sandwich",
-        max_violation=worst,
-        tolerance=0.0,
-        passing=worst <= 0.0,
-        witnesses=witnesses,
-        n_evaluated=len(list(xs)),
-    )
+    return _report("cell_sandwich", viol, 0.0, (None, s, gs), n_evaluated=len(list(xs)))
 
 
 def _sandwich(bundle: FamilyBundle, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The selected point of each statistic and its sandwich violation."""
-    net = bundle.net
-    ks = np.array([bundle.estimator.statistic_index(g) for g in gs.tolist()])
-    # from below the floor of the least value to above the greatest, so a
-    # neighbour missing here is missing from the net
-    lo = min(int(ks.min()), net.round_index(float(gs.min())) - 1) - 1
-    hi = max(int(ks.max()), net.round_index(float(gs.max()))) + 1
-    lo = lo if net.k_min is None else max(lo, net.k_min)
-    hi = hi if net.k_max is None else min(hi, net.k_max)
-    points = np.array([net.point(k) for k in range(lo, hi + 1)])
-    s = points[ks - lo]
+    points, s = _selection(bundle, gs)
     ps, pg = _pred(points, s), _pred(points, gs)
     ss, sg = _succ(points, s), _succ(points, gs)
     return s, np.maximum.reduce([
@@ -369,65 +381,46 @@ def check_divergence_growth(
     bundle: FamilyBundle,
     pairs: Sequence[tuple[float, float]] | None = None,
     alpha: float | None = None,
-    tolerance: float = SLACK_TOL,
 ) -> ConditionReport:
     """Both directed divergences must clear (1 + alpha) * log(k - 1) where
-    k counts net points strictly between the pair; pairs separating at
-    most two net points are vacuous (the bound is 0 at two; pairs with
-    fewer are skipped).  With ``alpha=None`` the check estimates the
-    largest admissible exponent instead of asserting."""
+    k counts net points strictly between the pair, with slack
+    ``SLACK_TOL``; pairs separating at most two net points are vacuous
+    (the bound is 0 at two; pairs with fewer are skipped).  With
+    ``alpha=None`` the check estimates the largest admissible exponent
+    instead of asserting.  Each direction is one divergence call over
+    all the pairs."""
     if alpha is None and bundle.factor_inputs is not None:
         alpha = bundle.factor_inputs.alpha
     ps = default_growth_pairs(bundle) if pairs is None else pairs
-    fam = bundle.family
-    net = bundle.net
-    worst = 0.0
-    best_ratio = math.inf
-    witnesses: list = []
-    n_eval = 0
-    for t1, t2 in ps:
-        t1, t2 = (t1, t2) if t1 <= t2 else (t2, t1)
-        k = net.count_between(t1, t2)
-        if k <= 1:
-            continue
-        log_k1 = math.log(k - 1)
-        d12 = float(fam.divergence_fn(t1, t2))
-        d21 = float(fam.divergence_fn(t2, t1))
-        dmin = min(d12, d21)
-        n_eval += 1
-        if log_k1 > 0:
-            best_ratio = min(best_ratio, dmin / log_k1)
-        if alpha is not None:
-            bound = (1.0 + alpha) * log_k1
-            viol = max(0.0, bound - dmin)
-            if viol > worst:
-                worst = viol
-            if viol > tolerance and len(witnesses) < _WITNESS_CAP:
-                witnesses.append((float(t1), float(t2), float(k), float(viol)))
-    estimated = (best_ratio - 1.0) if math.isfinite(best_ratio) else None
-    return ConditionReport(
-        condition="divergence_growth",
-        max_violation=worst,
-        tolerance=tolerance,
-        passing=worst <= tolerance,
-        witnesses=tuple(witnesses),
-        estimated_constant=estimated,
-        n_evaluated=n_eval,
-    )
+    net, div = bundle.net, bundle.family.divergence_fn
+    t = np.sort(np.asarray(ps, dtype=float).reshape(-1, 2), axis=1)
+    k = np.array([net.count_between(t1, t2) for t1, t2 in t.tolist()], dtype=float)
+    t, k = t[k > 1], k[k > 1]
+    # math.log, as the bound is written: np.log rounds a few values apart
+    log_k1 = np.array([math.log(v - 1.0) for v in k.tolist()])
+    dmin = np.minimum(div(t[:, 0], t[:, 1]), div(t[:, 1], t[:, 0]))
+    grows = (log_k1 > 0) & ~np.isnan(dmin)
+    best = float(np.min(dmin[grows] / log_k1[grows], initial=math.inf))
+    # with no exponent to assert every bound is -inf: only a NaN fails
+    bound = -math.inf if alpha is None else (1.0 + alpha) * log_k1
+    return _report("divergence_growth", bound - dmin, SLACK_TOL, (t[:, 0], t[:, 1], k),
+                   estimated_constant=(best - 1.0) if math.isfinite(best) else None,
+                   n_evaluated=len(k))
 
 
 def check_reverse_triangle(
     bundle: FamilyBundle,
     triples: Sequence[tuple[float, float, float]] | None = None,
-    tolerance: float = IDENTITY_TOL,
     n_triples: int = 1000,
     seed: int = 0,
 ) -> ConditionReport:
-    """d(t1||t3) >= d(t1||t2) + d(t2||t3) on monotone triples."""
-    fam = bundle.family
+    """d(t1||t3) >= d(t1||t2) + d(t2||t3) on monotone triples, within
+    ``IDENTITY_TOL``; triples with d(t1||t3) infinite are skipped but
+    counted.  Each of the three divergences is one call over all the
+    triples."""
     if triples is None:
         rng = np.random.default_rng(seed)
-        space = fam.param_space
+        space = bundle.family.param_space
         if space.integer:
             draws = rng.integers(0, 4096, (n_triples, 3)).astype(float)
         elif space.lo == 0.0:  # scale parameter: geometric draws
@@ -436,29 +429,15 @@ def check_reverse_triangle(
         else:
             draws = rng.uniform(-50.0, 50.0, (n_triples, 3))
         draws.sort(axis=1)
-        descending = draws[: n_triples // 2, ::-1]
-        triples = [tuple(row) for row in np.vstack([draws, descending])]
-    worst = 0.0
-    witnesses: list = []
-    for t1, t2, t3 in triples:
-        d13 = float(fam.divergence_fn(t1, t3))
-        d12 = float(fam.divergence_fn(t1, t2))
-        d23 = float(fam.divergence_fn(t2, t3))
-        if math.isinf(d13):
-            continue
-        viol = max(0.0, (d12 + d23) - d13)
-        if viol > worst:
-            worst = viol
-        if viol > tolerance and len(witnesses) < _WITNESS_CAP:
-            witnesses.append((float(t1), float(t2), float(t3), float(viol)))
-    return ConditionReport(
-        condition="reverse_triangle",
-        max_violation=worst,
-        tolerance=tolerance,
-        passing=worst <= tolerance,
-        witnesses=tuple(witnesses),
-        n_evaluated=len(list(triples)),
-    )
+        triples = np.vstack([draws, draws[: n_triples // 2, ::-1]])
+    t = np.asarray(triples, dtype=float).reshape(-1, 3)
+    div = bundle.family.divergence_fn
+    d13, d12, d23 = div(t[:, 0], t[:, 2]), div(t[:, 0], t[:, 1]), div(t[:, 1], t[:, 2])
+    kept = ~np.isinf(d13)
+    with np.errstate(invalid="ignore"):  # inf - inf where d13 is skipped
+        excess = (d12 + d23) - d13
+    return _report("reverse_triangle", excess[kept], IDENTITY_TOL, t[kept].T,
+                   n_evaluated=len(t))
 
 
 def step_bounds_directed(

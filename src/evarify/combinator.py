@@ -49,7 +49,6 @@ from .core import (
     IntegerLattice,
     Piecewise,
     REpsilon,
-    calibrate_p_to_e,
 )
 from .families import FamilyBundle
 
@@ -59,7 +58,6 @@ __all__ = [
     "constant_evar",
     "zero_evar",
     "likelihood_ratio_evar",
-    "calibrated_p_evar",
     "CompositeEVariable",
     "combine_discrete",
     "bump_weight",
@@ -173,13 +171,6 @@ def likelihood_ratio_evar(
         return np.where(num == -np.inf, 0.0, np.where(den == -np.inf, np.inf, ratio))
 
     return EVariable(fn=fn, vectorized=True)
-
-
-def calibrated_p_evar(kappa: float, p_fn: Callable[[object], float]) -> EVariable:
-    """kappa * P(x)**(kappa - 1) for a user-supplied p-variable P."""
-    if not 0.0 < kappa < 1.0:
-        raise DomainError("kappa must lie strictly inside (0, 1)")
-    return EVariable(fn=lambda x: float(calibrate_p_to_e(kappa, p_fn(x))))
 
 
 def _many(e, xs) -> np.ndarray:
@@ -322,18 +313,36 @@ class CompositeEVariable:
 
 
 def _key_piecewise(bundle: FamilyBundle, components: Mapping) -> Piecewise:
-    """``CompositeEVariable._keys`` for these components: each key the net
-    holds (keys beyond it are never selected) on its estimator cell, NaN
-    between the cells and beyond them.  Cells of distinct indices are
-    disjoint and in index order, so only the keys' own cells are built."""
+    """``CompositeEVariable._keys`` for these components: each key on its
+    estimator cell, NaN between the cells and beyond them."""
+    keys = np.fromiter(components, int, len(components))
+    keys = keys[_in_net(bundle, keys)]
+    return _cells_piecewise(bundle, bundle.cell_bounds(keys.tolist()), keys.astype(float),
+                            math.nan)
+
+
+def _in_net(bundle: FamilyBundle, keys: np.ndarray) -> np.ndarray:
+    """The positions of the keys the net holds (the estimator never
+    selects the others), in increasing order of key."""
     net = bundle.net
-    ks = sorted(int(k) for k in components if (net.k_min is None or k >= net.k_min)
-                and (net.k_max is None or k <= net.k_max))
-    if not ks:
-        return Piecewise.constant(math.nan)
-    a = np.full(2 * len(ks) - 1, math.nan)
-    a[::2] = ks
-    return Piecewise(bundle.cell_bounds(ks).ravel(), a, np.zeros(len(a)), math.nan,
+    held = np.flatnonzero((keys >= (-math.inf if net.k_min is None else net.k_min))
+                          & (keys <= (math.inf if net.k_max is None else net.k_max)))
+    return held[np.argsort(keys[held], kind="stable")]
+
+
+def _cells_piecewise(bundle: FamilyBundle, bounds: np.ndarray, values: np.ndarray,
+                     between: float) -> Piecewise:
+    """values[i] on the cell bounds[i] (cells of increasing indices, so
+    disjoint and in order) and ``between`` between the cells and beyond
+    them: only the given cells are built, and adjacent cells share an
+    edge with no piece between them."""
+    if not len(bounds):
+        return Piecewise.constant(between)
+    gap = np.append(bounds[1:, 0] != bounds[:-1, 1], False)  # after each cell
+    keep = np.column_stack([np.ones(len(gap), dtype=bool), gap]).ravel()
+    ends = np.column_stack([bounds[:, 1], np.append(bounds[1:, 0], math.nan)]).ravel()
+    a = np.column_stack([values, np.full(len(gap), between)]).ravel()[keep]
+    return Piecewise(np.append(bounds[0, 0], ends[keep]), a, np.zeros(len(a)), between,
                      bundle.right_closed)
 
 
@@ -356,26 +365,19 @@ def _frozen(components: Mapping[int, EVariable]):
 def _cellwise_piecewise(
     bundle: FamilyBundle, table: _PieceTable | None, C: float
 ) -> Piecewise | None:
-    """The select-and-scale composite as a piecewise: the cells of the
-    indices from the smallest key to the largest (a table of cells on a
-    run of indices is its own edges), each at its component's value over
-    C, and 1/C beyond.  None unless every component is structured and
-    constant on its own cell."""
-    if table is None or not len(table.keys):
-        return None if table is None else Piecewise.constant(1.0 / C)
-    keys, lo, hi, level, out, cells = table
-    k0 = int(keys.min())
-    ks = range(k0, int(keys.max()) + 1)
-    run = cells and np.array_equal(keys, np.arange(k0, k0 + len(keys)))
-    bounds = np.column_stack([lo, hi]) if run else bundle.cell_bounds(ks)
-    cell = bounds[keys - k0]
+    """The select-and-scale composite as a piecewise: each key's cell (a
+    table of cells is its own bounds) at its component's value over C,
+    and 1/C between the cells and beyond.  None unless every component is
+    structured and constant on its own cell."""
+    if table is None:
+        return None
+    held = _in_net(bundle, table.keys)
+    keys, lo, hi, level, out = (column[held] for column in table[:5])
+    cell = np.column_stack([lo, hi]) if table.cells else bundle.cell_bounds(keys.tolist())
     own = (lo == cell[:, 0]) & (hi == cell[:, 1])
     if not np.all(own | (hi <= cell[:, 0]) | (lo >= cell[:, 1])):
         return None
-    levels = np.ones(len(ks))
-    levels[keys - k0] = np.where(own, level, out)
-    edges = np.append(bounds[:, 0], bounds[-1, 1])
-    return Piecewise(edges, levels / C, np.zeros(len(ks)), 1.0 / C, bundle.right_closed)
+    return _cells_piecewise(bundle, cell, np.where(own, level, out) / C, 1.0 / C)
 
 
 def combine_discrete(

@@ -328,14 +328,16 @@ def normal_mean_family(n: int) -> Family:
         x = np.asarray(x, dtype=float)
         # for n == 1 an array is a batch of scalar samples; for n > 1 the
         # last axis holds the coordinates of one sample
-        sq = (x - mu) ** 2 if n == 1 else np.sum((x - mu) ** 2, axis=-1)
+        z = x - mu
+        sq = z * z if n == 1 else np.sum(z * z, axis=-1)
         out = -0.5 * n * _LOG_2PI - 0.5 * sq
         return float(out) if np.ndim(out) == 0 else out
 
     def div(m1, m2):
         m1 = np.asarray(m1, dtype=float)
         m2 = np.asarray(m2, dtype=float)
-        out = 0.5 * n * (m1 - m2) ** 2
+        z = m1 - m2
+        out = 0.5 * n * (z * z)
         return float(out) if out.ndim == 0 else out
 
     def mean(x):
@@ -425,13 +427,15 @@ def normal_variance_family(n: int) -> Family:
 def cauchy_family() -> Family:
     def log_density(theta, x):
         x = np.asarray(x, dtype=float)
-        out = -math.log(math.pi) - np.log1p((x - theta) ** 2)
+        z = x - theta
+        out = -math.log(math.pi) - np.log1p(z * z)
         return float(out) if out.ndim == 0 else out
 
     def div(t1, t2):
         t1 = np.asarray(t1, dtype=float)
         t2 = np.asarray(t2, dtype=float)
-        out = np.log1p((t1 - t2) ** 2)
+        z = t1 - t2
+        out = np.log1p(z * z)
         return float(out) if out.ndim == 0 else out
 
     def cdf(theta, v):

@@ -8,12 +8,15 @@ import pytest
 
 from evarify.checker import (
     IDENTITY_TOL,
+    SLACK_TOL,
+    ConditionReport,
     check_cell_sandwich,
     check_divergence_growth,
     check_log_ratio_identity,
     check_reverse_triangle,
     default_cell_samples,
     default_grid_spec,
+    default_growth_pairs,
     estimate_cell_bound,
     estimate_step_lower_bound,
     run_all_checks,
@@ -132,6 +135,89 @@ def _reference_cell_sandwich(bundle, samples=None):
     return worst, tuple(witnesses), len(xs)
 
 
+def _reference_divergence_growth(bundle, pairs=None, alpha=None):
+    """The growth check as a plain loop over pairs with two scalar
+    divergence calls each: the reference the array pass must reproduce
+    field by field."""
+    if alpha is None and bundle.factor_inputs is not None:
+        alpha = bundle.factor_inputs.alpha
+    ps = default_growth_pairs(bundle) if pairs is None else pairs
+    fam, net = bundle.family, bundle.net
+    worst, best_ratio, witnesses, n_eval = 0.0, math.inf, [], 0
+    for t1, t2 in ps:
+        t1, t2 = (t1, t2) if t1 <= t2 else (t2, t1)
+        k = net.count_between(t1, t2)
+        if k <= 1:
+            continue
+        log_k1 = math.log(k - 1)
+        dmin = min(float(fam.divergence_fn(t1, t2)), float(fam.divergence_fn(t2, t1)))
+        n_eval += 1
+        if log_k1 > 0:
+            best_ratio = min(best_ratio, dmin / log_k1)
+        if alpha is not None:
+            viol = max(0.0, (1.0 + alpha) * log_k1 - dmin)
+            worst = max(worst, viol)
+            if viol > SLACK_TOL and len(witnesses) < 10:
+                witnesses.append((float(t1), float(t2), float(k), float(viol)))
+    return ConditionReport(
+        "divergence_growth", worst, SLACK_TOL, worst <= SLACK_TOL, tuple(witnesses),
+        (best_ratio - 1.0) if math.isfinite(best_ratio) else None, n_eval).to_dict()
+
+
+def _reference_reverse_triangle(bundle, seed=0, n_triples=1000):
+    """The triangle check as a plain loop over triples with three scalar
+    divergence calls each, on the triples the check draws: the reference
+    the array pass must reproduce field by field."""
+    fam = bundle.family
+    rng = np.random.default_rng(seed)
+    space = fam.param_space
+    if space.integer:
+        draws = rng.integers(0, 4096, (n_triples, 3)).astype(float)
+    elif space.lo == 0.0:
+        draws = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), (n_triples, 3)))
+    else:
+        draws = rng.uniform(-50.0, 50.0, (n_triples, 3))
+    draws.sort(axis=1)
+    triples = [tuple(row) for row in np.vstack([draws, draws[: n_triples // 2, ::-1]])]
+    worst, witnesses = 0.0, []
+    for t1, t2, t3 in triples:
+        d13 = float(fam.divergence_fn(t1, t3))
+        d12 = float(fam.divergence_fn(t1, t2))
+        d23 = float(fam.divergence_fn(t2, t3))
+        if math.isinf(d13):
+            continue
+        viol = max(0.0, (d12 + d23) - d13)
+        worst = max(worst, viol)
+        if viol > IDENTITY_TOL and len(witnesses) < 10:
+            witnesses.append((float(t1), float(t2), float(t3), float(viol)))
+    return ConditionReport("reverse_triangle", worst, IDENTITY_TOL, worst <= IDENTITY_TOL,
+                           tuple(witnesses), n_evaluated=len(triples)).to_dict()
+
+
+def _assert_same_fields(report, ref):
+    doc = report.to_dict()
+    assert doc.keys() == ref.keys()
+    for key, value in ref.items():
+        assert doc[key] == value, key
+
+
+def _counting_divergence(bundle):
+    """The bundle with its divergence counting its calls in ``calls``."""
+    calls = []
+    fn = bundle.family.divergence_fn
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+    return replace(bundle, family=replace(bundle.family, divergence_fn=counted)), calls
+
+
+def _nan_divergence_poisson():
+    b = make_bundle("poisson")
+    wrong = replace(b.family, divergence_fn=lambda a, c: np.full(np.shape(a), np.nan))
+    return replace(b, family=wrong)
+
+
 def _zero_divergence_poisson():
     b = make_bundle("poisson")
     wrong = replace(b.family, divergence_fn=lambda a, c: np.asarray(a, float) * 0.0)
@@ -241,6 +327,15 @@ class TestCellBound:
         big = small + default_cell_samples(b, n_cells=60, per_cell=10, seed=1)
         assert estimate_cell_bound(b, big) >= estimate_cell_bound(b, small)
 
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    def test_same_as_selecting_statistic_by_statistic(self, name, kw):
+        b = make_bundle(name, **kw)
+        samples = default_cell_samples(b)
+        gs = [float(b.family.estimator_g(x)) for x in samples]
+        want = max(float(b.family.divergence_fn(g, b.net.point(b.estimator.statistic_index(g))))
+                   for g in gs)
+        assert estimate_cell_bound(b, samples) == want
+
     def test_corrupted_estimator_exceeds_declared_bound(self):
         b = make_bundle("poisson")
         bad = replace(b, estimator=_OffByOneEstimator(b.estimator))
@@ -311,6 +406,35 @@ class TestDivergenceGrowth:
         assert rep.passing  # nothing asserted
         assert rep.estimated_constant == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    def test_same_report_as_the_plain_loop(self, name, kw):
+        b = make_bundle(name, **kw)
+        _assert_same_fields(check_divergence_growth(b), _reference_divergence_growth(b))
+
+    @pytest.mark.parametrize("alpha", [10.0, None])
+    def test_same_report_as_the_plain_loop_on_poisson(self, alpha):
+        """Failing with more than ten witnesses (their order and cap), and
+        estimating; with vacuous and reversed pairs given."""
+        b = make_bundle("poisson")
+        rep = check_divergence_growth(b, alpha=alpha)
+        _assert_same_fields(rep, _reference_divergence_growth(b, alpha=alpha))
+        assert rep.passing is (alpha is None)
+        pairs = [(9.5, 0.5), (1.0, 1.1), *default_growth_pairs(b)[:20]]
+        _assert_same_fields(check_divergence_growth(b, pairs, alpha),
+                            _reference_divergence_growth(b, pairs, alpha))
+
+    def test_one_divergence_call_per_direction(self):
+        b, calls = _counting_divergence(make_bundle("cauchy", epsilon=0.2))
+        rep = check_divergence_growth(b)
+        assert rep.n_evaluated == 322 and len(calls) == 2
+
+    @pytest.mark.parametrize("alpha", [1.0, None])
+    def test_nan_divergence_fails_with_witnesses(self, alpha):
+        rep = check_divergence_growth(_nan_divergence_poisson(), alpha=alpha)
+        assert not rep.passing and math.isnan(rep.max_violation)
+        assert len(rep.witnesses) == 10 and all(math.isnan(w[3]) for w in rep.witnesses)
+        assert rep.estimated_constant is None
+
 
 class TestReverseTriangle:
     @pytest.mark.parametrize(
@@ -342,6 +466,26 @@ class TestReverseTriangle:
         b = make_bundle("cauchy", epsilon=0.2)
         rep = check_reverse_triangle(b, triples=[(0.0, 5.0, 10.0)])
         assert not rep.passing
+
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_same_report_as_the_plain_loop(self, name, kw, seed):
+        """On every configuration, Cauchy's failure (with ten witnesses)
+        and the uniforms' skipped infinite divergences included."""
+        b = make_bundle(name, **kw)
+        rep = check_reverse_triangle(b, seed=seed)
+        _assert_same_fields(rep, _reference_reverse_triangle(b, seed))
+        assert rep.passing is (name != "cauchy")
+
+    def test_three_divergence_calls(self):
+        b, calls = _counting_divergence(make_bundle("poisson"))
+        rep = check_reverse_triangle(b)
+        assert rep.n_evaluated == 1500 and len(calls) == 3
+
+    def test_nan_divergence_fails_with_witnesses(self):
+        rep = check_reverse_triangle(_nan_divergence_poisson())
+        assert not rep.passing and math.isnan(rep.max_violation)
+        assert len(rep.witnesses) == 10 and all(math.isnan(w[3]) for w in rep.witnesses)
 
 
 class TestStepBounds:

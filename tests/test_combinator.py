@@ -9,7 +9,6 @@ from evarify.combinator import (
     CompositeEVariable,
     EVariable,
     _index_at,
-    _many,
     bump_weight,
     combine_discrete,
     combine_interpolated,
@@ -21,7 +20,7 @@ from evarify.combinator import (
     product_evar,
     zero_evar,
 )
-from evarify.core import ContractViolationError, DomainError
+from evarify.core import ContractViolationError, DomainError, Piecewise
 from evarify.families import make_bundle
 from evarify.verifier import default_theta_grid, spike_composite, spike_evar
 
@@ -399,13 +398,12 @@ class TestSampleSupport:
 def _reference_value(comp, x) -> float:
     """The generic composite at one sample as the per-sample code computed
     it: the estimator's choice (``_index_at``) and, interpolated, the
-    scalar ``bump_weight`` terms in order.  Each component is called on a
-    batch of one, as the composite calls it on its samples (numpy rounds
-    ``z ** 2`` of a 0-d array differently from an array's)."""
+    scalar ``bump_weight`` terms in order, each component called on the
+    one sample."""
     b = comp.bundle
 
     def at(c, y):
-        return 1.0 if c is None else float(_many(c, np.asarray(y, dtype=float)[None])[0])
+        return 1.0 if c is None else c(y)
 
     v = float(np.ravel(b.locate(x))[0])
     if comp.mode == "discrete":
@@ -456,6 +454,69 @@ def _mixed_components(b, keys):
                   constant_evar(1.5),
                   spike_evar(b, k)][j % 5]
     return out
+
+
+def _sparse_keys(b, k) -> list:
+    """Keys k, k +- 3, k +- 30 and k +- 10**6, those in the net at a
+    finite point of the parameter space."""
+    net = b.net
+
+    def usable(j):
+        if (net.k_min is not None and j < net.k_min) or (net.k_max is not None and j > net.k_max):
+            return False
+        try:
+            return b.family.param_space.contains(net.point(j))
+        except OverflowError:  # a dyadic net's point 2**j
+            return False
+
+    return [j for j in (k - 10**6, k - 30, k - 3, k, k + 3, k + 30, k + 10**6) if usable(j)]
+
+
+def _dense_piecewise(b, components, C):
+    """The structured select-and-scale composite built over every cell
+    from the least key to the greatest, each at its component's level
+    over C and 1/C where it has none."""
+    ks = range(min(components), max(components) + 1)
+    bounds = b.cell_bounds(ks)
+    levels = np.array([components[k].piecewise.sup if k in components else 1.0 for k in ks])
+    return Piecewise(np.append(bounds[:, 0], bounds[-1, 1]), levels / C, np.zeros(len(ks)),
+                     1.0 / C, b.right_closed)
+
+
+class TestStructuredSparseKeys:
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    def test_only_the_keys_cells_are_built(self, name, kw, monkeypatch):
+        """Spikes and constants at keys up to a million indices apart:
+        building the composite computes the cells of its keys alone, and
+        at every cell edge of the keys (and one cell beyond) and the
+        edges' neighbours it equals the per-sample selection, and the
+        build over every cell between the keys where those are near."""
+        b, draws, near = TestGenericBatchPath._setup(name, kw)
+        keys = _sparse_keys(b, near[len(near) // 2])
+        comps = {k: spike_evar(b, k) if j % 2 else constant_evar(1.5)
+                 for j, k in enumerate(keys)}
+        sizes, cell_bounds = [], type(b).cell_bounds
+        monkeypatch.setattr(type(b), "cell_bounds",
+                            lambda self, ks: sizes.append(list(ks)) or cell_bounds(self, ks))
+        comp = combine_discrete(b, comps)
+        assert comp.piecewise is not None and sizes == [keys]
+        monkeypatch.undo()
+        xs = np.concatenate([_probes(b, [j]) for j in keys])
+        values = comp.eval_many(xs)
+        np.testing.assert_array_equal(values, [_reference_value(comp, x) for x in xs])
+        near = {k: c for k, c in comps.items() if abs(k - keys[len(keys) // 2]) <= 30}
+        dense = _dense_piecewise(b, near, comp.factor_C)(np.ravel(b.locate(xs)))
+        inside = np.isin([_index_at(b, float(v)) for v in np.ravel(b.locate(xs))],
+                         range(min(near), max(near) + 1))
+        np.testing.assert_array_equal(values[inside], dense[inside])
+        assert inside.any()
+
+    def test_contiguous_suite_keeps_its_pieces(self):
+        """A spike suite over a run of indices has one piece per cell and
+        none between them."""
+        b = make_bundle("cauchy", epsilon=0.2)
+        comp = spike_composite(b)
+        assert len(comp.piecewise.a) == len(comp.components)
 
 
 class TestGenericBatchPath:
@@ -515,17 +576,7 @@ class TestGenericBatchPath:
         cells of its keys only, and at each key's cell edges (and one cell
         beyond) it selects as ``_index_at`` does, 1 between the keys."""
         b, _, near = self._setup(name, kw)
-        k, net = near[len(near) // 2], b.net
-
-        def usable(j):  # in the net, at a finite point of the parameter space
-            if (net.k_min is not None and j < net.k_min) or (net.k_max is not None and j > net.k_max):
-                return False
-            try:
-                return b.family.param_space.contains(net.point(j))
-            except OverflowError:  # a dyadic net's point 2**j
-                return False
-
-        keys = [j for j in (k - 10**6, k - 30, k - 3, k, k + 3, k + 30, k + 10**6) if usable(j)]
+        keys = _sparse_keys(b, near[len(near) // 2])
         comps, sizes = _mixed_components(b, keys), []
         cell_bounds = type(b).cell_bounds
         monkeypatch.setattr(type(b), "cell_bounds",

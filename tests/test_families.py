@@ -141,6 +141,23 @@ class TestEstimate:
         assert [b.estimate(7)] * 3 == [b.estimate(7) for _ in range(3)]
 
 
+@pytest.mark.parametrize("name,kw", [("cauchy", {"epsilon": 0.2}), ("normal_mean", {"n": 1})])
+def test_one_sample_equals_its_value_in_a_batch(name, kw):
+    """log_density, divergence_fn and a likelihood ratio give one float
+    the same bits as its entry in a batch (squares are products: numpy's
+    ``**`` on a 0-d array rounds differently from an array's)."""
+    from evarify.combinator import likelihood_ratio_evar
+
+    fam = make_bundle(name, **kw).family
+    xs = fam.law.sample(0.3, 20_000, np.random.default_rng(0))
+    lr = likelihood_ratio_evar(fam, 0.0, 0.7)
+    np.testing.assert_array_equal([fam.log_density(0.7, x) for x in xs.tolist()],
+                                  fam.log_density(0.7, xs))
+    np.testing.assert_array_equal([fam.divergence_fn(x, 0.7) for x in xs.tolist()],
+                                  fam.divergence_fn(xs, 0.7))
+    np.testing.assert_array_equal([lr(x) for x in xs.tolist()], lr.fn(xs))
+
+
 def _support_samples(bundle, rng, size=10_000):
     name = bundle.family.name
     if name == "poisson":

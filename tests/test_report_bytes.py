@@ -1,6 +1,8 @@
 """``tools/report_bytes.py --against``: which report moves it accepts."""
 
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -43,3 +45,77 @@ def test_reports_without_rows_and_other_changes(report_bytes):
     assert report_bytes.compare(_report([(0.5, 0.5, 1e-3)]), old) is None
     assert report_bytes.compare(_report([(0.0, 0.5, 1e-3), (1.0, 0.5, 1e-3)]), old) is None
     assert report_bytes.compare({"checks": {}}, {"checks": {}}) is None
+
+
+def _conditions(**checks):
+    doc = {"bundle_id": "poisson", "seed": 1, "overall": "pass", "checks": {}}
+    for name, (constant, violation) in checks.items():
+        doc["checks"][name] = {"condition": name, "estimated_constant": constant,
+                               "max_violation": violation, "n_evaluated": 10,
+                               "n_skipped": 0, "passing": True, "tolerance": 1e-7,
+                               "witnesses": []}
+    return doc
+
+
+def test_check_constants_and_violations_may_move(report_bytes):
+    old = _conditions(cell_bound=(1.0, 0.0), reverse_triangle=(None, 0.0))
+    new = _conditions(cell_bound=(1.0 + 5e-8, 0.0), reverse_triangle=(None, 1e-12))
+    assert report_bytes.compare_checks(new, old) == [
+        ("cell_bound", "estimated_constant", 1.0, 1.0 + 5e-8),
+        ("reverse_triangle", "max_violation", 0.0, 1e-12)]
+    assert report_bytes.compare_checks(old, old) == []
+    nan = _conditions(cell_bound=(math.nan, 0.0), reverse_triangle=(None, 0.0))
+    assert report_bytes.compare_checks(nan, nan) == []
+
+
+def test_check_reports_that_differ_otherwise(report_bytes):
+    old = _conditions(cell_bound=(1.0, 0.0))
+    assert report_bytes.compare_checks(_conditions(cell_bound=(None, 0.0)), old) is None
+    assert report_bytes.compare_checks(_conditions(step_lower_bound=(1.0, 0.0)), old) is None
+    for key, value in (("passing", False), ("n_evaluated", 11), ("witnesses", [[1.0]])):
+        changed = _conditions(cell_bound=(1.0, 0.0))
+        changed["checks"]["cell_bound"][key] = value
+        assert report_bytes.compare_checks(changed, old) is None, key
+    changed = _conditions(cell_bound=(1.0, 0.0))
+    changed["overall"] = "fail"
+    assert report_bytes.compare_checks(changed, old) is None
+    assert report_bytes.compare_checks(_report([]), old) is None
+
+
+def test_verdict_lines_and_exit_code(report_bytes):
+    old = "cell_bound: pass  estimate=1\nreverse_triangle: pass\nexit code 0\n"
+    assert report_bytes.same_verdicts(
+        "cell_bound: pass  estimate=1.00000001\nreverse_triangle: pass\nexit code 0\n", old)
+    assert not report_bytes.same_verdicts(
+        "cell_bound: pass  estimate=1\nreverse_triangle: FAIL\nexit code 0\n", old)
+    assert not report_bytes.same_verdicts(
+        "cell_bound: pass  estimate=1\nreverse_triangle: pass\nexit code 1\n", old)
+    line = "cauchy(epsilon=0.2) [discrete] worst E = {} (+/- {}) at theta = {} -> {}\nexit code 0\n"
+    assert report_bytes.same_verdicts(line.format(0.19, "1e-11", 0.3, "pass"),
+                                      line.format(0.2, "2.5e-15", -4, "pass"))
+    assert not report_bytes.same_verdicts(line.format(0.19, "1e-11", 0.3, "FAIL"),
+                                          line.format(0.19, "1e-11", 0.3, "pass"))
+
+
+def test_against_exit_status(report_bytes, tmp_path, capsys):
+    """Two OUT_DIRs holding one run: a constant moved within CHECK_TOL
+    passes; beyond it, or a changed verdict line, exits with 1."""
+    name = "conditions.poisson"
+    out, other = tmp_path / "out", tmp_path / "other"
+
+    def write(where, constant, verdict="pass"):
+        where.mkdir(exist_ok=True)
+        (where / f"{name}.json").write_text(json.dumps(_conditions(cell_bound=(constant, 0.0))))
+        (where / f"{name}.stdout").write_text(
+            f"cell_bound: {verdict}  estimate={constant:.6g}\nexit code 0\n")
+
+    write(other, 1.0)
+    write(out, 1.0 + 5e-8)
+    assert report_bytes._moves(out, other) == 0
+    assert "cell_bound estimated_constant moved by 5e-08" in capsys.readouterr().out
+    write(out, 1.0 + 2e-7)
+    assert report_bytes._moves(out, other) == 1
+    assert "EXCEEDS" in capsys.readouterr().out
+    write(out, 1.0, verdict="FAIL")
+    assert report_bytes._moves(out, other) == 1
+    assert "verdict line or the exit code" in capsys.readouterr().out

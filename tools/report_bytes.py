@@ -12,12 +12,16 @@ The exact twins are named ``<op>.exact``.  Two trees give the same
 results when ``diff -r`` finds no difference between their OUT_DIRs.
 
 With ``--against OTHER_DIR`` (an OUT_DIR written earlier, for example
-from another checkout) it then prints, for each run whose report differs
-from OTHER_DIR's, the op name, the largest |change| of any row's
-estimate and that row's ``error_bound`` here.  It exits with 1 when any
-row's move exceeds that row's own bound, or when a report differs in
-anything but the rows' estimates and error bounds (and the worst row's
-copies of them).
+from another checkout) it then prints, for each run whose files differ
+from OTHER_DIR's, what moved: for a certify report the largest |change|
+of any row's estimate and that row's ``error_bound`` here, for a
+check-conditions report each check's ``estimated_constant`` or
+``max_violation`` that moved.  It exits with 1 when any row's move
+exceeds that row's own bound, when a check's value moves by more than
+``CHECK_TOL``, when a report differs in anything else (beyond the rows'
+estimates and error bounds and the worst row's copies of them), or when
+the standard output differs in a verdict line or the exit code (its
+lines compared with their numbers masked, the exit code as it is).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -75,30 +80,95 @@ def compare(new: dict, old: dict) -> tuple[float, dict | None, list] | None:
     return deltas[i], rows[i], over
 
 
+#: check fields that may move, and by at most this much (perfbench's
+#: SLACK_TOL)
+_CHECK_MOVABLE = ("estimated_constant", "max_violation")
+CHECK_TOL = 1e-7
+
+
+def compare_checks(new: dict, old: dict) -> list | None:
+    """How check-conditions report ``new`` moved from ``old``: (check,
+    field, old value, new value) for each estimated constant or
+    max_violation that moved, or None when they differ in anything else
+    (a value that appears or vanishes included)."""
+    new, old = dict(new), dict(old)
+    checks, old_checks = new.pop("checks", None), old.pop("checks", None)
+    if checks is None or old_checks is None or new != old or checks.keys() != old_checks.keys():
+        return None
+    moves = []
+    for name in checks:
+        mine, theirs = dict(checks[name]), dict(old_checks[name])
+        for key in _CHECK_MOVABLE:
+            value, was = mine.pop(key, None), theirs.pop(key, None)
+            if value is None or was is None:
+                if value is not was:
+                    return None
+            elif repr(value) != repr(was):  # NaN equals itself here
+                moves.append((name, key, was, value))
+        if mine != theirs:
+            return None
+    return moves
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
+def same_verdicts(new: str, old: str) -> bool:
+    """Whether two runs' standard outputs agree in every line but its
+    numbers, and in the last line (the exit code) as it is."""
+    mine, theirs = new.splitlines(), old.splitlines()
+    return (mine[-1:] == theirs[-1:]
+            and [_NUMBER.sub("#", line) for line in mine] == [_NUMBER.sub("#", line) for line in theirs])
+
+
+def _report_moves(name: str, new: dict, old: dict) -> int:
+    """Print how a report moved; 1 if beyond what is allowed."""
+    if "checks" in new:
+        moves = compare_checks(new, old)
+        if moves is None:
+            print(f"{name}: differs beyond check constants and max violations")
+            return 1
+        status = 0
+        for check, key, was, value in moves:
+            delta = abs(value - was)
+            print(f"{name}: {check} {key} moved by {delta:.3g} ({was!r} -> {value!r})")
+            if not delta <= CHECK_TOL:
+                print(f"{name}: EXCEEDS {CHECK_TOL:g} at {check} {key}")
+                status = 1
+        return status
+    moved = compare(new, old)
+    if moved is None:
+        print(f"{name}: differs beyond row estimates and error bounds")
+        return 1
+    delta, row, over = moved
+    where = "" if row is None else (f" at theta = {row['theta']!r}, "
+                                    f"error_bound = {row['error_bound']:.3g}")
+    print(f"{name}: max |delta estimate| = {delta:.3g}{where}")
+    if over:
+        print(f"{name}: EXCEEDS its error bound at theta = {over!r}")
+        return 1
+    return 0
+
+
 def _moves(out: Path, other: Path) -> int:
-    """Print each run whose report differs from OTHER_DIR's; 1 if any row
-    moved beyond its own error bound, or a report changed otherwise."""
+    """Print each run whose files differ from OTHER_DIR's; 1 if any moved
+    beyond what is allowed (see the module docstring)."""
     status = 0
     for name, *_ in runs():
-        mine, theirs = out / f"{name}.json", other / f"{name}.json"
-        if mine.exists() and theirs.exists() and mine.read_bytes() == theirs.read_bytes():
-            continue
-        if not (mine.exists() and theirs.exists()):
-            print(f"{name}: report missing on one side")
-            status = 1
-            continue
-        moved = compare(json.loads(mine.read_bytes()), json.loads(theirs.read_bytes()))
-        if moved is None:
-            print(f"{name}: differs beyond row estimates and error bounds")
-            status = 1
-            continue
-        delta, row, over = moved
-        where = "" if row is None else (f" at theta = {row['theta']!r}, "
-                                        f"error_bound = {row['error_bound']:.3g}")
-        print(f"{name}: max |delta estimate| = {delta:.3g}{where}")
-        if over:
-            print(f"{name}: EXCEEDS its error bound at theta = {over!r}")
-            status = 1
+        for suffix in (".stdout", ".json"):
+            mine, theirs = out / f"{name}{suffix}", other / f"{name}{suffix}"
+            if mine.exists() != theirs.exists():
+                print(f"{name}: {suffix[1:]} missing on one side")
+                status = 1
+            elif not mine.exists() or mine.read_bytes() == theirs.read_bytes():
+                continue
+            elif suffix == ".stdout":
+                if not same_verdicts(mine.read_text(), theirs.read_text()):
+                    print(f"{name}: standard output differs in a verdict line or the exit code")
+                    status = 1
+            else:
+                status |= _report_moves(name, json.loads(mine.read_bytes()),
+                                        json.loads(theirs.read_bytes()))
     return status
 
 

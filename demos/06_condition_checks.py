@@ -12,6 +12,8 @@ inflated step constant fails with explicit witnesses.
 
 from dataclasses import replace
 
+import numpy as np
+
 from evarify import make_bundle, run_all_checks
 from evarify.checker import check_divergence_growth
 from evarify.core import Estimator
@@ -36,10 +38,9 @@ print(f"\npoisson with exponent 10: {'pass' if report.passing else 'FAIL'}, "
 class OffByOne(Estimator):
     """Deliberately corrupted estimator: selects the neighbouring cell."""
 
-    kind = "off_by_one"
-
     def __init__(self, base):
         self._base, self.net = base, base.net
+        self.right_closed = base.right_closed
 
     def statistic(self, x):
         return self._base.statistic(x)
@@ -47,8 +48,8 @@ class OffByOne(Estimator):
     def index(self, x):
         return self._base.index(x) + 1
 
-    def cell(self, k):
-        return self._base.cell(k - 1)
+    def edges(self, ks):
+        return self._base.edges(np.asarray(ks) - 1)
 
 
 bad = replace(bundle, estimator=OffByOne(bundle.estimator))

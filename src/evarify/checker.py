@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import _index_array
 from .families import FamilyBundle
 
 __all__ = [
@@ -123,33 +124,32 @@ def default_grid_spec(bundle: FamilyBundle) -> GridSpec:
 
 
 def default_cell_samples(bundle: FamilyBundle, n_cells: int = 120,
-                         per_cell: int = 25, seed: int = 0) -> list:
+                         per_cell: int = 25, seed: int = 0):
     """Support samples concentrated on cell extremes plus a seeded fill;
     the divergence to the selected point is monotone towards the cell
     edges for every family here, so including exact edges makes the
     estimated cell bound sharp.  Discrete families bring their own
     (``FamilyBundle.cell_samples``); continuous ones get both edges and
-    ``per_cell`` draws in each of ``n_cells`` cells, lifted to samples."""
+    ``per_cell`` draws in each of ``n_cells`` cells (over a unit length
+    next to the finite end of an unbounded cell), lifted to samples as
+    one batch, cell by cell."""
     rng = np.random.default_rng(seed)
     if bundle.cell_samples is not None:
         return bundle.cell_samples(bundle, n_cells, per_cell, rng)
-    est = bundle.estimator
-    lift = bundle.family.lift
-    samples: list = []
+    net, est = bundle.net, bundle.estimator
     half = n_cells // 2
-    lo_k = est.net.k_min if est.net.k_min is not None else -half
-    ks = range(max(lo_k, -half), max(lo_k, -half) + n_cells)
-    for k in ks:
-        cell = est.cell(k)
-        lo = cell.lo if math.isfinite(cell.lo) else cell.hi - 1.0
-        hi = cell.hi if math.isfinite(cell.hi) else cell.lo + 1.0
-        inner = rng.uniform(lo, hi, per_cell)
-        edge_lo = lo if cell.lo_closed else np.nextafter(lo, hi)
-        edge_hi = hi if cell.hi_closed else np.nextafter(hi, lo)
-        for v in [edge_lo, edge_hi, *inner]:
-            if cell.contains(float(v)):
-                samples.append(lift(float(v)))
-    return samples
+    first = max(-half if net.k_min is None else net.k_min, -half)
+    e = est.edges(np.arange(first, first + n_cells))
+    lo = np.where(np.isfinite(e[:, 0]), e[:, 0], e[:, 1] - 1.0)
+    hi = np.where(np.isfinite(e[:, 1]), e[:, 1], e[:, 0] + 1.0)
+    inner = rng.uniform(lo[:, None], hi[:, None], (n_cells, per_cell))
+    # each cell's ends, the float next to an end inside where it is open
+    right = est.right_closed
+    v = np.column_stack([np.nextafter(lo, hi) if right else lo,
+                         hi if right else np.nextafter(hi, lo), inner])
+    a, b = e[:, :1], e[:, 1:]
+    inside = (a < v if right else a <= v) & (v <= b if right else v < b)
+    return bundle.family.lift(v[inside])
 
 
 def default_growth_pairs(bundle: FamilyBundle) -> list:
@@ -172,19 +172,19 @@ def default_growth_pairs(bundle: FamilyBundle) -> list:
             b = a + gap
             if b > hi_k:
                 continue
-            pa, pb = net.point(a), net.point(b)
+            pa, pb = net.points(a), net.points(b)
             if a - 1 >= lo_k:
-                prev_gap = pa - net.point(a - 1)
+                prev_gap = pa - net.points(a - 1)
             elif space.lo > -math.inf:
                 prev_gap = pa - space.lo
             else:  # pragma: no cover - nets bounded below have finite lo
                 prev_gap = 1.0
             if b + 1 <= hi_k:
-                next_gap = net.point(b + 1) - pb
+                next_gap = net.points(b + 1) - pb
             elif space.hi < math.inf:
                 next_gap = space.hi - pb
             else:
-                next_gap = max(1.0, pb - net.point(b - 1))
+                next_gap = max(1.0, pb - net.points(b - 1))
             # sit just outside the run of net points so the between-count
             # is b - a + 1 while the divergence stays near its infimum
             t1 = pa - prev_gap / 64.0
@@ -197,8 +197,8 @@ def default_growth_pairs(bundle: FamilyBundle) -> list:
         if ka == kb:
             continue
         ka, kb = min(ka, kb), max(ka, kb)
-        t1 = net.point(ka) + (rng.random() - 0.5) * 1e-3
-        t2 = net.point(kb) + (rng.random() - 0.5) * 1e-3
+        t1 = net.points(ka) + (rng.random() - 0.5) * 1e-3
+        t2 = net.points(kb) + (rng.random() - 0.5) * 1e-3
         if t1 < t2 and space.contains(t1) and space.contains(t2):
             pairs.append((float(t1), float(t2)))
     return pairs
@@ -243,9 +243,9 @@ def check_log_ratio_identity(
     spec = grid_spec or default_grid_spec(bundle)
     fam = bundle.family
     gs = np.asarray(spec.g_values, dtype=float)
-    x_arr = _batch(bundle, [fam.lift(g) for g in gs])
+    x_arr = fam.lift(gs)
     thetas = spec.thetas
-    points = [bundle.net.point(k) for k in spec.net_indices]
+    points = bundle.net.points(spec.net_indices)
     # each pair's largest residual and its position on the g axis; NaN
     # marks a pair with no common support (or a NaN residual), which
     # neither raises the worst value nor makes a witness
@@ -319,12 +319,11 @@ def _selection(bundle: FamilyBundle, gs: np.ndarray) -> tuple[np.ndarray, np.nda
     above the greatest (so a neighbour missing here is missing from the
     net), and the point the estimator selects for each statistic."""
     net = bundle.net
-    ks = np.array([bundle.estimator.statistic_index(g) for g in gs.tolist()])
+    ks = np.asarray(bundle.estimator.statistic_index(gs))
     lo = min(int(ks.min()), net.round_index(float(gs.min())) - 1) - 1
     hi = max(int(ks.max()), net.round_index(float(gs.max()))) + 1
-    lo = lo if net.k_min is None else max(lo, net.k_min)
-    hi = hi if net.k_max is None else min(hi, net.k_max)
-    points = np.array([net.point(k) for k in range(lo, hi + 1)])
+    lo, hi = net._clip(np.array([lo, hi]))
+    points = net.points(np.arange(lo, hi + 1))
     return points, points[ks - lo]
 
 
@@ -394,7 +393,7 @@ def check_divergence_growth(
     ps = default_growth_pairs(bundle) if pairs is None else pairs
     net, div = bundle.net, bundle.family.divergence_fn
     t = np.sort(np.asarray(ps, dtype=float).reshape(-1, 2), axis=1)
-    k = np.array([net.count_between(t1, t2) for t1, t2 in t.tolist()], dtype=float)
+    k = np.asarray(net.count_between(t[:, 0], t[:, 1]), dtype=float)
     t, k = t[k > 1], k[k > 1]
     # math.log, as the bound is written: np.log rounds a few values apart
     log_k1 = np.array([math.log(v - 1.0) for v in k.tolist()])
@@ -445,8 +444,7 @@ def step_bounds_directed(
 ) -> tuple[float, float]:
     """(min over consecutive pairs of d(lower||upper),
         min of d(upper||lower)) over the index window."""
-    ks = sorted(int(k) for k in index_window)
-    pts = np.array([bundle.net.point(k) for k in ks], dtype=float)
+    pts = bundle.net.points(np.sort(_index_array(index_window)))
     fam = bundle.family
     d_up = np.asarray(fam.divergence_fn(pts[1:], pts[:-1]), dtype=float)
     d_dn = np.asarray(fam.divergence_fn(pts[:-1], pts[1:]), dtype=float)

@@ -190,9 +190,10 @@ def _many(e, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _index_at(bundle: FamilyBundle, v) -> int:
+def _index_at(bundle: FamilyBundle, v):
     """The net index the estimator selects at a point v of the law's line
-    (a support point for discrete laws, a statistic value otherwise)."""
+    (a support point for discrete laws, a statistic value otherwise), or
+    the array of them at an array of points."""
     est = bundle.estimator
     return est.index(v) if bundle.family.law.discrete else est.statistic_index(v)
 
@@ -317,16 +318,13 @@ def _key_piecewise(bundle: FamilyBundle, components: Mapping) -> Piecewise:
     estimator cell, NaN between the cells and beyond them."""
     keys = np.fromiter(components, int, len(components))
     keys = keys[_in_net(bundle, keys)]
-    return _cells_piecewise(bundle, bundle.cell_bounds(keys.tolist()), keys.astype(float),
-                            math.nan)
+    return _cells_piecewise(bundle, bundle.cell_bounds(keys), keys.astype(float), math.nan)
 
 
 def _in_net(bundle: FamilyBundle, keys: np.ndarray) -> np.ndarray:
     """The positions of the keys the net holds (the estimator never
     selects the others), in increasing order of key."""
-    net = bundle.net
-    held = np.flatnonzero((keys >= (-math.inf if net.k_min is None else net.k_min))
-                          & (keys <= (math.inf if net.k_max is None else net.k_max)))
+    held = np.flatnonzero(bundle.net._clip(keys) == keys)
     return held[np.argsort(keys[held], kind="stable")]
 
 
@@ -373,7 +371,7 @@ def _cellwise_piecewise(
         return None
     held = _in_net(bundle, table.keys)
     keys, lo, hi, level, out = (column[held] for column in table[:5])
-    cell = np.column_stack([lo, hi]) if table.cells else bundle.cell_bounds(keys.tolist())
+    cell = np.column_stack([lo, hi]) if table.cells else bundle.cell_bounds(keys)
     own = (lo == cell[:, 0]) & (hi == cell[:, 1])
     if not np.all(own | (hi <= cell[:, 0]) | (lo >= cell[:, 1])):
         return None
@@ -434,30 +432,36 @@ def _bump_weights(centers: np.ndarray, epsilon: float, v: np.ndarray) -> np.ndar
 
 def _trapezoid_piecewise(table: _PieceTable | None, epsilon: float, C: float) -> Piecewise | None:
     """The interpolated composite as a piecewise over the keys and the
-    ramps to the missing (constant-1) neighbours, 1/C beyond: each ramp
+    ramps to their missing (constant-1) neighbours, 1/C beyond: each ramp
     [c - eps, c + eps) around a half-integer c, split at c, blends the
-    two neighbours' levels linearly.  None unless every component is
-    structured with edges on half-integers, so constant on each piece."""
+    two neighbours' levels linearly.  Only the half-integers next to a key
+    get ramps, so a run of consecutive keys is built piece by piece and
+    the gap to the next run is one piece at 1/C (the missing neighbour's
+    plateau).  None unless every component is structured with edges on
+    half-integers, so constant on each piece."""
     if table is None or not len(table.keys):
         return None if table is None else Piecewise.constant(1.0 / C)
     finite = np.concatenate([table.lo, table.hi])
     if np.any(finite[finite < math.inf] % 1.0 != 0.5):
         return None
-    first = int(table.keys.min()) - 1
-    size = int(table.keys.max()) - first + 2
-    lo, hi, level, out = slots = [np.full(size, v) for v in (math.inf, math.inf, 0.0, 1.0)]
-    for slot, values in zip(slots, table[1:5]):
-        slot[table.keys - first] = values
+    # the keys and their neighbours; each half-integer between two of them
+    # follows slot j (in left)
+    slots = np.unique(np.concatenate([table.keys - 1, table.keys, table.keys + 1]))
+    lo, hi, level, out = columns = [np.full(len(slots), v) for v in (math.inf, math.inf, 0.0, 1.0)]
+    for column, values in zip(columns, table[1:5]):
+        column[slots.searchsorted(table.keys)] = values
+    left = np.flatnonzero(np.diff(slots) == 1)
     eps = float(epsilon)
-    centers = np.arange(first, first + size - 1) + 0.5
+    centers = slots[left] + 0.5
     knots = np.column_stack([centers - eps, centers, centers + eps]).ravel()
     mids = 0.5 * (knots[:-1] + knots[1:])
-    j = np.arange(len(mids)) // 3  # the half-integer each piece follows
+    t = np.arange(len(mids)) // 3  # the half-integer each piece follows
+    j = left[t]
 
     def at(i):
         return np.where((lo[i] <= mids) & (mids < hi[i]), level[i], out[i])
 
-    L, R, c = at(j), at(j + 1), centers[j]  # the integers either side
+    L, R, c = at(j), at(j + 1), centers[t]  # the slots either side
     ramp = np.arange(len(mids)) % 3 != 2
     a = np.where(ramp, (L * (c + eps) - R * (c - eps)) / (2.0 * eps), R) / C
     b = np.where(ramp, (R - L) / (2.0 * eps), 0.0) / C
@@ -620,7 +624,7 @@ def components_from_specs(
             out[k] = verifier.spike_evar(bundle, k)
         elif ctype == "likelihood_ratio":
             out[k] = likelihood_ratio_evar(
-                bundle.family, bundle.net.point(k), float(spec["alternative"])
+                bundle.family, bundle.net.points(k), float(spec["alternative"])
             )
         elif ctype == "calibrated_p":
             out[k] = verifier.upper_tail_calibrated_evar(

@@ -8,10 +8,11 @@ family:
 
 * one-parameter ``Family`` bundles (log-density, divergence, pointwise
   estimate of the parameter indicated by a sample),
-* countable parameter ``Net`` grids with predecessor / successor / rounding
-  access,
-* ``Estimator`` maps from samples to net points, with explicit cell
-  geometry in statistic space,
+* countable parameter ``Net`` grids, each from two array primitives (its
+  points and a floor index), with predecessor / successor / rounding
+  access on one value or an array,
+* ``Estimator`` maps from samples to net points, with their cells'
+  edges in statistic space as arrays,
 * the two closed-form normalizing factors ``factor_from_growth`` and
   ``factor_from_steps`` that certify the selection rule
   ``e(x) = e_{shat(x)}(x) / C``,
@@ -27,8 +28,10 @@ the zero count of a Poisson sample) legitimately hit the boundary, where
 the divergence is defined by continuous extension.
 
 Rounding to a net breaks ties upward (toward the successor).  Predecessor
-and successor are strict: ``pred(t) < t < succ(t)``; ``None`` signals that
-``t`` lies beyond the net's extreme elements.
+and successor are strict: ``pred(t) < t < succ(t)``; ``None`` (NaN in an
+array) signals that ``t`` lies beyond the net's extreme elements.  Net
+indices stay below 2**53 in magnitude: a value whose index would reach it
+raises ``DomainError``.
 
 All densities are computed in log space (factorials via ``gammaln``) so
 that counts in the thousands neither overflow nor lose the leading digits.
@@ -43,7 +46,6 @@ share across threads; all operations are pure functions of their inputs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Literal
@@ -73,7 +75,6 @@ __all__ = [
     "Geometric",
     "BinomialSine",
     "net_neighbors",
-    "Cell",
     "Estimator",
     "RoundToNet",
     "CeilDyadic",
@@ -177,16 +178,19 @@ class StatLaw:
     tail_floor: float = 0.0
     moment: Callable[[float, np.ndarray], tuple] | None = None
 
-    def window(self, theta: float, tail: float) -> tuple[float, float]:
+    def window(self, theta, tail: float):
         """Statistic interval [lo, hi] (support points, for discrete laws)
         holding all but ``tail`` of the mass under theta -- or all but what
-        lies beyond the heavy-tail cap -- clamped to the support."""
+        lies beyond the heavy-tail cap -- clamped to the support: a pair of
+        floats for one theta, an (m, 2) array for an array of m."""
+        theta = np.asarray(theta, dtype=float)
         if self.cap is not None:
-            lo, hi = theta - self.cap, theta + self.cap
+            ends = np.stack([theta - self.cap, theta + self.cap], axis=-1)
         else:
             q = np.array([max(tail / 2.0, self.tail_floor), 1.0 - tail / 2.0])
-            lo, hi = (float(v) for v in self.ppf(theta, q))
-        return min(max(lo, self.lo), self.hi), min(max(hi, self.lo), self.hi)
+            ends = self.ppf(theta[..., None], q)
+        ends = np.clip(ends, self.lo, self.hi)
+        return (float(ends[0]), float(ends[1])) if theta.ndim == 0 else ends
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +252,8 @@ class Family:
     parameter space; it takes one sample or a batch with ``log_density``'s
     convention and returns a float for one sample, an array of one value
     per sample otherwise.  ``lift(v)`` is a sample x with ``estimator_g(x) == v``
-    (the checker's way onto the statistic axis); ``law`` is the
-    distribution of g(X).
+    (the checker's way onto the statistic axis), for one value or a batch
+    of them; ``law`` is the distribution of g(X).
     """
 
     name: str
@@ -368,84 +372,111 @@ def calibrate_p_to_e(kappa: float, p) -> object:
 # Nets
 # ---------------------------------------------------------------------------
 
+#: Net indices stay below this in magnitude: beyond it consecutive net
+#: points are no longer distinct floats (and, further out, an index no
+#: longer fits in an int64).
+_INDEX_LIMIT = 2.0 ** 53
+
+#: the offsets of the indices a floor estimate is repaired from
+_AROUND = np.arange(-1, 3)
+
+
+def _one(a):
+    """A 0-d result as a Python scalar, any other as the array (the
+    one-value-or-a-batch convention of ``Family.estimator_g``)."""
+    a = np.asarray(a)
+    return a.item() if a.ndim == 0 else a
+
+
+def _index_array(ks) -> np.ndarray:
+    """Net indices (one, a sequence or a range) as an int64 array."""
+    if isinstance(ks, range):  # without a Python int per element
+        return np.arange(ks.start, ks.stop, ks.step, dtype=np.int64)
+    return np.asarray(ks, dtype=np.int64)
+
+
+def _int_index(k: np.ndarray) -> np.ndarray:
+    """Float index estimates as int64, raising :class:`DomainError` where
+    one is not finite or reaches ``_INDEX_LIMIT`` in magnitude."""
+    if not (np.abs(k) < _INDEX_LIMIT).all():
+        raise DomainError("a net index beyond 2**53, where the net points are "
+                          "no longer distinct floats")
+    return np.asarray(k).astype(np.int64)
+
 
 class Net:
     """An ordered countable parameter grid.
 
-    Subclasses define ``point(k)`` (strictly increasing in the index k)
-    and ``_floor_index(t)`` (the largest k with point(k) <= t, or None
-    when t lies below the smallest element).  Index bounds ``k_min`` /
-    ``k_max`` are ``None`` when the net is unbounded on that side.
+    Subclasses define two primitives from their closed form:
+    ``points(ks)``, strictly increasing in the index k, takes one index (a
+    float result) or an array of them; ``_floor(t)`` maps an array of
+    values to the largest index whose point is at most each (``k_min - 1``
+    below the smallest point), an int64 array.  Index bounds ``k_min`` /
+    ``k_max`` are ``None`` when the net is unbounded on that side.  The
+    derived access below takes one value (a scalar result) or an array.
     """
 
     kind: str = "abstract"
     k_min: int | None = None
     k_max: int | None = None
 
-    def point(self, k: int) -> float:
+    def points(self, ks):
         raise NotImplementedError
 
-    def _floor_index(self, t: float) -> int | None:
+    def _floor(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # -- derived access ----------------------------------------------------
+    def _repaired(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The floor index of t from an estimate k at most two off: k
+        less the points k - 1 and k above t, plus k + 1 and k + 2 at or
+        below it."""
+        p, t = self.points(k[..., None] + _AROUND), t[..., None]
+        return k + (p[..., 2:] <= t).sum(axis=-1) - (p[..., :2] > t).sum(axis=-1)
 
-    def pred_index(self, t: float) -> int | None:
-        """Index of max{s in S : s < t}, or None."""
-        k = self._floor_index(t)
-        if k is None:
-            return None
-        if self.point(k) == t:
-            k -= 1
-        if self.k_min is not None and k < self.k_min:
-            return None
-        return k
+    def _clip(self, k: np.ndarray) -> np.ndarray:
+        """Indices moved into [k_min, k_max]."""
+        if self.k_min is not None:
+            k = np.maximum(k, self.k_min)
+        return k if self.k_max is None else np.minimum(k, self.k_max)
 
-    def succ_index(self, t: float) -> int | None:
-        """Index of min{s in S : t < s}, or None."""
-        k = self._floor_index(t)
-        k = (self.k_min if self.k_min is not None else 0) - 1 if k is None else k
-        k += 1
-        if self.k_max is not None and k > self.k_max:
-            return None
-        return k
+    def _points_or_none(self, k: np.ndarray):
+        """points(k), None (one index) or NaN (an array) beyond the net."""
+        absent = self._clip(k) != k
+        if np.ndim(k) == 0:
+            return None if absent else self.points(k)
+        return np.where(absent, np.nan, self.points(self._clip(k)))
 
-    def pred(self, t: float) -> float | None:
-        k = self.pred_index(t)
-        return None if k is None else self.point(k)
+    def _floor_below(self, t: np.ndarray) -> np.ndarray:
+        """The largest index whose point is below each t."""
+        k = self._floor(t)
+        return k - (self.points(self._clip(k)) == t)
 
-    def succ(self, t: float) -> float | None:
-        k = self.succ_index(t)
-        return None if k is None else self.point(k)
+    def pred(self, t):
+        """max{s in S : s < t}; None (one t) or NaN (an array) where no
+        point lies below t."""
+        return self._points_or_none(self._floor_below(np.asarray(t, dtype=float)))
 
-    def round_index(self, t: float) -> int:
+    def succ(self, t):
+        """min{s in S : t < s}; None (one t) or NaN (an array) where no
+        point lies above t."""
+        return self._points_or_none(self._floor(np.asarray(t, dtype=float)) + 1)
+
+    def round_index(self, t):
         """Index of the nearest net element; ties (at the float midpoint,
-        the edge of :meth:`RoundToNet.cell`) go to the successor."""
-        lo_k = self._floor_index(t)
-        if lo_k is None:
-            k = self.k_min
-            if k is None:  # pragma: no cover - all nets unbounded below have points everywhere
-                raise DomainError("no net element below or at t on an unbounded net")
-            return k
-        hi_k = lo_k + 1
-        if self.k_max is not None and hi_k > self.k_max:
-            return lo_k
-        return lo_k if t < 0.5 * (self.point(lo_k) + self.point(hi_k)) else hi_k
+        the edge of :meth:`RoundToNet.edges`) go to the successor."""
+        t = np.asarray(t, dtype=float)
+        k = self._floor(t)
+        lo, hi = self._clip(k), self._clip(k + 1)  # equal beyond the net's ends
+        return _one(lo + (hi - lo) * (t >= 0.5 * (self.points(lo) + self.points(hi))))
 
-    def round(self, t: float) -> float:
-        return self.point(self.round_index(t))
+    def round(self, t):
+        return self.points(self.round_index(t))
 
-    def count_between(self, a: float, b: float) -> int:
+    def count_between(self, a, b):
         """|S intersect (a, b)| for the open interval, 0 when a >= b."""
-        if not a < b:
-            return 0
-        ka = self.succ_index(a)
-        if ka is None:
-            return 0
-        kb = self.pred_index(b)
-        if kb is None:
-            return 0
-        return max(0, kb - ka + 1)
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        n = self._floor_below(b) - self._floor(a)
+        return _one(np.where(a < b, np.maximum(0, n), 0))
 
 
 def net_neighbors(
@@ -464,11 +495,11 @@ class IntegerLattice(Net):
 
     kind = "integer_lattice"
 
-    def point(self, k: int) -> float:
-        return float(k)
+    def points(self, ks):
+        return _one(_index_array(ks).astype(float))
 
-    def _floor_index(self, t: float) -> int | None:
-        return math.floor(t)
+    def _floor(self, t):
+        return _int_index(np.floor(t))
 
 
 @dataclass(frozen=True)
@@ -489,18 +520,17 @@ class ScaledLattice(Net):
     def spacing(self) -> float:
         return self.alpha / math.sqrt(self.n)
 
-    def point(self, k: int) -> float:
-        return k * self.spacing
+    def points(self, ks):
+        return _one(_index_array(ks) * self.spacing)
 
-    def _floor_index(self, t: float) -> int | None:
-        h = self.spacing
-        k = math.floor(t / h)
-        # float slop: repair so that point(k) <= t < point(k + 1)
-        while self.point(k) > t:
-            k -= 1
-        while self.point(k + 1) <= t:
-            k += 1
-        return k
+    def _floor(self, t):
+        return self._repaired(_int_index(np.floor(t / self.spacing)), t)
+
+
+def _powers_of_two(ks):
+    """2^k for each index, inf beyond the floats."""
+    with np.errstate(over="ignore"):
+        return _one(np.ldexp(1.0, _index_array(ks)))
 
 
 class DyadicInt(Net):
@@ -509,15 +539,12 @@ class DyadicInt(Net):
     kind = "dyadic_int"
     k_min = 0
 
-    def point(self, k: int) -> float:
-        return float(2.0 ** k)
+    def points(self, ks):
+        return _powers_of_two(ks)
 
-    def _floor_index(self, t: float) -> int | None:
-        if t < 1.0:
-            return None
-        # exact: frexp gives t = m * 2^e with m in [0.5, 1)
-        _, e = math.frexp(t)
-        return e - 1
+    def _floor(self, t):
+        # exact: frexp gives t = m * 2^e with m in [0.5, 1); below 1, -1
+        return (np.frexp(np.maximum(t, 0.5))[1] - 1).astype(np.int64)
 
 
 class DyadicReal(Net):
@@ -525,14 +552,13 @@ class DyadicReal(Net):
 
     kind = "dyadic_real"
 
-    def point(self, k: int) -> float:
-        return float(2.0 ** k)
+    def points(self, ks):
+        return _powers_of_two(ks)
 
-    def _floor_index(self, t: float) -> int | None:
-        if t <= 0.0:
+    def _floor(self, t):
+        if not (t > 0.0).all():
             raise DomainError("dyadic net is only defined for positive reals")
-        _, e = math.frexp(t)
-        return e - 1
+        return (np.frexp(t)[1] - 1).astype(np.int64)
 
 
 class Squares(Net):
@@ -541,18 +567,13 @@ class Squares(Net):
     kind = "squares"
     k_min = 1
 
-    def point(self, k: int) -> float:
-        return float(k * k)
+    def points(self, ks):
+        k = _index_array(ks).astype(float)
+        return _one(k * k)
 
-    def _floor_index(self, t: float) -> int | None:
-        if t < 1.0:
-            return None
-        k = math.isqrt(int(t))
-        while k * k > t:
-            k -= 1
-        while (k + 1) * (k + 1) <= t:
-            k += 1
-        return k
+    def _floor(self, t):
+        # below 1 the repair ends at 0 or -1: both mean below the net
+        return np.maximum(self._repaired(_int_index(np.floor(np.sqrt(np.maximum(t, 1.0)))), t), 0)
 
 
 class Geometric(Net):
@@ -561,6 +582,7 @@ class Geometric(Net):
     When the ratio is rational (e.g. 1 + 1/sqrt(n) with square n) the
     points are computed by exact rational exponentiation and rounded once
     to float, so long index windows do not accumulate rounding error.
+    Each power is computed once, on its own, and kept.
     """
 
     kind = "geometric"
@@ -573,26 +595,22 @@ class Geometric(Net):
         self._log_ratio = math.log(ratio)
         self._cache: dict[int, float] = {}
 
-    def point(self, k: int) -> float:
-        cached = self._cache.get(k)
-        if cached is not None:
-            return cached
-        if self._exact is not None:
-            value = float(self._exact ** k)
-        else:
-            value = math.exp(k * self._log_ratio)
-        self._cache[k] = value
+    def _power(self, k: int) -> float:
+        value = self._cache.get(k)
+        if value is None:
+            value = (float(self._exact ** k) if self._exact is not None
+                     else math.exp(k * self._log_ratio))
+            self._cache[k] = value
         return value
 
-    def _floor_index(self, t: float) -> int | None:
-        if t <= 0.0:
+    def points(self, ks):
+        k = _index_array(ks)
+        return _one(np.reshape([self._power(j) for j in k.ravel().tolist()], k.shape))
+
+    def _floor(self, t):
+        if not (t > 0.0).all():
             raise DomainError("geometric net is only defined for positive reals")
-        k = math.floor(math.log(t) / self._log_ratio)
-        while self.point(k) > t:
-            k -= 1
-        while self.point(k + 1) <= t:
-            k += 1
-        return k
+        return self._repaired(_int_index(np.floor(np.log(t) / self._log_ratio)), t)
 
 
 class BinomialSine(Net):
@@ -612,21 +630,14 @@ class BinomialSine(Net):
         self.L = math.isqrt(self.n)
         self.k_min = 1
         self.k_max = self.L - 1
-        self._points = [
-            math.sin(math.pi * t / (2 * self.L)) ** 2 for t in range(1, self.L)
-        ]
+        self._table = np.array(
+            [math.sin(math.pi * t / (2 * self.L)) ** 2 for t in range(1, self.L)])
 
-    def point(self, k: int) -> float:
-        return self._points[k - 1]
+    def points(self, ks):
+        return _one(self._table[_index_array(ks) - 1])
 
-    def _floor_index(self, t: float) -> int | None:
-        if t < self._points[0]:
-            return None
-        # bisect over the cached, strictly increasing point list
-        i = bisect_left(self._points, t)
-        if i < len(self._points) and self._points[i] == t:
-            return i + 1
-        return i  # points[i-1] < t, 1-based index i
+    def _floor(self, t):
+        return np.searchsorted(self._table, t, "right")
 
     def indices(self) -> range:
         return range(self.k_min, self.k_max + 1)
@@ -637,118 +648,75 @@ class BinomialSine(Net):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One estimator cell in statistic space: the interval of statistic
-    values mapped to a given net point."""
-
-    lo: float
-    hi: float
-    lo_closed: bool
-    hi_closed: bool
-
-    def contains(self, v: float) -> bool:
-        if v < self.lo or (not self.lo_closed and v == self.lo):
-            return False
-        if v > self.hi or (not self.hi_closed and v == self.hi):
-            return False
-        return True
-
-    def clip(self, lo: float, hi: float) -> "Cell":
-        """Intersect with the closed interval [lo, hi]."""
-        new_lo, new_lo_closed = self.lo, self.lo_closed
-        if lo > new_lo:
-            new_lo, new_lo_closed = lo, True
-        new_hi, new_hi_closed = self.hi, self.hi_closed
-        if hi < new_hi:
-            new_hi, new_hi_closed = hi, True
-        return Cell(new_lo, new_hi, new_lo_closed, new_hi_closed)
-
-    def integer_range(self) -> tuple[int, int]:
-        """Smallest/largest integers inside the cell (inclusive); the cell
-        must be bounded (clip against the support first)."""
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError("integer_range needs a bounded cell")
-        lo = math.ceil(self.lo)
-        if lo == self.lo and not self.lo_closed:
-            lo += 1
-        hi = math.floor(self.hi)
-        if hi == self.hi and not self.hi_closed:
-            hi -= 1
-        return int(lo), int(hi)
-
-
 class Estimator:
     """Maps a sample to a net point through a scalar statistic.
 
     ``statistic(x)`` reduces the sample; ``index(x)`` selects the net
-    index; calling the estimator returns the selected net point.  The cell
-    of index k is the statistic-space preimage of the k-th net point.
+    index; calling the estimator returns the selected net point.  Each
+    takes one sample or a batch (``Family.estimator_g``'s convention).
+    The cell of index k is the statistic-space preimage of the k-th net
+    point: ``edges(ks)`` gives each cell's two ends, shape ks.shape +
+    (2,), and a cell holds its right end when the class's
+    ``right_closed`` is set and its left end otherwise.
     """
 
-    kind: str = "abstract"
     net: Net
+    right_closed: bool = False
 
-    def statistic(self, x) -> float:
+    def statistic(self, x):
+        """The sample itself, unless a subclass reduces it."""
+        return _one(np.asarray(x, dtype=float))
+
+    def index(self, x):
         raise NotImplementedError
 
-    def index(self, x) -> int:
-        raise NotImplementedError
+    def __call__(self, x):
+        return self.net.points(self.index(x))
 
-    def __call__(self, x) -> float:
-        return self.net.point(self.index(x))
-
-    def statistic_index(self, v: float) -> int:
+    def statistic_index(self, v):
         """The net index selected by statistic value v (the same as
         ``index`` where the statistic is the sample itself)."""
         return self.index(v)
 
-    def cell(self, k: int) -> Cell:
+    def edges(self, ks) -> np.ndarray:
         raise NotImplementedError
 
 
 class RoundToNet(Estimator):
-    """Round the statistic to the nearest net point (ties upward)."""
+    """Round the statistic to the nearest net point (ties upward): the
+    cells run between the midpoints of neighbouring points, open above,
+    and without end beyond the net's extreme points."""
 
-    kind = "round_to_net"
-
-    def __init__(self, net: Net, statistic: Callable[[object], float] | None = None):
+    def __init__(self, net: Net, statistic: Callable[[object], object] | None = None):
         self.net = net
         self._statistic = statistic
 
-    def statistic(self, x) -> float:
-        if self._statistic is None:
-            return float(x)
-        return float(self._statistic(x))
+    def statistic(self, x):
+        return _one(np.asarray(x if self._statistic is None else self._statistic(x),
+                               dtype=float))
 
-    def index(self, x) -> int:
+    def index(self, x):
         return self.net.round_index(self.statistic(x))
 
-    def statistic_index(self, v: float) -> int:
+    def statistic_index(self, v):
         return self.net.round_index(v)
 
-    def cell(self, k: int) -> Cell:
-        net = self.net
-        s = net.point(k)
-        if net.k_min is not None and k == net.k_min:
-            lo, lo_closed = -math.inf, False
-        else:
-            lo, lo_closed = 0.5 * (net.point(k - 1) + s), True
-        if net.k_max is not None and k == net.k_max:
-            hi, hi_closed = math.inf, False
-        else:
-            hi, hi_closed = 0.5 * (s + net.point(k + 1)), False
-        return Cell(lo, hi, lo_closed, hi_closed)
+    def edges(self, ks) -> np.ndarray:
+        net, k = self.net, _index_array(ks)
+        below, s, above = (net.points(net._clip(k + d)) for d in (-1, 0, 1))
+        lo = np.where(k == net.k_min, -np.inf, 0.5 * (below + s))
+        hi = np.where(k == net.k_max, np.inf, 0.5 * (s + above))
+        return np.stack([lo, hi], axis=-1)
 
 
 class CeilDyadic(Estimator):
     """Map x to 2^(ceil(log2 x)); on the integer net, 0 maps to 1.
 
     The cell of 2^j is (2^(j-1), 2^j]; on the integer net the smallest
-    cell is {0, 1}.
+    cell is everything up to 1, so {0, 1} on the support.
     """
 
-    kind = "ceil_dyadic"
+    right_closed = True
 
     def __init__(self, net: DyadicInt | DyadicReal):
         if not isinstance(net, (DyadicInt, DyadicReal)):
@@ -756,28 +724,33 @@ class CeilDyadic(Estimator):
         self.net = net
         self._integer = isinstance(net, DyadicInt)
 
-    def statistic(self, x) -> float:
-        return float(x)
-
-    def index(self, x) -> int:
-        v = self.statistic(x)
+    def index(self, x):
+        v = np.asarray(x, dtype=float)
         if self._integer:
-            if v < 0 or v != int(v):
-                raise DomainError(f"{v!r} is not a non-negative integer")
-            iv = int(v)
-            return (iv - 1).bit_length() if iv >= 1 else 0
-        if v <= 0.0:
+            ok = (0.0 <= v) & (v < np.inf) & (v == np.floor(v))
+            if not ok.all():
+                raise DomainError(f"{float(np.ravel(v)[np.argmin(np.ravel(ok))])!r} "
+                                  "is not a non-negative integer")
+        elif not (v > 0.0).all():
             raise DomainError("ceil_dyadic on reals needs x > 0")
-        m, e = math.frexp(v)
-        return e - 1 if m == 0.5 else e
+        # 2^(e-1) < v <= 2^e for v = m 2^e with m in (1/2, 1], so e - 1 at
+        # a power of two; 0 on the integers selects 2^0 = 1, as 1 does
+        m, e = np.frexp(np.maximum(v, 1.0) if self._integer else v)
+        return _one((e - (m == 0.5)).astype(np.int64))
 
-    def cell(self, k: int) -> Cell:
-        if self._integer and k == 0:
-            return Cell(0.0, 1.0, True, True)
-        return Cell(self.net.point(k - 1), self.net.point(k), False, True)
+    def edges(self, ks) -> np.ndarray:
+        k = _index_array(ks)
+        lo = self.net.points(k - 1)
+        if self._integer:
+            lo = np.where(k == 0, -np.inf, lo)
+        return np.stack([lo, self.net.points(k)], axis=-1)
 
 
 TieRule = Literal["up", "down", "even", "odd"]
+
+#: each tie rule's choice on the neighbourhood of m + 1/2, as
+#: m + a + b (m mod 2) for its (a, b) (m & 1 is m mod 2 for int64 m)
+_TIES = {"up": (1, 0), "down": (0, 0), "even": (0, 1), "odd": (1, -1)}
 
 
 class REpsilon(Estimator):
@@ -787,45 +760,36 @@ class REpsilon(Estimator):
     Outside every interval [m + 1/2 - eps, m + 1/2 + eps) the map is plain
     nearest-integer rounding; on the neighbourhood of m + 1/2 it is the
     constant ``m`` or ``m + 1`` chosen by the tie rule ("up", "down",
-    "even", "odd", or a callable m -> chosen integer).  Half-open like the
-    cells, so ``index`` and ``cell`` agree on every float (which end the
-    neighbourhood holds is a null set under continuous laws).  Requires
-    eps <= 1/5 so neighbouring choices cannot interact.
+    "even" or "odd").  Half-open like the cells, so ``index`` and
+    ``edges`` agree on every float (which end the neighbourhood holds is
+    a null set under continuous laws).  Requires eps <= 1/5 so
+    neighbouring choices cannot interact.
     """
 
-    kind = "r_epsilon"
-
-    def __init__(self, epsilon: float, tie: TieRule | Callable[[int], int] = "up",
+    def __init__(self, epsilon: float, tie: TieRule = "up",
                  net: IntegerLattice | None = None):
         if not 0.0 < epsilon <= 0.2:
             raise DomainError("epsilon must lie in (0, 1/5]")
+        if tie not in _TIES:
+            raise DomainError(f"unknown tie rule {tie!r}")
         self.epsilon = float(epsilon)
         self.net = net if net is not None else IntegerLattice()
-        if callable(tie):
-            self._choice = tie
-        elif tie == "up":
-            self._choice = lambda m: m + 1
-        elif tie == "down":
-            self._choice = lambda m: m
-        elif tie == "even":
-            self._choice = lambda m: m if m % 2 == 0 else m + 1
-        elif tie == "odd":
-            self._choice = lambda m: m if m % 2 != 0 else m + 1
-        else:
-            raise DomainError(f"unknown tie rule {tie!r}")
+        self._tie = _TIES[tie]
 
-    def statistic(self, x) -> float:
-        return float(x)
+    def _choice(self, m: np.ndarray) -> np.ndarray:
+        """The integer the neighbourhood of m + 1/2 selects."""
+        a, b = self._tie
+        return m + a + b * (m & 1)
 
-    def index(self, x) -> int:
-        v = self.statistic(x)  # compared with the floats bounding the cells
-        m = math.floor(v)  # half-integer m + 0.5 is the one in [m, m+1)
-        if v < m + 0.5 - self.epsilon:
-            return int(m)
-        return int(self._choice(m)) if v < m + 0.5 + self.epsilon else int(m) + 1
-
-    def cell(self, n: int) -> Cell:
+    def index(self, x):
+        v = np.asarray(x, dtype=float)  # compared with the floats bounding the cells
+        m = self.net._floor(v)  # half-integer m + 0.5 is the one in [m, m+1)
         eps = self.epsilon
-        left = n - 0.5 - eps if self._choice(n - 1) == n else n - 0.5 + eps
-        right = n + 0.5 + eps if self._choice(n) == n else n + 0.5 - eps
-        return Cell(left, right, True, False)
+        return _one(np.where(v < m + 0.5 - eps, m,
+                             np.where(v < m + 0.5 + eps, self._choice(m), m + 1)))
+
+    def edges(self, ks) -> np.ndarray:
+        n, eps = _index_array(ks), self.epsilon
+        left = np.where(self._choice(n - 1) == n, n - 0.5 - eps, n - 0.5 + eps)
+        right = np.where(self._choice(n) == n, n + 0.5 + eps, n + 0.5 - eps)
+        return np.stack([left, right], axis=-1)

@@ -85,6 +85,7 @@ from .core import (
     ScaledLattice,
     Squares,
     StatLaw,
+    _index_array,
     factor_from_growth,
     factor_from_steps,
 )
@@ -191,7 +192,7 @@ def poisson_family() -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=_as_floats,
-        lift=float,
+        lift=_as_floats,
         law=_discrete_law(
             lambda lam, k: pdtr(k, lam),
             lambda lam, k: pdtrc(k, lam),
@@ -232,7 +233,7 @@ def binomial_family(n: int) -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=lambda k: _as_floats(k) / n,
-        lift=lambda v: float(round(v * n)),
+        lift=lambda v: _as_floats(np.round(np.multiply(v, n))),
         law=_discrete_law(
             lambda p, k: _binom_cdf(k, n, p),
             lambda p, k: _binom_sf(k, n, p),
@@ -274,7 +275,7 @@ def discrete_uniform_family() -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=_as_floats,
-        lift=float,
+        lift=_as_floats,
         law=_discrete_law(
             _du_cdf, lambda N, k: 1.0 - _du_cdf(N, k), _du_ppf,
             lambda N, m, rng: rng.integers(0, int(N) + 1, m).astype(float),
@@ -307,7 +308,7 @@ def continuous_uniform_family() -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=_as_floats,
-        lift=float,
+        lift=_as_floats,
         law=StatLaw(
             discrete=False,
             cdf=cdf,
@@ -362,7 +363,8 @@ def normal_mean_family(n: int) -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=_as_floats if n == 1 else mean,
-        lift=float if n == 1 else (lambda v: np.full(n, float(v))),
+        lift=_as_floats if n == 1 else (
+            lambda v: np.repeat(np.asarray(v, dtype=float)[..., None], n, axis=-1)),
         law=StatLaw(
             discrete=False,
             cdf=cdf,
@@ -411,7 +413,7 @@ def normal_variance_family(n: int) -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=g,
-        lift=lambda v: np.full(n, math.sqrt(float(v))),
+        lift=lambda v: np.repeat(np.sqrt(np.asarray(v, dtype=float))[..., None], n, axis=-1),
         law=StatLaw(
             discrete=False,
             cdf=lambda var, v: np.where(chi2(var, v) > 0, chdtr(n, chi2(var, v)), 0.0),
@@ -454,7 +456,7 @@ def cauchy_family() -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=_as_floats,
-        lift=float,
+        lift=_as_floats,
         law=StatLaw(
             discrete=False,
             cdf=cdf,
@@ -498,16 +500,17 @@ class FamilyBundle:
     factor_inputs: FactorInputs | None
     factor_C: float
     route: str  # "growth" | "steps" | "direct"
-    theta_grid: Callable[["FamilyBundle"], list]
+    theta_grid: Callable[["FamilyBundle"], np.ndarray]
     identity_axes: Callable[["FamilyBundle"], tuple]
-    cell_samples: Callable[..., list] | None = None
+    cell_samples: Callable[..., Sequence] | None = None
     params: Mapping[str, float] = field(default_factory=dict)
     bundle_id: str = ""
     #: net index of each support point 0..n, for finite discrete supports
     support_index: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def estimate(self, x) -> float:
-        """The selected net point for sample ``x``."""
+    def estimate(self, x):
+        """The selected net point for one sample ``x`` (a float) or a
+        batch (an array)."""
         return self.estimator(x)
 
     def locate(self, xs):
@@ -534,24 +537,26 @@ class FamilyBundle:
     @property
     def right_closed(self) -> bool:
         """Whether a cell holds its right edge on the law's line."""
-        k = (self.net.k_min or 0) + 1  # a cell with both edges finite
-        return self.family.law.discrete or self.estimator.cell(k).hi_closed
+        return self.family.law.discrete or self.estimator.right_closed
 
     def cell_bounds(self, ks: Sequence[int]) -> np.ndarray:
         """Per-cell (lo, hi) on the law's line, shape (len(ks), 2), with
         P_theta(cell k) = law.cdf(theta, hi) - law.cdf(theta, lo): the
-        statistic interval clipped to the support, or the support points
-        before the cell and at its end for discrete laws."""
+        estimator's edges clipped to the support, or, for discrete laws,
+        the support point before the cell's first and its last (a cell
+        holds an end that the support clips it to)."""
         law = self.family.law
+        ks = _index_array(ks).reshape(-1)
         if self.support_index is not None:
             ends = [np.searchsorted(self.support_index, ks, side) for side in ("left", "right")]
             return np.stack(ends, axis=1) - 1.0
-        cells = [self.estimator.cell(int(k)) for k in ks]
-        if law.discrete:
-            top = min(law.hi, 2.0**62)
-            ranges = [c.clip(law.lo, top).integer_range() for c in cells]
-            return np.array([(a - 1, b) for a, b in ranges], dtype=float).reshape(-1, 2)
-        return np.clip(np.array([(c.lo, c.hi) for c in cells]).reshape(-1, 2), law.lo, law.hi)
+        edges = self.estimator.edges(ks)
+        if not law.discrete:
+            return np.clip(edges, law.lo, law.hi)
+        (lo, hi), top, right = edges.T, min(law.hi, 2.0**62), self.estimator.right_closed
+        before = np.where(right & (lo >= law.lo), np.floor(lo), np.ceil(np.maximum(lo, law.lo)) - 1.0)
+        last = np.where(right | (hi > top), np.floor(np.minimum(hi, top)), np.ceil(hi) - 1.0)
+        return np.column_stack([before, last])
 
 
 # ---------------------------------------------------------------------------
@@ -566,16 +571,14 @@ class FamilyBundle:
 _LOCATION_BASES = (0.0, 1.0, -1.0, 10.0, 500.0, -500.0, 1000.0, -1000.0)
 
 
-def _location_grid(offsets) -> list:
-    return [base + o for base in _LOCATION_BASES for o in offsets]
+def _location_grid(offsets) -> np.ndarray:
+    return (np.array(_LOCATION_BASES)[:, None] + np.array(offsets)).ravel()
 
 
-def _scale_grid(points) -> list:
+def _scale_grid(points: np.ndarray) -> np.ndarray:
     """Six decades, plus each net point and its 1 +/- 1e-6 neighbours."""
-    grid = list(np.geomspace(1e-3, 1e3, 61))
-    for s in points:
-        grid += [s, s * (1 + 1e-6), s * (1 - 1e-6)]
-    return grid
+    return np.concatenate([np.geomspace(1e-3, 1e3, 61), points, points * (1 + 1e-6),
+                           points * (1 - 1e-6)])
 
 
 def _location_axes(span: float):
@@ -589,31 +592,25 @@ def _location_axes(span: float):
 _DYADIC_SIZES = np.unique(np.round(np.geomspace(1, 4096, 50)))
 
 
-def _binomial_theta_grid(b: FamilyBundle) -> list:
-    pts = [b.net.point(k) for k in b.net.indices()]
-    grid = [1e-4, 1e-3, 0.01, 0.05, 0.95, 0.99, 0.999, 0.9999]
-    grid += list(np.linspace(0.05, 0.95, 19))
-    for s in pts:
-        grid += [s, min(1 - 1e-9, s * 1.01), max(1e-9, s * 0.99)]
-    for a, c in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (a + c)
-        grid += [mid, np.nextafter(mid, 0.0), np.nextafter(mid, 1.0)]
-    return grid
+def _binomial_theta_grid(b: FamilyBundle) -> np.ndarray:
+    pts = b.net.points(b.net.indices())
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    return np.concatenate([
+        [1e-4, 1e-3, 0.01, 0.05, 0.95, 0.99, 0.999, 0.9999], np.linspace(0.05, 0.95, 19),
+        pts, np.minimum(1 - 1e-9, pts * 1.01), np.maximum(1e-9, pts * 0.99),
+        mids, np.nextafter(mids, 0.0), np.nextafter(mids, 1.0)])
 
 
-def _discrete_uniform_theta_grid(b: FamilyBundle) -> list:
-    grid = list(range(1, 65))
-    for j in range(1, 21):
-        grid += [2**j - 1, 2**j, min(2**20, 2**j + 1)]
-    return grid + [int(v) for v in np.geomspace(64, 2**20, 40)]
+def _discrete_uniform_theta_grid(b: FamilyBundle) -> np.ndarray:
+    p = 2 ** np.arange(1, 21)
+    return np.concatenate([np.arange(1, 65), p - 1, p, np.minimum(2**20, p + 1),
+                           np.geomspace(64, 2**20, 40).astype(int)])
 
 
-def _poisson_theta_grid(b: FamilyBundle) -> list:
-    grid = list(np.geomspace(0.5, 1e4, 97))
-    for t in range(1, 13):
-        grid += [t * t, t * t + t, t * t + t + 0.25, t * t + t + 0.75,
-                 max(0.5, t * t - t)]
-    return grid
+def _poisson_theta_grid(b: FamilyBundle) -> np.ndarray:
+    t = np.arange(1, 13)
+    return np.concatenate([np.geomspace(0.5, 1e4, 97), t * t, t * t + t, t * t + t + 0.25,
+                           t * t + t + 0.75, np.maximum(0.5, t * t - t)])
 
 
 def _poisson_cell_samples(b: FamilyBundle, n_cells: int, per_cell: int, rng) -> list:
@@ -630,28 +627,28 @@ def _poisson_cell_samples(b: FamilyBundle, n_cells: int, per_cell: int, rng) -> 
     return samples
 
 
-def _normal_mean_theta_grid(b: FamilyBundle) -> list:
-    h = b.net.point(1) - b.net.point(0)
+def _normal_mean_theta_grid(b: FamilyBundle) -> np.ndarray:
+    h = b.net.points(1) - b.net.points(0)
     grid = _location_grid([0.0, h / 8, h / 4, 3 * h / 8, h / 2, h / 2 + h / 64,
                            5 * h / 8, 3 * h / 4, h])
     eps = b.params.get("epsilon")
     if eps is not None:
-        grid += [0.5 - eps, 0.5 - eps / 2, 0.5, 0.5 + eps / 2, 0.5 + eps]
+        grid = np.append(grid, [0.5 - eps, 0.5 - eps / 2, 0.5, 0.5 + eps / 2, 0.5 + eps])
     return grid
 
 
-def _normal_variance_theta_grid(b: FamilyBundle) -> list:
-    pts = [b.net.point(k) for k in range(-6, 7)]
-    return _scale_grid(pts) + [0.5 * (a + c) for a, c in zip(pts[:-1], pts[1:])]
+def _normal_variance_theta_grid(b: FamilyBundle) -> np.ndarray:
+    pts = b.net.points(np.arange(-6, 7))
+    return np.append(_scale_grid(pts), 0.5 * (pts[:-1] + pts[1:]))
 
 
-def _cauchy_theta_grid(b: FamilyBundle) -> list:
+def _cauchy_theta_grid(b: FamilyBundle) -> np.ndarray:
     eps = b.params.get("epsilon", 0.0)
     return _location_grid([0.0, 0.1, 0.25, 0.5 - eps, 0.5 - eps / 2, 0.5,
                            0.5 + eps / 2, 0.5 + eps, 0.75, 1.0])
 
 
-def _binomial_growth_alpha(net: BinomialSine, div_fn) -> float:
+def _binomial_growth_alpha(net: BinomialSine, div) -> float:
     """Largest admissible growth exponent over the finite sine net.
 
     For off-net parameter pairs straddling net points s_a .. s_b the
@@ -660,16 +657,13 @@ def _binomial_growth_alpha(net: BinomialSine, div_fn) -> float:
     are d(s_a || s_b) >= (1 + alpha) * log(b - a) over all index pairs
     with b - a >= 2 (smaller gaps are vacuous).
     """
-    pts = np.array([net.point(t) for t in net.indices()])
+    pts = net.points(net.indices())
     m = len(pts)
+    a, b = np.triu_indices(m, 2)
+    d = np.minimum(div(pts[:, None], pts), div(pts, pts[:, None]))[a, b]
     # log(b - a) for b - a = 2 .. m - 1, rounded as math.log rounds them
     log_gaps = np.array([math.log(gap) for gap in range(2, m)])
-    best = math.inf
-    for a in range(m - 2):
-        d_ab = np.asarray(div_fn(pts[a], pts[a + 2:]), dtype=float)
-        d_ba = np.asarray(div_fn(pts[a + 2:], pts[a]), dtype=float)
-        ratios = np.minimum(d_ab, d_ba) / log_gaps[: m - a - 2]
-        best = min(best, float(np.min(ratios)))
+    best = float(np.min(d / log_gaps[b - a - 2], initial=math.inf))
     if math.isinf(best):
         # fewer than three net points: every pair is vacuous and any
         # exponent is admissible, so the factor degenerates to 7 e^c'
@@ -689,7 +683,7 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
     net = BinomialSine(n)
     est = RoundToNet(net, fam.estimator_g)
     gs = fam.estimator_g(np.arange(n + 1))
-    pts = np.array([net.point(k) for k in net.indices()])
+    pts = net.points(net.indices())
     # round to the nearest point, ties upward: the cell edges are the
     # float midpoints of RoundToNet.cell
     pos = np.searchsorted(0.5 * (pts[:-1] + pts[1:]), gs, "right")
@@ -708,7 +702,7 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         theta_grid=_binomial_theta_grid,
         identity_axes=lambda b: (np.linspace(0.02, 0.98, 50), b.net.indices(),
                                  np.arange(0, b.params["n"] + 1) / b.params["n"]),
-        cell_samples=lambda b, n_cells, per_cell, rng: list(range(int(b.params["n"]) + 1)),
+        cell_samples=lambda b, n_cells, per_cell, rng: np.arange(b.params["n"] + 1.0),
         params={"n": n},
         bundle_id=f"binomial(n={n})",
         support_index=index,
@@ -727,8 +721,7 @@ def _make_discrete_uniform() -> FamilyBundle:
         theta_grid=_discrete_uniform_theta_grid,
         identity_axes=lambda b: (_DYADIC_SIZES, range(0, 12), _DYADIC_SIZES),
         # every support point of the first min(n_cells, 14) dyadic cells
-        cell_samples=lambda b, n_cells, per_cell, rng: [
-            float(v) for v in range(2 ** min(n_cells, 14) + 1)],
+        cell_samples=lambda b, n_cells, per_cell, rng: np.arange(2 ** min(n_cells, 14) + 1.0),
         params={},
         bundle_id="discrete_uniform",
     )
@@ -762,7 +755,7 @@ def _make_continuous_uniform() -> FamilyBundle:
         factor_inputs=None,
         factor_C=3.0,
         route="direct",
-        theta_grid=lambda b: _scale_grid(b.net.point(j) for j in range(-10, 11)),
+        theta_grid=lambda b: _scale_grid(b.net.points(np.arange(-10, 11))),
         identity_axes=lambda b: (np.geomspace(1e-3, 1e3, 50), range(-10, 11),
                                  np.geomspace(1e-3, 1e3, 50)),
         params={},

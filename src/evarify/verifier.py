@@ -45,7 +45,7 @@ from .combinator import (
     _trapezoid_piecewise,
     combine_discrete,
 )
-from .core import DomainError, Piecewise, StatLaw, calibrate_p_to_e
+from .core import DomainError, Piecewise, StatLaw, _index_array, calibrate_p_to_e
 from .families import FamilyBundle
 
 __all__ = [
@@ -144,9 +144,9 @@ def spike_evar(bundle: FamilyBundle, k: int) -> EVariable:
 def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
     """Spikes for every index in ``indices``, each cell under its own net
     point; the cell probabilities come from one CDF call."""
-    ks = [int(k) for k in indices]
+    ks = _index_array(indices).reshape(-1)
     bounds = bundle.cell_bounds(ks)
-    F = bundle.family.law.cdf(np.array([bundle.net.point(k) for k in ks])[:, None], bounds)
+    F = bundle.family.law.cdf(bundle.net.points(ks)[:, None], bounds)
     probs = F[:, 1] - F[:, 0]
     if not np.all(probs > 0.0):
         k = ks[int(np.argmin(probs > 0.0))]
@@ -161,14 +161,9 @@ def _grid_index_envelope(
     """Net-index range whose cells carry all but ``tail`` of the mass for
     every theta in the grid (heavy-tailed statistics are capped and the
     remainder charged to the error bound)."""
-    law = bundle.family.law
-    ends = [_index_at(bundle, v) for t in theta_grid for v in law.window(t, tail / 2.0)]
-    k_lo, k_hi = min(ends) - 2, max(ends) + 2
-    net = bundle.net
-    if net.k_min is not None:
-        k_lo = max(k_lo, net.k_min)
-    if net.k_max is not None:
-        k_hi = min(k_hi, net.k_max)
+    ends = bundle.family.law.window(np.asarray(theta_grid, dtype=float), tail / 2.0)
+    ks = _index_at(bundle, ends.ravel())
+    k_lo, k_hi = bundle.net._clip(np.array([ks.min() - 2, ks.max() + 2]))
     return int(k_lo), int(k_hi)
 
 
@@ -193,7 +188,7 @@ def upper_tail_calibrated_evar(
     """kappa * P**(kappa-1) with the upper-tail p-variable
     P(x) = P_{s_k}(stat(X) >= stat(x))."""
     law = bundle.family.law
-    s = bundle.net.point(k)
+    s = bundle.net.points(k)
     g = bundle.family.estimator_g
 
     def p_fn(x):
@@ -382,11 +377,11 @@ def _gl_pieces(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _statistic_knots(bundle, lo, hi, epsilon) -> np.ndarray:
     """Cell boundaries (and, for interpolation on the integers, ramp
     knots) between lo and hi."""
-    ks = range(bundle.net.round_index(lo), bundle.net.round_index(hi) + 1)
+    ks = np.arange(bundle.net.round_index(lo), bundle.net.round_index(hi) + 1)
     knots = [bundle.cell_bounds(ks).ravel()]
     if epsilon is not None:
         d = np.array([-0.5 - epsilon, -0.5 + epsilon, 0.5 - epsilon, 0.5 + epsilon])
-        knots.append((np.array([bundle.net.point(k) for k in ks])[:, None] + d).ravel())
+        knots.append((bundle.net.points(ks)[:, None] + d).ravel())
     return np.unique(np.concatenate(knots))
 
 

@@ -42,11 +42,10 @@ BENCHMARK_CONFIGS = [
 class _OffByOneEstimator(Estimator):
     """Deliberately corrupted estimator (selects the neighbouring cell)."""
 
-    kind = "off_by_one"
-
     def __init__(self, base):
         self._base = base
         self.net = base.net
+        self.right_closed = base.right_closed
 
     def statistic(self, x):
         return self._base.statistic(x)
@@ -58,10 +57,10 @@ class _OffByOneEstimator(Estimator):
         return self._shift(self._base.statistic_index(v))
 
     def _shift(self, k):
-        return k + 1 if self.net.k_max is None else min(k + 1, self.net.k_max)
+        return k + 1 if self.net.k_max is None else np.minimum(k + 1, self.net.k_max)
 
-    def cell(self, k):
-        return self._base.cell(k - 1)
+    def edges(self, ks):
+        return self._base.edges(np.asarray(ks) - 1)
 
 
 def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL):
@@ -80,7 +79,7 @@ def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL):
         ld_theta = np.asarray(fam.log_density(theta, x_arr), dtype=float)
         d_g_theta = np.asarray(fam.divergence_fn(gs, theta), dtype=float)
         for k in spec.net_indices:
-            s = bundle.net.point(k)
+            s = bundle.net.points(k)
             ld_s = np.asarray(fam.log_density(s, x_arr), dtype=float)
             ok = np.isfinite(ld_theta) & np.isfinite(ld_s)
             n_eval += int(np.sum(ok))
@@ -117,7 +116,7 @@ def _reference_cell_sandwich(bundle, samples=None):
     worst, witnesses = 0.0, []
     for x in xs:
         g = float(bundle.family.estimator_g(x))
-        s = net.point(bundle.estimator.statistic_index(g))
+        s = net.points(bundle.estimator.statistic_index(g))
         viol = 0.0
         ps, pg = net.pred(s), net.pred(g)
         if ps is not None and pg is not None and pg < ps:
@@ -332,7 +331,7 @@ class TestCellBound:
         b = make_bundle(name, **kw)
         samples = default_cell_samples(b)
         gs = [float(b.family.estimator_g(x)) for x in samples]
-        want = max(float(b.family.divergence_fn(g, b.net.point(b.estimator.statistic_index(g))))
+        want = max(float(b.family.divergence_fn(g, b.net.points(b.estimator.statistic_index(g))))
                    for g in gs)
         assert estimate_cell_bound(b, samples) == want
 

@@ -1,6 +1,7 @@
 """CLI: exit codes, report files, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -170,3 +171,21 @@ class TestConfigFile:
         assert run(["certify", "--family", "cauchy", "--epsilon", "0.2",
                     "--mode", "interpolated", "--suite", "ones"]) == EXIT_CONFIG
         assert "spikes" in capsys.readouterr().err
+
+
+class TestIndicesBeyondFloatResolution:
+    @pytest.mark.parametrize("family,theta", [
+        ({"name": "normal_mean", "params": {"n": 16}}, 1e25),
+        ({"name": "cauchy"}, 1e19),
+    ])
+    def test_theta_whose_net_index_reaches_2_53_is_a_config_error(
+            self, tmp_path, capsys, family, theta):
+        """Net points this far out are no longer distinct floats: the run
+        exits 3 at once, naming the limit, where the net's index search
+        once stepped through about ulp(theta) / spacing indices."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": family, "theta_grid": {"values": [theta]}}))
+        start = time.perf_counter()
+        assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
+        assert time.perf_counter() - start < 5.0
+        assert "2**53" in capsys.readouterr().err

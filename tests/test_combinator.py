@@ -8,6 +8,7 @@ import pytest
 from evarify.combinator import (
     CompositeEVariable,
     EVariable,
+    _frozen,
     _index_at,
     bump_weight,
     combine_discrete,
@@ -22,7 +23,13 @@ from evarify.combinator import (
 )
 from evarify.core import ContractViolationError, DomainError, Piecewise
 from evarify.families import make_bundle
-from evarify.verifier import default_theta_grid, spike_composite, spike_evar
+from evarify.verifier import (
+    default_theta_grid,
+    interpolated_spike_composite,
+    spike_composite,
+    spike_evar,
+    unit_cell_spikes,
+)
 
 
 class TestBumpWeight:
@@ -165,6 +172,73 @@ class TestCombineInterpolated:
             combine_interpolated(b, {}, epsilon=0.25, factor_C=2.0)
 
 
+def _dense_trapezoid(table, epsilon, C):
+    """The interpolated composite's piecewise with ramps at every
+    half-integer from the smallest key to the largest, as it was built
+    before only the keys' own runs were: the reference."""
+    first = int(table.keys.min()) - 1
+    size = int(table.keys.max()) - first + 2
+    lo, hi, level, out = slots = [np.full(size, v) for v in (math.inf, math.inf, 0.0, 1.0)]
+    for slot, values in zip(slots, table[1:5]):
+        slot[table.keys - first] = values
+    eps = float(epsilon)
+    centers = np.arange(first, first + size - 1) + 0.5
+    knots = np.column_stack([centers - eps, centers, centers + eps]).ravel()
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    j = np.arange(len(mids)) // 3
+
+    def at(i):
+        return np.where((lo[i] <= mids) & (mids < hi[i]), level[i], out[i])
+
+    L, R, c = at(j), at(j + 1), centers[j]
+    ramp = np.arange(len(mids)) % 3 != 2
+    a = np.where(ramp, (L * (c + eps) - R * (c - eps)) / (2.0 * eps), R) / C
+    b = np.where(ramp, (R - L) / (2.0 * eps), 0.0) / C
+    return Piecewise(knots, a, b, 1.0 / C)
+
+
+class TestSparseInterpolatedBuild:
+    def test_equals_the_dense_build_near_the_keys(self):
+        """Runs of keys 10^4 apart, unit-cell spikes and a constant: the
+        piecewise equals the dense build bit for bit at every knot within
+        1.5 of a key and both its float neighbours, is 1/C between the
+        runs (where the dense build's ramps between two missing neighbours
+        round to about 1/C), and has three pieces per half-integer next to
+        a key, less one."""
+        b = make_bundle("cauchy", epsilon=0.2)
+        keys = [0, 1, 2, 5, 9_999, 10_000]
+        spikes = unit_cell_spikes(b, keys)
+        comps = {k: constant_evar(2.5) if k == 5 else spikes[k] for k in keys}
+        C, eps = 3.0, 0.1
+        pw = combine_interpolated(b, comps, eps, C).piecewise
+        dense = _dense_trapezoid(_frozen(comps)[1], eps, C)
+        near = pw.edges[np.min(np.abs(pw.edges[:, None] - np.array(keys)), axis=1) <= 1.5]
+        xs = np.concatenate([np.nextafter(near, -np.inf), near, np.nextafter(near, np.inf)])
+        np.testing.assert_array_equal(pw(xs), dense(xs))
+        assert len(near) == len(pw.edges)  # every knot is near a key
+        between = np.linspace(7.0, 9_997.0, 1_001)
+        assert np.all(pw(between) == 1.0 / C)
+        # each dense ramp there loses about |c| ulp / eps to (c + eps) - (c - eps)
+        np.testing.assert_allclose(dense(between), 1.0 / C, rtol=1e-10)
+        # half-integers -0.5 .. 5.5 and 9998.5 .. 10000.5
+        assert len(pw.a) == 3 * (7 + 3) - 1
+
+    def test_pieces_grow_with_the_keys_not_their_span(self):
+        b = make_bundle("cauchy", epsilon=0.2)
+        comps = {0: constant_evar(2.0), 10**6: constant_evar(2.0)}
+        assert len(combine_interpolated(b, comps, 0.2, 3.0).piecewise.a) == 3 * 4 - 1
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    def test_one_period_slice_unchanged(self, eps):
+        """interpolated_spike_composite's period is the dense build's
+        pieces 3 to 5 over the spikes on 0, 1 and 2, bit for bit."""
+        b = make_bundle("cauchy", epsilon=0.2)
+        dense = _dense_trapezoid(unit_cell_spikes(b, range(3)).table, eps, 1.0)
+        pw = interpolated_spike_composite(b, eps, 1.0).piecewise
+        assert pw.edges.tolist() == dense.edges[3:7].tolist()
+        assert pw.a.tolist() == dense.a[3:6].tolist() and pw.b.tolist() == dense.b[3:6].tolist()
+
+
 class TestProductRule:
     def test_all_ones(self):
         b = make_bundle("normal_mean", alpha=1.0, n=4)
@@ -186,7 +260,7 @@ class TestProductRule:
         lr = likelihood_ratio_evar(fam1, 0.5, 0.0)  # e-variable for N(1/2, 1)
         # the estimated net point for the all-0.5 vector is 0.5 (index 1)
         k = b.estimator.index([0.5, 0.5, 0.5, 0.5])
-        assert b.net.point(k) == 0.5
+        assert b.net.points(k) == 0.5
         # component at the selected point: ratio against the alternative 0
         comps = {k: likelihood_ratio_evar(fam1, 0.5, 0.0)}
         # evaluating p_0 / p_{1/2} would not be valid for N(1/2,1); use
@@ -380,7 +454,7 @@ class TestSampleSupport:
         theta = grid[len(grid) // 2]
         draws = b.family.law.sample(theta, 1000, np.random.default_rng(4))
         k = b.estimator.index(draws[0])
-        lr = likelihood_ratio_evar(b.family, b.net.point(k), theta)
+        lr = likelihood_ratio_evar(b.family, b.net.points(k), theta)
         n = b.family.sample_dim
         for comp in (spike_composite(b), combine_discrete(b, {k: lr})):
             assert (comp.piecewise is None) == (comp.components.get(k) is lr)
@@ -446,7 +520,7 @@ def _mixed_components(b, keys):
 
     fam, out = b.family, {}
     for j, k in enumerate(keys):
-        s = b.net.point(k)
+        s = b.net.points(k)
         lr = likelihood_ratio_evar(fam, s, s * 1.1 if fam.param_space.contains(s * 1.1) else s)
         out[k] = [lr,
                   upper_tail_calibrated_evar(b, k, 0.5),
@@ -465,7 +539,7 @@ def _sparse_keys(b, k) -> list:
         if (net.k_min is not None and j < net.k_min) or (net.k_max is not None and j > net.k_max):
             return False
         try:
-            return b.family.param_space.contains(net.point(j))
+            return b.family.param_space.contains(net.points(j))
         except OverflowError:  # a dyadic net's point 2**j
             return False
 

@@ -74,7 +74,7 @@ class TestMakeBundle:
         index = [b.estimator.index(k) for k in range(n + 1)]
         assert b.support_index.tolist() == index
         net, div = b.net, b.family.divergence_fn
-        pts = np.array([net.point(t) for t in net.indices()])
+        pts = np.array([net.points(t) for t in net.indices()])
         best = math.inf
         for a in range(len(pts)):
             for c in range(a + 2, len(pts)):
@@ -134,7 +134,7 @@ class TestEstimate:
         b = make_bundle("binomial", n=64)
         s = b.estimate(32)
         assert s == pytest.approx(0.5, abs=1e-15)  # sin^2(pi/4), middle index
-        assert s == b.net.point(4)
+        assert s == b.net.points(4)
 
     def test_deterministic(self):
         b = make_bundle("poisson")
@@ -196,7 +196,7 @@ class TestBundleInvariants:
         rng = np.random.default_rng(17)
         for x in _support_samples(bundle, rng, 500):
             k = bundle.estimator.index(x)
-            assert bundle.net.point(k) == bundle.estimate(x)
+            assert bundle.net.points(k) == bundle.estimate(x)
 
     @pytest.mark.parametrize("name,kw", ALL_BUNDLES)
     def test_estimator_statistic_is_the_family_statistic(self, name, kw):
@@ -250,7 +250,7 @@ class TestBundleInvariants:
         net = bundle.net
         lo = net.k_min if net.k_min is not None else -1000
         ks = np.arange(lo, lo + 10_000 if net.k_min is not None else 1000)
-        pts = np.array([net.point(int(k)) for k in ks])
+        pts = np.array([net.points(int(k)) for k in ks])
         d_up = np.asarray(bundle.family.divergence_fn(pts[1:], pts[:-1]))
         d_dn = np.asarray(bundle.family.divergence_fn(pts[:-1], pts[1:]))
         assert float(np.min(d_up)) > c - 1e-9
@@ -270,7 +270,7 @@ class TestBundleInvariants:
     def test_binomial_net_strictly_increasing_in_unit_interval(self):
         for n in (4, 16, 64, 256):
             net = make_bundle("binomial", n=n).net
-            pts = [net.point(k) for k in net.indices()]
+            pts = [net.points(k) for k in net.indices()]
             assert all(0.0 < p < 1.0 for p in pts)
             assert all(b > a for a, b in zip(pts, pts[1:]))
 
@@ -291,7 +291,7 @@ class TestBundleInvariants:
             b = make_bundle("normal_variance", n=n)
             q = 1.0 + 1.0 / math.sqrt(n)
             for k in range(-1000, 1000, 97):
-                ratio = b.net.point(k + 1) / b.net.point(k)
+                ratio = b.net.points(k + 1) / b.net.points(k)
                 assert ratio == pytest.approx(q, rel=5e-16)
 
     def test_r_epsilon_estimator_variant(self):
@@ -417,3 +417,20 @@ class TestFamilyKnowledgeInOneModule:
 
         for module in (checker, combinator, verifier, cli):
             assert "family.name" not in inspect.getsource(module), module.__name__
+
+    def test_no_module_builds_cells_or_net_points_one_index_at_a_time(self):
+        """Cells and net points come as arrays (``Estimator.edges``,
+        ``Net.points``): no module calls ``.cell(`` or runs a
+        ``.point(k) for`` comprehension, and there is no ``Cell``."""
+        import inspect
+        import re
+
+        import evarify
+        from evarify import checker, combinator, core, families, verifier
+
+        for module in (checker, combinator, verifier, families):
+            src = inspect.getsource(module)
+            assert ".cell(" not in src, module.__name__
+            assert not re.search(r"\.points?\(\w+\) for ", src), module.__name__
+        assert not hasattr(core, "Cell")
+        assert "Cell" not in core.__all__ and "Cell" not in evarify.__all__

@@ -20,7 +20,7 @@ from evarify.combinator import (
     constant_evar,
     likelihood_ratio_evar,
 )
-from evarify.core import Cell, DomainError
+from evarify.core import DomainError
 from evarify.families import make_bundle
 from evarify.verifier import (
     ExpectationPlan,
@@ -76,7 +76,7 @@ class TestExpectation:
         ]:
             b = make_bundle(name, **kw)
             spike = spike_evar(b, k)
-            res = expectation(spike, b.net.point(k), b)
+            res = expectation(spike, b.net.points(k), b)
             assert res.estimate == pytest.approx(1.0, abs=1e-7), name
 
     def test_poisson_inverse_own_probability(self):
@@ -207,8 +207,8 @@ class TestSpikes:
         b = make_bundle("continuous_uniform")
 
         class _EmptyCellEstimator(type(b.estimator)):
-            def cell(self, k):
-                return Cell(5.0, 5.0, False, False)
+            def edges(self, ks):
+                return np.full((*np.shape(ks), 2), 5.0)
 
         bad = replace(b, estimator=_EmptyCellEstimator(b.net))
         with pytest.raises(DomainError, match="zero probability"):
@@ -229,7 +229,7 @@ class TestSpikes:
         suite = spike_suite(b, b.net.indices())
         for k in b.net.indices():
             counts = [c for c in range(n + 1) if index[c] == k]
-            p = b.net.point(k)
+            p = b.net.points(k)
             mass = stats.binom.cdf(max(counts), n, p) - stats.binom.cdf(min(counts) - 1, n, p)
             assert suite[k].level == 1.0 / mass
             assert spike_evar(b, k).level == suite[k].level
@@ -434,7 +434,7 @@ class TestUniformBudget:
         compare with the cell-enumeration implementation."""
         b = make_bundle("discrete_uniform")
         for N in range(1, 2049):
-            reachable = sorted({b.estimate(x) for x in range(N + 1)})
+            reachable = sorted(set(b.estimate(np.arange(N + 1)).tolist()))
             oracle = sum(Fraction(int(s) + 1, N + 1) for s in reachable)
             assert uniform_ceiling_budget(N) == oracle
 
@@ -461,7 +461,7 @@ class TestUniformBudget:
         N = 5
 
         def point_mass(k):
-            s = b.net.point(k)
+            s = b.net.points(k)
             target = {0: 0.0, 1: 2.0, 2: 3.0, 3: 5.0}[k]  # one point per cell
             budget = s + 1.0
             if k == 0:  # two support points, split the budget
@@ -474,7 +474,7 @@ class TestUniformBudget:
         assert res.estimate == pytest.approx(19.0 / 6.0, abs=1e-12)
         # each component is itself a valid unit-mean test for its point
         for k in range(4):
-            own = expectation(comps[k], b.net.point(k), b)
+            own = expectation(comps[k], b.net.points(k), b)
             assert own.estimate <= 1.0 + 1e-12
 
 
@@ -604,7 +604,7 @@ def _lr_composite(name, kw, shift):
     """The benchmark's generic composites: likelihood ratios on the net
     points -3..3 against the alternatives k + shift."""
     b = make_bundle(name, **kw)
-    comps = {k: likelihood_ratio_evar(b.family, b.net.point(k), k + shift) for k in range(-3, 4)}
+    comps = {k: likelihood_ratio_evar(b.family, b.net.points(k), k + shift) for k in range(-3, 4)}
     return b, combine_discrete(b, comps)
 
 
@@ -641,7 +641,7 @@ class TestGaussLegendreQuadrature:
                 exact = mp.mpf(0)
                 for k, (a, z) in zip(range(-3, 4), bounds):
                     a, z = mp.mpf(max(a, lo)), mp.mpf(min(z, hi))
-                    s, alt = mp.mpf(b.net.point(k)), mp.mpf(k + shift)
+                    s, alt = mp.mpf(b.net.points(k)), mp.mpf(k + shift)
                     exact += mp.quad(lambda x: pdf(alt, x) / pdf(s, x) * pdf(t, x), [a, z]) / C
                     inside -= cdf(t, z) - cdf(t, a)
                 exact += inside / C

@@ -220,7 +220,7 @@ def _statistics(bundle: FamilyBundle, xs: Sequence) -> np.ndarray:
     """Each sample's statistic g(x), from one batch call."""
     if len(xs) == 0:
         return np.empty(0)
-    return np.asarray(bundle.family.estimator_g(_batch(bundle, xs)), dtype=float)
+    return bundle.family.estimator_g(_batch(bundle, xs))
 
 
 def check_log_ratio_identity(
@@ -255,13 +255,11 @@ def check_log_ratio_identity(
     block = max(1, _IDENTITY_CACHE // max(1, len(gs)))
     for start in range(0, len(thetas), block):
         rows = range(start, min(start + block, len(thetas)))
-        ld_theta = [np.asarray(fam.log_density(thetas[i], x_arr), dtype=float)
-                    for i in rows]
-        d_g_theta = [np.asarray(fam.divergence_fn(gs, thetas[i]), dtype=float)
-                     for i in rows]
+        ld_theta = [fam.log_density(thetas[i], x_arr) for i in rows]
+        d_g_theta = [fam.divergence_fn(gs, thetas[i]) for i in rows]
         fin_theta = [np.isfinite(ld) for ld in ld_theta]
         for j, s in enumerate(points):
-            ld_s = np.asarray(fam.log_density(s, x_arr), dtype=float)
+            ld_s = fam.log_density(s, x_arr)
             fin_s = np.isfinite(ld_s)
             d_g_s = None
             for r, i in enumerate(rows):
@@ -271,7 +269,7 @@ def check_log_ratio_identity(
                 if n_ok == 0:
                     continue
                 if d_g_s is None:
-                    d_g_s = np.asarray(fam.divergence_fn(gs, s), dtype=float)
+                    d_g_s = fam.divergence_fn(gs, s)
                 with np.errstate(invalid="ignore"):
                     resid = np.abs((ld_theta[r] - ld_s) - (d_g_s - d_g_theta[r]))
                 resid = np.where(ok, resid, 0.0)
@@ -334,7 +332,7 @@ def estimate_cell_bound(bundle: FamilyBundle, samples: Sequence | None = None) -
     xs = default_cell_samples(bundle) if samples is None else samples
     gs = _statistics(bundle, xs)
     _, sel = _selection(bundle, gs)
-    return float(np.max(np.asarray(bundle.family.divergence_fn(gs, sel), dtype=float)))
+    return float(np.max(bundle.family.divergence_fn(gs, sel)))
 
 
 def check_cell_sandwich(
@@ -446,8 +444,8 @@ def step_bounds_directed(
         min of d(upper||lower)) over the index window."""
     pts = bundle.net.points(np.sort(_index_array(index_window)))
     fam = bundle.family
-    d_up = np.asarray(fam.divergence_fn(pts[1:], pts[:-1]), dtype=float)
-    d_dn = np.asarray(fam.divergence_fn(pts[:-1], pts[1:]), dtype=float)
+    d_up = fam.divergence_fn(pts[1:], pts[:-1])
+    d_dn = fam.divergence_fn(pts[:-1], pts[1:])
     return float(np.min(d_dn)), float(np.min(d_up))
 
 

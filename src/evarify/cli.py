@@ -109,10 +109,7 @@ def _bundle_from(args, cfg: dict):
     clean = {}
     for key, value in params.items():
         clean[key] = _num(value, int if key == "n" else float)
-    try:
-        return make_bundle(name, **clean)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return make_bundle(name, **clean)
 
 
 def _plan_from(args, cfg: dict) -> ExpectationPlan:
@@ -128,10 +125,19 @@ def _plan_from(args, cfg: dict) -> ExpectationPlan:
 
 
 def _grid_from(cfg: dict, bundle):
+    """The theta grid, checked before any composite is built: the default
+    one, or a non-empty list of values in the parameter space."""
     grid_cfg = cfg.get("theta_grid", {"kind": "default"})
-    if "values" in grid_cfg:
-        return [_num(v) for v in grid_cfg["values"]]
-    return default_theta_grid(bundle)
+    values = grid_cfg.get("values") if isinstance(grid_cfg, dict) else None
+    if values is None and isinstance(grid_cfg, dict) and grid_cfg.get("kind") == "default":
+        return default_theta_grid(bundle)
+    if not isinstance(values, list) or not values:
+        raise ConfigError("theta_grid must be {'kind': 'default'} or {'values': [...]} "
+                          f"with at least one value, got {grid_cfg!r}")
+    try:
+        return [bundle.family.validate_param(_num(v)) for v in values]
+    except (DomainError, TypeError) as exc:  # TypeError: a null value
+        raise ConfigError(f"theta_grid values: {exc}") from exc
 
 
 def _write_report(args, cfg: dict, payload: dict, csv_text: str | None) -> None:
@@ -200,17 +206,11 @@ def _cmd_certify(args, cfg) -> int:
             raise ConfigError("interpolated mode supports the spikes suite only")
         eps = args.epsilon if args.epsilon is not None else mode_cfg.get("epsilon")
         eps = _num(eps) if eps is not None else 0.2
-        try:
-            factor, _ = certify_interpolated_factor(bundle, theta_grid=grid)
-            composite = interpolated_spike_composite(bundle, eps, factor)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        factor, _ = certify_interpolated_factor(bundle, theta_grid=grid)
+        composite = interpolated_spike_composite(bundle, eps, factor)
     elif mode == "discrete":
         if "components" in cfg:
-            try:
-                comps = components_from_specs(cfg["components"], bundle)
-            except DomainError as exc:
-                raise ConfigError(str(exc)) from exc
+            comps = components_from_specs(cfg["components"], bundle)
             composite = combine_discrete(bundle, comps)
         elif suite == "spikes":
             composite = spike_composite(bundle, grid, plan=plan)
@@ -240,10 +240,7 @@ def _cmd_counterexample(args, cfg) -> int:
     if lam is None:
         raise ConfigError("no rate given (use --lambda)")
     lam = _num(lam)
-    try:
-        res = mle_counterexample_poisson_with_bound(lam)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    res = mle_counterexample_poisson_with_bound(lam)
     print(
         f"E_lambda[own-probability spike at the MLE] = {res.estimate:.9g} "
         f"(+/- {res.error_bound:.3g}) at lambda = {lam:.6g} -> exceeds 1"
@@ -311,10 +308,7 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _load_config(args.config)
         return args.fn(args, cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EvarifyError as exc:
+    except EvarifyError as exc:  # a ConfigError, or a DomainError from the config's values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -104,14 +104,13 @@ class EVariable:
 class _PieceTable(NamedTuple):
     """Components as arrays: component keys[i] equals level[i] on the piece
     [lo[i], hi[i]) of the law's line and out[i] elsewhere (a constant has
-    lo = hi = inf).  ``cells``: each piece is its key's estimator cell."""
+    lo = hi = inf)."""
 
     keys: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     level: np.ndarray
     out: np.ndarray
-    cells: bool = False
 
 
 class SpikeSuite(Mapping):
@@ -120,11 +119,11 @@ class SpikeSuite(Mapping):
     combined without an object per spike; ``suite[k]`` builds one."""
 
     def __init__(self, bundle: FamilyBundle, keys: Sequence[int], edges: np.ndarray,
-                 levels: np.ndarray, right_closed: bool, cells: bool):
+                 levels: np.ndarray, right_closed: bool):
         self.bundle, self.right_closed = bundle, right_closed
         lo, hi = np.reshape(edges, (-1, 2)).T
         self.table = _PieceTable(np.asarray(keys, dtype=int), lo, hi,
-                                 np.asarray(levels, dtype=float), np.zeros(len(lo)), cells)
+                                 np.asarray(levels, dtype=float), np.zeros(len(lo)))
         self._row = {int(k): i for i, k in enumerate(self.table.keys)}
 
     def __getitem__(self, k: int) -> EVariable:
@@ -164,8 +163,8 @@ def likelihood_ratio_evar(
     alt_theta = family.validate_param(alt_theta)
 
     def fn(x):
-        num = np.asarray(family.log_density(alt_theta, x), dtype=float)
-        den = np.asarray(family.log_density(null_theta, x), dtype=float)
+        num = family.log_density(alt_theta, x)
+        den = family.log_density(null_theta, x)
         with np.errstate(over="ignore", invalid="ignore"):
             ratio = np.exp(num - den)
         return np.where(num == -np.inf, 0.0, np.where(den == -np.inf, np.inf, ratio))
@@ -185,6 +184,19 @@ def _many(e, xs) -> np.ndarray:
     return np.array([e(x) for x in xs], dtype=float)
 
 
+def _e_values(comp, k: int, xs) -> np.ndarray:
+    """Component k on a batch (``_many``), checked to give e-values: a
+    negative or NaN value raises :class:`ContractViolationError` naming
+    its sample."""
+    out = _many(comp, xs)
+    bad = ~(out >= 0.0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ContractViolationError(
+            f"component {k} evaluated to {float(out[j])!r} at x={xs[j].tolist()!r}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Composites
 # ---------------------------------------------------------------------------
@@ -196,16 +208,6 @@ def _index_at(bundle: FamilyBundle, v):
     the array of them at an array of points."""
     est = bundle.estimator
     return est.index(v) if bundle.family.law.discrete else est.statistic_index(v)
-
-
-def _component_value(components: Mapping[int, EVariable], k: int, x) -> float:
-    """Component k (the constant 1 when missing) at x, checked to be an
-    e-value."""
-    comp = components.get(k, ONE)
-    value = (ONE if comp is None else comp)(x)
-    if value < 0 or math.isnan(value):
-        raise ContractViolationError(f"component {k} evaluated to {value!r} at x={x!r}")
-    return value
 
 
 def _groups(keys: np.ndarray):
@@ -304,12 +306,7 @@ class CompositeEVariable:
         for k, idx in _groups(keys[rows]):
             comp = self.components.get(k)
             if comp is not None:
-                out[rows[idx]] = _many(comp, at[rows[idx]])
-        bad = active & ~(out >= 0.0)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ContractViolationError(
-                f"component {int(keys[j])} evaluated to {float(out[j])!r} at x={at[j].tolist()!r}")
+                out[rows[idx]] = _e_values(comp, k, at[rows[idx]])
         return out
 
 
@@ -363,15 +360,15 @@ def _frozen(components: Mapping[int, EVariable]):
 def _cellwise_piecewise(
     bundle: FamilyBundle, table: _PieceTable | None, C: float
 ) -> Piecewise | None:
-    """The select-and-scale composite as a piecewise: each key's cell (a
-    table of cells is its own bounds) at its component's value over C,
-    and 1/C between the cells and beyond.  None unless every component is
-    structured and constant on its own cell."""
+    """The select-and-scale composite as a piecewise: each key's cell at
+    its component's value over C, and 1/C between the cells and beyond.
+    None unless every component is structured and constant on its own
+    cell."""
     if table is None:
         return None
     held = _in_net(bundle, table.keys)
-    keys, lo, hi, level, out = (column[held] for column in table[:5])
-    cell = np.column_stack([lo, hi]) if table.cells else bundle.cell_bounds(keys)
+    keys, lo, hi, level, out = (column[held] for column in table)
+    cell = bundle.cell_bounds(keys)
     own = (lo == cell[:, 0]) & (hi == cell[:, 1])
     if not np.all(own | (hi <= cell[:, 0]) | (lo >= cell[:, 1])):
         return None
@@ -448,7 +445,7 @@ def _trapezoid_piecewise(table: _PieceTable | None, epsilon: float, C: float) ->
     # follows slot j (in left)
     slots = np.unique(np.concatenate([table.keys - 1, table.keys, table.keys + 1]))
     lo, hi, level, out = columns = [np.full(len(slots), v) for v in (math.inf, math.inf, 0.0, 1.0)]
-    for column, values in zip(columns, table[1:5]):
+    for column, values in zip(columns, table[1:]):
         column[slots.searchsorted(table.keys)] = values
     left = np.flatnonzero(np.diff(slots) == 1)
     eps = float(epsilon)
@@ -510,10 +507,9 @@ def product_evar(
         raise DomainError(f"expected an n-vector with n={n}, got shape {arr.shape}")
     # one sample: the vector, or its only coordinate when n = 1
     k = _index_at(bundle, bundle.locate(arr if n > 1 else arr[0]))
-    total = 1.0
-    for coord in arr:
-        total *= _component_value(per_obs, k, float(coord))
-    return total / bundle.factor_C
+    comp = per_obs.get(k)
+    values = _e_values(ONE if comp is None else comp, k, arr)
+    return math.prod(values.tolist()) / bundle.factor_C  # in coordinate order
 
 
 # ---------------------------------------------------------------------------

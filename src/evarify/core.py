@@ -27,6 +27,13 @@ on the closure of the parameter space because pointwise estimates (e.g.
 the zero count of a Poisson sample) legitimately hit the boundary, where
 the divergence is defined by continuous extension.
 
+One value is a batch of one: the family callables, the net access, the
+estimators and ``FamilyBundle.estimate`` / ``locate`` compute on arrays,
+and give a batch an array.  One value goes in as a 0-d array, and its 0-d
+result comes out as a Python ``float`` or ``int`` (never a numpy scalar),
+the bits of its entry in a batch.  ``Family`` (at construction) and
+``Net`` convert; the families and the nets' primitives are array code.
+
 Rounding to a net breaks ties upward (toward the successor).  Predecessor
 and successor are strict: ``pred(t) < t < succ(t)``; ``None`` (NaN in an
 array) signals that ``t`` lies beyond the net's extreme elements.  Net
@@ -181,16 +188,15 @@ class StatLaw:
     def window(self, theta, tail: float):
         """Statistic interval [lo, hi] (support points, for discrete laws)
         holding all but ``tail`` of the mass under theta -- or all but what
-        lies beyond the heavy-tail cap -- clamped to the support: a pair of
-        floats for one theta, an (m, 2) array for an array of m."""
+        lies beyond the heavy-tail cap -- clamped to the support: shape
+        theta's shape + (2,)."""
         theta = np.asarray(theta, dtype=float)
         if self.cap is not None:
             ends = np.stack([theta - self.cap, theta + self.cap], axis=-1)
         else:
             q = np.array([max(tail / 2.0, self.tail_floor), 1.0 - tail / 2.0])
             ends = self.ppf(theta[..., None], q)
-        ends = np.clip(ends, self.lo, self.hi)
-        return (float(ends[0]), float(ends[1])) if theta.ndim == 0 else ends
+        return np.clip(ends, self.lo, self.hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,32 +244,50 @@ class Piecewise:
         return max(values if self.period else [self.outside, *values])
 
 
+def _one(a):
+    """A 0-d result as a Python scalar, any other as the array (the
+    one-value rule of the Conventions above)."""
+    a = np.asarray(a)
+    return a.item() if a.ndim == 0 else a
+
+
+def _on_arrays(fn):
+    """fn called on float arrays, its 0-d result as a Python scalar."""
+    def on_arrays(*args):
+        return _one(fn(*[np.asarray(a, dtype=float) for a in args]))
+    return on_arrays
+
+
 @dataclass(frozen=True)
 class Family:
     """A one-parameter family: log-density, divergence, pointwise
     parameter estimate and the law of that estimate's statistic.
 
-    ``log_density(theta, x)`` accepts a scalar or an array of samples (for
+    The four callables are written on float arrays, and the family wraps
+    them once, at construction, with the one-value rule (see Conventions
+    above).  ``log_density(theta, x)`` takes a batch of samples (for
     product families, the last axis is the coordinate axis) and returns
-    log p_theta(x), with ``-inf`` off the support.  ``divergence_fn`` is
-    numpy-aware in both arguments and must satisfy d(t, t) = 0, d >= 0.
+    log p_theta(x), with ``-inf`` off the support.  ``divergence_fn``
+    broadcasts over both arguments and must satisfy d(t, t) = 0, d >= 0.
     ``estimator_g`` maps samples to the parameter value each indicates
     (mean, rate, squared norm over n, ...), possibly on the closure of the
-    parameter space; it takes one sample or a batch with ``log_density``'s
-    convention and returns a float for one sample, an array of one value
-    per sample otherwise.  ``lift(v)`` is a sample x with ``estimator_g(x) == v``
-    (the checker's way onto the statistic axis), for one value or a batch
-    of them; ``law`` is the distribution of g(X).
+    parameter space, one value per sample of ``log_density``'s batch.
+    ``lift(v)`` is a sample x with ``estimator_g(x) == v`` (the checker's
+    way onto the statistic axis); ``law`` is the distribution of g(X).
     """
 
     name: str
     param_space: Interval
     sample_dim: int
-    log_density: Callable[[float, object], object]
-    divergence_fn: Callable[[object, object], object]
-    estimator_g: Callable[[object], object]
-    lift: Callable[[float], object]
+    log_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    divergence_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    estimator_g: Callable[[np.ndarray], np.ndarray]
+    lift: Callable[[np.ndarray], np.ndarray]
     law: StatLaw
+
+    def __post_init__(self) -> None:
+        for name in ("log_density", "divergence_fn", "estimator_g", "lift"):
+            object.__setattr__(self, name, _on_arrays(getattr(self, name)))
 
     def validate_param(self, theta: float, *, closure: bool = False) -> float:
         theta = float(theta)
@@ -288,7 +312,7 @@ def divergence(family: Family, theta1: float, theta2: float) -> float:
     """
     t1 = family.validate_param(theta1, closure=True)
     t2 = family.validate_param(theta2)
-    return float(family.divergence_fn(t1, t2))
+    return family.divergence_fn(t1, t2)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +386,7 @@ def calibrate_p_to_e(kappa: float, p) -> object:
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError("p must lie in [0, 1]")
     with np.errstate(divide="ignore"):
-        out = kappa * np.power(arr, kappa - 1.0)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+        return _one(kappa * np.power(arr, kappa - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +400,6 @@ _INDEX_LIMIT = 2.0 ** 53
 
 #: the offsets of the indices a floor estimate is repaired from
 _AROUND = np.arange(-1, 3)
-
-
-def _one(a):
-    """A 0-d result as a Python scalar, any other as the array (the
-    one-value-or-a-batch convention of ``Family.estimator_g``)."""
-    a = np.asarray(a)
-    return a.item() if a.ndim == 0 else a
 
 
 def _index_array(ks) -> np.ndarray:
@@ -407,13 +421,13 @@ def _int_index(k: np.ndarray) -> np.ndarray:
 class Net:
     """An ordered countable parameter grid.
 
-    Subclasses define two primitives from their closed form:
-    ``points(ks)``, strictly increasing in the index k, takes one index (a
-    float result) or an array of them; ``_floor(t)`` maps an array of
-    values to the largest index whose point is at most each (``k_min - 1``
-    below the smallest point), an int64 array.  Index bounds ``k_min`` /
-    ``k_max`` are ``None`` when the net is unbounded on that side.  The
-    derived access below takes one value (a scalar result) or an array.
+    Subclasses define two primitives from their closed form, both on
+    arrays: ``_points(k)`` maps int64 indices to their points, strictly
+    increasing in k; ``_floor(t)`` maps values to the largest index whose
+    point is at most each (``k_min - 1`` below the smallest point), an
+    int64 array.  Index bounds ``k_min`` / ``k_max`` are ``None`` when the
+    net is unbounded on that side.  The access below is derived from the
+    two and follows the one-value rule (see Conventions above).
     """
 
     kind: str = "abstract"
@@ -421,6 +435,10 @@ class Net:
     k_max: int | None = None
 
     def points(self, ks):
+        """The points at one index, a sequence or a range of them."""
+        return _one(self._points(_index_array(ks)))
+
+    def _points(self, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _floor(self, t: np.ndarray) -> np.ndarray:
@@ -430,7 +448,7 @@ class Net:
         """The floor index of t from an estimate k at most two off: k
         less the points k - 1 and k above t, plus k + 1 and k + 2 at or
         below it."""
-        p, t = self.points(k[..., None] + _AROUND), t[..., None]
+        p, t = self._points(k[..., None] + _AROUND), t[..., None]
         return k + (p[..., 2:] <= t).sum(axis=-1) - (p[..., :2] > t).sum(axis=-1)
 
     def _clip(self, k: np.ndarray) -> np.ndarray:
@@ -441,15 +459,14 @@ class Net:
 
     def _points_or_none(self, k: np.ndarray):
         """points(k), None (one index) or NaN (an array) beyond the net."""
-        absent = self._clip(k) != k
-        if np.ndim(k) == 0:
-            return None if absent else self.points(k)
-        return np.where(absent, np.nan, self.points(self._clip(k)))
+        inside = self._clip(k)
+        p = np.where(inside != k, np.nan, self._points(inside))
+        return p if p.ndim else None if np.isnan(p) else p.item()
 
     def _floor_below(self, t: np.ndarray) -> np.ndarray:
         """The largest index whose point is below each t."""
         k = self._floor(t)
-        return k - (self.points(self._clip(k)) == t)
+        return k - (self._points(self._clip(k)) == t)
 
     def pred(self, t):
         """max{s in S : s < t}; None (one t) or NaN (an array) where no
@@ -467,7 +484,7 @@ class Net:
         t = np.asarray(t, dtype=float)
         k = self._floor(t)
         lo, hi = self._clip(k), self._clip(k + 1)  # equal beyond the net's ends
-        return _one(lo + (hi - lo) * (t >= 0.5 * (self.points(lo) + self.points(hi))))
+        return _one(lo + (hi - lo) * (t >= 0.5 * (self._points(lo) + self._points(hi))))
 
     def round(self, t):
         return self.points(self.round_index(t))
@@ -495,8 +512,8 @@ class IntegerLattice(Net):
 
     kind = "integer_lattice"
 
-    def points(self, ks):
-        return _one(_index_array(ks).astype(float))
+    def _points(self, k):
+        return k.astype(float)
 
     def _floor(self, t):
         return _int_index(np.floor(t))
@@ -520,17 +537,17 @@ class ScaledLattice(Net):
     def spacing(self) -> float:
         return self.alpha / math.sqrt(self.n)
 
-    def points(self, ks):
-        return _one(_index_array(ks) * self.spacing)
+    def _points(self, k):
+        return k * self.spacing
 
     def _floor(self, t):
         return self._repaired(_int_index(np.floor(t / self.spacing)), t)
 
 
-def _powers_of_two(ks):
+def _powers_of_two(k: np.ndarray) -> np.ndarray:
     """2^k for each index, inf beyond the floats."""
     with np.errstate(over="ignore"):
-        return _one(np.ldexp(1.0, _index_array(ks)))
+        return np.ldexp(1.0, k)
 
 
 class DyadicInt(Net):
@@ -539,8 +556,8 @@ class DyadicInt(Net):
     kind = "dyadic_int"
     k_min = 0
 
-    def points(self, ks):
-        return _powers_of_two(ks)
+    def _points(self, k):
+        return _powers_of_two(k)
 
     def _floor(self, t):
         # exact: frexp gives t = m * 2^e with m in [0.5, 1); below 1, -1
@@ -552,8 +569,8 @@ class DyadicReal(Net):
 
     kind = "dyadic_real"
 
-    def points(self, ks):
-        return _powers_of_two(ks)
+    def _points(self, k):
+        return _powers_of_two(k)
 
     def _floor(self, t):
         if not (t > 0.0).all():
@@ -567,9 +584,9 @@ class Squares(Net):
     kind = "squares"
     k_min = 1
 
-    def points(self, ks):
-        k = _index_array(ks).astype(float)
-        return _one(k * k)
+    def _points(self, k):
+        k = k.astype(float)
+        return k * k
 
     def _floor(self, t):
         # below 1 the repair ends at 0 or -1: both mean below the net
@@ -603,9 +620,8 @@ class Geometric(Net):
             self._cache[k] = value
         return value
 
-    def points(self, ks):
-        k = _index_array(ks)
-        return _one(np.reshape([self._power(j) for j in k.ravel().tolist()], k.shape))
+    def _points(self, k):
+        return np.reshape([self._power(j) for j in k.ravel().tolist()], k.shape)
 
     def _floor(self, t):
         if not (t > 0.0).all():
@@ -633,8 +649,8 @@ class BinomialSine(Net):
         self._table = np.array(
             [math.sin(math.pi * t / (2 * self.L)) ** 2 for t in range(1, self.L)])
 
-    def points(self, ks):
-        return _one(self._table[_index_array(ks) - 1])
+    def _points(self, k):
+        return self._table[k - 1]
 
     def _floor(self, t):
         return np.searchsorted(self._table, t, "right")
@@ -653,7 +669,7 @@ class Estimator:
 
     ``statistic(x)`` reduces the sample; ``index(x)`` selects the net
     index; calling the estimator returns the selected net point.  Each
-    takes one sample or a batch (``Family.estimator_g``'s convention).
+    takes one sample or a batch (the one-value rule, see Conventions above).
     The cell of index k is the statistic-space preimage of the k-th net
     point: ``edges(ks)`` gives each cell's two ends, shape ks.shape +
     (2,), and a cell holds its right end when the class's
@@ -703,7 +719,7 @@ class RoundToNet(Estimator):
 
     def edges(self, ks) -> np.ndarray:
         net, k = self.net, _index_array(ks)
-        below, s, above = (net.points(net._clip(k + d)) for d in (-1, 0, 1))
+        below, s, above = (net._points(net._clip(k + d)) for d in (-1, 0, 1))
         lo = np.where(k == net.k_min, -np.inf, 0.5 * (below + s))
         hi = np.where(k == net.k_max, np.inf, 0.5 * (s + above))
         return np.stack([lo, hi], axis=-1)
@@ -740,10 +756,10 @@ class CeilDyadic(Estimator):
 
     def edges(self, ks) -> np.ndarray:
         k = _index_array(ks)
-        lo = self.net.points(k - 1)
+        lo = self.net._points(k - 1)
         if self._integer:
             lo = np.where(k == 0, -np.inf, lo)
-        return np.stack([lo, self.net.points(k)], axis=-1)
+        return np.stack([lo, self.net._points(k)], axis=-1)
 
 
 TieRule = Literal["up", "down", "even", "odd"]

@@ -86,6 +86,7 @@ from .core import (
     Squares,
     StatLaw,
     _index_array,
+    _one,
     factor_from_growth,
     factor_from_steps,
 )
@@ -150,13 +151,10 @@ def _discrete_law(cdf, sf, ppf, sample, top, hi=math.inf) -> StatLaw:
     )
 
 
-def _as_floats(x):
-    """Samples as floats: a float for one sample, else an array (the
-    statistic of a family whose statistic is the sample)."""
-    if isinstance(x, (float, int)):  # one sample, without numpy's cost per call
-        return float(x)
-    x = np.asarray(x, dtype=float)
-    return float(x) if x.ndim == 0 else x
+def _sample(x):
+    """The statistic (and the lift) of a family whose statistic is the
+    sample itself."""
+    return x
 
 
 def _standard_normals(rng, m: int, n: int) -> np.ndarray:
@@ -172,18 +170,13 @@ def _poisson_ppf(lam, q):
 
 def poisson_family() -> Family:
     def log_density(lam, x):
-        x = np.asarray(x, dtype=float)
         ok = (x >= 0) & (x == np.floor(x))
         with np.errstate(invalid="ignore"):
             val = -lam + xlogy(x, lam) - gammaln(x + 1.0)
-        out = np.where(ok, val, -np.inf)
-        return float(out) if out.ndim == 0 else out
+        return np.where(ok, val, -np.inf)
 
     def div(l1, l2):
-        l1 = np.asarray(l1, dtype=float)
-        l2 = np.asarray(l2, dtype=float)
-        out = rel_entr(l1, l2) - l1 + l2
-        return float(out) if out.ndim == 0 else out
+        return rel_entr(l1, l2) - l1 + l2
 
     return Family(
         name="poisson",
@@ -191,8 +184,8 @@ def poisson_family() -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=_as_floats,
-        lift=_as_floats,
+        estimator_g=_sample,
+        lift=_sample,
         law=_discrete_law(
             lambda lam, k: pdtr(k, lam),
             lambda lam, k: pdtrc(k, lam),
@@ -208,7 +201,6 @@ def binomial_family(n: int) -> Family:
     log_binom = gammaln(n + 1.0)
 
     def log_density(p, k):
-        k = np.asarray(k, dtype=float)
         ok = (k >= 0) & (k <= n) & (k == np.floor(k))
         val = (
             log_binom
@@ -217,14 +209,10 @@ def binomial_family(n: int) -> Family:
             + xlogy(k, p)
             + xlogy(n - k, 1.0 - p)
         )
-        out = np.where(ok, val, -np.inf)
-        return float(out) if out.ndim == 0 else out
+        return np.where(ok, val, -np.inf)
 
     def div(p1, p2):
-        p1 = np.asarray(p1, dtype=float)
-        p2 = np.asarray(p2, dtype=float)
-        out = n * (rel_entr(p1, p2) + rel_entr(1.0 - p1, 1.0 - p2))
-        return float(out) if out.ndim == 0 else out
+        return n * (rel_entr(p1, p2) + rel_entr(1.0 - p1, 1.0 - p2))
 
     return Family(
         name="binomial",
@@ -232,8 +220,8 @@ def binomial_family(n: int) -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=lambda k: _as_floats(k) / n,
-        lift=lambda v: _as_floats(np.round(np.multiply(v, n))),
+        estimator_g=lambda k: k / n,
+        lift=lambda v: np.round(v * n),
         law=_discrete_law(
             lambda p, k: _binom_cdf(k, n, p),
             lambda p, k: _binom_sf(k, n, p),
@@ -257,16 +245,11 @@ def _du_ppf(N, q):
 
 def discrete_uniform_family() -> Family:
     def log_density(N, x):
-        x = np.asarray(x, dtype=float)
         ok = (x >= 0) & (x <= N) & (x == np.floor(x))
-        out = np.where(ok, -math.log(N + 1.0), -np.inf)
-        return float(out) if out.ndim == 0 else out
+        return np.where(ok, -math.log(N + 1.0), -np.inf)
 
     def div(n1, n2):
-        n1 = np.asarray(n1, dtype=float)
-        n2 = np.asarray(n2, dtype=float)
-        out = np.where(n1 <= n2, np.log((n2 + 1.0) / (n1 + 1.0)), np.inf)
-        return float(out) if out.ndim == 0 else out
+        return np.where(n1 <= n2, np.log((n2 + 1.0) / (n1 + 1.0)), np.inf)
 
     return Family(
         name="discrete_uniform",
@@ -274,8 +257,8 @@ def discrete_uniform_family() -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=_as_floats,
-        lift=_as_floats,
+        estimator_g=_sample,
+        lift=_sample,
         law=_discrete_law(
             _du_cdf, lambda N, k: 1.0 - _du_cdf(N, k), _du_ppf,
             lambda N, m, rng: rng.integers(0, int(N) + 1, m).astype(float),
@@ -289,17 +272,12 @@ def continuous_uniform_family() -> Family:
         return np.clip(np.asarray(v, dtype=float) / theta, 0.0, 1.0)
 
     def log_density(theta, x):
-        x = np.asarray(x, dtype=float)
         ok = (x > 0) & (x <= theta)
-        out = np.where(ok, -math.log(theta), -np.inf)
-        return float(out) if out.ndim == 0 else out
+        return np.where(ok, -math.log(theta), -np.inf)
 
     def div(t1, t2):
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
         with np.errstate(divide="ignore"):
-            out = np.where(t1 <= t2, np.log(t2) - np.log(t1), np.inf)
-        return float(out) if out.ndim == 0 else out
+            return np.where(t1 <= t2, np.log(t2) - np.log(t1), np.inf)
 
     return Family(
         name="continuous_uniform",
@@ -307,8 +285,8 @@ def continuous_uniform_family() -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=_as_floats,
-        lift=_as_floats,
+        estimator_g=_sample,
+        lift=_sample,
         law=StatLaw(
             discrete=False,
             cdf=cdf,
@@ -326,24 +304,15 @@ def normal_mean_family(n: int) -> Family:
     n = int(n)
 
     def log_density(mu, x):
-        x = np.asarray(x, dtype=float)
         # for n == 1 an array is a batch of scalar samples; for n > 1 the
         # last axis holds the coordinates of one sample
         z = x - mu
         sq = z * z if n == 1 else np.sum(z * z, axis=-1)
-        out = -0.5 * n * _LOG_2PI - 0.5 * sq
-        return float(out) if np.ndim(out) == 0 else out
+        return -0.5 * n * _LOG_2PI - 0.5 * sq
 
     def div(m1, m2):
-        m1 = np.asarray(m1, dtype=float)
-        m2 = np.asarray(m2, dtype=float)
         z = m1 - m2
-        out = 0.5 * n * (z * z)
-        return float(out) if out.ndim == 0 else out
-
-    def mean(x):
-        out = np.mean(np.asarray(x, dtype=float), axis=-1)
-        return float(out) if out.ndim == 0 else out
+        return 0.5 * n * (z * z)
 
     # the mean of n unit-variance draws is N(mu, 1/n)
     scale = 1.0 / math.sqrt(n)
@@ -362,9 +331,8 @@ def normal_mean_family(n: int) -> Family:
         sample_dim=n,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=_as_floats if n == 1 else mean,
-        lift=_as_floats if n == 1 else (
-            lambda v: np.repeat(np.asarray(v, dtype=float)[..., None], n, axis=-1)),
+        estimator_g=_sample if n == 1 else (lambda x: np.mean(x, axis=-1)),
+        lift=_sample if n == 1 else (lambda v: np.repeat(v[..., None], n, axis=-1)),
         law=StatLaw(
             discrete=False,
             cdf=cdf,
@@ -381,26 +349,18 @@ def normal_variance_family(n: int) -> Family:
     n = int(n)
 
     def log_density(var, x):
-        x = np.asarray(x, dtype=float)
         sq = x * x if n == 1 else np.sum(x * x, axis=-1)
-        out = -0.5 * n * (_LOG_2PI + math.log(var)) - 0.5 * sq / var
-        return float(out) if np.ndim(out) == 0 else out
+        return -0.5 * n * (_LOG_2PI + math.log(var)) - 0.5 * sq / var
 
     def div(v1, v2):
-        v1 = np.asarray(v1, dtype=float)
-        v2 = np.asarray(v2, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = v1 / v2
-            out = 0.5 * n * (r - np.log(r) - 1.0)
-        out = np.where(np.asarray(r) == 0.0, np.inf, out)
-        return float(out) if np.ndim(out) == 0 else out
+            return np.where(r == 0.0, np.inf, 0.5 * n * (r - np.log(r) - 1.0))
 
     def g(x):
-        x = np.asarray(x, dtype=float)
         # each sample's dot product with itself, rounded as np.dot rounds
         # it (summing x * x rounds differently and allocates a copy)
-        out = (x * x if n == 1 else (x[..., None, :] @ x[..., None])[..., 0, 0]) / n
-        return float(out) if np.ndim(out) == 0 else out
+        return (x * x if n == 1 else (x[..., None, :] @ x[..., None])[..., 0, 0]) / n
 
     # n g(X) / var is chi-square with n degrees of freedom
     def chi2(var, v):
@@ -413,7 +373,7 @@ def normal_variance_family(n: int) -> Family:
         log_density=log_density,
         divergence_fn=div,
         estimator_g=g,
-        lift=lambda v: np.repeat(np.sqrt(np.asarray(v, dtype=float))[..., None], n, axis=-1),
+        lift=lambda v: np.repeat(np.sqrt(v)[..., None], n, axis=-1),
         law=StatLaw(
             discrete=False,
             cdf=lambda var, v: np.where(chi2(var, v) > 0, chdtr(n, chi2(var, v)), 0.0),
@@ -428,17 +388,12 @@ def normal_variance_family(n: int) -> Family:
 
 def cauchy_family() -> Family:
     def log_density(theta, x):
-        x = np.asarray(x, dtype=float)
         z = x - theta
-        out = -math.log(math.pi) - np.log1p(z * z)
-        return float(out) if out.ndim == 0 else out
+        return -math.log(math.pi) - np.log1p(z * z)
 
     def div(t1, t2):
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
         z = t1 - t2
-        out = np.log1p(z * z)
-        return float(out) if out.ndim == 0 else out
+        return np.log1p(z * z)
 
     def cdf(theta, v):
         return np.arctan2(1, -(v - theta)) / np.pi
@@ -455,8 +410,8 @@ def cauchy_family() -> Family:
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
-        estimator_g=_as_floats,
-        lift=_as_floats,
+        estimator_g=_sample,
+        lift=_sample,
         law=StatLaw(
             discrete=False,
             cdf=cdf,
@@ -515,24 +470,24 @@ class FamilyBundle:
 
     def locate(self, xs):
         """The points on the law's line (see ``StatLaw``) of one sample or a
-        batch (``log_density``'s convention): the sample itself for a
-        discrete law, its statistic otherwise; a float, or one per sample.
-        The one check of which samples a composite accepts: an integer in
-        the law's [lo, hi], or a statistic strictly inside (lo, hi), so
-        never NaN or an infinity; raises :class:`DomainError` otherwise."""
+        batch (``log_density``'s convention), under the one-value rule of
+        :mod:`evarify.core`: the sample itself for a discrete law, its
+        statistic otherwise.  The one check of which samples a composite
+        accepts: an integer in the law's [lo, hi], or a statistic strictly
+        inside (lo, hi), so never NaN or an infinity; raises
+        :class:`DomainError` otherwise."""
         law = self.family.law
+        v = np.asarray(xs if law.discrete else self.family.estimator_g(xs), dtype=float)
         if law.discrete:
-            v = _as_floats(xs)
             ok = np.isfinite(v) & (v == np.floor(v)) & (law.lo <= v) & (v <= law.hi)
         else:
-            v = self.family.estimator_g(xs)
             ok = (law.lo < v) & (v < law.hi)
-        if not (ok.all() if isinstance(ok, np.ndarray) else ok):  # one sample: a bool
+        if not ok.all():
             need = (f"integers in [{law.lo:g}, {law.hi:g}]" if law.discrete else
                     f"samples whose statistic lies in ({law.lo:g}, {law.hi:g})")
             bad = np.ravel(v)[np.argmin(np.ravel(ok))]
             raise DomainError(f"{self.bundle_id} takes {need} (got {float(bad)!r})")
-        return v
+        return _one(v)
 
     @property
     def right_closed(self) -> bool:

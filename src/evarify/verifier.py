@@ -116,6 +116,10 @@ class ExpectationPlan:
             raise DomainError(
                 f"tail_mass must lie in (0, {cap:g}] for method {self.method!r}"
             )
+        if not 0.0 < self.abs_tol < math.inf:
+            raise DomainError(f"abs_tol must be finite and > 0 (got {self.abs_tol!r})")
+        if not self.mc_samples >= 2:  # a sample variance needs two draws
+            raise DomainError(f"mc_samples must be at least 2 (got {self.mc_samples!r})")
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
         k = ks[int(np.argmin(probs > 0.0))]
         raise DomainError(
             f"cell {k} of {bundle.bundle_id} has zero probability under its own point")
-    return SpikeSuite(bundle, ks, bounds, 1.0 / probs, bundle.right_closed, cells=True)
+    return SpikeSuite(bundle, ks, bounds, 1.0 / probs, bundle.right_closed)
 
 
 def _grid_index_envelope(
@@ -270,9 +274,9 @@ class _PiecewiseEngine:
 
 def _generic_discrete(e, theta, bundle, plan) -> ExpectationResult:
     law = bundle.family.law
-    _, top = law.window(theta, plan.tail_mass)
+    _, top = law.window(theta, plan.tail_mass).tolist()
     xs = np.arange(law.lo, min(law.hi, top + 8.0) + 1.0)
-    pmf = np.exp(np.asarray(bundle.family.log_density(theta, xs), dtype=float))
+    pmf = np.exp(bundle.family.log_density(theta, xs))
     values = _many(e, xs)
     charged = values[pmf > 0]
     if np.any(np.isinf(charged)):
@@ -307,10 +311,10 @@ def _window_quadrature(e, theta, bundle, plan) -> tuple[float, float, tuple]:
             "generic quadrature needs a statistic equal to the scalar sample; "
             "use monte_carlo or structured components"
         )
-    lo, hi = law.window(theta, plan.tail_mass)
+    lo, hi = law.window(theta, plan.tail_mass).tolist()
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        p = np.exp(np.asarray(bundle.family.log_density(theta, x), dtype=float))
+        p = np.exp(bundle.family.log_density(theta, x))
         return np.where(p > 0.0, _many(e, x) * p, 0.0)
 
     knots = _statistic_knots(bundle, lo, hi, getattr(e, "epsilon", None))
@@ -629,7 +633,7 @@ def unit_cell_spikes(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite
     ns = [int(n) for n in indices]
     edges = np.array(ns, dtype=float)[:, None] + [-0.5, 0.5]
     return SpikeSuite(bundle, ns, edges, np.full(len(ns), 1.0 / float(F[1] - F[0])),
-                      right_closed=False, cells=False)
+                      right_closed=False)
 
 
 def interpolated_spike_composite(

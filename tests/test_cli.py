@@ -173,6 +173,33 @@ class TestConfigFile:
         assert "spikes" in capsys.readouterr().err
 
 
+class TestMalformedPlanAndGrid:
+    @pytest.mark.parametrize("config,field", [
+        ({"plan": {"method": "monte_carlo", "samples": 0}}, "mc_samples"),
+        ({"plan": {"method": "monte_carlo", "samples": -5}}, "mc_samples"),
+        ({"plan": {"method": "monte_carlo", "samples": 1}}, "mc_samples"),
+        ({"plan": {"abs_tol": "-1"}}, "abs_tol"),
+        ({"theta_grid": {"values": []}}, "theta_grid"),
+        ({"theta_grid": {"values": []}, "mode": {"kind": "interpolated"}}, "theta_grid"),
+        ({"theta_grid": {"values": [-1.0]}}, "theta_grid values"),
+        ({"theta_grid": [4.0]}, "theta_grid"),
+        ({"theta_grid": {"kind": "other"}}, "theta_grid"),
+    ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
+            "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
+            "grid_as_a_list", "unknown_grid_kind"])
+    def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
+        """Each malformed plan or grid is a configuration error, caught
+        before any composite is built, with a message that names it."""
+        family = ({"name": "cauchy", "params": {"epsilon": "0.2"}}
+                  if config.get("mode") else {"name": "poisson"})
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": family, "suite": "spikes", **config}))
+        assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert "2**53" not in err
+
+
 class TestIndicesBeyondFloatResolution:
     @pytest.mark.parametrize("family,theta", [
         ({"name": "normal_mean", "params": {"n": 16}}, 1e25),

@@ -269,6 +269,27 @@ class TestProductRule:
         value = product_evar(comps, b, [0.5, 0.5, 0.5, 0.5])
         assert value == pytest.approx(math.exp(0.5) / b.factor_C, rel=1e-12)
 
+    def test_one_call_on_the_coordinates_and_the_running_product(self):
+        """The selected component is called once on the n coordinates, and
+        the value is the running product over them, bit for bit; a negative
+        value raises naming its coordinate."""
+        b = make_bundle("normal_mean", alpha=1.0, n=4)
+        fam1 = make_bundle("normal_mean", alpha=1.0, n=1).family
+        x = [0.3, 0.7, -0.2, 0.9]
+        k = b.estimator.index(x)
+        lr = likelihood_ratio_evar(fam1, b.net.points(k), 1.1)
+        calls = []
+        counted = EVariable(lambda xs: calls.append(len(xs)) or lr.fn(xs), vectorized=True)
+        total = 1.0
+        for coord in x:
+            total *= lr(coord)
+        assert product_evar({k: counted}, b, x) == total / b.factor_C
+        assert calls == [4]
+        bad = EVariable(lambda xs: np.where(xs > 0.8, -1.0, 1.0), vectorized=True)
+        with pytest.raises(ContractViolationError,
+                           match=rf"component {k} evaluated to -1\.0 at x=0\.9"):
+            product_evar({k: bad}, b, x)
+
     def test_dimension_mismatch(self):
         b = make_bundle("normal_mean", alpha=1.0, n=4)
         with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ import pytest
 
 from evarify.core import DomainError, REpsilon, factor_from_growth, factor_from_steps
 from evarify.families import FAMILY_IDS, make_bundle
+from evarify.verifier import default_theta_grid
 
 
 class TestMakeBundle:
@@ -141,21 +142,98 @@ class TestEstimate:
         assert [b.estimate(7)] * 3 == [b.estimate(7) for _ in range(3)]
 
 
-@pytest.mark.parametrize("name,kw", [("cauchy", {"epsilon": 0.2}), ("normal_mean", {"n": 1})])
+#: the nine configurations of the benchmark's discrete-mode operations
+BENCHMARK_CONFIGS = [
+    ("binomial", {"n": 64}),
+    ("binomial", {"n": 10_000}),
+    ("discrete_uniform", {}),
+    ("poisson", {}),
+    ("continuous_uniform", {}),
+    ("normal_mean", {"n": 1}),
+    ("normal_mean", {"n": 16}),
+    ("normal_variance", {"n": 64}),
+    ("cauchy", {"epsilon": 0.2}),
+]
+
+
+def _one_value_probes(bundle, rng):
+    """(thetas, samples, statistic values, net indices) of a bundle: draws
+    under three grid thetas and their statistics, plus up to 40 net points
+    the draws select, the midpoints to their successors, the nextafter
+    neighbours of both, and the samples lifted from them (the integers
+    either side, for a discrete law)."""
+    fam, net, law = bundle.family, bundle.net, bundle.family.law
+    grid = default_theta_grid(bundle)
+    thetas = [grid[i] for i in rng.choice(len(grid), 3, replace=False)]
+    draws = np.concatenate([law.sample(t, 30, rng) for t in thetas])
+    ks = np.unique(bundle.estimator.index(draws))
+    ks = np.sort(rng.choice(ks, min(40, len(ks)), replace=False))
+    pts, after = net.points(ks), net.points(net._clip(ks + 1))
+    marks = np.concatenate([pts, 0.5 * (pts + after)])
+    values = np.concatenate([fam.estimator_g(draws), marks, np.nextafter(marks, -np.inf),
+                             np.nextafter(marks, np.inf)])
+    lifted = fam.lift(values)
+    if law.discrete:
+        lifted = np.concatenate([np.floor(lifted), np.ceil(lifted)])
+        lifted = np.unique(lifted[(law.lo <= lifted) & (lifted <= law.hi)])
+    elif fam.sample_dim == 1:
+        lifted = lifted[(law.lo < lifted) & (lifted < law.hi)]
+    return thetas, np.concatenate([draws, lifted]), values, ks
+
+
+def _assert_batch_of_one(ones, batch, kind, none_at_nan=False):
+    """Each one-value result has type ``kind`` and the bits of its entry
+    in the batch (``None`` where the batch holds NaN, with
+    ``none_at_nan``)."""
+    batch = np.asarray(batch)
+    assert len(ones) == len(batch)
+    if none_at_nan:
+        absent = np.isnan(batch)
+        assert [o is None for o in ones] == absent.tolist()
+        ones, batch = [o for o in ones if o is not None], batch[~absent]
+    assert {type(o) for o in ones} <= {kind}
+    np.testing.assert_array_equal(np.array(ones, dtype=batch.dtype).reshape(batch.shape)
+                                  .view(np.uint8), batch.view(np.uint8))
+
+
+@pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
 def test_one_sample_equals_its_value_in_a_batch(name, kw):
-    """log_density, divergence_fn and a likelihood ratio give one float
-    the same bits as its entry in a batch (squares are products: numpy's
-    ``**`` on a 0-d array rounds differently from an array's)."""
+    """Every public one-value entry point gives one value the type it
+    documents and the bits of its entry in a batch: the family callables,
+    the net access, the bundle's estimate and locate, the estimator's
+    index and statistic, and a likelihood ratio (squares are products:
+    numpy's ``**`` on a 0-d array rounds differently from an array's)."""
     from evarify.combinator import likelihood_ratio_evar
 
-    fam = make_bundle(name, **kw).family
-    xs = fam.law.sample(0.3, 20_000, np.random.default_rng(0))
-    lr = likelihood_ratio_evar(fam, 0.0, 0.7)
-    np.testing.assert_array_equal([fam.log_density(0.7, x) for x in xs.tolist()],
-                                  fam.log_density(0.7, xs))
-    np.testing.assert_array_equal([fam.divergence_fn(x, 0.7) for x in xs.tolist()],
-                                  fam.divergence_fn(xs, 0.7))
-    np.testing.assert_array_equal([lr(x) for x in xs.tolist()], lr.fn(xs))
+    bundle = make_bundle(name, **kw)
+    fam, net, est = bundle.family, bundle.net, bundle.estimator
+    rng = np.random.default_rng(0)
+    thetas, xs, vs, ks = _one_value_probes(bundle, rng)
+    # the family callables are cheap, so they also take 2,000 more draws
+    many = np.concatenate([xs, *(fam.law.sample(t, 1_000, rng) for t in thetas[:2])])
+    gs = np.concatenate([vs, fam.estimator_g(many)])
+    x1, v1, vb = xs.tolist(), vs.tolist(), vs[::-1].copy()
+    row = float if fam.sample_dim == 1 else np.ndarray
+    for theta in thetas[:2]:
+        _assert_batch_of_one([fam.log_density(theta, x) for x in many.tolist()],
+                             fam.log_density(theta, many), float)
+        _assert_batch_of_one([fam.divergence_fn(v, theta) for v in gs.tolist()],
+                             fam.divergence_fn(gs, theta), float)
+    _assert_batch_of_one([fam.estimator_g(x) for x in many.tolist()], fam.estimator_g(many),
+                         float)
+    _assert_batch_of_one([fam.lift(v) for v in v1], fam.lift(vs), row)
+    _assert_batch_of_one([net.points(k) for k in ks.tolist()], net.points(ks), float)
+    _assert_batch_of_one([net.pred(v) for v in v1], net.pred(vs), float, none_at_nan=True)
+    _assert_batch_of_one([net.succ(v) for v in v1], net.succ(vs), float, none_at_nan=True)
+    _assert_batch_of_one([net.round_index(v) for v in v1], net.round_index(vs), int)
+    _assert_batch_of_one([net.count_between(a, b) for a, b in zip(v1, vb.tolist())],
+                         net.count_between(vs, vb), int)
+    _assert_batch_of_one([bundle.estimate(x) for x in x1], bundle.estimate(xs), float)
+    _assert_batch_of_one([bundle.locate(x) for x in x1], bundle.locate(xs), float)
+    _assert_batch_of_one([est.index(x) for x in x1], est.index(xs), int)
+    _assert_batch_of_one([est.statistic(x) for x in x1], est.statistic(xs), float)
+    lr = likelihood_ratio_evar(fam, *thetas[:2])
+    _assert_batch_of_one([lr(x) for x in many.tolist()], lr.fn(many), float)
 
 
 def _support_samples(bundle, rng, size=10_000):
@@ -383,12 +461,14 @@ class TestStatLaw:
 
     def test_window_caps_heavy_tails_and_floors_the_uniform(self):
         cauchy = make_bundle("cauchy").family.law
-        assert cauchy.window(3.0, 1e-12) == (3.0 - 10_000, 3.0 + 10_000)
+        assert cauchy.window(3.0, 1e-12).tolist() == [3.0 - 10_000, 3.0 + 10_000]
         uniform = make_bundle("continuous_uniform").family.law
         lo, hi = uniform.window(4.0, 1e-30)
         assert lo == 4.0 * 2.0**-60 and hi == 4.0
         binom = make_bundle("binomial", n=64).family.law
-        assert binom.window(0.5, 1e-12) == tuple(binom.ppf(0.5, np.array([5e-13, 1 - 5e-13])))
+        np.testing.assert_array_equal(binom.window(0.5, 1e-12),
+                                      binom.ppf(0.5, np.array([5e-13, 1 - 5e-13])))
+        assert cauchy.window(np.array([0.0, 1.0]), 1e-12).shape == (2, 2)
 
     def test_import_does_not_load_scipy_stats(self):
         import os
@@ -417,6 +497,25 @@ class TestFamilyKnowledgeInOneModule:
 
         for module in (checker, combinator, verifier, cli):
             assert "family.name" not in inspect.getsource(module), module.__name__
+
+    def test_the_one_value_rule_is_applied_in_core_only(self):
+        """The families and the nets' primitives are array code: the
+        one-value conversion is ``Family``'s and ``Net.points``' alone, and
+        the product rule has no scalar twin of the batch path."""
+        import inspect
+
+        from evarify import combinator, core, families
+
+        src = inspect.getsource(families)
+        for phrase in ("float(out) if", ".ndim == 0", "np.ndim(", "_as_floats"):
+            assert phrase not in src, phrase
+        nets = [c for c in vars(core).values()
+                if isinstance(c, type) and issubclass(c, core.Net) and c is not core.Net]
+        assert len(nets) == 7
+        for net in nets:
+            assert "points" not in vars(net), net.__name__
+            assert "_one(" not in inspect.getsource(net), net.__name__
+        assert not hasattr(combinator, "_component_value")
 
     def test_no_module_builds_cells_or_net_points_one_index_at_a_time(self):
         """Cells and net points come as arrays (``Estimator.edges``,

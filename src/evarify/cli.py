@@ -46,7 +46,7 @@ from pathlib import Path
 
 from .checker import run_all_checks
 from .combinator import combine_discrete, components_from_specs
-from .core import ConfigError, DomainError, EvarifyError
+from .core import ConfigError, EvarifyError
 from .families import FAMILY_IDS, make_bundle
 from .verifier import (
     ExpectationPlan,
@@ -125,19 +125,16 @@ def _plan_from(args, cfg: dict) -> ExpectationPlan:
 
 
 def _grid_from(cfg: dict, bundle):
-    """The theta grid, checked before any composite is built: the default
-    one, or a non-empty list of values in the parameter space."""
+    """The default theta grid, or the given values (the verifier checks
+    them before building anything from them)."""
     grid_cfg = cfg.get("theta_grid", {"kind": "default"})
     values = grid_cfg.get("values") if isinstance(grid_cfg, dict) else None
     if values is None and isinstance(grid_cfg, dict) and grid_cfg.get("kind") == "default":
         return default_theta_grid(bundle)
-    if not isinstance(values, list) or not values:
-        raise ConfigError("theta_grid must be {'kind': 'default'} or {'values': [...]} "
-                          f"with at least one value, got {grid_cfg!r}")
-    try:
-        return [bundle.family.validate_param(_num(v)) for v in values]
-    except (DomainError, TypeError) as exc:  # TypeError: a null value
-        raise ConfigError(f"theta_grid values: {exc}") from exc
+    if not isinstance(values, list):
+        raise ConfigError("theta_grid must be {'kind': 'default'} or {'values': [...]}, "
+                          f"got {grid_cfg!r}")
+    return [_num(v) for v in values]
 
 
 def _write_report(args, cfg: dict, payload: dict, csv_text: str | None) -> None:

@@ -184,16 +184,15 @@ def _many(e, xs) -> np.ndarray:
     return np.array([e(x) for x in xs], dtype=float)
 
 
-def _e_values(comp, k: int, xs) -> np.ndarray:
-    """Component k on a batch (``_many``), checked to give e-values: a
-    negative or NaN value raises :class:`ContractViolationError` naming
-    its sample."""
-    out = _many(comp, xs)
+def _e_values(out: np.ndarray, keys, xs) -> np.ndarray:
+    """out, checked to hold e-values: the first negative or NaN value in
+    batch order raises :class:`ContractViolationError` naming its
+    component keys[j] and its sample xs[j]."""
     bad = ~(out >= 0.0)
     if bad.any():
         j = int(np.argmax(bad))
         raise ContractViolationError(
-            f"component {k} evaluated to {float(out[j])!r} at x={xs[j].tolist()!r}")
+            f"component {int(keys[j])} evaluated to {float(out[j])!r} at x={xs[j].tolist()!r}")
     return out
 
 
@@ -299,15 +298,15 @@ class CompositeEVariable:
 
     def _values(self, keys: np.ndarray, active: np.ndarray, at: np.ndarray) -> np.ndarray:
         """Component keys[j] at at[j] for each active j, each component
-        called once on its own points and checked to give e-values; 1
+        called once on its own points, then checked to give e-values; 1
         where inactive or where the key has no component."""
         out = np.ones(len(keys))
         rows = np.flatnonzero(active)
         for k, idx in _groups(keys[rows]):
             comp = self.components.get(k)
             if comp is not None:
-                out[rows[idx]] = _e_values(comp, k, at[rows[idx]])
-        return out
+                out[rows[idx]] = _many(comp, at[rows[idx]])
+        return _e_values(out, keys, at)
 
 
 def _key_piecewise(bundle: FamilyBundle, components: Mapping) -> Piecewise:
@@ -508,7 +507,7 @@ def product_evar(
     # one sample: the vector, or its only coordinate when n = 1
     k = _index_at(bundle, bundle.locate(arr if n > 1 else arr[0]))
     comp = per_obs.get(k)
-    values = _e_values(ONE if comp is None else comp, k, arr)
+    values = _e_values(_many(ONE if comp is None else comp, arr), np.full(n, k), arr)
     return math.prod(values.tolist()) / bundle.factor_C  # in coordinate order
 
 

@@ -252,9 +252,14 @@ def _one(a):
 
 
 def _on_arrays(fn):
-    """fn called on float arrays, its 0-d result as a Python scalar."""
+    """fn called on float arrays, its 0-d result as a Python scalar (fn
+    itself when it is such a wrapper already)."""
+    if getattr(fn, "_on_arrays", False):
+        return fn
+
     def on_arrays(*args):
         return _one(fn(*[np.asarray(a, dtype=float) for a in args]))
+    on_arrays.__wrapped__, on_arrays._on_arrays = fn, True
     return on_arrays
 
 

@@ -180,8 +180,7 @@ def spike_composite(
     """The full-spike-suite composite covering every cell the given grid
     can reach (constant-1 defaults beyond, which only lowers it)."""
     plan = plan or ExpectationPlan()
-    grid = default_theta_grid(bundle) if theta_grid is None else theta_grid
-    k_lo, k_hi = _grid_index_envelope(bundle, grid, plan.tail_mass)
+    k_lo, k_hi = _grid_index_envelope(bundle, _theta_grid(bundle, theta_grid), plan.tail_mass)
     suite = spike_suite(bundle, range(k_lo, k_hi + 1))
     return combine_discrete(bundle, suite, factor_C=factor_C)
 
@@ -456,6 +455,20 @@ def default_theta_grid(bundle: FamilyBundle) -> list[float]:
     return sorted({float(v) for v in bundle.theta_grid(bundle) if space.contains(float(v))})
 
 
+def _theta_grid(bundle: FamilyBundle, theta_grid: Sequence[float] | None) -> list[float]:
+    """The grid to certify over, checked before anything is built from
+    it: the default one when none is given, else a non-empty list of
+    thetas in the parameter space."""
+    if theta_grid is None:
+        return default_theta_grid(bundle)
+    if not len(theta_grid):
+        raise DomainError("theta_grid holds no value")
+    try:
+        return [bundle.family.validate_param(t) for t in theta_grid]
+    except (DomainError, TypeError) as exc:  # TypeError: a null value
+        raise DomainError(f"theta_grid values: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Sweeps and reports
 # ---------------------------------------------------------------------------
@@ -516,9 +529,7 @@ def sweep(
     """Certify E_theta[composite] <= 1 across a parameter grid."""
     plan = plan or ExpectationPlan()
     bundle = composite.bundle
-    grid = default_theta_grid(bundle) if theta_grid is None else [
-        bundle.family.validate_param(t) for t in theta_grid
-    ]
+    grid = _theta_grid(bundle, theta_grid)
     engine = _closed_form_engine(composite, bundle, plan)
     rows = []
     for i, theta in enumerate(grid):
@@ -665,7 +676,7 @@ def certify_interpolated_factor(
     Expectations scale exactly as 1/C, so the sweep is evaluated once at
     C = 1 and the bisection runs on the cached values.
     """
-    grid = default_theta_grid(bundle) if theta_grid is None else theta_grid
+    grid = _theta_grid(bundle, theta_grid)
     plan = ExpectationPlan()
     worst_u, worst_eb = 0.0, 0.0
     per_eps = {}

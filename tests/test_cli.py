@@ -184,12 +184,14 @@ class TestMalformedPlanAndGrid:
         ({"theta_grid": {"values": [-1.0]}}, "theta_grid values"),
         ({"theta_grid": [4.0]}, "theta_grid"),
         ({"theta_grid": {"kind": "other"}}, "theta_grid"),
+        ({"theta_grid": {"values": [None]}}, "theta_grid values"),
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
-            "grid_as_a_list", "unknown_grid_kind"])
+            "grid_as_a_list", "unknown_grid_kind", "null_theta"])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
         """Each malformed plan or grid is a configuration error, caught
-        before any composite is built, with a message that names it."""
+        before any composite is built from the grid, with a message that
+        names it."""
         family = ({"name": "cauchy", "params": {"epsilon": "0.2"}}
                   if config.get("mode") else {"name": "poisson"})
         cfg = tmp_path / "run.json"

@@ -710,6 +710,16 @@ class TestGenericBatchPath:
                 comp.eval_many(batch)
             assert f"component {k} evaluated to {bad!r} at x={target.tolist()!r}" in str(info.value)
 
+    def test_the_first_bad_sample_in_batch_order_is_named(self):
+        """With bad samples under two keys, the error names the first one
+        in batch order, not the one under the smaller key."""
+        b = make_bundle("cauchy", epsilon=0.2)
+        negative = EVariable(lambda xs: -1.0 - xs, vectorized=True)
+        comp = combine_discrete(b, {2: negative, 5: negative})
+        with pytest.raises(ContractViolationError,
+                           match=r"component 5 evaluated to -6\.0 at x=5\.0"):
+            comp.eval_many(np.array([0.0, 5.0, 2.0]))
+
     def test_interpolated_generic_matches_the_scalar_terms(self):
         """Interpolated mode takes the bump-weighted neighbours on the
         batch: the same bits as the scalar ``bump_weight`` terms, on draws

@@ -101,6 +101,22 @@ class TestDivergence:
                 assert divergence(fam, a, b) >= 0.0
 
 
+class TestFamily:
+    def test_replace_wraps_each_callable_once(self):
+        """``replace`` keeps the wrapped callables as they are and wraps
+        only a new one: the family equals its copy, and a replaced
+        divergence runs inside a single wrapper."""
+        fam = cauchy_family()
+        assert replace(fam) == fam
+
+        def plain(t1, t2):
+            return np.abs(t1 - t2)
+        swapped = replace(replace(fam, divergence_fn=plain))
+        assert swapped.log_density is fam.log_density
+        assert swapped.divergence_fn.__wrapped__ is plain
+        assert swapped.divergence_fn(1.0, 3.0) == 2.0
+
+
 class TestFactorFormulas:
     """The two normalizing-factor closed forms; oracle values are
     40-digit evaluations of the same expressions."""

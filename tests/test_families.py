@@ -155,6 +155,10 @@ BENCHMARK_CONFIGS = [
     ("cauchy", {"epsilon": 0.2}),
 ]
 
+#: the location families whose one-value square once rounded differently
+#: from its batch entry
+SQUARING_CONFIGS = [("cauchy", {"epsilon": 0.2}), ("normal_mean", {"n": 1})]
+
 
 def _one_value_probes(bundle, rng):
     """(thetas, samples, statistic values, net indices) of a bundle: draws
@@ -209,18 +213,28 @@ def test_one_sample_equals_its_value_in_a_batch(name, kw):
     fam, net, est = bundle.family, bundle.net, bundle.estimator
     rng = np.random.default_rng(0)
     thetas, xs, vs, ks = _one_value_probes(bundle, rng)
-    # the family callables are cheap, so they also take 2,000 more draws
+    # the family callables and a likelihood ratio are cheap, so they also
+    # take 2,000 more draws, evaluated at two grid thetas, and on the
+    # squaring configs 20,000 at theta = 0.3, evaluated at 0.7 (a ratio of
+    # 0.7 to 0.0)
     many = np.concatenate([xs, *(fam.law.sample(t, 1_000, rng) for t in thetas[:2])])
-    gs = np.concatenate([vs, fam.estimator_g(many)])
+    batches = [(many, thetas[:2], thetas[:2])]
+    if (name, kw) in SQUARING_CONFIGS:
+        draws = fam.law.sample(0.3, 20_000, np.random.default_rng(0))
+        batches.append((draws, [0.7], (0.0, 0.7)))
+    for draws, at, (null, alt) in batches:
+        gs = np.concatenate([vs, fam.estimator_g(draws)])
+        for theta in at:
+            _assert_batch_of_one([fam.log_density(theta, x) for x in draws.tolist()],
+                                 fam.log_density(theta, draws), float)
+            _assert_batch_of_one([fam.divergence_fn(v, theta) for v in gs.tolist()],
+                                 fam.divergence_fn(gs, theta), float)
+        _assert_batch_of_one([fam.estimator_g(x) for x in draws.tolist()],
+                             fam.estimator_g(draws), float)
+        lr = likelihood_ratio_evar(fam, null, alt)
+        _assert_batch_of_one([lr(x) for x in draws.tolist()], lr.fn(draws), float)
     x1, v1, vb = xs.tolist(), vs.tolist(), vs[::-1].copy()
     row = float if fam.sample_dim == 1 else np.ndarray
-    for theta in thetas[:2]:
-        _assert_batch_of_one([fam.log_density(theta, x) for x in many.tolist()],
-                             fam.log_density(theta, many), float)
-        _assert_batch_of_one([fam.divergence_fn(v, theta) for v in gs.tolist()],
-                             fam.divergence_fn(gs, theta), float)
-    _assert_batch_of_one([fam.estimator_g(x) for x in many.tolist()], fam.estimator_g(many),
-                         float)
     _assert_batch_of_one([fam.lift(v) for v in v1], fam.lift(vs), row)
     _assert_batch_of_one([net.points(k) for k in ks.tolist()], net.points(ks), float)
     _assert_batch_of_one([net.pred(v) for v in v1], net.pred(vs), float, none_at_nan=True)
@@ -232,8 +246,6 @@ def test_one_sample_equals_its_value_in_a_batch(name, kw):
     _assert_batch_of_one([bundle.locate(x) for x in x1], bundle.locate(xs), float)
     _assert_batch_of_one([est.index(x) for x in x1], est.index(xs), int)
     _assert_batch_of_one([est.statistic(x) for x in x1], est.statistic(xs), float)
-    lr = likelihood_ratio_evar(fam, *thetas[:2])
-    _assert_batch_of_one([lr(x) for x in many.tolist()], lr.fn(many), float)
 
 
 def _support_samples(bundle, rng, size=10_000):

@@ -374,6 +374,24 @@ class TestSweep:
             assert all(b.family.param_space.contains(t) for t in grid)
             assert grid == sorted(grid)
 
+    @pytest.mark.parametrize("grid,message", [
+        ([], "theta_grid holds no value"),
+        ([1.0, math.inf], "theta_grid values: parameter inf outside"),
+        ([None], "theta_grid values"),
+    ])
+    def test_every_grid_entry_point_checks_the_grid_first(self, grid, message):
+        """The spike composite, the interpolated factor and the sweep
+        reject a bad grid by name before building anything from it (an
+        envelope from a theta outside the space once failed as a net index
+        beyond 2**53)."""
+        poisson, cauchy = make_bundle("poisson"), make_bundle("cauchy", epsilon=0.2)
+        calls = [lambda: spike_composite(poisson, grid),
+                 lambda: certify_interpolated_factor(cauchy, theta_grid=grid),
+                 lambda: sweep(spike_composite(poisson, [1.0]), grid)]
+        for call in calls:
+            with pytest.raises(DomainError, match=message):
+                call()
+
 
 class TestMLECounterexample:
     def test_lambda_one_by_direct_summation(self):

@@ -41,8 +41,6 @@ __all__ = [
     "IDENTITY_TOL",
     "SLACK_TOL",
     "ConditionReport",
-    "GridSpec",
-    "default_grid_spec",
     "check_log_ratio_identity",
     "estimate_cell_bound",
     "check_cell_sandwich",
@@ -101,26 +99,6 @@ class ConditionReport:
 # ---------------------------------------------------------------------------
 # Grids and sample generators
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Axes for the log-ratio identity check: parameters, net indices and
-    pointwise-estimate values (the statistic g(x) axis)."""
-
-    thetas: tuple
-    net_indices: tuple
-    g_values: tuple
-
-
-def default_grid_spec(bundle: FamilyBundle) -> GridSpec:
-    """The bundle's identity axes (``FamilyBundle.identity_axes``)."""
-    thetas, indices, gs = bundle.identity_axes(bundle)
-    return GridSpec(
-        thetas=tuple(float(t) for t in thetas),
-        net_indices=tuple(int(i) for i in indices),
-        g_values=tuple(float(g) for g in gs),
-    )
 
 
 def default_cell_samples(bundle: FamilyBundle, n_cells: int = 120,
@@ -223,14 +201,12 @@ def _statistics(bundle: FamilyBundle, xs: Sequence) -> np.ndarray:
     return bundle.family.estimator_g(_batch(bundle, xs))
 
 
-def check_log_ratio_identity(
-    bundle: FamilyBundle,
-    grid_spec: GridSpec | None = None,
-) -> ConditionReport:
+def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) -> ConditionReport:
     """|log(p_theta(x)/p_s(x)) - (d(g(x)||s) - d(g(x)||theta))| over the
-    grid; points where either density vanishes are skipped and counted
-    (families with parameter-dependent support satisfy the identity on
-    the common support only).
+    grid of ``axes``, (thetas, net indices, statistic values g(x)), the
+    bundle's ``identity_axes`` by default; points where either density
+    vanishes are skipped and counted (families with parameter-dependent
+    support satisfy the identity on the common support only).
 
     The thetas are taken in blocks of at most ``_IDENTITY_CACHE`` cached
     values per array: each block computes ``log p_theta(x)`` and
@@ -240,12 +216,11 @@ def check_log_ratio_identity(
     it lies; the witnesses are the first ten pairs above the tolerance in
     theta-major order (theta by theta, s by s within a theta), and the
     tolerance is ``IDENTITY_TOL``."""
-    spec = grid_spec or default_grid_spec(bundle)
+    thetas, indices, gs = bundle.identity_axes(bundle) if axes is None else axes
+    thetas, gs = np.asarray(thetas, dtype=float), np.asarray(gs, dtype=float)
     fam = bundle.family
-    gs = np.asarray(spec.g_values, dtype=float)
     x_arr = fam.lift(gs)
-    thetas = spec.thetas
-    points = bundle.net.points(spec.net_indices)
+    points = bundle.net.points(indices)
     # each pair's largest residual and its position on the g axis; NaN
     # marks a pair with no common support (or a NaN residual), which
     # neither raises the worst value nor makes a witness
@@ -312,17 +287,9 @@ def _report(condition: str, excess: np.ndarray, tolerance: float, cases: Sequenc
     )
 
 
-def _selection(bundle: FamilyBundle, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The net's points from below the floor of the least statistic to
-    above the greatest (so a neighbour missing here is missing from the
-    net), and the point the estimator selects for each statistic."""
-    net = bundle.net
-    ks = np.asarray(bundle.estimator.statistic_index(gs))
-    lo = min(int(ks.min()), net.round_index(float(gs.min())) - 1) - 1
-    hi = max(int(ks.max()), net.round_index(float(gs.max()))) + 1
-    lo, hi = net._clip(np.array([lo, hi]))
-    points = net.points(np.arange(lo, hi + 1))
-    return points, points[ks - lo]
+def _selected(bundle: FamilyBundle, gs: np.ndarray) -> np.ndarray:
+    """The net point the estimator selects for each statistic."""
+    return bundle.net.points(bundle.estimator.statistic_index(gs))
 
 
 def estimate_cell_bound(bundle: FamilyBundle, samples: Sequence | None = None) -> float:
@@ -331,8 +298,7 @@ def estimate_cell_bound(bundle: FamilyBundle, samples: Sequence | None = None) -
     not exceed it (checked by :func:`run_all_checks`)."""
     xs = default_cell_samples(bundle) if samples is None else samples
     gs = _statistics(bundle, xs)
-    _, sel = _selection(bundle, gs)
-    return float(np.max(bundle.family.divergence_fn(gs, sel)))
+    return float(np.max(bundle.family.divergence_fn(gs, _selected(bundle, gs))))
 
 
 def check_cell_sandwich(
@@ -340,8 +306,8 @@ def check_cell_sandwich(
 ) -> ConditionReport:
     """pred(s) <= pred(g(x)) and succ(g(x)) <= succ(s) for s = shat(x);
     absent neighbours (net extremes) make the comparison vacuous.  The
-    neighbours of the statistics and of the selected points come from one
-    search among the net's points over their range."""
+    net gives the neighbours of all the statistics and selected points
+    at once."""
     xs = default_cell_samples(bundle) if samples is None else samples
     gs = _statistics(bundle, xs)
     s, viol = _sandwich(bundle, gs) if len(gs) else (gs, gs)
@@ -349,10 +315,11 @@ def check_cell_sandwich(
 
 
 def _sandwich(bundle: FamilyBundle, gs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The selected point of each statistic and its sandwich violation."""
-    points, s = _selection(bundle, gs)
-    ps, pg = _pred(points, s), _pred(points, gs)
-    ss, sg = _succ(points, s), _succ(points, gs)
+    """The selected point of each statistic and its sandwich violation
+    (the net's pred and succ are NaN where it has no neighbour)."""
+    net, s = bundle.net, _selected(bundle, gs)
+    ps, pg = net.pred(s), net.pred(gs)
+    ss, sg = net.succ(s), net.succ(gs)
     return s, np.maximum.reduce([
         np.zeros(len(gs)),
         np.where(pg < ps, ps - pg, 0.0),
@@ -360,18 +327,6 @@ def _sandwich(bundle: FamilyBundle, gs: np.ndarray) -> tuple[np.ndarray, np.ndar
         np.where(sg > ss, sg - ss, 0.0),
         np.where(np.isnan(sg) & ~np.isnan(ss), math.inf, 0.0),
     ])
-
-
-def _pred(points: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The largest of the sorted points below each v, NaN where none is."""
-    j = points.searchsorted(v, "left") - 1
-    return np.where(j >= 0, points[np.maximum(j, 0)], np.nan)
-
-
-def _succ(points: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The smallest of the sorted points above each v, NaN where none is."""
-    j = points.searchsorted(v, "right")
-    return np.where(j < len(points), points[np.minimum(j, len(points) - 1)], np.nan)
 
 
 def check_divergence_growth(

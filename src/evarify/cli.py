@@ -20,8 +20,10 @@ error.  Reports are written as JSON (machine) or CSV (tables) and are
 byte-identical across runs with the same configuration and seed.
 
 Configuration files are JSON; every numeric field also accepts an exact
-decimal string (e.g. ``"epsilon": "0.2"``).  Command-line flags override
-config-file values.  Schema::
+decimal string (e.g. ``"epsilon": "0.2"``).  A null, or another value,
+where a number or an object belongs is a configuration error that names
+the field, except ``"epsilon": null``, which means no epsilon is given.
+Command-line flags override config-file values.  Schema::
 
     {
       "command": "certify",
@@ -72,13 +74,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _num(value, kind=float):
-    if value is None:
-        return None
+def _num(value, field: str, kind=float):
+    """A number, or an exact decimal string, as ``kind``; a ConfigError
+    naming ``field`` for anything else, null included."""
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad numeric value {value!r}") from exc
+        raise ConfigError(f"{field}: bad numeric value {value!r}") from exc
+
+
+def _object(cfg: dict, key: str, field: str | None = None) -> dict:
+    """The JSON object under ``key`` ({} when absent); a ConfigError
+    naming the field for any other value, null included."""
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field or key} must be a JSON object, got {value!r}")
+    return value
 
 
 def _load_config(path: str | None) -> dict:
@@ -95,11 +106,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _bundle_from(args, cfg: dict):
-    fam_cfg = cfg.get("family", {})
+    fam_cfg = _object(cfg, "family")
     name = args.family or fam_cfg.get("name")
     if not name:
         raise ConfigError("no family given (use --family or the config file)")
-    params = dict(fam_cfg.get("params", {}))
+    params = dict(_object(fam_cfg, "params", "family.params"))
     if args.n is not None:
         params["n"] = args.n
     if args.alpha is not None:
@@ -107,20 +118,21 @@ def _bundle_from(args, cfg: dict):
     if args.epsilon is not None:
         params["epsilon"] = args.epsilon
     clean = {}
-    for key, value in params.items():
-        clean[key] = _num(value, int if key == "n" else float)
+    for key, value in params.items():  # a null epsilon is no epsilon
+        clean[key] = (None if key == "epsilon" and value is None
+                      else _num(value, f"family.params.{key}", int if key == "n" else float))
     return make_bundle(name, **clean)
 
 
 def _plan_from(args, cfg: dict) -> ExpectationPlan:
-    plan_cfg = cfg.get("plan", {})
+    plan_cfg = _object(cfg, "plan")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     return ExpectationPlan(
         method=plan_cfg.get("method", "auto"),
-        tail_mass=_num(plan_cfg.get("tail_mass", 1e-12)),
-        abs_tol=_num(plan_cfg.get("abs_tol", 1e-9)),
-        mc_samples=_num(plan_cfg.get("samples", 1_000_000), int),
-        seed=_num(seed, int),
+        tail_mass=_num(plan_cfg.get("tail_mass", 1e-12), "plan.tail_mass"),
+        abs_tol=_num(plan_cfg.get("abs_tol", 1e-9), "plan.abs_tol"),
+        mc_samples=_num(plan_cfg.get("samples", 1_000_000), "plan.samples", int),
+        seed=_num(seed, "seed", int),
     )
 
 
@@ -134,11 +146,11 @@ def _grid_from(cfg: dict, bundle):
     if not isinstance(values, list):
         raise ConfigError("theta_grid must be {'kind': 'default'} or {'values': [...]}, "
                           f"got {grid_cfg!r}")
-    return [_num(v) for v in values]
+    return [_num(v, "theta_grid values") for v in values]
 
 
 def _write_report(args, cfg: dict, payload: dict, csv_text: str | None) -> None:
-    out_cfg = cfg.get("output", {})
+    out_cfg = _object(cfg, "output")
     path = args.out or out_cfg.get("path")
     fmt = args.format or out_cfg.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -190,7 +202,7 @@ def _cmd_certify(args, cfg) -> int:
     bundle = _bundle_from(args, cfg)
     plan = _plan_from(args, cfg)
     grid = _grid_from(cfg, bundle)
-    mode_cfg = cfg.get("mode", {})
+    mode_cfg = _object(cfg, "mode")
     mode = args.mode or mode_cfg.get("kind", "discrete")
     suite = args.suite or cfg.get("suite", "spikes")
     if suite not in ("spikes", "ones"):
@@ -202,7 +214,7 @@ def _cmd_certify(args, cfg) -> int:
         if suite == "ones":
             raise ConfigError("interpolated mode supports the spikes suite only")
         eps = args.epsilon if args.epsilon is not None else mode_cfg.get("epsilon")
-        eps = _num(eps) if eps is not None else 0.2
+        eps = _num(eps, "epsilon") if eps is not None else 0.2
         factor, _ = certify_interpolated_factor(bundle, theta_grid=grid)
         composite = interpolated_spike_composite(bundle, eps, factor)
     elif mode == "discrete":
@@ -226,8 +238,7 @@ def _cmd_certify(args, cfg) -> int:
 
 
 def _cmd_counterexample(args, cfg) -> int:
-    fam_cfg = cfg.get("family", {})
-    name = args.family or fam_cfg.get("name")
+    name = args.family or _object(cfg, "family").get("name")
     if name != "poisson":
         raise ConfigError(
             "the maximum-likelihood counterexample is implemented for the "
@@ -236,7 +247,7 @@ def _cmd_counterexample(args, cfg) -> int:
     lam = args.lam if args.lam is not None else cfg.get("lambda")
     if lam is None:
         raise ConfigError("no rate given (use --lambda)")
-    lam = _num(lam)
+    lam = _num(lam, "lambda")
     res = mle_counterexample_poisson_with_bound(lam)
     print(
         f"E_lambda[own-probability spike at the MLE] = {res.estimate:.9g} "

@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Literal
 
 import numpy as np
@@ -236,12 +237,17 @@ class Piecewise:
         i = np.where(inside, i, 0)
         return np.where(inside, self.a[i] + self.b[i] * v, self.outside)
 
-    @property
+    @cached_property
     def sup(self) -> float:
         """The largest value taken (an affine piece peaks at an edge)."""
         ends = [self.a + self.b * self.edges[:-1], self.a + self.b * self.edges[1:]]
         values = [float(e.max()) for e in ends if len(e)]
         return max(values if self.period else [self.outside, *values])
+
+    @cached_property
+    def ramps(self) -> bool:
+        """Whether some piece has a slope (b != 0)."""
+        return bool(np.any(self.b != 0.0))
 
 
 def _one(a):

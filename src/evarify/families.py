@@ -434,10 +434,6 @@ class FamilyBundle:
     """A family wired to its net, estimator and normalizing factor, with
     the family's adversarial grids.
 
-    ``route`` records how ``factor_C`` was certified: "growth" and
-    "steps" use the closed-form factor formulas applied to
-    ``factor_inputs``; "direct" means an explicit constant.
-
     The grids are functions of the bundle they are given (a bundle made
     by ``dataclasses.replace`` is read afresh), run only when asked for:
     ``theta_grid(b)``, the parameters a sweep certifies at, in any order;
@@ -454,7 +450,6 @@ class FamilyBundle:
     estimator: Estimator
     factor_inputs: FactorInputs | None
     factor_C: float
-    route: str  # "growth" | "steps" | "direct"
     theta_grid: Callable[["FamilyBundle"], np.ndarray]
     identity_axes: Callable[["FamilyBundle"], tuple]
     cell_samples: Callable[..., Sequence] | None = None
@@ -462,6 +457,16 @@ class FamilyBundle:
     bundle_id: str = ""
     #: net index of each support point 0..n, for finite discrete supports
     support_index: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def route(self) -> str:
+        """How ``factor_C`` was certified, read from ``factor_inputs``:
+        "growth" (an exponent alpha) and "steps" (a step constant c) apply
+        the closed-form factor formulas; "direct" (neither) means an
+        explicit constant."""
+        inputs = self.factor_inputs or FactorInputs()
+        return ("growth" if inputs.alpha is not None
+                else "steps" if inputs.c is not None else "direct")
 
     def estimate(self, x):
         """The selected net point for one sample ``x`` (a float) or a
@@ -653,7 +658,6 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         estimator=est,
         factor_inputs=inputs,
         factor_C=C,
-        route="growth",
         theta_grid=_binomial_theta_grid,
         identity_axes=lambda b: (np.linspace(0.02, 0.98, 50), b.net.indices(),
                                  np.arange(0, b.params["n"] + 1) / b.params["n"]),
@@ -672,7 +676,6 @@ def _make_discrete_uniform() -> FamilyBundle:
         estimator=CeilDyadic(net),
         factor_inputs=None,
         factor_C=3.0,
-        route="direct",
         theta_grid=_discrete_uniform_theta_grid,
         identity_axes=lambda b: (_DYADIC_SIZES, range(0, 12), _DYADIC_SIZES),
         # every support point of the first min(n_cells, 14) dyadic cells
@@ -691,7 +694,6 @@ def _make_poisson() -> FamilyBundle:
         estimator=RoundToNet(net),
         factor_inputs=inputs,
         factor_C=factor_from_steps(1.0, 1.0),
-        route="steps",
         theta_grid=_poisson_theta_grid,
         identity_axes=lambda b: (np.geomspace(0.1, 100.0, 50), range(1, 51), np.unique(
             np.concatenate([[0.0, 1.0, 2.0], np.round(np.geomspace(1, 300, 47))]))),
@@ -709,7 +711,6 @@ def _make_continuous_uniform() -> FamilyBundle:
         estimator=CeilDyadic(net),
         factor_inputs=None,
         factor_C=3.0,
-        route="direct",
         theta_grid=lambda b: _scale_grid(b.net.points(np.arange(-10, 11))),
         identity_axes=lambda b: (np.geomspace(1e-3, 1e3, 50), range(-10, 11),
                                  np.geomspace(1e-3, 1e3, 50)),
@@ -739,7 +740,6 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
             estimator=est,
             factor_inputs=inputs,
             factor_C=factor_from_growth(c_prime, 1.0),
-            route="growth",
             theta_grid=_normal_mean_theta_grid,
             identity_axes=_location_axes(6.0),
             params={"n": 1, "epsilon": eps},
@@ -756,7 +756,6 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
         estimator=RoundToNet(net, fam.estimator_g),
         factor_inputs=inputs,
         factor_C=factor_from_steps(alpha ** 2 / 8.0, alpha ** 2 / 2.0),
-        route="steps",
         theta_grid=_normal_mean_theta_grid,
         identity_axes=_location_axes(6.0),
         params={"alpha": alpha, "n": n},
@@ -782,7 +781,6 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
         estimator=RoundToNet(net, fam.estimator_g),
         factor_inputs=inputs,
         factor_C=factor_from_steps(0.5, 1.0 / 32.0),
-        route="steps",
         theta_grid=_normal_variance_theta_grid,
         # the geometric net dives towards 0 quickly; indices are kept in a
         # range where the identity's terms stay within float64 reach of an
@@ -809,7 +807,6 @@ def _make_cauchy(epsilon: float | None = None) -> FamilyBundle:
         estimator=est,
         factor_inputs=inputs,
         factor_C=factor_from_growth(math.log(2.0), 1.0),
-        route="growth",
         theta_grid=_cauchy_theta_grid,
         identity_axes=_location_axes(30.0),
         params={} if epsilon is None else {"epsilon": float(epsilon)},

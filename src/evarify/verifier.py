@@ -3,6 +3,9 @@
 The central claim about a composite test e is that sup over the family of
 E_theta[e(X)] is at most 1.  This module estimates those expectations with
 explicit error bounds and sweeps them over adversarial parameter grids.
+Every expectation, alone or as a row of a sweep or of the interpolated
+factor's search, is one call of :func:`expectation`, which picks its
+engine.
 
 A composite of structured components (constants, spikes) carries a
 :class:`~evarify.core.Piecewise`, and one closed-form engine integrates it:
@@ -32,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -208,7 +211,8 @@ def upper_tail_calibrated_evar(
 # ---------------------------------------------------------------------------
 
 
-class _PiecewiseEngine:
+def _piecewise_expectation(pw: Piecewise, law: StatLaw, tail: float,
+                           theta: float) -> ExpectationResult:
     """E_theta of a piecewise composite: sum_i a_i dF_i + b_i dG_i over
     its pieces (G, the law's partial first moment, only on ramps, b != 0)
     plus the mass beyond at the outside level.  A periodic piecewise is
@@ -219,51 +223,42 @@ class _PiecewiseEngine:
     1/(2 eps), so each piece adds _CDF_EPS (|a| F + |b| (|G| + |theta| F))
     at both ends and the sum (pieces + 2) u sum_i |a_i dF_i| + |b_i dG_i|.
     """
+    n = len(pw.a)
 
-    def __init__(self, pw: Piecewise, law: StatLaw, tail: float):
-        self.pw, self.law, self.tail = pw, law, tail
-        self.ramps = bool(np.any(pw.b != 0.0))
-        self.sup = pw.sup
-        if pw.period:
-            ends = np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:])
-            self.spread = self.sup - float(ends.min())
-
-    def expectation(self, theta: float) -> ExpectationResult:
-        pw, law, n = self.pw, self.law, len(self.pw.a)
-
-        def at(v):  # rows F and, for ramps, G
-            return np.array(law.moment(theta, v) if self.ramps else [law.cdf(theta, v)])
-        if pw.period:  # each piece's copies on the periods meeting the window
-            j = [math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, self.tail)]
-            s = pw.period * np.arange(j[0], j[1] + 2.0)  # and the next period
-            rows, J = [at(e + s) for e in pw.edges[:-1]], len(s) - 1
-            # piece i runs from row i to row i + 1, the last to the next row 0
-            parts = [(pw.a[i], pw.b[i], s[:J], rows[i][:, :J],
-                      rows[i + 1][:, :J] if i + 1 < n else rows[0][:, 1:]) for i in range(n)]
-        else:
-            rows = [at(pw.edges)]
-            parts = [(pw.a, pw.b, 0.0, rows[0][:, :n], rows[0][:, 1:])]
-        F = rows[0][0]  # the pieces are contiguous: the mass beyond lies below and above
-        rest = max(0.0, 1.0 - float(F[-1] - F[0])) if F.size else 1.0
-        estimate = at_edges = terms = 0.0
-        for a, b, s, (F0, *G0), (F1, *G1) in parts:  # a copy shifted by s: a - b s for a
-            dF = F1 - F0
-            estimate += float(np.dot(a - b * s, dF))
-            if self.ramps:  # per piece |a - b s| <= |a| + |b| |s|
-                (G0,), (G1,) = G0, G1
-                dG = G1 - G0
-                estimate += float(np.sum(b * dG))
-                A, B = np.abs(a) + np.abs(b) * np.abs(s), np.abs(b)
-                at_edges += float(np.sum((A + abs(theta) * B) * (F0 + F1)
-                                         + B * (np.abs(G0) + np.abs(G1))))
-                terms += float(np.sum(A * np.abs(dF) + B * np.abs(dG)))
-        count = sum(part[3].shape[1] for part in parts)
-        estimate += rest * (self.sup if pw.period else pw.outside)
-        eb = _CDF_EPS * (count + 2.0) * max(1.0, self.sup)
-        eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
-        if pw.period:
-            eb += rest * self.spread
-        return ExpectationResult(estimate, eb, "exact_sum" if law.discrete else "quadrature")
+    def at(v):  # rows F and, for ramps, G
+        return np.array(law.moment(theta, v) if pw.ramps else [law.cdf(theta, v)])
+    if pw.period:  # each piece's copies on the periods meeting the window
+        j = [math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, tail)]
+        s = pw.period * np.arange(j[0], j[1] + 2.0)  # and the next period
+        rows, J = [at(e + s) for e in pw.edges[:-1]], len(s) - 1
+        # piece i runs from row i to row i + 1, the last to the next row 0
+        parts = [(pw.a[i], pw.b[i], s[:J], rows[i][:, :J],
+                  rows[i + 1][:, :J] if i + 1 < n else rows[0][:, 1:]) for i in range(n)]
+    else:
+        rows = [at(pw.edges)]
+        parts = [(pw.a, pw.b, 0.0, rows[0][:, :n], rows[0][:, 1:])]
+    F = rows[0][0]  # the pieces are contiguous: the mass beyond lies below and above
+    rest = max(0.0, 1.0 - float(F[-1] - F[0])) if F.size else 1.0
+    estimate = at_edges = terms = 0.0
+    for a, b, s, (F0, *G0), (F1, *G1) in parts:  # a copy shifted by s: a - b s for a
+        dF = F1 - F0
+        estimate += float(np.dot(a - b * s, dF))
+        if pw.ramps:  # per piece |a - b s| <= |a| + |b| |s|
+            (G0,), (G1,) = G0, G1
+            dG = G1 - G0
+            estimate += float(np.sum(b * dG))
+            A, B = np.abs(a) + np.abs(b) * np.abs(s), np.abs(b)
+            at_edges += float(np.sum((A + abs(theta) * B) * (F0 + F1)
+                                     + B * (np.abs(G0) + np.abs(G1))))
+            terms += float(np.sum(A * np.abs(dF) + B * np.abs(dG)))
+    count = sum(part[3].shape[1] for part in parts)
+    estimate += rest * (pw.sup if pw.period else pw.outside)
+    eb = _CDF_EPS * (count + 2.0) * max(1.0, pw.sup)
+    eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
+    if pw.period:
+        ends = np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:])
+        eb += rest * (pw.sup - float(ends.min()))
+    return ExpectationResult(estimate, eb, "exact_sum" if law.discrete else "quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +277,23 @@ def _generic_discrete(e, theta, bundle, plan) -> ExpectationResult:
         return ExpectationResult(math.inf, 0.0, "exact_sum")
     estimate = float(np.dot(np.where(pmf > 0, values, 0.0), pmf))
     tail = max(0.0, 1.0 - float(np.sum(pmf)))
-    sup = getattr(e, "sup_bound", None)
-    if sup is None:
-        sup = 10.0 * max(1.0, float(np.max(charged, initial=0.0)))
-    return ExpectationResult(estimate, tail * sup + 1e-12, "exact_sum")
+    charge = _tail_charge(e, tail, float(np.max(charged, initial=0.0)))
+    return ExpectationResult(estimate, charge + 1e-12, "exact_sum")
 
 
 def _generic_quadrature(e, theta, bundle, plan) -> ExpectationResult:
     total, err, (lo, hi) = _window_quadrature(e, theta, bundle, plan)
     coverage = bundle.family.law.cdf(theta, np.array([lo, hi]))
     tail = max(0.0, 1.0 - float(coverage[1] - coverage[0]))
+    return ExpectationResult(total, err + _tail_charge(e, tail, abs(total)), "quadrature")
+
+
+def _tail_charge(e, tail: float, seen: float) -> float:
+    """The mass ``tail`` beyond the window times e's ``sup_bound``, or,
+    without one, times 10 max(1, seen), ``seen`` the largest value summed
+    or the integral's size: a guess, not a bound (ROADMAP item 1)."""
     sup = getattr(e, "sup_bound", None)
-    if sup is None:
-        sup = 10.0 * max(1.0, abs(total))
-    return ExpectationResult(total, err + tail * sup, "quadrature")
+    return tail * (10.0 * max(1.0, seen) if sup is None else sup)
 
 
 def _window_quadrature(e, theta, bundle, plan) -> tuple[float, float, tuple]:
@@ -406,8 +404,10 @@ def expectation(
     """Estimate E_theta[e(X)] with an explicit error bound.
 
     ``e`` may be a :class:`CompositeEVariable` (its bundle supplies the
-    family) or any callable together with an explicit ``bundle``.
-    Deterministic given the plan's seed.
+    family) or any callable together with an explicit ``bundle``.  One
+    with a piecewise (a structured component or a composite of them) is
+    integrated in closed form unless the plan asks for Monte Carlo; any
+    other is evaluated pointwise.  Deterministic given the plan's seed.
     """
     if bundle is None:
         if not isinstance(e, CompositeEVariable):
@@ -415,9 +415,12 @@ def expectation(
         bundle = e.bundle
     plan = plan or ExpectationPlan()
     theta = bundle.family.validate_param(theta)
-    engine = _closed_form_engine(e, bundle, plan)
-    if engine is not None:
-        return engine(theta)
+    law = bundle.family.law
+    if plan.method == "exact_sum" and not law.discrete:
+        raise DomainError("exact_sum is only valid for discrete families")
+    pw = getattr(e, "piecewise", None)
+    if pw is not None and plan.method != "monte_carlo":
+        return _piecewise_expectation(pw, law, plan.tail_mass, theta)
     if not callable(e):
         raise DomainError("e must be callable")
     if plan.method == "monte_carlo":
@@ -425,21 +428,6 @@ def expectation(
     if bundle.family.law.discrete:
         return _generic_discrete(e, theta, bundle, plan)
     return _generic_quadrature(e, theta, bundle, plan)
-
-
-def _closed_form_engine(
-    e, bundle: FamilyBundle, plan: ExpectationPlan
-) -> Callable[[float], ExpectationResult] | None:
-    """The engine giving E_theta[e] in closed form when e has a piecewise
-    (a structured component or a composite of them), else None: e is then
-    evaluated pointwise.  :func:`expectation` and :func:`sweep` use it."""
-    law = bundle.family.law
-    if plan.method == "exact_sum" and not law.discrete:
-        raise DomainError("exact_sum is only valid for discrete families")
-    pw = getattr(e, "piecewise", None)
-    if plan.method == "monte_carlo" or pw is None:
-        return None
-    return _PiecewiseEngine(pw, law, plan.tail_mass).expectation
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +518,9 @@ def sweep(
     plan = plan or ExpectationPlan()
     bundle = composite.bundle
     grid = _theta_grid(bundle, theta_grid)
-    engine = _closed_form_engine(composite, bundle, plan)
     rows = []
     for i, theta in enumerate(grid):
-        if engine is not None:
-            res = engine(theta)
-        else:
-            res = expectation(composite, theta, plan=plan, theta_index=i)
+        res = expectation(composite, theta, plan=plan, theta_index=i)
         rows.append((float(theta), res.estimate, res.error_bound, res.method))
     worst = max(rows, key=lambda r: (r[1], r[0]))
     verdict = "pass" if worst[1] <= 1.0 + 3.0 * worst[2] else "fail"
@@ -682,8 +666,7 @@ def certify_interpolated_factor(
     per_eps = {}
     for eps in epsilons:
         comp = interpolated_spike_composite(bundle, eps, 1.0)
-        engine = _closed_form_engine(comp, bundle, plan)
-        us = [engine(t) for t in grid]
+        us = [expectation(comp, t, plan=plan) for t in grid]
         u = max(r.estimate for r in us)
         eb = max(r.error_bound for r in us)
         per_eps[float(eps)] = u

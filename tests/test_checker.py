@@ -15,7 +15,6 @@ from evarify.checker import (
     check_log_ratio_identity,
     check_reverse_triangle,
     default_cell_samples,
-    default_grid_spec,
     default_growth_pairs,
     estimate_cell_bound,
     estimate_step_lower_bound,
@@ -67,18 +66,18 @@ def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL):
     """The identity check as one plain loop over (theta, s) pairs, each
     recomputing both densities and divergences: the reference the cached
     check must reproduce exactly."""
-    spec = default_grid_spec(bundle)
+    thetas, indices, g_values = bundle.identity_axes(bundle)
     fam = bundle.family
-    gs = np.asarray(spec.g_values, dtype=float)
+    gs = np.asarray(g_values, dtype=float)
     xs = [fam.lift(g) for g in gs]
     x_arr = np.stack(xs) if fam.sample_dim > 1 else np.asarray(xs, dtype=float)
     worst = 0.0
     witnesses = []
     n_eval = n_skip = 0
-    for theta in spec.thetas:
+    for theta in thetas:
         ld_theta = np.asarray(fam.log_density(theta, x_arr), dtype=float)
         d_g_theta = np.asarray(fam.divergence_fn(gs, theta), dtype=float)
-        for k in spec.net_indices:
+        for k in indices:
             s = bundle.net.points(k)
             ld_s = np.asarray(fam.log_density(s, x_arr), dtype=float)
             ok = np.isfinite(ld_theta) & np.isfinite(ld_s)
@@ -242,11 +241,8 @@ class TestLogRatioIdentity:
 
     def test_diagonal_is_exact(self):
         b = make_bundle("poisson")
-        from evarify.checker import GridSpec
-
-        spec = GridSpec(thetas=(4.0,), net_indices=(2,), g_values=(1.0, 4.0, 9.0))
         # theta = s = 4: both sides are identically zero
-        rep = check_log_ratio_identity(b, spec)
+        rep = check_log_ratio_identity(b, ((4.0,), (2,), (1.0, 4.0, 9.0)))
         assert rep.passing and rep.estimated_constant == 0.0
 
     def test_uniforms_skip_support_mismatches(self):
@@ -292,9 +288,9 @@ class TestLogRatioIdentity:
 
         fam = replace(b.family, log_density=counted("log_density"),
                       divergence_fn=counted("divergence_fn"))
-        spec = default_grid_spec(b)
-        rep = check_log_ratio_identity(replace(b, family=fam), spec)
-        limit = 3 * (len(spec.thetas) + len(spec.net_indices))
+        thetas, indices, _ = axes = b.identity_axes(b)
+        rep = check_log_ratio_identity(replace(b, family=fam), axes)
+        limit = 3 * (len(thetas) + len(indices))
         assert limit == 447
         assert 0 < calls["log_density"] <= limit
         assert 0 < calls["divergence_fn"] <= limit

@@ -185,13 +185,25 @@ class TestMalformedPlanAndGrid:
         ({"theta_grid": [4.0]}, "theta_grid"),
         ({"theta_grid": {"kind": "other"}}, "theta_grid"),
         ({"theta_grid": {"values": [None]}}, "theta_grid values"),
+        ({"plan": {"tail_mass": None}}, "plan.tail_mass"),
+        ({"plan": {"abs_tol": None}}, "plan.abs_tol"),
+        ({"plan": {"samples": None}}, "plan.samples"),
+        ({"family": {"name": "normal_mean", "params": {"n": None}}}, "family.params.n"),
+        ({"plan": None}, "plan must be a JSON object"),
+        ({"mode": None}, "mode must be a JSON object"),
+        ({"output": None}, "output must be a JSON object"),
+        ({"family": {"name": "poisson", "params": None}}, "family.params must be"),
+        ({"seed": None}, "seed"),
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
-            "grid_as_a_list", "unknown_grid_kind", "null_theta"])
+            "grid_as_a_list", "unknown_grid_kind", "null_theta", "null_tail_mass",
+            "null_abs_tol", "null_samples", "null_n", "null_plan", "null_mode",
+            "null_output", "null_params", "null_seed"])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
-        """Each malformed plan or grid is a configuration error, caught
-        before any composite is built from the grid, with a message that
-        names it."""
+        """Each malformed plan or grid, and each null where a number or an
+        object belongs, is a configuration error with a message that names
+        it; a malformed grid is caught before any composite is built from
+        it."""
         family = ({"name": "cauchy", "params": {"epsilon": "0.2"}}
                   if config.get("mode") else {"name": "poisson"})
         cfg = tmp_path / "run.json"
@@ -200,6 +212,14 @@ class TestMalformedPlanAndGrid:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert "2**53" not in err
+
+    def test_null_epsilon_means_no_epsilon(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": {"name": "cauchy", "params": {"epsilon": None}},
+                                   "theta_grid": {"values": [0.5]}}))
+        out = tmp_path / "rep.json"
+        assert run(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        assert json.loads(out.read_text())["bundle_id"] == "cauchy"
 
 
 class TestIndicesBeyondFloatResolution:

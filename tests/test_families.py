@@ -532,7 +532,9 @@ class TestFamilyKnowledgeInOneModule:
     def test_no_module_builds_cells_or_net_points_one_index_at_a_time(self):
         """Cells and net points come as arrays (``Estimator.edges``,
         ``Net.points``): no module calls ``.cell(`` or runs a
-        ``.point(k) for`` comprehension, and there is no ``Cell``."""
+        ``.point(k) for`` comprehension, and there is no ``Cell``.  The
+        checker asks the net for neighbours, and every expectation goes
+        through ``verifier.expectation``: neither keeps its own."""
         import inspect
         import re
 
@@ -545,3 +547,7 @@ class TestFamilyKnowledgeInOneModule:
             assert not re.search(r"\.points?\(\w+\) for ", src), module.__name__
         assert not hasattr(core, "Cell")
         assert "Cell" not in core.__all__ and "Cell" not in evarify.__all__
+        for module, name in [(verifier, "_closed_form_engine"), (verifier, "_PiecewiseEngine"),
+                             (checker, "_selection"), (checker, "_pred"), (checker, "_succ"),
+                             (checker, "GridSpec"), (checker, "default_grid_spec")]:
+            assert not hasattr(module, name), name

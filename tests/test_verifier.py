@@ -393,6 +393,59 @@ class TestSweep:
                 call()
 
 
+class TestOneExpectationPath:
+    """Every expectation, a sweep's row or one of the interpolated
+    factor's search, is one call of ``verifier.expectation``."""
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list:
+        from evarify import verifier
+
+        thetas, original = [], verifier.expectation
+
+        def counted(e, theta, *args, **kwargs):
+            thetas.append(theta)
+            return original(e, theta, *args, **kwargs)
+        monkeypatch.setattr(verifier, "expectation", counted)
+        return thetas
+
+    @pytest.mark.parametrize("case,method", [
+        ("spikes", "exact_sum"), ("likelihood_ratio", "exact_sum"),
+        ("monte_carlo", "monte_carlo")])
+    def test_sweep_calls_it_once_per_theta(self, monkeypatch, case, method):
+        b = make_bundle("poisson")
+        grid = [0.5, 3.0, 17.0]
+        plan = ExpectationPlan(method="monte_carlo", mc_samples=1000, seed=4) \
+            if case == "monte_carlo" else None
+        comp = (combine_discrete(b, {2: likelihood_ratio_evar(b.family, b.net.points(2), 5.0)})
+                if case == "likelihood_ratio" else spike_composite(b, grid))
+        alone = [expectation(comp, t, plan=plan, theta_index=i) for i, t in enumerate(grid)]
+        thetas = self._count_calls(monkeypatch)
+        rep = sweep(comp, grid, plan)
+        assert thetas == grid
+        assert rep.rows == tuple((t, r.estimate, r.error_bound, method)
+                                 for t, r in zip(grid, alone))
+
+    def test_interpolated_factor_calls_it_once_per_epsilon_and_theta(self, monkeypatch):
+        grid = [0.0, 0.25, 0.5]
+        thetas = self._count_calls(monkeypatch)
+        certify_interpolated_factor(make_bundle("cauchy", epsilon=0.2),
+                                    epsilons=(0.1, 0.2), theta_grid=grid)
+        assert thetas == grid + grid
+
+    def test_cached_sup_and_ramps_equal_a_fresh_computation(self):
+        b = make_bundle("cauchy", epsilon=0.2)
+        cases = [(spike_evar(b, 3).piecewise, False),
+                 (constant_evar(2.5).piecewise, False),
+                 (spike_composite(b, [0.0, 4.0]).piecewise, False),
+                 (interpolated_spike_composite(b, 0.1, 2.0).piecewise, True)]
+        for pw, ramps in cases:
+            ends = np.concatenate([pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:]])
+            sup = float(ends.max()) if pw.period else float(np.max(ends, initial=pw.outside))
+            assert (pw.sup, pw.ramps) == (sup, ramps)
+            assert (vars(pw)["sup"], vars(pw)["ramps"]) == (sup, ramps)  # kept
+
+
 class TestMLECounterexample:
     def test_lambda_one_by_direct_summation(self):
         """Oracle: 40-digit summation of e^{-1} sum (e lam)^n / n^n with

@@ -36,26 +36,31 @@ print(f"\npoisson with exponent 10: {'pass' if report.passing else 'FAIL'}, "
 
 
 class OffByOne(Estimator):
-    """Deliberately corrupted estimator: selects the neighbouring cell."""
+    """Deliberately corrupted estimator: selects the next cell up, capped
+    at the net's top index (whose cell then also holds the one below)."""
 
     def __init__(self, base):
         self._base, self.net = base, base.net
         self.right_closed = base.right_closed
 
-    def statistic(self, x):
-        return self._base.statistic(x)
-
-    def index(self, x):
-        return self._base.index(x) + 1
+    def index(self, v):
+        k = np.asarray(self._base.index(v)) + 1
+        return k if self.net.k_max is None else np.minimum(k, self.net.k_max)
 
     def edges(self, ks):
-        return self._base.edges(np.asarray(ks) - 1)
+        k = np.asarray(ks)
+        e = self._base.edges(k - 1)
+        e[..., 1] = np.where(k == self.net.k_max, self._base.edges(k)[..., 1], e[..., 1])
+        return e
 
 
-bad = replace(bundle, estimator=OffByOne(bundle.estimator))
-reports = run_all_checks(bad)
+# the checks see through the statistic: Poisson's is the sample itself,
+# the binomial's is the count over n
 print("\ncorrupted estimator detection:")
-for cname in ("cell_sandwich", "cell_bound"):
-    rep = reports[cname]
-    print(f"   {cname:22s} {'pass' if rep.passing else 'FAIL'} "
-          f"(max violation {rep.max_violation:.3g})")
+for name, kw in [("poisson", {}), ("binomial", {"n": 64})]:
+    bundle = make_bundle(name, **kw)
+    reports = run_all_checks(replace(bundle, estimator=OffByOne(bundle.estimator)))
+    for cname in ("cell_sandwich", "cell_bound"):
+        rep = reports[cname]
+        print(f"   {bundle.bundle_id:16s} {cname:16s} {'pass' if rep.passing else 'FAIL'} "
+              f"(max violation {rep.max_violation:.3g})")

@@ -289,7 +289,7 @@ def _report(condition: str, excess: np.ndarray, tolerance: float, cases: Sequenc
 
 def _selected(bundle: FamilyBundle, gs: np.ndarray) -> np.ndarray:
     """The net point the estimator selects for each statistic."""
-    return bundle.net.points(bundle.estimator.statistic_index(gs))
+    return bundle.net.points(bundle.estimator.index(gs))
 
 
 def estimate_cell_bound(bundle: FamilyBundle, samples: Sequence | None = None) -> float:

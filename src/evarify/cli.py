@@ -149,21 +149,19 @@ def _grid_from(cfg: dict, bundle):
     return [_num(v, "theta_grid values") for v in values]
 
 
-def _write_report(args, cfg: dict, payload: dict, csv_text: str | None) -> None:
+def _output(args, cfg: dict):
+    """The report writer, its ``output`` read and checked before any work."""
     out_cfg = _object(cfg, "output")
     path = args.out or out_cfg.get("path")
     fmt = args.format or out_cfg.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"unknown report format {fmt!r}")
-    if path is None:
-        return
-    if fmt == "json":
-        data = json.dumps(payload, sort_keys=True, indent=2).encode()
-    else:
-        if csv_text is None:
-            raise ConfigError("this subcommand has no CSV form")
-        data = csv_text.encode()
-    Path(path).write_bytes(data)
+    if fmt not in ("json", "csv") or not isinstance(path, (str, type(None))):
+        raise ConfigError(f"output: unknown report format {fmt!r} or bad path {path!r}")
+
+    def write(payload: dict, csv_text: str) -> None:
+        if path is not None:
+            text = json.dumps(payload, sort_keys=True, indent=2) if fmt == "json" else csv_text
+            Path(path).write_bytes(text.encode())
+    return write
 
 
 def _cmd_list_families(args, cfg) -> int:
@@ -173,6 +171,7 @@ def _cmd_list_families(args, cfg) -> int:
 
 
 def _cmd_check_conditions(args, cfg) -> int:
+    write_report = _output(args, cfg)
     bundle = _bundle_from(args, cfg)
     plan = _plan_from(args, cfg)
     reports = run_all_checks(bundle, seed=plan.seed)
@@ -194,11 +193,12 @@ def _cmd_check_conditions(args, cfg) -> int:
             f"{name},{rep.passing},{rep.max_violation!r},"
             f"{rep.tolerance!r},{rep.estimated_constant!r}"
         )
-    _write_report(args, cfg, payload, "\n".join(lines) + "\n")
+    write_report(payload, "\n".join(lines) + "\n")
     return EXIT_PASS if overall else EXIT_FAIL
 
 
 def _cmd_certify(args, cfg) -> int:
+    write_report = _output(args, cfg)
     bundle = _bundle_from(args, cfg)
     plan = _plan_from(args, cfg)
     grid = _grid_from(cfg, bundle)
@@ -233,11 +233,12 @@ def _cmd_certify(args, cfg) -> int:
         f"(+/- {report.worst_error_bound:.3g}) at theta = {report.worst_theta:.6g} "
         f"-> {report.verdict}"
     )
-    _write_report(args, cfg, report.to_dict(), report.to_csv())
+    write_report(report.to_dict(), report.to_csv())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_counterexample(args, cfg) -> int:
+    write_report = _output(args, cfg)
     name = args.family or _object(cfg, "family").get("name")
     if name != "poisson":
         raise ConfigError(
@@ -263,7 +264,7 @@ def _cmd_counterexample(args, cfg) -> int:
     }
     csv_text = "lambda,expectation,error_bound\n" + \
         f"{lam!r},{res.estimate!r},{res.error_bound!r}\n"
-    _write_report(args, cfg, payload, csv_text)
+    write_report(payload, csv_text)
     # the demonstrated violation is the point: report it as a failure
     return EXIT_FAIL if res.estimate > 1.0 else EXIT_PASS
 

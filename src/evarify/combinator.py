@@ -201,14 +201,6 @@ def _e_values(out: np.ndarray, keys, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _index_at(bundle: FamilyBundle, v):
-    """The net index the estimator selects at a point v of the law's line
-    (a support point for discrete laws, a statistic value otherwise), or
-    the array of them at an array of points."""
-    est = bundle.estimator
-    return est.index(v) if bundle.family.law.discrete else est.statistic_index(v)
-
-
 def _groups(keys: np.ndarray):
     """(key, positions) for each distinct key, the positions in order."""
     if not len(keys):
@@ -505,7 +497,7 @@ def product_evar(
     if arr.shape != (n,):
         raise DomainError(f"expected an n-vector with n={n}, got shape {arr.shape}")
     # one sample: the vector, or its only coordinate when n = 1
-    k = _index_at(bundle, bundle.locate(arr if n > 1 else arr[0]))
+    k = bundle.index(bundle.locate(arr if n > 1 else arr[0]))
     comp = per_obs.get(k)
     values = _e_values(_many(ONE if comp is None else comp, arr), np.full(n, k), arr)
     return math.prod(values.tolist()) / bundle.factor_C  # in coordinate order
@@ -607,24 +599,32 @@ def components_from_specs(
     """
     from . import verifier  # local import: verifier builds on this module
 
+    def num(spec, at: str, name: str, kind=float):
+        try:
+            return kind(spec.get(name))
+        except (TypeError, ValueError) as exc:  # null, or a missing field
+            raise DomainError(f"{at}.{name}: bad numeric value {spec.get(name)!r}") from exc
+
+    if not isinstance(specs, list):
+        raise DomainError(f"components must be a list of component specs, got {specs!r}")
+    fields = {"constant": "value", "spike": None, "likelihood_ratio": "alternative",
+              "calibrated_p": "kappa"}
+    checked = []  # every spec, before any component is built
+    for i, raw in enumerate(specs):
+        at = f"components[{i}]"
+        spec = {"value": 1.0, **raw} if isinstance(raw, dict) else {}  # a constant's default
+        if spec.get("type") not in tuple(fields) or "index" not in spec:
+            raise DomainError(f"{at} needs an index and a type in {list(fields)}, got {raw!r}")
+        name = fields[spec["type"]]
+        checked.append((num(spec, at, "index", int), spec["type"], name and num(spec, at, name)))
     out: dict[int, EVariable] = {}
-    for spec in specs:
-        if "index" not in spec or "type" not in spec:
-            raise DomainError("component specs need 'index' and 'type' fields")
-        k = int(spec["index"])
-        ctype = spec["type"]
+    for k, ctype, value in checked:
         if ctype == "constant":
-            out[k] = constant_evar(float(spec.get("value", 1.0)))
+            out[k] = constant_evar(value)
         elif ctype == "spike":
             out[k] = verifier.spike_evar(bundle, k)
         elif ctype == "likelihood_ratio":
-            out[k] = likelihood_ratio_evar(
-                bundle.family, bundle.net.points(k), float(spec["alternative"])
-            )
-        elif ctype == "calibrated_p":
-            out[k] = verifier.upper_tail_calibrated_evar(
-                bundle, k, float(spec["kappa"])
-            )
+            out[k] = likelihood_ratio_evar(bundle.family, bundle.net.points(k), value)
         else:
-            raise DomainError(f"unknown component type {ctype!r}")
+            out[k] = verifier.upper_tail_calibrated_evar(bundle, k, value)
     return out

@@ -11,8 +11,8 @@ family:
 * countable parameter ``Net`` grids, each from two array primitives (its
   points and a floor index), with predecessor / successor / rounding
   access on one value or an array,
-* ``Estimator`` maps from samples to net points, with their cells'
-  edges in statistic space as arrays,
+* ``Estimator`` maps from statistic values to net indices, with their
+  cells' edges in statistic space as arrays,
 * the two closed-form normalizing factors ``factor_from_growth`` and
   ``factor_from_steps`` that certify the selection rule
   ``e(x) = e_{shat(x)}(x) / C``,
@@ -26,6 +26,9 @@ parameters against the family's declared parameter space and raises
 on the closure of the parameter space because pointwise estimates (e.g.
 the zero count of a Poisson sample) legitimately hit the boundary, where
 the divergence is defined by continuous extension.
+
+A sample reaches the net in two steps: ``Family.estimator_g`` gives its
+statistic, and an estimator maps statistic values to net indices.
 
 One value is a batch of one: the family callables, the net access, the
 estimators and ``FamilyBundle.estimate`` / ``locate`` compute on arrays,
@@ -446,8 +449,12 @@ class Net:
     k_max: int | None = None
 
     def points(self, ks):
-        """The points at one index, a sequence or a range of them."""
-        return _one(self._points(_index_array(ks)))
+        """The points at one index, a sequence or a range of them; an index
+        beyond a bounded net raises :class:`DomainError`."""
+        k = _index_array(ks)
+        if (self.k_min is not None or self.k_max is not None) and (self._clip(k) != k).any():
+            raise DomainError(f"index beyond the net's k_min={self.k_min}, k_max={self.k_max}")
+        return _one(self._points(k))
 
     def _points(self, k: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -676,11 +683,11 @@ class BinomialSine(Net):
 
 
 class Estimator:
-    """Maps a sample to a net point through a scalar statistic.
+    """Maps statistic values to net indices.
 
-    ``statistic(x)`` reduces the sample; ``index(x)`` selects the net
-    index; calling the estimator returns the selected net point.  Each
-    takes one sample or a batch (the one-value rule, see Conventions above).
+    ``index(v)`` selects the net index of each statistic value v (one
+    value or an array, the one-value rule, see Conventions above); the
+    sample is reduced to its statistic before, by ``Family.estimator_g``.
     The cell of index k is the statistic-space preimage of the k-th net
     point: ``edges(ks)`` gives each cell's two ends, shape ks.shape +
     (2,), and a cell holds its right end when the class's
@@ -690,20 +697,11 @@ class Estimator:
     net: Net
     right_closed: bool = False
 
-    def statistic(self, x):
-        """The sample itself, unless a subclass reduces it."""
-        return _one(np.asarray(x, dtype=float))
+    def __init__(self, net: Net):
+        self.net = net
 
-    def index(self, x):
+    def index(self, v):
         raise NotImplementedError
-
-    def __call__(self, x):
-        return self.net.points(self.index(x))
-
-    def statistic_index(self, v):
-        """The net index selected by statistic value v (the same as
-        ``index`` where the statistic is the sample itself)."""
-        return self.index(v)
 
     def edges(self, ks) -> np.ndarray:
         raise NotImplementedError
@@ -714,18 +712,7 @@ class RoundToNet(Estimator):
     cells run between the midpoints of neighbouring points, open above,
     and without end beyond the net's extreme points."""
 
-    def __init__(self, net: Net, statistic: Callable[[object], object] | None = None):
-        self.net = net
-        self._statistic = statistic
-
-    def statistic(self, x):
-        return _one(np.asarray(x if self._statistic is None else self._statistic(x),
-                               dtype=float))
-
-    def index(self, x):
-        return self.net.round_index(self.statistic(x))
-
-    def statistic_index(self, v):
+    def index(self, v):
         return self.net.round_index(v)
 
     def edges(self, ks) -> np.ndarray:
@@ -740,7 +727,8 @@ class CeilDyadic(Estimator):
     """Map x to 2^(ceil(log2 x)); on the integer net, 0 maps to 1.
 
     The cell of 2^j is (2^(j-1), 2^j]; on the integer net the smallest
-    cell is everything up to 1, so {0, 1} on the support.
+    cell is everything up to 1, so {0, 1} on the support.  Values go
+    unchecked: ``FamilyBundle.locate`` is the support check.
     """
 
     right_closed = True
@@ -751,15 +739,8 @@ class CeilDyadic(Estimator):
         self.net = net
         self._integer = isinstance(net, DyadicInt)
 
-    def index(self, x):
-        v = np.asarray(x, dtype=float)
-        if self._integer:
-            ok = (0.0 <= v) & (v < np.inf) & (v == np.floor(v))
-            if not ok.all():
-                raise DomainError(f"{float(np.ravel(v)[np.argmin(np.ravel(ok))])!r} "
-                                  "is not a non-negative integer")
-        elif not (v > 0.0).all():
-            raise DomainError("ceil_dyadic on reals needs x > 0")
+    def index(self, v):
+        v = np.asarray(v, dtype=float)
         # 2^(e-1) < v <= 2^e for v = m 2^e with m in (1/2, 1], so e - 1 at
         # a power of two; 0 on the integers selects 2^0 = 1, as 1 does
         m, e = np.frexp(np.maximum(v, 1.0) if self._integer else v)
@@ -808,8 +789,8 @@ class REpsilon(Estimator):
         a, b = self._tie
         return m + a + b * (m & 1)
 
-    def index(self, x):
-        v = np.asarray(x, dtype=float)  # compared with the floats bounding the cells
+    def index(self, v):
+        v = np.asarray(v, dtype=float)  # compared with the floats bounding the cells
         m = self.net._floor(v)  # half-integer m + 0.5 is the one in [m, m+1)
         eps = self.epsilon
         return _one(np.where(v < m + 0.5 - eps, m,

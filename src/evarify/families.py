@@ -434,6 +434,9 @@ class FamilyBundle:
     """A family wired to its net, estimator and normalizing factor, with
     the family's adversarial grids.
 
+    A sample reaches its cell one way: ``locate``, then ``index`` (its
+    cell is ``cell_bounds`` of that index, its net point ``estimate``).
+
     The grids are functions of the bundle they are given (a bundle made
     by ``dataclasses.replace`` is read afresh), run only when asked for:
     ``theta_grid(b)``, the parameters a sweep certifies at, in any order;
@@ -455,8 +458,6 @@ class FamilyBundle:
     cell_samples: Callable[..., Sequence] | None = None
     params: Mapping[str, float] = field(default_factory=dict)
     bundle_id: str = ""
-    #: net index of each support point 0..n, for finite discrete supports
-    support_index: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def route(self) -> str:
@@ -470,8 +471,8 @@ class FamilyBundle:
 
     def estimate(self, x):
         """The selected net point for one sample ``x`` (a float) or a
-        batch (an array)."""
-        return self.estimator(x)
+        batch (an array): ``locate``, then ``index``, then the net."""
+        return self.net.points(self.index(self.locate(x)))
 
     def locate(self, xs):
         """The points on the law's line (see ``StatLaw``) of one sample or a
@@ -494,6 +495,11 @@ class FamilyBundle:
             raise DomainError(f"{self.bundle_id} takes {need} (got {float(bad)!r})")
         return _one(v)
 
+    def index(self, v):
+        """The estimator's net index at points v of the law's line (a
+        discrete law's support points go through ``estimator_g`` first)."""
+        return self.estimator.index(self.family.estimator_g(v) if self.family.law.discrete else v)
+
     @property
     def right_closed(self) -> bool:
         """Whether a cell holds its right edge on the law's line."""
@@ -504,11 +510,13 @@ class FamilyBundle:
         P_theta(cell k) = law.cdf(theta, hi) - law.cdf(theta, lo): the
         estimator's edges clipped to the support, or, for discrete laws,
         the support point before the cell's first and its last (a cell
-        holds an end that the support clips it to)."""
+        holds an end that the support clips it to); on a finite support,
+        from ``index`` at every support point, each call."""
         law = self.family.law
         ks = _index_array(ks).reshape(-1)
-        if self.support_index is not None:
-            ends = [np.searchsorted(self.support_index, ks, side) for side in ("left", "right")]
+        if law.discrete and law.hi < math.inf:
+            index = self.index(np.arange(law.hi + 1))
+            ends = [np.searchsorted(index, ks, side) for side in ("left", "right")]
             return np.stack(ends, axis=1) - 1.0
         edges = self.estimator.edges(ks)
         if not law.discrete:
@@ -641,14 +649,9 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         raise DomainError("binomial bundle needs n >= 4")
     fam = binomial_family(n)
     net = BinomialSine(n)
-    est = RoundToNet(net, fam.estimator_g)
+    est = RoundToNet(net)
     gs = fam.estimator_g(np.arange(n + 1))
-    pts = net.points(net.indices())
-    # round to the nearest point, ties upward: the cell edges are the
-    # float midpoints of RoundToNet.cell
-    pos = np.searchsorted(0.5 * (pts[:-1] + pts[1:]), gs, "right")
-    index = net.k_min + pos
-    c_prime = float(np.max(fam.divergence_fn(gs, pts[pos])))
+    c_prime = float(np.max(fam.divergence_fn(gs, net.points(est.index(gs)))))
     alpha = _binomial_growth_alpha(net, fam.divergence_fn)
     inputs = FactorInputs(c_prime=c_prime, alpha=alpha)
     C = ESTIMATED_FACTOR_MARGIN * factor_from_growth(c_prime, alpha)
@@ -664,7 +667,6 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         cell_samples=lambda b, n_cells, per_cell, rng: np.arange(b.params["n"] + 1.0),
         params={"n": n},
         bundle_id=f"binomial(n={n})",
-        support_index=index,
     )
 
 
@@ -753,7 +755,7 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
     return FamilyBundle(
         family=fam,
         net=net,
-        estimator=RoundToNet(net, fam.estimator_g),
+        estimator=RoundToNet(net),
         factor_inputs=inputs,
         factor_C=factor_from_steps(alpha ** 2 / 8.0, alpha ** 2 / 2.0),
         theta_grid=_normal_mean_theta_grid,
@@ -778,7 +780,7 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
     return FamilyBundle(
         family=fam,
         net=net,
-        estimator=RoundToNet(net, fam.estimator_g),
+        estimator=RoundToNet(net),
         factor_inputs=inputs,
         factor_C=factor_from_steps(0.5, 1.0 / 32.0),
         theta_grid=_normal_variance_theta_grid,

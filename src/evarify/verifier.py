@@ -43,7 +43,6 @@ from .combinator import (
     EVariable,
     CompositeEVariable,
     SpikeSuite,
-    _index_at,
     _many,
     _trapezoid_piecewise,
     combine_discrete,
@@ -169,7 +168,7 @@ def _grid_index_envelope(
     every theta in the grid (heavy-tailed statistics are capped and the
     remainder charged to the error bound)."""
     ends = bundle.family.law.window(np.asarray(theta_grid, dtype=float), tail / 2.0)
-    ks = _index_at(bundle, ends.ravel())
+    ks = bundle.index(ends.ravel())
     k_lo, k_hi = bundle.net._clip(np.array([ks.min() - 2, ks.max() + 2]))
     return int(k_lo), int(k_hi)
 

@@ -39,27 +39,23 @@ BENCHMARK_CONFIGS = [
 
 
 class _OffByOneEstimator(Estimator):
-    """Deliberately corrupted estimator (selects the neighbouring cell)."""
+    """Deliberately corrupted estimator (selects the neighbouring cell, up
+    to the net's top index); it defines only ``index`` and ``edges``."""
 
     def __init__(self, base):
         self._base = base
         self.net = base.net
         self.right_closed = base.right_closed
 
-    def statistic(self, x):
-        return self._base.statistic(x)
+    def index(self, v):
+        k = np.asarray(self._base.index(v)) + 1
+        return k if self.net.k_max is None else np.minimum(k, self.net.k_max)
 
-    def index(self, x):
-        return self._shift(self._base.index(x))
-
-    def statistic_index(self, v):
-        return self._shift(self._base.statistic_index(v))
-
-    def _shift(self, k):
-        return k + 1 if self.net.k_max is None else np.minimum(k + 1, self.net.k_max)
-
-    def edges(self, ks):
-        return self._base.edges(np.asarray(ks) - 1)
+    def edges(self, ks):  # the top cell also holds the base's top cell
+        k = np.asarray(ks)
+        e = self._base.edges(k - 1)
+        e[..., 1] = np.where(k == self.net.k_max, self._base.edges(k)[..., 1], e[..., 1])
+        return e
 
 
 def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL):
@@ -106,16 +102,18 @@ def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL):
     }
 
 
-def _reference_cell_sandwich(bundle, samples=None):
+def _reference_cell_sandwich(bundle, samples=None, index=None):
     """The sandwich check as a plain loop over samples with four
     ``Net.pred``/``Net.succ`` calls each: the reference the vectorized
-    check must reproduce exactly."""
+    check must reproduce exactly.  ``index`` selects the net index of a
+    statistic value (the bundle's estimator by default)."""
     xs = default_cell_samples(bundle) if samples is None else samples
     net = bundle.net
+    index = bundle.estimator.index if index is None else index
     worst, witnesses = 0.0, []
     for x in xs:
         g = float(bundle.family.estimator_g(x))
-        s = net.points(bundle.estimator.statistic_index(g))
+        s = net.points(index(g))
         viol = 0.0
         ps, pg = net.pred(s), net.pred(g)
         if ps is not None and pg is not None and pg < ps:
@@ -327,7 +325,7 @@ class TestCellBound:
         b = make_bundle(name, **kw)
         samples = default_cell_samples(b)
         gs = [float(b.family.estimator_g(x)) for x in samples]
-        want = max(float(b.family.divergence_fn(g, b.net.points(b.estimator.statistic_index(g))))
+        want = max(float(b.family.divergence_fn(g, b.net.points(b.estimator.index(g))))
                    for g in gs)
         assert estimate_cell_bound(b, samples) == want
 
@@ -335,6 +333,29 @@ class TestCellBound:
         b = make_bundle("poisson")
         bad = replace(b, estimator=_OffByOneEstimator(b.estimator))
         assert estimate_cell_bound(bad) > 1.0 + 1e-7
+
+    @pytest.mark.parametrize("name,kw,c_prime", [("binomial", {"n": 64}, 14.08),
+                                                 ("normal_variance", {"n": 4}, 0.287)])
+    def test_estimator_defining_only_index_gets_each_statistic_once(self, name, kw, c_prime):
+        """An estimator that defines only ``index`` and ``edges`` (the next
+        cell up, capped at the net's top) is given each sample's statistic
+        once, also where the statistic is not the sample: the cell bound
+        and the sandwich report equal plain loops over round_index(g) + 1."""
+        b = make_bundle(name, **kw)
+        bad = replace(b, estimator=_OffByOneEstimator(b.estimator))
+        net = b.net
+
+        def shifted(g):
+            k = net.round_index(g) + 1
+            return k if net.k_max is None else min(k, net.k_max)
+
+        gs = [float(b.family.estimator_g(x)) for x in default_cell_samples(bad)]
+        want = max(float(b.family.divergence_fn(g, net.points(shifted(g)))) for g in gs)
+        assert estimate_cell_bound(bad) == want
+        assert want == pytest.approx(c_prime, abs=5e-3)
+        rep = check_cell_sandwich(bad)
+        assert (rep.max_violation, rep.witnesses, rep.n_evaluated) == \
+            _reference_cell_sandwich(bad, index=shifted)
 
 
 class TestCellSandwich:

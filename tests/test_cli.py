@@ -194,16 +194,27 @@ class TestMalformedPlanAndGrid:
         ({"output": None}, "output must be a JSON object"),
         ({"family": {"name": "poisson", "params": None}}, "family.params must be"),
         ({"seed": None}, "seed"),
+        ({"components": None}, "components must be a list"),
+        ({"components": [3]}, "components[0] needs"),
+        ({"components": [{"index": None, "type": "spike"}]}, "components[0].index"),
+        ({"components": [{"index": 2, "type": "constant", "value": None}]},
+         "components[0].value"),
+        ({"components": [{"index": 2, "type": "likelihood_ratio"}]},
+         "components[0].alternative"),
+        ({"components": [{"index": 2, "type": "spike"}, {"index": 3, "type": "calibrated_p"}]},
+         "components[1].kappa"),
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
             "grid_as_a_list", "unknown_grid_kind", "null_theta", "null_tail_mass",
             "null_abs_tol", "null_samples", "null_n", "null_plan", "null_mode",
-            "null_output", "null_params", "null_seed"])
+            "null_output", "null_params", "null_seed", "null_components",
+            "component_not_an_object", "null_component_index", "null_constant_value",
+            "ratio_without_alternative", "calibrated_p_without_kappa"])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
-        """Each malformed plan or grid, and each null where a number or an
-        object belongs, is a configuration error with a message that names
-        it; a malformed grid is caught before any composite is built from
-        it."""
+        """Each malformed plan, grid or component spec, and each null where
+        a number or an object belongs, is a configuration error with a
+        message that names it; a malformed grid is caught before any
+        composite is built from it."""
         family = ({"name": "cauchy", "params": {"epsilon": "0.2"}}
                   if config.get("mode") else {"name": "poisson"})
         cfg = tmp_path / "run.json"
@@ -220,6 +231,24 @@ class TestMalformedPlanAndGrid:
         out = tmp_path / "rep.json"
         assert run(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
         assert json.loads(out.read_text())["bundle_id"] == "cauchy"
+
+
+class TestOutputReadFirst:
+    @pytest.mark.parametrize("output", [None, {"format": "xml"}, {"path": 3}],
+                             ids=["null", "unknown_format", "path_not_a_string"])
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "poisson"], ["check-conditions", "--family", "poisson"],
+        ["counterexample", "--family", "poisson", "--lambda", "5"]],
+        ids=["certify", "check_conditions", "counterexample"])
+    def test_bad_output_exits_3_before_any_work(self, tmp_path, capsys, argv, output):
+        """The output section is read with the rest of the config: a bad
+        one exits 3 naming it, before a sweep, a check or the verdict line
+        runs (stdout stays empty)."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"theta_grid": {"values": [1.0]}, "output": output}))
+        assert run([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "output" in err and "Traceback" not in err
 
 
 class TestIndicesBeyondFloatResolution:

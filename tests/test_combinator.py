@@ -9,7 +9,6 @@ from evarify.combinator import (
     CompositeEVariable,
     EVariable,
     _frozen,
-    _index_at,
     bump_weight,
     combine_discrete,
     combine_interpolated,
@@ -259,7 +258,7 @@ class TestProductRule:
         fam1 = make_bundle("normal_mean", alpha=1.0, n=1).family
         lr = likelihood_ratio_evar(fam1, 0.5, 0.0)  # e-variable for N(1/2, 1)
         # the estimated net point for the all-0.5 vector is 0.5 (index 1)
-        k = b.estimator.index([0.5, 0.5, 0.5, 0.5])
+        k = b.index(b.locate([0.5, 0.5, 0.5, 0.5]))
         assert b.net.points(k) == 0.5
         # component at the selected point: ratio against the alternative 0
         comps = {k: likelihood_ratio_evar(fam1, 0.5, 0.0)}
@@ -276,7 +275,7 @@ class TestProductRule:
         b = make_bundle("normal_mean", alpha=1.0, n=4)
         fam1 = make_bundle("normal_mean", alpha=1.0, n=1).family
         x = [0.3, 0.7, -0.2, 0.9]
-        k = b.estimator.index(x)
+        k = b.index(b.locate(x))
         lr = likelihood_ratio_evar(fam1, b.net.points(k), 1.1)
         calls = []
         counted = EVariable(lambda xs: calls.append(len(xs)) or lr.fn(xs), vectorized=True)
@@ -474,7 +473,7 @@ class TestSampleSupport:
         grid = default_theta_grid(b)
         theta = grid[len(grid) // 2]
         draws = b.family.law.sample(theta, 1000, np.random.default_rng(4))
-        k = b.estimator.index(draws[0])
+        k = b.index(b.locate(draws[0]))
         lr = likelihood_ratio_evar(b.family, b.net.points(k), theta)
         n = b.family.sample_dim
         for comp in (spike_composite(b), combine_discrete(b, {k: lr})):
@@ -492,7 +491,7 @@ class TestSampleSupport:
 
 def _reference_value(comp, x) -> float:
     """The generic composite at one sample as the per-sample code computed
-    it: the estimator's choice (``_index_at``) and, interpolated, the
+    it: the estimator's choice (``FamilyBundle.index``) and, interpolated, the
     scalar ``bump_weight`` terms in order, each component called on the
     one sample."""
     b = comp.bundle
@@ -502,7 +501,7 @@ def _reference_value(comp, x) -> float:
 
     v = float(np.ravel(b.locate(x))[0])
     if comp.mode == "discrete":
-        return at(comp.components.get(_index_at(b, v)), x) / comp.factor_C
+        return at(comp.components.get(b.index(v)), x) / comp.factor_C
     m = math.floor(v + 0.5)
     total = 0.0
     for n in (m - 1, m, m + 1):
@@ -601,7 +600,7 @@ class TestStructuredSparseKeys:
         np.testing.assert_array_equal(values, [_reference_value(comp, x) for x in xs])
         near = {k: c for k, c in comps.items() if abs(k - keys[len(keys) // 2]) <= 30}
         dense = _dense_piecewise(b, near, comp.factor_C)(np.ravel(b.locate(xs)))
-        inside = np.isin([_index_at(b, float(v)) for v in np.ravel(b.locate(xs))],
+        inside = np.isin([b.index(float(v)) for v in np.ravel(b.locate(xs))],
                          range(min(near), max(near) + 1))
         np.testing.assert_array_equal(values[inside], dense[inside])
         assert inside.any()
@@ -621,7 +620,7 @@ class TestGenericBatchPath:
         grid = default_theta_grid(b)
         theta = grid[len(grid) // 2]
         draws = b.family.law.sample(theta, 500, np.random.default_rng(8))
-        k = _index_at(b, float(np.ravel(b.locate(draws[:1]))[0]))
+        k = b.index(float(np.ravel(b.locate(draws[:1]))[0]))
         net = b.net
         keys = [j for j in range(k - 3, k + 4) if (net.k_min is None or j >= net.k_min)
                 and (net.k_max is None or j <= net.k_max)]
@@ -633,7 +632,7 @@ class TestGenericBatchPath:
         callables, constants and spikes gives, on law draws and on every
         cell edge of its keys and the edges' neighbours, the same bits
         from one eval_many, from one call per sample and from the
-        per-sample selection by ``_index_at``."""
+        per-sample selection by ``FamilyBundle.index``."""
         b, draws, keys = self._setup(name, kw)
         comp = combine_discrete(b, _mixed_components(b, keys))
         assert comp.piecewise is None
@@ -646,7 +645,7 @@ class TestGenericBatchPath:
     def test_selected_component_is_the_estimators(self, name, kw):
         """Component k returns 10 + k - k0: at every cell edge of the keys
         (and one cell beyond) and at the edges' neighbours, each sample
-        gets the component of ``_index_at``'s choice, and 1 when that
+        gets the component of ``FamilyBundle.index``'s choice, and 1 when that
         choice has no component; each component is called once."""
         b, _, keys = self._setup(name, kw)
         calls = []
@@ -659,7 +658,7 @@ class TestGenericBatchPath:
 
         comp = combine_discrete(b, {k: own(k) for k in keys}, factor_C=1.0)
         xs = _probes(b, keys)
-        chosen = [_index_at(b, float(v)) for v in np.ravel(b.locate(xs))]
+        chosen = [b.index(float(v)) for v in np.ravel(b.locate(xs))]
         want = [10.0 + k - keys[0] if k in keys else 1.0 for k in chosen]
         np.testing.assert_array_equal(comp.eval_many(xs), want)
         assert sorted(calls) == sorted(set(chosen) & set(keys))
@@ -669,7 +668,7 @@ class TestGenericBatchPath:
         """Keys with gaps between them, up to a million indices away where
         the net reaches that far: building the composite computes the
         cells of its keys only, and at each key's cell edges (and one cell
-        beyond) it selects as ``_index_at`` does, 1 between the keys."""
+        beyond) it selects as ``FamilyBundle.index`` does, 1 between the keys."""
         b, _, near = self._setup(name, kw)
         keys = _sparse_keys(b, near[len(near) // 2])
         comps, sizes = _mixed_components(b, keys), []
@@ -693,7 +692,7 @@ class TestGenericBatchPath:
         b, draws, keys = self._setup(name, kw)
         k = keys[len(keys) // 2]
         xs = _probes(b, [k])
-        target = next(x for x in xs if _index_at(b, float(np.ravel(b.locate(x))[0])) == k)
+        target = next(x for x in xs if b.index(float(np.ravel(b.locate(x))[0])) == k)
         hit = float(np.ravel(b.family.estimator_g(target))[0])
 
         def plain(x):

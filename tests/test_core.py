@@ -381,25 +381,40 @@ class TestNets:
         assert all(0.0 < p < 1.0 for p in pts)
         assert len(pts) == 7
 
+    @pytest.mark.parametrize("net,beyond", [
+        (DyadicInt(), [-1, -5]), (Squares(), [0, -2]), (BinomialSine(64), [0, -1, 8, 9])])
+    def test_points_beyond_a_bounded_net_raise(self, net, beyond):
+        """An index beyond a bounded net is an error, alone or in an array
+        (numpy would wrap a negative index into a table, and a negative
+        power is no net point); the indices inside give their points."""
+        inside = list(range(net.k_min, net.k_min + 3 if net.k_max is None else net.k_max + 1))
+        assert net.points(inside).tolist() == [net.points(k) for k in inside]
+        for k in beyond:
+            with pytest.raises(DomainError, match="k_min"):
+                net.points(k)
+            with pytest.raises(DomainError):
+                net.points([*inside, k])
+
 
 class TestEstimators:
     def test_ceil_dyadic_integers(self):
-        net = DyadicInt()
-        est = CeilDyadic(net)
-        assert est(5) == 8.0
-        assert est(0) == 1.0
-        assert est(1) == 1.0
-        assert est(8) == 8.0
-        with pytest.raises(DomainError):
-            est(2.5)
+        est = CeilDyadic(DyadicInt())
+        # 5 -> 8, 0 and 1 -> 1, 8 -> 8
+        assert [est.index(v) for v in (5, 0, 1, 8)] == [3, 0, 0, 3]
 
     def test_ceil_dyadic_reals(self):
         est = CeilDyadic(DyadicReal())
-        assert est(0.3) == 0.5
-        assert est(0.5) == 0.5
-        assert est(5.0) == 8.0
-        with pytest.raises(DomainError):
-            est(0.0)
+        # 0.3 and 0.5 -> 0.5, 5 -> 8
+        assert [est.index(v) for v in (0.3, 0.5, 5.0)] == [-1, -1, 3]
+
+    def test_ceil_dyadic_bundles_reject_off_their_support(self):
+        """The estimator takes statistic values unchecked; the bundle's
+        ``locate`` rejects a non-integer or negative count and a
+        non-positive real before it is reached."""
+        du, cu = make_bundle("discrete_uniform"), make_bundle("continuous_uniform")
+        for bundle, x in ((du, 2.5), (du, -1), (cu, 0.0)):
+            with pytest.raises(DomainError):
+                bundle.estimate(x)
 
     def test_round_to_net_cells_partition(self):
         """Each value lies in the [lo, hi) cell of its index, not in the
@@ -658,8 +673,8 @@ class TestEdges:
             assert not math.isfinite(hi) or hi_closed is est.right_closed, k
         assert est.edges(ks[1]).tolist() == e[1].tolist()
         bounds = b.cell_bounds(ks).tolist()
-        if b.support_index is not None:
-            return  # the counts' table, as before
+        if law.discrete and law.hi < math.inf:
+            return  # the counts' cells, from their indices (test_families)
         if law.discrete:
             top = min(law.hi, 2.0**62)
             assert bounds == [list(_old_support_bounds(c, law.lo, top)) for c in cells]

@@ -6,9 +6,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evarify.core import DomainError, REpsilon, factor_from_growth, factor_from_steps
+from evarify.core import (
+    BinomialSine,
+    DomainError,
+    REpsilon,
+    RoundToNet,
+    factor_from_growth,
+    factor_from_steps,
+)
 from evarify.families import FAMILY_IDS, make_bundle
 from evarify.verifier import default_theta_grid
+
+
+def _cells_by_count(index, ks):
+    """Each cell's (support point before its first count, last count) from
+    the net index of each count 0..n, one count at a time."""
+    first, last = {}, {}
+    for count, k in enumerate(index):
+        first.setdefault(k, count)
+        last[k] = count
+    return [[first[k] - 1.0, float(last[k])] for k in ks]
 
 
 class TestMakeBundle:
@@ -67,14 +84,16 @@ class TestMakeBundle:
 
     @pytest.mark.parametrize("n", [4, 64, 10_000])
     def test_binomial_tables_match_scalar_loops(self, n):
-        """The count -> net index table and the growth exponent, built with
-        array calls, equal the scalar loops bit for bit."""
+        """The counts' cells, c' and the growth exponent, built with array
+        calls, equal the scalar loops bit for bit."""
         from evarify.families import _binomial_growth_alpha
 
         b = make_bundle("binomial", n=n)
-        index = [b.estimator.index(k) for k in range(n + 1)]
-        assert b.support_index.tolist() == index
         net, div = b.net, b.family.divergence_fn
+        index = [net.round_index(k / n) for k in range(n + 1)]
+        assert b.cell_bounds(net.indices()).tolist() == _cells_by_count(index, net.indices())
+        assert b.factor_inputs.c_prime == max(
+            float(div(k / n, net.points(index[k]))) for k in range(n + 1))
         pts = np.array([net.points(t) for t in net.indices()])
         best = math.inf
         for a in range(len(pts)):
@@ -83,6 +102,16 @@ class TestMakeBundle:
                 best = min(best, d / math.log(c - a))
         assert _binomial_growth_alpha(net, div) == best - 1.0
         assert b.factor_inputs.alpha == best - 1.0
+
+    def test_binomial_cells_follow_a_replaced_estimator(self):
+        """A bundle made by ``replace`` with another net and estimator
+        gives that estimator's cells, count by count."""
+        net = BinomialSine(16)
+        b = replace(make_bundle("binomial", n=64), net=net, estimator=RoundToNet(net))
+        index = [net.round_index(k / 64) for k in range(65)]
+        want = _cells_by_count(index, net.indices())
+        assert want == [[-1.0, 20.0], [20.0, 43.0], [43.0, 64.0]]
+        assert b.cell_bounds(net.indices()).tolist() == want
 
     def test_unknown_family_names_valid_ids(self):
         with pytest.raises(DomainError) as info:
@@ -170,7 +199,7 @@ def _one_value_probes(bundle, rng):
     grid = default_theta_grid(bundle)
     thetas = [grid[i] for i in rng.choice(len(grid), 3, replace=False)]
     draws = np.concatenate([law.sample(t, 30, rng) for t in thetas])
-    ks = np.unique(bundle.estimator.index(draws))
+    ks = np.unique(bundle.index(bundle.locate(draws)))
     ks = np.sort(rng.choice(ks, min(40, len(ks)), replace=False))
     pts, after = net.points(ks), net.points(net._clip(ks + 1))
     marks = np.concatenate([pts, 0.5 * (pts + after)])
@@ -244,8 +273,9 @@ def test_one_sample_equals_its_value_in_a_batch(name, kw):
                          net.count_between(vs, vb), int)
     _assert_batch_of_one([bundle.estimate(x) for x in x1], bundle.estimate(xs), float)
     _assert_batch_of_one([bundle.locate(x) for x in x1], bundle.locate(xs), float)
-    _assert_batch_of_one([est.index(x) for x in x1], est.index(xs), int)
-    _assert_batch_of_one([est.statistic(x) for x in x1], est.statistic(xs), float)
+    _assert_batch_of_one([est.index(v) for v in v1], est.index(vs), int)
+    located = bundle.locate(xs)
+    _assert_batch_of_one([bundle.index(v) for v in located.tolist()], bundle.index(located), int)
 
 
 def _support_samples(bundle, rng, size=10_000):
@@ -285,15 +315,8 @@ class TestBundleInvariants:
         bundle = make_bundle(name, **kw)
         rng = np.random.default_rng(17)
         for x in _support_samples(bundle, rng, 500):
-            k = bundle.estimator.index(x)
+            k = bundle.estimator.index(bundle.family.estimator_g(x))
             assert bundle.net.points(k) == bundle.estimate(x)
-
-    @pytest.mark.parametrize("name,kw", ALL_BUNDLES)
-    def test_estimator_statistic_is_the_family_statistic(self, name, kw):
-        bundle = make_bundle(name, **kw)
-        rng = np.random.default_rng(31)
-        for x in _support_samples(bundle, rng, 1_000):
-            assert bundle.estimator.statistic(x) == bundle.family.estimator_g(x)
 
     @pytest.mark.parametrize("name,kw", ALL_BUNDLES)
     def test_cell_sandwich_on_random_support_points(self, name, kw):
@@ -534,7 +557,10 @@ class TestFamilyKnowledgeInOneModule:
         ``Net.points``): no module calls ``.cell(`` or runs a
         ``.point(k) for`` comprehension, and there is no ``Cell``.  The
         checker asks the net for neighbours, and every expectation goes
-        through ``verifier.expectation``: neither keeps its own."""
+        through ``verifier.expectation``: neither keeps its own.  A sample
+        reaches its cell one way: estimators take statistic values only,
+        the bundle's ``index`` replaces the combinator's, and no bundle
+        stores a table of the counts' indices."""
         import inspect
         import re
 
@@ -549,5 +575,9 @@ class TestFamilyKnowledgeInOneModule:
         assert "Cell" not in core.__all__ and "Cell" not in evarify.__all__
         for module, name in [(verifier, "_closed_form_engine"), (verifier, "_PiecewiseEngine"),
                              (checker, "_selection"), (checker, "_pred"), (checker, "_succ"),
-                             (checker, "GridSpec"), (checker, "default_grid_spec")]:
+                             (checker, "GridSpec"), (checker, "default_grid_spec"),
+                             (combinator, "_index_at"), (families.FamilyBundle, "support_index")]:
             assert not hasattr(module, name), name
+        for est in (core.Estimator, *core.Estimator.__subclasses__()):
+            for name in ("statistic", "statistic_index", "__call__"):
+                assert name not in vars(est), (est.__name__, name)

@@ -225,7 +225,7 @@ class TestSpikes:
         group's mass from scipy.stats."""
         n = 49
         b = make_bundle("binomial", n=n)
-        index = [b.estimator.index(c) for c in range(n + 1)]
+        index = [b.estimator.index(b.family.estimator_g(c)) for c in range(n + 1)]
         suite = spike_suite(b, b.net.indices())
         for k in b.net.indices():
             counts = [c for c in range(n + 1) if index[c] == k]
@@ -280,15 +280,15 @@ class TestSpikeCompositeSelection:
                 rng = np.random.default_rng(8)
                 xs = np.union1d(near[(near >= lo) & (near <= hi)],
                                 rng.integers(lo, hi, 100_000, endpoint=True))
-            index = [est.index(float(x)) for x in xs]
+            index = [est.index(b.family.estimator_g(float(x))) for x in xs]
         else:
             xs = np.concatenate([np.nextafter(pw.edges, -np.inf), pw.edges,
                                  np.nextafter(pw.edges, np.inf)])
-            index = [est.statistic_index(float(v)) for v in xs]
+            index = [est.index(float(v)) for v in xs]
         np.testing.assert_array_equal(pw(xs), [expected(k) for k in index])
         grid = default_theta_grid(b)
         draws = law.sample(grid[len(grid) // 2], 1000, np.random.default_rng(3))
-        want = [expected(est.index(x)) for x in draws]
+        want = [expected(est.index(b.family.estimator_g(x))) for x in draws]
         assert [comp(x) for x in draws] == want
         np.testing.assert_array_equal(comp.eval_many(draws), want)
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -57,11 +58,6 @@ IDENTITY_TOL = 1e-9
 SLACK_TOL = 1e-7
 
 _WITNESS_CAP = 10
-
-#: Most values the identity check caches per theta-side array (1.5 MB of
-#: floats); larger grids take their thetas in blocks.  A larger cache
-#: raises the peak memory of `check-conditions` on binomial n = 10^4.
-_IDENTITY_CACHE = 3 << 16
 
 
 @dataclass(frozen=True)
@@ -208,62 +204,93 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
     vanishes are skipped and counted (families with parameter-dependent
     support satisfy the identity on the common support only).
 
-    The thetas are taken in blocks of at most ``_IDENTITY_CACHE`` cached
-    values per array: each block computes ``log p_theta(x)`` and
-    ``d(g(x)||theta)`` once per theta, then ``log p_s(x)`` and
-    ``d(g(x)||s)`` once per net point s, and uses them for every theta of
-    the block.  Each (theta, s) pair keeps its largest residual and where
-    it lies; the witnesses are the first ten pairs above the tolerance in
-    theta-major order (theta by theta, s by s within a theta), and the
-    tolerance is ``IDENTITY_TOL``."""
+    The identity says that A_t(x) = log p_t(x) + d(g(x)||t) does not
+    depend on t, and each pair's residual is |A_theta(x) - A_s(x)|.  Each
+    theta and each net point s costs one ``log_density`` and one
+    ``divergence_fn`` call over the whole statistic axis, and its row of
+    A_t is folded into each statistic's extremes on its side, so memory
+    stays a few rows' worth whatever the grid.  The worst residual is the
+    largest gap between the two sides' extremes at a statistic; a NaN
+    residual fails.  Only a failing check looks for witnesses: the first
+    ten pairs beyond ``IDENTITY_TOL`` in theta-major order (theta by
+    theta, s by s within a theta), each at its largest residual."""
     thetas, indices, gs = bundle.identity_axes(bundle) if axes is None else axes
     thetas, gs = np.asarray(thetas, dtype=float), np.asarray(gs, dtype=float)
     fam = bundle.family
     x_arr = fam.lift(gs)
     points = bundle.net.points(indices)
-    # each pair's largest residual and its position on the g axis; NaN
-    # marks a pair with no common support (or a NaN residual), which
-    # neither raises the worst value nor makes a witness
-    peak = np.full((len(thetas), len(points)), np.nan)
-    at = np.zeros(peak.shape, dtype=int)
-    n_eval = 0
-    block = max(1, _IDENTITY_CACHE // max(1, len(gs)))
-    for start in range(0, len(thetas), block):
-        rows = range(start, min(start + block, len(thetas)))
-        ld_theta = [fam.log_density(thetas[i], x_arr) for i in rows]
-        d_g_theta = [fam.divergence_fn(gs, thetas[i]) for i in rows]
-        fin_theta = [np.isfinite(ld) for ld in ld_theta]
-        for j, s in enumerate(points):
-            ld_s = fam.log_density(s, x_arr)
-            fin_s = np.isfinite(ld_s)
-            d_g_s = None
-            for r, i in enumerate(rows):
-                ok = fin_theta[r] & fin_s
-                n_ok = int(np.count_nonzero(ok))
-                n_eval += n_ok
-                if n_ok == 0:
-                    continue
-                if d_g_s is None:
-                    d_g_s = fam.divergence_fn(gs, s)
-                with np.errstate(invalid="ignore"):
-                    resid = np.abs((ld_theta[r] - ld_s) - (d_g_s - d_g_theta[r]))
-                resid = np.where(ok, resid, 0.0)
-                at[i, j] = np.argmax(resid)
-                peak[i, j] = resid[at[i, j]]
-    worst = float(np.max(peak, initial=0.0, where=peak > 0.0))
-    witnesses = tuple(
-        (float(thetas[i]), float(points[j]), float(gs[at[i, j]]), float(peak[i, j]))
-        for i, j in np.argwhere(peak > IDENTITY_TOL)[:_WITNESS_CAP])
+
+    def rows(params):
+        """A_t over the statistic axis and where p_t is positive, t by t."""
+        for t in params:
+            ld = fam.log_density(t, x_arr)
+            with np.errstate(invalid="ignore"):  # -inf + inf off the support
+                a = ld + fam.divergence_fn(gs, t)
+            yield a, np.isfinite(ld)
+
+    side_s = _fold(rows(points), len(gs))
+    side_theta = _fold(rows(thetas), len(gs))
+    worst = float(np.max(_largest_residual(side_theta, side_s), initial=0.0))
+    witnesses = () if worst <= IDENTITY_TOL else tuple(islice(
+        _identity_witnesses(rows, thetas, points, gs, side_s), _WITNESS_CAP))
+    n_eval = int(side_theta[2] @ side_s[2])
     return ConditionReport(
         condition="log_ratio_identity",
-        max_violation=worst if worst > IDENTITY_TOL else 0.0,
+        max_violation=0.0 if worst <= IDENTITY_TOL else worst,
         tolerance=IDENTITY_TOL,
         passing=worst <= IDENTITY_TOL,
         witnesses=witnesses,
         estimated_constant=worst,
         n_evaluated=n_eval,
-        n_skipped=peak.size * len(gs) - n_eval,
+        n_skipped=len(thetas) * len(points) * len(gs) - n_eval,
     )
+
+
+def _fold(rows, n: int) -> tuple:
+    """Per statistic, over the rows (A_t, p_t > 0) whose density is
+    positive there: the largest and smallest A_t (NaNs aside), how many
+    rows, and whether any of them is NaN."""
+    hi, lo = np.full(n, -math.inf), np.full(n, math.inf)
+    count, nan = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    for a, positive in rows:
+        is_nan = np.isnan(a)
+        number = positive & ~is_nan
+        np.maximum(hi, a, out=hi, where=number)
+        np.minimum(lo, a, out=lo, where=number)
+        count += positive
+        nan |= positive & is_nan
+    return hi, lo, count, nan
+
+
+def _largest_residual(a: tuple, b: tuple) -> np.ndarray:
+    """Per statistic, the largest |A_a - A_b| over the pairs of rows of
+    two folds where both densities are positive: 0 where there is no such
+    pair, NaN where some pair's residual is NaN (a NaN A, or the same
+    infinity on both sides).  Floating-point subtraction is monotone, so the
+    largest difference is that of the extremes, exactly."""
+    hi_a, lo_a, n_a, nan_a = a
+    hi_b, lo_b, n_b, nan_b = b
+    with np.errstate(invalid="ignore"):  # inf - inf, marked NaN below
+        resid = np.maximum(hi_a - lo_b, hi_b - lo_a)
+    undefined = (nan_a | nan_b | ((hi_a == math.inf) & (hi_b == math.inf))
+                 | ((lo_a == -math.inf) & (lo_b == -math.inf)))
+    return np.where((n_a > 0) & (n_b > 0), np.where(undefined, math.nan, resid), 0.0)
+
+
+def _identity_witnesses(rows, thetas, points, gs, side_s):
+    """(theta, s, g, residual) for each pair whose largest residual is
+    beyond ``IDENTITY_TOL`` (or NaN), theta-major; the pairs of a theta
+    are scanned only when its row against the net points' fold fails."""
+    for theta, (a, positive) in zip(thetas, rows(thetas)):
+        if np.max(_largest_residual(_fold([(a, positive)], len(gs)), side_s),
+                  initial=0.0) <= IDENTITY_TOL:
+            continue
+        for s, (b, positive_s) in zip(points, rows(points)):
+            with np.errstate(invalid="ignore"):
+                resid = np.where(positive & positive_s, np.abs(a - b), 0.0)
+            i = int(np.argmax(resid))
+            if not resid[i] <= IDENTITY_TOL:
+                yield float(theta), float(s), float(gs[i]), float(resid[i])
 
 
 def _report(condition: str, excess: np.ndarray, tolerance: float, cases: Sequence,

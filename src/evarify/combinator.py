@@ -596,14 +596,22 @@ def components_from_specs(
       p_theta / p_s against the component's own net point,
     * ``{"type": "calibrated_p", "kappa": k}`` -- kappa * P**(kappa-1)
       with the upper-tail p-variable P(x) = P_s(stat(X) >= stat(x)).
+
+    Every spec is checked before any component is built: a number that is
+    not finite, or an index that is not integral, is a ``DomainError``
+    naming its field.
     """
     from . import verifier  # local import: verifier builds on this module
 
     def num(spec, at: str, name: str, kind=float):
+        value = spec.get(name)
         try:
-            return kind(spec.get(name))
-        except (TypeError, ValueError) as exc:  # null, or a missing field
-            raise DomainError(f"{at}.{name}: bad numeric value {spec.get(name)!r}") from exc
+            out = kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:  # null, a missing field
+            raise DomainError(f"{at}.{name}: bad numeric value {value!r}") from exc
+        if not math.isfinite(out) or (isinstance(value, float) and out != value):
+            raise DomainError(f"{at}.{name}: {value!r} is not a finite {kind.__name__}")
+        return out
 
     if not isinstance(specs, list):
         raise DomainError(f"components must be a list of component specs, got {specs!r}")

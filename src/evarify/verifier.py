@@ -513,7 +513,9 @@ def sweep(
     theta_grid: Sequence[float] | None = None,
     plan: ExpectationPlan | None = None,
 ) -> VerificationReport:
-    """Certify E_theta[composite] <= 1 across a parameter grid."""
+    """Certify E_theta[composite] <= 1 across a parameter grid; a row
+    whose estimate or error bound is not finite certifies nothing, and
+    fails the sweep."""
     plan = plan or ExpectationPlan()
     bundle = composite.bundle
     grid = _theta_grid(bundle, theta_grid)
@@ -522,7 +524,8 @@ def sweep(
         res = expectation(composite, theta, plan=plan, theta_index=i)
         rows.append((float(theta), res.estimate, res.error_bound, res.method))
     worst = max(rows, key=lambda r: (r[1], r[0]))
-    verdict = "pass" if worst[1] <= 1.0 + 3.0 * worst[2] else "fail"
+    finite = all(math.isfinite(v) for row in rows for v in row[1:3])
+    verdict = "pass" if finite and worst[1] <= 1.0 + 3.0 * worst[2] else "fail"
     return VerificationReport(
         bundle_id=composite.bundle.bundle_id,
         mode=composite.mode,

@@ -1,6 +1,8 @@
 """Condition checks: pass on the shipped bundles, fail on corrupted ones."""
 
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -58,16 +60,29 @@ class _OffByOneEstimator(Estimator):
         return e
 
 
-def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL):
+def _sum_by_side(ld_theta, ld_s, d_g_theta, d_g_s):
+    """The residual as the check computes it: |A_theta - A_s| with
+    A_t = log p_t(x) + d(g(x)||t)."""
+    return np.abs((ld_theta + d_g_theta) - (ld_s + d_g_s))
+
+
+def _ratio_against_divergences(ld_theta, ld_s, d_g_theta, d_g_s):
+    """The residual as the identity is written: the log ratio against
+    the difference of divergences."""
+    return np.abs((ld_theta - ld_s) - (d_g_s - d_g_theta))
+
+
+def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL, residual=_sum_by_side):
     """The identity check as one plain loop over (theta, s) pairs, each
-    recomputing both densities and divergences: the reference the cached
-    check must reproduce exactly."""
+    recomputing both densities and divergences: the reference the check
+    must reproduce exactly.  A NaN residual makes its pair's peak, and the
+    worst, NaN."""
     thetas, indices, g_values = bundle.identity_axes(bundle)
     fam = bundle.family
     gs = np.asarray(g_values, dtype=float)
     xs = [fam.lift(g) for g in gs]
     x_arr = np.stack(xs) if fam.sample_dim > 1 else np.asarray(xs, dtype=float)
-    worst = 0.0
+    peaks = [0.0]
     witnesses = []
     n_eval = n_skip = 0
     for theta in thetas:
@@ -83,16 +98,16 @@ def _reference_log_ratio_identity(bundle, tolerance=IDENTITY_TOL):
                 continue
             d_g_s = np.asarray(fam.divergence_fn(gs, s), dtype=float)
             with np.errstate(invalid="ignore"):
-                resid = np.abs((ld_theta - ld_s) - (d_g_s - d_g_theta))
+                resid = residual(ld_theta, ld_s, d_g_theta, d_g_s)
             resid = np.where(ok, resid, 0.0)
             i = int(np.argmax(resid))
-            if resid[i] > worst:
-                worst = float(resid[i])
-            if resid[i] > tolerance and len(witnesses) < 10:
+            peaks.append(resid[i])
+            if not resid[i] <= tolerance and len(witnesses) < 10:
                 witnesses.append([float(theta), float(s), float(gs[i]), float(resid[i])])
+    worst = float(np.max(peaks))
     return {
         "condition": "log_ratio_identity",
-        "max_violation": worst if worst > tolerance else 0.0,
+        "max_violation": 0.0 if worst <= tolerance else worst,
         "tolerance": tolerance,
         "passing": worst <= tolerance,
         "estimated_constant": worst,
@@ -220,6 +235,29 @@ def _zero_divergence_poisson():
     return replace(b, family=wrong)
 
 
+def _doubled_divergence_poisson(nan_at=None):
+    """Poisson with its divergence doubled (so the identity fails on
+    every pair) and NaN at the statistic value ``nan_at``."""
+    b = make_bundle("poisson")
+    div = b.family.divergence_fn
+
+    def doubled(a, c):
+        return np.where(np.asarray(a) == nan_at, np.nan, 2.0 * div(a, c))
+    return replace(b, family=replace(b.family, divergence_fn=doubled))
+
+
+def _infinite_divergence_poisson(below):
+    """Poisson with d(g||t) = +inf at g = 32 for every t < ``below``: an
+    infinite residual against the other parameters, and inf - inf (NaN)
+    between two of them."""
+    b = make_bundle("poisson")
+    div = b.family.divergence_fn
+
+    def infinite(a, c):
+        return np.where((np.asarray(a) == 32.0) & (np.asarray(c) < below), np.inf, div(a, c))
+    return replace(b, family=replace(b.family, divergence_fn=infinite))
+
+
 class TestLogRatioIdentity:
     @pytest.mark.parametrize(
         "name,kw",
@@ -253,26 +291,58 @@ class TestLogRatioIdentity:
         assert not rep.passing
         assert len(rep.witnesses) > 0
 
+    def test_nan_residual_fails_with_witnesses(self):
+        """A divergence that is NaN at one statistic value makes every
+        pair's residual NaN there: the check fails (it used to pass with
+        constant 0), where the same doubled divergence without the NaN
+        fails on its size."""
+        _, _, gs = make_bundle("poisson").identity_axes(make_bundle("poisson"))
+        g = float(gs[len(gs) // 2])
+        doubled = check_log_ratio_identity(_doubled_divergence_poisson())
+        assert not doubled.passing and doubled.estimated_constant == pytest.approx(2499.9)
+        rep = check_log_ratio_identity(_doubled_divergence_poisson(nan_at=g))
+        assert not rep.passing
+        assert math.isnan(rep.max_violation) and math.isnan(rep.estimated_constant)
+        assert len(rep.witnesses) == 10
+        assert all(w[2] == g and math.isnan(w[3]) for w in rep.witnesses)
+        assert rep.n_evaluated == doubled.n_evaluated
+
     @pytest.mark.parametrize(
         "make",
         [lambda: make_bundle("discrete_uniform"),  # skipped points
          _zero_divergence_poisson,  # more than ten witnesses: order and cap
+         lambda: _doubled_divergence_poisson(nan_at=32.0),  # NaN residuals
+         lambda: _infinite_divergence_poisson(1.0),  # infinite on the theta side only
+         lambda: _infinite_divergence_poisson(5.0),  # on a part of both sides
          lambda: make_bundle("binomial", n=64),
          lambda: make_bundle("normal_variance", n=4)],
-        ids=["discrete_uniform", "poisson_zero_divergence", "binomial_n64",
-             "normal_variance_n4"],
+        ids=["discrete_uniform", "poisson_zero_divergence", "poisson_nan_divergence",
+             "poisson_infinite_theta_side", "poisson_infinite_on_both_sides",
+             "binomial_n64", "normal_variance_n4"],
     )
     def test_same_report_as_the_plain_loop(self, make):
         bundle = make()
         doc = check_log_ratio_identity(bundle).to_dict()
         ref = _reference_log_ratio_identity(bundle)
         assert doc.keys() == ref.keys()
-        for key, value in ref.items():
-            assert doc[key] == value, key
+        for key, value in ref.items():  # as JSON, where NaN equals NaN
+            assert json.dumps(doc[key]) == json.dumps(value), key
 
-    def test_each_density_and_divergence_once_per_block(self):
-        """Each theta-side and s-side array is computed once per block of
-        thetas, not once per (theta, s) pair (50 * 99 = 4,950 calls)."""
+    @pytest.mark.parametrize("name,kw", [("binomial", {"n": 64}), ("normal_variance", {"n": 4})])
+    def test_sum_by_side_agrees_with_the_written_identity(self, name, kw):
+        """Comparing A_theta - A_s moves the residual from the identity's
+        own association, log ratio against divergence difference, only at
+        rounding level."""
+        bundle = make_bundle(name, **kw)
+        ours = _reference_log_ratio_identity(bundle)
+        written = _reference_log_ratio_identity(bundle, residual=_ratio_against_divergences)
+        assert abs(ours["estimated_constant"] - written["estimated_constant"]) <= 1e-10
+        assert ours["n_evaluated"] == written["n_evaluated"]
+        assert ours["passing"] and written["passing"]
+
+    def test_each_density_and_divergence_once_per_parameter(self):
+        """One log_density and one divergence_fn call per theta and per net
+        point (50 + 99), not one per (theta, s) pair (50 * 99 = 4,950)."""
         b = make_bundle("binomial", n=10_000)
         calls = {"log_density": 0, "divergence_fn": 0}
 
@@ -288,12 +358,25 @@ class TestLogRatioIdentity:
                       divergence_fn=counted("divergence_fn"))
         thetas, indices, _ = axes = b.identity_axes(b)
         rep = check_log_ratio_identity(replace(b, family=fam), axes)
-        limit = 3 * (len(thetas) + len(indices))
-        assert limit == 447
-        assert 0 < calls["log_density"] <= limit
-        assert 0 < calls["divergence_fn"] <= limit
+        assert len(thetas) + len(indices) == 149
+        assert calls == {"log_density": 149, "divergence_fn": 149}
         assert rep.passing
         assert rep.n_evaluated == 49_504_950
+
+    def test_memory_is_one_row_per_array_not_the_grid(self):
+        """A passing check on binomial n = 10^4 (50 thetas, 99 net points,
+        10,001 statistic values) allocates at peak well below one
+        theta-by-statistic array (4 MB)."""
+        b = make_bundle("binomial", n=10_000)
+        axes = b.identity_axes(b)
+        tracemalloc.start()
+        try:
+            rep = check_log_ratio_identity(b, axes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.passing
+        assert peak < 0.5 * 50 * 10_001 * 8, peak
 
 
 class TestCellBound:

@@ -203,13 +203,20 @@ class TestMalformedPlanAndGrid:
          "components[0].alternative"),
         ({"components": [{"index": 2, "type": "spike"}, {"index": 3, "type": "calibrated_p"}]},
          "components[1].kappa"),
+        ({"components": [{"index": 2.7, "type": "spike"}]}, "components[0].index"),
+        ({"components": [{"index": float("inf"), "type": "spike"}]}, "components[0].index"),
+        ({"components": [{"index": 2, "type": "constant", "value": "inf"}]},
+         "components[0].value"),
+        ({"components": [{"index": 2, "type": "constant", "value": "nan"}]},
+         "components[0].value"),
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
             "grid_as_a_list", "unknown_grid_kind", "null_theta", "null_tail_mass",
             "null_abs_tol", "null_samples", "null_n", "null_plan", "null_mode",
             "null_output", "null_params", "null_seed", "null_components",
             "component_not_an_object", "null_component_index", "null_constant_value",
-            "ratio_without_alternative", "calibrated_p_without_kappa"])
+            "ratio_without_alternative", "calibrated_p_without_kappa",
+            "non_integral_index", "infinite_index", "infinite_constant", "nan_constant"])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
         """Each malformed plan, grid or component spec, and each null where
         a number or an object belongs, is a configuration error with a
@@ -231,6 +238,20 @@ class TestMalformedPlanAndGrid:
         out = tmp_path / "rep.json"
         assert run(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
         assert json.loads(out.read_text())["bundle_id"] == "cauchy"
+
+
+    def test_an_integral_float_index_is_that_index(self, tmp_path):
+        """"index": 2.0 selects net index 2, as "index": 2 does."""
+        reports = []
+        for index in (2, 2.0, "2"):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({
+                "family": {"name": "poisson"}, "theta_grid": {"values": [4.0]},
+                "components": [{"index": index, "type": "spike"}]}))
+            out = tmp_path / "rep.json"
+            assert run(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestOutputReadFirst:

@@ -331,6 +331,15 @@ class TestSweep:
         assert rep.passed == (rep.worst_value <= 1 + 3 * rep.worst_error_bound)
         assert rep.bundle_id == "discrete_uniform"
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_row_that_is_not_finite_fails(self, value):
+        """A row whose estimate or error bound is not finite certifies
+        nothing: inf <= 1 + 3 * inf no longer passes."""
+        b = make_bundle("poisson")
+        rep = sweep(combine_discrete(b, {2: constant_evar(value)}), [4.0])
+        assert not all(math.isfinite(v) for v in rep.rows[0][1:3])
+        assert rep.verdict == "fail"
+
     def test_json_and_csv_serialization(self):
         b = make_bundle("discrete_uniform")
         rep = sweep(spike_composite(b, [4.0]), [4.0])

@@ -31,7 +31,6 @@ from .combinator import (
     even_odd_reconstruction,
     even_odd_split,
     likelihood_ratio_evar,
-    product_evar,
 )
 from .checker import (
     ConditionReport,
@@ -83,7 +82,6 @@ __all__ = [
     "even_odd_reconstruction",
     "even_odd_split",
     "likelihood_ratio_evar",
-    "product_evar",
     "ConditionReport",
     "check_cell_sandwich",
     "check_divergence_growth",

@@ -368,8 +368,6 @@ def check_divergence_growth(
     ``alpha=None`` the check estimates the largest admissible exponent
     instead of asserting.  Each direction is one divergence call over
     all the pairs."""
-    if alpha is None and bundle.factor_inputs is not None:
-        alpha = bundle.factor_inputs.alpha
     ps = default_growth_pairs(bundle) if pairs is None else pairs
     net, div = bundle.net, bundle.family.divergence_fn
     t = np.sort(np.asarray(ps, dtype=float).reshape(-1, 2), axis=1)
@@ -455,40 +453,27 @@ def _default_step_window(bundle: FamilyBundle) -> range:
 def run_all_checks(bundle: FamilyBundle, seed: int = 0) -> dict[str, ConditionReport]:
     """Every check applicable to the bundle's factor route.
 
-    The identity and sandwich checks run for all bundles (skip counting
-    covers parameter-dependent supports).  Growth runs where the bundle
-    declares a growth exponent, reverse-triangle and step bounds where it
-    declares a step constant.  Estimated constants are compared against
-    the declared ones with ``SLACK_TOL`` slack.
+    The identity, sandwich and cell-bound checks run for all bundles (skip
+    counting covers parameter-dependent supports).  The "growth" route adds
+    the growth check, the "steps" route the reverse-triangle and step
+    bounds.  Estimated constants are compared against the declared ones
+    with ``SLACK_TOL`` slack; a "direct" bundle declares no c'.
     """
     reports: dict[str, ConditionReport] = {}
     reports["log_ratio_identity"] = check_log_ratio_identity(bundle)
     samples = default_cell_samples(bundle, seed=seed)
     reports["cell_sandwich"] = check_cell_sandwich(bundle, samples)
+    inputs, route = bundle.factor_inputs, bundle.route
     c_hat = estimate_cell_bound(bundle, samples)
-    declared = bundle.factor_inputs.c_prime if bundle.factor_inputs else None
-    ok = True if declared is None else c_hat <= declared + SLACK_TOL
-    reports["cell_bound"] = ConditionReport(
-        condition="cell_bound",
-        max_violation=0.0 if ok else c_hat - declared,
-        tolerance=SLACK_TOL,
-        passing=ok,
-        estimated_constant=c_hat,
-    )
-    inputs = bundle.factor_inputs
-    if inputs is not None and inputs.alpha is not None:
-        reports["divergence_growth"] = check_divergence_growth(
-            bundle, alpha=inputs.alpha
-        )
-    if inputs is not None and inputs.c is not None:
+    declared = math.inf if route == "direct" else inputs.c_prime
+    reports["cell_bound"] = _report("cell_bound", np.array([c_hat - declared]), SLACK_TOL,
+                                    (None, None, None), estimated_constant=c_hat)
+    if route == "growth":
+        reports["divergence_growth"] = check_divergence_growth(bundle, alpha=inputs.alpha)
+    if route == "steps":
         reports["reverse_triangle"] = check_reverse_triangle(bundle, seed=seed)
         c_est = estimate_step_lower_bound(bundle, _default_step_window(bundle))
-        ok = c_est >= inputs.c - SLACK_TOL
-        reports["step_lower_bound"] = ConditionReport(
-            condition="step_lower_bound",
-            max_violation=0.0 if ok else inputs.c - c_est,
-            tolerance=SLACK_TOL,
-            passing=ok,
-            estimated_constant=c_est,
-        )
+        reports["step_lower_bound"] = _report("step_lower_bound", np.array([inputs.c - c_est]),
+                                              SLACK_TOL, (None, None, None),
+                                              estimated_constant=c_est)
     return reports

@@ -20,9 +20,11 @@ error.  Reports are written as JSON (machine) or CSV (tables) and are
 byte-identical across runs with the same configuration and seed.
 
 Configuration files are JSON; every numeric field also accepts an exact
-decimal string (e.g. ``"epsilon": "0.2"``).  A null, or another value,
-where a number or an object belongs is a configuration error that names
-the field, except ``"epsilon": null``, which means no epsilon is given.
+decimal string (e.g. ``"epsilon": "0.2"``).  A null, a bool, a value that
+is not finite, a value that is not integral in an integer field (``n``,
+``samples``, ``seed``), or another value where a number or an object
+belongs is a configuration error that names the field, except
+``"epsilon": null``, which means no epsilon is given.
 Command-line flags override config-file values.  Schema::
 
     {
@@ -32,7 +34,7 @@ Command-line flags override config-file values.  Schema::
       "suite": "spikes",
       "mode": {"kind": "discrete"},
       "theta_grid": {"kind": "default"},        # or {"values": [...]}
-      "plan": {"method": "auto", "tail_mass": "1e-12",
+      "plan": {"method": "auto", "tail_mass": "1e-12",   # or "monte_carlo"
                "abs_tol": "1e-9", "samples": 1000000},
       "seed": 7,
       "output": {"path": "report.json", "format": "json"}
@@ -48,7 +50,7 @@ from pathlib import Path
 
 from .checker import run_all_checks
 from .combinator import combine_discrete, components_from_specs
-from .core import ConfigError, EvarifyError
+from .core import ConfigError, EvarifyError, _number
 from .families import FAMILY_IDS, make_bundle
 from .verifier import (
     ExpectationPlan,
@@ -72,15 +74,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse's default usage-error exit (2) becomes a ConfigError (3)
     def error(self, message: str):
         raise ConfigError(message)
-
-
-def _num(value, field: str, kind=float):
-    """A number, or an exact decimal string, as ``kind``; a ConfigError
-    naming ``field`` for anything else, null included."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: bad numeric value {value!r}") from exc
 
 
 def _object(cfg: dict, key: str, field: str | None = None) -> dict:
@@ -119,8 +112,8 @@ def _bundle_from(args, cfg: dict):
         params["epsilon"] = args.epsilon
     clean = {}
     for key, value in params.items():  # a null epsilon is no epsilon
-        clean[key] = (None if key == "epsilon" and value is None
-                      else _num(value, f"family.params.{key}", int if key == "n" else float))
+        clean[key] = (None if key == "epsilon" and value is None else
+                      _number(value, f"family.params.{key}", int if key == "n" else float))
     return make_bundle(name, **clean)
 
 
@@ -129,10 +122,10 @@ def _plan_from(args, cfg: dict) -> ExpectationPlan:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     return ExpectationPlan(
         method=plan_cfg.get("method", "auto"),
-        tail_mass=_num(plan_cfg.get("tail_mass", 1e-12), "plan.tail_mass"),
-        abs_tol=_num(plan_cfg.get("abs_tol", 1e-9), "plan.abs_tol"),
-        mc_samples=_num(plan_cfg.get("samples", 1_000_000), "plan.samples", int),
-        seed=_num(seed, "seed", int),
+        tail_mass=_number(plan_cfg.get("tail_mass", 1e-12), "plan.tail_mass"),
+        abs_tol=_number(plan_cfg.get("abs_tol", 1e-9), "plan.abs_tol"),
+        mc_samples=_number(plan_cfg.get("samples", 1_000_000), "plan.samples", int),
+        seed=_number(seed, "seed", int),
     )
 
 
@@ -146,7 +139,7 @@ def _grid_from(cfg: dict, bundle):
     if not isinstance(values, list):
         raise ConfigError("theta_grid must be {'kind': 'default'} or {'values': [...]}, "
                           f"got {grid_cfg!r}")
-    return [_num(v, "theta_grid values") for v in values]
+    return [_number(v, "theta_grid values") for v in values]
 
 
 def _output(args, cfg: dict):
@@ -214,7 +207,7 @@ def _cmd_certify(args, cfg) -> int:
         if suite == "ones":
             raise ConfigError("interpolated mode supports the spikes suite only")
         eps = args.epsilon if args.epsilon is not None else mode_cfg.get("epsilon")
-        eps = _num(eps, "epsilon") if eps is not None else 0.2
+        eps = _number(eps, "epsilon") if eps is not None else 0.2
         factor, _ = certify_interpolated_factor(bundle, theta_grid=grid)
         composite = interpolated_spike_composite(bundle, eps, factor)
     elif mode == "discrete":
@@ -248,7 +241,7 @@ def _cmd_counterexample(args, cfg) -> int:
     lam = args.lam if args.lam is not None else cfg.get("lambda")
     if lam is None:
         raise ConfigError("no rate given (use --lambda)")
-    lam = _num(lam, "lambda")
+    lam = _number(lam, "lambda")
     res = mle_counterexample_poisson_with_bound(lam)
     print(
         f"E_lambda[own-probability spike at the MLE] = {res.estimate:.9g} "

@@ -1,4 +1,4 @@
-"""Composite e-variables: select-and-scale, interpolation, products.
+"""Composite e-variables: select-and-scale and interpolation.
 
 Given per-net-point e-variables ``{e_s}`` (each valid for its own simple
 hypothesis P_s), this module builds tests for the whole family:
@@ -6,10 +6,7 @@ hypothesis P_s), this module builds tests for the whole family:
 * ``combine_discrete``  --  e(x) = e_{shat(x)}(x) / C,
 * ``combine_interpolated``  --  e(x) = (1/C) * sum_n e_n(x) * w_n(x)
   with trapezoid weights w_n forming a partition of unity on an integer
-  net (at most two terms are ever active),
-* ``product_evar``  --  the i.i.d. product rule for n-vectors of unit-
-  variance Gaussians, selecting one per-observation component and
-  multiplying it across coordinates.
+  net (at most two terms are ever active).
 
 Components are keyed by **net index** (an int), not by the float value of
 the net point; exact float keys would be fragile.  A missing component
@@ -49,6 +46,7 @@ from .core import (
     IntegerLattice,
     Piecewise,
     REpsilon,
+    _number,
 )
 from .families import FamilyBundle
 
@@ -62,7 +60,6 @@ __all__ = [
     "combine_discrete",
     "bump_weight",
     "combine_interpolated",
-    "product_evar",
     "ParityFamily",
     "even_odd_split",
     "even_odd_reconstruction",
@@ -477,32 +474,6 @@ def combine_interpolated(
                               _trapezoid_piecewise(table, epsilon, C))
 
 
-def product_evar(
-    per_obs: Mapping[int, EVariable], bundle: FamilyBundle, x
-) -> float:
-    """The i.i.d. product rule for unit-variance Gaussian vectors.
-
-    Selects the component at the rounded sample mean (net spacing
-    1/sqrt(n)) and multiplies its value across all n coordinates, then
-    divides by the bundle's factor once.  Only normal-mean bundles carry
-    ``alpha``, so the spacing check also rejects every other family.
-    """
-    if bundle.params.get("alpha") != 1.0:
-        raise DomainError(
-            "the product rule needs the normal-mean bundle with net spacing "
-            "1/sqrt(n) (alpha = 1)"
-        )
-    arr = np.asarray(x, dtype=float)
-    n = bundle.family.sample_dim
-    if arr.shape != (n,):
-        raise DomainError(f"expected an n-vector with n={n}, got shape {arr.shape}")
-    # one sample: the vector, or its only coordinate when n = 1
-    k = bundle.index(bundle.locate(arr if n > 1 else arr[0]))
-    comp = per_obs.get(k)
-    values = _e_values(_many(ONE if comp is None else comp, arr), np.full(n, k), arr)
-    return math.prod(values.tolist()) / bundle.factor_C  # in coordinate order
-
-
 # ---------------------------------------------------------------------------
 # Even/odd split of the interpolated composite
 # ---------------------------------------------------------------------------
@@ -597,21 +568,11 @@ def components_from_specs(
     * ``{"type": "calibrated_p", "kappa": k}`` -- kappa * P**(kappa-1)
       with the upper-tail p-variable P(x) = P_s(stat(X) >= stat(x)).
 
-    Every spec is checked before any component is built: a number that is
-    not finite, or an index that is not integral, is a ``DomainError``
-    naming its field.
+    Every spec is checked before any component is built, its numbers by
+    :func:`~evarify.core._number`: a number that is not finite, an index
+    that is not integral or a bool is a ``DomainError`` naming its field.
     """
     from . import verifier  # local import: verifier builds on this module
-
-    def num(spec, at: str, name: str, kind=float):
-        value = spec.get(name)
-        try:
-            out = kind(value)
-        except (TypeError, ValueError, OverflowError) as exc:  # null, a missing field
-            raise DomainError(f"{at}.{name}: bad numeric value {value!r}") from exc
-        if not math.isfinite(out) or (isinstance(value, float) and out != value):
-            raise DomainError(f"{at}.{name}: {value!r} is not a finite {kind.__name__}")
-        return out
 
     if not isinstance(specs, list):
         raise DomainError(f"components must be a list of component specs, got {specs!r}")
@@ -624,7 +585,8 @@ def components_from_specs(
         if spec.get("type") not in tuple(fields) or "index" not in spec:
             raise DomainError(f"{at} needs an index and a type in {list(fields)}, got {raw!r}")
         name = fields[spec["type"]]
-        checked.append((num(spec, at, "index", int), spec["type"], name and num(spec, at, name)))
+        checked.append((_number(spec["index"], f"{at}.index", int), spec["type"],
+                        name and _number(spec.get(name), f"{at}.{name}")))  # missing: None
     out: dict[int, EVariable] = {}
     for k, ctype, value in checked:
         if ctype == "constant":

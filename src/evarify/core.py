@@ -116,6 +116,20 @@ class ConfigError(EvarifyError):
     """A run configuration failed validation."""
 
 
+def _number(value, field: str, kind=float):
+    """A number, or an exact decimal string, as ``kind`` (float or int); a
+    :class:`DomainError` naming ``field`` for anything else: null, a bool,
+    a value that is not finite, or for int one that is not integral."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
+        raise DomainError(f"{field}: bad numeric value {value!r}") from exc
+    if (isinstance(value, bool) or not math.isfinite(out)
+            or (isinstance(value, float) and out != value)):
+        raise DomainError(f"{field}: {value!r} is not a finite {kind.__name__}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Parameter spaces
 # ---------------------------------------------------------------------------
@@ -754,11 +768,11 @@ class CeilDyadic(Estimator):
         return np.stack([lo, self.net._points(k)], axis=-1)
 
 
-TieRule = Literal["up", "down", "even", "odd"]
+TieRule = Literal["up", "even", "odd"]
 
 #: each tie rule's choice on the neighbourhood of m + 1/2, as
 #: m + a + b (m mod 2) for its (a, b) (m & 1 is m mod 2 for int64 m)
-_TIES = {"up": (1, 0), "down": (0, 0), "even": (0, 1), "odd": (1, -1)}
+_TIES = {"up": (1, 0), "even": (0, 1), "odd": (1, -1)}
 
 
 class REpsilon(Estimator):
@@ -767,11 +781,12 @@ class REpsilon(Estimator):
 
     Outside every interval [m + 1/2 - eps, m + 1/2 + eps) the map is plain
     nearest-integer rounding; on the neighbourhood of m + 1/2 it is the
-    constant ``m`` or ``m + 1`` chosen by the tie rule ("up", "down",
-    "even" or "odd").  Half-open like the cells, so ``index`` and
-    ``edges`` agree on every float (which end the neighbourhood holds is
-    a null set under continuous laws).  Requires eps <= 1/5 so
-    neighbouring choices cannot interact.
+    constant ``m`` or ``m + 1`` chosen by the tie rule: "up" (``m + 1``,
+    the bundles' rule), "even" or "odd" (the even/odd split's halves).
+    Half-open like the cells, so ``index`` and ``edges`` agree on every
+    float (which end the neighbourhood holds is a null set under
+    continuous laws).  Requires eps <= 1/5 so neighbouring choices cannot
+    interact.
     """
 
     def __init__(self, epsilon: float, tie: TieRule = "up",

@@ -86,6 +86,7 @@ from .core import (
     Squares,
     StatLaw,
     _index_array,
+    _number,
     _one,
     factor_from_growth,
     factor_from_steps,
@@ -644,7 +645,6 @@ def _binomial_growth_alpha(net: BinomialSine, div) -> float:
 def _make_binomial(n: int | None = None) -> FamilyBundle:
     if n is None:
         raise DomainError("the binomial bundle needs the trial count n")
-    n = int(n)
     if n < 4:
         raise DomainError("binomial bundle needs n >= 4")
     fam = binomial_family(n)
@@ -723,7 +723,6 @@ def _make_continuous_uniform() -> FamilyBundle:
 
 def _make_normal_mean(alpha: float = 1.0, n: int = 1,
                       epsilon: float | None = None) -> FamilyBundle:
-    n = int(n)
     if n < 1:
         raise DomainError("n must be a positive integer")
     fam = normal_mean_family(n)
@@ -766,7 +765,6 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
 
 
 def _make_normal_variance(n: int = 4) -> FamilyBundle:
-    n = int(n)
     if n < 1:
         raise DomainError("n must be a positive integer")
     root = math.isqrt(n)
@@ -819,10 +817,11 @@ def _make_cauchy(epsilon: float | None = None) -> FamilyBundle:
 def make_bundle(name: str, **params) -> FamilyBundle:
     """Build the fully wired bundle for a family id.
 
-    Recognised params: ``n`` (binomial, normal_mean, normal_variance),
-    ``alpha`` (normal_mean net scale), ``epsilon`` (cauchy / normal_mean
-    rounding slack, must be <= 1/5).  Unknown ids or parameters raise
-    :class:`DomainError` naming the valid choices.
+    Recognised params: ``n`` (binomial, normal_mean, normal_variance; an
+    integer), ``alpha`` (normal_mean net scale), ``epsilon`` (cauchy /
+    normal_mean rounding slack, must be <= 1/5).  Unknown ids or
+    parameters, and an ``n`` that is not integral, raise
+    :class:`DomainError` naming the valid choices or the value.
     """
     makers = {
         "binomial": (_make_binomial, {"n"}),
@@ -844,4 +843,6 @@ def make_bundle(name: str, **params) -> FamilyBundle:
             f"unknown parameter(s) {sorted(unknown)} for family {name!r}; "
             f"allowed: {sorted(allowed) or 'none'}"
         )
+    if "n" in params:
+        params["n"] = _number(params["n"], "n", int)
     return maker(**params)

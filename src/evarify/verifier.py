@@ -94,9 +94,10 @@ class ExpectationPlan:
     """How to estimate E_theta[e(X)].
 
     "auto" picks exact summation for discrete families and cellwise /
-    piecewise quadrature for continuous ones.  ``tail_mass`` is the
-    probability mass allowed outside the truncation window (charged to
-    the error bound against the composite's sup).  ``abs_tol`` is the
+    piecewise quadrature for continuous ones; "monte_carlo" draws
+    ``mc_samples`` samples.  ``tail_mass`` is the probability mass
+    allowed outside the truncation window (charged to the error bound
+    against the composite's sup).  ``abs_tol`` is the
     target of generic quadrature's error estimate over the window: a
     piece whose two Gauss-Legendre orders differ by more than abs_tol
     over the number of pieces is bisected (a fixed number of rounds at
@@ -104,16 +105,16 @@ class ExpectationPlan:
     reports a 99% CI half-width as its error bound.
     """
 
-    method: str = "auto"  # auto | exact_sum | quadrature | monte_carlo
+    method: str = "auto"  # auto | monte_carlo
     tail_mass: float = 1e-12
     abs_tol: float = 1e-9
     mc_samples: int = 1_000_000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.method not in ("auto", "exact_sum", "quadrature", "monte_carlo"):
-            raise DomainError(f"unknown expectation method {self.method!r}")
-        cap = 1e-12 if self.method in ("auto", "exact_sum") else 1e-6
+        if self.method not in ("auto", "monte_carlo"):
+            raise DomainError(f"unknown expectation method {self.method!r} (auto | monte_carlo)")
+        cap = 1e-6 if self.method == "monte_carlo" else 1e-12
         if not 0.0 < self.tail_mass <= cap:
             raise DomainError(
                 f"tail_mass must lie in (0, {cap:g}] for method {self.method!r}"
@@ -415,8 +416,6 @@ def expectation(
     plan = plan or ExpectationPlan()
     theta = bundle.family.validate_param(theta)
     law = bundle.family.law
-    if plan.method == "exact_sum" and not law.discrete:
-        raise DomainError("exact_sum is only valid for discrete families")
     pw = getattr(e, "piecewise", None)
     if pw is not None and plan.method != "monte_carlo":
         return _piecewise_expectation(pw, law, plan.tail_mass, theta)
@@ -508,6 +507,12 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+def _holds(estimate: float, error_bound: float) -> bool:
+    """The verdict rule of a sweep: an estimate passes when it is at most
+    1 + 3 times its error bound."""
+    return estimate <= 1.0 + 3.0 * error_bound
+
+
 def sweep(
     composite: CompositeEVariable,
     theta_grid: Sequence[float] | None = None,
@@ -525,7 +530,7 @@ def sweep(
         rows.append((float(theta), res.estimate, res.error_bound, res.method))
     worst = max(rows, key=lambda r: (r[1], r[0]))
     finite = all(math.isfinite(v) for row in rows for v in row[1:3])
-    verdict = "pass" if finite and worst[1] <= 1.0 + 3.0 * worst[2] else "fail"
+    verdict = "pass" if finite and _holds(worst[1], worst[2]) else "fail"
     return VerificationReport(
         bundle_id=composite.bundle.bundle_id,
         mode=composite.mode,
@@ -647,20 +652,29 @@ def interpolated_spike_composite(
     return CompositeEVariable(bundle, spikes, C, "interpolated", float(epsilon), one_period)
 
 
+#: The factor the bisection starts from.  The even/odd-split argument
+#: (``combinator.even_odd_split``: the interpolated composite is the mean
+#: of an even and an odd select-and-scale composite) makes twice the
+#: discrete factor valid, and 36 is twice the largest discrete factor of
+#: the bundles with unit-cell spikes: Cauchy's e^(log 2) (7 + 2/1) = 18
+#: (single-observation normal_mean's is 9.16, or 11.5 with epsilon 0.2).
+_ANCHOR = 36.0
+#: the bisection stops when its interval is below this fraction of its top
+_BISECT_TOL = 1e-6
+
+
 def certify_interpolated_factor(
     bundle: FamilyBundle,
     epsilons: Sequence[float] = (0.05, 0.1, 0.2),
     theta_grid: Sequence[float] | None = None,
-    anchor: float = 36.0,
-    tol: float = 1e-6,
 ) -> tuple[float, dict]:
     """Tightest factor C for which the interpolated spike sweeps pass.
 
-    Starts from the ``anchor`` (a factor valid by the even/odd-split
-    argument: twice the discrete factor) and bisects downward against the
-    worst unnormalized expectation over the given epsilons and grid.
-    Expectations scale exactly as 1/C, so the sweep is evaluated once at
-    C = 1 and the bisection runs on the cached values.
+    Starts from ``_ANCHOR`` and bisects downward, with the sweep's
+    verdict rule, against the worst unnormalized expectation over the
+    given epsilons and grid.  Expectations scale exactly as 1/C, so the
+    sweep is evaluated once at C = 1 and the bisection runs on the cached
+    values.
     """
     grid = _theta_grid(bundle, theta_grid)
     plan = ExpectationPlan()
@@ -674,18 +688,18 @@ def certify_interpolated_factor(
         per_eps[float(eps)] = u
         if u > worst_u:
             worst_u, worst_eb = u, eb
-    lo, hi = 1.0, float(anchor)
-    if worst_u / hi > 1.0 + 3.0 * worst_eb / hi:  # pragma: no cover - anchor is safe
+    lo, hi = 1.0, _ANCHOR
+    if not _holds(worst_u / hi, worst_eb / hi):  # pragma: no cover - the anchor is safe
         raise DomainError("anchor factor fails; widen it")
-    while hi - lo > tol * hi:
+    while hi - lo > _BISECT_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if worst_u / mid <= 1.0 + 3.0 * (worst_eb / mid):
+        if _holds(worst_u / mid, worst_eb / mid):
             hi = mid
         else:
             lo = mid
     certified = hi
     details = {
-        "anchor": float(anchor),
+        "anchor": _ANCHOR,
         "worst_unnormalized": worst_u,
         "per_epsilon_unnormalized": per_eps,
         "certified_C": certified,

@@ -150,8 +150,6 @@ def _reference_divergence_growth(bundle, pairs=None, alpha=None):
     """The growth check as a plain loop over pairs with two scalar
     divergence calls each: the reference the array pass must reproduce
     field by field."""
-    if alpha is None and bundle.factor_inputs is not None:
-        alpha = bundle.factor_inputs.alpha
     ps = default_growth_pairs(bundle) if pairs is None else pairs
     fam, net = bundle.family, bundle.net
     worst, best_ratio, witnesses, n_eval = 0.0, math.inf, [], 0
@@ -505,10 +503,24 @@ class TestDivergenceGrowth:
         assert rep.passing  # nothing asserted
         assert rep.estimated_constant == pytest.approx(1.0, abs=0.05)
 
+    def test_no_exponent_estimates_even_where_the_bundle_declares_one(self):
+        """alpha=None only estimates: the bundle's declared exponent is
+        asserted when it is passed (as ``run_all_checks`` does), not by
+        default."""
+        from evarify.core import FactorInputs
+
+        b = make_bundle("poisson")
+        strict = replace(b, factor_inputs=FactorInputs(c_prime=1.0, alpha=10.0))
+        rep = check_divergence_growth(strict)
+        assert rep.passing and rep.witnesses == () and rep.max_violation == 0.0
+        assert rep.estimated_constant == check_divergence_growth(b, alpha=10.0).estimated_constant
+
     @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
     def test_same_report_as_the_plain_loop(self, name, kw):
         b = make_bundle(name, **kw)
-        _assert_same_fields(check_divergence_growth(b), _reference_divergence_growth(b))
+        alpha = b.factor_inputs.alpha if b.factor_inputs else None
+        _assert_same_fields(check_divergence_growth(b, alpha=alpha),
+                            _reference_divergence_growth(b, alpha=alpha))
 
     @pytest.mark.parametrize("alpha", [10.0, None])
     def test_same_report_as_the_plain_loop_on_poisson(self, alpha):
@@ -663,7 +675,25 @@ class TestRunAllChecks:
         b = make_bundle("poisson")
         bad = replace(b, factor_inputs=FactorInputs(c_prime=1.0, c=2.5))
         reports = run_all_checks(bad)
-        assert not reports["step_lower_bound"].passing
+        rep = reports["step_lower_bound"]
+        assert not rep.passing
+        assert rep.max_violation == 2.5 - rep.estimated_constant
+        assert rep.witnesses == ((None, None, None, rep.max_violation),)
+
+    def test_a_cell_bound_below_the_measured_one_fails_with_a_witness(self):
+        """The cell bound is a report like the others: a declared c' below
+        the measured one fails by their difference and carries it as its
+        witness; a "direct" bundle declares none and passes."""
+        from evarify.core import FactorInputs
+
+        b = make_bundle("poisson")
+        bad = replace(b, factor_inputs=FactorInputs(c_prime=0.5, c=1.0))
+        rep = run_all_checks(bad)["cell_bound"]
+        assert not rep.passing
+        assert rep.max_violation == rep.estimated_constant - 0.5
+        assert rep.witnesses == ((None, None, None, rep.max_violation),)
+        rep = run_all_checks(make_bundle("discrete_uniform"))["cell_bound"]
+        assert rep.passing and rep.max_violation == 0.0 and rep.witnesses == ()
 
     def test_identity_tolerance_constant(self):
         assert IDENTITY_TOL == 1e-9

@@ -209,6 +209,12 @@ class TestMalformedPlanAndGrid:
          "components[0].value"),
         ({"components": [{"index": 2, "type": "constant", "value": "nan"}]},
          "components[0].value"),
+        ({"family": {"name": "binomial", "params": {"n": 64.5}}}, "family.params.n"),
+        ({"plan": {"samples": 1000.7}}, "plan.samples"),
+        ({"seed": 7.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"plan": {"tail_mass": "inf"}}, "plan.tail_mass"),
+        ({"components": [{"index": True, "type": "spike"}]}, "components[0].index"),
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
             "grid_as_a_list", "unknown_grid_kind", "null_theta", "null_tail_mass",
@@ -216,7 +222,9 @@ class TestMalformedPlanAndGrid:
             "null_output", "null_params", "null_seed", "null_components",
             "component_not_an_object", "null_component_index", "null_constant_value",
             "ratio_without_alternative", "calibrated_p_without_kappa",
-            "non_integral_index", "infinite_index", "infinite_constant", "nan_constant"])
+            "non_integral_index", "infinite_index", "infinite_constant", "nan_constant",
+            "non_integral_n", "non_integral_samples", "non_integral_seed", "bool_seed",
+            "infinite_tail_mass", "bool_index"])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
         """Each malformed plan, grid or component spec, and each null where
         a number or an object belongs, is a configuration error with a
@@ -230,6 +238,14 @@ class TestMalformedPlanAndGrid:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert "2**53" not in err
+
+    @pytest.mark.parametrize("lam", ["inf", "nan", "1e400"])
+    def test_a_rate_that_is_not_finite_exits_3(self, capsys, lam):
+        """The counterexample's rate goes through the same number parser
+        as every config field: not finite is a configuration error."""
+        assert run(["counterexample", "--family", "poisson", "--lambda", lam]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "lambda" in err and "Traceback" not in err
 
     def test_null_epsilon_means_no_epsilon(self, tmp_path):
         cfg = tmp_path / "run.json"

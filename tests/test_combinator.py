@@ -1,4 +1,4 @@
-"""Composite e-variables: selection, interpolation, products, splits."""
+"""Composite e-variables: selection, interpolation, splits."""
 
 import math
 
@@ -17,7 +17,6 @@ from evarify.combinator import (
     even_odd_reconstruction,
     even_odd_split,
     likelihood_ratio_evar,
-    product_evar,
     zero_evar,
 )
 from evarify.core import ContractViolationError, DomainError, Piecewise
@@ -236,73 +235,6 @@ class TestSparseInterpolatedBuild:
         pw = interpolated_spike_composite(b, eps, 1.0).piecewise
         assert pw.edges.tolist() == dense.edges[3:7].tolist()
         assert pw.a.tolist() == dense.a[3:6].tolist() and pw.b.tolist() == dense.b[3:6].tolist()
-
-
-class TestProductRule:
-    def test_all_ones(self):
-        b = make_bundle("normal_mean", alpha=1.0, n=4)
-        assert product_evar({}, b, [0.0, 0.0, 0.0, 0.0]) == pytest.approx(
-            1.0 / b.factor_C
-        )
-
-    def test_reduces_to_selection_for_n_1(self):
-        b = make_bundle("normal_mean", alpha=1.0, n=1)
-        comps = {0: constant_evar(2.0)}
-        comp = combine_discrete(b, comps)
-        assert product_evar(comps, b, [0.2]) == pytest.approx(comp(0.2))
-
-    def test_gaussian_likelihood_ratio_product(self):
-        """Oracle: the per-observation ratio p_{1/2}/p_0 evaluated at
-        x_k = 1/2 is exp(1/8); four coordinates give exp(1/2)."""
-        b = make_bundle("normal_mean", alpha=1.0, n=4)
-        fam1 = make_bundle("normal_mean", alpha=1.0, n=1).family
-        lr = likelihood_ratio_evar(fam1, 0.5, 0.0)  # e-variable for N(1/2, 1)
-        # the estimated net point for the all-0.5 vector is 0.5 (index 1)
-        k = b.index(b.locate([0.5, 0.5, 0.5, 0.5]))
-        assert b.net.points(k) == 0.5
-        # component at the selected point: ratio against the alternative 0
-        comps = {k: likelihood_ratio_evar(fam1, 0.5, 0.0)}
-        # evaluating p_0 / p_{1/2} would not be valid for N(1/2,1); use
-        # the alternative-over-null form at its own point instead
-        comps = {k: likelihood_ratio_evar(fam1, 0.0, 0.5)}
-        value = product_evar(comps, b, [0.5, 0.5, 0.5, 0.5])
-        assert value == pytest.approx(math.exp(0.5) / b.factor_C, rel=1e-12)
-
-    def test_one_call_on_the_coordinates_and_the_running_product(self):
-        """The selected component is called once on the n coordinates, and
-        the value is the running product over them, bit for bit; a negative
-        value raises naming its coordinate."""
-        b = make_bundle("normal_mean", alpha=1.0, n=4)
-        fam1 = make_bundle("normal_mean", alpha=1.0, n=1).family
-        x = [0.3, 0.7, -0.2, 0.9]
-        k = b.index(b.locate(x))
-        lr = likelihood_ratio_evar(fam1, b.net.points(k), 1.1)
-        calls = []
-        counted = EVariable(lambda xs: calls.append(len(xs)) or lr.fn(xs), vectorized=True)
-        total = 1.0
-        for coord in x:
-            total *= lr(coord)
-        assert product_evar({k: counted}, b, x) == total / b.factor_C
-        assert calls == [4]
-        bad = EVariable(lambda xs: np.where(xs > 0.8, -1.0, 1.0), vectorized=True)
-        with pytest.raises(ContractViolationError,
-                           match=rf"component {k} evaluated to -1\.0 at x=0\.9"):
-            product_evar({k: bad}, b, x)
-
-    def test_dimension_mismatch(self):
-        b = make_bundle("normal_mean", alpha=1.0, n=4)
-        with pytest.raises(DomainError):
-            product_evar({}, b, [0.0, 0.0])
-
-    def test_requires_unit_alpha(self):
-        b = make_bundle("normal_mean", alpha=0.5, n=4)
-        with pytest.raises(DomainError):
-            product_evar({}, b, [0.0, 0.0, 0.0, 0.0])
-
-    def test_requires_normal_mean(self):
-        b = make_bundle("poisson")
-        with pytest.raises(DomainError):
-            product_evar({}, b, [1.0])
 
 
 class TestEvenOddSplit:

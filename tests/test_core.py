@@ -439,14 +439,18 @@ class TestEstimators:
 
     def test_r_epsilon_neighbourhood_choices(self):
         up = REpsilon(0.2, tie="up")
-        down = REpsilon(0.2, tie="down")
         even = REpsilon(0.2, tie="even")
         for x in (0.35, 0.5, 0.65):
             assert up.index(x) == 1
-            assert down.index(x) == 0
             assert even.index(x) == 0
         for x in (1.35, 1.5, 1.65):
             assert even.index(x) == 2
+
+    def test_r_epsilon_has_no_down_tie(self):
+        """The tie rules are the bundles' "up" and the even/odd split's
+        "even" and "odd"; any other is a DomainError."""
+        with pytest.raises(DomainError, match="down"):
+            REpsilon(0.2, tie="down")
 
     def test_r_epsilon_rejects_large_epsilon(self):
         with pytest.raises(DomainError):
@@ -683,7 +687,7 @@ class TestEdges:
                               for c in cells]
 
     @pytest.mark.parametrize("tie,choice", [
-        ("up", lambda m: m + 1), ("down", lambda m: m),
+        ("up", lambda m: m + 1),
         ("even", lambda m: m if m % 2 == 0 else m + 1),
         ("odd", lambda m: m if m % 2 != 0 else m + 1)])
     def test_r_epsilon_tie_rules_match_their_scalar_choice(self, tie, choice):

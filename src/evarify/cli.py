@@ -54,6 +54,7 @@ from .core import ConfigError, EvarifyError, _number
 from .families import FAMILY_IDS, make_bundle
 from .verifier import (
     ExpectationPlan,
+    _theta_grid,
     certify_interpolated_factor,
     default_theta_grid,
     interpolated_spike_composite,
@@ -130,8 +131,8 @@ def _plan_from(args, cfg: dict) -> ExpectationPlan:
 
 
 def _grid_from(cfg: dict, bundle):
-    """The default theta grid, or the given values (the verifier checks
-    them before building anything from them)."""
+    """The default theta grid, or the given values, checked against the
+    family's parameter space before any work."""
     grid_cfg = cfg.get("theta_grid", {"kind": "default"})
     values = grid_cfg.get("values") if isinstance(grid_cfg, dict) else None
     if values is None and isinstance(grid_cfg, dict) and grid_cfg.get("kind") == "default":
@@ -139,7 +140,7 @@ def _grid_from(cfg: dict, bundle):
     if not isinstance(values, list):
         raise ConfigError("theta_grid must be {'kind': 'default'} or {'values': [...]}, "
                           f"got {grid_cfg!r}")
-    return [_number(v, "theta_grid values") for v in values]
+    return _theta_grid(bundle, [_number(v, "theta_grid values") for v in values])
 
 
 def _output(args, cfg: dict):
@@ -208,7 +209,7 @@ def _cmd_certify(args, cfg) -> int:
             raise ConfigError("interpolated mode supports the spikes suite only")
         eps = args.epsilon if args.epsilon is not None else mode_cfg.get("epsilon")
         eps = _number(eps, "epsilon") if eps is not None else 0.2
-        factor, _ = certify_interpolated_factor(bundle, theta_grid=grid)
+        factor, _ = certify_interpolated_factor(bundle)
         composite = interpolated_spike_composite(bundle, eps, factor)
     elif mode == "discrete":
         if "components" in cfg:

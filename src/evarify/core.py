@@ -171,6 +171,12 @@ class Interval:
 # ---------------------------------------------------------------------------
 
 
+#: Error of a closed-form CDF (or partial-moment) value, relative to its
+#: size; and the unit roundoff of float64.
+_CDF_EPS = 5e-16
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
 @dataclass(frozen=True)
 class StatLaw:
     """The law of a family's statistic g(X), vectorized.
@@ -186,7 +192,12 @@ class StatLaw:
 
     Location families with unit scale also carry ``moment(theta, v)``,
     returning the CDF and the partial-first-moment antiderivative
-    G(v) = int^v t p_theta(t) dt.
+    G(v) = int^v t p_theta(t) dt, and ``charfn(t)``, the characteristic
+    function E exp(i t (g(X) - theta)), the same for every theta.  Both
+    laws that carry it are symmetric about theta, so it is real and even,
+    and log-concave on t > 0 (e^-|t| and e^(-t^2/2)), so
+    charfn(t + s) / charfn(t) does not grow with t: the Fourier series of
+    a periodic composite's expectation bounds its tail on that ratio.
     """
 
     discrete: bool
@@ -202,6 +213,7 @@ class StatLaw:
     #: smallest lower quantile level a window uses (keeps it off g = 0)
     tail_floor: float = 0.0
     moment: Callable[[float, np.ndarray], tuple] | None = None
+    charfn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def window(self, theta, tail: float):
         """Statistic interval [lo, hi] (support points, for discrete laws)

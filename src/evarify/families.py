@@ -32,7 +32,8 @@ Kullback-Leibler divergence in closed form for the exponential families
 
 Each family also carries ``law``, the one description of its statistic's
 distribution (vectorized cdf/sf/ppf, sampling and truncation window, plus
-the partial first moment of the two location families), built from
+the partial first moment and the characteristic function of the two
+location families), built from
 ``scipy.special`` ufuncs with the arithmetic ``scipy.stats`` uses, so the
 verifier gets the same values without importing ``scipy.stats``.
 
@@ -342,6 +343,7 @@ def normal_mean_family(n: int) -> Family:
             sample=lambda mu, m, rng: mu + _standard_normals(rng, m, n),
             statistic_is_sample=n == 1,
             moment=moment if n == 1 else None,
+            charfn=(lambda t: np.exp(-0.5 * (t * t))) if n == 1 else None,
         ),
     )
 
@@ -421,6 +423,7 @@ def cauchy_family() -> Family:
             sample=lambda theta, m, rng: theta + rng.standard_cauchy(m),
             cap=CAUCHY_WINDOW,
             moment=moment,
+            charfn=lambda t: np.exp(-np.abs(t)),
         ),
     )
 

@@ -3,9 +3,11 @@
 The central claim about a composite test e is that sup over the family of
 E_theta[e(X)] is at most 1.  This module estimates those expectations with
 explicit error bounds and sweeps them over adversarial parameter grids.
-Every expectation, alone or as a row of a sweep or of the interpolated
-factor's search, is one call of :func:`expectation`, which picks its
-engine.
+Every expectation, alone or as a row of a sweep, is one call of
+:func:`expectation`, which picks its engine.  The interpolated factor
+needs none: its composite repeats, so its expectation is a Fourier series
+in theta whose sup over every theta comes with a derived bound
+(:mod:`evarify.fourier`).
 
 A composite of structured components (constants, spikes) carries a
 :class:`~evarify.core.Piecewise`, and one closed-form engine integrates it:
@@ -47,8 +49,17 @@ from .combinator import (
     _trapezoid_piecewise,
     combine_discrete,
 )
-from .core import DomainError, Piecewise, StatLaw, _index_array, calibrate_p_to_e
+from .core import (
+    DomainError,
+    Piecewise,
+    StatLaw,
+    _CDF_EPS,
+    _UNIT_ROUNDOFF,
+    _index_array,
+    calibrate_p_to_e,
+)
 from .families import FamilyBundle
+from .fourier import periodic_sup
 
 __all__ = [
     "ExpectationPlan",
@@ -70,18 +81,13 @@ __all__ = [
     "certify_interpolated_factor",
 ]
 
-#: Error of a closed-form CDF (or partial-moment) value, relative to its
-#: size; and the unit roundoff of float64.
-_CDF_EPS = 5e-16
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
 def _rng_for(seed: int, theta_index: int) -> np.random.Generator:
     # counter-based: independent streams per (seed, theta index), merge
     # order cannot matter
-    return np.random.Generator(
-        np.random.Philox(key=[seed & (2**64 - 1), theta_index & (2**64 - 1)])
-    )
+    # a uint64 key: numpy makes a list holding 2**63 or more float64, and
+    # seeds 2**63 and 2**63 + 1 then round to one key
+    key = np.array([seed & (2**64 - 1), theta_index & (2**64 - 1)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +513,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _holds(estimate: float, error_bound: float) -> bool:
-    """The verdict rule of a sweep: an estimate passes when it is at most
-    1 + 3 times its error bound."""
-    return estimate <= 1.0 + 3.0 * error_bound
-
-
 def sweep(
     composite: CompositeEVariable,
     theta_grid: Sequence[float] | None = None,
@@ -530,7 +530,7 @@ def sweep(
         rows.append((float(theta), res.estimate, res.error_bound, res.method))
     worst = max(rows, key=lambda r: (r[1], r[0]))
     finite = all(math.isfinite(v) for row in rows for v in row[1:3])
-    verdict = "pass" if finite and _holds(worst[1], worst[2]) else "fail"
+    verdict = "pass" if finite and worst[1] <= 1.0 + 3.0 * worst[2] else "fail"
     return VerificationReport(
         bundle_id=composite.bundle.bundle_id,
         mode=composite.mode,
@@ -550,6 +550,10 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
+#: terms at most in the counterexample's window (8 MB per array of them)
+_MLE_TERMS_MAX = 2**20
+
+
 def mle_counterexample_poisson_with_bound(lam: float) -> ExpectationResult:
     """E_lambda[exp(X) X! / X^X] by exact truncated summation in log space.
 
@@ -558,23 +562,38 @@ def mle_counterexample_poisson_with_bound(lam: float) -> ExpectationResult:
     sqrt(2 pi x), no fixed normalizing constant can make this selection
     rule a valid e-variable over all lambda.
 
-    The terms t_n = e^-lam (e lam / n)^n have ratio t_{n+1} / t_n =
-    e lam / (n + 1) * (n / (n + 1))^n, decreasing in n; with rho that
-    ratio at N = n_max + 1 (below 1 since N > lam), the tail beyond the
-    sum is at most t_N / (1 - rho).
+    The terms t_n = e^-lam (e lam / n)^n (t_0 = e^-lam) are summed over the
+    window [L, n_max], L = max(1, floor(lam - 30 sqrt(lam) - 60)) and
+    n_max = lam + 20 sqrt(lam) + 60, so memory is O(sqrt(lam)); a window
+    of more than ``_MLE_TERMS_MAX`` terms raises :class:`DomainError`.
+    Their ratio t_{n+1} / t_n = e lam / (n + 1) * (n / (n + 1))^n is
+    decreasing in n.  Below the window it is at least lam / (n + 1) >= 1
+    ((1 + 1/n)^n <= e), so the L skipped terms t_0..t_{L-1} are each at
+    most t_L: at most L t_L in all.  The window reaches 30 sqrt(lam)
+    below lam, as 20 sqrt(lam) would leave L t_L above 1% of the tail
+    above the window from lam = 1e6 on.  Above it, with rho the ratio at
+    N = n_max + 1 (below 1 since N > lam), the tail is at most
+    t_N / (1 - rho).
     """
     if lam <= 0:
         raise DomainError("lambda must be > 0")
     n_max = int(lam + 20.0 * math.sqrt(lam) + 60.0)
-    n = np.arange(1, n_max + 1, dtype=float)
-    # pmf(n) * e^n n! / n^n  ==  exp(-lam + n (1 + log lam - log n))
-    log_terms = -lam + n * (1.0 + math.log(lam) - np.log(n))
-    total = math.exp(-lam) + float(np.sum(np.exp(log_terms)))
+    low = max(1, math.floor(lam - 30.0 * math.sqrt(lam) - 60.0))
+    if n_max - low + 1 > _MLE_TERMS_MAX:
+        raise DomainError(
+            f"lambda = {lam:g} needs {n_max - low + 1:.3g} terms, more than the "
+            f"{_MLE_TERMS_MAX} the counterexample sums (lambda up to about 4e8)")
+
+    def log_term(n):  # log of pmf(n) e^n n! / n^n
+        return -lam + n * (1.0 + math.log(lam) - np.log(n))
+    terms = np.exp(log_term(np.arange(low, n_max + 1, dtype=float)))
+    total = float(np.sum(terms)) + (math.exp(-lam) if low == 1 else 0.0)
+    below = 0.0 if low == 1 else low * float(terms[0])
     big_n = n_max + 1.0
-    t_last = math.exp(-lam + big_n * (1.0 + math.log(lam) - math.log(big_n)))
+    t_last = math.exp(log_term(big_n))
     rho = math.exp(1.0 + math.log(lam) - math.log(big_n + 1.0)
                    - big_n * math.log1p(1.0 / big_n))
-    return ExpectationResult(total, t_last / (1.0 - rho), "exact_sum")
+    return ExpectationResult(total, below + t_last / (1.0 - rho), "exact_sum")
 
 
 def mle_counterexample_poisson(lam: float) -> float:
@@ -652,56 +671,31 @@ def interpolated_spike_composite(
     return CompositeEVariable(bundle, spikes, C, "interpolated", float(epsilon), one_period)
 
 
-#: The factor the bisection starts from.  The even/odd-split argument
-#: (``combinator.even_odd_split``: the interpolated composite is the mean
-#: of an even and an odd select-and-scale composite) makes twice the
-#: discrete factor valid, and 36 is twice the largest discrete factor of
-#: the bundles with unit-cell spikes: Cauchy's e^(log 2) (7 + 2/1) = 18
-#: (single-observation normal_mean's is 9.16, or 11.5 with epsilon 0.2).
-_ANCHOR = 36.0
-#: the bisection stops when its interval is below this fraction of its top
-_BISECT_TOL = 1e-6
-
-
 def certify_interpolated_factor(
-    bundle: FamilyBundle,
-    epsilons: Sequence[float] = (0.05, 0.1, 0.2),
-    theta_grid: Sequence[float] | None = None,
+    bundle: FamilyBundle, epsilons: Sequence[float] = (0.05, 0.1, 0.2)
 ) -> tuple[float, dict]:
-    """Tightest factor C for which the interpolated spike sweeps pass.
+    """The factor C that makes the interpolated unit-cell spike composite
+    an e-variable at every theta in the parameter space, for each of the
+    given epsilons.
 
-    Starts from ``_ANCHOR`` and bisects downward, with the sweep's
-    verdict rule, against the worst unnormalized expectation over the
-    given epsilons and grid.  Expectations scale exactly as 1/C, so the
-    sweep is evaluated once at C = 1 and the bisection runs on the cached
-    values.
+    The unnormalised composite f (C = 1) repeats with period 1, so the sup
+    of E_theta[f] over the whole line comes from its Fourier series
+    (:func:`~evarify.fourier.periodic_sup`; no :func:`expectation` is
+    computed), and
+    C = max over epsilon of sup + bound.  The bound also takes in the
+    division by C: the composite at C divides each piece's a and b by C,
+    each rounded within the unit roundoff u, so its values exceed f / C by
+    at most u max_i (|a_i| + |b_i| max |edge|) / C.  Then E_theta <= 1 at
+    every theta.  Returns C and, for each epsilon, its (sup, bound).
     """
-    grid = _theta_grid(bundle, theta_grid)
-    plan = ExpectationPlan()
-    worst_u, worst_eb = 0.0, 0.0
+    if not len(epsilons):
+        raise DomainError("epsilons holds no value")
+    law = bundle.family.law
     per_eps = {}
     for eps in epsilons:
-        comp = interpolated_spike_composite(bundle, eps, 1.0)
-        us = [expectation(comp, t, plan=plan) for t in grid]
-        u = max(r.estimate for r in us)
-        eb = max(r.error_bound for r in us)
-        per_eps[float(eps)] = u
-        if u > worst_u:
-            worst_u, worst_eb = u, eb
-    lo, hi = 1.0, _ANCHOR
-    if not _holds(worst_u / hi, worst_eb / hi):  # pragma: no cover - the anchor is safe
-        raise DomainError("anchor factor fails; widen it")
-    while hi - lo > _BISECT_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if _holds(worst_u / mid, worst_eb / mid):
-            hi = mid
-        else:
-            lo = mid
-    certified = hi
-    details = {
-        "anchor": _ANCHOR,
-        "worst_unnormalized": worst_u,
-        "per_epsilon_unnormalized": per_eps,
-        "certified_C": certified,
-    }
-    return certified, details
+        pw = interpolated_spike_composite(bundle, eps, 1.0).piecewise
+        sup, bound = periodic_sup(pw, law)
+        coefficients = np.abs(pw.a) + np.abs(pw.b) * np.max(np.abs(pw.edges))
+        bound += _UNIT_ROUNDOFF * float(np.max(coefficients))
+        per_eps[float(eps)] = (sup, bound)
+    return max(sup + bound for sup, bound in per_eps.values()), per_eps

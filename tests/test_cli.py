@@ -247,6 +247,32 @@ class TestMalformedPlanAndGrid:
         err = capsys.readouterr().err
         assert "lambda" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("values,field", [
+        ([], "theta_grid holds no value"), ([None], "theta_grid values"),
+        ([0.5, "x"], "theta_grid values")])
+    def test_interpolated_grid_checked_before_the_factor(
+            self, tmp_path, capsys, monkeypatch, values, field):
+        """The interpolated factor takes no grid, so the CLI checks the
+        grid itself, before it computes the factor."""
+        from evarify import cli
+
+        def no_factor(*args, **kwargs):
+            raise AssertionError("the factor was computed")
+        monkeypatch.setattr(cli, "certify_interpolated_factor", no_factor)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": {"name": "cauchy", "params": {"epsilon": "0.2"}},
+                                   "mode": {"kind": "interpolated"},
+                                   "theta_grid": {"values": values}}))
+        assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_a_rate_beyond_the_window_limit_exits_3(self, capsys):
+        """lambda = 1e18 once asked numpy for 6.9 EiB and exited 1."""
+        assert run(["counterexample", "--family", "poisson", "--lambda", "1e18"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "lambda" in err and "Traceback" not in err
+
     def test_null_epsilon_means_no_epsilon(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"family": {"name": "cauchy", "params": {"epsilon": None}},

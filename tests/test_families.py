@@ -539,9 +539,9 @@ class TestFamilyKnowledgeInOneModule:
         branches on the family's name."""
         import inspect
 
-        from evarify import checker, cli, combinator, verifier
+        from evarify import checker, cli, combinator, fourier, verifier
 
-        for module in (checker, combinator, verifier, cli):
+        for module in (checker, combinator, fourier, verifier, cli):
             assert "family.name" not in inspect.getsource(module), module.__name__
 
     def test_every_public_symbol_has_a_caller(self):
@@ -614,3 +614,28 @@ class TestFamilyKnowledgeInOneModule:
         for est in (core.Estimator, *core.Estimator.__subclasses__()):
             for name in ("statistic", "statistic_index", "__call__"):
                 assert name not in vars(est), (est.__name__, name)
+
+
+class TestCharacteristicFunction:
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS + ALL_BUNDLES)
+    def test_declared_on_exactly_the_laws_with_a_moment(self, name, kw):
+        law = make_bundle(name, **kw).family.law
+        assert (law.charfn is None) == (law.moment is None)
+
+    @pytest.mark.parametrize("name,kw", SQUARING_CONFIGS)
+    def test_against_quadrature_and_log_concave(self, name, kw):
+        """Oracle: E cos(t (X - theta)) by scipy's Fourier quadrature of
+        the density (the laws are symmetric, so that is the whole
+        characteristic function).  phi(t + s) / phi(t) does not grow in
+        t > 0, which the series' tail bound needs, on a grid of t."""
+        from scipy import integrate
+
+        fam = make_bundle(name, **kw).family
+        for t in (0.5, 1.0, 2.0 * math.pi, 4.0 * math.pi):
+            want, _ = integrate.quad(lambda z: 2.0 * math.exp(float(fam.log_density(0.0, z))),
+                                     0.0, math.inf, weight="cos", wvar=t)
+            assert fam.law.charfn(np.array([t]))[0] == pytest.approx(want, rel=1e-7, abs=1e-10)
+            assert fam.law.charfn(np.array([-t]))[0] == fam.law.charfn(np.array([t]))[0]
+        t = np.linspace(0.01, 30.0, 3001)  # phi(t + 2 pi) > 0 on both laws
+        ratio = fam.law.charfn(t + 2.0 * math.pi) / fam.law.charfn(t)
+        assert np.all(np.diff(ratio) <= 1e-12 * ratio[:-1])  # exp rounds as t u

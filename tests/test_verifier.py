@@ -38,7 +38,7 @@ from evarify.verifier import (
     uniform_ceiling_budget_max,
     unit_cell_spikes,
 )
-from evarify.verifier import _QUAD_ROUNDS, _window_quadrature
+from evarify.verifier import _QUAD_ROUNDS, _rng_for, _window_quadrature
 
 
 class TestExpectation:
@@ -124,6 +124,17 @@ class TestExpectation:
         r3 = expectation(comp, 0.0, plan=plan, theta_index=5)
         assert r1 == r2
         assert r1.estimate != r3.estimate
+
+    def test_seeds_from_2_63_get_their_own_stream(self):
+        """The Philox key is a uint64 array: seeds 2**63 and 2**63 + 1 (one
+        float64 key when numpy read the key as a list) draw different
+        numbers, and a seed below 2**63 draws what the list key drew."""
+        a = _rng_for(2**63, 0).random(8)
+        b = _rng_for(2**63 + 1, 0).random(8)
+        assert not np.array_equal(a, b)
+        for seed, index in [(12345, 0), (12345, 7), (2**63 - 1, 3)]:
+            listed = np.random.Generator(np.random.Philox(key=[seed, index]))
+            np.testing.assert_array_equal(_rng_for(seed, index).random(64), listed.random(64))
 
     def test_monte_carlo_ci_shrinks_with_samples(self):
         """Doubling the sample count must shrink the 99% CI half-width
@@ -379,13 +390,13 @@ class TestSweep:
         ([None], "theta_grid values"),
     ])
     def test_every_grid_entry_point_checks_the_grid_first(self, grid, message):
-        """The spike composite, the interpolated factor and the sweep
-        reject a bad grid by name before building anything from it (an
-        envelope from a theta outside the space once failed as a net index
-        beyond 2**53)."""
+        """The spike composite and the sweep, of a spike composite or of
+        the interpolated one (its factor takes no grid), reject a bad grid
+        by name before building anything from it (an envelope from a theta
+        outside the space once failed as a net index beyond 2**53)."""
         poisson, cauchy = make_bundle("poisson"), make_bundle("cauchy", epsilon=0.2)
         calls = [lambda: spike_composite(poisson, grid),
-                 lambda: certify_interpolated_factor(cauchy, theta_grid=grid),
+                 lambda: sweep(interpolated_spike_composite(cauchy, 0.2, 1.0), grid),
                  lambda: sweep(spike_composite(poisson, [1.0]), grid)]
         for call in calls:
             with pytest.raises(DomainError, match=message):
@@ -393,8 +404,8 @@ class TestSweep:
 
 
 class TestOneExpectationPath:
-    """Every expectation, a sweep's row or one of the interpolated
-    factor's search, is one call of ``verifier.expectation``."""
+    """Every expectation, alone or a sweep's row, is one call of
+    ``verifier.expectation``; the interpolated factor computes none."""
 
     @staticmethod
     def _count_calls(monkeypatch) -> list:
@@ -425,12 +436,15 @@ class TestOneExpectationPath:
         assert rep.rows == tuple((t, r.estimate, r.error_bound, method)
                                  for t, r in zip(grid, alone))
 
-    def test_interpolated_factor_calls_it_once_per_epsilon_and_theta(self, monkeypatch):
-        grid = [0.0, 0.25, 0.5]
+    @pytest.mark.parametrize("name", ["normal_mean", "cauchy"])
+    def test_interpolated_factor_never_calls_it(self, monkeypatch, name):
+        """The factor is the sup over every theta of one Fourier series
+        per epsilon: no expectation at any theta."""
+        b = make_bundle(name, epsilon=0.2)
         thetas = self._count_calls(monkeypatch)
-        certify_interpolated_factor(make_bundle("cauchy", epsilon=0.2),
-                                    epsilons=(0.1, 0.2), theta_grid=grid)
-        assert thetas == grid + grid
+        C, per_eps = certify_interpolated_factor(b, epsilons=(0.1, 0.2))
+        assert thetas == []
+        assert sorted(per_eps) == [0.1, 0.2] and C == max(s + e for s, e in per_eps.values())
 
     def test_cached_sup_and_ramps_equal_a_fresh_computation(self):
         b = make_bundle("cauchy", epsilon=0.2)
@@ -496,6 +510,35 @@ class TestMLECounterexample:
         assert res.error_bound >= float(tail)
         assert res.error_bound <= 1.01 * float(tail)
 
+    def test_window_equals_the_full_sum_within_its_bound(self):
+        """At lambda = 1e4 the sum starts at L = 1e4 - 30 * 100 - 60 = 6940:
+        the 40-digit sum of the skipped terms t_0..t_{L-1} lies within the
+        charge L t_L, the reported bound covers it and the tail above, and
+        the estimate equals the full float sum from n = 0."""
+        lam = 1e4
+        res = mle_counterexample_poisson_with_bound(lam)
+        low = math.floor(lam - 30.0 * math.sqrt(lam) - 60.0)
+        n_max = int(lam + 20.0 * math.sqrt(lam) + 60.0)
+        mp.mp.dps = 40
+
+        def t(n):
+            return mp.exp(-lam + n * (1 + mp.log(lam) - mp.log(n))) if n else mp.exp(-lam)
+        skipped = mp.fsum(t(n) for n in range(low))
+        assert 0 < skipped <= low * t(low)
+        above = mp.fsum(t(n) for n in range(n_max + 1, n_max + 400))
+        assert res.error_bound >= float(skipped + above)
+        n = np.arange(1, n_max + 1, dtype=float)
+        full = math.exp(-lam) + float(np.sum(np.exp(-lam + n * (1.0 + math.log(lam) - np.log(n)))))
+        assert res.estimate == pytest.approx(full, rel=1e-12)
+
+    def test_memory_is_bounded_by_a_domain_error(self):
+        """The window holds about 50 sqrt(lambda) terms; one of more than
+        2**20 raises by name, where 1e18 once asked numpy for 6.9 EiB."""
+        assert mle_counterexample_poisson_with_bound(4e8).estimate > 1.0
+        for lam in (1e9, 1e18):
+            with pytest.raises(DomainError, match="lambda"):
+                mle_counterexample_poisson_with_bound(lam)
+
 
 class TestUniformBudget:
     def test_brute_force_oracle_small_n(self):
@@ -549,12 +592,17 @@ class TestUniformBudget:
 
 
 class TestInterpolatedCertification:
-    def test_certified_factor_within_anchor(self):
+    def test_certified_factor_is_the_largest_sup_plus_bound(self):
+        """C is the worst epsilon's sup over every theta plus its bound;
+        on Cauchy it is at least the all-theta sup 3.3035253, above the
+        3.3031923 the grid search once returned."""
         b = make_bundle("cauchy", epsilon=0.2)
-        C, details = certify_interpolated_factor(b)
-        assert 1.0 <= C <= 36.0
-        assert details["anchor"] == 36.0
-        assert C == pytest.approx(details["worst_unnormalized"], rel=1e-3)
+        C, per_eps = certify_interpolated_factor(b)
+        assert C == max(s + e for s, e in per_eps.values())
+        assert C >= 3.3035253
+        assert max(per_eps, key=lambda e: per_eps[e][0]) == 0.05
+        for sup, bound in per_eps.values():
+            assert 0.0 < bound < 1e-8
 
     def test_sweeps_pass_at_certified_factor(self):
         for name in ("normal_mean", "cauchy"):
@@ -614,8 +662,7 @@ class TestInterpolatedCertification:
         """The composite is h * w_round(x) / C on the whole line: far
         beyond every grid theta it matches the trapezoid weight pointwise
         and its mean passes as the sweep's rows do (at most 1 + 3 times
-        its bound), and a grid holding such a theta certifies the same
-        factor up to that theta's bound."""
+        its bound), and the factor's all-theta sup covers those thetas."""
         b = make_bundle(name, epsilon=0.2)
         C, _ = certify_interpolated_factor(b)
         h = unit_cell_spikes(b, [0])[0].level
@@ -632,12 +679,14 @@ class TestInterpolatedCertification:
                 # a batch is folded into the period as each sample is
                 draws = b.family.law.sample(theta, 1000, np.random.default_rng(5))
                 np.testing.assert_array_equal(comp.eval_many(draws), [comp(x) for x in draws])
-        # C is the worst unnormalized mean less 3 bounds, to the bisection's
-        # 1e-6; the bound at 50000 carries more rounding than the grid's
-        far, _ = certify_interpolated_factor(b, theta_grid=default_theta_grid(b) + [50000.0])
-        eb = max(expectation(interpolated_spike_composite(b, e, 1.0), 50000.0).error_bound
-                 for e in (0.05, 0.1, 0.2))
-        assert abs(far - C) <= 3.0 * eb + 2e-6 * C, (far, C, eb)
+        # the factor's sup covers every theta: the engine's rows at C = 1 at
+        # +/-50000 lie below sup + bound, within their own bounds
+        _, per_eps = certify_interpolated_factor(b)
+        for eps, (sup, bound) in per_eps.items():
+            comp = interpolated_spike_composite(b, eps, 1.0)
+            for theta in (-50000.0, 50000.0):
+                res = expectation(comp, theta)
+                assert res.estimate - res.error_bound <= sup + bound, (eps, theta, res)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_interpolated_constants_get_the_closed_form(self):
@@ -665,9 +714,8 @@ class TestInterpolatedCertification:
 
     def test_smaller_epsilon_is_harder(self):
         b = make_bundle("normal_mean", epsilon=0.2)
-        _, details = certify_interpolated_factor(b)
-        per_eps = details["per_epsilon_unnormalized"]
-        assert per_eps[0.05] > per_eps[0.1] > per_eps[0.2]
+        _, per_eps = certify_interpolated_factor(b)
+        assert per_eps[0.05][0] > per_eps[0.1][0] > per_eps[0.2][0]
 
 
 def _lr_composite(name, kw, shift):

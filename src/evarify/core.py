@@ -188,7 +188,10 @@ class StatLaw:
     count, which floats get wrong ((1/49) * 49 < 1).  ``lo``/``hi`` bound
     the support of the statistic (of the sample, for discrete laws).
     ``sample(theta, m, rng)`` draws m samples X: shape (m,) for scalar
-    samples, (m, n) for n-vectors.  ``statistic_is_sample`` says g(x) = x.
+    samples, (m, n) for n-vectors.  ``draw_statistic(theta, m, rng)``
+    draws m values of g(X) from their law, shape (m,), where the law's line
+    is not the sample; it is None where it is (``statistic_is_sample``).
+    Monte Carlo on a function of g(X) alone draws these, not n-vectors.
 
     Location families with unit scale also carry ``moment(theta, v)``,
     returning the CDF and the partial-first-moment antiderivative
@@ -207,13 +210,19 @@ class StatLaw:
     sample: Callable[[float, int, np.random.Generator], np.ndarray]
     lo: float = -math.inf
     hi: float = math.inf
-    statistic_is_sample: bool = True
+    draw_statistic: Callable[[float, int, np.random.Generator], np.ndarray] | None = None
     #: heavy tails: the window is theta +/- cap instead of quantiles
     cap: float | None = None
     #: smallest lower quantile level a window uses (keeps it off g = 0)
     tail_floor: float = 0.0
     moment: Callable[[float, np.ndarray], tuple] | None = None
     charfn: Callable[[np.ndarray], np.ndarray] | None = None
+
+    @property
+    def statistic_is_sample(self) -> bool:
+        """Whether the law's line is the sample's: g(x) = x, or a discrete
+        law's support points."""
+        return self.draw_statistic is None
 
     def window(self, theta, tail: float):
         """Statistic interval [lo, hi] (support points, for discrete laws)

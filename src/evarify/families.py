@@ -341,7 +341,8 @@ def normal_mean_family(n: int) -> Family:
             sf=lambda mu, v: ndtr(-((v - mu) / scale)),
             ppf=lambda mu, q: ndtri(q) * scale + mu,
             sample=lambda mu, m, rng: mu + _standard_normals(rng, m, n),
-            statistic_is_sample=n == 1,
+            draw_statistic=None if n == 1 else (
+                lambda mu, m, rng: mu + scale * rng.standard_normal(m)),
             moment=moment if n == 1 else None,
             charfn=(lambda t: np.exp(-0.5 * (t * t))) if n == 1 else None,
         ),
@@ -383,8 +384,9 @@ def normal_variance_family(n: int) -> Family:
             sf=lambda var, v: np.where(chi2(var, v) > 0, chdtrc(n, chi2(var, v)), 1.0),
             ppf=lambda var, q: var * (2 * gammaincinv(n / 2, q)) / n,
             sample=lambda var, m, rng: math.sqrt(var) * _standard_normals(rng, m, n),
+            # chi-square with n degrees of freedom is twice a Gamma(n / 2)
+            draw_statistic=lambda var, m, rng: var * (2 / n) * rng.standard_gamma(n / 2, m),
             lo=0.0,
-            statistic_is_sample=False,
         ),
     )
 
@@ -482,12 +484,17 @@ class FamilyBundle:
         """The points on the law's line (see ``StatLaw``) of one sample or a
         batch (``log_density``'s convention), under the one-value rule of
         :mod:`evarify.core`: the sample itself for a discrete law, its
-        statistic otherwise.  The one check of which samples a composite
-        accepts: an integer in the law's [lo, hi], or a statistic strictly
-        inside (lo, hi), so never NaN or an infinity; raises
+        statistic otherwise, checked by ``on_line``."""
+        return self.on_line(xs if self.family.law.discrete else self.family.estimator_g(xs))
+
+    def on_line(self, v):
+        """Points v of the law's line, checked: the one check of which
+        samples a composite accepts, and of the statistic draws Monte Carlo
+        feeds one.  An integer in the law's [lo, hi], or a statistic
+        strictly inside (lo, hi), so never NaN or an infinity; raises
         :class:`DomainError` otherwise."""
         law = self.family.law
-        v = np.asarray(xs if law.discrete else self.family.estimator_g(xs), dtype=float)
+        v = np.asarray(v, dtype=float)
         if law.discrete:
             ok = np.isfinite(v) & (v == np.floor(v)) & (law.lo <= v) & (v <= law.hi)
         else:

@@ -17,12 +17,17 @@ first moment (only on ramps), plus the mass beyond.  Generic components fall
 back to exact truncated summation (discrete families), Gauss-Legendre
 quadrature of two orders on every piece between cell boundaries and ramp
 knots at once (pieces whose orders disagree by more than their share of
-the tolerance are bisected), or Monte Carlo with a 99% CI half-width as
-the error bound; each evaluates the composite on whole batches of points,
-and the mass beyond a truncation window (``law.window``) is charged
-against the composite's sup.  Monte Carlo draws (``law.sample``) come
-from a counter-based generator keyed by (master seed, theta index), so
-sweeps are reproducible and order-independent.
+the tolerance are bisected); each evaluates the composite on whole batches
+of points, and the mass beyond a truncation window (``law.window``) is
+charged against the composite's sup.  Monte Carlo, on request, bounds its
+mean by the 99% CI half-width plus the rounding of the mean.  A piecewise
+is a function of the statistic alone, so it is read at draws on the law's
+line: ``law.draw_statistic`` where that line is not the sample (the normal
+mean of n > 1 draws, the normal variance), else located samples
+(``law.sample``); any other test may read more of X than its statistic and
+gets sample vectors, drawn in blocks.  The draws come from a counter-based
+generator keyed by (master seed, theta index), so sweeps are reproducible
+and order-independent.
 
 Adversarial generators include the spike suite (each component is the
 reciprocal cell probability on its own cell, the tightest component the
@@ -108,7 +113,8 @@ class ExpectationPlan:
     piece whose two Gauss-Legendre orders differ by more than abs_tol
     over the number of pieces is bisected (a fixed number of rounds at
     most), and the sum of the differences is reported.  Monte Carlo
-    reports a 99% CI half-width as its error bound.
+    reports a 99% CI half-width plus the mean's rounding as its error
+    bound.
     """
 
     method: str = "auto"  # auto | monte_carlo
@@ -392,12 +398,34 @@ def _statistic_knots(bundle, lo, hi, epsilon) -> np.ndarray:
     return np.unique(np.concatenate(knots))
 
 
-def _monte_carlo(e, theta, bundle, plan, theta_index) -> ExpectationResult:
-    rng = _rng_for(plan.seed, theta_index)
-    values = _many(e, bundle.family.law.sample(theta, plan.mc_samples, rng))
+#: samples per draw of sample vectors without a piecewise: bounds the
+#: (block, n) array and the temporaries of one evaluation
+_MC_BLOCK = 2**14
+
+
+def _monte_carlo(e, pw, theta, bundle, plan, theta_index) -> ExpectationResult:
+    """The mean of e over ``mc_samples`` draws, its bound the 99% CI
+    half-width plus the rounding of the mean.  A piecewise is a function of
+    g(X) alone: it is read at draws on the law's line, from
+    ``draw_statistic`` (checked by ``on_line``) or located samples.  Any
+    other e may read more of X than g(X), and gets sample vectors, drawn
+    ``_MC_BLOCK`` at a time from one stream: the rows of one draw."""
+    rng, law, m = _rng_for(plan.seed, theta_index), bundle.family.law, plan.mc_samples
+    if pw is not None:
+        values = pw(bundle.on_line(law.draw_statistic(theta, m, rng)) if law.draw_statistic
+                    else bundle.locate(law.sample(theta, m, rng)))
+    else:
+        values = np.concatenate([_many(e, law.sample(theta, min(_MC_BLOCK, m - s), rng))
+                                 for s in range(0, m, _MC_BLOCK)])
     estimate = float(np.mean(values))
-    half_width = 2.576 * float(np.std(values, ddof=1)) / math.sqrt(len(values))
-    return ExpectationResult(estimate, half_width, "monte_carlo")
+    half_width = 2.576 * float(np.std(values, ddof=1)) / math.sqrt(m)
+    # a sum of m terms in any order errs by at most g sum |v_i|, g = gamma_{m-1}
+    # = (m - 1) u / (1 - (m - 1) u), and the division by u |mean| (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2); the
+    # computed mean of |v| is at least (1 - g)(1 - u) times the exact one
+    u, g = _UNIT_ROUNDOFF, (m - 1) * _UNIT_ROUNDOFF / (1.0 - (m - 1) * _UNIT_ROUNDOFF)
+    rounding = g / ((1.0 - g) * (1.0 - u)) * float(np.mean(np.abs(values))) + u * abs(estimate)
+    return ExpectationResult(estimate, half_width + rounding, "monte_carlo")
 
 
 def expectation(
@@ -428,7 +456,7 @@ def expectation(
     if not callable(e):
         raise DomainError("e must be callable")
     if plan.method == "monte_carlo":
-        return _monte_carlo(e, theta, bundle, plan, theta_index)
+        return _monte_carlo(e, pw, theta, bundle, plan, theta_index)
     if bundle.family.law.discrete:
         return _generic_discrete(e, theta, bundle, plan)
     return _generic_quadrature(e, theta, bundle, plan)

@@ -533,6 +533,52 @@ class TestStatLaw:
         assert out.stdout.strip() == "False"
 
 
+#: the laws with statistic draws, at the thetas of the benchmark's Monte
+#: Carlo grids (perfbench/workloads.py)
+STATISTIC_DRAWS = ([("normal_mean", n, (0.0, 0.3, 10.1)) for n in (4, 16)]
+                   + [("normal_variance", n, (0.5, 1.0, 3.7)) for n in (1, 4, 64)])
+
+
+class TestStatisticDraws:
+    """``draw_statistic`` stands in for g(X) of sampled X in Monte Carlo:
+    its draws must follow the law of g(X) and stay on its support."""
+
+    def test_declared_where_the_line_is_not_the_sample(self):
+        for name, kw in BENCHMARK_CONFIGS + [("normal_mean", {"n": 4}),
+                                             ("normal_variance", {"n": 1})]:
+            law = make_bundle(name, **kw).family.law
+            drawn = name == "normal_variance" or (name == "normal_mean" and kw["n"] > 1)
+            assert (law.draw_statistic is not None) == drawn, (name, kw)
+            assert law.statistic_is_sample == (not drawn), (name, kw)
+
+    @pytest.mark.parametrize("name,n,thetas", STATISTIC_DRAWS)
+    def test_draws_follow_the_law_and_the_statistic_of_samples(self, name, n, thetas):
+        """Kolmogorov-Smirnov against ``law.cdf``, and two-sample against
+        ``estimator_g`` of drawn samples (fixed seeds, p > 1e-3)."""
+        from scipy import stats
+
+        fam = make_bundle(name, n=n).family
+        law, m = fam.law, 20_000
+        for i, theta in enumerate(thetas):
+            rng = np.random.default_rng([n, i])
+            draws = law.draw_statistic(theta, m, rng)
+            assert draws.shape == (m,)
+            assert stats.kstest(draws, lambda v: law.cdf(theta, v)).pvalue > 1e-3
+            of_samples = fam.estimator_g(law.sample(theta, m, rng))
+            assert stats.ks_2samp(draws, of_samples).pvalue > 1e-3
+
+    @pytest.mark.parametrize("name,n,thetas", [
+        ("normal_mean", 4, (-1e300, 1e300)), ("normal_mean", 16, (-1e300, 1e300)),
+        *[("normal_variance", n, (1e-150, 1e-3, 1e3, 1e150)) for n in (1, 4, 64)]])
+    def test_draws_lie_strictly_inside_the_support(self, name, n, thetas):
+        bundle = make_bundle(name, n=n)
+        law = bundle.family.law
+        for theta in thetas:
+            draws = law.draw_statistic(theta, 100_000, np.random.default_rng(1))
+            assert np.all((law.lo < draws) & (draws < law.hi)), theta
+            bundle.on_line(draws)
+
+
 class TestFamilyKnowledgeInOneModule:
     def test_no_other_module_reads_the_family_name(self):
         """Everything family-specific is on the bundle: no other module

@@ -59,6 +59,11 @@ SLACK_TOL = 1e-7
 
 _WITNESS_CAP = 10
 
+#: values (parameters times lifted samples) of one family call in the
+#: identity check: 3 rows of the binomial n = 10^4 axis, past which larger
+#: blocks gain no time and only cost memory
+_BLOCK_VALUES = 2 ** 15
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -130,52 +135,42 @@ def default_growth_pairs(bundle: FamilyBundle) -> list:
     """Parameter pairs straddling runs of up to 1000 net points (realizing
     each between-count near its binding infimum) plus 300 random pairs
     (seed 0), over the net's indices, from -500 to 500 where it is
-    unbounded."""
+    unbounded; a net of one point has no pair.  The net points come from
+    one call for each kind of pair."""
     net = bundle.net
     rng = np.random.default_rng(0)
     lo_k = net.k_min if net.k_min is not None else -500
     hi_k = net.k_max if net.k_max is not None else 500
-    pairs: list[tuple[float, float]] = []
+    space = bundle.family.param_space
     gaps = sorted({g for g in [2, 3, 4, 5, 8, 13, 21, 55, 144, 377, 1000]
                    if g <= hi_k - lo_k})
     anchors = sorted({a for a in (lo_k, (lo_k + hi_k) // 2, hi_k - 2)
                       if a >= lo_k})
-    space = bundle.family.param_space
-    for gap in gaps:
-        for a in anchors:
-            b = a + gap
-            if b > hi_k:
-                continue
-            pa, pb = net.points(a), net.points(b)
-            if a - 1 >= lo_k:
-                prev_gap = pa - net.points(a - 1)
-            elif space.lo > -math.inf:
-                prev_gap = pa - space.lo
-            else:  # pragma: no cover - nets bounded below have finite lo
-                prev_gap = 1.0
-            if b + 1 <= hi_k:
-                next_gap = net.points(b + 1) - pb
-            elif space.hi < math.inf:
-                next_gap = space.hi - pb
-            else:
-                next_gap = max(1.0, pb - net.points(b - 1))
-            # sit just outside the run of net points so the between-count
-            # is b - a + 1 while the divergence stays near its infimum
-            t1 = pa - prev_gap / 64.0
-            t2 = pb + next_gap / 64.0
-            if space.contains(t1) and space.contains(t2):
-                pairs.append((float(t1), float(t2)))
-    for _ in range(300):
+    a, b = np.array([(a, a + gap) for gap in gaps for a in anchors if a + gap <= hi_k],
+                    dtype=np.int64).reshape(-1, 2).T
+    has_prev, has_next = a - 1 >= lo_k, b + 1 <= hi_k
+    pa, pb, p_prev, p_next, p_inner = net.points(np.stack(
+        [a, b, np.where(has_prev, a - 1, a), np.where(has_next, b + 1, b), b - 1]))
+    # past the index range: the gap to the end of the parameter space, or
+    # a unit gap (at least one net step, at the top) where it is unbounded
+    first_gap = pa - space.lo if space.lo > -math.inf else 1.0
+    last_gap = space.hi - pb if space.hi < math.inf else np.maximum(1.0, pb - p_inner)
+    prev_gap = np.where(has_prev, pa - p_prev, first_gap)
+    next_gap = np.where(has_next, p_next - pb, last_gap)
+    # sit just outside the run of net points so the between-count is
+    # b - a + 1 while the divergence stays near its infimum
+    candidates = [(pa - prev_gap / 64.0, pb + next_gap / 64.0)]
+    draws = []
+    for _ in range(300 if hi_k > lo_k else 0):
         ka = int(rng.integers(lo_k, hi_k))
         kb = int(rng.integers(lo_k, hi_k))
-        if ka == kb:
-            continue
-        ka, kb = min(ka, kb), max(ka, kb)
-        t1 = net.points(ka) + (rng.random() - 0.5) * 1e-3
-        t2 = net.points(kb) + (rng.random() - 0.5) * 1e-3
-        if t1 < t2 and space.contains(t1) and space.contains(t2):
-            pairs.append((float(t1), float(t2)))
-    return pairs
+        if ka != kb:
+            draws.append((min(ka, kb), max(ka, kb), rng.random(), rng.random()))
+    draws = np.array(draws).reshape(-1, 4)  # the indices are exact as floats
+    p1, p2 = net.points(draws[:, :2].T.astype(np.int64))
+    candidates.append((p1 + (draws[:, 2] - 0.5) * 1e-3, p2 + (draws[:, 3] - 0.5) * 1e-3))
+    return [(t1, t2) for t1s, t2s in candidates for t1, t2 in zip(t1s.tolist(), t2s.tolist())
+            if t1 < t2 and space.contains(t1) and space.contains(t2)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +178,12 @@ def default_growth_pairs(bundle: FamilyBundle) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _batch(bundle: FamilyBundle, xs: Sequence):
-    """Samples as one batch in ``log_density``'s convention."""
-    if bundle.family.sample_dim > 1:
-        return np.stack(xs)
-    return np.asarray(xs, dtype=float)
-
-
 def _statistics(bundle: FamilyBundle, xs: Sequence) -> np.ndarray:
-    """Each sample's statistic g(x), from one batch call."""
+    """Each sample's statistic g(x), from one batch call (the samples as
+    one array in ``log_density``'s convention)."""
     if len(xs) == 0:
         return np.empty(0)
-    return bundle.family.estimator_g(_batch(bundle, xs))
+    return bundle.family.estimator_g(np.asarray(xs, dtype=float))
 
 
 def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) -> ConditionReport:
@@ -205,11 +194,12 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
     support satisfy the identity on the common support only).
 
     The identity says that A_t(x) = log p_t(x) + d(g(x)||t) does not
-    depend on t, and each pair's residual is |A_theta(x) - A_s(x)|.  Each
-    theta and each net point s costs one ``log_density`` and one
-    ``divergence_fn`` call over the whole statistic axis, and its row of
-    A_t is folded into each statistic's extremes on its side, so memory
-    stays a few rows' worth whatever the grid.  The worst residual is the
+    depend on t, and each pair's residual is |A_theta(x) - A_s(x)|.  The
+    thetas and the net points s go to ``log_density`` and
+    ``divergence_fn`` in blocks, each a column against the whole
+    statistic axis, and each row of A_t is folded into each statistic's
+    extremes on its side, so memory is a block's worth, at most 2**15
+    values (``_BLOCK_VALUES``), whatever the grid.  The worst residual is the
     largest gap between the two sides' extremes at a statistic; a NaN
     residual fails.  Only a failing check looks for witnesses: the first
     ten pairs beyond ``IDENTITY_TOL`` in theta-major order (theta by
@@ -219,14 +209,17 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
     fam = bundle.family
     x_arr = fam.lift(gs)
     points = bundle.net.points(indices)
+    per_block = max(1, _BLOCK_VALUES // max(1, x_arr.size))
 
     def rows(params):
-        """A_t over the statistic axis and where p_t is positive, t by t."""
-        for t in params:
-            ld = fam.log_density(t, x_arr)
+        """A_t over the statistic axis and where p_t is positive, t by t,
+        from one pair of family calls per block of parameters."""
+        for start in range(0, len(params), per_block):
+            col = params[start:start + per_block, None]
+            ld = fam.log_density(col, x_arr)
             with np.errstate(invalid="ignore"):  # -inf + inf off the support
-                a = ld + fam.divergence_fn(gs, t)
-            yield a, np.isfinite(ld)
+                a = ld + fam.divergence_fn(gs, col)
+            yield from zip(a, np.isfinite(ld))
 
     side_s = _fold(rows(points), len(gs))
     side_theta = _fold(rows(thetas), len(gs))

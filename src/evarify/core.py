@@ -316,8 +316,10 @@ class Family:
     them once, at construction, with the one-value rule (see Conventions
     above).  ``log_density(theta, x)`` takes a batch of samples (for
     product families, the last axis is the coordinate axis) and returns
-    log p_theta(x), with ``-inf`` off the support.  ``divergence_fn``
-    broadcasts over both arguments and must satisfy d(t, t) = 0, d >= 0.
+    log p_theta(x), with ``-inf`` off the support; theta broadcasts
+    against the batch's shape (a column of thetas gives a row per theta).
+    ``divergence_fn`` broadcasts over both arguments and must satisfy
+    d(t, t) = 0, d >= 0.
     ``estimator_g`` maps samples to the parameter value each indicates
     (mean, rate, squared norm over n, ...), possibly on the closure of the
     parameter space, one value per sample of ``log_density``'s batch.
@@ -652,7 +654,9 @@ class Geometric(Net):
     When the ratio is rational (e.g. 1 + 1/sqrt(n) with square n) the
     points are computed by exact rational exponentiation and rounded once
     to float, so long index windows do not accumulate rounding error.
-    Each power is computed once, on its own, and kept.
+    Each point is computed once (a run of consecutive new indices steps
+    the exact integer powers up) and kept in a sorted table that later
+    calls read with one array search.
     """
 
     kind = "geometric"
@@ -663,23 +667,49 @@ class Geometric(Net):
         self.ratio = float(ratio)
         self._exact = exact_ratio
         self._log_ratio = math.log(ratio)
-        self._cache: dict[int, float] = {}
+        # (indices, points), ascending; replaced whole, never edited
+        self._table = (np.zeros(1, dtype=np.int64), np.ones(1))
 
-    def _power(self, k: int) -> float:
-        value = self._cache.get(k)
-        if value is None:
-            value = (float(self._exact ** k) if self._exact is not None
-                     else math.exp(k * self._log_ratio))
-            self._cache[k] = value
-        return value
+    def _powers(self, ks: list) -> list:
+        """The points of new indices, ascending."""
+        if self._exact is None:
+            return [math.exp(k * self._log_ratio) for k in ks]
+        return _exact_powers(self._exact.numerator, self._exact.denominator, ks)
 
     def _points(self, k):
-        return np.reshape([self._power(j) for j in k.ravel().tolist()], k.shape)
+        keys, values = self._table
+        at = np.searchsorted(keys, k)
+        new = keys[np.minimum(at, len(keys) - 1)] != k
+        if new.any():
+            ks = np.unique(_int_index(k[new]))
+            at_new = np.searchsorted(keys, ks)
+            self._table = keys, values = (np.insert(keys, at_new, ks),
+                                          np.insert(values, at_new, self._powers(ks.tolist())))
+            at = np.searchsorted(keys, k)
+        return values[at]
 
     def _floor(self, t):
         if not (t > 0.0).all():
             raise DomainError("geometric net is only defined for positive reals")
         return self._repaired(_int_index(np.floor(np.log(t) / self._log_ratio)), t)
+
+
+def _exact_powers(p: int, q: int, ks: list) -> list:
+    """float(Fraction(p, q) ** k) for each of the ascending int indices:
+    the correctly rounded quotient a^m / b^m, m = |k|, (a, b) = (p, q)
+    for k >= 0 and (q, p) below.  Along consecutive exponents both powers
+    step up one factor at a time; any other exponent is a power of its
+    own, so distant indices never cost the range between them."""
+    value = {}
+    for a, b, sign in ((p, q, 1), (q, p, -1)):
+        last = None
+        for m in sorted(sign * k for k in ks if (k >= 0) == (sign > 0)):
+            if m - 1 == last:
+                num, den = num * a, den * b
+            else:
+                num, den = a ** m, b ** m
+            value[sign * m], last = num / den, m
+    return [value[k] for k in ks]
 
 
 class BinomialSine(Net):

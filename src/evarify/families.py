@@ -248,7 +248,7 @@ def _du_ppf(N, q):
 def discrete_uniform_family() -> Family:
     def log_density(N, x):
         ok = (x >= 0) & (x <= N) & (x == np.floor(x))
-        return np.where(ok, -math.log(N + 1.0), -np.inf)
+        return np.where(ok, -np.log(N + 1.0), -np.inf)
 
     def div(n1, n2):
         return np.where(n1 <= n2, np.log((n2 + 1.0) / (n1 + 1.0)), np.inf)
@@ -275,7 +275,7 @@ def continuous_uniform_family() -> Family:
 
     def log_density(theta, x):
         ok = (x > 0) & (x <= theta)
-        return np.where(ok, -math.log(theta), -np.inf)
+        return np.where(ok, -np.log(theta), -np.inf)
 
     def div(t1, t2):
         with np.errstate(divide="ignore"):
@@ -308,7 +308,7 @@ def normal_mean_family(n: int) -> Family:
     def log_density(mu, x):
         # for n == 1 an array is a batch of scalar samples; for n > 1 the
         # last axis holds the coordinates of one sample
-        z = x - mu
+        z = x - mu if n == 1 else x - mu[..., None]
         sq = z * z if n == 1 else np.sum(z * z, axis=-1)
         return -0.5 * n * _LOG_2PI - 0.5 * sq
 
@@ -354,7 +354,7 @@ def normal_variance_family(n: int) -> Family:
 
     def log_density(var, x):
         sq = x * x if n == 1 else np.sum(x * x, axis=-1)
-        return -0.5 * n * (_LOG_2PI + math.log(var)) - 0.5 * sq / var
+        return -0.5 * n * (_LOG_2PI + np.log(var)) - 0.5 * sq / var
 
     def div(v1, v2):
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from evarify import checker
 from evarify.checker import (
     IDENTITY_TOL,
     SLACK_TOL,
@@ -171,6 +172,54 @@ def _reference_divergence_growth(bundle, pairs=None, alpha=None):
     return ConditionReport(
         "divergence_growth", worst, SLACK_TOL, worst <= SLACK_TOL, tuple(witnesses),
         (best_ratio - 1.0) if math.isfinite(best_ratio) else None, n_eval).to_dict()
+
+
+def _reference_growth_pairs(bundle):
+    """The default growth pairs as a loop with one ``Net.points`` call per
+    scalar index: the reference the array calls must reproduce, pair by
+    pair and draw by draw."""
+    net = bundle.net
+    rng = np.random.default_rng(0)
+    lo_k = net.k_min if net.k_min is not None else -500
+    hi_k = net.k_max if net.k_max is not None else 500
+    pairs = []
+    gaps = sorted({g for g in [2, 3, 4, 5, 8, 13, 21, 55, 144, 377, 1000]
+                   if g <= hi_k - lo_k})
+    anchors = sorted({a for a in (lo_k, (lo_k + hi_k) // 2, hi_k - 2) if a >= lo_k})
+    space = bundle.family.param_space
+    for gap in gaps:
+        for a in anchors:
+            b = a + gap
+            if b > hi_k:
+                continue
+            pa, pb = net.points(a), net.points(b)
+            if a - 1 >= lo_k:
+                prev_gap = pa - net.points(a - 1)
+            elif space.lo > -math.inf:
+                prev_gap = pa - space.lo
+            else:
+                prev_gap = 1.0
+            if b + 1 <= hi_k:
+                next_gap = net.points(b + 1) - pb
+            elif space.hi < math.inf:
+                next_gap = space.hi - pb
+            else:
+                next_gap = max(1.0, pb - net.points(b - 1))
+            t1 = pa - prev_gap / 64.0
+            t2 = pb + next_gap / 64.0
+            if space.contains(t1) and space.contains(t2):
+                pairs.append((float(t1), float(t2)))
+    for _ in range(300):
+        ka = int(rng.integers(lo_k, hi_k))
+        kb = int(rng.integers(lo_k, hi_k))
+        if ka == kb:
+            continue
+        ka, kb = min(ka, kb), max(ka, kb)
+        t1 = net.points(ka) + (rng.random() - 0.5) * 1e-3
+        t2 = net.points(kb) + (rng.random() - 0.5) * 1e-3
+        if t1 < t2 and space.contains(t1) and space.contains(t2):
+            pairs.append((float(t1), float(t2)))
+    return pairs
 
 
 def _reference_reverse_triangle(bundle, seed=0, n_triples=1000):
@@ -338,28 +387,60 @@ class TestLogRatioIdentity:
         assert ours["n_evaluated"] == written["n_evaluated"]
         assert ours["passing"] and written["passing"]
 
-    def test_each_density_and_divergence_once_per_parameter(self):
-        """One log_density and one divergence_fn call per theta and per net
-        point (50 + 99), not one per (theta, s) pair (50 * 99 = 4,950)."""
+    def test_each_parameter_evaluated_once_in_blocks(self):
+        """Each theta and each net point goes through log_density and
+        divergence_fn exactly once, as an entry of a column of up to b
+        parameters (b rows of the 10,001 statistic values within
+        ``_BLOCK_VALUES``): ceil(50 / b) + ceil(99 / b) calls of each,
+        not one per parameter (149) or per (theta, s) pair (4,950)."""
         b = make_bundle("binomial", n=10_000)
-        calls = {"log_density": 0, "divergence_fn": 0}
+        seen = {"log_density": [], "divergence_fn": []}
 
-        def counted(name):
+        def recorded(name, at):
             fn = getattr(b.family, name)
 
             def wrapper(*args):
-                calls[name] += 1
+                seen[name].append(np.ravel(args[at]).tolist())
                 return fn(*args)
             return wrapper
 
-        fam = replace(b.family, log_density=counted("log_density"),
-                      divergence_fn=counted("divergence_fn"))
+        fam = replace(b.family, log_density=recorded("log_density", 0),
+                      divergence_fn=recorded("divergence_fn", 1))
         thetas, indices, _ = axes = b.identity_axes(b)
         rep = check_log_ratio_identity(replace(b, family=fam), axes)
-        assert len(thetas) + len(indices) == 149
-        assert calls == {"log_density": 149, "divergence_fn": 149}
+        rows = checker._BLOCK_VALUES // 10_001
+        assert rows == 3
+        want = sorted([*thetas.tolist(), *b.net.points(indices).tolist()])
+        for calls in seen.values():
+            assert len(calls) == math.ceil(50 / rows) + math.ceil(99 / rows) == 50
+            assert max(len(c) for c in calls) == rows
+            assert sorted(t for c in calls for t in c) == want
         assert rep.passing
         assert rep.n_evaluated == 49_504_950
+
+    @pytest.mark.parametrize(
+        "make",
+        [*(lambda name=name, kw=kw: make_bundle(name, **kw) for name, kw in BENCHMARK_CONFIGS),
+         _zero_divergence_poisson,  # witnesses, more than ten
+         lambda: _doubled_divergence_poisson(nan_at=32.0),  # NaN residuals
+         lambda: _infinite_divergence_poisson(5.0)],
+        ids=[*(f"{name}{kw}" for name, kw in BENCHMARK_CONFIGS), "poisson_zero_divergence",
+             "poisson_nan_divergence", "poisson_infinite_on_both_sides"],
+    )
+    def test_blocks_give_the_row_by_row_report(self, make, monkeypatch):
+        """The default blocks, and blocks of 7 rows (7 does not divide the
+        thetas, so the last block is partial), give the report of one
+        family call per row: worst, counts and witnesses."""
+        bundle = make()
+        thetas, _, gs = bundle.identity_axes(bundle)
+        size = bundle.family.lift(np.asarray(gs, dtype=float)).size
+        reports = [check_log_ratio_identity(bundle).to_dict()]
+        for rows in (7, 1):
+            monkeypatch.setattr(checker, "_BLOCK_VALUES", rows * size)
+            reports.append(check_log_ratio_identity(bundle).to_dict())
+        assert len(thetas) % 7
+        default, seven, by_row = (json.dumps(r) for r in reports)  # NaN equals NaN
+        assert default == by_row and seven == by_row
 
     def test_memory_is_one_row_per_array_not_the_grid(self):
         """A passing check on binomial n = 10^4 (50 thetas, 99 net points,
@@ -533,6 +614,27 @@ class TestDivergenceGrowth:
         pairs = [(9.5, 0.5), (1.0, 1.1), *default_growth_pairs(b)[:20]]
         _assert_same_fields(check_divergence_growth(b, pairs, alpha),
                             _reference_divergence_growth(b, pairs, alpha))
+
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS + [
+        ("binomial", {"n": 16}), ("normal_mean", {"epsilon": 0.2}),
+        ("normal_variance", {"n": 5}), ("cauchy", {})])
+    def test_default_pairs_equal_the_scalar_loop(self, name, kw):
+        """The same pairs, bit for bit and in order, as one net call per
+        index; each from a fresh bundle, so no net starts warm."""
+        pairs = default_growth_pairs(make_bundle(name, **kw))
+        assert pairs == _reference_growth_pairs(make_bundle(name, **kw))
+        assert {type(t) for pair in pairs for t in pair} == {float}
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_one_point_net_has_no_pairs(self, n):
+        """binomial n = 4 to 8 has one sine-net point (L = 2): no pair
+        separates two, so the growth check is vacuous, where the random
+        draws over an empty index range used to raise."""
+        b = make_bundle("binomial", n=n)
+        assert b.net.k_min == b.net.k_max
+        assert default_growth_pairs(b) == []
+        rep = run_all_checks(b)["divergence_growth"]
+        assert rep.passing and rep.n_evaluated == 0
 
     def test_one_divergence_call_per_direction(self):
         b, calls = _counting_divergence(make_bundle("cauchy", epsilon=0.2))

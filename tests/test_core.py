@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from evarify import core
 from evarify.core import (
     BinomialSine,
     CeilDyadic,
@@ -477,6 +478,75 @@ class TestEstimators:
         # [-1, 1) and [1, 3): integer edges held on the left only
         even = replace(pois, estimator=RoundToNet(ScaledLattice(alpha=2.0, n=1)))
         assert even.cell_bounds([0, 1]).tolist() == [[-1.0, 0.0], [0.0, 2.0]]
+
+
+class _CountingInt(int):
+    """An int that logs each power of it and each product with it."""
+
+    def __new__(cls, value, log):
+        self = super().__new__(cls, value)
+        self.log = log
+        return self
+
+    def __pow__(self, m):
+        self.log.append("pow")
+        return int(self) ** m
+
+    def __rmul__(self, other):
+        self.log.append("mul")
+        return other * int(self)
+
+
+class TestGeometricPoints:
+    @pytest.mark.parametrize("n", [64, 4])
+    def test_exact_points_equal_the_rational_powers(self, n):
+        """Indices from -1500 to 1500, shuffled and with duplicates, in two
+        calls (the second meets known and new indices): each point is
+        float(r**k) of the exact ratio, bit for bit."""
+        r = 1 + Fraction(1, math.isqrt(n))
+        net = make_bundle("normal_variance", n=n).net
+        rng = np.random.default_rng(n)
+        ks = rng.permutation(np.concatenate([np.arange(-1500, 1501),
+                                             rng.integers(-1500, 1501, 600)]))
+        first = net.points(ks[:500].reshape(50, 10))
+        assert first.shape == (50, 10)
+        assert first.ravel().tolist() == [float(r ** int(k)) for k in ks[:500]]
+        assert net.points(ks).tolist() == [float(r ** int(k)) for k in ks]
+        assert net.points(int(ks[0])) == float(r ** int(ks[0]))
+
+    def test_float_ratio_points_unchanged(self):
+        ratio = 1.0 + 1.0 / math.sqrt(5)
+        net = make_bundle("normal_variance", n=5).net
+        ks = np.random.default_rng(5).integers(-1500, 1501, 3000)
+        assert net.points(ks).tolist() == [math.exp(int(k) * math.log(ratio)) for k in ks]
+
+    @pytest.mark.parametrize("n", [64, 5])
+    def test_index_at_2_53_raises(self, n):
+        net = make_bundle("normal_variance", n=n).net
+        for k in (2**53, -2**53, [0, 2**53]):
+            with pytest.raises(DomainError, match="2\\*\\*53"):
+                net.points(k)
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            net.round_index(math.inf)
+
+    def test_distant_indices_cost_one_power_each(self):
+        """Two distant indices take one power of numerator and denominator
+        each and no product; a run of consecutive indices (m = 5, 6 below
+        zero, 3 to 6 above) powers only its first, then steps up by
+        products."""
+        log = []
+        p, q = _CountingInt(101, log), _CountingInt(100, log)
+        assert core._exact_powers(p, q, [-50000, 50000]) == [
+            float(Fraction(101, 100) ** -50000), float(Fraction(101, 100) ** 50000)]
+        assert log == ["pow"] * 4
+        log.clear()
+        assert core._exact_powers(p, q, [-6, -5, 3, 4, 5, 6]) == [
+            float(Fraction(101, 100) ** k) for k in (-6, -5, 3, 4, 5, 6)]
+        assert log.count("pow") == 4 and log.count("mul") == 8
+        net = Geometric(1.01, exact_ratio=Fraction(101, 100))
+        assert net.points([-50000, 50000]).tolist() == [
+            float(Fraction(101, 100) ** -50000), float(Fraction(101, 100) ** 50000)]
+        assert net._table[0].tolist() == [-50000, 0, 50000]
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,26 @@ def test_one_sample_equals_its_value_in_a_batch(name, kw):
     _assert_batch_of_one([bundle.index(v) for v in located.tolist()], bundle.index(located), int)
 
 
+@pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+def test_theta_column_equals_row_by_row_calls(name, kw):
+    """A column of parameters broadcasts against the batch of samples (and
+    of statistic values): on the identity axes, with the net points among
+    the parameters, each row of one column call has the bits of that
+    parameter's own call."""
+    bundle = make_bundle(name, **kw)
+    fam = bundle.family
+    thetas, indices, gs = bundle.identity_axes(bundle)
+    gs = np.asarray(gs, dtype=float)
+    x = fam.lift(gs)
+    params = np.concatenate([np.asarray(thetas, dtype=float), bundle.net.points(indices)])
+    col = params[:, None]
+    for got, one in ((fam.log_density(col, x), lambda t: fam.log_density(t, x)),
+                     (fam.divergence_fn(gs, col), lambda t: fam.divergence_fn(gs, t))):
+        assert got.shape == (len(params), len(gs))
+        want = np.stack([one(t) for t in params.tolist()])
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
 def _support_samples(bundle, rng, size=10_000):
     name = bundle.family.name
     if name == "poisson":

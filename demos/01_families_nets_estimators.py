@@ -25,7 +25,7 @@ bundles = [
 
 print(f"{'bundle':32s} {'net':16s} {'route':7s} {'factor C':>10s}")
 for b in bundles:
-    print(f"{b.bundle_id:32s} {b.net.kind:16s} {b.route:7s} {b.factor_C:10.4f}")
+    print(f"{b.bundle_id:32s} {type(b.net).__name__:16s} {b.route:7s} {b.factor_C:10.4f}")
 
 # --- nets: predecessor / round / successor ----------------------------------
 

@@ -85,16 +85,7 @@ class ConditionReport:
     n_skipped: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "passing": self.passing,
-            "estimated_constant": self.estimated_constant,
-            "n_evaluated": self.n_evaluated,
-            "n_skipped": self.n_skipped,
-            "witnesses": [list(w) for w in self.witnesses],
-        }
+        return {**vars(self), "witnesses": [list(w) for w in self.witnesses]}
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,19 @@
 Subcommands
 -----------
 ``list-families``
-    Print the known family ids.
-``check-conditions --family X [--n N] [--alpha A] [--epsilon E]``
+    Print the known family ids; takes no flags.
+``check-conditions --family X [--n N] [--alpha A] [--epsilon E] [--seed S]``
     Run every condition check applicable to the bundle and report the
     estimated constants.
-``certify --family X --suite spikes [--mode interpolated] [--seed S]``
+``certify --family X [same as check-conditions] [--suite S] [--mode M]``
     Build the adversarial component suite, sweep the composite over the
     family's adversarial parameter grid, and report the worst case.
 ``counterexample --family poisson --lambda L``
     Evaluate the maximum-likelihood selection rule's expectation, which
     demonstrably exceeds 1 (exit code 2: the property fails by design).
+
+The last three also take ``--config FILE``, ``--out PATH`` and
+``--format json|csv``; a flag a subcommand does not take exits 3.
 
 Exit codes: 0 every certified property passed; 2 a certified property
 failed (including the demonstrated counterexample); 3 configuration
@@ -25,7 +28,13 @@ is not finite, a value that is not integral in an integer field (``n``,
 ``samples``, ``seed``), or another value where a number or an object
 belongs is a configuration error that names the field, except
 ``"epsilon": null``, which means no epsilon is given.
-Command-line flags override config-file values.  Schema::
+Each flag sets one config key, over the file's value: ``--family`` the
+family's ``name``; ``--n``, ``--alpha`` and ``--epsilon`` its ``params``;
+``--seed``, ``--suite`` and ``--lambda`` the keys of their names;
+``--mode`` ``mode.kind``; ``--out`` and ``--format`` ``output.path`` and
+``output.format``.  The interpolated composite's half-width is
+``mode.epsilon`` when given, else the family's ``epsilon`` param, else
+0.2.  Unset plan keys take :class:`ExpectationPlan`'s defaults.  Schema::
 
     {
       "command": "certify",
@@ -54,6 +63,7 @@ from .core import ConfigError, EvarifyError, _number
 from .families import FAMILY_IDS, make_bundle
 from .verifier import (
     ExpectationPlan,
+    _json_bytes,
     _theta_grid,
     certify_interpolated_factor,
     default_theta_grid,
@@ -99,35 +109,65 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _bundle_from(args, cfg: dict):
+#: each flag, the config key it sets and its argparse options
+_FLAGS = {
+    "--family": (("family", "name"), {"help": f"one of: {', '.join(FAMILY_IDS)}"}),
+    "--n": (("family", "params", "n"), {"help": "sample size / binomial trials"}),
+    "--alpha": (("family", "params", "alpha"), {"help": "normal-mean net scale"}),
+    "--epsilon": (("family", "params", "epsilon"),
+                  {"help": "rounding slack / interpolation half-width (<= 0.2)"}),
+    "--seed": (("seed",), {"type": int}),
+    "--suite": (("suite",), {"choices": ("spikes", "ones")}),
+    "--mode": (("mode", "kind"), {"choices": ("discrete", "interpolated")}),
+    "--lambda": (("lambda",), {"help": "poisson rate"}),
+    "--out": (("output", "path"), {"help": "report file path"}),
+    "--format": (("output", "format"), {"choices": ("json", "csv")}),
+}
+
+
+def _with_flags(cfg: dict, args) -> dict:
+    """The config with each given flag laid over the key it names."""
+    for flag, (path, _) in _FLAGS.items():
+        value = getattr(args, flag[2:], None)
+        if value is None:
+            continue
+        node = cfg
+        for depth, key in enumerate(path[:-1]):
+            _object(node, key, ".".join(path[:depth + 1]))
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    return cfg
+
+
+def _bundle_from(cfg: dict):
     fam_cfg = _object(cfg, "family")
-    name = args.family or fam_cfg.get("name")
+    name = fam_cfg.get("name")
     if not name:
         raise ConfigError("no family given (use --family or the config file)")
-    params = dict(_object(fam_cfg, "params", "family.params"))
-    if args.n is not None:
-        params["n"] = args.n
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.epsilon is not None:
-        params["epsilon"] = args.epsilon
     clean = {}
-    for key, value in params.items():  # a null epsilon is no epsilon
-        clean[key] = (None if key == "epsilon" and value is None else
+    for key, value in _object(fam_cfg, "params", "family.params").items():
+        clean[key] = (None if key == "epsilon" and value is None else  # no epsilon
                       _number(value, f"family.params.{key}", int if key == "n" else float))
     return make_bundle(name, **clean)
 
 
-def _plan_from(args, cfg: dict) -> ExpectationPlan:
+#: the plan keys a config may give, each with its ExpectationPlan field
+#: and number type
+_PLAN_KEYS = {"tail_mass": ("tail_mass", float), "abs_tol": ("abs_tol", float),
+              "samples": ("mc_samples", int)}
+
+
+def _plan_from(cfg: dict) -> ExpectationPlan:
+    """The plan of the keys the config gives, ``ExpectationPlan``'s
+    defaults for the others."""
     plan_cfg = _object(cfg, "plan")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    return ExpectationPlan(
-        method=plan_cfg.get("method", "auto"),
-        tail_mass=_number(plan_cfg.get("tail_mass", 1e-12), "plan.tail_mass"),
-        abs_tol=_number(plan_cfg.get("abs_tol", 1e-9), "plan.abs_tol"),
-        mc_samples=_number(plan_cfg.get("samples", 1_000_000), "plan.samples", int),
-        seed=_number(seed, "seed", int),
-    )
+    given = {field: _number(plan_cfg[key], f"plan.{key}", kind)
+             for key, (field, kind) in _PLAN_KEYS.items() if key in plan_cfg}
+    if "method" in plan_cfg:
+        given["method"] = plan_cfg["method"]
+    if "seed" in cfg:
+        given["seed"] = _number(cfg["seed"], "seed", int)
+    return ExpectationPlan(**given)
 
 
 def _grid_from(cfg: dict, bundle):
@@ -143,31 +183,30 @@ def _grid_from(cfg: dict, bundle):
     return _theta_grid(bundle, [_number(v, "theta_grid values") for v in values])
 
 
-def _output(args, cfg: dict):
+def _output(cfg: dict):
     """The report writer, its ``output`` read and checked before any work."""
     out_cfg = _object(cfg, "output")
-    path = args.out or out_cfg.get("path")
-    fmt = args.format or out_cfg.get("format", "json")
-    if fmt not in ("json", "csv") or not isinstance(path, (str, type(None))):
+    path = out_cfg.get("path")
+    fmt = out_cfg.get("format", "json")
+    if fmt not in ("json", "csv") or not (path is None or isinstance(path, str) and path):
         raise ConfigError(f"output: unknown report format {fmt!r} or bad path {path!r}")
 
     def write(payload: dict, csv_text: str) -> None:
         if path is not None:
-            text = json.dumps(payload, sort_keys=True, indent=2) if fmt == "json" else csv_text
-            Path(path).write_bytes(text.encode())
+            Path(path).write_bytes(_json_bytes(payload) if fmt == "json" else csv_text.encode())
     return write
 
 
-def _cmd_list_families(args, cfg) -> int:
+def _cmd_list_families(cfg) -> int:
     for name in FAMILY_IDS:
         print(name)
     return EXIT_PASS
 
 
-def _cmd_check_conditions(args, cfg) -> int:
-    write_report = _output(args, cfg)
-    bundle = _bundle_from(args, cfg)
-    plan = _plan_from(args, cfg)
+def _cmd_check_conditions(cfg) -> int:
+    write_report = _output(cfg)
+    bundle = _bundle_from(cfg)
+    plan = _plan_from(cfg)
     reports = run_all_checks(bundle, seed=plan.seed)
     overall = all(r.passing for r in reports.values())
     for name, rep in sorted(reports.items()):
@@ -191,14 +230,14 @@ def _cmd_check_conditions(args, cfg) -> int:
     return EXIT_PASS if overall else EXIT_FAIL
 
 
-def _cmd_certify(args, cfg) -> int:
-    write_report = _output(args, cfg)
-    bundle = _bundle_from(args, cfg)
-    plan = _plan_from(args, cfg)
+def _cmd_certify(cfg) -> int:
+    write_report = _output(cfg)
+    bundle = _bundle_from(cfg)
+    plan = _plan_from(cfg)
     grid = _grid_from(cfg, bundle)
     mode_cfg = _object(cfg, "mode")
-    mode = args.mode or mode_cfg.get("kind", "discrete")
-    suite = args.suite or cfg.get("suite", "spikes")
+    mode = mode_cfg.get("kind", "discrete")
+    suite = cfg.get("suite", "spikes")
     if suite not in ("spikes", "ones"):
         raise ConfigError(f"unknown suite {suite!r} (spikes | ones)")
     if mode == "interpolated":
@@ -207,8 +246,9 @@ def _cmd_certify(args, cfg) -> int:
             raise ConfigError("interpolated mode takes no 'components'")
         if suite == "ones":
             raise ConfigError("interpolated mode supports the spikes suite only")
-        eps = args.epsilon if args.epsilon is not None else mode_cfg.get("epsilon")
-        eps = _number(eps, "epsilon") if eps is not None else 0.2
+        eps = mode_cfg.get("epsilon")
+        eps = (_number(eps, "mode.epsilon") if eps is not None
+               else bundle.params.get("epsilon", 0.2))
         factor, _ = certify_interpolated_factor(bundle)
         composite = interpolated_spike_composite(bundle, eps, factor)
     elif mode == "discrete":
@@ -231,15 +271,14 @@ def _cmd_certify(args, cfg) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _cmd_counterexample(args, cfg) -> int:
-    write_report = _output(args, cfg)
-    name = args.family or _object(cfg, "family").get("name")
-    if name != "poisson":
+def _cmd_counterexample(cfg) -> int:
+    write_report = _output(cfg)
+    if _object(cfg, "family").get("name") != "poisson":
         raise ConfigError(
             "the maximum-likelihood counterexample is implemented for the "
             "poisson family only"
         )
-    lam = args.lam if args.lam is not None else cfg.get("lambda")
+    lam = cfg.get("lambda")
     if lam is None:
         raise ConfigError("no rate given (use --lambda)")
     lam = _number(lam, "lambda")
@@ -263,45 +302,31 @@ def _cmd_counterexample(args, cfg) -> int:
     return EXIT_FAIL if res.estimate > 1.0 else EXIT_PASS
 
 
+_CHECK_FLAGS = ("--family", "--n", "--alpha", "--epsilon", "--seed", "--out", "--format")
+
+#: each subcommand: its function, help and flags (all but list-families
+#: also take --config)
+_COMMANDS = {
+    "list-families": (_cmd_list_families, "print known family ids", ()),
+    "check-conditions": (_cmd_check_conditions, "verify the factor-formula preconditions",
+                         _CHECK_FLAGS),
+    "certify": (_cmd_certify, "sweep a composite over adversarial parameters",
+                _CHECK_FLAGS + ("--suite", "--mode")),
+    "counterexample": (_cmd_counterexample, "demonstrate the MLE selection-rule failure",
+                       ("--family", "--lambda", "--out", "--format")),
+}
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="evarify",
                      description="composite e-variable certification")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: _Parser) -> None:
-        p.add_argument("--family", help=f"one of: {', '.join(FAMILY_IDS)}")
-        p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--epsilon", default=None,
-                       help="rounding slack / interpolation half-width (<= 0.2)")
-        p.add_argument("--alpha", default=None, help="normal-mean net scale")
-        p.add_argument("--n", default=None, help="sample size / binomial trials")
-        p.add_argument("--out", help="report file path")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-
-    p_list = sub.add_parser("list-families", help="print known family ids")
-    p_list.set_defaults(fn=_cmd_list_families)
-    add_common(p_list)
-
-    p_check = sub.add_parser("check-conditions",
-                             help="verify the factor-formula preconditions")
-    p_check.set_defaults(fn=_cmd_check_conditions)
-    add_common(p_check)
-
-    p_cert = sub.add_parser("certify",
-                            help="sweep a composite over adversarial parameters")
-    p_cert.set_defaults(fn=_cmd_certify)
-    add_common(p_cert)
-    p_cert.add_argument("--suite", choices=("spikes", "ones"), default=None)
-    p_cert.add_argument("--mode", choices=("discrete", "interpolated"),
-                        default=None)
-
-    p_ctr = sub.add_parser("counterexample",
-                           help="demonstrate the MLE selection-rule failure")
-    p_ctr.set_defaults(fn=_cmd_counterexample)
-    add_common(p_ctr)
-    p_ctr.add_argument("--lambda", dest="lam", default=None,
-                       help="poisson rate")
+    for command, (fn, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(fn=fn)
+        if flags:
+            p.add_argument("--config", help="JSON run configuration")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag][1])
     return parser
 
 
@@ -309,8 +334,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _load_config(args.config)
-        return args.fn(args, cfg)
+        cfg = _load_config(getattr(args, "config", None))
+        return args.fn(_with_flags(cfg, args))
     except EvarifyError as exc:  # a ConfigError, or a DomainError from the config's values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -46,6 +46,7 @@ from .core import (
     IntegerLattice,
     Piecewise,
     REpsilon,
+    _epsilon,
     _number,
 )
 from .families import FamilyBundle
@@ -113,7 +114,8 @@ class _PieceTable(NamedTuple):
 class SpikeSuite(Mapping):
     """Spikes keyed by net index, spike k valid for net point k, held as
     the arrays of their piece ``table``: tens of thousands are built and
-    combined without an object per spike; ``suite[k]`` builds one."""
+    combined without an object per spike; ``suite[k]`` builds one.  The
+    keys are distinct."""
 
     def __init__(self, bundle: FamilyBundle, keys: Sequence[int], edges: np.ndarray,
                  levels: np.ndarray, right_closed: bool):
@@ -121,19 +123,22 @@ class SpikeSuite(Mapping):
         lo, hi = np.reshape(edges, (-1, 2)).T
         self.table = _PieceTable(np.asarray(keys, dtype=int), lo, hi,
                                  np.asarray(levels, dtype=float), np.zeros(len(lo)))
-        self._row = {int(k): i for i, k in enumerate(self.table.keys)}
 
     def __getitem__(self, k: int) -> EVariable:
-        i, t, locate = self._row[k], self.table, self.bundle.locate
+        t, locate = self.table, self.bundle.locate
+        rows = np.flatnonzero(t.keys == k)
+        if not len(rows):
+            raise KeyError(k)
+        i = rows[0]
         pw = Piecewise(np.array([t.lo[i], t.hi[i]]), t.level[i:i + 1], np.zeros(1), 0.0,
                        self.right_closed)
         return EVariable(lambda x: pw(locate(x)), float(t.level[i]), pw, vectorized=True)
 
     def __iter__(self):
-        return iter(self._row)
+        return iter(self.table.keys.tolist())
 
     def __len__(self) -> int:
-        return len(self._row)
+        return len(self.table.keys)
 
 
 def constant_evar(value: float = 1.0) -> EVariable:
@@ -237,10 +242,8 @@ class CompositeEVariable:
     def __post_init__(self) -> None:
         if self.factor_C < 1.0:
             raise DomainError("factor_C must be >= 1")
-        if self.mode == "interpolated" and not (
-            self.epsilon is not None and 0.0 < self.epsilon <= 0.2
-        ):
-            raise DomainError("interpolated mode needs epsilon in (0, 1/5]")
+        if self.mode == "interpolated":
+            _epsilon(self.epsilon)
         if self.mode == "discrete" and self.piecewise is None:
             object.__setattr__(self, "_keys", _key_piecewise(self.bundle, self.components))
 
@@ -389,8 +392,7 @@ def bump_weight(center: int, epsilon: float, x) -> float:
     Adjacent weights share the ramp subexpression, so the sum of the two
     active weights is exactly 1.0 in floating point.
     """
-    if not 0.0 < epsilon <= 0.2:
-        raise DomainError("epsilon must lie in (0, 1/5]")
+    _epsilon(epsilon)
     v = float(x)
     d = v - center
     ad = abs(d)
@@ -519,8 +521,7 @@ def even_odd_split(
     odd) integer; averaging those two composites reconstructs the
     interpolated composite exactly, pointwise.
     """
-    if not 0.0 < epsilon <= 0.2:
-        raise DomainError("epsilon must lie in (0, 1/5]")
+    _epsilon(epsilon)
     return (
         ParityFamily(components, epsilon, parity=0),
         ParityFamily(components, epsilon, parity=1),

@@ -50,7 +50,11 @@ A divergence of ``+inf`` is a legal value and propagates through
 impossible parameter orderings.
 
 Everything in this module is immutable after construction and safe to
-share across threads; all operations are pure functions of their inputs.
+share across threads, except ``Geometric``'s cache of its points; all
+operations are pure functions of their inputs.  The cache is replaced
+whole, never edited, so a reader always holds one consistent table; two
+threads that extend it at once can drop each other's new points, which
+are then computed again, to the same bits.
 """
 
 from __future__ import annotations
@@ -128,6 +132,15 @@ def _number(value, field: str, kind=float):
             or (isinstance(value, float) and out != value)):
         raise DomainError(f"{field}: {value!r} is not a finite {kind.__name__}")
     return out
+
+
+def _epsilon(epsilon) -> float:
+    """The rounding slack as a float; a :class:`DomainError` unless it
+    lies in (0, 1/5], where neighbouring half-integers' choices cannot
+    interact (None included)."""
+    if epsilon is None or not 0.0 < epsilon <= 0.2:
+        raise DomainError("epsilon must lie in (0, 1/5]")
+    return float(epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +494,6 @@ class Net:
     two and follows the one-value rule (see Conventions above).
     """
 
-    kind: str = "abstract"
     k_min: int | None = None
     k_max: int | None = None
 
@@ -539,7 +551,9 @@ class Net:
         t = np.asarray(t, dtype=float)
         k = self._floor(t)
         lo, hi = self._clip(k), self._clip(k + 1)  # equal beyond the net's ends
-        return _one(lo + (hi - lo) * (t >= 0.5 * (self._points(lo) + self._points(hi))))
+        with np.errstate(over="ignore"):  # two points near the largest float: inf
+            mid = 0.5 * (self._points(lo) + self._points(hi))
+        return _one(lo + (hi - lo) * (t >= mid))
 
     def round(self, t):
         return self.points(self.round_index(t))
@@ -565,8 +579,6 @@ def net_neighbors(
 class IntegerLattice(Net):
     """The integers."""
 
-    kind = "integer_lattice"
-
     def _points(self, k):
         return k.astype(float)
 
@@ -580,7 +592,6 @@ class ScaledLattice(Net):
 
     alpha: float
     n: int
-    kind: str = "scaled_lattice"
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -608,7 +619,6 @@ def _powers_of_two(k: np.ndarray) -> np.ndarray:
 class DyadicInt(Net):
     """Powers of two {2^k}_{k >= 0} = {1, 2, 4, ...}."""
 
-    kind = "dyadic_int"
     k_min = 0
 
     def _points(self, k):
@@ -622,8 +632,6 @@ class DyadicInt(Net):
 class DyadicReal(Net):
     """Powers of two over all integer exponents {2^k}_{k in Z}."""
 
-    kind = "dyadic_real"
-
     def _points(self, k):
         return _powers_of_two(k)
 
@@ -636,7 +644,6 @@ class DyadicReal(Net):
 class Squares(Net):
     """Perfect squares {t^2}_{t >= 1} = {1, 4, 9, ...}."""
 
-    kind = "squares"
     k_min = 1
 
     def _points(self, k):
@@ -656,10 +663,9 @@ class Geometric(Net):
     to float, so long index windows do not accumulate rounding error.
     Each point is computed once (a run of consecutive new indices steps
     the exact integer powers up) and kept in a sorted table that later
-    calls read with one array search.
+    calls read with one array search.  A point below 2^-1076 is 0.0 and
+    one above the largest float is inf, both without taking a power.
     """
-
-    kind = "geometric"
 
     def __init__(self, ratio: float, exact_ratio: Fraction | None = None):
         if ratio <= 1.0:
@@ -667,14 +673,23 @@ class Geometric(Net):
         self.ratio = float(ratio)
         self._exact = exact_ratio
         self._log_ratio = math.log(ratio)
+        # the indices at and below whose points are under 2^-1076, and at
+        # and above whose points exceed 2^1024 (one index of margin each)
+        below, above = (e * math.log(2.0) / self._log_ratio for e in (-1076, 1024))
+        self._reach = (max(math.floor(below) - 1, -2**53), min(math.ceil(above) + 1, 2**53))
         # (indices, points), ascending; replaced whole, never edited
         self._table = (np.zeros(1, dtype=np.int64), np.ones(1))
 
-    def _powers(self, ks: list) -> list:
+    def _powers(self, ks: np.ndarray) -> list:
         """The points of new indices, ascending."""
+        low = int(np.searchsorted(ks, self._reach[0], "right"))
+        high = int(np.searchsorted(ks, self._reach[1], "left"))
+        near = ks[low:high].tolist()
         if self._exact is None:
-            return [math.exp(k * self._log_ratio) for k in ks]
-        return _exact_powers(self._exact.numerator, self._exact.denominator, ks)
+            values = [_or_inf(lambda: math.exp(k * self._log_ratio)) for k in near]
+        else:
+            values = _exact_powers(self._exact.numerator, self._exact.denominator, near)
+        return [0.0] * low + values + [math.inf] * (len(ks) - high)
 
     def _points(self, k):
         keys, values = self._table
@@ -684,7 +699,7 @@ class Geometric(Net):
             ks = np.unique(_int_index(k[new]))
             at_new = np.searchsorted(keys, ks)
             self._table = keys, values = (np.insert(keys, at_new, ks),
-                                          np.insert(values, at_new, self._powers(ks.tolist())))
+                                          np.insert(values, at_new, self._powers(ks)))
             at = np.searchsorted(keys, k)
         return values[at]
 
@@ -708,8 +723,16 @@ def _exact_powers(p: int, q: int, ks: list) -> list:
                 num, den = num * a, den * b
             else:
                 num, den = a ** m, b ** m
-            value[sign * m], last = num / den, m
+            value[sign * m], last = _or_inf(lambda: num / den), m
     return [value[k] for k in ks]
+
+
+def _or_inf(value: Callable[[], float]) -> float:
+    """value(), or inf where the float it gives overflows."""
+    try:
+        return value()
+    except OverflowError:
+        return math.inf
 
 
 class BinomialSine(Net):
@@ -719,8 +742,6 @@ class BinomialSine(Net):
     Strictly increasing in t and contained in (0, 1); the endpoints t = 0
     and t = L (which would give p = 0 and p = 1) are excluded.
     """
-
-    kind = "binomial_sine"
 
     def __init__(self, n: int):
         if n < 4:
@@ -836,17 +857,14 @@ class REpsilon(Estimator):
     the bundles' rule), "even" or "odd" (the even/odd split's halves).
     Half-open like the cells, so ``index`` and ``edges`` agree on every
     float (which end the neighbourhood holds is a null set under
-    continuous laws).  Requires eps <= 1/5 so neighbouring choices cannot
-    interact.
+    continuous laws).  Requires eps in (0, 1/5] (:func:`_epsilon`).
     """
 
     def __init__(self, epsilon: float, tie: TieRule = "up",
                  net: IntegerLattice | None = None):
-        if not 0.0 < epsilon <= 0.2:
-            raise DomainError("epsilon must lie in (0, 1/5]")
+        self.epsilon = _epsilon(epsilon)
         if tie not in _TIES:
             raise DomainError(f"unknown tie rule {tie!r}")
-        self.epsilon = float(epsilon)
         self.net = net if net is not None else IntegerLattice()
         self._tie = _TIES[tie]
 

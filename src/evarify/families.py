@@ -45,6 +45,7 @@ family-specific from the bundle.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,16 +106,6 @@ __all__ = [
     "normal_variance_family",
     "cauchy_family",
 ]
-
-FAMILY_IDS = (
-    "binomial",
-    "discrete_uniform",
-    "poisson",
-    "continuous_uniform",
-    "normal_mean",
-    "normal_variance",
-    "cauchy",
-)
 
 #: Safety multiplier applied to numerically estimated factors (binomial).
 ESTIMATED_FACTOR_MARGIN = 1.1
@@ -741,36 +732,29 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
         # neighbourhoods; only defined for single observations
         if n != 1:
             raise DomainError("the r^epsilon variant uses n = 1")
-        eps = float(epsilon)
-        est = REpsilon(eps)
-        c_prime = 0.5 * (0.5 + eps) ** 2
-        inputs = FactorInputs(c_prime=c_prime, alpha=1.0)
-        return FamilyBundle(
-            family=fam,
-            net=est.net,
-            estimator=est,
-            factor_inputs=inputs,
-            factor_C=factor_from_growth(c_prime, 1.0),
-            theta_grid=_normal_mean_theta_grid,
-            identity_axes=_location_axes(6.0),
-            params={"n": 1, "epsilon": eps},
-            bundle_id=f"normal_mean(epsilon={eps})",
-        )
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise DomainError("alpha must be > 0")
-    net = ScaledLattice(alpha=alpha, n=n)
-    inputs = FactorInputs(c_prime=alpha ** 2 / 8.0, c=alpha ** 2 / 2.0)
+        est: Estimator = REpsilon(float(epsilon))
+        eps = est.epsilon
+        inputs = FactorInputs(c_prime=0.5 * (0.5 + eps) ** 2, alpha=1.0)
+        C = factor_from_growth(inputs.c_prime, 1.0)
+        params, bundle_id = {"n": 1, "epsilon": eps}, f"normal_mean(epsilon={eps})"
+    else:
+        alpha = float(alpha)
+        if alpha <= 0:
+            raise DomainError("alpha must be > 0")
+        est = RoundToNet(ScaledLattice(alpha=alpha, n=n))
+        inputs = FactorInputs(c_prime=alpha ** 2 / 8.0, c=alpha ** 2 / 2.0)
+        C = factor_from_steps(inputs.c_prime, inputs.c)
+        params, bundle_id = {"alpha": alpha, "n": n}, f"normal_mean(alpha={alpha},n={n})"
     return FamilyBundle(
         family=fam,
-        net=net,
-        estimator=RoundToNet(net),
+        net=est.net,
+        estimator=est,
         factor_inputs=inputs,
-        factor_C=factor_from_steps(alpha ** 2 / 8.0, alpha ** 2 / 2.0),
+        factor_C=C,
         theta_grid=_normal_mean_theta_grid,
         identity_axes=_location_axes(6.0),
-        params={"alpha": alpha, "n": n},
-        bundle_id=f"normal_mean(alpha={alpha},n={n})",
+        params=params,
+        bundle_id=bundle_id,
     )
 
 
@@ -804,12 +788,8 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
 
 def _make_cauchy(epsilon: float | None = None) -> FamilyBundle:
     net = IntegerLattice()
-    if epsilon is None:
-        est: Estimator = RoundToNet(net)
-        eps_id = ""
-    else:
-        est = REpsilon(float(epsilon), net=net)
-        eps_id = f"(epsilon={float(epsilon)})"
+    est = RoundToNet(net) if epsilon is None else REpsilon(float(epsilon), net=net)
+    params = {} if epsilon is None else {"epsilon": est.epsilon}
     inputs = FactorInputs(c_prime=math.log(2.0), alpha=1.0)
     return FamilyBundle(
         family=cauchy_family(),
@@ -819,9 +799,23 @@ def _make_cauchy(epsilon: float | None = None) -> FamilyBundle:
         factor_C=factor_from_growth(math.log(2.0), 1.0),
         theta_grid=_cauchy_theta_grid,
         identity_axes=_location_axes(30.0),
-        params={} if epsilon is None else {"epsilon": float(epsilon)},
-        bundle_id=f"cauchy{eps_id}",
+        params=params,
+        bundle_id=f"cauchy(epsilon={est.epsilon})" if params else "cauchy",
     )
+
+
+#: each family id's bundle maker, whose keyword arguments are its params
+_MAKERS = {
+    "binomial": _make_binomial,
+    "discrete_uniform": _make_discrete_uniform,
+    "poisson": _make_poisson,
+    "continuous_uniform": _make_continuous_uniform,
+    "normal_mean": _make_normal_mean,
+    "normal_variance": _make_normal_variance,
+    "cauchy": _make_cauchy,
+}
+
+FAMILY_IDS = tuple(_MAKERS)
 
 
 def make_bundle(name: str, **params) -> FamilyBundle:
@@ -833,20 +827,12 @@ def make_bundle(name: str, **params) -> FamilyBundle:
     parameters, and an ``n`` that is not integral, raise
     :class:`DomainError` naming the valid choices or the value.
     """
-    makers = {
-        "binomial": (_make_binomial, {"n"}),
-        "discrete_uniform": (_make_discrete_uniform, set()),
-        "poisson": (_make_poisson, set()),
-        "continuous_uniform": (_make_continuous_uniform, set()),
-        "normal_mean": (_make_normal_mean, {"alpha", "n", "epsilon"}),
-        "normal_variance": (_make_normal_variance, {"n"}),
-        "cauchy": (_make_cauchy, {"epsilon"}),
-    }
-    if name not in makers:
+    if name not in _MAKERS:
         raise DomainError(
             f"unknown family {name!r}; valid ids: {', '.join(FAMILY_IDS)}"
         )
-    maker, allowed = makers[name]
+    maker = _MAKERS[name]
+    allowed = set(inspect.signature(maker).parameters)
     unknown = set(params) - allowed
     if unknown:
         raise DomainError(

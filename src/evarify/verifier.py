@@ -494,6 +494,11 @@ def _theta_grid(bundle: FamilyBundle, theta_grid: Sequence[float] | None) -> lis
 # ---------------------------------------------------------------------------
 
 
+def _json_bytes(report: dict) -> bytes:
+    """A report as the bytes of its JSON file."""
+    return json.dumps(report, sort_keys=True, indent=2).encode()
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Per-parameter expectation estimates with the worst case and a
@@ -515,24 +520,12 @@ class VerificationReport:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "bundle_id": self.bundle_id,
-            "mode": self.mode,
-            "factor_C": self.factor_C,
-            "rng_seed": self.rng_seed,
-            "plan_method": self.plan_method,
-            "worst_theta": self.worst_theta,
-            "worst_value": self.worst_value,
-            "worst_error_bound": self.worst_error_bound,
-            "verdict": self.verdict,
-            "rows": [
-                {"theta": t, "estimate": est, "error_bound": eb, "method": m}
-                for (t, est, eb, m) in self.rows
-            ],
-        }
+        fields = ("theta", "estimate", "error_bound", "method")
+        # the fields as they are: dataclasses.asdict deep-copies every row
+        return {**vars(self), "rows": [dict(zip(fields, row)) for row in self.rows]}
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2).encode()
+        return _json_bytes(self.to_dict())
 
     def to_csv(self) -> str:
         lines = ["theta,estimate,error_bound,method"]

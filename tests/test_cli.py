@@ -330,3 +330,132 @@ class TestIndicesBeyondFloatResolution:
         assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
         assert time.perf_counter() - start < 5.0
         assert "2**53" in capsys.readouterr().err
+
+
+def _set(cfg: dict, path: tuple, value) -> dict:
+    """A copy of ``cfg`` with ``value`` at the key ``path`` names."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return cfg
+
+
+#: (subcommand, flag, value, the config key it sets, the rest of the config)
+_FLAG_CASES = [
+    (command, flag, value, path, base)
+    for command in ("certify", "check-conditions")
+    for flag, value, path, base in [
+        ("--family", "poisson", ("family", "name"), {}),
+        ("--n", "16", ("family", "params", "n"), {"family": {"name": "normal_mean"}}),
+        ("--alpha", "2.0", ("family", "params", "alpha"), {"family": {"name": "normal_mean"}}),
+        ("--epsilon", "0.1", ("family", "params", "epsilon"), {"family": {"name": "cauchy"}}),
+        ("--seed", "5", ("seed",), {"family": {"name": "poisson"}}),
+        ("--format", "csv", ("output", "format"), {"family": {"name": "poisson"}}),
+    ]
+] + [
+    ("certify", "--suite", "ones", ("suite",), {"family": {"name": "poisson"}}),
+    ("certify", "--mode", "interpolated", ("mode", "kind"),
+     {"family": {"name": "cauchy", "params": {"epsilon": "0.2"}}}),
+]
+
+
+class TestEachFlagIsOneConfigKey:
+    @pytest.mark.parametrize("command,flag,value,path,base", _FLAG_CASES,
+                             ids=[f"{c[0]}{c[1]}" for c in _FLAG_CASES])
+    def test_flag_and_config_key_give_the_same_report(
+            self, tmp_path, capsys, command, flag, value, path, base):
+        base = {**base, "theta_grid": {"values": [0.5, 1.0, 4.0]}}
+        runs = []
+        for name, cfg, argv in [("flag", base, [flag, value]),
+                                ("key", _set(base, path, value), [])]:
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+            out = tmp_path / f"{name}.report"
+            code = run([command, "--config", str(tmp_path / f"{name}.json"),
+                        "--out", str(out), *argv])
+            runs.append((code, capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_PASS
+
+    @pytest.mark.parametrize("command", ["certify", "check-conditions", "counterexample"])
+    def test_out_flag_and_output_path_write_the_same_report(self, tmp_path, command):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": {"name": "poisson"}, "lambda": "5",
+                                   "output": {"path": str(tmp_path / "key.json")}}))
+        run([command, "--config", str(cfg)])
+        run([command, "--config", str(cfg), "--out", str(tmp_path / "flag.json")])
+        assert (tmp_path / "flag.json").read_bytes() == (tmp_path / "key.json").read_bytes()
+
+    def test_an_empty_out_path_exits_3(self, capsys):
+        assert run(["certify", "--family", "poisson", "--out", ""]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "output" in err
+
+    def test_interpolated_epsilon_from_config_as_from_flags(self, tmp_path, capsys):
+        """The interpolated composite's epsilon is the family's when the
+        mode gives none, from a config file as from flags (a config once
+        certified the epsilon = 0.2 composite under an epsilon = 0.05
+        header)."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": {"name": "cauchy", "params": {"epsilon": "0.05"}},
+                                   "mode": {"kind": "interpolated"}}))
+        runs = []
+        for argv in (["--config", str(cfg)],
+                     ["--family", "cauchy", "--epsilon", "0.05", "--mode", "interpolated"]):
+            out = tmp_path / "rep.json"
+            code = run(["certify", *argv, "--out", str(out)])
+            runs.append((code, capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert "cauchy(epsilon=0.05) [interpolated] worst E = 1.00000163" in runs[0][1]
+
+    def test_mode_epsilon_sets_the_composite(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mode": {"kind": "interpolated", "epsilon": "0.1"},
+                                   "theta_grid": {"values": [0.5]}}))
+        reports = []
+        for eps in ("0.05", "0.2"):
+            out = tmp_path / f"{eps}.json"
+            assert run(["certify", "--config", str(cfg), "--family", "cauchy",
+                        "--epsilon", eps, "--out", str(out)]) == EXIT_PASS
+            reports.append(json.loads(out.read_text()))
+        assert reports[0]["rows"] == reports[1]["rows"]
+        assert reports[0]["bundle_id"] != reports[1]["bundle_id"]
+
+    @pytest.mark.parametrize("argv", [
+        ["list-families", "--seed", "3"], ["list-families", "--config", "run.json"],
+        ["counterexample", "--family", "poisson", "--lambda", "5", "--n", "5"],
+        ["counterexample", "--family", "poisson", "--lambda", "5", "--seed", "1"],
+        ["counterexample", "--family", "poisson", "--lambda", "5", "--epsilon", "0.1"],
+        ["counterexample", "--family", "poisson", "--lambda", "5", "--alpha", "1"],
+        ["check-conditions", "--family", "poisson", "--mode", "discrete"],
+        ["certify", "--family", "poisson", "--lambda", "5"]])
+    def test_a_flag_the_subcommand_does_not_read_exits_3(self, capsys, argv):
+        assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
+    def test_a_partial_plan_takes_the_other_defaults(self):
+        from evarify.cli import _plan_from
+        from evarify.verifier import ExpectationPlan
+
+        assert _plan_from({}) == ExpectationPlan()
+        assert _plan_from({"plan": {"abs_tol": "1e-8"}}) == ExpectationPlan(abs_tol=1e-8)
+        assert _plan_from({"plan": {"method": "monte_carlo", "samples": 500}, "seed": 4}) == \
+            ExpectationPlan(method="monte_carlo", mc_samples=500, seed=4)
+
+
+class TestNetIndicesBeyondTheFloats:
+    @pytest.mark.parametrize("n", [64, 5])
+    @pytest.mark.parametrize("component", [
+        {"index": 100000, "type": "spike"},
+        {"index": 100000, "type": "likelihood_ratio", "alternative": "2.0"}],
+        ids=["spike", "likelihood_ratio"])
+    def test_a_component_past_the_largest_float_exits_3(self, tmp_path, capsys, n, component):
+        """Its net point is inf: a zero-probability cell, or a parameter
+        outside the space, where the exact power once overflowed."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": {"name": "normal_variance", "params": {"n": n}},
+                                   "components": [component]}))
+        assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err

@@ -671,3 +671,24 @@ class TestGenericBatchPath:
         comp = combine_interpolated(b, {2: EVariable(fn=lambda x: -float(x))}, 0.2, 2.0)
         with pytest.raises(ContractViolationError, match=r"component 2 evaluated to -2\.0 at x=2\.0"):
             comp.eval_many(np.array([0.0, 2.0, 3.0]))
+
+
+class TestSpikeSuiteMapping:
+    def test_lookup_iteration_and_length(self):
+        """A suite maps each of its keys, in the order given, to that
+        key's spike; any other key is missing."""
+        from evarify.verifier import spike_suite
+
+        b = make_bundle("poisson")
+        suite = spike_suite(b, [5, 2, 9])
+        assert list(suite) == [5, 2, 9] and len(suite) == 3
+        assert all(type(k) is int for k in suite)
+        xs = np.arange(0.0, 120.0)
+        for k in (5, 2, 9):
+            assert [suite[k](x) for x in xs] == [spike_evar(b, k)(x) for x in xs]
+            assert suite[k].sup_bound == spike_evar(b, k).sup_bound
+        for missing in (3, 2.5, -1):
+            with pytest.raises(KeyError):
+                suite[missing]
+            assert missing not in suite
+        assert 2 in suite and dict(suite).keys() == {2, 5, 9}

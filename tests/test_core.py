@@ -7,6 +7,7 @@ quadrature for the calibrator normalization.
 """
 
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -796,3 +797,38 @@ class TestEdges:
             times.append(time.perf_counter() - start)
         assert bounds.shape == (20_001, 2)
         assert float(np.median(times)) < 0.02
+
+
+class TestGeometricBeyondTheFloats:
+    @pytest.mark.parametrize("n", [64, 5, 10**4])
+    def test_far_points_are_zero_and_inf_without_a_power(self, n):
+        """Points below 2^-1076 are 0.0 and points above the largest
+        float inf, at once: a power of the index is never taken."""
+        net = make_bundle("normal_variance", n=n).net
+        start = time.perf_counter()
+        assert net.points([-10**15, 10**15]).tolist() == [0.0, math.inf]
+        assert time.perf_counter() - start < 0.05
+        assert net.points([-10**6, 10**6]).tolist() == [0.0, math.inf]
+        k = net.round_index(1.7e308)
+        assert isinstance(k, int) and net.points(k - 1) < 1.7e308
+
+    def test_exact_points_across_the_float_range(self):
+        """Every point of the 9/8 net is float((9/8)^k) bit for bit, inf
+        where that overflows, from underflow to overflow."""
+        net = make_bundle("normal_variance", n=64).net
+        ks = range(-6400, 6101)
+
+        def exact(k):
+            try:
+                return float(Fraction(9, 8) ** k)
+            except OverflowError:
+                return math.inf
+        assert net.points(ks).tolist() == [exact(k) for k in ks]
+
+    def test_float_ratio_points_across_the_float_range(self):
+        ratio = 1.0 + 1.0 / math.sqrt(5)
+        net = make_bundle("normal_variance", n=5).net
+        ks = range(-2100, 2000)
+        logs = [k * math.log(ratio) for k in ks]
+        assert net.points(ks).tolist() == [
+            math.exp(x) if x < 709.78 else math.inf for x in logs]

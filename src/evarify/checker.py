@@ -58,6 +58,9 @@ IDENTITY_TOL = 1e-9
 SLACK_TOL = 1e-7
 
 _WITNESS_CAP = 10
+#: cells of a continuous family's cell samples and draws in each; random
+#: monotone triples of the reverse-triangle check
+_CELLS, _PER_CELL, _TRIPLES = 120, 25, 1000
 
 #: values (parameters times lifted samples) of one family call in the
 #: identity check: 3 rows of the binomial n = 10^4 axis, past which larger
@@ -93,26 +96,25 @@ class ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def default_cell_samples(bundle: FamilyBundle, n_cells: int = 120,
-                         per_cell: int = 25, seed: int = 0):
+def default_cell_samples(bundle: FamilyBundle, seed: int = 0):
     """Support samples concentrated on cell extremes plus a seeded fill;
     the divergence to the selected point is monotone towards the cell
     edges for every family here, so including exact edges makes the
     estimated cell bound sharp.  Discrete families bring their own
     (``FamilyBundle.cell_samples``); continuous ones get both edges and
-    ``per_cell`` draws in each of ``n_cells`` cells (over a unit length
+    ``_PER_CELL`` draws in each of ``_CELLS`` cells (over a unit length
     next to the finite end of an unbounded cell), lifted to samples as
     one batch, cell by cell."""
     rng = np.random.default_rng(seed)
     if bundle.cell_samples is not None:
-        return bundle.cell_samples(bundle, n_cells, per_cell, rng)
+        return bundle.cell_samples(bundle, rng)
     net, est = bundle.net, bundle.estimator
-    half = n_cells // 2
+    half = _CELLS // 2
     first = max(-half if net.k_min is None else net.k_min, -half)
-    e = est.edges(np.arange(first, first + n_cells))
+    e = est.edges(np.arange(first, first + _CELLS))
     lo = np.where(np.isfinite(e[:, 0]), e[:, 0], e[:, 1] - 1.0)
     hi = np.where(np.isfinite(e[:, 1]), e[:, 1], e[:, 0] + 1.0)
-    inner = rng.uniform(lo[:, None], hi[:, None], (n_cells, per_cell))
+    inner = rng.uniform(lo[:, None], hi[:, None], (_CELLS, _PER_CELL))
     # each cell's ends, the float next to an end inside where it is open
     right = est.right_closed
     v = np.column_stack([np.nextafter(lo, hi) if right else lo,
@@ -372,7 +374,6 @@ def check_divergence_growth(
 def check_reverse_triangle(
     bundle: FamilyBundle,
     triples: Sequence[tuple[float, float, float]] | None = None,
-    n_triples: int = 1000,
     seed: int = 0,
 ) -> ConditionReport:
     """d(t1||t3) >= d(t1||t2) + d(t2||t3) on monotone triples, within
@@ -383,14 +384,13 @@ def check_reverse_triangle(
         rng = np.random.default_rng(seed)
         space = bundle.family.param_space
         if space.integer:
-            draws = rng.integers(0, 4096, (n_triples, 3)).astype(float)
+            draws = rng.integers(0, 4096, (_TRIPLES, 3)).astype(float)
         elif space.lo == 0.0:  # scale parameter: geometric draws
-            draws = np.exp(rng.uniform(math.log(1e-3), math.log(1e3),
-                                       (n_triples, 3)))
+            draws = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), (_TRIPLES, 3)))
         else:
-            draws = rng.uniform(-50.0, 50.0, (n_triples, 3))
+            draws = rng.uniform(-50.0, 50.0, (_TRIPLES, 3))
         draws.sort(axis=1)
-        triples = np.vstack([draws, draws[: n_triples // 2, ::-1]])
+        triples = np.vstack([draws, draws[: _TRIPLES // 2, ::-1]])
     t = np.asarray(triples, dtype=float).reshape(-1, 3)
     div = bundle.family.divergence_fn
     d13, d12, d23 = div(t[:, 0], t[:, 2]), div(t[:, 0], t[:, 1]), div(t[:, 1], t[:, 2])

@@ -22,19 +22,20 @@ failed (including the demonstrated counterexample); 3 configuration
 error.  Reports are written as JSON (machine) or CSV (tables) and are
 byte-identical across runs with the same configuration and seed.
 
-Configuration files are JSON; every numeric field also accepts an exact
-decimal string (e.g. ``"epsilon": "0.2"``).  A null, a bool, a value that
-is not finite, a value that is not integral in an integer field (``n``,
-``samples``, ``seed``), or another value where a number or an object
-belongs is a configuration error that names the field, except
-``"epsilon": null``, which means no epsilon is given.
+Configuration files are JSON; a numeric field also takes an exact decimal
+string (``"epsilon": "0.2"``).  A null (save ``"epsilon": null``: no
+epsilon), a bool, a value that is not finite or, in ``n``, ``samples`` or
+``seed``, not integral, or another value where a number or an object
+belongs is a configuration error that names the field.
 Each flag sets one config key, over the file's value: ``--family`` the
 family's ``name``; ``--n``, ``--alpha`` and ``--epsilon`` its ``params``;
 ``--seed``, ``--suite`` and ``--lambda`` the keys of their names;
 ``--mode`` ``mode.kind``; ``--out`` and ``--format`` ``output.path`` and
-``output.format``.  The interpolated composite's half-width is
-``mode.epsilon`` when given, else the family's ``epsilon`` param, else
-0.2.  Unset plan keys take :class:`ExpectationPlan`'s defaults.  Schema::
+``output.format``.  The interpolated half-width is the family's
+``epsilon``, else 0.2; its factor covers it and 0.05, 0.1 and 0.2.
+``plan`` and ``mode`` take only the keys below (another exits 3, naming
+it), unset plan keys :class:`ExpectationPlan`'s defaults (``tail_mass`` in
+[2**-51, 1e-12], ``seed`` in [0, 2**64)).  Schema::
 
     {
       "command": "certify",
@@ -44,7 +45,7 @@ family's ``name``; ``--n``, ``--alpha`` and ``--epsilon`` its ``params``;
       "mode": {"kind": "discrete"},
       "theta_grid": {"kind": "default"},        # or {"values": [...]}
       "plan": {"method": "auto", "tail_mass": "1e-12",   # or "monte_carlo"
-               "abs_tol": "1e-9", "samples": 1000000},
+               "samples": 1000000},
       "seed": 7,
       "output": {"path": "report.json", "format": "json"}
     }
@@ -63,6 +64,7 @@ from .core import ConfigError, EvarifyError, _number
 from .families import FAMILY_IDS, make_bundle
 from .verifier import (
     ExpectationPlan,
+    _FACTOR_EPSILONS,
     _json_bytes,
     _theta_grid,
     certify_interpolated_factor,
@@ -87,12 +89,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _object(cfg: dict, key: str, field: str | None = None) -> dict:
+def _object(cfg: dict, key: str, field: str | None = None, keys=None) -> dict:
     """The JSON object under ``key`` ({} when absent); a ConfigError
-    naming the field for any other value, null included."""
-    value = cfg.get(key, {})
+    naming the field for any other value, null included, or naming a key
+    of it outside ``keys`` when they are given."""
+    field, value = field or key, cfg.get(key, {})
     if not isinstance(value, dict):
-        raise ConfigError(f"{field or key} must be a JSON object, got {value!r}")
+        raise ConfigError(f"{field} must be a JSON object, got {value!r}")
+    unknown = [name for name in value if keys is not None and name not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key {field}.{unknown[0]} (allowed: {', '.join(keys)})")
     return value
 
 
@@ -142,8 +148,9 @@ def _with_flags(cfg: dict, args) -> dict:
 def _bundle_from(cfg: dict):
     fam_cfg = _object(cfg, "family")
     name = fam_cfg.get("name")
-    if not name:
-        raise ConfigError("no family given (use --family or the config file)")
+    if not isinstance(name, str) or not name:  # named as the --family flag names it
+        raise ConfigError(f"{'.'.join(_FLAGS['--family'][0])} must name a family "
+                          f"(use --family), got {name!r}")
     clean = {}
     for key, value in _object(fam_cfg, "params", "family.params").items():
         clean[key] = (None if key == "epsilon" and value is None else  # no epsilon
@@ -151,16 +158,15 @@ def _bundle_from(cfg: dict):
     return make_bundle(name, **clean)
 
 
-#: the plan keys a config may give, each with its ExpectationPlan field
-#: and number type
-_PLAN_KEYS = {"tail_mass": ("tail_mass", float), "abs_tol": ("abs_tol", float),
-              "samples": ("mc_samples", int)}
+#: the plan keys a config may give besides ``method``, each with its
+#: ExpectationPlan field and number type
+_PLAN_KEYS = {"tail_mass": ("tail_mass", float), "samples": ("mc_samples", int)}
 
 
 def _plan_from(cfg: dict) -> ExpectationPlan:
     """The plan of the keys the config gives, ``ExpectationPlan``'s
     defaults for the others."""
-    plan_cfg = _object(cfg, "plan")
+    plan_cfg = _object(cfg, "plan", keys=("method", *_PLAN_KEYS))
     given = {field: _number(plan_cfg[key], f"plan.{key}", kind)
              for key, (field, kind) in _PLAN_KEYS.items() if key in plan_cfg}
     if "method" in plan_cfg:
@@ -184,16 +190,22 @@ def _grid_from(cfg: dict, bundle):
 
 
 def _output(cfg: dict):
-    """The report writer, its ``output`` read and checked before any work."""
+    """The report writer, its ``output`` (the path's directory included)
+    checked before any work; a write that fails is a ConfigError."""
     out_cfg = _object(cfg, "output")
     path = out_cfg.get("path")
     fmt = out_cfg.get("format", "json")
     if fmt not in ("json", "csv") or not (path is None or isinstance(path, str) and path):
         raise ConfigError(f"output: unknown report format {fmt!r} or bad path {path!r}")
+    if path is not None and not Path(path).parent.is_dir():
+        raise ConfigError(f"output.path {path!r}: no directory {str(Path(path).parent)!r}")
 
     def write(payload: dict, csv_text: str) -> None:
-        if path is not None:
-            Path(path).write_bytes(_json_bytes(payload) if fmt == "json" else csv_text.encode())
+        try:
+            if path is not None:
+                Path(path).write_bytes(_json_bytes(payload) if fmt == "json" else csv_text.encode())
+        except OSError as exc:
+            raise ConfigError(f"output.path {path!r}: {exc}") from exc
     return write
 
 
@@ -235,8 +247,7 @@ def _cmd_certify(cfg) -> int:
     bundle = _bundle_from(cfg)
     plan = _plan_from(cfg)
     grid = _grid_from(cfg, bundle)
-    mode_cfg = _object(cfg, "mode")
-    mode = mode_cfg.get("kind", "discrete")
+    mode = _object(cfg, "mode", keys=("kind",)).get("kind", "discrete")
     suite = cfg.get("suite", "spikes")
     if suite not in ("spikes", "ones"):
         raise ConfigError(f"unknown suite {suite!r} (spikes | ones)")
@@ -246,10 +257,9 @@ def _cmd_certify(cfg) -> int:
             raise ConfigError("interpolated mode takes no 'components'")
         if suite == "ones":
             raise ConfigError("interpolated mode supports the spikes suite only")
-        eps = mode_cfg.get("epsilon")
-        eps = (_number(eps, "mode.epsilon") if eps is not None
-               else bundle.params.get("epsilon", 0.2))
-        factor, _ = certify_interpolated_factor(bundle)
+        # the composite's half-width is the bundle's; its factor covers it
+        eps = bundle.params.get("epsilon", 0.2)
+        factor, _ = certify_interpolated_factor(bundle, (*_FACTOR_EPSILONS, eps))
         composite = interpolated_spike_composite(bundle, eps, factor)
     elif mode == "discrete":
         if "components" in cfg:

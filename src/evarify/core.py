@@ -860,12 +860,11 @@ class REpsilon(Estimator):
     continuous laws).  Requires eps in (0, 1/5] (:func:`_epsilon`).
     """
 
-    def __init__(self, epsilon: float, tie: TieRule = "up",
-                 net: IntegerLattice | None = None):
+    def __init__(self, epsilon: float, tie: TieRule = "up"):
         self.epsilon = _epsilon(epsilon)
         if tie not in _TIES:
             raise DomainError(f"unknown tie rule {tie!r}")
-        self.net = net if net is not None else IntegerLattice()
+        self.net = IntegerLattice()
         self._tie = _TIES[tie]
 
     def _choice(self, m: np.ndarray) -> np.ndarray:

@@ -428,8 +428,8 @@ def cauchy_family() -> Family:
 
 @dataclass(frozen=True)
 class FamilyBundle:
-    """A family wired to its net, estimator and normalizing factor, with
-    the family's adversarial grids.
+    """A family wired to its estimator (and so to the estimator's
+    ``net``) and normalizing factor, with the family's adversarial grids.
 
     A sample reaches its cell one way: ``locate``, then ``index`` (its
     cell is ``cell_bounds`` of that index, its net point ``estimate``).
@@ -438,15 +438,14 @@ class FamilyBundle:
     by ``dataclasses.replace`` is read afresh), run only when asked for:
     ``theta_grid(b)``, the parameters a sweep certifies at, in any order;
     ``identity_axes(b)``, the (thetas, net indices, statistic values) of
-    the checker's log-ratio identity grid; ``cell_samples(b, n_cells,
-    per_cell, rng)``, the discrete families' samples for the cell checks
-    (None: the checker fills the estimator's cells).
+    the checker's log-ratio identity grid; ``cell_samples(b, rng)``, the
+    discrete families' samples for the cell checks (None: the checker
+    fills the estimator's cells).
 
     Bundles are immutable and safe for concurrent reads.
     """
 
     family: Family
-    net: Net
     estimator: Estimator
     factor_inputs: FactorInputs | None
     factor_C: float
@@ -465,6 +464,10 @@ class FamilyBundle:
         inputs = self.factor_inputs or FactorInputs()
         return ("growth" if inputs.alpha is not None
                 else "steps" if inputs.c is not None else "direct")
+
+    @property
+    def net(self) -> Net:
+        return self.estimator.net
 
     def estimate(self, x):
         """The selected net point for one sample ``x`` (a float) or a
@@ -583,17 +586,17 @@ def _poisson_theta_grid(b: FamilyBundle) -> np.ndarray:
                            t * t + t + 0.75, np.maximum(0.5, t * t - t)])
 
 
-def _poisson_cell_samples(b: FamilyBundle, n_cells: int, per_cell: int, rng) -> list:
-    """Both ends of the cells {t^2 - t + 1 .. t^2 + t} of the first
-    ``n_cells`` squares, filled in full or by ``per_cell`` seeded draws."""
+def _poisson_cell_samples(b: FamilyBundle, rng) -> list:
+    """Both ends of the cells {t^2 - t + 1 .. t^2 + t} of the first 120
+    squares, filled in full or by 25 seeded draws."""
     samples = [0.0]
-    for t in range(1, n_cells + 1):
+    for t in range(1, 121):
         a, c = t * t - t + 1, t * t + t
         samples += [float(a), float(c)]
-        if c - a <= per_cell:
+        if c - a <= 25:
             samples += [float(v) for v in range(a + 1, c)]
         else:
-            samples += [float(v) for v in rng.integers(a, c + 1, per_cell)]
+            samples += [float(v) for v in rng.integers(a, c + 1, 25)]
     return samples
 
 
@@ -646,8 +649,6 @@ def _binomial_growth_alpha(net: BinomialSine, div) -> float:
 def _make_binomial(n: int | None = None) -> FamilyBundle:
     if n is None:
         raise DomainError("the binomial bundle needs the trial count n")
-    if n < 4:
-        raise DomainError("binomial bundle needs n >= 4")
     fam = binomial_family(n)
     net = BinomialSine(n)
     est = RoundToNet(net)
@@ -658,43 +659,38 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
     C = ESTIMATED_FACTOR_MARGIN * factor_from_growth(c_prime, alpha)
     return FamilyBundle(
         family=fam,
-        net=net,
         estimator=est,
         factor_inputs=inputs,
         factor_C=C,
         theta_grid=_binomial_theta_grid,
         identity_axes=lambda b: (np.linspace(0.02, 0.98, 50), b.net.indices(),
                                  np.arange(0, b.params["n"] + 1) / b.params["n"]),
-        cell_samples=lambda b, n_cells, per_cell, rng: np.arange(b.params["n"] + 1.0),
+        cell_samples=lambda b, rng: np.arange(b.params["n"] + 1.0),
         params={"n": n},
         bundle_id=f"binomial(n={n})",
     )
 
 
 def _make_discrete_uniform() -> FamilyBundle:
-    net = DyadicInt()
     return FamilyBundle(
         family=discrete_uniform_family(),
-        net=net,
-        estimator=CeilDyadic(net),
+        estimator=CeilDyadic(DyadicInt()),
         factor_inputs=None,
         factor_C=3.0,
         theta_grid=_discrete_uniform_theta_grid,
         identity_axes=lambda b: (_DYADIC_SIZES, range(0, 12), _DYADIC_SIZES),
-        # every support point of the first min(n_cells, 14) dyadic cells
-        cell_samples=lambda b, n_cells, per_cell, rng: np.arange(2 ** min(n_cells, 14) + 1.0),
+        # every support point of the first 14 dyadic cells
+        cell_samples=lambda b, rng: np.arange(2.0 ** 14 + 1.0),
         params={},
         bundle_id="discrete_uniform",
     )
 
 
 def _make_poisson() -> FamilyBundle:
-    net = Squares()
     inputs = FactorInputs(c_prime=1.0, c=1.0)
     return FamilyBundle(
         family=poisson_family(),
-        net=net,
-        estimator=RoundToNet(net),
+        estimator=RoundToNet(Squares()),
         factor_inputs=inputs,
         factor_C=factor_from_steps(1.0, 1.0),
         theta_grid=_poisson_theta_grid,
@@ -707,11 +703,9 @@ def _make_poisson() -> FamilyBundle:
 
 
 def _make_continuous_uniform() -> FamilyBundle:
-    net = DyadicReal()
     return FamilyBundle(
         family=continuous_uniform_family(),
-        net=net,
-        estimator=CeilDyadic(net),
+        estimator=CeilDyadic(DyadicReal()),
         factor_inputs=None,
         factor_C=3.0,
         theta_grid=lambda b: _scale_grid(b.net.points(np.arange(-10, 11))),
@@ -724,9 +718,6 @@ def _make_continuous_uniform() -> FamilyBundle:
 
 def _make_normal_mean(alpha: float = 1.0, n: int = 1,
                       epsilon: float | None = None) -> FamilyBundle:
-    if n < 1:
-        raise DomainError("n must be a positive integer")
-    fam = normal_mean_family(n)
     if epsilon is not None:
         # unit-lattice variant with rounding freed on half-integer
         # neighbourhoods; only defined for single observations
@@ -739,15 +730,12 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
         params, bundle_id = {"n": 1, "epsilon": eps}, f"normal_mean(epsilon={eps})"
     else:
         alpha = float(alpha)
-        if alpha <= 0:
-            raise DomainError("alpha must be > 0")
-        est = RoundToNet(ScaledLattice(alpha=alpha, n=n))
+        est = RoundToNet(ScaledLattice(alpha=alpha, n=n))  # it checks alpha > 0, n >= 1
         inputs = FactorInputs(c_prime=alpha ** 2 / 8.0, c=alpha ** 2 / 2.0)
         C = factor_from_steps(inputs.c_prime, inputs.c)
         params, bundle_id = {"alpha": alpha, "n": n}, f"normal_mean(alpha={alpha},n={n})"
     return FamilyBundle(
-        family=fam,
-        net=est.net,
+        family=normal_mean_family(n),
         estimator=est,
         factor_inputs=inputs,
         factor_C=C,
@@ -771,7 +759,6 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
     inputs = FactorInputs(c_prime=0.5, c=1.0 / 32.0)
     return FamilyBundle(
         family=fam,
-        net=net,
         estimator=RoundToNet(net),
         factor_inputs=inputs,
         factor_C=factor_from_steps(0.5, 1.0 / 32.0),
@@ -787,13 +774,11 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
 
 
 def _make_cauchy(epsilon: float | None = None) -> FamilyBundle:
-    net = IntegerLattice()
-    est = RoundToNet(net) if epsilon is None else REpsilon(float(epsilon), net=net)
+    est = RoundToNet(IntegerLattice()) if epsilon is None else REpsilon(float(epsilon))
     params = {} if epsilon is None else {"epsilon": est.epsilon}
     inputs = FactorInputs(c_prime=math.log(2.0), alpha=1.0)
     return FamilyBundle(
         family=cauchy_family(),
-        net=net,
         estimator=est,
         factor_inputs=inputs,
         factor_C=factor_from_growth(math.log(2.0), 1.0),

@@ -91,7 +91,7 @@ def _rng_for(seed: int, theta_index: int) -> np.random.Generator:
     # order cannot matter
     # a uint64 key: numpy makes a list holding 2**63 or more float64, and
     # seeds 2**63 and 2**63 + 1 then round to one key
-    key = np.array([seed & (2**64 - 1), theta_index & (2**64 - 1)], dtype=np.uint64)
+    key = np.array([seed, theta_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -108,18 +108,15 @@ class ExpectationPlan:
     piecewise quadrature for continuous ones; "monte_carlo" draws
     ``mc_samples`` samples.  ``tail_mass`` is the probability mass
     allowed outside the truncation window (charged to the error bound
-    against the composite's sup).  ``abs_tol`` is the
-    target of generic quadrature's error estimate over the window: a
-    piece whose two Gauss-Legendre orders differ by more than abs_tol
-    over the number of pieces is bisected (a fixed number of rounds at
-    most), and the sum of the differences is reported.  Monte Carlo
-    reports a 99% CI half-width plus the mean's rounding as its error
-    bound.
+    against the composite's sup), in [2**-51, 1e-12] (up to 1e-6 for
+    Monte Carlo): below, the spike envelope's upper quantile level
+    1 - tail_mass / 4 rounds to 1.  Generic quadrature aims at ``_QUAD_TOL``.
+    Monte Carlo reports a 99% CI half-width plus the mean's rounding as
+    its error bound, its draws keyed by ``seed``, an integer in [0, 2**64).
     """
 
     method: str = "auto"  # auto | monte_carlo
     tail_mass: float = 1e-12
-    abs_tol: float = 1e-9
     mc_samples: int = 1_000_000
     seed: int = 0
 
@@ -127,14 +124,13 @@ class ExpectationPlan:
         if self.method not in ("auto", "monte_carlo"):
             raise DomainError(f"unknown expectation method {self.method!r} (auto | monte_carlo)")
         cap = 1e-6 if self.method == "monte_carlo" else 1e-12
-        if not 0.0 < self.tail_mass <= cap:
-            raise DomainError(
-                f"tail_mass must lie in (0, {cap:g}] for method {self.method!r}"
-            )
-        if not 0.0 < self.abs_tol < math.inf:
-            raise DomainError(f"abs_tol must be finite and > 0 (got {self.abs_tol!r})")
+        if not 2.0**-51 <= self.tail_mass <= cap:
+            raise DomainError(f"tail_mass must lie in [2**-51, {cap:g}] for method "
+                              f"{self.method!r} (got {self.tail_mass!r})")
         if not self.mc_samples >= 2:  # a sample variance needs two draws
             raise DomainError(f"mc_samples must be at least 2 (got {self.mc_samples!r})")
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):  # a Philox key word
+            raise DomainError(f"seed must be an integer in [0, 2**64) (got {self.seed!r})")
 
 
 @dataclass(frozen=True)
@@ -164,8 +160,12 @@ def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
     """Spikes for every index in ``indices``, each cell under its own net
     point; the cell probabilities come from one CDF call."""
     ks = _index_array(indices).reshape(-1)
+    points = bundle.net.points(ks)
+    if not np.all(np.isfinite(points)):  # beyond the largest float
+        raise DomainError(f"net index {ks[~np.isfinite(points)][0]} of {bundle.bundle_id} "
+                          "has no finite point")
     bounds = bundle.cell_bounds(ks)
-    F = bundle.family.law.cdf(bundle.net.points(ks)[:, None], bounds)
+    F = bundle.family.law.cdf(points[:, None], bounds)
     probs = F[:, 1] - F[:, 0]
     if not np.all(probs > 0.0):
         k = ks[int(np.argmin(probs > 0.0))]
@@ -328,7 +328,7 @@ def _window_quadrature(e, theta, bundle, plan) -> tuple[float, float, tuple]:
 
     knots = _statistic_knots(bundle, lo, hi, getattr(e, "epsilon", None))
     edges = np.concatenate([[lo], knots[(lo < knots) & (knots < hi)], [hi]])
-    return (*_gauss_legendre(integrand, edges, plan.abs_tol), (lo, hi))
+    return (*_gauss_legendre(integrand, edges), (lo, hi))
 
 
 #: Gauss-Legendre nodes and weights on [-1, 1] of the two orders whose
@@ -337,18 +337,20 @@ def _window_quadrature(e, theta, bundle, plan) -> tuple[float, float, tuple]:
 #: on a jump anywhere in about the middle tenth of a piece, and miss it
 _GL_ORDERS = tuple(np.polynomial.legendre.leggauss(n) for n in (8, 17))
 _GL_NODES = np.concatenate([x for x, _ in _GL_ORDERS])
+#: the target of a window's error estimate (see _gauss_legendre)
+_QUAD_TOL = 1e-9
 #: integrand points per call: bounds the temporaries of one evaluation
 _QUAD_BLOCK = 2**16
 #: bisection rounds at most; each bisects at most one block's worth of pieces
 _QUAD_ROUNDS = 60
 
 
-def _gauss_legendre(f, edges: np.ndarray, abs_tol: float) -> tuple[float, float]:
+def _gauss_legendre(f, edges: np.ndarray) -> tuple[float, float]:
     """The integral of f (an array of points to their values) from
     edges[0] to edges[-1] and its error estimate: each piece between
     consecutive edges gets both orders of ``_GL_ORDERS``, the higher order
     is its value and their difference its error.  While some piece's error
-    exceeds abs_tol over the number of pieces, the worst of them (one
+    exceeds ``_QUAD_TOL`` over the number of pieces, the worst of them (one
     block of points) are bisected, ``_QUAD_ROUNDS`` times at most."""
     a, b = edges[:-1], edges[1:]
     keep = b > a
@@ -356,7 +358,7 @@ def _gauss_legendre(f, edges: np.ndarray, abs_tol: float) -> tuple[float, float]
     value, err = _gl_pieces(f, a, b)
     most = _QUAD_BLOCK // (2 * len(_GL_NODES))  # pieces whose halves fill one block
     for _ in range(_QUAD_ROUNDS):
-        bad = np.flatnonzero(err > abs_tol / max(1, len(err)))
+        bad = np.flatnonzero(err > _QUAD_TOL / max(1, len(err)))
         if not len(bad):
             break
         bad = bad[np.argsort(-err[bad], kind="stable")[:most]]
@@ -692,12 +694,15 @@ def interpolated_spike_composite(
     return CompositeEVariable(bundle, spikes, C, "interpolated", float(epsilon), one_period)
 
 
+_FACTOR_EPSILONS = (0.05, 0.1, 0.2)  # the factor's default half-widths
+
+
 def certify_interpolated_factor(
-    bundle: FamilyBundle, epsilons: Sequence[float] = (0.05, 0.1, 0.2)
+    bundle: FamilyBundle, epsilons: Sequence[float] = _FACTOR_EPSILONS
 ) -> tuple[float, dict]:
     """The factor C that makes the interpolated unit-cell spike composite
     an e-variable at every theta in the parameter space, for each of the
-    given epsilons.
+    given epsilons (each once, however often given).
 
     The unnormalised composite f (C = 1) repeats with period 1, so the sup
     of E_theta[f] over the whole line comes from its Fourier series
@@ -713,7 +718,7 @@ def certify_interpolated_factor(
         raise DomainError("epsilons holds no value")
     law = bundle.family.law
     per_eps = {}
-    for eps in epsilons:
+    for eps in dict.fromkeys(epsilons):
         pw = interpolated_spike_composite(bundle, eps, 1.0).piecewise
         sup, bound = periodic_sup(pw, law)
         coefficients = np.abs(pw.a) + np.abs(pw.b) * np.max(np.abs(pw.edges))

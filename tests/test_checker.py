@@ -478,8 +478,9 @@ class TestCellBound:
 
     def test_monotone_under_sample_refinement(self):
         b = make_bundle("poisson")
-        small = default_cell_samples(b, n_cells=20, per_cell=5)
-        big = small + default_cell_samples(b, n_cells=60, per_cell=10, seed=1)
+        samples = default_cell_samples(b)
+        small = samples[:len(samples) // 4]
+        big = small + default_cell_samples(b, seed=1)[len(samples) // 2:]
         assert estimate_cell_bound(b, big) >= estimate_cell_bound(b, small)
 
     @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)

@@ -146,8 +146,8 @@ class TestConfigFile:
     def test_interpolated_mode(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
-            "family": {"name": "cauchy", "params": {"epsilon": "0.2"}},
-            "mode": {"kind": "interpolated", "epsilon": "0.1"},
+            "family": {"name": "cauchy", "params": {"epsilon": "0.1"}},
+            "mode": {"kind": "interpolated"},
             "theta_grid": {"values": [0.0, 0.25, 0.5]},
         }))
         assert run(["certify", "--config", str(cfg)]) == EXIT_PASS
@@ -160,7 +160,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({
             "family": {"name": "cauchy", "params": {"epsilon": "0.2"}},
-            "mode": {"kind": "interpolated", "epsilon": "0.1"},
+            "mode": {"kind": "interpolated"},
             "components": [{"index": 0, "type": "constant", "value": "50"}],
             "theta_grid": {"values": [0.0]},
         }))
@@ -179,6 +179,9 @@ class TestMalformedPlanAndGrid:
         ({"plan": {"method": "monte_carlo", "samples": -5}}, "mc_samples"),
         ({"plan": {"method": "monte_carlo", "samples": 1}}, "mc_samples"),
         ({"plan": {"abs_tol": "-1"}}, "abs_tol"),
+        ({"mode": {"kind": "interpolated", "epsilon": "0.1"}}, "mode.epsilon"),
+        ({"plan": {"bogus": 1}}, "plan.bogus"),
+        ({"mode": {"kind": "discrete", "bogus": 1}}, "mode.bogus"),
         ({"theta_grid": {"values": []}}, "theta_grid"),
         ({"theta_grid": {"values": []}, "mode": {"kind": "interpolated"}}, "theta_grid"),
         ({"theta_grid": {"values": [-1.0]}}, "theta_grid values"),
@@ -214,8 +217,12 @@ class TestMalformedPlanAndGrid:
         ({"seed": 7.5}, "seed"),
         ({"seed": True}, "seed"),
         ({"plan": {"tail_mass": "inf"}}, "plan.tail_mass"),
+        ({"plan": {"tail_mass": "1e-17"}}, "tail_mass"),
+        ({"family": {"name": ["poisson"]}}, "family.name"),
+        ({"family": {"name": {"a": 1}}}, "family.name"),
         ({"components": [{"index": True, "type": "spike"}]}, "components[0].index"),
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
+            "epsilon_is_no_mode_key", "unknown_plan_key", "unknown_mode_key",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
             "grid_as_a_list", "unknown_grid_kind", "null_theta", "null_tail_mass",
             "null_abs_tol", "null_samples", "null_n", "null_plan", "null_mode",
@@ -224,12 +231,14 @@ class TestMalformedPlanAndGrid:
             "ratio_without_alternative", "calibrated_p_without_kappa",
             "non_integral_index", "infinite_index", "infinite_constant", "nan_constant",
             "non_integral_n", "non_integral_samples", "non_integral_seed", "bool_seed",
-            "infinite_tail_mass", "bool_index"])
+            "infinite_tail_mass", "bool_index", "tail_mass_below_2_51",
+            "family_name_a_list", "family_name_an_object"])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
         """Each malformed plan, grid or component spec, and each null where
-        a number or an object belongs, is a configuration error with a
-        message that names it; a malformed grid is caught before any
-        composite is built from it."""
+        a number or an object belongs, and each key that the plan or mode
+        does not take, is a configuration error with a message that names
+        it; a malformed grid is caught before any composite is built from
+        it."""
         family = ({"name": "cauchy", "params": {"epsilon": "0.2"}}
                   if config.get("mode") else {"name": "poisson"})
         cfg = tmp_path / "run.json"
@@ -312,6 +321,52 @@ class TestOutputReadFirst:
         assert run([*argv, "--config", str(cfg)]) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and "output" in err and "Traceback" not in err
+
+
+class TestSeedDomain:
+    @pytest.mark.parametrize("command", ["certify", "check-conditions"])
+    @pytest.mark.parametrize("seed,code", [("-1", EXIT_CONFIG), (str(2**64), EXIT_CONFIG),
+                                           (str(2**64 - 1), EXIT_PASS)],
+                             ids=["minus_1", "2_64", "2_64_minus_1"])
+    def test_seeds_in_0_to_2_64_run_and_no_other(self, capsys, command, seed, code):
+        """Both commands take the seeds in [0, 2**64) and exit 3 naming the
+        seed for any other, where check-conditions once raised numpy's
+        ValueError at -1 and certify ran -1 as 2**64 - 1."""
+        assert run([command, "--family", "poisson", f"--seed={seed}"]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and (code == EXIT_PASS or "seed" in err)
+
+    def test_a_seed_of_2_64_minus_1_draws_its_own_monte_carlo_stream(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": {"name": "poisson"},
+                                   "theta_grid": {"values": [4.0]},
+                                   "plan": {"method": "monte_carlo", "samples": 1000}}))
+        rows = []
+        for seed in (2**64 - 1, 0):
+            out = tmp_path / f"{seed}.json"
+            assert run(["certify", "--config", str(cfg), "--seed", str(seed),
+                        "--out", str(out)]) == EXIT_PASS
+            rows.append(json.loads(out.read_text())["rows"])
+        assert rows[0] != rows[1]
+
+
+class TestOutputPath:
+    def test_a_missing_directory_exits_3_before_any_work(self, tmp_path, capsys):
+        """The directory is checked with the rest of the config: no sweep
+        runs (stdout stays empty), where a whole sweep once ran before a
+        FileNotFoundError traceback."""
+        out = tmp_path / "no_such_dir" / "x.json"
+        assert run(["certify", "--family", "poisson", "--out", str(out)]) == EXIT_CONFIG
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "output.path" in err and "Traceback" not in err
+
+    def test_a_failed_write_exits_3_naming_the_path(self, tmp_path, capsys):
+        """A path that is a directory passes the check and fails the write:
+        exit 3 naming output.path, not an OSError traceback."""
+        assert run(["check-conditions", "--family", "poisson",
+                    "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "output.path" in err and "Traceback" not in err
 
 
 class TestIndicesBeyondFloatResolution:
@@ -409,18 +464,37 @@ class TestEachFlagIsOneConfigKey:
         assert runs[0] == runs[1]
         assert "cauchy(epsilon=0.05) [interpolated] worst E = 1.00000163" in runs[0][1]
 
-    def test_mode_epsilon_sets_the_composite(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"mode": {"kind": "interpolated", "epsilon": "0.1"},
-                                   "theta_grid": {"values": [0.5]}}))
+    def test_the_family_epsilon_sets_the_composite(self, tmp_path):
+        """The family's epsilon is the interpolated composite's: the rows
+        follow it (a mode.epsilon once set the composite apart from the
+        family's, and is now a configuration error)."""
         reports = []
         for eps in ("0.05", "0.2"):
             out = tmp_path / f"{eps}.json"
-            assert run(["certify", "--config", str(cfg), "--family", "cauchy",
-                        "--epsilon", eps, "--out", str(out)]) == EXIT_PASS
+            assert run(["certify", "--family", "cauchy", "--epsilon", eps, "--mode",
+                        "interpolated", "--out", str(out)]) == EXIT_PASS
             reports.append(json.loads(out.read_text()))
-        assert reports[0]["rows"] == reports[1]["rows"]
-        assert reports[0]["bundle_id"] != reports[1]["bundle_id"]
+        assert reports[0]["rows"] != reports[1]["rows"]
+        assert reports[0]["factor_C"] == reports[1]["factor_C"]
+
+    @pytest.mark.parametrize("family", ["cauchy", "normal_mean"])
+    def test_the_factor_covers_an_epsilon_outside_the_default_set(self, tmp_path, family):
+        """At epsilon = 0.01 the factor is at least that composite's own
+        sup over every theta plus its bound, and the default grid passes;
+        the factor once came from 0.05, 0.1 and 0.2 alone, and the run
+        exited 2 at worst E = 1.0204."""
+        from evarify import make_bundle
+        from evarify.fourier import periodic_sup
+        from evarify.verifier import certify_interpolated_factor, interpolated_spike_composite
+
+        out = tmp_path / "rep.json"
+        assert run(["certify", "--family", family, "--epsilon", "0.01", "--mode",
+                    "interpolated", "--out", str(out)]) == EXIT_PASS
+        b = make_bundle(family, epsilon=0.01)
+        sup, bound = periodic_sup(interpolated_spike_composite(b, 0.01, 1.0).piecewise,
+                                  b.family.law)
+        factor = json.loads(out.read_text())["factor_C"]
+        assert factor >= sup + bound > certify_interpolated_factor(b)[0]
 
     @pytest.mark.parametrize("argv", [
         ["list-families", "--seed", "3"], ["list-families", "--config", "run.json"],
@@ -440,11 +514,12 @@ class TestEachFlagIsOneConfigKey:
         from evarify.verifier import ExpectationPlan
 
         assert _plan_from({}) == ExpectationPlan()
-        assert _plan_from({"plan": {"abs_tol": "1e-8"}}) == ExpectationPlan(abs_tol=1e-8)
+        assert _plan_from({"plan": {"tail_mass": "1e-13"}}) == ExpectationPlan(tail_mass=1e-13)
         assert _plan_from({"plan": {"method": "monte_carlo", "samples": 500}, "seed": 4}) == \
             ExpectationPlan(method="monte_carlo", mc_samples=500, seed=4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNetIndicesBeyondTheFloats:
     @pytest.mark.parametrize("n", [64, 5])
     @pytest.mark.parametrize("component", [
@@ -452,10 +527,15 @@ class TestNetIndicesBeyondTheFloats:
         {"index": 100000, "type": "likelihood_ratio", "alternative": "2.0"}],
         ids=["spike", "likelihood_ratio"])
     def test_a_component_past_the_largest_float_exits_3(self, tmp_path, capsys, n, component):
-        """Its net point is inf: a zero-probability cell, or a parameter
-        outside the space, where the exact power once overflowed."""
+        """Its net point is inf: a spike names the index before any CDF
+        call (inf / inf once warned and blamed a zero-probability cell), a
+        likelihood ratio a parameter outside the space, where the exact
+        power once overflowed."""
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"family": {"name": "normal_variance", "params": {"n": n}},
                                    "components": [component]}))
         assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if component["type"] == "spike":
+            assert "net index 100000" in err and "zero probability" not in err

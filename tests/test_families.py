@@ -115,10 +115,11 @@ class TestMakeBundle:
         assert b.factor_inputs.alpha == best - 1.0
 
     def test_binomial_cells_follow_a_replaced_estimator(self):
-        """A bundle made by ``replace`` with another net and estimator
-        gives that estimator's cells, count by count."""
+        """A bundle made by ``replace`` with another estimator, on another
+        net, gives that estimator's cells, count by count."""
         net = BinomialSine(16)
-        b = replace(make_bundle("binomial", n=64), net=net, estimator=RoundToNet(net))
+        b = replace(make_bundle("binomial", n=64), estimator=RoundToNet(net))
+        assert b.net is net
         index = [net.round_index(k / 64) for k in range(65)]
         want = _cells_by_count(index, net.indices())
         assert want == [[-1.0, 20.0], [20.0, 43.0], [43.0, 64.0]]
@@ -705,3 +706,10 @@ class TestCharacteristicFunction:
         t = np.linspace(0.01, 30.0, 3001)  # phi(t + 2 pi) > 0 on both laws
         ratio = fam.law.charfn(t + 2.0 * math.pi) / fam.law.charfn(t)
         assert np.all(np.diff(ratio) <= 1e-12 * ratio[:-1])  # exp rounds as t u
+
+
+@pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS + [("normal_mean", {"epsilon": 0.2})])
+def test_the_bundle_net_is_its_estimators(name, kw):
+    """A bundle has one net, the one its estimator rounds to."""
+    b = make_bundle(name, **kw)
+    assert b.net is b.estimator.net

@@ -38,7 +38,7 @@ from evarify.verifier import (
     uniform_ceiling_budget_max,
     unit_cell_spikes,
 )
-from evarify.verifier import _MC_BLOCK, _QUAD_ROUNDS, _rng_for, _window_quadrature
+from evarify.verifier import _MC_BLOCK, _QUAD_ROUNDS, _QUAD_TOL, _rng_for, _window_quadrature
 
 
 class TestExpectation:
@@ -457,6 +457,25 @@ class TestSweep:
                     "--config", str(cfg)]) == EXIT_CONFIG
         assert method in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("seed", 2**64), ("seed", 1.5),
+        ("tail_mass", float(np.nextafter(2.0**-51, 0.0))), ("tail_mass", 2.0**-52),
+        ("tail_mass", 1e-17)])
+    def test_the_plan_domain_ends_where_its_use_does(self, field, value):
+        """A seed is one word of the Philox key, [0, 2**64).  Below a
+        tail_mass of 2**-51 the spike envelope's upper quantile level
+        1 - tail_mass / 4 rounds to 1, and certify once exited 3 on a net
+        index beyond 2**53.  The ends themselves are accepted, and the
+        tail end certifies on the families whose window is quantiles."""
+        with pytest.raises(DomainError, match=field):
+            ExpectationPlan(**{field: value})
+        plan = ExpectationPlan(seed=2**64 - 1, tail_mass=2.0**-51)
+        assert _rng_for(2**64 - 1, 0).random() != _rng_for(0, 0).random()
+        for name, kw in [("poisson", {}), ("normal_mean", {"n": 16}),
+                         ("normal_variance", {"n": 64})]:
+            b = make_bundle(name, **kw)
+            assert sweep(spike_composite(b, plan=plan), plan=plan).passed
+
     def test_default_grids_respect_parameter_spaces(self):
         for name, kw in [
             ("binomial", {"n": 64}), ("discrete_uniform", {}), ("poisson", {}),
@@ -864,7 +883,7 @@ class TestGaussLegendreQuadrature:
         with mp.workdps(30):
             exact = mp.ncdf(hi, theta, 1) - mp.ncdf(mp.mpf(0.123), theta, 1)
         assert abs(total - float(exact)) <= err + 1e-15
-        assert err <= plan.abs_tol
+        assert err <= _QUAD_TOL
         res = expectation(step, theta, b)
         assert res.estimate == total and res.error_bound >= err
 

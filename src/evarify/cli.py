@@ -33,22 +33,13 @@ family's ``name``; ``--n``, ``--alpha`` and ``--epsilon`` its ``params``;
 ``--mode`` ``mode.kind``; ``--out`` and ``--format`` ``output.path`` and
 ``output.format``.  The interpolated half-width is the family's
 ``epsilon``, else 0.2; its factor covers it and 0.05, 0.1 and 0.2.
-``plan`` and ``mode`` take only the keys below (another exits 3, naming
-it), unset plan keys :class:`ExpectationPlan`'s defaults (``tail_mass`` in
-[2**-51, 1e-12], ``seed`` in [0, 2**64)).  Schema::
-
-    {
-      "command": "certify",
-      "family": {"name": "poisson", "params": {"n": 64, "alpha": "1.0",
-                                               "epsilon": "0.2"}},
-      "suite": "spikes",
-      "mode": {"kind": "discrete"},
-      "theta_grid": {"kind": "default"},        # or {"values": [...]}
-      "plan": {"method": "auto", "tail_mass": "1e-12",   # or "monte_carlo"
-               "samples": 1000000},
-      "seed": 7,
-      "output": {"path": "report.json", "format": "json"}
-    }
+The file is walked once, when it loads, against ``_SCHEMA``: a key outside
+it, at any level, exits 3 naming its dotted path, and each section
+(``params`` included) must be an object.  A key another subcommand reads
+is accepted; ``command``, when given, must name the running subcommand.
+A flag's value is checked where its key's is.  Unset plan keys take
+:class:`ExpectationPlan`'s defaults (``tail_mass`` in [2**-51, 1e-12],
+``seed`` in [0, 2**64)).  README "Command line" shows a whole file.
 """
 
 from __future__ import annotations
@@ -65,6 +56,7 @@ from .families import FAMILY_IDS, make_bundle
 from .verifier import (
     ExpectationPlan,
     _FACTOR_EPSILONS,
+    _csv_text,
     _json_bytes,
     _theta_grid,
     certify_interpolated_factor,
@@ -89,20 +81,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _object(cfg: dict, key: str, field: str | None = None, keys=None) -> dict:
-    """The JSON object under ``key`` ({} when absent); a ConfigError
-    naming the field for any other value, null included, or naming a key
-    of it outside ``keys`` when they are given."""
-    field, value = field or key, cfg.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{field} must be a JSON object, got {value!r}")
-    unknown = [name for name in value if keys is not None and name not in keys]
-    if unknown:
-        raise ConfigError(f"unknown key {field}.{unknown[0]} (allowed: {', '.join(keys)})")
-    return value
+#: the config keys the commands read: a section's keys as a dict of its
+#: own, None for a value
+_SCHEMA = {
+    "command": None, "suite": None, "components": None, "seed": None, "lambda": None,
+    "family": {"name": None, "params": {"n": None, "alpha": None, "epsilon": None}},
+    "mode": {"kind": None}, "theta_grid": {"kind": None, "values": None},
+    "plan": {"method": None, "tail_mass": None, "samples": None},
+    "output": {"path": None, "format": None},
+}
 
 
 def _load_config(path: str | None) -> dict:
+    """The config file's object ({} without a file), walked once against
+    ``_SCHEMA`` (see the module docstring)."""
     if path is None:
         return {}
     try:
@@ -110,8 +102,17 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+    sections = [("config root", cfg, _SCHEMA)]
+    while sections:
+        field, section, schema = sections.pop()
+        if not isinstance(section, dict):
+            raise ConfigError(f"{field} must be a JSON object, got {section!r}")
+        for key, value in section.items():
+            name = key if section is cfg else f"{field}.{key}"
+            if key not in schema:
+                raise ConfigError(f"unknown key {name} (allowed: {', '.join(schema)})")
+            if schema[key] is not None:
+                sections.append((name, value, schema[key]))
     return cfg
 
 
@@ -122,39 +123,37 @@ _FLAGS = {
     "--alpha": (("family", "params", "alpha"), {"help": "normal-mean net scale"}),
     "--epsilon": (("family", "params", "epsilon"),
                   {"help": "rounding slack / interpolation half-width (<= 0.2)"}),
-    "--seed": (("seed",), {"type": int}),
-    "--suite": (("suite",), {"choices": ("spikes", "ones")}),
-    "--mode": (("mode", "kind"), {"choices": ("discrete", "interpolated")}),
+    "--seed": (("seed",), {"help": "integer in [0, 2**64)"}),
+    "--suite": (("suite",), {"help": "spikes | ones"}),
+    "--mode": (("mode", "kind"), {"help": "discrete | interpolated"}),
     "--lambda": (("lambda",), {"help": "poisson rate"}),
     "--out": (("output", "path"), {"help": "report file path"}),
-    "--format": (("output", "format"), {"choices": ("json", "csv")}),
+    "--format": (("output", "format"), {"help": "json | csv"}),
 }
 
 
 def _with_flags(cfg: dict, args) -> dict:
-    """The config with each given flag laid over the key it names."""
+    """The config with each given flag laid over the key it names (its
+    sections are objects: the config was walked when it loaded)."""
     for flag, (path, _) in _FLAGS.items():
         value = getattr(args, flag[2:], None)
-        if value is None:
-            continue
-        node = cfg
-        for depth, key in enumerate(path[:-1]):
-            _object(node, key, ".".join(path[:depth + 1]))
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
+        if value is not None:
+            node = cfg
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
     return cfg
 
 
 def _bundle_from(cfg: dict):
-    fam_cfg = _object(cfg, "family")
+    fam_cfg = cfg.get("family", {})
     name = fam_cfg.get("name")
     if not isinstance(name, str) or not name:  # named as the --family flag names it
         raise ConfigError(f"{'.'.join(_FLAGS['--family'][0])} must name a family "
                           f"(use --family), got {name!r}")
-    clean = {}
-    for key, value in _object(fam_cfg, "params", "family.params").items():
-        clean[key] = (None if key == "epsilon" and value is None else  # no epsilon
-                      _number(value, f"family.params.{key}", int if key == "n" else float))
+    clean = {key: (None if key == "epsilon" and value is None else  # no epsilon
+                   _number(value, f"family.params.{key}", int if key == "n" else float))
+             for key, value in fam_cfg.get("params", {}).items()}
     return make_bundle(name, **clean)
 
 
@@ -166,7 +165,7 @@ _PLAN_KEYS = {"tail_mass": ("tail_mass", float), "samples": ("mc_samples", int)}
 def _plan_from(cfg: dict) -> ExpectationPlan:
     """The plan of the keys the config gives, ``ExpectationPlan``'s
     defaults for the others."""
-    plan_cfg = _object(cfg, "plan", keys=("method", *_PLAN_KEYS))
+    plan_cfg = cfg.get("plan", {})
     given = {field: _number(plan_cfg[key], f"plan.{key}", kind)
              for key, (field, kind) in _PLAN_KEYS.items() if key in plan_cfg}
     if "method" in plan_cfg:
@@ -180,8 +179,8 @@ def _grid_from(cfg: dict, bundle):
     """The default theta grid, or the given values, checked against the
     family's parameter space before any work."""
     grid_cfg = cfg.get("theta_grid", {"kind": "default"})
-    values = grid_cfg.get("values") if isinstance(grid_cfg, dict) else None
-    if values is None and isinstance(grid_cfg, dict) and grid_cfg.get("kind") == "default":
+    values = grid_cfg.get("values")
+    if values is None and grid_cfg.get("kind") == "default":
         return default_theta_grid(bundle)
     if not isinstance(values, list):
         raise ConfigError("theta_grid must be {'kind': 'default'} or {'values': [...]}, "
@@ -192,7 +191,7 @@ def _grid_from(cfg: dict, bundle):
 def _output(cfg: dict):
     """The report writer, its ``output`` (the path's directory included)
     checked before any work; a write that fails is a ConfigError."""
-    out_cfg = _object(cfg, "output")
+    out_cfg = cfg.get("output", {})
     path = out_cfg.get("path")
     fmt = out_cfg.get("format", "json")
     if fmt not in ("json", "csv") or not (path is None or isinstance(path, str) and path):
@@ -232,13 +231,10 @@ def _cmd_check_conditions(cfg) -> int:
         "overall": "pass" if overall else "fail",
         "checks": {name: rep.to_dict() for name, rep in reports.items()},
     }
-    lines = ["condition,passing,max_violation,tolerance,estimated_constant"]
-    for name, rep in sorted(reports.items()):
-        lines.append(
-            f"{name},{rep.passing},{rep.max_violation!r},"
-            f"{rep.tolerance!r},{rep.estimated_constant!r}"
-        )
-    write_report(payload, "\n".join(lines) + "\n")
+    rows = [(name, rep.passing, rep.max_violation, rep.tolerance, rep.estimated_constant)
+            for name, rep in sorted(reports.items())]
+    write_report(payload, _csv_text(
+        ("condition", "passing", "max_violation", "tolerance", "estimated_constant"), rows))
     return EXIT_PASS if overall else EXIT_FAIL
 
 
@@ -247,7 +243,7 @@ def _cmd_certify(cfg) -> int:
     bundle = _bundle_from(cfg)
     plan = _plan_from(cfg)
     grid = _grid_from(cfg, bundle)
-    mode = _object(cfg, "mode", keys=("kind",)).get("kind", "discrete")
+    mode = cfg.get("mode", {}).get("kind", "discrete")
     suite = cfg.get("suite", "spikes")
     if suite not in ("spikes", "ones"):
         raise ConfigError(f"unknown suite {suite!r} (spikes | ones)")
@@ -283,7 +279,7 @@ def _cmd_certify(cfg) -> int:
 
 def _cmd_counterexample(cfg) -> int:
     write_report = _output(cfg)
-    if _object(cfg, "family").get("name") != "poisson":
+    if cfg.get("family", {}).get("name") != "poisson":
         raise ConfigError(
             "the maximum-likelihood counterexample is implemented for the "
             "poisson family only"
@@ -305,9 +301,8 @@ def _cmd_counterexample(cfg) -> int:
         "threshold": 1.0,
         "violates": res.estimate > 1.0,
     }
-    csv_text = "lambda,expectation,error_bound\n" + \
-        f"{lam!r},{res.estimate!r},{res.error_bound!r}\n"
-    write_report(payload, csv_text)
+    write_report(payload, _csv_text(("lambda", "expectation", "error_bound"),
+                                    [(lam, res.estimate, res.error_bound)]))
     # the demonstrated violation is the point: report it as a failure
     return EXIT_FAIL if res.estimate > 1.0 else EXIT_PASS
 
@@ -345,6 +340,9 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(getattr(args, "config", None))
+        if cfg.get("command", args.command) != args.command:
+            raise ConfigError(f"command {cfg['command']!r} is not the running "
+                              f"subcommand {args.command!r}")
         return args.fn(_with_flags(cfg, args))
     except EvarifyError as exc:  # a ConfigError, or a DomainError from the config's values
         print(f"error: {exc}", file=sys.stderr)

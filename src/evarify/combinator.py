@@ -118,8 +118,8 @@ class SpikeSuite(Mapping):
     keys are distinct."""
 
     def __init__(self, bundle: FamilyBundle, keys: Sequence[int], edges: np.ndarray,
-                 levels: np.ndarray, right_closed: bool):
-        self.bundle, self.right_closed = bundle, right_closed
+                 levels: np.ndarray):
+        self.bundle = bundle
         lo, hi = np.reshape(edges, (-1, 2)).T
         self.table = _PieceTable(np.asarray(keys, dtype=int), lo, hi,
                                  np.asarray(levels, dtype=float), np.zeros(len(lo)))
@@ -131,7 +131,7 @@ class SpikeSuite(Mapping):
             raise KeyError(k)
         i = rows[0]
         pw = Piecewise(np.array([t.lo[i], t.hi[i]]), t.level[i:i + 1], np.zeros(1), 0.0,
-                       self.right_closed)
+                       self.bundle.right_closed)
         return EVariable(lambda x: pw(locate(x)), float(t.level[i]), pw, vectorized=True)
 
     def __iter__(self):
@@ -233,7 +233,6 @@ class CompositeEVariable:
     bundle: FamilyBundle
     components: Mapping[int, EVariable]
     factor_C: float
-    mode: str = "discrete"  # "discrete" | "interpolated"
     epsilon: float | None = None
     piecewise: Piecewise | None = None
     #: generic discrete mode: the key each point of the law's line selects
@@ -242,10 +241,14 @@ class CompositeEVariable:
     def __post_init__(self) -> None:
         if self.factor_C < 1.0:
             raise DomainError("factor_C must be >= 1")
-        if self.mode == "interpolated":
+        if self.epsilon is not None:
             _epsilon(self.epsilon)
-        if self.mode == "discrete" and self.piecewise is None:
+        elif self.piecewise is None:
             object.__setattr__(self, "_keys", _key_piecewise(self.bundle, self.components))
+
+    @property
+    def mode(self) -> str:  # a half-width epsilon makes it interpolated
+        return "discrete" if self.epsilon is None else "interpolated"
 
     def __call__(self, x):
         """The composite at one sample, a float, or at a batch, one value
@@ -381,7 +384,7 @@ def combine_discrete(
     """
     C = bundle.factor_C if factor_C is None else float(factor_C)
     components, table = _frozen(components)
-    return CompositeEVariable(bundle, components, C, "discrete",
+    return CompositeEVariable(bundle, components, C,
                               piecewise=_cellwise_piecewise(bundle, table, C))
 
 
@@ -470,9 +473,9 @@ def combine_interpolated(
         raise DomainError(
             "unsupported mode: interpolation is defined on integer nets only"
         )
-    C = float(factor_C)
+    C, epsilon = float(factor_C), _epsilon(epsilon)
     components, table = _frozen(components)
-    return CompositeEVariable(bundle, components, C, "interpolated", float(epsilon),
+    return CompositeEVariable(bundle, components, C, epsilon,
                               _trapezoid_piecewise(table, epsilon, C))
 
 

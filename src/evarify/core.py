@@ -150,12 +150,11 @@ def _epsilon(epsilon) -> float:
 
 @dataclass(frozen=True)
 class Interval:
-    """A (possibly open, possibly integer-restricted) real interval."""
+    """A real interval, open above, possibly open below or integer-restricted."""
 
     lo: float = -math.inf
     hi: float = math.inf
     lo_open: bool = True
-    hi_open: bool = True
     integer: bool = False
 
     def contains(self, value: float) -> bool:
@@ -165,7 +164,7 @@ class Interval:
             return False
         if value < self.lo or (self.lo_open and value == self.lo):
             return False
-        if value > self.hi or (self.hi_open and value == self.hi):
+        if value >= self.hi:
             return False
         return True
 
@@ -658,21 +657,21 @@ class Squares(Net):
 class Geometric(Net):
     """A geometric grid {ratio^k}_{k in Z}, ratio > 1.
 
-    When the ratio is rational (e.g. 1 + 1/sqrt(n) with square n) the
-    points are computed by exact rational exponentiation and rounded once
-    to float, so long index windows do not accumulate rounding error.
+    ``ratio`` is a float, or a :class:`Fraction` (1 + 1/sqrt(n) for square
+    n) whose points are exact rational powers rounded once to float, so
+    long index windows do not accumulate rounding error.
     Each point is computed once (a run of consecutive new indices steps
     the exact integer powers up) and kept in a sorted table that later
     calls read with one array search.  A point below 2^-1076 is 0.0 and
     one above the largest float is inf, both without taking a power.
     """
 
-    def __init__(self, ratio: float, exact_ratio: Fraction | None = None):
+    def __init__(self, ratio: float | Fraction):
         if ratio <= 1.0:
             raise DomainError("ratio must exceed 1")
         self.ratio = float(ratio)
-        self._exact = exact_ratio
-        self._log_ratio = math.log(ratio)
+        self._exact = ratio if isinstance(ratio, Fraction) else None
+        self._log_ratio = math.log(self.ratio)
         # the indices at and below whose points are under 2^-1076, and at
         # and above whose points exceed 2^1024 (one index of margin each)
         below, above = (e * math.log(2.0) / self._log_ratio for e in (-1076, 1024))

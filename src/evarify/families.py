@@ -209,7 +209,7 @@ def binomial_family(n: int) -> Family:
 
     return Family(
         name="binomial",
-        param_space=Interval(lo=0.0, hi=1.0, lo_open=True, hi_open=True),
+        param_space=Interval(lo=0.0, hi=1.0, lo_open=True),
         sample_dim=1,
         log_density=log_density,
         divergence_fn=div,
@@ -692,7 +692,7 @@ def _make_poisson() -> FamilyBundle:
         family=poisson_family(),
         estimator=RoundToNet(Squares()),
         factor_inputs=inputs,
-        factor_C=factor_from_steps(1.0, 1.0),
+        factor_C=factor_from_steps(inputs.c_prime, inputs.c),
         theta_grid=_poisson_theta_grid,
         identity_axes=lambda b: (np.geomspace(0.1, 100.0, 50), range(1, 51), np.unique(
             np.concatenate([[0.0, 1.0, 2.0], np.round(np.geomspace(1, 300, 47))]))),
@@ -726,7 +726,7 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
         est: Estimator = REpsilon(float(epsilon))
         eps = est.epsilon
         inputs = FactorInputs(c_prime=0.5 * (0.5 + eps) ** 2, alpha=1.0)
-        C = factor_from_growth(inputs.c_prime, 1.0)
+        C = factor_from_growth(inputs.c_prime, inputs.alpha)
         params, bundle_id = {"n": 1, "epsilon": eps}, f"normal_mean(epsilon={eps})"
     else:
         alpha = float(alpha)
@@ -749,19 +749,15 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
 def _make_normal_variance(n: int = 4) -> FamilyBundle:
     if n < 1:
         raise DomainError("n must be a positive integer")
-    root = math.isqrt(n)
-    if root * root == n:
-        exact = 1 + Fraction(1, root)
-        net = Geometric(float(exact), exact_ratio=exact)
-    else:
-        net = Geometric(1.0 + 1.0 / math.sqrt(n))
+    root = math.isqrt(n)  # a square n gives the ratio as an exact Fraction
+    net = Geometric(1 + Fraction(1, root) if root * root == n else 1.0 + 1.0 / math.sqrt(n))
     fam = normal_variance_family(n)
     inputs = FactorInputs(c_prime=0.5, c=1.0 / 32.0)
     return FamilyBundle(
         family=fam,
         estimator=RoundToNet(net),
         factor_inputs=inputs,
-        factor_C=factor_from_steps(0.5, 1.0 / 32.0),
+        factor_C=factor_from_steps(inputs.c_prime, inputs.c),
         theta_grid=_normal_variance_theta_grid,
         # the geometric net dives towards 0 quickly; indices are kept in a
         # range where the identity's terms stay within float64 reach of an
@@ -781,7 +777,7 @@ def _make_cauchy(epsilon: float | None = None) -> FamilyBundle:
         family=cauchy_family(),
         estimator=est,
         factor_inputs=inputs,
-        factor_C=factor_from_growth(math.log(2.0), 1.0),
+        factor_C=factor_from_growth(inputs.c_prime, inputs.alpha),
         theta_grid=_cauchy_theta_grid,
         identity_axes=_location_axes(30.0),
         params=params,

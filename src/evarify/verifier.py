@@ -171,7 +171,7 @@ def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
         k = ks[int(np.argmin(probs > 0.0))]
         raise DomainError(
             f"cell {k} of {bundle.bundle_id} has zero probability under its own point")
-    return SpikeSuite(bundle, ks, bounds, 1.0 / probs, bundle.right_closed)
+    return SpikeSuite(bundle, ks, bounds, 1.0 / probs)
 
 
 def _grid_index_envelope(
@@ -501,6 +501,14 @@ def _json_bytes(report: dict) -> bytes:
     return json.dumps(report, sort_keys=True, indent=2).encode()
 
 
+def _csv_text(header: Sequence[str], rows) -> str:
+    """A table as the text of its CSV file: the header, then each row with
+    strings as they are and every other value as its repr."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Per-parameter expectation estimates with the worst case and a
@@ -516,24 +524,21 @@ class VerificationReport:
     worst_value: float
     worst_error_bound: float
     verdict: str
+    _ROW_FIELDS = ("theta", "estimate", "error_bound", "method")  # unannotated: no field
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        fields = ("theta", "estimate", "error_bound", "method")
         # the fields as they are: dataclasses.asdict deep-copies every row
-        return {**vars(self), "rows": [dict(zip(fields, row)) for row in self.rows]}
+        return {**vars(self), "rows": [dict(zip(self._ROW_FIELDS, row)) for row in self.rows]}
 
     def to_json_bytes(self) -> bytes:
         return _json_bytes(self.to_dict())
 
     def to_csv(self) -> str:
-        lines = ["theta,estimate,error_bound,method"]
-        for t, est, eb, m in self.rows:
-            lines.append(f"{t!r},{est!r},{eb!r},{m}")
-        return "\n".join(lines) + "\n"
+        return _csv_text(self._ROW_FIELDS, self.rows)
 
 
 def sweep(
@@ -649,14 +654,14 @@ def uniform_ceiling_budget(N: int) -> Fraction:
 
 
 def uniform_ceiling_budget_max(n_max: int = 2**20) -> tuple[float, int]:
-    """Max of the budget certificate over 1 <= N <= n_max, by a full
-    vectorized sweep; returns (max value, argmax N)."""
-    N = np.arange(1, n_max + 1, dtype=float)
-    m = np.ceil(np.log2(N))
-    m[0] = 0.0  # N = 1: only the {0,1} cell
-    B = (2.0 ** (m + 1.0) + m) / (N + 1.0)
-    i = int(np.argmax(B))
-    return float(B[i]), int(N[i])
+    """Max of the budget certificate over 1 <= N <= n_max, (value, least
+    argmax N): on each block 2^(m-1) < N <= 2^m it falls with N, so the max
+    is at N = 1 or at a block's first N, 2^(m-1) + 1."""
+    if n_max < 1:
+        raise DomainError("n_max must be a positive integer")
+    firsts = [(m, 2 ** (m - 1) + 1) for m in range(1, (n_max - 1).bit_length() + 1)]
+    return max([(1.0, 1), *(((2.0 ** (m + 1.0) + m) / (N + 1.0), N) for m, N in firsts)],
+               key=lambda b: b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +681,7 @@ def unit_cell_spikes(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite
     F = law.cdf(0.0, np.array([-0.5, 0.5]))
     ns = [int(n) for n in indices]
     edges = np.array(ns, dtype=float)[:, None] + [-0.5, 0.5]
-    return SpikeSuite(bundle, ns, edges, np.full(len(ns), 1.0 / float(F[1] - F[0])),
-                      right_closed=False)
+    return SpikeSuite(bundle, ns, edges, np.full(len(ns), 1.0 / float(F[1] - F[0])))
 
 
 def interpolated_spike_composite(
@@ -691,7 +695,7 @@ def interpolated_spike_composite(
     spikes = unit_cell_spikes(bundle, range(3))
     pw = _trapezoid_piecewise(spikes.table, epsilon, C)
     one_period = Piecewise(pw.edges[3:7], pw.a[3:6], pw.b[3:6], 0.0, period=1.0)
-    return CompositeEVariable(bundle, spikes, C, "interpolated", float(epsilon), one_period)
+    return CompositeEVariable(bundle, spikes, C, float(epsilon), one_period)
 
 
 _FACTOR_EPSILONS = (0.05, 0.1, 0.2)  # the factor's default half-widths

@@ -221,6 +221,10 @@ class TestMalformedPlanAndGrid:
         ({"family": {"name": ["poisson"]}}, "family.name"),
         ({"family": {"name": {"a": 1}}}, "family.name"),
         ({"components": [{"index": True, "type": "spike"}]}, "components[0].index"),
+        ({"family": {"name": "normal_mean", "n": 16}}, "family.n"),
+        ({"theta_gird": {"values": [1.0]}}, "theta_gird"),
+        ({"family": {"name": "poisson", "params": {"bogus": 1}}}, "family.params.bogus"),
+        ({"command": "check-conditions"}, "command"),
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
             "epsilon_is_no_mode_key", "unknown_plan_key", "unknown_mode_key",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
@@ -232,21 +236,92 @@ class TestMalformedPlanAndGrid:
             "non_integral_index", "infinite_index", "infinite_constant", "nan_constant",
             "non_integral_n", "non_integral_samples", "non_integral_seed", "bool_seed",
             "infinite_tail_mass", "bool_index", "tail_mass_below_2_51",
-            "family_name_a_list", "family_name_an_object"])
+            "family_name_a_list", "family_name_an_object", "n_outside_params",
+            "misspelt_theta_grid", "unknown_param", "command_of_another_subcommand"])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
         """Each malformed plan, grid or component spec, and each null where
-        a number or an object belongs, and each key that the plan or mode
-        does not take, is a configuration error with a message that names
-        it; a malformed grid is caught before any composite is built from
-        it."""
+        a number or an object belongs, and each key outside the schema, is
+        a configuration error with a message that names it, before the
+        verdict line; a malformed grid is caught before any composite is
+        built from it."""
         family = ({"name": "cauchy", "params": {"epsilon": "0.2"}}
                   if config.get("mode") else {"name": "poisson"})
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"family": family, "suite": "spikes", **config}))
         assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert field in err and "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert out == "" and field in err and "Traceback" not in err
         assert "2**53" not in err
+
+    @pytest.mark.parametrize("argv,config,field", [
+        (["check-conditions"], {"family": {"name": "poisson"}, "theta_grid": 5}, "theta_grid"),
+        (["check-conditions", "--n", "3"], {"family": {"name": "normal_mean", "params": 5}},
+         "family.params"),
+        (["counterexample", "--lambda", "5"], {"family": {"name": "poisson"}, "plan": []},
+         "plan"),
+    ], ids=["grid_not_an_object", "flag_over_params_not_an_object", "plan_a_list"])
+    def test_the_whole_file_is_read_before_any_work(self, tmp_path, capsys, argv, config,
+                                                    field):
+        """Every subcommand walks the whole file against one schema when it
+        loads, keys it does not read included, before any flag is laid
+        over it: each of these exits 3 with no output, naming the key."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        assert run([*argv, "--config", str(cfg)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,code", [
+        (["certify"], EXIT_PASS), (["check-conditions"], EXIT_PASS),
+        (["counterexample", "--lambda", "5"], EXIT_FAIL)])
+    def test_keys_of_other_subcommands_are_accepted(self, tmp_path, argv, code):
+        """One file serves every subcommand; ``command`` may name the one
+        that runs."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "family": {"name": "poisson"}, "suite": "spikes", "mode": {"kind": "discrete"},
+            "theta_grid": {"values": [4.0]}, "plan": {"method": "auto"}, "seed": 3,
+            "lambda": "5", "output": {"format": "json"}, "components": [],
+            "command": argv[0]}))
+        assert run([*argv, "--config", str(cfg)]) == code
+
+    def test_the_readme_schema_is_the_config_schema(self, tmp_path):
+        """The README's schema block passes the config reader and holds
+        each of its keys (``theta_grid.values``, the alternative to
+        ``kind``, in the text below it), so the two cannot drift apart."""
+        import re
+        from pathlib import Path
+
+        from evarify.cli import _SCHEMA, _load_config
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"Schema \(.*?\n```json\n(.*?)\n```", readme, re.S).group(1)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(block)
+        doc = json.loads(block)
+        assert _load_config(str(cfg)) == doc
+
+        def keys(node):
+            return {k: keys(v) if isinstance(v, dict) else None for k, v in node.items()}
+        assert keys(doc) == {**_SCHEMA, "theta_grid": {"kind": None}}
+        assert '`theta_grid` is `{"kind": "default"}`' in readme
+        assert '`{"values": [...]}`' in readme
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--suite", "other"), ("--mode", "other"), ("--format", "xml"), ("--seed", "x")])
+    def test_a_flag_is_checked_as_its_key(self, tmp_path, capsys, flag, value):
+        """A flag's value and its key's give the same configuration error."""
+        path = {"--suite": ("suite",), "--mode": ("mode", "kind"),
+                "--format": ("output", "format"), "--seed": ("seed",)}[flag]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(_set({"family": {"name": "poisson"}}, path, value)))
+        errors = []
+        for argv in (["--config", str(cfg)], ["--family", "poisson", flag, value]):
+            assert run(["certify", *argv]) == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            errors.append(err)
+            assert out == "" and "Traceback" not in err
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("lam", ["inf", "nan", "1e400"])
     def test_a_rate_that_is_not_finite_exits_3(self, capsys, lam):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from evarify.combinator import (
-    CompositeEVariable,
     EVariable,
     _frozen,
     bump_weight,
@@ -321,10 +320,11 @@ class TestDeclarativeSpecs:
 
 class TestCompositeContract:
     def test_interpolated_requires_epsilon(self):
+        """No half-width is a DomainError naming its range, where
+        ``float(None)`` once raised a TypeError."""
         b = make_bundle("cauchy", epsilon=0.2)
-        with pytest.raises(DomainError):
-            CompositeEVariable(bundle=b, components={}, factor_C=2.0,
-                               mode="interpolated", epsilon=None)
+        with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1/5\]"):
+            combine_interpolated(b, {}, epsilon=None, factor_C=2.0)
 
     def test_eval_many_matches_scalar(self):
         b = make_bundle("poisson")

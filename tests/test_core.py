@@ -360,7 +360,7 @@ class TestNets:
     def test_geometric_exact_rational_powers(self):
         from fractions import Fraction
 
-        net = Geometric(1.5, exact_ratio=Fraction(3, 2))
+        net = Geometric(Fraction(3, 2))
         assert net.points(3) == float(Fraction(27, 8))
         assert net.points(-2) == float(Fraction(4, 9))
         # long windows stay consistent: ratio of consecutive points is
@@ -544,7 +544,7 @@ class TestGeometricPoints:
         assert core._exact_powers(p, q, [-6, -5, 3, 4, 5, 6]) == [
             float(Fraction(101, 100) ** k) for k in (-6, -5, 3, 4, 5, 6)]
         assert log.count("pow") == 4 and log.count("mul") == 8
-        net = Geometric(1.01, exact_ratio=Fraction(101, 100))
+        net = Geometric(Fraction(101, 100))
         assert net.points([-50000, 50000]).tolist() == [
             float(Fraction(101, 100) ** -50000), float(Fraction(101, 100) ** 50000)]
         assert net._table[0].tolist() == [-50000, 0, 50000]
@@ -566,7 +566,7 @@ _NETS = [
     (DyadicInt(), lambda k: float(2.0 ** k), (0, 1023), range(0, 80), (0.0, 1e20)),
     (DyadicReal(), lambda k: float(2.0 ** k), (-1074, 1023), range(-1073, 1023, 7), (1e-300, 1e300)),
     (Squares(), lambda k: float(k * k), (1, 2**40), [*range(1, 200), 10**9], (0.0, 1e9)),
-    (Geometric(1.125, exact_ratio=Fraction(9, 8)), lambda k: float(Fraction(9, 8) ** k),
+    (Geometric(Fraction(9, 8)), lambda k: float(Fraction(9, 8) ** k),
      (-2000, 2000), range(-300, 300, 3), (1e-90, 1e90)),
     (Geometric(_ROOT5), lambda k: math.exp(k * math.log(_ROOT5)), (-2000, 2000),
      range(-300, 300, 3), (1e-90, 1e90)),

@@ -81,6 +81,26 @@ class TestMakeBundle:
         assert b.factor_inputs.alpha == 1.0
         assert b.factor_C == pytest.approx(18.0, rel=1e-12)
 
+    @pytest.mark.parametrize("name,params", [
+        ("binomial", {"n": 64}), ("binomial", {"n": 10_000}), ("discrete_uniform", {}),
+        ("poisson", {}), ("continuous_uniform", {}), ("normal_mean", {}),
+        ("normal_mean", {"epsilon": 0.2}), ("normal_variance", {}), ("cauchy", {})])
+    def test_the_factor_is_its_route_formula_on_its_inputs(self, name, params):
+        """The shipped C is computed from the declared constants that
+        check-conditions verifies, so the two cannot drift apart."""
+        from evarify.families import ESTIMATED_FACTOR_MARGIN
+
+        b = make_bundle(name, **params)
+        inputs = b.factor_inputs
+        expected = {
+            "growth": lambda: factor_from_growth(inputs.c_prime, inputs.alpha),
+            "steps": lambda: factor_from_steps(inputs.c_prime, inputs.c),
+            "direct": lambda: 3.0,
+        }[b.route]()
+        if name == "binomial":
+            expected *= ESTIMATED_FACTOR_MARGIN
+        assert b.factor_C == expected
+
     def test_binomial_estimated_factor(self):
         b = make_bundle("binomial", n=64)
         assert b.route == "growth"

@@ -119,3 +119,32 @@ def test_against_exit_status(report_bytes, tmp_path, capsys):
     write(out, 1.0, verdict="FAIL")
     assert report_bytes._moves(out, other) == 1
     assert "verdict line or the exit code" in capsys.readouterr().out
+
+
+def test_a_csv_report_may_move_only_with_its_json_twin(report_bytes, tmp_path, capsys):
+    """A differing CSV report passes only where its JSON report moved and
+    that move is accepted."""
+    name = "conditions.poisson"
+    out, other = tmp_path / "out", tmp_path / "other"
+
+    def write(where, constant, csv_constant):
+        where.mkdir(exist_ok=True)
+        (where / f"{name}.json").write_text(json.dumps(_conditions(cell_bound=(constant, 0.0))))
+        (where / f"{name}.csv").write_text(
+            f"condition,estimated_constant\ncell_bound,{csv_constant!r}\n")
+        (where / f"{name}.stdout").write_text("cell_bound: pass\nexit code 0\n")
+
+    write(other, 1.0, 1.0)
+    write(out, 1.0, 1.0)
+    assert report_bytes._moves(out, other) == 0
+    write(out, 1.0, 1.0 + 5e-8)
+    assert report_bytes._moves(out, other) == 1
+    assert "csv differs" in capsys.readouterr().out
+    write(out, 1.0 + 5e-8, 1.0 + 5e-8)
+    assert report_bytes._moves(out, other) == 0
+    write(out, 1.0 + 2e-7, 1.0 + 2e-7)
+    assert report_bytes._moves(out, other) == 1
+    assert "csv differs" in capsys.readouterr().out
+    (out / f"{name}.csv").unlink()
+    assert report_bytes._moves(out, other) == 1
+    assert "csv missing on one side" in capsys.readouterr().out

@@ -668,6 +668,17 @@ class TestUniformBudget:
         assert max_val == pytest.approx(exact[0], rel=1e-12)
         assert arg == exact[1]
 
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 8, 9, 512, 513, 514, 4096, 2**20])
+    def test_closed_form_max_equals_the_full_sweep(self, n_max):
+        """The block-start candidates give the full sweep's (value, N) bit
+        for bit; the sweep below is the former implementation."""
+        N = np.arange(1, n_max + 1, dtype=float)
+        m = np.ceil(np.log2(N))
+        m[0] = 0.0  # N = 1: only the {0,1} cell
+        B = (2.0 ** (m + 1.0) + m) / (N + 1.0)
+        i = int(np.argmax(B))
+        assert uniform_ceiling_budget_max(n_max) == (float(B[i]), int(N[i]))
+
     def test_budget_is_attainable_by_adversarial_components(self):
         """The certificate is tight: point-mass components exhausting
         each reachable budget achieve it exactly (shown here for N = 5,

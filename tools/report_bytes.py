@@ -7,7 +7,8 @@ thread, every operation of the three benchmark workloads at seed 1 (28
 runs, from ``perfbench.workloads.build``) plus the exact-plan twin of each
 Monte Carlo operation (5 runs, ``workloads.exact_config``).  For each run
 it writes ``OUT_DIR/<op>.json`` (the report, absent when the run wrote
-none) and ``OUT_DIR/<op>.stdout`` (standard output, then the exit code).
+none), ``OUT_DIR/<op>.csv`` (the same run's report with ``--format csv``)
+and ``OUT_DIR/<op>.stdout`` (standard output, then the exit code).
 The exact twins are named ``<op>.exact``.  Two trees give the same
 results when ``diff -r`` finds no difference between their OUT_DIRs.
 
@@ -21,7 +22,9 @@ exceeds that row's own bound, when a check's value moves by more than
 ``CHECK_TOL``, when a report differs in anything else (beyond the rows'
 estimates and error bounds and the worst row's copies of them), or when
 the standard output differs in a verdict line or the exit code (its
-lines compared with their numbers masked, the exit code as it is).
+lines compared with their numbers masked, the exit code as it is).  A
+CSV report may differ only where its JSON twin differs and that move is
+accepted.
 """
 
 from __future__ import annotations
@@ -155,7 +158,8 @@ def _moves(out: Path, other: Path) -> int:
     beyond what is allowed (see the module docstring)."""
     status = 0
     for name, *_ in runs():
-        for suffix in (".stdout", ".json"):
+        report_moved = None  # the JSON report's status: None when it did not move
+        for suffix in (".stdout", ".json", ".csv"):
             mine, theirs = out / f"{name}{suffix}", other / f"{name}{suffix}"
             if mine.exists() != theirs.exists():
                 print(f"{name}: {suffix[1:]} missing on one side")
@@ -166,9 +170,13 @@ def _moves(out: Path, other: Path) -> int:
                 if not same_verdicts(mine.read_text(), theirs.read_text()):
                     print(f"{name}: standard output differs in a verdict line or the exit code")
                     status = 1
-            else:
-                status |= _report_moves(name, json.loads(mine.read_bytes()),
-                                        json.loads(theirs.read_bytes()))
+            elif suffix == ".json":
+                report_moved = _report_moves(name, json.loads(mine.read_bytes()),
+                                             json.loads(theirs.read_bytes()))
+                status |= report_moved
+            elif report_moved != 0:
+                print(f"{name}: csv differs where its JSON report makes no accepted move")
+                status = 1
     return status
 
 
@@ -188,10 +196,12 @@ def main(argv: list[str]) -> int:
             path = out / f"{name}.config.json"
             path.write_text(json.dumps(config))
             args += ["--config", str(path)]
-        report = out / f"{name}.json"
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            rc = cli.run(args + ["--seed", str(seed), "--out", str(report)])
+            rc = cli.run(args + ["--seed", str(seed), "--out", str(out / f"{name}.json")])
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run(args + ["--seed", str(seed), "--out", str(out / f"{name}.csv"),
+                            "--format", "csv"])
         if config is not None:
             path.unlink()
         (out / f"{name}.stdout").write_text(f"{stdout.getvalue()}exit code {rc}\n")

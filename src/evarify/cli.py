@@ -179,9 +179,9 @@ def _grid_from(cfg: dict, bundle):
     """The default theta grid, or the given values, checked against the
     family's parameter space before any work."""
     grid_cfg = cfg.get("theta_grid", {"kind": "default"})
-    values = grid_cfg.get("values")
-    if values is None and grid_cfg.get("kind") == "default":
+    if grid_cfg == {"kind": "default"}:
         return default_theta_grid(bundle)
+    values = grid_cfg.get("values") if list(grid_cfg) == ["values"] else None
     if not isinstance(values, list):
         raise ConfigError("theta_grid must be {'kind': 'default'} or {'values': [...]}, "
                           f"got {grid_cfg!r}")
@@ -190,7 +190,9 @@ def _grid_from(cfg: dict, bundle):
 
 def _output(cfg: dict):
     """The report writer, its ``output`` (the path's directory included)
-    checked before any work; a write that fails is a ConfigError."""
+    checked before any work; a write that fails is a ConfigError.  The
+    CSV text is built, by the function given for it, only for a CSV
+    report."""
     out_cfg = cfg.get("output", {})
     path = out_cfg.get("path")
     fmt = out_cfg.get("format", "json")
@@ -199,10 +201,11 @@ def _output(cfg: dict):
     if path is not None and not Path(path).parent.is_dir():
         raise ConfigError(f"output.path {path!r}: no directory {str(Path(path).parent)!r}")
 
-    def write(payload: dict, csv_text: str) -> None:
+    def write(payload: dict, csv_text) -> None:
         try:
             if path is not None:
-                Path(path).write_bytes(_json_bytes(payload) if fmt == "json" else csv_text.encode())
+                Path(path).write_bytes(_json_bytes(payload) if fmt == "json"
+                                       else csv_text().encode())
         except OSError as exc:
             raise ConfigError(f"output.path {path!r}: {exc}") from exc
     return write
@@ -233,7 +236,7 @@ def _cmd_check_conditions(cfg) -> int:
     }
     rows = [(name, rep.passing, rep.max_violation, rep.tolerance, rep.estimated_constant)
             for name, rep in sorted(reports.items())]
-    write_report(payload, _csv_text(
+    write_report(payload, lambda: _csv_text(
         ("condition", "passing", "max_violation", "tolerance", "estimated_constant"), rows))
     return EXIT_PASS if overall else EXIT_FAIL
 
@@ -273,7 +276,7 @@ def _cmd_certify(cfg) -> int:
         f"(+/- {report.worst_error_bound:.3g}) at theta = {report.worst_theta:.6g} "
         f"-> {report.verdict}"
     )
-    write_report(report.to_dict(), report.to_csv())
+    write_report(report.to_dict(), report.to_csv)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -301,8 +304,8 @@ def _cmd_counterexample(cfg) -> int:
         "threshold": 1.0,
         "violates": res.estimate > 1.0,
     }
-    write_report(payload, _csv_text(("lambda", "expectation", "error_bound"),
-                                    [(lam, res.estimate, res.error_bound)]))
+    write_report(payload, lambda: _csv_text(("lambda", "expectation", "error_bound"),
+                                            [(lam, res.estimate, res.error_bound)]))
     # the demonstrated violation is the point: report it as a failure
     return EXIT_FAIL if res.estimate > 1.0 else EXIT_PASS
 

@@ -313,9 +313,9 @@ def normal_mean_family(n: int) -> Family:
     def cdf(mu, v):
         return ndtr((v - mu) / scale)
 
-    def moment(mu, v):
+    def moment(mu, v):  # given for n == 1 only, where scale = 1
         z = v - mu
-        F = cdf(mu, v)
+        F = ndtr(z)  # cdf(mu, v) from the same z
         return F, mu * F - np.exp(-z**2 / 2.0) / _SQRT_2PI
 
     return Family(
@@ -396,7 +396,7 @@ def cauchy_family() -> Family:
 
     def moment(theta, v):
         z = v - theta
-        F = cdf(theta, v)
+        F = np.arctan2(1, -z) / np.pi  # cdf(theta, v) from the same z
         # d/dv [log(1 + z^2) / (2 pi)] = z * pdf(z)
         return F, theta * F + np.log1p(z * z) / (2.0 * math.pi)
 

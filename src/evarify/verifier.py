@@ -3,31 +3,32 @@
 The central claim about a composite test e is that sup over the family of
 E_theta[e(X)] is at most 1.  This module estimates those expectations with
 explicit error bounds and sweeps them over adversarial parameter grids.
-Every expectation, alone or as a row of a sweep, is one call of
-:func:`expectation`, which picks its engine.  The interpolated factor
-needs none: its composite repeats, so its expectation is a Fourier series
-in theta whose sup over every theta comes with a derived bound
-(:mod:`evarify.fourier`).
+An expectation alone is one call of :func:`expectation`, which picks its
+engine.  The interpolated factor needs none: its composite repeats, so
+its expectation is a Fourier series in theta whose sup over every theta
+comes with a derived bound (:mod:`evarify.fourier`).
 
 A composite of structured components (constants, spikes) carries a
 :class:`~evarify.core.Piecewise`, and one closed-form engine integrates it:
 E_theta = sum_i a_i dF_i + b_i dG_i over its pieces (their copies in the
-law's window, if it repeats), with F the law's CDF and G its partial
-first moment (only on ramps), plus the mass beyond.  Generic components fall
-back to exact truncated summation (discrete families), Gauss-Legendre
-quadrature of two orders on every piece between cell boundaries and ramp
-knots at once (pieces whose orders disagree by more than their share of
-the tolerance are bisected); each evaluates the composite on whole batches
-of points, and the mass beyond a truncation window (``law.window``) is
-charged against the composite's sup.  Monte Carlo, on request, bounds its
-mean by the 99% CI half-width plus the rounding of the mean.  A piecewise
-is a function of the statistic alone, so it is read at draws on the law's
-line: ``law.draw_statistic`` where that line is not the sample (the normal
-mean of n > 1 draws, the normal variance), else located samples
-(``law.sample``); any other test may read more of X than its statistic and
-gets sample vectors, drawn in blocks.  The draws come from a counter-based
-generator keyed by (master seed, theta index), so sweeps are reproducible
-and order-independent.
+law's window, if it repeats), with F the law's CDF and G its partial first
+moment (only on ramps), plus the mass beyond.  A sweep integrates such a
+composite in one engine call over its whole grid, which builds what does not
+depend on theta once; the rows of any other composite are one
+:func:`expectation` each.  Generic components fall back to exact truncated
+summation (discrete families), Gauss-Legendre quadrature of two orders on
+every piece between cell boundaries and ramp knots at once (pieces whose
+orders disagree by more than their share of the tolerance are bisected);
+each evaluates the composite on whole batches of points, and the mass beyond
+a truncation window (``law.window``) is charged against the composite's sup.
+Monte Carlo, on request, bounds its mean by the 99% CI half-width plus the
+rounding of the mean.  A piecewise is a function of the statistic alone, so
+it is read at draws on the law's line: ``law.draw_statistic`` where that
+line is not the sample (the normal mean of n > 1 draws, the normal
+variance), else located samples (``law.sample``); any other test may read
+more of X than its statistic and gets sample vectors, drawn in blocks.  The
+draws come from a counter-based generator keyed by (master seed, theta
+index), so sweeps are reproducible and order-independent.
 
 Adversarial generators include the spike suite (each component is the
 reciprocal cell probability on its own cell, the tightest component the
@@ -60,6 +61,7 @@ from .core import (
     StatLaw,
     _CDF_EPS,
     _UNIT_ROUNDOFF,
+    _epsilon,
     _index_array,
     calibrate_p_to_e,
 )
@@ -223,54 +225,105 @@ def upper_tail_calibrated_evar(
 # ---------------------------------------------------------------------------
 
 
-def _piecewise_expectation(pw: Piecewise, law: StatLaw, tail: float,
-                           theta: float) -> ExpectationResult:
-    """E_theta of a piecewise composite: sum_i a_i dF_i + b_i dG_i over
-    its pieces (G, the law's partial first moment, only on ramps, b != 0)
-    plus the mass beyond at the outside level.  A periodic piecewise is
-    integrated over its copies on the periods meeting the law's window,
-    the mass beyond at the sup with its spread down to the least value in
-    the bound.  Rounding: _CDF_EPS (pieces + 2) max(1, sup) for F's error
-    times a jump; ramps' a_i = value - b_i v grow with |v|, b_i with
+def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
+                            thetas: Sequence[float]) -> list[ExpectationResult]:
+    """E_theta of a piecewise composite at each theta of ``thetas``: sum_i a_i
+    dF_i + b_i dG_i over its pieces (G, the law's partial first moment, only
+    on ramps, b != 0) plus the mass beyond at the outside level.  A periodic
+    piecewise is integrated over its copies on the periods meeting the law's
+    window, the mass beyond at the sup with its spread down to the least
+    value in the bound.  Rounding: _CDF_EPS (pieces + 2) max(1, sup) for F's
+    error times a jump; ramps' a_i = value - b_i v grow with |v|, b_i with
     1/(2 eps), so each piece adds _CDF_EPS (|a| F + |b| (|G| + |theta| F))
     at both ends and the sum (pieces + 2) u sum_i |a_i dF_i| + |b_i dG_i|.
-    """
-    n = len(pw.a)
 
-    def at(v):  # rows F and, for ramps, G
-        return np.array(law.moment(theta, v) if pw.ramps else [law.cdf(theta, v)])
-    if pw.period:  # each piece's copies on the periods meeting the window
-        j = [math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, tail)]
-        s = pw.period * np.arange(j[0], j[1] + 2.0)  # and the next period
-        rows, J = [at(e + s) for e in pw.edges[:-1]], len(s) - 1
-        # piece i runs from row i to row i + 1, the last to the next row 0
-        parts = [(pw.a[i], pw.b[i], s[:J], rows[i][:, :J],
-                  rows[i + 1][:, :J] if i + 1 < n else rows[0][:, 1:]) for i in range(n)]
-    else:
-        rows = [at(pw.edges)]
-        parts = [(pw.a, pw.b, 0.0, rows[0][:, :n], rows[0][:, 1:])]
-    F = rows[0][0]  # the pieces are contiguous: the mass beyond lies below and above
-    rest = max(0.0, 1.0 - float(F[-1] - F[0])) if F.size else 1.0
-    estimate = at_edges = terms = 0.0
-    for a, b, s, (F0, *G0), (F1, *G1) in parts:  # a copy shifted by s: a - b s for a
-        dF = F1 - F0
-        estimate += float(np.dot(a - b * s, dF))
-        if pw.ramps:  # per piece |a - b s| <= |a| + |b| |s|
-            (G0,), (G1,) = G0, G1
-            dG = G1 - G0
-            estimate += float(np.sum(b * dG))
-            A, B = np.abs(a) + np.abs(b) * np.abs(s), np.abs(b)
-            at_edges += float(np.sum((A + abs(theta) * B) * (F0 + F1)
-                                     + B * (np.abs(G0) + np.abs(G1))))
-            terms += float(np.sum(A * np.abs(dF) + B * np.abs(dG)))
-    count = sum(part[3].shape[1] for part in parts)
-    estimate += rest * (pw.sup if pw.period else pw.outside)
-    eb = _CDF_EPS * (count + 2.0) * max(1.0, pw.sup)
-    eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
-    if pw.period:
+    What does not depend on theta is built once per call: a copy's
+    a - b s and |a| + |b| |s|, and the shifted edges e + s on tables that
+    thetas with nearby windows share (:func:`_copy_groups`).
+    """
+    n, B = len(pw.a), np.abs(pw.b)
+    if pw.period:  # the mass beyond is charged at the sup, down to the least end
         ends = np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:])
-        eb += rest * (pw.sup - float(ends.min()))
-    return ExpectationResult(estimate, eb, "exact_sum" if law.discrete else "quadrature")
+        spread = pw.sup - float(ends.min())
+
+    def at(theta, v):  # F and, for ramps, G and |G| at the points v
+        if not pw.ramps:
+            return (law.cdf(theta, v),)
+        F, G = law.moment(theta, v)
+        return F, G, np.abs(G)
+
+    def result(theta, F, parts, count):
+        # the pieces are contiguous: the mass beyond lies below and above
+        rest = max(0.0, 1.0 - float(F[-1] - F[0])) if F.size else 1.0
+        estimate = at_edges = terms = 0.0
+        # a copy shifted by s: ab = a - b s, and per piece |a - b s| <= A = |a| + |b| |s|
+        for ab, A, b, absb, (F0, *G0), (F1, *G1) in parts:
+            dF = F1 - F0
+            estimate += float(np.dot(ab, dF))
+            if pw.ramps:
+                (G0, absG0), (G1, absG1) = G0, G1
+                dG = G1 - G0
+                estimate += float(np.sum(b * dG))
+                at_edges += float(np.sum((A + abs(theta) * absb) * (F0 + F1)
+                                         + absb * (absG0 + absG1)))
+                terms += float(np.sum(A * np.abs(dF) + absb * np.abs(dG)))
+        estimate += rest * (pw.sup if pw.period else pw.outside)
+        eb = _CDF_EPS * (count + 2.0) * max(1.0, pw.sup)
+        eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
+        if pw.period:
+            eb += rest * spread
+        return ExpectationResult(estimate, eb, "exact_sum" if law.discrete else "quadrature")
+
+    if not pw.period:  # one copy, unshifted: a - b 0 = a and |a| + |b| 0 = |a|
+        A = np.abs(pw.a)
+        out = []
+        for theta in thetas:
+            row = at(theta, pw.edges)
+            parts = [(pw.a, A, pw.b, B, [r[:n] for r in row], [r[1:] for r in row])]
+            out.append(result(theta, row[0], parts, n))
+        return out
+
+    # each theta's copies j0..j1 on the periods meeting its window (and j1 + 1)
+    windows = [[math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, tail)]
+               for theta in thetas]
+    out = [None] * len(thetas)
+    for lo, hi, _, members in _copy_groups(windows):
+        s = pw.period * np.arange(lo, hi + 2.0)
+        edges = pw.edges[:-1, None] + s  # row i: e_i + s, shared by the group
+        shifted = pw.a[:, None] - pw.b[:, None] * s  # a_i - b_i s
+        bounds = np.abs(pw.a)[:, None] + B[:, None] * np.abs(s)  # |a_i| + |b_i| |s|
+        for k in members:
+            theta, (j0, j1) = thetas[k], windows[k]
+            o, J = j0 - lo, j1 - j0 + 1
+            rows = [at(theta, edges[i, o:o + J + 1]) for i in range(n)]
+            # piece i runs from row i to row i + 1, the last to the next row 0
+            parts = [(shifted[i, o:o + J], bounds[i, o:o + J], pw.b[i], B[i],
+                      [r[:J] for r in rows[i]],
+                      [r[:J] for r in rows[i + 1]] if i + 1 < n else [r[1:] for r in rows[0]])
+                     for i in range(n)]
+            out[k] = result(theta, rows[0][0], parts, n * J)
+    return out
+
+
+def _copy_groups(windows: list) -> list[list]:
+    """The rows of ``windows`` (each row's first and last copy, j0 and
+    j1) in groups that share one table of copies lo..hi + 1:
+    [lo, hi, longest row, the rows' indices].  Rows are taken by j0, and a
+    group grows while it spans at most twice its longest row, so no table
+    outgrows a constant times one row's copies, however far apart the
+    rows lie."""
+    groups = []
+    for k in sorted(range(len(windows)), key=lambda k: windows[k][0]):
+        j0, j1 = windows[k]
+        width = j1 - j0 + 1
+        if groups:
+            lo, hi, longest, members = groups[-1]
+            if max(hi, j1) - lo < 2 * max(longest, width):
+                groups[-1][1:3] = max(hi, j1), max(longest, width)
+                members.append(k)
+                continue
+        groups.append([j0, j1, width, [k]])
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +483,12 @@ def _monte_carlo(e, pw, theta, bundle, plan, theta_index) -> ExpectationResult:
     return ExpectationResult(estimate, half_width + rounding, "monte_carlo")
 
 
+def _closed_form(e, plan: ExpectationPlan) -> bool:
+    """Whether e is integrated by the closed-form engine: it has a
+    piecewise and the plan does not ask for Monte Carlo."""
+    return getattr(e, "piecewise", None) is not None and plan.method != "monte_carlo"
+
+
 def expectation(
     e,
     theta: float,
@@ -451,14 +510,12 @@ def expectation(
         bundle = e.bundle
     plan = plan or ExpectationPlan()
     theta = bundle.family.validate_param(theta)
-    law = bundle.family.law
-    pw = getattr(e, "piecewise", None)
-    if pw is not None and plan.method != "monte_carlo":
-        return _piecewise_expectation(pw, law, plan.tail_mass, theta)
+    if _closed_form(e, plan):
+        return _piecewise_expectations(e.piecewise, bundle.family.law, plan.tail_mass, [theta])[0]
     if not callable(e):
         raise DomainError("e must be callable")
     if plan.method == "monte_carlo":
-        return _monte_carlo(e, pw, theta, bundle, plan, theta_index)
+        return _monte_carlo(e, getattr(e, "piecewise", None), theta, bundle, plan, theta_index)
     if bundle.family.law.discrete:
         return _generic_discrete(e, theta, bundle, plan)
     return _generic_quadrature(e, theta, bundle, plan)
@@ -552,10 +609,14 @@ def sweep(
     plan = plan or ExpectationPlan()
     bundle = composite.bundle
     grid = _theta_grid(bundle, theta_grid)
-    rows = []
-    for i, theta in enumerate(grid):
-        res = expectation(composite, theta, plan=plan, theta_index=i)
-        rows.append((float(theta), res.estimate, res.error_bound, res.method))
+    if _closed_form(composite, plan):  # the whole grid in one engine call
+        results = _piecewise_expectations(composite.piecewise, bundle.family.law,
+                                          plan.tail_mass, grid)
+    else:
+        results = [expectation(composite, theta, plan=plan, theta_index=i)
+                   for i, theta in enumerate(grid)]
+    rows = [(float(theta), res.estimate, res.error_bound, res.method)
+            for theta, res in zip(grid, results)]
     worst = max(rows, key=lambda r: (r[1], r[0]))
     finite = all(math.isfinite(v) for row in rows for v in row[1:3])
     verdict = "pass" if finite and worst[1] <= 1.0 + 3.0 * worst[2] else "fail"
@@ -691,11 +752,11 @@ def interpolated_spike_composite(
     h * w_round(x) / C.  It repeats with period 1, so its piecewise holds
     one period, [1/2 - eps, 3/2 - eps), and its components are the
     spikes on 0, 1 and 2 that make it up (pieces 3 to 5 of theirs)."""
-    C = float(factor_C)
+    C, epsilon = float(factor_C), _epsilon(epsilon)
     spikes = unit_cell_spikes(bundle, range(3))
     pw = _trapezoid_piecewise(spikes.table, epsilon, C)
     one_period = Piecewise(pw.edges[3:7], pw.a[3:6], pw.b[3:6], 0.0, period=1.0)
-    return CompositeEVariable(bundle, spikes, C, float(epsilon), one_period)
+    return CompositeEVariable(bundle, spikes, C, epsilon, one_period)
 
 
 _FACTOR_EPSILONS = (0.05, 0.1, 0.2)  # the factor's default half-widths

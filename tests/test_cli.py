@@ -187,6 +187,7 @@ class TestMalformedPlanAndGrid:
         ({"theta_grid": {"values": [-1.0]}}, "theta_grid values"),
         ({"theta_grid": [4.0]}, "theta_grid"),
         ({"theta_grid": {"kind": "other"}}, "theta_grid"),
+        ({"theta_grid": {"kind": "other", "values": [4.0]}}, "theta_grid"),
         ({"theta_grid": {"values": [None]}}, "theta_grid values"),
         ({"plan": {"tail_mass": None}}, "plan.tail_mass"),
         ({"plan": {"abs_tol": None}}, "plan.abs_tol"),
@@ -228,8 +229,9 @@ class TestMalformedPlanAndGrid:
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
             "epsilon_is_no_mode_key", "unknown_plan_key", "unknown_mode_key",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
-            "grid_as_a_list", "unknown_grid_kind", "null_theta", "null_tail_mass",
-            "null_abs_tol", "null_samples", "null_n", "null_plan", "null_mode",
+            "grid_as_a_list", "unknown_grid_kind", "grid_kind_beside_values",
+            "null_theta", "null_tail_mass", "null_abs_tol", "null_samples", "null_n",
+            "null_plan", "null_mode",
             "null_output", "null_params", "null_seed", "null_components",
             "component_not_an_object", "null_component_index", "null_constant_value",
             "ratio_without_alternative", "calibrated_p_without_kappa",

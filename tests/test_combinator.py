@@ -321,10 +321,13 @@ class TestDeclarativeSpecs:
 class TestCompositeContract:
     def test_interpolated_requires_epsilon(self):
         """No half-width is a DomainError naming its range, where
-        ``float(None)`` once raised a TypeError."""
+        ``float(None)`` once raised a TypeError, from either interpolated
+        builder."""
         b = make_bundle("cauchy", epsilon=0.2)
         with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1/5\]"):
             combine_interpolated(b, {}, epsilon=None, factor_C=2.0)
+        with pytest.raises(DomainError, match=r"epsilon must lie in \(0, 1/5\]"):
+            interpolated_spike_composite(b, None, 2.0)
 
     def test_eval_many_matches_scalar(self):
         b = make_bundle("poisson")

@@ -9,7 +9,7 @@ from evarify.core import DomainError, Piecewise
 from evarify.families import make_bundle
 from evarify.fourier import _fourier_terms, _series_at, periodic_sup
 from evarify.verifier import (
-    _piecewise_expectation,
+    _piecewise_expectations,
     certify_interpolated_factor,
     default_theta_grid,
     expectation,
@@ -90,7 +90,7 @@ class TestFourierSeries:
         pw = self._jumpy(seed, period)
         w, d, bound = _fourier_terms(pw, law)
         for theta in (0.0, 0.1234, -7.7, 0.5 * period, 250.3):
-            row = _piecewise_expectation(pw, law, 1e-12, theta)
+            row = _piecewise_expectations(pw, law, 1e-12, [theta])[0]
             gap = abs(float(_series_at(w, d, theta)) - row.estimate)
             assert gap <= row.error_bound + bound, (theta, gap, row)
 

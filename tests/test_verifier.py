@@ -508,8 +508,10 @@ class TestSweep:
 
 
 class TestOneExpectationPath:
-    """Every expectation, alone or a sweep's row, is one call of
-    ``verifier.expectation``; the interpolated factor computes none."""
+    """Every expectation alone, and every row of a sweep without the
+    closed-form engine, is one call of ``verifier.expectation``; a sweep
+    integrates a closed-form composite in one engine call, with the same
+    rows; the interpolated factor computes none."""
 
     @staticmethod
     def _count_calls(monkeypatch) -> list:
@@ -536,7 +538,7 @@ class TestOneExpectationPath:
         alone = [expectation(comp, t, plan=plan, theta_index=i) for i, t in enumerate(grid)]
         thetas = self._count_calls(monkeypatch)
         rep = sweep(comp, grid, plan)
-        assert thetas == grid
+        assert thetas == ([] if case == "spikes" else grid)
         assert rep.rows == tuple((t, r.estimate, r.error_bound, method)
                                  for t, r in zip(grid, alone))
 
@@ -561,6 +563,138 @@ class TestOneExpectationPath:
             sup = float(ends.max()) if pw.period else float(np.max(ends, initial=pw.outside))
             assert (pw.sup, pw.ramps) == (sup, ramps)
             assert (vars(pw)["sup"], vars(pw)["ramps"]) == (sup, ramps)  # kept
+
+
+#: the certify_spikes benchmark's eleven configurations, by operation
+#: name: (family, params, interpolated)
+CERTIFY_SPIKES_CONFIGS = {
+    "binomial.n64": ("binomial", {"n": 64}, False),
+    "binomial.n10000": ("binomial", {"n": 10_000}, False),
+    "discrete_uniform": ("discrete_uniform", {}, False),
+    "poisson": ("poisson", {}, False),
+    "continuous_uniform": ("continuous_uniform", {}, False),
+    "normal_mean.n1": ("normal_mean", {"n": 1}, False),
+    "normal_mean.n16": ("normal_mean", {"n": 16}, False),
+    "normal_variance.n64": ("normal_variance", {"n": 64}, False),
+    "cauchy.eps0.2": ("cauchy", {"epsilon": 0.2}, False),
+    "interpolated.cauchy.eps0.2": ("cauchy", {"epsilon": 0.2}, True),
+    "interpolated.normal_mean.eps0.2": ("normal_mean", {"epsilon": 0.2}, True),
+}
+
+
+def _certified_composite(name, params, interpolated):
+    """The composite ``evarify certify`` sweeps for the configuration."""
+    b = make_bundle(name, **params)
+    if not interpolated:
+        return spike_composite(b, default_theta_grid(b))
+    C, _ = certify_interpolated_factor(b, (0.05, 0.1, 0.2))
+    return interpolated_spike_composite(b, 0.2, C)
+
+
+def _one_theta_reference(pw, law, tail, theta):
+    """Oracle: the closed-form engine written out for one theta, each
+    copy's shifted edges and coefficients built for it alone; (estimate,
+    error bound)."""
+    from evarify.core import _CDF_EPS, _UNIT_ROUNDOFF
+
+    n = len(pw.a)
+
+    def at(v):
+        return np.array(law.moment(theta, v) if pw.ramps else [law.cdf(theta, v)])
+    if pw.period:
+        j = [math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, tail)]
+        s = pw.period * np.arange(j[0], j[1] + 2.0)
+        rows, J = [at(e + s) for e in pw.edges[:-1]], len(s) - 1
+        parts = [(pw.a[i], pw.b[i], s[:J], rows[i][:, :J],
+                  rows[i + 1][:, :J] if i + 1 < n else rows[0][:, 1:]) for i in range(n)]
+    else:
+        rows = [at(pw.edges)]
+        parts = [(pw.a, pw.b, 0.0, rows[0][:, :n], rows[0][:, 1:])]
+    F = rows[0][0]
+    rest = max(0.0, 1.0 - float(F[-1] - F[0])) if F.size else 1.0
+    estimate = at_edges = terms = 0.0
+    for a, b, s, (F0, *G0), (F1, *G1) in parts:
+        dF = F1 - F0
+        estimate += float(np.dot(a - b * s, dF))
+        if pw.ramps:
+            (G0,), (G1,) = G0, G1
+            dG = G1 - G0
+            estimate += float(np.sum(b * dG))
+            A, B = np.abs(a) + np.abs(b) * np.abs(s), np.abs(b)
+            at_edges += float(np.sum((A + abs(theta) * B) * (F0 + F1)
+                                     + B * (np.abs(G0) + np.abs(G1))))
+            terms += float(np.sum(A * np.abs(dF) + B * np.abs(dG)))
+    count = sum(part[3].shape[1] for part in parts)
+    estimate += rest * (pw.sup if pw.period else pw.outside)
+    eb = _CDF_EPS * (count + 2.0) * max(1.0, pw.sup)
+    eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
+    if pw.period:
+        ends = np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:])
+        eb += rest * (pw.sup - float(ends.min()))
+    return estimate, eb
+
+
+class TestOneEnginePassPerSweep:
+    """A sweep of a closed-form composite is one engine call over the
+    whole grid; its rows are each theta's expectation bit for bit."""
+
+    @staticmethod
+    def _rows_alone(comp, grid):
+        return tuple((float(t), r.estimate, r.error_bound, r.method)
+                     for t, r in ((t, expectation(comp, t)) for t in grid))
+
+    @pytest.mark.parametrize("config", CERTIFY_SPIKES_CONFIGS)
+    def test_rows_are_each_thetas_expectation(self, config):
+        comp = _certified_composite(*CERTIFY_SPIKES_CONFIGS[config])
+        grid = default_theta_grid(comp.bundle)
+        law, pw = comp.bundle.family.law, comp.piecewise
+        rows = sweep(comp, grid).rows
+        assert rows == self._rows_alone(comp, grid)
+        # and each the one-theta engine's floats, so reports keep their bytes
+        assert [row[1:3] for row in rows] == [_one_theta_reference(pw, law, 1e-12, t)
+                                             for t in grid]
+
+    @pytest.mark.parametrize("name", ["cauchy", "normal_mean"])
+    def test_interpolated_rows_far_apart(self, name):
+        """Windows a million periods apart each get a table of their own,
+        with the same rows."""
+        comp = _certified_composite(name, {"epsilon": 0.2}, True)
+        law, pw = comp.bundle.family.law, comp.piecewise
+        grid = [-1e6, 0.3, 1e6]
+        rows = sweep(comp, grid).rows
+        assert rows == self._rows_alone(comp, grid)
+        assert [row[1:3] for row in rows] == [_one_theta_reference(pw, law, 1e-12, t)
+                                             for t in grid]
+
+    def test_far_apart_windows_take_little_memory(self):
+        """Each table spans at most twice its longest row: thetas 2e9
+        apart cost a few rows of copies, not a table over the 2e9 periods
+        between them."""
+        import tracemalloc
+
+        b = make_bundle("normal_mean", epsilon=0.2)
+        comp = interpolated_spike_composite(b, 0.2, 3.0)
+        tracemalloc.start()
+        try:
+            rows = sweep(comp, [-1e9, 0.0, 1e9]).rows
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert rows == self._rows_alone(comp, [-1e9, 0.0, 1e9])
+
+    def test_copy_groups_span_at_most_twice_their_longest_row(self):
+        from evarify.verifier import _copy_groups
+
+        windows = [[10, 20], [0, 10], [5, 15], [100, 104], [12, 30], [-10**9, -10**9 + 3]]
+        groups = _copy_groups(windows)
+        assert sorted(k for *_, members in groups for k in members) == list(range(6))
+        for lo, hi, longest, members in groups:
+            assert lo == min(windows[k][0] for k in members)
+            assert hi == max(windows[k][1] for k in members)
+            assert longest == max(windows[k][1] - windows[k][0] + 1 for k in members)
+            assert hi - lo + 1 <= 2 * longest
+        assert [members for *_, members in groups] == [[5], [1, 2, 0, 4], [3]]
 
 
 class TestMLECounterexample:

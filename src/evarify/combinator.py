@@ -46,6 +46,7 @@ from .core import (
     IntegerLattice,
     Piecewise,
     REpsilon,
+    _INDEX_LIMIT,
     _epsilon,
     _number,
 )
@@ -142,8 +143,8 @@ class SpikeSuite(Mapping):
 
 
 def constant_evar(value: float = 1.0) -> EVariable:
-    if value < 0:
-        raise DomainError("an e-variable cannot be negative")
+    if not value >= 0:
+        raise DomainError(f"an e-variable cannot be negative or NaN (got {value!r})")
     return EVariable(fn=lambda x: value, sup_bound=value, piecewise=Piecewise.constant(value),
                      vectorized=True)
 
@@ -239,8 +240,8 @@ class CompositeEVariable:
     _keys: Piecewise | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.factor_C < 1.0:
-            raise DomainError("factor_C must be >= 1")
+        if not self.factor_C >= 1.0:
+            raise DomainError(f"factor_C must be >= 1 (got {self.factor_C!r})")
         if self.epsilon is not None:
             _epsilon(self.epsilon)
         elif self.piecewise is None:
@@ -574,7 +575,9 @@ def components_from_specs(
 
     Every spec is checked before any component is built, its numbers by
     :func:`~evarify.core._number`: a number that is not finite, an index
-    that is not integral or a bool is a ``DomainError`` naming its field.
+    that is not integral, or reaches 2^53 in magnitude (the net-index
+    limit of :mod:`evarify.core`), or a bool is a ``DomainError`` naming
+    its field.
     """
     from . import verifier  # local import: verifier builds on this module
 
@@ -589,7 +592,10 @@ def components_from_specs(
         if spec.get("type") not in tuple(fields) or "index" not in spec:
             raise DomainError(f"{at} needs an index and a type in {list(fields)}, got {raw!r}")
         name = fields[spec["type"]]
-        checked.append((_number(spec["index"], f"{at}.index", int), spec["type"],
+        k = _number(spec["index"], f"{at}.index", int)
+        if not abs(k) < _INDEX_LIMIT:
+            raise DomainError(f"{at}.index: {k} reaches the net-index limit 2^53")
+        checked.append((k, spec["type"],
                         name and _number(spec.get(name), f"{at}.{name}")))  # missing: None
     out: dict[int, EVariable] = {}
     for k, ctype, value in checked:

@@ -400,41 +400,37 @@ class FactorInputs:
     c: float | None = None
 
     def __post_init__(self) -> None:
-        if self.c_prime < 0 or not math.isfinite(self.c_prime):
-            raise DomainError("c_prime must be finite and >= 0")
-        if self.alpha is not None and self.alpha <= 0:
-            raise DomainError("alpha must be > 0")
-        if self.c is not None and self.c <= 0:
-            raise DomainError("c must be > 0")
+        if not 0 <= self.c_prime < math.inf:
+            raise DomainError(f"c_prime must be finite and >= 0 (got {self.c_prime!r})")
+        if self.alpha is not None and not self.alpha > 0:
+            raise DomainError(f"alpha must be > 0 (got {self.alpha!r})")
+        if self.c is not None and not self.c > 0:
+            raise DomainError(f"c must be > 0 (got {self.c!r})")
 
 
 def factor_from_growth(c_prime: float, alpha: float) -> float:
-    """Normalizing factor exp(c') * (7 + 2/alpha).
+    """Normalizing factor exp(c') * (7 + 2/alpha), its inputs checked as
+    :class:`FactorInputs` checks them.
 
     Valid whenever the divergence at distance k net points grows at least
     like (1 + alpha) * log(k - 1) in both directions and each cell stays
     within divergence c' of its net point.  Strictly decreasing in alpha
     and strictly increasing in c'.
     """
-    if not alpha > 0:
-        raise DomainError("alpha must be > 0")
-    if c_prime < 0:
-        raise DomainError("c_prime must be >= 0")
-    return math.exp(c_prime) * (7.0 + 2.0 / alpha)
+    FactorInputs(c_prime, alpha=alpha)
+    return _or_inf(lambda: math.exp(c_prime)) * (7.0 + 2.0 / alpha)
 
 
 def factor_from_steps(c_prime: float, c: float) -> float:
-    """Normalizing factor exp(c') * (5 + 2 / (e^c - 1)).
+    """Normalizing factor exp(c') * (5 + 2 / (e^c - 1)), its inputs
+    checked as :class:`FactorInputs` checks them.
 
     Valid when consecutive net points are separated by divergence more
     than c in both directions and the divergence satisfies the reverse
     triangle inequality along monotone triples.
     """
-    if not c > 0:
-        raise DomainError("c must be > 0")
-    if c_prime < 0:
-        raise DomainError("c_prime must be >= 0")
-    return math.exp(c_prime) * (5.0 + 2.0 / math.expm1(c))
+    FactorInputs(c_prime, c=c)
+    return _or_inf(lambda: math.exp(c_prime)) * (5.0 + 2.0 / _or_inf(lambda: math.expm1(c)))
 
 
 def calibrate_p_to_e(kappa: float, p) -> object:
@@ -667,8 +663,8 @@ class Geometric(Net):
     """
 
     def __init__(self, ratio: float | Fraction):
-        if ratio <= 1.0:
-            raise DomainError("ratio must exceed 1")
+        if not 1.0 < ratio < math.inf:
+            raise DomainError(f"ratio must be a finite number above 1 (got {ratio!r})")
         self.ratio = float(ratio)
         self._exact = ratio if isinstance(ratio, Fraction) else None
         self._log_ratio = math.log(self.ratio)

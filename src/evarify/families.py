@@ -24,23 +24,24 @@ are estimated numerically at construction time (exhaustive enumeration of
 the finite support for c', a closure scan over net-point pairs for alpha)
 and the factor gets a 10% safety margin.
 
-Each family is written once, as its ``Family``.  Divergences are the
-Kullback-Leibler divergence in closed form for the exponential families
-(equal to the Bregman divergence of their cumulants),
-``log(1 + (t1 - t2)^2)`` for the Cauchy location family, and the
-(one-sided, +inf when reversed) uniform log-ratio for the uniforms.
-
-Each family also carries ``law``, the one description of its statistic's
+Each family is one maker, ``_make_<id>``: it builds the family's
+``Family`` and the law of its statistic, its net and estimator, its factor
+inputs and C, its adversarial grids (the verifier's theta grid, the
+checker's identity axes and cell samples) and its ``params``, and returns
+the ``FamilyBundle``, whose ``bundle_id`` is derived from the family's
+name and those params.  Divergences are the Kullback-Leibler divergence in
+closed form for the exponential families (equal to the Bregman divergence
+of their cumulants), ``log(1 + (t1 - t2)^2)`` for the Cauchy location
+family, and the (one-sided, +inf when reversed) uniform log-ratio for the
+uniforms.  A family's ``law`` is the one description of its statistic's
 distribution (vectorized cdf/sf/ppf, sampling and truncation window, plus
 the partial first moment and the characteristic function of the two
-location families), built from
-``scipy.special`` ufuncs with the arithmetic ``scipy.stats`` uses, so the
-verifier gets the same values without importing ``scipy.stats``.
+location families), built from ``scipy.special`` ufuncs with the
+arithmetic ``scipy.stats`` uses, so the verifier gets the same values
+without importing ``scipy.stats``.
 
-Each bundle also carries its family's adversarial grids (the verifier's
-theta grid, the checker's identity axes and cell samples).  This is the
-only module that knows which families exist; the others read everything
-family-specific from the bundle.
+This is the only module that knows which families exist; the others read
+everything family-specific from the bundle.
 """
 
 from __future__ import annotations
@@ -90,22 +91,12 @@ from .core import (
     _index_array,
     _number,
     _one,
+    _or_inf,
     factor_from_growth,
     factor_from_steps,
 )
 
-__all__ = [
-    "FAMILY_IDS",
-    "FamilyBundle",
-    "make_bundle",
-    "binomial_family",
-    "discrete_uniform_family",
-    "poisson_family",
-    "continuous_uniform_family",
-    "normal_mean_family",
-    "normal_variance_family",
-    "cauchy_family",
-]
+__all__ = ["FAMILY_IDS", "FamilyBundle", "make_bundle"]
 
 #: Safety multiplier applied to numerically estimated factors (binomial).
 ESTIMATED_FACTOR_MARGIN = 1.1
@@ -119,7 +110,7 @@ CAUCHY_WINDOW = 10_000
 
 
 # ---------------------------------------------------------------------------
-# Distribution families
+# Pieces the families' laws share
 # ---------------------------------------------------------------------------
 
 
@@ -155,272 +146,6 @@ def _standard_normals(rng, m: int, n: int) -> np.ndarray:
     return rng.standard_normal(m if n == 1 else (m, n))
 
 
-def _poisson_ppf(lam, q):
-    vals = np.ceil(pdtrik(q, lam))
-    below = np.maximum(vals - 1, 0)
-    return np.where(pdtr(below, lam) >= q, below, vals)
-
-
-def poisson_family() -> Family:
-    def log_density(lam, x):
-        ok = (x >= 0) & (x == np.floor(x))
-        with np.errstate(invalid="ignore"):
-            val = -lam + xlogy(x, lam) - gammaln(x + 1.0)
-        return np.where(ok, val, -np.inf)
-
-    def div(l1, l2):
-        return rel_entr(l1, l2) - l1 + l2
-
-    return Family(
-        name="poisson",
-        param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
-        sample_dim=1,
-        log_density=log_density,
-        divergence_fn=div,
-        estimator_g=_sample,
-        lift=_sample,
-        law=_discrete_law(
-            lambda lam, k: pdtr(k, lam),
-            lambda lam, k: pdtrc(k, lam),
-            _poisson_ppf,
-            lambda lam, m, rng: rng.poisson(lam, m).astype(float),
-            top=lambda lam: math.inf,
-        ),
-    )
-
-
-def binomial_family(n: int) -> Family:
-    n = int(n)
-    log_binom = gammaln(n + 1.0)
-
-    def log_density(p, k):
-        ok = (k >= 0) & (k <= n) & (k == np.floor(k))
-        val = (
-            log_binom
-            - gammaln(k + 1.0)
-            - gammaln(n - k + 1.0)
-            + xlogy(k, p)
-            + xlogy(n - k, 1.0 - p)
-        )
-        return np.where(ok, val, -np.inf)
-
-    def div(p1, p2):
-        return n * (rel_entr(p1, p2) + rel_entr(1.0 - p1, 1.0 - p2))
-
-    return Family(
-        name="binomial",
-        param_space=Interval(lo=0.0, hi=1.0, lo_open=True),
-        sample_dim=1,
-        log_density=log_density,
-        divergence_fn=div,
-        estimator_g=lambda k: k / n,
-        lift=lambda v: np.round(v * n),
-        law=_discrete_law(
-            lambda p, k: _binom_cdf(k, n, p),
-            lambda p, k: _binom_sf(k, n, p),
-            lambda p, q: _binom_ppf(q, n, p),
-            lambda p, m, rng: rng.binomial(n, p, m).astype(float),
-            top=lambda p: n,
-            hi=n,
-        ),
-    )
-
-
-def _du_cdf(N, k):
-    return (k + 1.0) / (N + 1.0)
-
-
-def _du_ppf(N, q):
-    vals = np.ceil(q * (N + 1.0)) - 1.0
-    below = np.clip(vals - 1.0, 0.0, N + 1.0)
-    return np.where(_du_cdf(N, below) >= q, below, vals)
-
-
-def discrete_uniform_family() -> Family:
-    def log_density(N, x):
-        ok = (x >= 0) & (x <= N) & (x == np.floor(x))
-        return np.where(ok, -np.log(N + 1.0), -np.inf)
-
-    def div(n1, n2):
-        return np.where(n1 <= n2, np.log((n2 + 1.0) / (n1 + 1.0)), np.inf)
-
-    return Family(
-        name="discrete_uniform",
-        param_space=Interval(lo=0.0, hi=math.inf, lo_open=False, integer=True),
-        sample_dim=1,
-        log_density=log_density,
-        divergence_fn=div,
-        estimator_g=_sample,
-        lift=_sample,
-        law=_discrete_law(
-            _du_cdf, lambda N, k: 1.0 - _du_cdf(N, k), _du_ppf,
-            lambda N, m, rng: rng.integers(0, int(N) + 1, m).astype(float),
-            top=lambda N: N,
-        ),
-    )
-
-
-def continuous_uniform_family() -> Family:
-    def cdf(theta, v):
-        return np.clip(np.asarray(v, dtype=float) / theta, 0.0, 1.0)
-
-    def log_density(theta, x):
-        ok = (x > 0) & (x <= theta)
-        return np.where(ok, -np.log(theta), -np.inf)
-
-    def div(t1, t2):
-        with np.errstate(divide="ignore"):
-            return np.where(t1 <= t2, np.log(t2) - np.log(t1), np.inf)
-
-    return Family(
-        name="continuous_uniform",
-        param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
-        sample_dim=1,
-        log_density=log_density,
-        divergence_fn=div,
-        estimator_g=_sample,
-        lift=_sample,
-        law=StatLaw(
-            discrete=False,
-            cdf=cdf,
-            sf=lambda theta, v: 1.0 - cdf(theta, v),
-            ppf=lambda theta, q: q * theta,
-            sample=lambda theta, m, rng: theta * (1.0 - rng.random(m)),
-            lo=0.0,
-            # the ceiling estimator is undefined at 0
-            tail_floor=2.0 ** -60,
-        ),
-    )
-
-
-def normal_mean_family(n: int) -> Family:
-    n = int(n)
-
-    def log_density(mu, x):
-        # for n == 1 an array is a batch of scalar samples; for n > 1 the
-        # last axis holds the coordinates of one sample
-        z = x - mu if n == 1 else x - mu[..., None]
-        sq = z * z if n == 1 else np.sum(z * z, axis=-1)
-        return -0.5 * n * _LOG_2PI - 0.5 * sq
-
-    def div(m1, m2):
-        z = m1 - m2
-        return 0.5 * n * (z * z)
-
-    # the mean of n unit-variance draws is N(mu, 1/n)
-    scale = 1.0 / math.sqrt(n)
-
-    def cdf(mu, v):
-        return ndtr((v - mu) / scale)
-
-    def moment(mu, v):  # given for n == 1 only, where scale = 1
-        z = v - mu
-        F = ndtr(z)  # cdf(mu, v) from the same z
-        return F, mu * F - np.exp(-z**2 / 2.0) / _SQRT_2PI
-
-    return Family(
-        name="normal_mean",
-        param_space=Interval(),
-        sample_dim=n,
-        log_density=log_density,
-        divergence_fn=div,
-        estimator_g=_sample if n == 1 else (lambda x: np.mean(x, axis=-1)),
-        lift=_sample if n == 1 else (lambda v: np.repeat(v[..., None], n, axis=-1)),
-        law=StatLaw(
-            discrete=False,
-            cdf=cdf,
-            sf=lambda mu, v: ndtr(-((v - mu) / scale)),
-            ppf=lambda mu, q: ndtri(q) * scale + mu,
-            sample=lambda mu, m, rng: mu + _standard_normals(rng, m, n),
-            draw_statistic=None if n == 1 else (
-                lambda mu, m, rng: mu + scale * rng.standard_normal(m)),
-            moment=moment if n == 1 else None,
-            charfn=(lambda t: np.exp(-0.5 * (t * t))) if n == 1 else None,
-        ),
-    )
-
-
-def normal_variance_family(n: int) -> Family:
-    n = int(n)
-
-    def log_density(var, x):
-        sq = x * x if n == 1 else np.sum(x * x, axis=-1)
-        return -0.5 * n * (_LOG_2PI + np.log(var)) - 0.5 * sq / var
-
-    def div(v1, v2):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = v1 / v2
-            return np.where(r == 0.0, np.inf, 0.5 * n * (r - np.log(r) - 1.0))
-
-    def g(x):
-        # each sample's dot product with itself, rounded as np.dot rounds
-        # it (summing x * x rounds differently and allocates a copy)
-        return (x * x if n == 1 else (x[..., None, :] @ x[..., None])[..., 0, 0]) / n
-
-    # n g(X) / var is chi-square with n degrees of freedom
-    def chi2(var, v):
-        return n * np.asarray(v, dtype=float) / var
-
-    return Family(
-        name="normal_variance",
-        param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
-        sample_dim=n,
-        log_density=log_density,
-        divergence_fn=div,
-        estimator_g=g,
-        lift=lambda v: np.repeat(np.sqrt(v)[..., None], n, axis=-1),
-        law=StatLaw(
-            discrete=False,
-            cdf=lambda var, v: np.where(chi2(var, v) > 0, chdtr(n, chi2(var, v)), 0.0),
-            sf=lambda var, v: np.where(chi2(var, v) > 0, chdtrc(n, chi2(var, v)), 1.0),
-            ppf=lambda var, q: var * (2 * gammaincinv(n / 2, q)) / n,
-            sample=lambda var, m, rng: math.sqrt(var) * _standard_normals(rng, m, n),
-            # chi-square with n degrees of freedom is twice a Gamma(n / 2)
-            draw_statistic=lambda var, m, rng: var * (2 / n) * rng.standard_gamma(n / 2, m),
-            lo=0.0,
-        ),
-    )
-
-
-def cauchy_family() -> Family:
-    def log_density(theta, x):
-        z = x - theta
-        return -math.log(math.pi) - np.log1p(z * z)
-
-    def div(t1, t2):
-        z = t1 - t2
-        return np.log1p(z * z)
-
-    def cdf(theta, v):
-        return np.arctan2(1, -(v - theta)) / np.pi
-
-    def moment(theta, v):
-        z = v - theta
-        F = np.arctan2(1, -z) / np.pi  # cdf(theta, v) from the same z
-        # d/dv [log(1 + z^2) / (2 pi)] = z * pdf(z)
-        return F, theta * F + np.log1p(z * z) / (2.0 * math.pi)
-
-    return Family(
-        name="cauchy",
-        param_space=Interval(),
-        sample_dim=1,
-        log_density=log_density,
-        divergence_fn=div,
-        estimator_g=_sample,
-        lift=_sample,
-        law=StatLaw(
-            discrete=False,
-            cdf=cdf,
-            sf=lambda theta, v: np.arctan2(1, v - theta) / np.pi,
-            ppf=lambda theta, q: _cauchy_ppf(q, 0.0, 1.0) + theta,
-            sample=lambda theta, m, rng: theta + rng.standard_cauchy(m),
-            cap=CAUCHY_WINDOW,
-            moment=moment,
-            charfn=lambda t: np.exp(-np.abs(t)),
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Bundles
 # ---------------------------------------------------------------------------
@@ -429,7 +154,8 @@ def cauchy_family() -> Family:
 @dataclass(frozen=True)
 class FamilyBundle:
     """A family wired to its estimator (and so to the estimator's
-    ``net``) and normalizing factor, with the family's adversarial grids.
+    ``net``) and normalizing factor, with the family's adversarial grids;
+    one family maker builds each.
 
     A sample reaches its cell one way: ``locate``, then ``index`` (its
     cell is ``cell_bounds`` of that index, its net point ``estimate``).
@@ -440,7 +166,9 @@ class FamilyBundle:
     ``identity_axes(b)``, the (thetas, net indices, statistic values) of
     the checker's log-ratio identity grid; ``cell_samples(b, rng)``, the
     discrete families' samples for the cell checks (None: the checker
-    fills the estimator's cells).
+    fills the estimator's cells).  ``params`` are the maker's arguments
+    that shape the bundle, in order; with the family's name they make
+    ``bundle_id``.
 
     Bundles are immutable and safe for concurrent reads.
     """
@@ -453,7 +181,13 @@ class FamilyBundle:
     identity_axes: Callable[["FamilyBundle"], tuple]
     cell_samples: Callable[..., Sequence] | None = None
     params: Mapping[str, float] = field(default_factory=dict)
-    bundle_id: str = ""
+
+    @property
+    def bundle_id(self) -> str:
+        """The family's name, followed by ``(k=v,...)`` over ``params``
+        when there are any: ``binomial(n=64)``, ``poisson``."""
+        args = ",".join(f"{key}={value}" for key, value in self.params.items())
+        return f"{self.family.name}({args})" if args else self.family.name
 
     @property
     def route(self) -> str:
@@ -533,7 +267,7 @@ class FamilyBundle:
 
 
 # ---------------------------------------------------------------------------
-# Adversarial grids, one set per family (see FamilyBundle)
+# Adversarial grids (see FamilyBundle)
 #
 # Location families sweep a wide span plus cell-boundary and half-integer
 # points (the worst cases sit at cell boundaries); scale families sweep
@@ -561,64 +295,9 @@ def _location_axes(span: float):
                       np.linspace(-span, span, 50))
 
 
-#: the discrete uniform's identity axes: 50 sizes spread over 1..4096
-_DYADIC_SIZES = np.unique(np.round(np.geomspace(1, 4096, 50)))
-
-
-def _binomial_theta_grid(b: FamilyBundle) -> np.ndarray:
-    pts = b.net.points(b.net.indices())
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    return np.concatenate([
-        [1e-4, 1e-3, 0.01, 0.05, 0.95, 0.99, 0.999, 0.9999], np.linspace(0.05, 0.95, 19),
-        pts, np.minimum(1 - 1e-9, pts * 1.01), np.maximum(1e-9, pts * 0.99),
-        mids, np.nextafter(mids, 0.0), np.nextafter(mids, 1.0)])
-
-
-def _discrete_uniform_theta_grid(b: FamilyBundle) -> np.ndarray:
-    p = 2 ** np.arange(1, 21)
-    return np.concatenate([np.arange(1, 65), p - 1, p, np.minimum(2**20, p + 1),
-                           np.geomspace(64, 2**20, 40).astype(int)])
-
-
-def _poisson_theta_grid(b: FamilyBundle) -> np.ndarray:
-    t = np.arange(1, 13)
-    return np.concatenate([np.geomspace(0.5, 1e4, 97), t * t, t * t + t, t * t + t + 0.25,
-                           t * t + t + 0.75, np.maximum(0.5, t * t - t)])
-
-
-def _poisson_cell_samples(b: FamilyBundle, rng) -> list:
-    """Both ends of the cells {t^2 - t + 1 .. t^2 + t} of the first 120
-    squares, filled in full or by 25 seeded draws."""
-    samples = [0.0]
-    for t in range(1, 121):
-        a, c = t * t - t + 1, t * t + t
-        samples += [float(a), float(c)]
-        if c - a <= 25:
-            samples += [float(v) for v in range(a + 1, c)]
-        else:
-            samples += [float(v) for v in rng.integers(a, c + 1, 25)]
-    return samples
-
-
-def _normal_mean_theta_grid(b: FamilyBundle) -> np.ndarray:
-    h = b.net.points(1) - b.net.points(0)
-    grid = _location_grid([0.0, h / 8, h / 4, 3 * h / 8, h / 2, h / 2 + h / 64,
-                           5 * h / 8, 3 * h / 4, h])
-    eps = b.params.get("epsilon")
-    if eps is not None:
-        grid = np.append(grid, [0.5 - eps, 0.5 - eps / 2, 0.5, 0.5 + eps / 2, 0.5 + eps])
-    return grid
-
-
-def _normal_variance_theta_grid(b: FamilyBundle) -> np.ndarray:
-    pts = b.net.points(np.arange(-6, 7))
-    return np.append(_scale_grid(pts), 0.5 * (pts[:-1] + pts[1:]))
-
-
-def _cauchy_theta_grid(b: FamilyBundle) -> np.ndarray:
-    eps = b.params.get("epsilon", 0.0)
-    return _location_grid([0.0, 0.1, 0.25, 0.5 - eps, 0.5 - eps / 2, 0.5,
-                           0.5 + eps / 2, 0.5 + eps, 0.75, 1.0])
+# ---------------------------------------------------------------------------
+# The families, one maker each
+# ---------------------------------------------------------------------------
 
 
 def _binomial_growth_alpha(net: BinomialSine, div) -> float:
@@ -649,70 +328,206 @@ def _binomial_growth_alpha(net: BinomialSine, div) -> float:
 def _make_binomial(n: int | None = None) -> FamilyBundle:
     if n is None:
         raise DomainError("the binomial bundle needs the trial count n")
-    fam = binomial_family(n)
+    log_binom = gammaln(n + 1.0)
+
+    def log_density(p, k):
+        ok = (k >= 0) & (k <= n) & (k == np.floor(k))
+        val = (
+            log_binom
+            - gammaln(k + 1.0)
+            - gammaln(n - k + 1.0)
+            + xlogy(k, p)
+            + xlogy(n - k, 1.0 - p)
+        )
+        return np.where(ok, val, -np.inf)
+
+    def theta_grid(b):
+        pts = b.net.points(b.net.indices())
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        return np.concatenate([
+            [1e-4, 1e-3, 0.01, 0.05, 0.95, 0.99, 0.999, 0.9999], np.linspace(0.05, 0.95, 19),
+            pts, np.minimum(1 - 1e-9, pts * 1.01), np.maximum(1e-9, pts * 0.99),
+            mids, np.nextafter(mids, 0.0), np.nextafter(mids, 1.0)])
+
+    fam = Family(
+        name="binomial",
+        param_space=Interval(lo=0.0, hi=1.0, lo_open=True),
+        sample_dim=1,
+        log_density=log_density,
+        divergence_fn=lambda p1, p2: n * (rel_entr(p1, p2) + rel_entr(1.0 - p1, 1.0 - p2)),
+        estimator_g=lambda k: k / n,
+        lift=lambda v: np.round(v * n),
+        law=_discrete_law(
+            lambda p, k: _binom_cdf(k, n, p),
+            lambda p, k: _binom_sf(k, n, p),
+            lambda p, q: _binom_ppf(q, n, p),
+            lambda p, m, rng: rng.binomial(n, p, m).astype(float),
+            top=lambda p: n,
+            hi=n,
+        ),
+    )
     net = BinomialSine(n)
     est = RoundToNet(net)
     gs = fam.estimator_g(np.arange(n + 1))
     c_prime = float(np.max(fam.divergence_fn(gs, net.points(est.index(gs)))))
     alpha = _binomial_growth_alpha(net, fam.divergence_fn)
-    inputs = FactorInputs(c_prime=c_prime, alpha=alpha)
-    C = ESTIMATED_FACTOR_MARGIN * factor_from_growth(c_prime, alpha)
     return FamilyBundle(
         family=fam,
         estimator=est,
-        factor_inputs=inputs,
-        factor_C=C,
-        theta_grid=_binomial_theta_grid,
+        factor_inputs=FactorInputs(c_prime=c_prime, alpha=alpha),
+        factor_C=ESTIMATED_FACTOR_MARGIN * factor_from_growth(c_prime, alpha),
+        theta_grid=theta_grid,
         identity_axes=lambda b: (np.linspace(0.02, 0.98, 50), b.net.indices(),
                                  np.arange(0, b.params["n"] + 1) / b.params["n"]),
         cell_samples=lambda b, rng: np.arange(b.params["n"] + 1.0),
         params={"n": n},
-        bundle_id=f"binomial(n={n})",
     )
 
 
+#: the discrete uniform's identity axes: 50 sizes spread over 1..4096
+_DYADIC_SIZES = np.unique(np.round(np.geomspace(1, 4096, 50)))
+
+
 def _make_discrete_uniform() -> FamilyBundle:
+    def cdf(N, k):
+        return (k + 1.0) / (N + 1.0)
+
+    def ppf(N, q):
+        vals = np.ceil(q * (N + 1.0)) - 1.0
+        below = np.clip(vals - 1.0, 0.0, N + 1.0)
+        return np.where(cdf(N, below) >= q, below, vals)
+
+    def log_density(N, x):
+        ok = (x >= 0) & (x <= N) & (x == np.floor(x))
+        return np.where(ok, -np.log(N + 1.0), -np.inf)
+
+    def theta_grid(b):
+        p = 2 ** np.arange(1, 21)
+        return np.concatenate([np.arange(1, 65), p - 1, p, np.minimum(2**20, p + 1),
+                               np.geomspace(64, 2**20, 40).astype(int)])
+
     return FamilyBundle(
-        family=discrete_uniform_family(),
+        family=Family(
+            name="discrete_uniform",
+            param_space=Interval(lo=0.0, hi=math.inf, lo_open=False, integer=True),
+            sample_dim=1,
+            log_density=log_density,
+            divergence_fn=lambda n1, n2: np.where(
+                n1 <= n2, np.log((n2 + 1.0) / (n1 + 1.0)), np.inf),
+            estimator_g=_sample,
+            lift=_sample,
+            law=_discrete_law(
+                cdf, lambda N, k: 1.0 - cdf(N, k), ppf,
+                lambda N, m, rng: rng.integers(0, int(N) + 1, m).astype(float),
+                top=lambda N: N,
+            ),
+        ),
         estimator=CeilDyadic(DyadicInt()),
         factor_inputs=None,
         factor_C=3.0,
-        theta_grid=_discrete_uniform_theta_grid,
+        theta_grid=theta_grid,
         identity_axes=lambda b: (_DYADIC_SIZES, range(0, 12), _DYADIC_SIZES),
         # every support point of the first 14 dyadic cells
         cell_samples=lambda b, rng: np.arange(2.0 ** 14 + 1.0),
-        params={},
-        bundle_id="discrete_uniform",
     )
 
 
 def _make_poisson() -> FamilyBundle:
+    def log_density(lam, x):
+        ok = (x >= 0) & (x == np.floor(x))
+        with np.errstate(invalid="ignore"):
+            val = -lam + xlogy(x, lam) - gammaln(x + 1.0)
+        return np.where(ok, val, -np.inf)
+
+    def ppf(lam, q):
+        vals = np.ceil(pdtrik(q, lam))
+        below = np.maximum(vals - 1, 0)
+        return np.where(pdtr(below, lam) >= q, below, vals)
+
+    def theta_grid(b):
+        t = np.arange(1, 13)
+        return np.concatenate([np.geomspace(0.5, 1e4, 97), t * t, t * t + t,
+                               t * t + t + 0.25, t * t + t + 0.75, np.maximum(0.5, t * t - t)])
+
+    def cell_samples(b, rng):
+        """Both ends of the cells {t^2 - t + 1 .. t^2 + t} of the first 120
+        squares, filled in full or by 25 seeded draws."""
+        samples = [0.0]
+        for t in range(1, 121):
+            a, c = t * t - t + 1, t * t + t
+            samples += [float(a), float(c)]
+            if c - a <= 25:
+                samples += [float(v) for v in range(a + 1, c)]
+            else:
+                samples += [float(v) for v in rng.integers(a, c + 1, 25)]
+        return samples
+
     inputs = FactorInputs(c_prime=1.0, c=1.0)
     return FamilyBundle(
-        family=poisson_family(),
+        family=Family(
+            name="poisson",
+            param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
+            sample_dim=1,
+            log_density=log_density,
+            divergence_fn=lambda l1, l2: rel_entr(l1, l2) - l1 + l2,
+            estimator_g=_sample,
+            lift=_sample,
+            law=_discrete_law(
+                lambda lam, k: pdtr(k, lam),
+                lambda lam, k: pdtrc(k, lam),
+                ppf,
+                lambda lam, m, rng: rng.poisson(lam, m).astype(float),
+                top=lambda lam: math.inf,
+            ),
+        ),
         estimator=RoundToNet(Squares()),
         factor_inputs=inputs,
         factor_C=factor_from_steps(inputs.c_prime, inputs.c),
-        theta_grid=_poisson_theta_grid,
+        theta_grid=theta_grid,
         identity_axes=lambda b: (np.geomspace(0.1, 100.0, 50), range(1, 51), np.unique(
             np.concatenate([[0.0, 1.0, 2.0], np.round(np.geomspace(1, 300, 47))]))),
-        cell_samples=_poisson_cell_samples,
-        params={},
-        bundle_id="poisson",
+        cell_samples=cell_samples,
     )
 
 
 def _make_continuous_uniform() -> FamilyBundle:
+    def cdf(theta, v):
+        return np.clip(np.asarray(v, dtype=float) / theta, 0.0, 1.0)
+
+    def log_density(theta, x):
+        ok = (x > 0) & (x <= theta)
+        return np.where(ok, -np.log(theta), -np.inf)
+
+    def div(t1, t2):
+        with np.errstate(divide="ignore"):
+            return np.where(t1 <= t2, np.log(t2) - np.log(t1), np.inf)
+
     return FamilyBundle(
-        family=continuous_uniform_family(),
+        family=Family(
+            name="continuous_uniform",
+            param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
+            sample_dim=1,
+            log_density=log_density,
+            divergence_fn=div,
+            estimator_g=_sample,
+            lift=_sample,
+            law=StatLaw(
+                discrete=False,
+                cdf=cdf,
+                sf=lambda theta, v: 1.0 - cdf(theta, v),
+                ppf=lambda theta, q: q * theta,
+                sample=lambda theta, m, rng: theta * (1.0 - rng.random(m)),
+                lo=0.0,
+                # the ceiling estimator is undefined at 0
+                tail_floor=2.0 ** -60,
+            ),
+        ),
         estimator=CeilDyadic(DyadicReal()),
         factor_inputs=None,
         factor_C=3.0,
         theta_grid=lambda b: _scale_grid(b.net.points(np.arange(-10, 11))),
         identity_axes=lambda b: (np.geomspace(1e-3, 1e3, 50), range(-10, 11),
                                  np.geomspace(1e-3, 1e3, 50)),
-        params={},
-        bundle_id="continuous_uniform",
     )
 
 
@@ -724,25 +539,74 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
         if n != 1:
             raise DomainError("the r^epsilon variant uses n = 1")
         est: Estimator = REpsilon(float(epsilon))
-        eps = est.epsilon
-        inputs = FactorInputs(c_prime=0.5 * (0.5 + eps) ** 2, alpha=1.0)
+        inputs = FactorInputs(c_prime=0.5 * (0.5 + est.epsilon) ** 2, alpha=1.0)
         C = factor_from_growth(inputs.c_prime, inputs.alpha)
-        params, bundle_id = {"n": 1, "epsilon": eps}, f"normal_mean(epsilon={eps})"
+        params = {"epsilon": est.epsilon}
     else:
         alpha = float(alpha)
         est = RoundToNet(ScaledLattice(alpha=alpha, n=n))  # it checks alpha > 0, n >= 1
-        inputs = FactorInputs(c_prime=alpha ** 2 / 8.0, c=alpha ** 2 / 2.0)
+        square = _or_inf(lambda: alpha ** 2)  # pow, whose last bit alpha * alpha may not match
+        if not (0.0 < square / 8.0 and square / 2.0 < math.inf):
+            raise DomainError(f"family.params.alpha: {alpha!r} puts the step constants "
+                              "alpha^2/8 and alpha^2/2 outside the positive floats")
+        inputs = FactorInputs(c_prime=square / 8.0, c=square / 2.0)
         C = factor_from_steps(inputs.c_prime, inputs.c)
-        params, bundle_id = {"alpha": alpha, "n": n}, f"normal_mean(alpha={alpha},n={n})"
+        params = {"alpha": alpha, "n": n}
+    # the mean of n unit-variance draws is N(mu, 1/n)
+    scale = 1.0 / math.sqrt(n)
+
+    def log_density(mu, x):
+        # for n == 1 an array is a batch of scalar samples; for n > 1 the
+        # last axis holds the coordinates of one sample
+        z = x - mu if n == 1 else x - mu[..., None]
+        sq = z * z if n == 1 else np.sum(z * z, axis=-1)
+        return -0.5 * n * _LOG_2PI - 0.5 * sq
+
+    def div(m1, m2):
+        z = m1 - m2
+        return 0.5 * n * (z * z)
+
+    def moment(mu, v):  # given for n == 1 only, where scale = 1
+        z = v - mu
+        F = ndtr(z)  # the cdf at v from the same z
+        return F, mu * F - np.exp(-z**2 / 2.0) / _SQRT_2PI
+
+    def theta_grid(b):
+        h = b.net.points(1) - b.net.points(0)
+        grid = _location_grid([0.0, h / 8, h / 4, 3 * h / 8, h / 2, h / 2 + h / 64,
+                               5 * h / 8, 3 * h / 4, h])
+        eps = b.params.get("epsilon")
+        if eps is not None:
+            grid = np.append(grid, [0.5 - eps, 0.5 - eps / 2, 0.5, 0.5 + eps / 2, 0.5 + eps])
+        return grid
+
     return FamilyBundle(
-        family=normal_mean_family(n),
+        family=Family(
+            name="normal_mean",
+            param_space=Interval(),
+            sample_dim=n,
+            log_density=log_density,
+            divergence_fn=div,
+            estimator_g=_sample if n == 1 else (lambda x: np.mean(x, axis=-1)),
+            lift=_sample if n == 1 else (lambda v: np.repeat(v[..., None], n, axis=-1)),
+            law=StatLaw(
+                discrete=False,
+                cdf=lambda mu, v: ndtr((v - mu) / scale),
+                sf=lambda mu, v: ndtr(-((v - mu) / scale)),
+                ppf=lambda mu, q: ndtri(q) * scale + mu,
+                sample=lambda mu, m, rng: mu + _standard_normals(rng, m, n),
+                draw_statistic=None if n == 1 else (
+                    lambda mu, m, rng: mu + scale * rng.standard_normal(m)),
+                moment=moment if n == 1 else None,
+                charfn=(lambda t: np.exp(-0.5 * (t * t))) if n == 1 else None,
+            ),
+        ),
         estimator=est,
         factor_inputs=inputs,
         factor_C=C,
-        theta_grid=_normal_mean_theta_grid,
+        theta_grid=theta_grid,
         identity_axes=_location_axes(6.0),
         params=params,
-        bundle_id=bundle_id,
     )
 
 
@@ -751,37 +615,111 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
         raise DomainError("n must be a positive integer")
     root = math.isqrt(n)  # a square n gives the ratio as an exact Fraction
     net = Geometric(1 + Fraction(1, root) if root * root == n else 1.0 + 1.0 / math.sqrt(n))
-    fam = normal_variance_family(n)
+
+    def log_density(var, x):
+        sq = x * x if n == 1 else np.sum(x * x, axis=-1)
+        return -0.5 * n * (_LOG_2PI + np.log(var)) - 0.5 * sq / var
+
+    def div(v1, v2):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = v1 / v2
+            return np.where(r == 0.0, np.inf, 0.5 * n * (r - np.log(r) - 1.0))
+
+    def g(x):
+        # each sample's dot product with itself, rounded as np.dot rounds
+        # it (summing x * x rounds differently and allocates a copy)
+        return (x * x if n == 1 else (x[..., None, :] @ x[..., None])[..., 0, 0]) / n
+
+    # n g(X) / var is chi-square with n degrees of freedom
+    def chi2(var, v):
+        return n * np.asarray(v, dtype=float) / var
+
+    def theta_grid(b):
+        pts = b.net.points(np.arange(-6, 7))
+        return np.append(_scale_grid(pts), 0.5 * (pts[:-1] + pts[1:]))
+
     inputs = FactorInputs(c_prime=0.5, c=1.0 / 32.0)
     return FamilyBundle(
-        family=fam,
+        family=Family(
+            name="normal_variance",
+            param_space=Interval(lo=0.0, hi=math.inf, lo_open=True),
+            sample_dim=n,
+            log_density=log_density,
+            divergence_fn=div,
+            estimator_g=g,
+            lift=lambda v: np.repeat(np.sqrt(v)[..., None], n, axis=-1),
+            law=StatLaw(
+                discrete=False,
+                cdf=lambda var, v: np.where(chi2(var, v) > 0, chdtr(n, chi2(var, v)), 0.0),
+                sf=lambda var, v: np.where(chi2(var, v) > 0, chdtrc(n, chi2(var, v)), 1.0),
+                ppf=lambda var, q: var * (2 * gammaincinv(n / 2, q)) / n,
+                sample=lambda var, m, rng: math.sqrt(var) * _standard_normals(rng, m, n),
+                # chi-square with n degrees of freedom is twice a Gamma(n / 2)
+                draw_statistic=lambda var, m, rng: var * (2 / n) * rng.standard_gamma(n / 2, m),
+                lo=0.0,
+            ),
+        ),
         estimator=RoundToNet(net),
         factor_inputs=inputs,
         factor_C=factor_from_steps(inputs.c_prime, inputs.c),
-        theta_grid=_normal_variance_theta_grid,
+        theta_grid=theta_grid,
         # the geometric net dives towards 0 quickly; indices are kept in a
         # range where the identity's terms stay within float64 reach of an
         # absolute 1e-9 residual
         identity_axes=lambda b: (np.geomspace(0.01, 100.0, 50), range(-12, 13),
                                  np.geomspace(0.005, 200.0, 50)),
         params={"n": n},
-        bundle_id=f"normal_variance(n={n})",
     )
 
 
 def _make_cauchy(epsilon: float | None = None) -> FamilyBundle:
+    def log_density(theta, x):
+        z = x - theta
+        return -math.log(math.pi) - np.log1p(z * z)
+
+    def div(t1, t2):
+        z = t1 - t2
+        return np.log1p(z * z)
+
+    def moment(theta, v):
+        z = v - theta
+        F = np.arctan2(1, -z) / np.pi  # the cdf at v from the same z
+        # d/dv [log(1 + z^2) / (2 pi)] = z * pdf(z)
+        return F, theta * F + np.log1p(z * z) / (2.0 * math.pi)
+
+    def theta_grid(b):
+        eps = b.params.get("epsilon", 0.0)
+        return _location_grid([0.0, 0.1, 0.25, 0.5 - eps, 0.5 - eps / 2, 0.5,
+                               0.5 + eps / 2, 0.5 + eps, 0.75, 1.0])
+
     est = RoundToNet(IntegerLattice()) if epsilon is None else REpsilon(float(epsilon))
-    params = {} if epsilon is None else {"epsilon": est.epsilon}
     inputs = FactorInputs(c_prime=math.log(2.0), alpha=1.0)
     return FamilyBundle(
-        family=cauchy_family(),
+        family=Family(
+            name="cauchy",
+            param_space=Interval(),
+            sample_dim=1,
+            log_density=log_density,
+            divergence_fn=div,
+            estimator_g=_sample,
+            lift=_sample,
+            law=StatLaw(
+                discrete=False,
+                cdf=lambda theta, v: np.arctan2(1, -(v - theta)) / np.pi,
+                sf=lambda theta, v: np.arctan2(1, v - theta) / np.pi,
+                ppf=lambda theta, q: _cauchy_ppf(q, 0.0, 1.0) + theta,
+                sample=lambda theta, m, rng: theta + rng.standard_cauchy(m),
+                cap=CAUCHY_WINDOW,
+                moment=moment,
+                charfn=lambda t: np.exp(-np.abs(t)),
+            ),
+        ),
         estimator=est,
         factor_inputs=inputs,
         factor_C=factor_from_growth(inputs.c_prime, inputs.alpha),
-        theta_grid=_cauchy_theta_grid,
+        theta_grid=theta_grid,
         identity_axes=_location_axes(30.0),
-        params=params,
-        bundle_id=f"cauchy(epsilon={est.epsilon})" if params else "cauchy",
+        params={} if epsilon is None else {"epsilon": est.epsilon},
     )
 
 

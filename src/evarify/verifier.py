@@ -129,8 +129,9 @@ class ExpectationPlan:
         if not 2.0**-51 <= self.tail_mass <= cap:
             raise DomainError(f"tail_mass must lie in [2**-51, {cap:g}] for method "
                               f"{self.method!r} (got {self.tail_mass!r})")
-        if not self.mc_samples >= 2:  # a sample variance needs two draws
-            raise DomainError(f"mc_samples must be at least 2 (got {self.mc_samples!r})")
+        if not (isinstance(self.mc_samples, int) and self.mc_samples >= 2):
+            # a sample variance needs two draws
+            raise DomainError(f"mc_samples must be an integer >= 2 (got {self.mc_samples!r})")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):  # a Philox key word
             raise DomainError(f"seed must be an integer in [0, 2**64) (got {self.seed!r})")
 
@@ -664,8 +665,8 @@ def mle_counterexample_poisson_with_bound(lam: float) -> ExpectationResult:
     N = n_max + 1 (below 1 since N > lam), the tail is at most
     t_N / (1 - rho).
     """
-    if lam <= 0:
-        raise DomainError("lambda must be > 0")
+    if not 0 < lam < math.inf:
+        raise DomainError(f"lambda must be finite and > 0 (got {lam!r})")
     n_max = int(lam + 20.0 * math.sqrt(lam) + 60.0)
     low = max(1, math.floor(lam - 30.0 * math.sqrt(lam) - 60.0))
     if n_max - low + 1 > _MLE_TERMS_MAX:
@@ -718,8 +719,8 @@ def uniform_ceiling_budget_max(n_max: int = 2**20) -> tuple[float, int]:
     """Max of the budget certificate over 1 <= N <= n_max, (value, least
     argmax N): on each block 2^(m-1) < N <= 2^m it falls with N, so the max
     is at N = 1 or at a block's first N, 2^(m-1) + 1."""
-    if n_max < 1:
-        raise DomainError("n_max must be a positive integer")
+    if not (isinstance(n_max, int) and n_max >= 1):
+        raise DomainError(f"n_max must be a positive integer (got {n_max!r})")
     firsts = [(m, 2 ** (m - 1) + 1) for m in range(1, (n_max - 1).bit_length() + 1)]
     return max([(1.0, 1), *(((2.0 ** (m + 1.0) + m) / (N + 1.0), N) for m, N in firsts)],
                key=lambda b: b[0])

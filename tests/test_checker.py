@@ -800,3 +800,36 @@ class TestRunAllChecks:
 
     def test_identity_tolerance_constant(self):
         assert IDENTITY_TOL == 1e-9
+
+
+#: each condition's (n_evaluated, n_skipped) on BENCHMARK_CONFIGS, in order
+PINNED_COUNTS = [
+    {"cell_bound": (0, 0), "cell_sandwich": (65, 0), "divergence_growth": (185, 0),
+     "log_ratio_identity": (22750, 0)},
+    {"cell_bound": (0, 0), "cell_sandwich": (10001, 0), "divergence_growth": (314, 0),
+     "log_ratio_identity": (49504950, 0)},
+    {"cell_bound": (0, 0), "cell_sandwich": (16385, 0), "log_ratio_identity": (6652, 16580)},
+    {"cell_bound": (0, 0), "cell_sandwich": (3072, 0), "log_ratio_identity": (95000, 0),
+     "reverse_triangle": (1500, 0), "step_lower_bound": (0, 0)},
+    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "log_ratio_identity": (17605, 34895)},
+    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "log_ratio_identity": (125000, 0),
+     "reverse_triangle": (1500, 0), "step_lower_bound": (0, 0)},
+    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "log_ratio_identity": (125000, 0),
+     "reverse_triangle": (1500, 0), "step_lower_bound": (0, 0)},
+    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "log_ratio_identity": (62500, 0),
+     "reverse_triangle": (1500, 0), "step_lower_bound": (0, 0)},
+    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "divergence_growth": (322, 0),
+     "log_ratio_identity": (125000, 0)},
+]
+
+
+@pytest.mark.parametrize("name,kw,counts",
+                         [(*config, counts) for config, counts in zip(BENCHMARK_CONFIGS,
+                                                                      PINNED_COUNTS)],
+                         ids=[f"{name}{kw}" for name, kw in BENCHMARK_CONFIGS])
+def test_each_checks_counts_are_pinned(name, kw, counts):
+    """How many points each check evaluates and skips on each benchmark
+    configuration: a check that quietly covers fewer cells, samples, pairs
+    or triples fails here, though every verdict still passes."""
+    reports = run_all_checks(make_bundle(name, **kw), seed=1)
+    assert {k: (r.n_evaluated, r.n_skipped) for k, r in reports.items()} == counts

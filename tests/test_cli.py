@@ -226,6 +226,12 @@ class TestMalformedPlanAndGrid:
         ({"theta_gird": {"values": [1.0]}}, "theta_gird"),
         ({"family": {"name": "poisson", "params": {"bogus": 1}}}, "family.params.bogus"),
         ({"command": "check-conditions"}, "command"),
+        ({"components": [{"index": 10**20, "type": "spike"}]}, "components[0].index"),
+        ({"components": [{"index": -2**53, "type": "constant"}]}, "components[0].index"),
+        ({"family": {"name": "normal_mean", "params": {"alpha": 1e160}}},
+         "family.params.alpha"),
+        ({"family": {"name": "normal_mean", "params": {"alpha": 1e-300}}},
+         "family.params.alpha"),
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
             "epsilon_is_no_mode_key", "unknown_plan_key", "unknown_mode_key",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
@@ -239,7 +245,9 @@ class TestMalformedPlanAndGrid:
             "non_integral_n", "non_integral_samples", "non_integral_seed", "bool_seed",
             "infinite_tail_mass", "bool_index", "tail_mass_below_2_51",
             "family_name_a_list", "family_name_an_object", "n_outside_params",
-            "misspelt_theta_grid", "unknown_param", "command_of_another_subcommand"])
+            "misspelt_theta_grid", "unknown_param", "command_of_another_subcommand",
+            "index_beyond_int64", "index_at_the_net_limit", "alpha_squared_overflows",
+            "alpha_squared_underflows"])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
         """Each malformed plan, grid or component spec, and each null where
         a number or an object belongs, and each key outside the schema, is

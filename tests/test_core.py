@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from evarify import core
+from evarify import combinator, core, verifier
 from evarify.core import (
     BinomialSine,
     CeilDyadic,
@@ -35,33 +35,26 @@ from evarify.core import (
     factor_from_steps,
     net_neighbors,
 )
-from evarify.families import (
-    binomial_family,
-    cauchy_family,
-    make_bundle,
-    normal_mean_family,
-    normal_variance_family,
-    poisson_family,
-)
+from evarify.families import make_bundle
 
 
 class TestDivergence:
     def test_zero_on_diagonal(self):
-        fam = poisson_family()
+        fam = make_bundle("poisson").family
         assert divergence(fam, 4.0, 4.0) == 0.0
 
     def test_normal_mean_closed_form(self):
-        fam = normal_mean_family(4)
+        fam = make_bundle("normal_mean", n=4).family
         assert divergence(fam, 0.0, 1.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_cauchy_log_form(self):
-        fam = cauchy_family()
+        fam = make_bundle("cauchy").family
         assert divergence(fam, 0.0, 1.0) == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_poisson_against_summation_oracle(self):
         """Oracle: sum_n p_1(n) log(p_1(n) / p_e(n)) truncated at n = 60,
         evaluated in 40-digit arithmetic; equals e - 2."""
-        fam = poisson_family()
+        fam = make_bundle("poisson").family
         mp.mp.dps = 40
         lam1, lam2 = mp.mpf(1), mp.e
         oracle = mp.mpf(0)
@@ -75,7 +68,7 @@ class TestDivergence:
 
     def test_poisson_boundary_extension(self):
         # continuous extension at a zero rate estimate: d(0 || lam) = lam
-        fam = poisson_family()
+        fam = make_bundle("poisson").family
         assert divergence(fam, 0.0, 2.5) == pytest.approx(2.5, abs=1e-15)
 
     def test_uniform_reversed_order_is_infinite(self):
@@ -83,7 +76,7 @@ class TestDivergence:
         assert divergence(bundle.family, 8.0, 4.0) == math.inf
 
     def test_rejects_parameters_outside_space(self):
-        fam = poisson_family()
+        fam = make_bundle("poisson").family
         with pytest.raises(DomainError):
             divergence(fam, 1.0, -2.0)
         with pytest.raises(DomainError):
@@ -108,7 +101,7 @@ class TestFamily:
         """``replace`` keeps the wrapped callables as they are and wraps
         only a new one: the family equals its copy, and a replaced
         divergence runs inside a single wrapper."""
-        fam = cauchy_family()
+        fam = make_bundle("cauchy").family
         assert replace(fam) == fam
 
         def plain(t1, t2):
@@ -161,6 +154,44 @@ class TestFactorFormulas:
             factor_from_steps(-0.1, 1.0)
 
 
+    def test_factors_beyond_the_floats_are_inf_or_exact(self):
+        """A finite c' or c whose exponential overflows gives an infinite
+        factor, or the formula's limit 5 e^c', not an OverflowError."""
+        assert factor_from_growth(1e300, 1.0) == math.inf
+        assert factor_from_steps(1e300, 1.0) == math.inf
+        assert factor_from_steps(1.0, 1e300) == 5.0 * math.e
+
+
+def _nan_bundle_composite():
+    from evarify.combinator import combine_discrete
+
+    return combine_discrete(make_bundle("poisson"), {}, factor_C=math.nan)
+
+
+@pytest.mark.parametrize("build,value", [
+    (_nan_bundle_composite, "nan"),
+    (lambda: combinator.constant_evar(math.nan), "nan"),
+    (lambda: core.FactorInputs(alpha=math.nan), "nan"),
+    (lambda: core.FactorInputs(c=math.nan), "nan"),
+    (lambda: factor_from_growth(math.nan, 1.0), "nan"),
+    (lambda: factor_from_steps(math.inf, 1.0), "inf"),
+    (lambda: verifier.ExpectationPlan(method="monte_carlo", mc_samples=2.5), "2.5"),
+    (lambda: Geometric(math.nan), "nan"),
+    (lambda: verifier.mle_counterexample_poisson(math.nan), "nan"),
+    (lambda: verifier.mle_counterexample_poisson(math.inf), "inf"),
+    (lambda: verifier.uniform_ceiling_budget_max(2.5), "2.5"),
+], ids=["composite_factor_nan", "constant_nan", "factor_inputs_alpha_nan",
+        "factor_inputs_c_nan", "growth_c_prime_nan", "steps_c_prime_inf",
+        "fractional_mc_samples", "geometric_ratio_nan", "counterexample_lambda_nan",
+        "counterexample_lambda_inf", "fractional_budget_n_max"])
+def test_a_value_outside_its_domain_is_a_domain_error_naming_it(build, value):
+    """NaN, an infinity or a fraction where the library's domain checks
+    expect a number of their domain raises DomainError naming the value,
+    not a wrong result or another exception."""
+    with pytest.raises(DomainError, match=rf"\b{value}\b"):
+        build()
+
+
 class TestCalibrator:
     def test_endpoint(self):
         assert calibrate_p_to_e(0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
@@ -199,18 +230,18 @@ class TestLogLikelihoodRatio:
     def test_poisson_example_both_sides(self):
         """Oracle: evaluate the ratio directly and through the divergence
         difference; the two must agree to 1e-12."""
-        fam = poisson_family()
+        fam = make_bundle("poisson").family
         lhs = _log_ratio(fam, 2.0, 4.0, 4)
         assert lhs == pytest.approx(4.0 * math.log(0.5) + 2.0, abs=1e-12)
         rhs = divergence(fam, 4.0, 4.0) - divergence(fam, 4.0, 2.0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_identical_parameters(self):
-        fam = cauchy_family()
+        fam = make_bundle("cauchy").family
         assert _log_ratio(fam, 1.0, 1.0, 0.3) == 0.0
 
     def test_normal_symmetry(self):
-        fam = normal_mean_family(1)
+        fam = make_bundle("normal_mean", n=1).family
         assert _log_ratio(fam, 0.0, 1.0, 0.5) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -227,23 +258,23 @@ class TestLikelihoodEquation:
     family's log-density."""
 
     def test_poisson(self):
-        fam = poisson_family()
+        fam = make_bundle("poisson").family
         assert fam.estimator_g(9) == 9.0
         assert _score(fam, 9.0, 9) == pytest.approx(0.0, abs=1e-8)
 
     def test_normal_mean(self):
-        fam = normal_mean_family(2)
+        fam = make_bundle("normal_mean", n=2).family
         assert fam.estimator_g([1.0, 3.0]) == 2.0
         assert _score(fam, 2.0, [1.0, 3.0]) == pytest.approx(0.0, abs=1e-8)
 
     def test_normal_variance(self):
-        fam = normal_variance_family(4)
+        fam = make_bundle("normal_variance", n=4).family
         x = [1.0, 1.0, 1.0, 1.0]
         assert fam.estimator_g(x) == 1.0
         assert _score(fam, 1.0, x) == pytest.approx(0.0, abs=1e-8)
 
     def test_binomial(self):
-        fam = binomial_family(10)
+        fam = make_bundle("binomial", n=10).family
         assert fam.estimator_g(3) == pytest.approx(0.3, rel=1e-12)
         assert _score(fam, 0.3, 3, h=1e-6) == pytest.approx(0.0, abs=1e-6)
 
@@ -258,23 +289,23 @@ class TestBregmanDivergence:
     CASES = {
         # name: (family, eta(theta), A(eta), A'(eta), thetas)
         "poisson": (
-            poisson_family(), np.log, np.exp, np.exp,
+            make_bundle("poisson").family, np.log, np.exp, np.exp,
             [0.05, 0.7, 1.0, 4.0, 30.25, 500.0],
         ),
         "binomial": (
-            binomial_family(16),
+            make_bundle("binomial", n=16).family,
             lambda p: np.log(p) - np.log1p(-p),
             lambda eta: 16 * np.log1p(np.exp(eta)),
             lambda eta: 16 / (1.0 + np.exp(-eta)),
             [0.01, 0.2, 0.5, 0.77, 0.99],
         ),
         "normal_mean": (
-            normal_mean_family(4), lambda mu: mu,
+            make_bundle("normal_mean", n=4).family, lambda mu: mu,
             lambda eta: 4 * eta * eta / 2.0, lambda eta: 4 * eta,
             [-7.0, -1.0, 0.0, 0.5, 3.25],
         ),
         "normal_variance": (
-            normal_variance_family(8), lambda var: 1.0 / var,
+            make_bundle("normal_variance", n=8).family, lambda var: 1.0 / var,
             lambda eta: -(8 / 2.0) * np.log(eta), lambda eta: -(8 / 2.0) / eta,
             [0.01, 0.3, 1.0, 2.5, 90.0],
         ),

@@ -40,6 +40,36 @@ class TestMakeBundle:
         assert make_bundle("binomial", n=64.0).bundle_id == "binomial(n=64)"
         assert make_bundle("binomial", n="64").bundle_id == "binomial(n=64)"
 
+    @pytest.mark.parametrize("name,params,bundle_id,factor_hex", [
+        ("binomial", {"n": 64}, "binomial(n=64)", "0x1.761388403fa06p+6"),
+        ("discrete_uniform", {}, "discrete_uniform", "0x1.8000000000000p+1"),
+        ("poisson", {}, "poisson", "0x1.0c15f70c2c9dap+4"),
+        ("continuous_uniform", {}, "continuous_uniform", "0x1.8000000000000p+1"),
+        ("normal_mean", {}, "normal_mean(alpha=1.0,n=1)", "0x1.2518602668da7p+3"),
+        ("normal_variance", {}, "normal_variance(n=4)", "0x1.c07c8d747768ep+6"),
+        ("cauchy", {}, "cauchy", "0x1.2000000000000p+4"),
+        ("binomial", {"n": 4}, "binomial(n=4)", "0x1.eccccccccccd5p+6"),
+        ("binomial", {"n": 10_000}, "binomial(n=10000)", "0x1.70802e8543635p+6"),
+        ("normal_mean", {"alpha": 0.5, "n": 3}, "normal_mean(alpha=0.5,n=3)",
+         "0x1.4a80706aa6090p+4"),
+        ("normal_mean", {"epsilon": 0.1}, "normal_mean(epsilon=0.1)", "0x1.58cc711669b89p+3"),
+        ("normal_mean", {"epsilon": 0.2}, "normal_mean(epsilon=0.2)", "0x1.6ff476d47f9e1p+3"),
+        ("normal_variance", {"n": 4}, "normal_variance(n=4)", "0x1.c07c8d747768ep+6"),
+        ("normal_variance", {"n": 5}, "normal_variance(n=5)", "0x1.c07c8d747768ep+6"),
+        ("normal_variance", {"n": 64}, "normal_variance(n=64)", "0x1.c07c8d747768ep+6"),
+        ("cauchy", {"epsilon": 0.2}, "cauchy(epsilon=0.2)", "0x1.2000000000000p+4"),
+    ])
+    def test_each_makers_id_and_factor_are_pinned(self, name, params, bundle_id, factor_hex):
+        """The id derived from the family's name and params, and the bits
+        of C, as the makers gave them when each family was two functions."""
+        b = make_bundle(name, **params)
+        assert b.bundle_id == bundle_id
+        assert b.factor_C.hex() == factor_hex
+
+    def test_the_id_follows_the_params(self):
+        b = make_bundle("poisson")
+        assert replace(b, params={"k": 2, "v": 0.5}).bundle_id == "poisson(k=2,v=0.5)"
+
     def test_discrete_uniform_direct_constant(self):
         b = make_bundle("discrete_uniform")
         assert b.route == "direct"

@@ -148,3 +148,10 @@ def test_a_csv_report_may_move_only_with_its_json_twin(report_bytes, tmp_path, c
     (out / f"{name}.csv").unlink()
     assert report_bytes._moves(out, other) == 1
     assert "csv missing on one side" in capsys.readouterr().out
+
+
+def test_the_runs_cover_the_benchmark_and_the_bundles_it_never_builds(report_bytes):
+    """The benchmark's 33 runs and 15 more, each under its own name."""
+    names = [name for name, *_ in report_bytes.runs()]
+    assert len(names) == len(set(names)) == 48
+    assert sum(name.startswith("extra.") for name in names) == 15

@@ -20,7 +20,7 @@ from evarify.combinator import (
     constant_evar,
     likelihood_ratio_evar,
 )
-from evarify.core import DomainError
+from evarify.core import DomainError, Piecewise
 from evarify.families import make_bundle
 from evarify.verifier import (
     ExpectationPlan,
@@ -426,7 +426,9 @@ class TestSweep:
         """A row whose estimate or error bound is not finite certifies
         nothing: inf <= 1 + 3 * inf no longer passes."""
         b = make_bundle("poisson")
-        rep = sweep(combine_discrete(b, {2: constant_evar(value)}), [4.0])
+        # a constant component built directly: constant_evar rejects NaN
+        const = EVariable(lambda x: value, value, Piecewise.constant(value), vectorized=True)
+        rep = sweep(combine_discrete(b, {2: const}), [4.0])
         assert not all(math.isfinite(v) for v in rep.rows[0][1:3])
         assert rep.verdict == "fail"
 

@@ -1,12 +1,17 @@
-"""Write the reports of the benchmark's 33 CLI runs, for comparing trees.
+"""Write the reports of 48 CLI runs, for comparing trees: the benchmark's
+33 and 15 that build the bundles it never builds.
 
     python3 tools/report_bytes.py OUT_DIR [--against OTHER_DIR]
 
 Runs, from the checkout this file sits in and with BLAS/OpenMP on one
 thread, every operation of the three benchmark workloads at seed 1 (28
-runs, from ``perfbench.workloads.build``) plus the exact-plan twin of each
-Monte Carlo operation (5 runs, ``workloads.exact_config``).  For each run
-it writes ``OUT_DIR/<op>.json`` (the report, absent when the run wrote
+runs, from ``perfbench.workloads.build``), the exact-plan twin of each
+Monte Carlo operation (5 runs, ``workloads.exact_config``), and at seed 1
+the ``certify`` and ``check-conditions`` runs of each of ``EXTRA_FAMILIES``
+(12 runs, ``extra.spikes.<name>`` and ``extra.conditions.<name>``), plus
+the interpolated certify of normal_mean with epsilon 0.1, the ``ones``
+suite of poisson and the poisson counterexample at lambda 50 (3 runs).
+For each run it writes ``OUT_DIR/<op>.json`` (the report, absent when the run wrote
 none), ``OUT_DIR/<op>.csv`` (the same run's report with ``--format csv``)
 and ``OUT_DIR/<op>.stdout`` (standard output, then the exit code).
 The exact twins are named ``<op>.exact``.  Two trees give the same
@@ -50,13 +55,35 @@ from evarify import cli  # noqa: E402
 SEED = 1
 
 
+#: the bundles the benchmark never builds: (name, CLI family flags)
+EXTRA_FAMILIES = (
+    ("binomial.n4", ("--family", "binomial", "--n", "4")),
+    ("cauchy", ("--family", "cauchy")),
+    ("normal_mean.alpha0.5.n3", ("--family", "normal_mean", "--alpha", "0.5", "--n", "3")),
+    ("normal_mean.eps0.1", ("--family", "normal_mean", "--epsilon", "0.1")),
+    ("normal_variance.n4", ("--family", "normal_variance", "--n", "4")),
+    ("normal_variance.n5", ("--family", "normal_variance", "--n", "5")),
+)
+
+
 def runs():
-    """(name, argv without --seed/--out, config or None, seed) of each run."""
+    """(name, argv without --seed/--out, config or None, seed or None) of
+    each run."""
     for workload in workloads.WORKLOADS:
         for op in workloads.build(workload, SEED):
             yield op.name, op.argv, op.config, op.seed
             if op.kind == "monte_carlo":
                 yield f"{op.name}.exact", op.argv, workloads.exact_config(op.config), op.seed
+    for name, flags in EXTRA_FAMILIES:
+        yield f"extra.spikes.{name}", ("certify", *flags), None, SEED
+        yield f"extra.conditions.{name}", ("check-conditions", *flags), None, SEED
+    yield ("extra.interpolated.normal_mean.eps0.1",
+           ("certify", "--family", "normal_mean", "--epsilon", "0.1", "--mode", "interpolated"),
+           None, SEED)
+    yield "extra.ones.poisson", ("certify", "--family", "poisson", "--suite", "ones"), None, SEED
+    # counterexample takes no --seed
+    yield ("extra.counterexample.poisson",
+           ("counterexample", "--family", "poisson", "--lambda", "50"), None, None)
 
 
 #: report fields that may move within a row's error bound
@@ -191,17 +218,16 @@ def main(argv: list[str]) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
     for name, op_argv, config, seed in runs():
-        args = list(op_argv)
+        args = list(op_argv) + ([] if seed is None else ["--seed", str(seed)])
         if config is not None:
             path = out / f"{name}.config.json"
             path.write_text(json.dumps(config))
             args += ["--config", str(path)]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            rc = cli.run(args + ["--seed", str(seed), "--out", str(out / f"{name}.json")])
+            rc = cli.run(args + ["--out", str(out / f"{name}.json")])
         with contextlib.redirect_stdout(io.StringIO()):
-            cli.run(args + ["--seed", str(seed), "--out", str(out / f"{name}.csv"),
-                            "--format", "csv"])
+            cli.run(args + ["--out", str(out / f"{name}.csv"), "--format", "csv"])
         if config is not None:
             path.unlink()
         (out / f"{name}.stdout").write_text(f"{stdout.getvalue()}exit code {rc}\n")

@@ -62,10 +62,10 @@ _WITNESS_CAP = 10
 #: monotone triples of the reverse-triangle check
 _CELLS, _PER_CELL, _TRIPLES = 120, 25, 1000
 
-#: values (parameters times lifted samples) of one family call in the
-#: identity check: 3 rows of the binomial n = 10^4 axis, past which larger
-#: blocks gain no time and only cost memory
-_BLOCK_VALUES = 2 ** 15
+#: values (parameters times lifted samples) of one tile, one family call,
+#: of the identity check: on binomial n = 10^4 all 50 thetas by 327
+#: statistics; 2**15 gains no time and doubles the peak memory
+_BLOCK_VALUES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -187,38 +187,46 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
     support satisfy the identity on the common support only).
 
     The identity says that A_t(x) = log p_t(x) + d(g(x)||t) does not
-    depend on t, and each pair's residual is |A_theta(x) - A_s(x)|.  The
-    thetas and the net points s go to ``log_density`` and
-    ``divergence_fn`` in blocks, each a column against the whole
-    statistic axis, and each row of A_t is folded into each statistic's
-    extremes on its side, so memory is a block's worth, at most 2**15
-    values (``_BLOCK_VALUES``), whatever the grid.  The worst residual is the
-    largest gap between the two sides' extremes at a statistic; a NaN
-    residual fails.  Only a failing check looks for witnesses: the first
-    ten pairs beyond ``IDENTITY_TOL`` in theta-major order (theta by
-    theta, s by s within a theta), each at its largest residual."""
+    depend on t, and each pair's residual is |A_theta(x) - A_s(x)|.  Each
+    side, the thetas and the net points s, is evaluated in tiles of
+    parameters by statistic values, one ``log_density`` and one
+    ``divergence_fn`` call per tile: a tile holds every parameter of the
+    side when they fit, so a family's work on the statistics alone runs
+    once per tile of statistics, and at most 2**14 values
+    (``_BLOCK_VALUES``), so memory is bounded on both axes whatever the
+    grid.  Each tile is folded into its statistics' extremes on its side.
+    The worst residual is the largest gap between the two sides' extremes
+    at a statistic; a NaN residual fails.  Only a failing check looks for
+    witnesses: the first ten pairs beyond ``IDENTITY_TOL`` in theta-major
+    order (theta by theta, s by s within a theta), each at its largest
+    residual."""
     thetas, indices, gs = bundle.identity_axes(bundle) if axes is None else axes
     thetas, gs = np.asarray(thetas, dtype=float), np.asarray(gs, dtype=float)
     fam = bundle.family
     x_arr = fam.lift(gs)
     points = bundle.net.points(indices)
-    per_block = max(1, _BLOCK_VALUES // max(1, x_arr.size))
+    per_value = max(1, x_arr.size // max(1, len(gs)))  # lifted values per statistic
 
-    def rows(params):
-        """A_t over the statistic axis and where p_t is positive, t by t,
-        from one pair of family calls per block of parameters."""
-        for start in range(0, len(params), per_block):
-            col = params[start:start + per_block, None]
-            ld = fam.log_density(col, x_arr)
-            with np.errstate(invalid="ignore"):  # -inf + inf off the support
-                a = ld + fam.divergence_fn(gs, col)
-            yield from zip(a, np.isfinite(ld))
+    def tiles(params):
+        """(parameter slice, statistic slice, A_t, p_t > 0) of each tile:
+        the statistics tile by tile, and within a tile of them the
+        parameters in as few tiles as fit."""
+        rows = max(1, min(len(params), _BLOCK_VALUES // per_value))
+        cols = max(1, _BLOCK_VALUES // (rows * per_value))
+        for g0 in range(0, len(gs), cols):
+            on = slice(g0, g0 + cols)
+            for p0 in range(0, len(params), rows):
+                col = params[p0:p0 + rows, None]
+                ld = fam.log_density(col, x_arr[on])
+                with np.errstate(invalid="ignore"):  # -inf + inf off the support
+                    a = ld + fam.divergence_fn(gs[on], col)
+                yield slice(p0, p0 + rows), on, a, np.isfinite(ld)
 
-    side_s = _fold(rows(points), len(gs))
-    side_theta = _fold(rows(thetas), len(gs))
+    side_s = _fold(tiles(points), len(gs))
+    side_theta = _fold(tiles(thetas), len(gs))
     worst = float(np.max(_largest_residual(side_theta, side_s), initial=0.0))
     witnesses = () if worst <= IDENTITY_TOL else tuple(islice(
-        _identity_witnesses(rows, thetas, points, gs, side_s), _WITNESS_CAP))
+        _identity_witnesses(tiles, thetas, points, gs, side_s), _WITNESS_CAP))
     n_eval = int(side_theta[2] @ side_s[2])
     return ConditionReport(
         condition="log_ratio_identity",
@@ -232,28 +240,36 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
     )
 
 
-def _fold(rows, n: int) -> tuple:
-    """Per statistic, over the rows (A_t, p_t > 0) whose density is
-    positive there: the largest and smallest A_t (NaNs aside), how many
-    rows, and whether any of them is NaN."""
+def _fold(tiles, n: int) -> tuple:
+    """Per statistic, over the parameters whose density is positive there:
+    the largest and smallest A_t (NaNs aside), how many parameters, and
+    whether any A_t is NaN; each tile is reduced along its parameters
+    into its statistics' slots (max and min are exact, in any order)."""
     hi, lo = np.full(n, -math.inf), np.full(n, math.inf)
     count, nan = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-    for a, positive in rows:
+    for _, on, a, positive in tiles:
         is_nan = np.isnan(a)
         number = positive & ~is_nan
-        np.maximum(hi, a, out=hi, where=number)
-        np.minimum(lo, a, out=lo, where=number)
-        count += positive
-        nan |= positive & is_nan
+        if number.all():  # every A_t counts: the plain reductions, faster
+            top, bottom = a.max(axis=0), a.min(axis=0)
+            count[on] += len(a)
+        else:
+            top = np.max(a, axis=0, initial=-math.inf, where=number)
+            bottom = np.min(a, axis=0, initial=math.inf, where=number)
+            count[on] += np.count_nonzero(positive, axis=0)
+            nan[on] |= np.any(positive & is_nan, axis=0)
+        np.maximum(hi[on], top, out=hi[on])
+        np.minimum(lo[on], bottom, out=lo[on])
     return hi, lo, count, nan
 
 
 def _largest_residual(a: tuple, b: tuple) -> np.ndarray:
-    """Per statistic, the largest |A_a - A_b| over the pairs of rows of
-    two folds where both densities are positive: 0 where there is no such
-    pair, NaN where some pair's residual is NaN (a NaN A, or the same
-    infinity on both sides).  Floating-point subtraction is monotone, so the
-    largest difference is that of the extremes, exactly."""
+    """Per statistic, the largest |A_a - A_b| over the pairs of
+    parameters of two folds (whose arrays broadcast) where both densities
+    are positive: 0 where there is no such pair, NaN where some pair's
+    residual is NaN (a NaN A, or the same infinity on both sides).
+    Floating-point subtraction is monotone, so the largest difference is
+    that of the extremes, exactly."""
     hi_a, lo_a, n_a, nan_a = a
     hi_b, lo_b, n_b, nan_b = b
     with np.errstate(invalid="ignore"):  # inf - inf, marked NaN below
@@ -263,20 +279,38 @@ def _largest_residual(a: tuple, b: tuple) -> np.ndarray:
     return np.where((n_a > 0) & (n_b > 0), np.where(undefined, math.nan, resid), 0.0)
 
 
-def _identity_witnesses(rows, thetas, points, gs, side_s):
+def _identity_witnesses(tiles, thetas, points, gs, side_s):
     """(theta, s, g, residual) for each pair whose largest residual is
-    beyond ``IDENTITY_TOL`` (or NaN), theta-major; the pairs of a theta
-    are scanned only when its row against the net points' fold fails."""
-    for theta, (a, positive) in zip(thetas, rows(thetas)):
-        if np.max(_largest_residual(_fold([(a, positive)], len(gs)), side_s),
-                  initial=0.0) <= IDENTITY_TOL:
-            continue
-        for s, (b, positive_s) in zip(points, rows(points)):
+    beyond ``IDENTITY_TOL`` (or NaN), theta-major.  One pass over the
+    thetas' tiles, each entry a fold of its own against the net points'
+    fold, finds the thetas that fail; the pairs of such a theta are then
+    scanned tile by tile over the net points, each pair at the first
+    statistic of its largest residual."""
+    peak = np.zeros(len(thetas))
+    for rows, on, a, positive in tiles(thetas):
+        is_nan = np.isnan(a)
+        number = positive & ~is_nan
+        own = (np.where(number, a, -math.inf), np.where(number, a, math.inf),
+               positive, positive & is_nan)
+        at = tuple(side[on] for side in side_s)
+        peak[rows] = np.maximum(peak[rows], np.max(_largest_residual(own, at), axis=1))
+    for i in np.flatnonzero(~(peak <= IDENTITY_TOL)):
+        a_theta, positive_theta = np.empty(len(gs)), np.empty(len(gs), dtype=bool)
+        for _, on, a, positive in tiles(thetas[i:i + 1]):
+            a_theta[on], positive_theta[on] = a[0], positive[0]
+        best, first = np.full(len(points), -1.0), np.zeros(len(points), dtype=np.int64)
+        for rows, on, b, positive_s in tiles(points):
             with np.errstate(invalid="ignore"):
-                resid = np.where(positive & positive_s, np.abs(a - b), 0.0)
-            i = int(np.argmax(resid))
-            if not resid[i] <= IDENTITY_TOL:
-                yield float(theta), float(s), float(gs[i]), float(resid[i])
+                resid = np.where(positive_theta[on] & positive_s, np.abs(a_theta[on] - b), 0.0)
+            j = np.argmax(resid, axis=1)  # the first NaN, else the first largest
+            value = resid[np.arange(len(j)), j]
+            # a later tile replaces a NaN never, and a number only if larger
+            take = ~np.isnan(best[rows]) & (np.isnan(value) | (value > best[rows]))
+            best[rows] = np.where(take, value, best[rows])
+            first[rows] = np.where(take, j + on.start, first[rows])
+        for s, value, k in zip(points, best, first):
+            if not value <= IDENTITY_TOL:
+                yield float(thetas[i]), float(s), float(gs[k]), float(value)
 
 
 def _report(condition: str, excess: np.ndarray, tolerance: float, cases: Sequence,

@@ -45,6 +45,7 @@ A flag's value is checked where its key's is.  Unset plan keys take
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -324,7 +325,10 @@ _COMMANDS = {
                        ("--family", "--lambda", "--out", "--format")),
 }
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: ``parse_args`` leaves no state on
+    it, so runs in one process share it."""
     parser = _Parser(prog="evarify",
                      description="composite e-variable certification")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -325,6 +325,14 @@ def _binomial_growth_alpha(net: BinomialSine, div) -> float:
     return best - 1.0
 
 
+def _xlogy_once(k, p):
+    """scipy's ``xlogy(k, p)``, k log p and 0 where k == 0 and p is not
+    NaN, with one log per p: a column of p against a row of k takes each
+    p's log once, the same libm log times k (``np.log`` differs from it in
+    the last bit on some values)."""
+    return np.where((k == 0) & ~np.isnan(p), 0.0, k * xlogy(1.0, p))
+
+
 def _make_binomial(n: int | None = None) -> FamilyBundle:
     if n is None:
         raise DomainError("the binomial bundle needs the trial count n")
@@ -336,8 +344,8 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
             log_binom
             - gammaln(k + 1.0)
             - gammaln(n - k + 1.0)
-            + xlogy(k, p)
-            + xlogy(n - k, 1.0 - p)
+            + _xlogy_once(k, p)
+            + _xlogy_once(n - k, 1.0 - p)
         )
         return np.where(ok, val, -np.inf)
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from evarify import checker
+from evarify import checker, families
 from evarify.checker import (
     IDENTITY_TOL,
     SLACK_TOL,
@@ -387,12 +387,15 @@ class TestLogRatioIdentity:
         assert ours["n_evaluated"] == written["n_evaluated"]
         assert ours["passing"] and written["passing"]
 
-    def test_each_parameter_evaluated_once_in_blocks(self):
-        """Each theta and each net point goes through log_density and
-        divergence_fn exactly once, as an entry of a column of up to b
-        parameters (b rows of the 10,001 statistic values within
-        ``_BLOCK_VALUES``): ceil(50 / b) + ceil(99 / b) calls of each,
-        not one per parameter (149) or per (theta, s) pair (4,950)."""
+    def test_each_pair_evaluated_once_in_tiles(self, monkeypatch):
+        """On binomial n = 10^4 (50 thetas, 99 net points, 10,001
+        statistic values) each (parameter, statistic) pair of each side
+        goes through log_density and divergence_fn in exactly one call, no
+        call takes more than ``_BLOCK_VALUES`` values, and each call holds
+        every parameter of its side: ceil(10,001 / (b // 50)) +
+        ceil(10,001 / (b // 99)) calls of each for b values.  So the
+        density's work on the statistics alone (its two gammaln) runs once
+        per statistic tile, on each statistic once per side."""
         b = make_bundle("binomial", n=10_000)
         seen = {"log_density": [], "divergence_fn": []}
 
@@ -400,21 +403,34 @@ class TestLogRatioIdentity:
             fn = getattr(b.family, name)
 
             def wrapper(*args):
-                seen[name].append(np.ravel(args[at]).tolist())
+                seen[name].append((np.ravel(args[at]), np.ravel(args[1 - at])))
                 return fn(*args)
             return wrapper
 
         fam = replace(b.family, log_density=recorded("log_density", 0),
                       divergence_fn=recorded("divergence_fn", 1))
-        thetas, indices, _ = axes = b.identity_axes(b)
+        gammaln, gammaln_sizes = families.gammaln, []
+
+        def counted(v):
+            gammaln_sizes.append(np.size(v))
+            return gammaln(v)
+        monkeypatch.setattr(families, "gammaln", counted)
+        thetas, indices, gs = axes = b.identity_axes(b)
         rep = check_log_ratio_identity(replace(b, family=fam), axes)
-        rows = checker._BLOCK_VALUES // 10_001
-        assert rows == 3
-        want = sorted([*thetas.tolist(), *b.net.points(indices).tolist()])
-        for calls in seen.values():
-            assert len(calls) == math.ceil(50 / rows) + math.ceil(99 / rows) == 50
-            assert max(len(c) for c in calls) == rows
-            assert sorted(t for c in calls for t in c) == want
+        block = checker._BLOCK_VALUES
+        sides = (b.net.points(indices), thetas)
+        tiles = [math.ceil(10_001 / (block // len(side))) for side in sides]
+        for name, statistics in (("log_density", b.family.lift(gs)), ("divergence_fn", gs)):
+            calls = seen[name]
+            assert len(calls) == sum(tiles) == 92
+            assert max(len(p) * len(x) for p, x in calls) <= block
+            assert [p.tolist() for p, _ in calls] == [
+                side.tolist() for side, n in zip(sides, tiles) for _ in range(n)]
+            pairs = np.sort(np.concatenate([(p[:, None] + 1j * x).ravel() for p, x in calls]))
+            want = np.concatenate([(side[:, None] + 1j * statistics).ravel() for side in sides])
+            assert np.array_equal(pairs, np.sort(want))
+        assert gammaln_sizes == [len(x) for _, x in seen["log_density"] for _ in range(2)]
+        assert sum(gammaln_sizes) == 2 * 2 * 10_001
         assert rep.passing
         assert rep.n_evaluated == 49_504_950
 
@@ -428,19 +444,27 @@ class TestLogRatioIdentity:
              "poisson_nan_divergence", "poisson_infinite_on_both_sides"],
     )
     def test_blocks_give_the_row_by_row_report(self, make, monkeypatch):
-        """The default blocks, and blocks of 7 rows (7 does not divide the
-        thetas, so the last block is partial), give the report of one
-        family call per row: worst, counts and witnesses."""
+        """The default tiles give the report (worst, counts and witnesses)
+        of tiles that split both axes: one parameter fewer than the thetas
+        (so one statistic per tile), and every parameter by 7 statistics
+        or more (7 on the larger side, ``7 * larger // smaller`` on the
+        other), which leaves a partial last tile of statistics, on
+        binomial n = 10^4's 10,001 values too; and of one value per tile
+        where the grid is small."""
         bundle = make()
-        thetas, _, gs = bundle.identity_axes(bundle)
-        size = bundle.family.lift(np.asarray(gs, dtype=float)).size
+        thetas, indices, gs = bundle.identity_axes(bundle)
+        width = bundle.family.lift(np.asarray(gs, dtype=float)).size // len(gs)
+        larger = max(len(thetas), len(bundle.net.points(indices)))
         reports = [check_log_ratio_identity(bundle).to_dict()]
-        for rows in (7, 1):
-            monkeypatch.setattr(checker, "_BLOCK_VALUES", rows * size)
+        sizes = [(len(thetas) - 1) * width, 7 * larger * width]
+        if len(gs) * larger <= 10_000:
+            sizes.append(width)
+        for size in sizes:
+            monkeypatch.setattr(checker, "_BLOCK_VALUES", size)
             reports.append(check_log_ratio_identity(bundle).to_dict())
-        assert len(thetas) % 7
-        default, seven, by_row = (json.dumps(r) for r in reports)  # NaN equals NaN
-        assert default == by_row and seven == by_row
+        assert len(gs) % 7 and (len(gs) != 10_001 or 10_001 % (7 * larger // len(thetas)))
+        default, *tiled = (json.dumps(r) for r in reports)  # NaN equals NaN
+        assert all(r == default for r in tiled)
 
     def test_memory_is_one_row_per_array_not_the_grid(self):
         """A passing check on binomial n = 10^4 (50 thetas, 99 net points,
@@ -742,7 +766,7 @@ class TestRunAllChecks:
     def test_cell_samples_built_once(self, monkeypatch):
         """The sandwich check and the cell-bound estimate share one set of
         cell samples, drawn with the run's seed."""
-        from evarify import checker
+        from evarify import checker, families
 
         seeds = []
         original = checker.default_cell_samples

@@ -1,11 +1,15 @@
 """CLI: exit codes, report files, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from evarify.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, run
+from evarify.cli import EXIT_CONFIG, EXIT_FAIL, EXIT_PASS, _build_parser, run
 
 
 class TestExitCodes:
@@ -60,6 +64,61 @@ class TestExitCodes:
 
     def test_non_numeric_flag_rejected(self):
         assert run(["certify", "--family", "binomial", "--n", "many"]) == EXIT_CONFIG
+
+
+#: runs in one process that share its parser: a certify, a check with
+#: other flags, a flag the subcommand does not take, the first again
+_ONE_PROCESS_CALLS = [
+    ["certify", "--family", "discrete_uniform", "--suite", "spikes", "--seed", "7",
+     "--out", "report"],
+    ["check-conditions", "--family", "cauchy", "--epsilon", "0.2", "--format", "csv",
+     "--out", "report"],
+    ["check-conditions", "--family", "poisson", "--lambda", "3", "--out", "report"],
+    ["certify", "--family", "discrete_uniform", "--suite", "spikes", "--seed", "7",
+     "--out", "report"],
+]
+
+#: each call of argv lists read from stdin, in one process: its standard
+#: output and error, exit code and report (then removed), as JSON
+_RUN_EACH = """
+import contextlib, io, json, os, sys
+from evarify.cli import run
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    report = open("report").read() if os.path.exists("report") else None
+    if report is not None:
+        os.remove("report")
+    results.append([out.getvalue(), err.getvalue(), code, report])
+print(json.dumps(results))
+"""
+
+
+class TestOneParserPerProcess:
+    def test_the_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_in_one_process_equal_separate_processes(self, tmp_path):
+        """Outputs, exit codes and reports of calls sharing one process
+        (and so one parser) equal those of each call in a process of its
+        own."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
+        def in_one_process(calls):
+            done = subprocess.run([sys.executable, "-c", _RUN_EACH], input=json.dumps(calls),
+                                  capture_output=True, text=True, check=True, cwd=tmp_path,
+                                  env=env)
+            return json.loads(done.stdout)
+
+        shared = in_one_process(_ONE_PROCESS_CALLS)
+        separate = [in_one_process([argv])[0] for argv in _ONE_PROCESS_CALLS]
+        assert [code for *_, code, _ in shared] == [EXIT_PASS, EXIT_PASS, EXIT_CONFIG, EXIT_PASS]
+        assert "--lambda" in shared[2][1] and shared[2][3] is None
+        assert shared == separate
+        assert shared[0] == shared[3]
 
 
 class TestReports:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
 from evarify.core import (
     BinomialSine,
@@ -358,6 +359,43 @@ def test_theta_column_equals_row_by_row_calls(name, kw):
         assert got.shape == (len(params), len(gs))
         want = np.stack([one(t) for t in params.tolist()])
         np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def _binomial_log_density_by_xlogy(n, p, k):
+    """The binomial log-density written with scipy's ``xlogy`` on each
+    (p, k) pair: the reference the family's density must equal bit for
+    bit."""
+    ok = (k >= 0) & (k <= n) & (k == np.floor(k))
+    val = (gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+           + xlogy(k, p) + xlogy(n - k, 1.0 - p))
+    return np.where(ok, val, -np.inf)
+
+
+@pytest.mark.parametrize("n", [4, 64, 10_000])
+def test_binomial_density_has_the_bits_of_xlogy(n):
+    """The density takes each p's log once, yet equals the formula with
+    ``xlogy`` on every pair, in every bit: off the support, at k = 0 and
+    k = n (scipy's 0 log 0 = 0), at p = 0, the smallest subnormal, 1 - 2**-53
+    and 1, and NaN; with p a scalar, a column against a row of k, and an
+    array of k's shape; and over a column of 1001 p in [0, 1]."""
+    log_density = make_bundle("binomial", n=n).family.log_density
+    k = np.array([-1.0, 0.0, 0.5, 1.0, n - 1.0, n, n + 1.0])
+    ps = np.array([0.0, 5e-324, 1e-300, 0.3, 1.0 - 2.0 ** -53, 1.0, math.nan])
+    # np.log differs from libm's log in the last bit on a few of these
+    grid = np.linspace(0.0, 1.0, 1001)
+
+    def same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for p in ps.tolist():
+            same_bits(log_density(p, k), _binomial_log_density_by_xlogy(n, p, k))
+        col = np.concatenate([ps, grid])[:, None]
+        same_bits(log_density(col, k), _binomial_log_density_by_xlogy(n, col, k))
+        grid_p, grid_k = np.meshgrid(ps, k, indexing="ij")
+        same_bits(log_density(grid_p, grid_k), _binomial_log_density_by_xlogy(n, grid_p, grid_k))
 
 
 def _support_samples(bundle, rng, size=10_000):

@@ -151,7 +151,7 @@ def test_a_csv_report_may_move_only_with_its_json_twin(report_bytes, tmp_path, c
 
 
 def test_the_runs_cover_the_benchmark_and_the_bundles_it_never_builds(report_bytes):
-    """The benchmark's 33 runs and 15 more, each under its own name."""
+    """The benchmark's 33 runs and 16 more, each under its own name."""
     names = [name for name, *_ in report_bytes.runs()]
-    assert len(names) == len(set(names)) == 48
-    assert sum(name.startswith("extra.") for name in names) == 15
+    assert len(names) == len(set(names)) == 49
+    assert sum(name.startswith("extra.") for name in names) == 16

@@ -1,5 +1,5 @@
-"""Write the reports of 48 CLI runs, for comparing trees: the benchmark's
-33 and 15 that build the bundles it never builds.
+"""Write the reports of 49 CLI runs, for comparing trees: the benchmark's
+33 and 16 that build the bundles it never builds.
 
     python3 tools/report_bytes.py OUT_DIR [--against OTHER_DIR]
 
@@ -10,7 +10,9 @@ Monte Carlo operation (5 runs, ``workloads.exact_config``), and at seed 1
 the ``certify`` and ``check-conditions`` runs of each of ``EXTRA_FAMILIES``
 (12 runs, ``extra.spikes.<name>`` and ``extra.conditions.<name>``), plus
 the interpolated certify of normal_mean with epsilon 0.1, the ``ones``
-suite of poisson and the poisson counterexample at lambda 50 (3 runs).
+suite of poisson, the poisson counterexample at lambda 50 and the
+check-conditions of normal_mean with alpha 1e4, whose log-ratio identity
+fails with ten witnesses (4 runs).
 For each run it writes ``OUT_DIR/<op>.json`` (the report, absent when the run wrote
 none), ``OUT_DIR/<op>.csv`` (the same run's report with ``--format csv``)
 and ``OUT_DIR/<op>.stdout`` (standard output, then the exit code).
@@ -81,6 +83,8 @@ def runs():
            ("certify", "--family", "normal_mean", "--epsilon", "0.1", "--mode", "interpolated"),
            None, SEED)
     yield "extra.ones.poisson", ("certify", "--family", "poisson", "--suite", "ones"), None, SEED
+    yield ("extra.conditions.normal_mean.alpha1e4",
+           ("check-conditions", "--family", "normal_mean", "--alpha", "1e4"), None, SEED)
     # counterexample takes no --seed
     yield ("extra.counterexample.poisson",
            ("counterexample", "--family", "poisson", "--lambda", "50"), None, None)

@@ -208,9 +208,9 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
     per_value = max(1, x_arr.size // max(1, len(gs)))  # lifted values per statistic
 
     def tiles(params):
-        """(parameter slice, statistic slice, A_t, p_t > 0) of each tile:
-        the statistics tile by tile, and within a tile of them the
-        parameters in as few tiles as fit."""
+        """(statistic slice, A_t, p_t > 0) of each tile: the statistics
+        tile by tile, and within a tile of them the parameters in as few
+        tiles as fit."""
         rows = max(1, min(len(params), _BLOCK_VALUES // per_value))
         cols = max(1, _BLOCK_VALUES // (rows * per_value))
         for g0 in range(0, len(gs), cols):
@@ -220,13 +220,19 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
                 ld = fam.log_density(col, x_arr[on])
                 with np.errstate(invalid="ignore"):  # -inf + inf off the support
                     a = ld + fam.divergence_fn(gs[on], col)
-                yield slice(p0, p0 + rows), on, a, np.isfinite(ld)
+                yield on, a, np.isfinite(ld)
+
+    def row(t):
+        """A_t over the whole statistic axis, and where p_t is positive."""
+        parts = list(tiles(np.array([t])))
+        return (np.concatenate([a[0] for _, a, _ in parts]),
+                np.concatenate([positive[0] for _, _, positive in parts]))
 
     side_s = _fold(tiles(points), len(gs))
     side_theta = _fold(tiles(thetas), len(gs))
     worst = float(np.max(_largest_residual(side_theta, side_s), initial=0.0))
     witnesses = () if worst <= IDENTITY_TOL else tuple(islice(
-        _identity_witnesses(tiles, thetas, points, gs, side_s), _WITNESS_CAP))
+        _identity_witnesses(row, thetas, points, gs, side_s), _WITNESS_CAP))
     n_eval = int(side_theta[2] @ side_s[2])
     return ConditionReport(
         condition="log_ratio_identity",
@@ -247,29 +253,24 @@ def _fold(tiles, n: int) -> tuple:
     into its statistics' slots (max and min are exact, in any order)."""
     hi, lo = np.full(n, -math.inf), np.full(n, math.inf)
     count, nan = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
-    for _, on, a, positive in tiles:
+    for on, a, positive in tiles:
         is_nan = np.isnan(a)
         number = positive & ~is_nan
-        if number.all():  # every A_t counts: the plain reductions, faster
-            top, bottom = a.max(axis=0), a.min(axis=0)
-            count[on] += len(a)
-        else:
-            top = np.max(a, axis=0, initial=-math.inf, where=number)
-            bottom = np.min(a, axis=0, initial=math.inf, where=number)
-            count[on] += np.count_nonzero(positive, axis=0)
-            nan[on] |= np.any(positive & is_nan, axis=0)
+        top = np.max(a, axis=0, initial=-math.inf, where=number)
+        bottom = np.min(a, axis=0, initial=math.inf, where=number)
+        count[on] += np.count_nonzero(positive, axis=0)
+        nan[on] |= np.any(positive & is_nan, axis=0)
         np.maximum(hi[on], top, out=hi[on])
         np.minimum(lo[on], bottom, out=lo[on])
     return hi, lo, count, nan
 
 
 def _largest_residual(a: tuple, b: tuple) -> np.ndarray:
-    """Per statistic, the largest |A_a - A_b| over the pairs of
-    parameters of two folds (whose arrays broadcast) where both densities
-    are positive: 0 where there is no such pair, NaN where some pair's
-    residual is NaN (a NaN A, or the same infinity on both sides).
-    Floating-point subtraction is monotone, so the largest difference is
-    that of the extremes, exactly."""
+    """Per statistic, the largest |A_a - A_b| over the pairs of rows of
+    two folds where both densities are positive: 0 where there is no such
+    pair, NaN where some pair's residual is NaN (a NaN A, or the same
+    infinity on both sides).  Floating-point subtraction is monotone, so the
+    largest difference is that of the extremes, exactly."""
     hi_a, lo_a, n_a, nan_a = a
     hi_b, lo_b, n_b, nan_b = b
     with np.errstate(invalid="ignore"):  # inf - inf, marked NaN below
@@ -279,38 +280,22 @@ def _largest_residual(a: tuple, b: tuple) -> np.ndarray:
     return np.where((n_a > 0) & (n_b > 0), np.where(undefined, math.nan, resid), 0.0)
 
 
-def _identity_witnesses(tiles, thetas, points, gs, side_s):
+def _identity_witnesses(row, thetas, points, gs, side_s):
     """(theta, s, g, residual) for each pair whose largest residual is
-    beyond ``IDENTITY_TOL`` (or NaN), theta-major.  One pass over the
-    thetas' tiles, each entry a fold of its own against the net points'
-    fold, finds the thetas that fail; the pairs of such a theta are then
-    scanned tile by tile over the net points, each pair at the first
-    statistic of its largest residual."""
-    peak = np.zeros(len(thetas))
-    for rows, on, a, positive in tiles(thetas):
-        is_nan = np.isnan(a)
-        number = positive & ~is_nan
-        own = (np.where(number, a, -math.inf), np.where(number, a, math.inf),
-               positive, positive & is_nan)
-        at = tuple(side[on] for side in side_s)
-        peak[rows] = np.maximum(peak[rows], np.max(_largest_residual(own, at), axis=1))
-    for i in np.flatnonzero(~(peak <= IDENTITY_TOL)):
-        a_theta, positive_theta = np.empty(len(gs)), np.empty(len(gs), dtype=bool)
-        for _, on, a, positive in tiles(thetas[i:i + 1]):
-            a_theta[on], positive_theta[on] = a[0], positive[0]
-        best, first = np.full(len(points), -1.0), np.zeros(len(points), dtype=np.int64)
-        for rows, on, b, positive_s in tiles(points):
+    beyond ``IDENTITY_TOL`` (or NaN), theta-major; the pairs of a theta
+    are scanned only when its row against the net points' fold fails."""
+    for theta in thetas:
+        a, positive = row(theta)
+        if np.max(_largest_residual(_fold([(slice(None), a[None], positive[None])], len(gs)),
+                                    side_s), initial=0.0) <= IDENTITY_TOL:
+            continue
+        for s in points:
+            b, positive_s = row(s)
             with np.errstate(invalid="ignore"):
-                resid = np.where(positive_theta[on] & positive_s, np.abs(a_theta[on] - b), 0.0)
-            j = np.argmax(resid, axis=1)  # the first NaN, else the first largest
-            value = resid[np.arange(len(j)), j]
-            # a later tile replaces a NaN never, and a number only if larger
-            take = ~np.isnan(best[rows]) & (np.isnan(value) | (value > best[rows]))
-            best[rows] = np.where(take, value, best[rows])
-            first[rows] = np.where(take, j + on.start, first[rows])
-        for s, value, k in zip(points, best, first):
-            if not value <= IDENTITY_TOL:
-                yield float(thetas[i]), float(s), float(gs[k]), float(value)
+                resid = np.where(positive & positive_s, np.abs(a - b), 0.0)
+            i = int(np.argmax(resid))
+            if not resid[i] <= IDENTITY_TOL:
+                yield float(theta), float(s), float(gs[i]), float(resid[i])
 
 
 def _report(condition: str, excess: np.ndarray, tolerance: float, cases: Sequence,

@@ -766,7 +766,7 @@ class TestRunAllChecks:
     def test_cell_samples_built_once(self, monkeypatch):
         """The sandwich check and the cell-bound estimate share one set of
         cell samples, drawn with the run's seed."""
-        from evarify import checker, families
+        from evarify import checker
 
         seeds = []
         original = checker.default_cell_samples

@@ -500,7 +500,8 @@ def _make_poisson() -> FamilyBundle:
 
 def _make_continuous_uniform() -> FamilyBundle:
     def cdf(theta, v):
-        return np.clip(np.asarray(v, dtype=float) / theta, 0.0, 1.0)
+        with np.errstate(over="ignore"):  # v / theta = inf beyond the largest float: 1
+            return np.clip(np.asarray(v, dtype=float) / theta, 0.0, 1.0)
 
     def log_density(theta, x):
         ok = (x > 0) & (x <= theta)
@@ -640,7 +641,8 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
 
     # n g(X) / var is chi-square with n degrees of freedom
     def chi2(var, v):
-        return n * np.asarray(v, dtype=float) / var
+        with np.errstate(over="ignore"):  # inf beyond the largest float: a CDF of 1
+            return n * np.asarray(v, dtype=float) / var
 
     def theta_grid(b):
         pts = b.net.points(np.arange(-6, 7))

@@ -232,6 +232,33 @@ class TestConfigFile:
         assert "spikes" in capsys.readouterr().err
 
 
+class TestWideScaleGrids:
+    """On a scale grid from 1e-10 to 1e300 the statistic over the scale
+    overflows to inf, a CDF of 1: certify warns nothing, with warnings
+    raised as errors, and its rows are those it gave while it warned."""
+
+    @pytest.mark.parametrize("family,rows", [
+        ({"name": "continuous_uniform"},
+         [(1e-10, 0.6666666666666555, 5.395000000000001e-13),
+          (1e300, 0.6666666666666666, 5.395000000000001e-13)]),
+        ({"name": "normal_variance", "params": {"n": 4}},
+         [(1e-10, 0.04122037850977271, 9.050000000000001e-13),
+          (1e300, 0.041220378509774294, 9.050000000000001e-13)]),
+    ])
+    def test_no_overflow_warning(self, tmp_path, family, rows):
+        import warnings
+
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": family,
+                                   "theta_grid": {"values": [1e-10, 1e300]}}))
+        out = tmp_path / "rep.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        doc = json.loads(out.read_text())
+        assert [(r["theta"], r["estimate"], r["error_bound"]) for r in doc["rows"]] == rows
+
+
 class TestMalformedPlanAndGrid:
     @pytest.mark.parametrize("config,field", [
         ({"plan": {"method": "monte_carlo", "samples": 0}}, "mc_samples"),

@@ -17,6 +17,7 @@ from evarify.combinator import (
     EVariable,
     bump_weight,
     combine_discrete,
+    combine_interpolated,
     constant_evar,
     likelihood_ratio_evar,
 )
@@ -638,7 +639,9 @@ def _one_theta_reference(pw, law, tail, theta):
 
 class TestOneEnginePassPerSweep:
     """A sweep of a closed-form composite is one engine call over the
-    whole grid; its rows are each theta's expectation bit for bit."""
+    whole grid, its non-periodic rows taken in tiles of thetas
+    (:class:`TestSweepTiles`); its rows are each theta's expectation bit
+    for bit."""
 
     @staticmethod
     def _rows_alone(comp, grid):
@@ -697,6 +700,118 @@ class TestOneEnginePassPerSweep:
             assert longest == max(windows[k][1] - windows[k][0] + 1 for k in members)
             assert hi - lo + 1 <= 2 * longest
         assert [members for *_, members in groups] == [[5], [1, 2, 0, 4], [3]]
+
+
+#: thetas beyond each law's default grid: far scales, far locations, the
+#: binomial's ends and a large Poisson mean
+FAR_THETAS = {
+    "binomial": [5e-324, 1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.0**-53],
+    "discrete_uniform": [0.0, 2.0**40],
+    "poisson": [1e-300, 1e9],
+    "continuous_uniform": [1e-300, 1e300],
+    "normal_mean": [-1e15, 1e15],
+    "normal_variance": [1e-300, 1e300],
+    "cauchy": [-1e15, 1e15],
+}
+
+
+def _bits(*values) -> list:
+    return [float(v).hex() for v in values]
+
+
+class TestLawsInTiles:
+    """Each law's cdf, and moment where it has one, on a column of thetas
+    against a row of points gives each row the bits of a call on that
+    theta alone: the tiled sweep rests on it.  The points are the spike
+    composite's edges on the default grid; the thetas are that grid and
+    ``FAR_THETAS``."""
+
+    @pytest.mark.parametrize("config", [c for c, (*_, interpolated)
+                                        in CERTIFY_SPIKES_CONFIGS.items() if not interpolated])
+    def test_a_tile_is_its_rows(self, config):
+        name, params, _ = CERTIFY_SPIKES_CONFIGS[config]
+        b = make_bundle(name, **params)
+        law, grid = b.family.law, default_theta_grid(b)
+        thetas = grid + [b.family.validate_param(t) for t in FAR_THETAS[name]]
+        edges = spike_composite(b, grid).piecewise.edges
+        column = np.array(thetas)[:, None]
+        for fn in [law.cdf] + ([law.moment] if law.moment else []):
+            tile = np.asarray(fn(column, edges))
+            rows = np.stack([np.asarray(fn(t, edges)) for t in thetas], axis=-2)
+            assert tile.shape == rows.shape
+            assert tile.tobytes() == rows.tobytes(), (config, fn)
+
+
+class TestSweepTiles:
+    """A non-periodic composite is swept in tiles of thetas: each law call
+    holds a column of whole rows, at most ``_TILE_VALUES`` values unless it
+    is a single row wider than that.  With the bound cut so that the grid
+    takes several tiles and a partial last one, every theta is in exactly
+    one call and every row keeps the one-theta engine's bits."""
+
+    @staticmethod
+    def _interpolated(name):
+        b = make_bundle(name, epsilon=0.2)
+        keys = range(-6, 7)
+        spikes = unit_cell_spikes(b, keys)
+        rng = np.random.default_rng(7)
+        comps = {k: constant_evar(float(rng.uniform(0.0, 4.0))) if k % 3 else spikes[k]
+                 for k in keys}
+        return b, combine_interpolated(b, comps, 0.2, 3.0).piecewise
+
+    @staticmethod
+    def _recorded(law, calls):
+        def recorded(fn):
+            def call(theta, v):
+                calls.append((np.shape(theta), np.ravel(theta).tolist(), np.shape(v)))
+                return fn(theta, v)
+            return call
+        return replace(law, cdf=recorded(law.cdf),
+                       moment=law.moment and recorded(law.moment))
+
+    def _sweep(self, pw, law, grid, bound, monkeypatch):
+        from evarify import verifier
+
+        monkeypatch.setattr(verifier, "_TILE_VALUES", bound)
+        calls = []
+        rows = verifier._piecewise_expectations(pw, self._recorded(law, calls), 1e-12, grid)
+        assert [_bits(r.estimate, r.error_bound) for r in rows] == [
+            _bits(*_one_theta_reference(pw, law, 1e-12, t)) for t in grid]
+        assert sorted(t for _, thetas, _ in calls for t in thetas) == sorted(grid)
+        for shape, thetas, (width,) in calls:
+            assert shape == (len(thetas), 1)
+            assert len(thetas) * width <= bound or len(thetas) == 1
+        return calls
+
+    @pytest.mark.parametrize("name", ["cauchy", "normal_mean"])
+    def test_ramps(self, name, monkeypatch):
+        b, pw = self._interpolated(name)
+        assert pw.ramps and not pw.period
+        grid = default_theta_grid(b)
+        width, per = len(pw.edges), 7
+        assert len(grid) % per
+        calls = self._sweep(pw, b.family.law, grid, per * width + width - 1, monkeypatch)
+        assert [len(thetas) for _, thetas, _ in calls] == (
+            [per] * (len(grid) // per) + [len(grid) % per])
+
+    def test_constant(self, monkeypatch):
+        """No edges: each row's mass beyond is 1, at the constant's level."""
+        b = make_bundle("poisson")
+        grid = default_theta_grid(b)
+        calls = self._sweep(Piecewise.constant(2.5), b.family.law, grid, 10, monkeypatch)
+        assert [len(thetas) for _, thetas, _ in calls] == [10] * 14 + [5]
+
+    def test_rows_wider_than_a_tile(self, monkeypatch):
+        """Cauchy epsilon = 0.2 has 22,007 edges, more than a tile: each
+        row is a call of its own."""
+        from evarify import verifier
+
+        b = make_bundle("cauchy", epsilon=0.2)
+        grid = default_theta_grid(b)
+        pw = spike_composite(b, grid).piecewise
+        assert len(pw.edges) > verifier._TILE_VALUES
+        calls = self._sweep(pw, b.family.law, grid, verifier._TILE_VALUES, monkeypatch)
+        assert [len(thetas) for _, thetas, _ in calls] == [1] * len(grid)
 
 
 class TestMLECounterexample:

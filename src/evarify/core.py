@@ -331,7 +331,8 @@ class Family:
     log p_theta(x), with ``-inf`` off the support; theta broadcasts
     against the batch's shape (a column of thetas gives a row per theta).
     ``divergence_fn`` broadcasts over both arguments and must satisfy
-    d(t, t) = 0, d >= 0.
+    d(t, t) = 0, d >= 0 for the values it computes, not only in exact
+    arithmetic (a form that can round below 0 clamps at 0).
     ``estimator_g`` maps samples to the parameter value each indicates
     (mean, rate, squared norm over n, ...), possibly on the closure of the
     parameter space, one value per sample of ``log_density``'s batch.

@@ -329,7 +329,9 @@ def _xlogy_once(k, p):
     """scipy's ``xlogy(k, p)``, k log p and 0 where k == 0 and p is not
     NaN, with one log per p: a column of p against a row of k takes each
     p's log once, the same libm log times k (``np.log`` differs from it in
-    the last bit on some values)."""
+    the last bit on some values).  That log, ``xlogy(1.0, p)``, serves the
+    binomial's density and its divergence, which takes it once per
+    parameter."""
     return np.where((k == 0) & ~np.isnan(p), 0.0, k * xlogy(1.0, p))
 
 
@@ -349,6 +351,25 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         )
         return np.where(ok, val, -np.inf)
 
+    def divergence(g, t):
+        """n (r(g, t) + r(1 - g, 1 - t)), r(x, y) = x log x - x log y, with
+        its logs taken once per statistic value g and once per parameter t:
+        on a tile of parameters by statistics each pair takes products and
+        sums only.
+        A pair with g outside [0, 1] or t outside (0, 1), or a NaN, takes
+        ``rel_entr``'s value (0, inf or NaN), whatever the other pairs are;
+        the result is clamped at 0."""
+        h, u = 1.0 - g, 1.0 - t
+        g_off, t_off = ~((g >= 0.0) & (g <= 1.0)), ~((t > 0.0) & (t < 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # off pairs: log 0, 0 * inf, ...
+            d = n * ((xlogy(g, g) - g * xlogy(1.0, t)) + (xlogy(h, h) - h * xlogy(1.0, u)))
+            if g_off.any() or t_off.any():
+                off = g_off | t_off
+                gb, tb = (a[off] for a in np.broadcast_arrays(g, t))
+                d = np.array(d)
+                d[off] = n * (rel_entr(gb, tb) + rel_entr(1.0 - gb, 1.0 - tb))
+        return np.maximum(d, 0.0)
+
     def theta_grid(b):
         pts = b.net.points(b.net.indices())
         mids = 0.5 * (pts[:-1] + pts[1:])
@@ -362,7 +383,7 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         param_space=Interval(lo=0.0, hi=1.0, lo_open=True),
         sample_dim=1,
         log_density=log_density,
-        divergence_fn=lambda p1, p2: n * (rel_entr(p1, p2) + rel_entr(1.0 - p1, 1.0 - p2)),
+        divergence_fn=divergence,
         estimator_g=lambda k: k / n,
         lift=lambda v: np.round(v * n),
         law=_discrete_law(

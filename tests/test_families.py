@@ -3,9 +3,10 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, rel_entr, xlogy
 
 from evarify.core import (
     BinomialSine,
@@ -396,6 +397,129 @@ def test_binomial_density_has_the_bits_of_xlogy(n):
         same_bits(log_density(col, k), _binomial_log_density_by_xlogy(n, col, k))
         grid_p, grid_k = np.meshgrid(ps, k, indexing="ij")
         same_bits(log_density(grid_p, grid_k), _binomial_log_density_by_xlogy(n, grid_p, grid_k))
+
+
+def _near_ties(t):
+    """Each t with its near ties: t, the next double up, t (1 -+ 1e-12)
+    and t (1 + 1e-7)."""
+    t = np.asarray(t, dtype=float)
+    return np.concatenate([t, np.nextafter(t, math.inf), t * (1 - 1e-12), t * (1 + 1e-12),
+                           t * (1 + 1e-7)])
+
+
+@pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+def test_divergence_is_nonnegative_and_zero_at_ties_as_computed(name, kw):
+    """d >= 0 and d(t, t) == 0 hold for the computed values, not only in
+    exact arithmetic: over the default theta grid against its near ties
+    (kept in the parameter space), in both directions, where the binomial
+    once rounded below 0 (n = 64: to -7.1e-15)."""
+    bundle = make_bundle(name, **kw)
+    fam = bundle.family
+    thetas = np.array(default_theta_grid(bundle))
+    near = np.array([t for t in _near_ties(thetas).tolist() if fam.param_space.contains(t)])
+    assert np.all(fam.divergence_fn(near, near) == 0.0)
+    for first, second in ((thetas[:, None], near), (near[:, None], thetas)):
+        d = fam.divergence_fn(first, second)
+        assert np.all(d >= 0.0), float(np.nanmin(d))
+
+
+@pytest.mark.parametrize("n", [64, 1000, 10_000])
+def test_binomial_divergence_is_nonnegative_between_counts_and_near_ties(n):
+    """Between each statistic value k/n and its near ties, both ways, the
+    binomial divergence is never below 0 (it once reached -1.1e-13 at
+    n = 1000) and is 0 at each tie."""
+    div = make_bundle("binomial", n=n).family.divergence_fn
+    gs = np.arange(n + 1.0) / n
+    assert np.all(div(gs, gs) == 0.0)
+    for near in np.split(_near_ties(gs), 5):
+        assert np.all(div(gs, near) >= 0.0) and np.all(div(near, gs) >= 0.0)
+
+
+def _binomial_divergence_oracle(n, g, t):
+    """(max(D, 0), n sum |terms|) at 40 digits, for
+    D = n (g log g - g log t + h log h - h log u) with h = 1 - g and
+    u = 1 - t as doubles round them (the inputs the computed form starts
+    from) and 0 log 0 = 0 log t = 0."""
+    h, u = 1.0 - g, 1.0 - t
+    with mp.workdps(40):
+        terms = [mp.mpf(x) * mp.log(y) if x else mp.mpf(0)
+                 for x, y in ((g, g), (g, t), (h, h), (h, u))]
+        d = n * (terms[0] - terms[1] + terms[2] - terms[3])
+        return max(d, mp.mpf(0)), n * sum(abs(x) for x in terms)
+
+
+class TestBinomialDivergence:
+    #: Higham's gamma_6 = 6u / (1 - 6u), u = 2**-53: each term's path is
+    #: a libm log (within 1 ulp, so 2u), a product, a difference, the sum
+    #: of the two sides and the product with n
+    KAPPA = 6.0 * 2.0**-53 / (1.0 - 6.0 * 2.0**-53)
+
+    @staticmethod
+    def _cases(n):
+        """(g, t) pairs: counts k/n (0 and n among them) against the
+        identity axes, net points, 1e-9 and 1 - 1e-9, and each count and
+        net point against its near ties."""
+        bundle = make_bundle("binomial", n=n)
+        thetas, indices, _ = bundle.identity_axes(bundle)
+        pts = bundle.net.points(indices)
+        pts = pts[np.linspace(0, len(pts) - 1, min(len(pts), 25)).astype(int)]
+        ks = np.unique(np.concatenate([[0, 1, 2, n // 2, n - 2, n - 1, n],
+                                       np.linspace(0, n, 21).astype(int)]))
+        gs = ks / n
+        ts = np.concatenate([thetas, pts, [1e-9, 1 - 1e-9]])
+        outer = [(g, t) for g in gs.tolist() for t in ts.tolist()]
+        at_pts = np.round(pts * n) / n
+        ties = [(g, t) for g in np.concatenate([gs, at_pts, pts]).tolist()
+                for t in _near_ties([g]).tolist() if 0.0 < t < 1.0]
+        return bundle.family.divergence_fn, outer + ties
+
+    @pytest.mark.parametrize("n", [64, 10_000, 1_000_000])
+    def test_within_the_derived_bound_of_a_40_digit_oracle(self, n):
+        """|d - max(D, 0)| <= gamma_6 n sum |terms| on every pair, one
+        call over all of them (the clamp at 0 moves no value further from
+        max(D, 0))."""
+        div, pairs = self._cases(n)
+        g, t = np.array(pairs).T
+        got = div(g, t)
+        for gi, ti, di in zip(g.tolist(), t.tolist(), got.tolist()):
+            want, size = _binomial_divergence_oracle(n, gi, ti)
+            assert abs(mp.mpf(di) - want) <= self.KAPPA * size, (gi, ti, di, want)
+
+    @pytest.mark.parametrize("n", [64, 10_000])
+    def test_special_arguments_keep_the_rel_entr_values_in_mixed_calls(self, n):
+        """Where g is outside [0, 1] or t outside (0, 1), or either is NaN,
+        each pair has the old ``rel_entr`` form's value (0, inf or NaN)
+        in a call that mixes them with ordinary pairs; a statistic at 0 or
+        1 adds that form's exact 0 for its empty side."""
+        div = make_bundle("binomial", n=n).family.divergence_fn
+        gs = np.array([0.0, 1.0, -0.5, 1.5, math.nan, -math.inf, math.inf, 0.3, 1 / 64])
+        ts = np.array([0.0, 1.0, -0.5, 1.5, math.nan, -math.inf, math.inf, 0.3, 1e-9,
+                       1 - 1e-9, 5e-324])
+        got = div(gs[:, None], ts)
+        with np.errstate(invalid="ignore"):  # the old form, two rel_entr per pair
+            old = n * (rel_entr(gs[:, None], ts) + rel_entr(1.0 - gs[:, None], 1.0 - ts))
+        off = ~((gs >= 0) & (gs <= 1))[:, None] | ~((ts > 0) & (ts < 1))
+        assert off.sum() == 83  # 5 special rows by 11, 7 special columns by 4
+        np.testing.assert_array_equal(got[off], old[off])
+        assert set(old[off][~np.isnan(old[off])].tolist()) == {0.0, math.inf}
+        inside = ts[~off[0]]
+        np.testing.assert_array_equal(got[0, ~off[0]], n * -xlogy(1.0, 1.0 - inside))
+        np.testing.assert_array_equal(got[1, ~off[1]], n * -xlogy(1.0, inside))
+
+    @pytest.mark.parametrize("n", [64, 10_000])
+    def test_a_tile_has_the_bits_of_its_pairs_one_at_a_time(self, n):
+        """A column of parameters against a row of statistics, special
+        values among both, equals each pair's own one-value call in every
+        bit: no pair's value depends on the others in its call."""
+        div, pairs = self._cases(n)
+        gs = np.concatenate([np.unique([g for g, _ in pairs])[::3], [-0.5, 1.5, math.nan]])
+        ts = np.concatenate([np.unique([t for _, t in pairs])[::5],
+                             [0.0, 1.0, -0.5, 1.5, math.nan, math.inf]])
+        tile = div(gs, ts[:, None])
+        ones = np.array([[div(g, t) for g in gs.tolist()] for t in ts.tolist()])
+        nan = np.isnan(tile)
+        np.testing.assert_array_equal(nan, np.isnan(ones))
+        np.testing.assert_array_equal(tile[~nan].view(np.int64), ones[~nan].view(np.int64))
 
 
 def _support_samples(bundle, rng, size=10_000):

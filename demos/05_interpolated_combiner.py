@@ -25,10 +25,11 @@ from evarify import (
     combine_interpolated,
     constant_evar,
     even_odd_reconstruction,
+    interpolated_spike_composite,
     make_bundle,
     sweep,
 )
-from evarify.verifier import certify_interpolated_factor, interpolated_spike_composite
+from evarify.verifier import certify_interpolated_factor
 
 eps = 0.2
 

@@ -30,7 +30,10 @@ from .combinator import (
     constant_evar,
     even_odd_reconstruction,
     even_odd_split,
+    interpolated_spike_composite,
     likelihood_ratio_evar,
+    spike_evar,
+    spike_suite,
 )
 from .checker import (
     ConditionReport,
@@ -47,11 +50,8 @@ from .verifier import (
     VerificationReport,
     certify_interpolated_factor,
     expectation,
-    interpolated_spike_composite,
     mle_counterexample_poisson,
     spike_composite,
-    spike_evar,
-    spike_suite,
     sweep,
     uniform_ceiling_budget,
     uniform_ceiling_budget_max,

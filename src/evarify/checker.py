@@ -22,8 +22,12 @@ Checks are pure functions of their inputs plus an explicit seed, so two
 runs with the same arguments produce identical reports.  The grids are
 each family's own, carried by its bundle (:mod:`evarify.families`);
 continuous families get cell samples from a fill of the estimator's
-cells.  Identities use tolerance ``IDENTITY_TOL``; inequalities allow slack
-``SLACK_TOL`` (double-precision closed forms).
+cells.  The log-ratio identity and the reverse triangle, exact in exact
+arithmetic, allow ``IDENTITY_TOL``; the growth bound and the declared
+constants c' and c, compared with measured ones, allow slack ``SLACK_TOL``
+(double-precision closed forms); the sandwich allows none.  A normal
+family whose n would make the checker lift more than 2**24 sample values
+at once is refused with :class:`~evarify.core.DomainError`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import _index_array
+from .core import DomainError, _TILE_VALUES, _index_array
 from .families import FamilyBundle
 
 __all__ = [
@@ -62,10 +66,9 @@ _WITNESS_CAP = 10
 #: monotone triples of the reverse-triangle check
 _CELLS, _PER_CELL, _TRIPLES = 120, 25, 1000
 
-#: values (parameters times lifted samples) of one tile, one family call,
-#: of the identity check: on binomial n = 10^4 all 50 thetas by 327
-#: statistics; 2**15 gains no time and doubles the peak memory
-_BLOCK_VALUES = 2 ** 14
+#: sample values lifted from statistics at once at most (128 MB): the cell
+#: samples lift about 3,240 statistics, so a normal family's n up to 5,178
+_LIFT_VALUES_MAX = 2**24
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ def default_cell_samples(bundle: FamilyBundle, seed: int = 0):
                          hi if right else np.nextafter(hi, lo), inner])
     a, b = e[:, :1], e[:, 1:]
     inside = (a < v if right else a <= v) & (v <= b if right else v < b)
-    return bundle.family.lift(v[inside])
+    return _lift(bundle, v[inside])
 
 
 def default_growth_pairs(bundle: FamilyBundle) -> list:
@@ -171,6 +174,17 @@ def default_growth_pairs(bundle: FamilyBundle) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _lift(bundle: FamilyBundle, gs: np.ndarray) -> np.ndarray:
+    """The samples of the statistics gs, one batch (``Family.lift``); a
+    batch of more than ``_LIFT_VALUES_MAX`` values raises
+    :class:`DomainError` naming the family's n, before any is made."""
+    n = bundle.family.sample_dim
+    if len(gs) * n > _LIFT_VALUES_MAX:
+        raise DomainError(f"family.params.n: {n} draws per sample would make the checker lift "
+                          f"{len(gs)} statistics to {len(gs) * n} values, more than 2**24")
+    return bundle.family.lift(gs)
+
+
 def _statistics(bundle: FamilyBundle, xs: Sequence) -> np.ndarray:
     """Each sample's statistic g(x), from one batch call (the samples as
     one array in ``log_density``'s convention)."""
@@ -193,7 +207,7 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
     ``divergence_fn`` call per tile: a tile holds every parameter of the
     side when they fit, so a family's work on the statistics alone runs
     once per tile of statistics, and at most 2**14 values
-    (``_BLOCK_VALUES``), so memory is bounded on both axes whatever the
+    (``_TILE_VALUES``), so memory is bounded on both axes whatever the
     grid.  Each tile is folded into its statistics' extremes on its side.
     The worst residual is the largest gap between the two sides' extremes
     at a statistic; a NaN residual fails.  Only a failing check looks for
@@ -203,7 +217,7 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
     thetas, indices, gs = bundle.identity_axes(bundle) if axes is None else axes
     thetas, gs = np.asarray(thetas, dtype=float), np.asarray(gs, dtype=float)
     fam = bundle.family
-    x_arr = fam.lift(gs)
+    x_arr = _lift(bundle, gs)
     points = bundle.net.points(indices)
     per_value = max(1, x_arr.size // max(1, len(gs)))  # lifted values per statistic
 
@@ -211,8 +225,8 @@ def check_log_ratio_identity(bundle: FamilyBundle, axes: tuple | None = None) ->
         """(statistic slice, A_t, p_t > 0) of each tile: the statistics
         tile by tile, and within a tile of them the parameters in as few
         tiles as fit."""
-        rows = max(1, min(len(params), _BLOCK_VALUES // per_value))
-        cols = max(1, _BLOCK_VALUES // (rows * per_value))
+        rows = max(1, min(len(params), _TILE_VALUES // per_value))
+        cols = max(1, _TILE_VALUES // (rows * per_value))
         for g0 in range(0, len(gs), cols):
             on = slice(g0, g0 + cols)
             for p0 in range(0, len(params), rows):
@@ -446,13 +460,6 @@ def estimate_step_lower_bound(
 # ---------------------------------------------------------------------------
 
 
-def _default_step_window(bundle: FamilyBundle) -> range:
-    net = bundle.net
-    lo = net.k_min if net.k_min is not None else -1000
-    hi = net.k_max if net.k_max is not None else 1000
-    return range(lo, hi + 1)
-
-
 def run_all_checks(bundle: FamilyBundle, seed: int = 0) -> dict[str, ConditionReport]:
     """Every check applicable to the bundle's factor route.
 
@@ -475,7 +482,10 @@ def run_all_checks(bundle: FamilyBundle, seed: int = 0) -> dict[str, ConditionRe
         reports["divergence_growth"] = check_divergence_growth(bundle, alpha=inputs.alpha)
     if route == "steps":
         reports["reverse_triangle"] = check_reverse_triangle(bundle, seed=seed)
-        c_est = estimate_step_lower_bound(bundle, _default_step_window(bundle))
+        net = bundle.net  # its indices, from -1000 to 1000 where it is unbounded
+        window = range(-1000 if net.k_min is None else net.k_min,
+                       (1000 if net.k_max is None else net.k_max) + 1)
+        c_est = estimate_step_lower_bound(bundle, window)
         reports["step_lower_bound"] = _report("step_lower_bound", np.array([inputs.c - c_est]),
                                               SLACK_TOL, (None, None, None),
                                               estimated_constant=c_est)

@@ -51,7 +51,7 @@ import sys
 from pathlib import Path
 
 from .checker import run_all_checks
-from .combinator import combine_discrete, components_from_specs
+from .combinator import combine_discrete, components_from_specs, interpolated_spike_composite
 from .core import ConfigError, EvarifyError, _number
 from .families import FAMILY_IDS, make_bundle
 from .verifier import (
@@ -62,7 +62,6 @@ from .verifier import (
     _theta_grid,
     certify_interpolated_factor,
     default_theta_grid,
-    interpolated_spike_composite,
     mle_counterexample_poisson_with_bound,
     spike_composite,
     sweep,

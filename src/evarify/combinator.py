@@ -13,6 +13,12 @@ the net point; exact float keys would be fragile.  A missing component
 defaults to the constant-1 e-variable, which is valid for every
 hypothesis, so users may supply components only near their data.
 
+The components built here are constants, likelihood ratios, calibrated
+upper-tail p-values and spikes (the reciprocal cell probability on a
+cell: ``spike_suite`` on the estimator's cells, ``unit_cell_spikes`` on
+the unit cells of the interpolated composite, which
+``interpolated_spike_composite`` builds on all integers at once).
+
 Constants and spikes are *structured*: each carries a
 :class:`~evarify.core.Piecewise` on the line of the family's law.  A
 composite of them builds its own piecewise once, reads it at a batch's
@@ -48,7 +54,9 @@ from .core import (
     REpsilon,
     _INDEX_LIMIT,
     _epsilon,
+    _index_array,
     _number,
+    calibrate_p_to_e,
 )
 from .families import FamilyBundle
 
@@ -58,10 +66,15 @@ __all__ = [
     "constant_evar",
     "zero_evar",
     "likelihood_ratio_evar",
+    "spike_evar",
+    "spike_suite",
+    "unit_cell_spikes",
+    "upper_tail_calibrated_evar",
     "CompositeEVariable",
     "combine_discrete",
     "bump_weight",
     "combine_interpolated",
+    "interpolated_spike_composite",
     "ParityFamily",
     "even_odd_split",
     "even_odd_reconstruction",
@@ -173,6 +186,68 @@ def likelihood_ratio_evar(
         return np.where(num == -np.inf, 0.0, np.where(den == -np.inf, np.inf, ratio))
 
     return EVariable(fn=fn, vectorized=True)
+
+
+def spike_evar(bundle: FamilyBundle, k: int) -> EVariable:
+    """The spike at net index k: the indicator of the cell shat^{-1}(s_k)
+    divided by its probability under P_{s_k}.
+
+    By construction E_{P_s}[spike_s] = 1 exactly: it is the tightest
+    component the e-variable constraint allows concentrated on its own
+    cell.  Raises :class:`DomainError` for a zero-probability cell.
+    """
+    return spike_suite(bundle, [k])[int(k)]
+
+
+def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
+    """Spikes for every index in ``indices``, each cell under its own net
+    point; the cell probabilities come from one CDF call."""
+    ks = _index_array(indices).reshape(-1)
+    points = bundle.net.points(ks)
+    if not np.all(np.isfinite(points)):  # beyond the largest float
+        raise DomainError(f"net index {ks[~np.isfinite(points)][0]} of {bundle.bundle_id} "
+                          "has no finite point")
+    bounds = bundle.cell_bounds(ks)
+    F = bundle.family.law.cdf(points[:, None], bounds)
+    probs = F[:, 1] - F[:, 0]
+    if not np.all(probs > 0.0):
+        k = ks[int(np.argmin(probs > 0.0))]
+        raise DomainError(
+            f"cell {k} of {bundle.bundle_id} has zero probability under its own point")
+    return SpikeSuite(bundle, ks, bounds, 1.0 / probs)
+
+
+def unit_cell_spikes(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
+    """The unit-cell spikes e_n, n in ``indices``: the indicator of the
+    piece [n - 1/2, n + 1/2) (not an r^epsilon cell) over its probability
+    under P_n, the same for every n by translation invariance."""
+    law = bundle.family.law
+    if law.moment is None:
+        raise DomainError(
+            "interpolation is certified for cauchy and single-observation normal_mean"
+        )
+    F = law.cdf(0.0, np.array([-0.5, 0.5]))
+    ns = [int(n) for n in indices]
+    edges = np.array(ns, dtype=float)[:, None] + [-0.5, 0.5]
+    return SpikeSuite(bundle, ns, edges, np.full(len(ns), 1.0 / float(F[1] - F[0])))
+
+
+def upper_tail_calibrated_evar(
+    bundle: FamilyBundle, k: int, kappa: float
+) -> EVariable:
+    """kappa * P**(kappa-1) with the upper-tail p-variable
+    P(x) = P_{s_k}(stat(X) >= stat(x))."""
+    law = bundle.family.law
+    s = bundle.net.points(k)
+    g = bundle.family.estimator_g
+
+    def p_fn(x):
+        # a discrete law is indexed by support point: P(X >= x) = sf(x - 1)
+        return law.sf(s, np.asarray(x, dtype=float) - 1.0 if law.discrete else g(x))
+
+    if not 0.0 < kappa < 1.0:
+        raise DomainError("kappa must lie strictly inside (0, 1)")
+    return EVariable(fn=lambda x: calibrate_p_to_e(kappa, p_fn(x)), vectorized=True)
 
 
 def _many(e, xs) -> np.ndarray:
@@ -480,6 +555,20 @@ def combine_interpolated(
                               _trapezoid_piecewise(table, epsilon, C))
 
 
+def interpolated_spike_composite(
+    bundle: FamilyBundle, epsilon: float, factor_C: float
+) -> CompositeEVariable:
+    """The interpolated composite of the unit-cell spikes on all integers,
+    h * w_round(x) / C.  It repeats with period 1, so its piecewise holds
+    one period, [1/2 - eps, 3/2 - eps), and its components are the
+    spikes on 0, 1 and 2 that make it up (pieces 3 to 5 of theirs)."""
+    C, epsilon = float(factor_C), _epsilon(epsilon)
+    spikes = unit_cell_spikes(bundle, range(3))
+    pw = _trapezoid_piecewise(spikes.table, epsilon, C)
+    one_period = Piecewise(pw.edges[3:7], pw.a[3:6], pw.b[3:6], 0.0, period=1.0)
+    return CompositeEVariable(bundle, spikes, C, epsilon, one_period)
+
+
 # ---------------------------------------------------------------------------
 # Even/odd split of the interpolated composite
 # ---------------------------------------------------------------------------
@@ -579,8 +668,6 @@ def components_from_specs(
     limit of :mod:`evarify.core`), or a bool is a ``DomainError`` naming
     its field.
     """
-    from . import verifier  # local import: verifier builds on this module
-
     if not isinstance(specs, list):
         raise DomainError(f"components must be a list of component specs, got {specs!r}")
     fields = {"constant": "value", "spike": None, "likelihood_ratio": "alternative",
@@ -602,9 +689,9 @@ def components_from_specs(
         if ctype == "constant":
             out[k] = constant_evar(value)
         elif ctype == "spike":
-            out[k] = verifier.spike_evar(bundle, k)
+            out[k] = spike_evar(bundle, k)
         elif ctype == "likelihood_ratio":
             out[k] = likelihood_ratio_evar(bundle.family, bundle.net.points(k), value)
         else:
-            out[k] = verifier.upper_tail_calibrated_evar(bundle, k, value)
+            out[k] = upper_tail_calibrated_evar(bundle, k, value)
     return out

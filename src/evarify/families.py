@@ -13,16 +13,19 @@ discrete uniform    {2^k}, k >= 0                  2^ceil(log2 x), 0->1  direct
 poisson             {t^2}, t >= 1                  round of x            steps
 continuous uniform  {2^k}, k in Z                  2^ceil(log2 x)        direct
 normal mean (n)     (alpha/sqrt(n)) Z              round of the mean     steps
+normal mean (eps)   Z                              r^epsilon of x        growth
 normal variance (n) {(1+1/sqrt n)^k}, k in Z       round of ||x||^2/n    steps
 cauchy              Z                              round or r^epsilon    growth
 =================== ============================== ===================== ======
 
 The "steps" route uses ``factor_from_steps`` with the declared constants
 (c', c); the "growth" route uses ``factor_from_growth`` with (c', alpha).
-For the binomial family no closed-form constants are available, so they
-are estimated numerically at construction time (exhaustive enumeration of
-the finite support for c', a closure scan over net-point pairs for alpha)
-and the factor gets a 10% safety margin.
+The normal mean's epsilon variant (one observation, the ``REpsilon``
+estimator) declares c' = (1/2)(1/2 + epsilon)^2 and alpha = 1.
+For the binomial family (n at most 2**22) no closed-form constants are
+available, so they are estimated numerically at construction time
+(exhaustive enumeration of the finite support for c', a closure scan over
+net-point pairs for alpha) and the factor gets a 10% safety margin.
 
 Each family is one maker, ``_make_<id>``: it builds the family's
 ``Family`` and the law of its statistic, its net and estimator, its factor
@@ -335,9 +338,18 @@ def _xlogy_once(k, p):
     return np.where((k == 0) & ~np.isnan(p), 0.0, k * xlogy(1.0, p))
 
 
+#: the most trials of a binomial bundle: its maker and the checker's cell
+#: samples and identity axes hold all n + 1 counts (about 55 MB at peak
+#: per 10^6 trials in the maker)
+_BINOMIAL_N_MAX = 2**22
+
+
 def _make_binomial(n: int | None = None) -> FamilyBundle:
     if n is None:
         raise DomainError("the binomial bundle needs the trial count n")
+    if n > _BINOMIAL_N_MAX:
+        raise DomainError(f"family.params.n: {n} trials exceed the binomial's limit "
+                          f"2**22 = {_BINOMIAL_N_MAX}")
     log_binom = gammaln(n + 1.0)
 
     def log_density(p, k):
@@ -548,8 +560,6 @@ def _make_continuous_uniform() -> FamilyBundle:
                 ppf=lambda theta, q: q * theta,
                 sample=lambda theta, m, rng: theta * (1.0 - rng.random(m)),
                 lo=0.0,
-                # the ceiling estimator is undefined at 0
-                tail_floor=2.0 ** -60,
             ),
         ),
         estimator=CeilDyadic(DyadicReal()),

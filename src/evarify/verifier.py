@@ -32,11 +32,12 @@ more of X than its statistic and gets sample vectors, drawn in blocks.  The
 draws come from a counter-based generator keyed by (master seed, theta
 index), so sweeps are reproducible and order-independent.
 
-Adversarial generators include the spike suite (each component is the
-reciprocal cell probability on its own cell, the tightest component the
-e-variable constraint allows) and the Poisson maximum-likelihood
-counterexample E_lambda[exp(X) X! / X^X], which exceeds every fixed
-normalizing constant for large enough lambda.
+Adversarial generators include the spike composite of a grid (the spike
+suite of :mod:`evarify.combinator` on every cell the grid reaches: each
+component is the reciprocal cell probability on its own cell, the
+tightest component the e-variable constraint allows) and the Poisson
+maximum-likelihood counterexample E_lambda[exp(X) X! / X^X], which
+exceeds every fixed normalizing constant for large enough lambda.
 """
 
 from __future__ import annotations
@@ -49,23 +50,23 @@ from typing import Sequence
 
 import numpy as np
 
+# the builders are called through these names of this module, which
+# perfbench's tracer wraps (spike_suite, interpolated_spike_composite,
+# combine_discrete)
 from .combinator import (
-    EVariable,
     CompositeEVariable,
-    SpikeSuite,
     _many,
-    _trapezoid_piecewise,
     combine_discrete,
+    interpolated_spike_composite,
+    spike_suite,
 )
 from .core import (
     DomainError,
     Piecewise,
     StatLaw,
     _CDF_EPS,
+    _TILE_VALUES,
     _UNIT_ROUNDOFF,
-    _epsilon,
-    _index_array,
-    calibrate_p_to_e,
 )
 from .families import FamilyBundle
 from .fourier import periodic_sup
@@ -75,18 +76,13 @@ __all__ = [
     "ExpectationResult",
     "VerificationReport",
     "expectation",
-    "spike_evar",
-    "spike_suite",
     "spike_composite",
-    "upper_tail_calibrated_evar",
     "default_theta_grid",
     "sweep",
     "mle_counterexample_poisson",
     "mle_counterexample_poisson_with_bound",
     "uniform_ceiling_budget",
     "uniform_ceiling_budget_max",
-    "unit_cell_spikes",
-    "interpolated_spike_composite",
     "certify_interpolated_factor",
 ]
 
@@ -146,37 +142,8 @@ class ExpectationResult:
 
 
 # ---------------------------------------------------------------------------
-# Spike components
+# The spike composite of a grid
 # ---------------------------------------------------------------------------
-
-
-def spike_evar(bundle: FamilyBundle, k: int) -> EVariable:
-    """The spike at net index k: the indicator of the cell shat^{-1}(s_k)
-    divided by its probability under P_{s_k}.
-
-    By construction E_{P_s}[spike_s] = 1 exactly: it is the tightest
-    component the e-variable constraint allows concentrated on its own
-    cell.  Raises :class:`DomainError` for a zero-probability cell.
-    """
-    return spike_suite(bundle, [k])[int(k)]
-
-
-def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
-    """Spikes for every index in ``indices``, each cell under its own net
-    point; the cell probabilities come from one CDF call."""
-    ks = _index_array(indices).reshape(-1)
-    points = bundle.net.points(ks)
-    if not np.all(np.isfinite(points)):  # beyond the largest float
-        raise DomainError(f"net index {ks[~np.isfinite(points)][0]} of {bundle.bundle_id} "
-                          "has no finite point")
-    bounds = bundle.cell_bounds(ks)
-    F = bundle.family.law.cdf(points[:, None], bounds)
-    probs = F[:, 1] - F[:, 0]
-    if not np.all(probs > 0.0):
-        k = ks[int(np.argmin(probs > 0.0))]
-        raise DomainError(
-            f"cell {k} of {bundle.bundle_id} has zero probability under its own point")
-    return SpikeSuite(bundle, ks, bounds, 1.0 / probs)
 
 
 def _grid_index_envelope(
@@ -205,32 +172,9 @@ def spike_composite(
     return combine_discrete(bundle, suite, factor_C=factor_C)
 
 
-def upper_tail_calibrated_evar(
-    bundle: FamilyBundle, k: int, kappa: float
-) -> EVariable:
-    """kappa * P**(kappa-1) with the upper-tail p-variable
-    P(x) = P_{s_k}(stat(X) >= stat(x))."""
-    law = bundle.family.law
-    s = bundle.net.points(k)
-    g = bundle.family.estimator_g
-
-    def p_fn(x):
-        # a discrete law is indexed by support point: P(X >= x) = sf(x - 1)
-        return law.sf(s, np.asarray(x, dtype=float) - 1.0 if law.discrete else g(x))
-
-    if not 0.0 < kappa < 1.0:
-        raise DomainError("kappa must lie strictly inside (0, 1)")
-    return EVariable(fn=lambda x: calibrate_p_to_e(kappa, p_fn(x)), vectorized=True)
-
-
 # ---------------------------------------------------------------------------
 # The closed-form engine of structured composites
 # ---------------------------------------------------------------------------
-
-
-#: values (theta rows x edges) per law call of a non-periodic sweep: bounds
-#: the temporaries of one tile; a row wider than that is a tile alone
-_TILE_VALUES = 2**14
 
 
 def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
@@ -247,7 +191,7 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
 
     The thetas go in tiles of rows, a column of thetas against a row of
     points: a non-periodic piecewise takes as many rows as fit in
-    ``_TILE_VALUES`` values per law call, each row's sums reduced over
+    ``core._TILE_VALUES`` values per law call, each row's sums reduced over
     the tile at once (the dot products row by row, whose bits a matrix
     product does not keep).  A periodic row is a tile of its own, on its
     copies' shifted edges e + s, which thetas with nearby windows share
@@ -351,10 +295,23 @@ def _copy_groups(windows: list) -> list[list]:
 # ---------------------------------------------------------------------------
 
 
+#: terms of a generic exact sum at most (32 MB per array of them): the
+#: default grid of every discrete bundle fits under it
+_SUM_TERMS_MAX = 2**22
+
+
 def _generic_discrete(e, theta, bundle, plan) -> ExpectationResult:
+    """E_theta[e] summed over the support points of the law's window (and
+    8 more above it), the mass beyond charged by :func:`_tail_charge`; a
+    window of more than ``_SUM_TERMS_MAX`` points raises
+    :class:`DomainError`."""
     law = bundle.family.law
-    _, top = law.window(theta, plan.tail_mass).tolist()
-    xs = np.arange(law.lo, min(law.hi, top + 8.0) + 1.0)
+    lo, top = law.window(theta, plan.tail_mass).tolist()
+    hi = min(law.hi, top + 8.0)
+    if hi - lo + 1.0 > _SUM_TERMS_MAX:
+        raise DomainError(f"theta = {theta!r}: the exact sum would take {hi - lo + 1.0:.4g} "
+                          "terms, more than 2**22; use the monte_carlo method")
+    xs = np.arange(lo, hi + 1.0)
     pmf = np.exp(bundle.family.log_density(theta, xs))
     values = _many(e, xs)
     charged = values[pmf > 0]
@@ -746,37 +703,8 @@ def uniform_ceiling_budget_max(n_max: int = 2**20) -> tuple[float, int]:
 
 
 # ---------------------------------------------------------------------------
-# Interpolated spike suites and factor certification
+# Interpolated factor certification
 # ---------------------------------------------------------------------------
-
-
-def unit_cell_spikes(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
-    """The unit-cell spikes e_n, n in ``indices``: the indicator of the
-    piece [n - 1/2, n + 1/2) (not an r^epsilon cell) over its probability
-    under P_n, the same for every n by translation invariance."""
-    law = bundle.family.law
-    if law.moment is None:
-        raise DomainError(
-            "interpolation is certified for cauchy and single-observation normal_mean"
-        )
-    F = law.cdf(0.0, np.array([-0.5, 0.5]))
-    ns = [int(n) for n in indices]
-    edges = np.array(ns, dtype=float)[:, None] + [-0.5, 0.5]
-    return SpikeSuite(bundle, ns, edges, np.full(len(ns), 1.0 / float(F[1] - F[0])))
-
-
-def interpolated_spike_composite(
-    bundle: FamilyBundle, epsilon: float, factor_C: float
-) -> CompositeEVariable:
-    """The interpolated composite of the unit-cell spikes on all integers,
-    h * w_round(x) / C.  It repeats with period 1, so its piecewise holds
-    one period, [1/2 - eps, 3/2 - eps), and its components are the
-    spikes on 0, 1 and 2 that make it up (pieces 3 to 5 of theirs)."""
-    C, epsilon = float(factor_C), _epsilon(epsilon)
-    spikes = unit_cell_spikes(bundle, range(3))
-    pw = _trapezoid_piecewise(spikes.table, epsilon, C)
-    one_period = Piecewise(pw.edges[3:7], pw.a[3:6], pw.b[3:6], 0.0, period=1.0)
-    return CompositeEVariable(bundle, spikes, C, epsilon, one_period)
 
 
 _FACTOR_EPSILONS = (0.05, 0.1, 0.2)  # the factor's default half-widths

@@ -27,13 +27,12 @@ from evarify.checker import (
     step_bounds_directed,
 )
 from evarify.combinator import bump_weight, combine_interpolated, constant_evar, \
-    even_odd_reconstruction
+    even_odd_reconstruction, interpolated_spike_composite
 from evarify.core import calibrate_p_to_e
 from evarify.families import make_bundle
 from evarify.verifier import (
     ExpectationPlan,
     certify_interpolated_factor,
-    interpolated_spike_composite,
     mle_counterexample_poisson,
     spike_composite,
     sweep,

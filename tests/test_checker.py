@@ -24,7 +24,7 @@ from evarify.checker import (
     run_all_checks,
     step_bounds_directed,
 )
-from evarify.core import Estimator
+from evarify.core import DomainError, Estimator
 from evarify.families import make_bundle
 
 #: the benchmark's nine discrete-mode family configurations
@@ -391,7 +391,7 @@ class TestLogRatioIdentity:
         """On binomial n = 10^4 (50 thetas, 99 net points, 10,001
         statistic values) each (parameter, statistic) pair of each side
         goes through log_density and divergence_fn in exactly one call, no
-        call takes more than ``_BLOCK_VALUES`` values, and each call holds
+        call takes more than ``_TILE_VALUES`` values, and each call holds
         every parameter of its side: ceil(10,001 / (b // 50)) +
         ceil(10,001 / (b // 99)) calls of each for b values.  So the
         density's work on the statistics alone (its two gammaln) runs once
@@ -417,7 +417,7 @@ class TestLogRatioIdentity:
         monkeypatch.setattr(families, "gammaln", counted)
         thetas, indices, gs = axes = b.identity_axes(b)
         rep = check_log_ratio_identity(replace(b, family=fam), axes)
-        block = checker._BLOCK_VALUES
+        block = checker._TILE_VALUES
         sides = (b.net.points(indices), thetas)
         tiles = [math.ceil(10_001 / (block // len(side))) for side in sides]
         for name, statistics in (("log_density", b.family.lift(gs)), ("divergence_fn", gs)):
@@ -460,7 +460,7 @@ class TestLogRatioIdentity:
         if len(gs) * larger <= 10_000:
             sizes.append(width)
         for size in sizes:
-            monkeypatch.setattr(checker, "_BLOCK_VALUES", size)
+            monkeypatch.setattr(checker, "_TILE_VALUES", size)
             reports.append(check_log_ratio_identity(bundle).to_dict())
         assert len(gs) % 7 and (len(gs) != 10_001 or 10_001 % (7 * larger // len(thetas)))
         default, *tiled = (json.dumps(r) for r in reports)  # NaN equals NaN
@@ -762,6 +762,18 @@ class TestRunAllChecks:
         reports = run_all_checks(make_bundle(name, **kw))
         for cname, rep in reports.items():
             assert rep.passing, (cname, rep.max_violation)
+
+    def test_the_cell_samples_lift_at_most_2_24_values(self):
+        """The cell samples lift 3,240 statistics to n-vectors: n = 5,179
+        is refused before any value is made, where larger n once asked
+        numpy for gigabytes (the lift is faked here, so no n allocates)."""
+        lifted = []
+        b = make_bundle("normal_variance", n=5179)
+        b = replace(b, family=replace(b.family, lift=lambda v: lifted.append(v) or v))
+        with pytest.raises(DomainError, match=r"family\.params\.n: 5179 .* 3240 statistics"):
+            checker.default_cell_samples(b)
+        assert lifted == []
+        assert 3240 * 5178 <= 2**24 < 3240 * 5179
 
     def test_cell_samples_built_once(self, monkeypatch):
         """The sandwich check and the cell-bound estimate share one set of

@@ -656,7 +656,8 @@ class TestEachFlagIsOneConfigKey:
         exited 2 at worst E = 1.0204."""
         from evarify import make_bundle
         from evarify.fourier import periodic_sup
-        from evarify.verifier import certify_interpolated_factor, interpolated_spike_composite
+        from evarify.combinator import interpolated_spike_composite
+        from evarify.verifier import certify_interpolated_factor
 
         out = tmp_path / "rep.json"
         assert run(["certify", "--family", family, "--epsilon", "0.01", "--mode",
@@ -691,6 +692,29 @@ class TestEachFlagIsOneConfigKey:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSizesBeyondTheLimits:
+    @pytest.mark.parametrize("family", ["binomial", "normal_mean", "normal_variance"])
+    def test_an_n_that_sizes_an_array_exits_3_naming_it(self, capsys, family):
+        """n = 10**12 once ended in numpy's MemoryError traceback (exit
+        1): the binomial's maker holds all n + 1 counts (at most 2**22
+        trials), the checker lifts statistics to n-vectors (at most 2**24
+        values), and the normal bundles themselves still build."""
+        assert run(["check-conditions", "--family", family, "--n", str(10**12)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "family.params.n: 1000000000000" in err and "Traceback" not in err
+
+    def test_a_theta_whose_quantile_is_nan_exits_3_naming_it(self, tmp_path, capsys):
+        """The Poisson's quantile is NaN at lambda = 1e12; the run once
+        blamed a net index beyond 2**53."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": {"name": "poisson"},
+                                   "theta_grid": {"values": [1e12]}}))
+        assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "theta = 1000000000000.0" in err and "quantile is NaN" in err
+        assert "2**53" not in err
+
+
 class TestNetIndicesBeyondTheFloats:
     @pytest.mark.parametrize("n", [64, 5])
     @pytest.mark.parametrize("component", [

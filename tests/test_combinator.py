@@ -15,18 +15,17 @@ from evarify.combinator import (
     constant_evar,
     even_odd_reconstruction,
     even_odd_split,
+    interpolated_spike_composite,
     likelihood_ratio_evar,
+    spike_evar,
+    spike_suite,
+    unit_cell_spikes,
+    upper_tail_calibrated_evar,
     zero_evar,
 )
 from evarify.core import ContractViolationError, DomainError, Piecewise
 from evarify.families import make_bundle
-from evarify.verifier import (
-    default_theta_grid,
-    interpolated_spike_composite,
-    spike_composite,
-    spike_evar,
-    unit_cell_spikes,
-)
+from evarify.verifier import default_theta_grid, spike_composite
 
 
 class TestBumpWeight:
@@ -471,8 +470,6 @@ def _probes(b, keys) -> np.ndarray:
 def _mixed_components(b, keys):
     """A likelihood ratio, an upper-tail calibrated p-value, a plain
     callable, a constant and a spike, in turn over the keys."""
-    from evarify.verifier import upper_tail_calibrated_evar
-
     fam, out = b.family, {}
     for j, k in enumerate(keys):
         s = b.net.points(k)
@@ -680,8 +677,6 @@ class TestSpikeSuiteMapping:
     def test_lookup_iteration_and_length(self):
         """A suite maps each of its keys, in the order given, to that
         key's spike; any other key is missing."""
-        from evarify.verifier import spike_suite
-
         b = make_bundle("poisson")
         suite = spike_suite(b, [5, 2, 9])
         assert list(suite) == [5, 2, 9] and len(suite) == 3
@@ -695,3 +690,31 @@ class TestSpikeSuiteMapping:
                 suite[missing]
             assert missing not in suite
         assert 2 in suite and dict(suite).keys() == {2, 5, 9}
+
+
+class TestModuleLayering:
+    def test_combinator_imports_nothing_from_the_verifier(self):
+        """The verifier builds on the combinator, never the other way: the
+        component builders (spikes, calibrated p-values, the interpolated
+        spike composite) live here, so no import of the verifier, at the
+        top or inside a function, closes a cycle.  The verifier reads no
+        private name of this module but ``_many``."""
+        import ast
+        from pathlib import Path
+
+        from evarify import combinator, verifier
+
+        def imports(module):
+            tree = ast.parse(Path(module.__file__).read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    yield node.level, node.module or "", [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    yield 0, "", [a.name for a in node.names]
+
+        for level, module, names in imports(combinator):
+            assert "verifier" not in module and "verifier" not in " ".join(names)
+        private = {name for level, module, names in imports(verifier)
+                   if level == 1 and module == "combinator" for name in names
+                   if name.startswith("_")}
+        assert private == {"_many"}

@@ -738,16 +738,32 @@ class TestStatLaw:
         law = make_bundle("normal_mean", n=16).family.law
         assert law.sample(0.0, 5, rng).shape == (5, 16)
 
-    def test_window_caps_heavy_tails_and_floors_the_uniform(self):
+    def test_window_caps_heavy_tails_and_takes_quantiles(self):
         cauchy = make_bundle("cauchy").family.law
         assert cauchy.window(3.0, 1e-12).tolist() == [3.0 - 10_000, 3.0 + 10_000]
-        uniform = make_bundle("continuous_uniform").family.law
-        lo, hi = uniform.window(4.0, 1e-30)
-        assert lo == 4.0 * 2.0**-60 and hi == 4.0
         binom = make_bundle("binomial", n=64).family.law
         np.testing.assert_array_equal(binom.window(0.5, 1e-12),
                                       binom.ppf(0.5, np.array([5e-13, 1 - 5e-13])))
         assert cauchy.window(np.array([0.0, 1.0]), 1e-12).shape == (2, 2)
+
+    def test_the_uniform_window_stays_off_zero_at_every_tail_a_plan_takes(self):
+        """The least tail any window is asked for is 2**-52, half the spike
+        envelope's tail_mass / 2 at the plan's least tail_mass 2**-51: its
+        lower quantile level 2**-53 keeps the uniform's window, where the
+        ceiling estimator is undefined at 0, off 0 without a floor."""
+        uniform = make_bundle("continuous_uniform").family.law
+        lo, hi = uniform.window(4.0, 2.0**-52)
+        assert lo == 4.0 * 2.0**-53 > 0.0 and hi == 4.0 * (1.0 - 2.0**-53)
+
+    @pytest.mark.parametrize("thetas", [1e12, [4.0, 1e12, 2e12]])
+    def test_a_nan_quantile_names_its_theta(self, thetas):
+        """pdtrik, the Poisson's quantile, is NaN at lambda = 1e12 (finite
+        at 1e11): the window says so, naming the first such theta, where
+        a NaN window once surfaced as a net index beyond 2**53."""
+        law = make_bundle("poisson").family.law
+        assert np.all(np.isfinite(law.window(1e11, 1e-12)))
+        with pytest.raises(DomainError, match=r"theta = 1000000000000\.0: .*quantile is NaN"):
+            law.window(np.asarray(thetas), 1e-12)
 
     def test_import_does_not_load_scipy_stats(self):
         import os

@@ -18,8 +18,13 @@ from evarify.combinator import (
     bump_weight,
     combine_discrete,
     combine_interpolated,
+    components_from_specs,
     constant_evar,
+    interpolated_spike_composite,
     likelihood_ratio_evar,
+    spike_evar,
+    spike_suite,
+    unit_cell_spikes,
 )
 from evarify.core import DomainError, Piecewise
 from evarify.families import make_bundle
@@ -28,16 +33,12 @@ from evarify.verifier import (
     certify_interpolated_factor,
     default_theta_grid,
     expectation,
-    interpolated_spike_composite,
     mle_counterexample_poisson,
     mle_counterexample_poisson_with_bound,
     spike_composite,
-    spike_evar,
-    spike_suite,
     sweep,
     uniform_ceiling_budget,
     uniform_ceiling_budget_max,
-    unit_cell_spikes,
 )
 from evarify.verifier import _MC_BLOCK, _QUAD_ROUNDS, _QUAD_TOL, _rng_for, _window_quadrature
 
@@ -192,6 +193,60 @@ class TestExpectation:
 SAMPLE_LINE_LAWS = [("poisson", {}, 30.25), ("binomial", {"n": 64}, 0.5),
                     ("discrete_uniform", {}, 129.0), ("continuous_uniform", {}, 0.7),
                     ("normal_mean", {"n": 1}, 0.3), ("cauchy", {"epsilon": 0.2}, 1.3)]
+
+
+def _lr_calibrated_poisson():
+    """The benchmark's generic Poisson composite: likelihood ratios on net
+    indices 1 to 7, upper-tail calibrated p-values on 8 to 13."""
+    b = make_bundle("poisson")
+    specs = ([{"index": k, "type": "likelihood_ratio", "alternative": 1.2 * k * k + 0.5}
+              for k in range(1, 8)]
+             + [{"index": k, "type": "calibrated_p", "kappa": 0.5} for k in range(8, 14)])
+    return b, combine_discrete(b, components_from_specs(specs, b))
+
+
+class TestGenericExactSum:
+    """A generic component on a discrete law is summed over the support
+    points of the law's window, and 8 more above it."""
+
+    @pytest.mark.parametrize("lam", [30.25, 1000.0, 1e5])
+    def test_the_sum_starts_at_the_window_not_the_support(self, lam):
+        """It once summed from the support's first point: at lambda = 1e5
+        100,000 terms where the window holds about 4,500."""
+        b = make_bundle("poisson")
+        seen = []
+        e = EVariable(fn=lambda x: seen.append(np.array(x)) or np.ones(len(x)), vectorized=True)
+        assert expectation(e, lam, b).method == "exact_sum"
+        lo, top = b.family.law.window(lam, 1e-12).tolist()
+        xs = np.concatenate(seen)
+        assert lo > 0 and xs.tolist() == np.arange(lo, top + 9.0).tolist()
+
+    def test_a_window_beyond_2_22_terms_is_refused(self):
+        """lambda = 1e11: about 4.5 million terms; the sum names theta and
+        points to Monte Carlo, before any term is made."""
+        b = make_bundle("poisson")
+        e = EVariable(fn=lambda x: pytest.fail("evaluated"), vectorized=True)
+        with pytest.raises(DomainError, match=r"theta = 100000000000\.0: .*2\*\*22.*monte_carlo"):
+            expectation(e, 1e11, b)
+
+    @pytest.mark.parametrize("lam", [30.25, 200.0, 1000.0])
+    def test_within_its_bound_of_a_40_digit_sum_over_the_whole_support(self, lam):
+        """The benchmark rows whose windows start above 0 (at 1, 108 and
+        783): the truncated sum and its tail charge hold the exact
+        expectation, summed at 40 digits from 0, the composite's values
+        taken as computed (1/C beyond its components' cells)."""
+        b, comp = _lr_calibrated_poisson()
+        res = expectation(comp, lam)
+        assert res.method == "exact_sum"
+        xs = np.arange(0.0, lam + 50.0 * math.sqrt(lam) + 400.0)
+        values, base = comp.eval_many(xs), 1.0 / comp.factor_C
+        assert np.all(values[xs > 400.0] == base)
+        with mp.workdps(40):
+            lam_mp = mp.mpf(lam)
+            oracle = mp.mpf(base) + mp.fsum(
+                mp.exp(-lam_mp + x * mp.log(lam_mp) - mp.loggamma(x + 1)) * (mp.mpf(v) - base)
+                for x, v in zip(xs.tolist(), values.tolist()) if v != base)
+        assert abs(res.estimate - float(oracle)) <= res.error_bound
 
 
 class TestMonteCarloDraws:

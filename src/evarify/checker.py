@@ -18,16 +18,18 @@ and witnesses:
 * ``step_lower_bound``     min divergence between consecutive net points,
   the constant c (estimated, both directions)
 
-Checks are pure functions of their inputs plus an explicit seed, so two
-runs with the same arguments produce identical reports.  The grids are
-each family's own, carried by its bundle (:mod:`evarify.families`);
-continuous families get cell samples from a fill of the estimator's
-cells.  The log-ratio identity and the reverse triangle, exact in exact
-arithmetic, allow ``IDENTITY_TOL``; the growth bound and the declared
-constants c' and c, compared with measured ones, allow slack ``SLACK_TOL``
-(double-precision closed forms); the sandwich allows none.  A normal
-family whose n would make the checker lift more than 2**24 sample values
-at once is refused with :class:`~evarify.core.DomainError`.
+Checks are pure functions of their inputs plus an explicit seed (it
+draws the reverse-triangle triples only), so two runs with the same
+arguments produce identical reports.  The grids are each family's own,
+carried by its bundle (:mod:`evarify.families`); the cell checks take
+every family's cells at their two ends, where the divergence to the
+selected point peaks.  The log-ratio identity and the reverse triangle,
+exact in exact arithmetic, allow ``IDENTITY_TOL``; the growth bound and
+the declared constants c' and c, compared with measured ones, allow
+slack ``SLACK_TOL`` (double-precision closed forms); the sandwich allows
+none.  A normal family whose n would make the checker lift more than
+2**24 sample values at once is refused with
+:class:`~evarify.core.DomainError`.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ IDENTITY_TOL = 1e-9
 SLACK_TOL = 1e-7
 
 _WITNESS_CAP = 10
-#: cells of a continuous family's cell samples and draws in each; random
-#: monotone triples of the reverse-triangle check
-_CELLS, _PER_CELL, _TRIPLES = 120, 25, 1000
+#: cells checked on a net unbounded on a side; random monotone triples of
+#: the reverse-triangle check
+_CELLS, _TRIPLES = 120, 1000
 
 #: sample values lifted from statistics at once at most (128 MB): the cell
-#: samples lift about 3,240 statistics, so a normal family's n up to 5,178
+#: samples lift 240 statistics, so a normal family's n up to 69,905
 _LIFT_VALUES_MAX = 2**24
 
 
@@ -99,32 +101,34 @@ class ConditionReport:
 # ---------------------------------------------------------------------------
 
 
-def default_cell_samples(bundle: FamilyBundle, seed: int = 0):
-    """Support samples concentrated on cell extremes plus a seeded fill;
-    the divergence to the selected point is monotone towards the cell
-    edges for every family here, so including exact edges makes the
-    estimated cell bound sharp.  Discrete families bring their own
-    (``FamilyBundle.cell_samples``); continuous ones get both edges and
-    ``_PER_CELL`` draws in each of ``_CELLS`` cells (over a unit length
-    next to the finite end of an unbounded cell), lifted to samples as
-    one batch, cell by cell."""
-    rng = np.random.default_rng(seed)
-    if bundle.cell_samples is not None:
-        return bundle.cell_samples(bundle, rng)
+def default_cell_samples(bundle: FamilyBundle):
+    """The two ends of each checked cell, as samples: the divergence to
+    the selected point is monotone towards a cell's ends for every family
+    here, so its sup over a cell is at an end, and the ends make the
+    estimated cell bound exact.  The checked cells are every cell of a net
+    bounded on both sides, else ``_CELLS`` cells from max(k_min, -60).  A
+    discrete law's ends are the first and last support point of each
+    nonempty cell (``FamilyBundle.cell_bounds``), those below 2**53; a
+    continuous law's are the estimator's finite edges, the float next to
+    an edge inside where the cell is open there, lifted to samples as one
+    batch, cell by cell."""
     net, est = bundle.net, bundle.estimator
-    half = _CELLS // 2
-    first = max(-half if net.k_min is None else net.k_min, -half)
-    e = est.edges(np.arange(first, first + _CELLS))
-    lo = np.where(np.isfinite(e[:, 0]), e[:, 0], e[:, 1] - 1.0)
-    hi = np.where(np.isfinite(e[:, 1]), e[:, 1], e[:, 0] + 1.0)
-    inner = rng.uniform(lo[:, None], hi[:, None], (_CELLS, _PER_CELL))
-    # each cell's ends, the float next to an end inside where it is open
+    if net.k_min is not None and net.k_max is not None:
+        ks = np.arange(net.k_min, net.k_max + 1)
+    else:
+        start = max(-_CELLS // 2 if net.k_min is None else net.k_min, -_CELLS // 2)
+        ks = np.arange(start, start + _CELLS)
+    if bundle.family.law.discrete:
+        first, last = (bundle.cell_bounds(ks) + [1.0, 0.0]).T
+        # a cell of one point gives it once (NaN fails the comparison)
+        ends = np.column_stack([first, np.where(first < last, last, math.nan)])
+        return ends[(first <= last)[:, None] & (ends < 2.0**53)]
+    e = est.edges(ks)
+    lo, hi = e.T
     right = est.right_closed
-    v = np.column_stack([np.nextafter(lo, hi) if right else lo,
-                         hi if right else np.nextafter(hi, lo), inner])
-    a, b = e[:, :1], e[:, 1:]
-    inside = (a < v if right else a <= v) & (v <= b if right else v < b)
-    return _lift(bundle, v[inside])
+    ends = np.column_stack([np.nextafter(lo, hi) if right else lo,
+                            hi if right else np.nextafter(hi, lo)])
+    return _lift(bundle, ends[np.isfinite(e)])
 
 
 def default_growth_pairs(bundle: FamilyBundle) -> list:
@@ -471,7 +475,7 @@ def run_all_checks(bundle: FamilyBundle, seed: int = 0) -> dict[str, ConditionRe
     """
     reports: dict[str, ConditionReport] = {}
     reports["log_ratio_identity"] = check_log_ratio_identity(bundle)
-    samples = default_cell_samples(bundle, seed=seed)
+    samples = default_cell_samples(bundle)
     reports["cell_sandwich"] = check_cell_sandwich(bundle, samples)
     inputs, route = bundle.factor_inputs, bundle.route
     c_hat = estimate_cell_bound(bundle, samples)

@@ -29,8 +29,9 @@ net-point pairs for alpha) and the factor gets a 10% safety margin.
 
 Each family is one maker, ``_make_<id>``: it builds the family's
 ``Family`` and the law of its statistic, its net and estimator, its factor
-inputs and C, its adversarial grids (the verifier's theta grid, the
-checker's identity axes and cell samples) and its ``params``, and returns
+inputs and C, its adversarial grids (the verifier's theta grid and the
+checker's identity axes; the checker takes every family's cell samples
+at the cells' ends) and its ``params``, and returns
 the ``FamilyBundle``, whose ``bundle_id`` is derived from the family's
 name and those params.  Divergences are the Kullback-Leibler divergence in
 closed form for the exponential families (equal to the Bregman divergence
@@ -167,11 +168,9 @@ class FamilyBundle:
     by ``dataclasses.replace`` is read afresh), run only when asked for:
     ``theta_grid(b)``, the parameters a sweep certifies at, in any order;
     ``identity_axes(b)``, the (thetas, net indices, statistic values) of
-    the checker's log-ratio identity grid; ``cell_samples(b, rng)``, the
-    discrete families' samples for the cell checks (None: the checker
-    fills the estimator's cells).  ``params`` are the maker's arguments
-    that shape the bundle, in order; with the family's name they make
-    ``bundle_id``.
+    the checker's log-ratio identity grid.  ``params`` are the maker's
+    arguments that shape the bundle, in order; with the family's name
+    they make ``bundle_id``.
 
     Bundles are immutable and safe for concurrent reads.
     """
@@ -182,7 +181,6 @@ class FamilyBundle:
     factor_C: float
     theta_grid: Callable[["FamilyBundle"], np.ndarray]
     identity_axes: Callable[["FamilyBundle"], tuple]
-    cell_samples: Callable[..., Sequence] | None = None
     params: Mapping[str, float] = field(default_factory=dict)
 
     @property
@@ -338,9 +336,9 @@ def _xlogy_once(k, p):
     return np.where((k == 0) & ~np.isnan(p), 0.0, k * xlogy(1.0, p))
 
 
-#: the most trials of a binomial bundle: its maker and the checker's cell
-#: samples and identity axes hold all n + 1 counts (about 55 MB at peak
-#: per 10^6 trials in the maker)
+#: the most trials of a binomial bundle: its maker, its cell bounds and the
+#: checker's identity axes hold all n + 1 counts (about 55 MB at peak per
+#: 10^6 trials in the maker)
 _BINOMIAL_N_MAX = 2**22
 
 
@@ -420,7 +418,6 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
         theta_grid=theta_grid,
         identity_axes=lambda b: (np.linspace(0.02, 0.98, 50), b.net.indices(),
                                  np.arange(0, b.params["n"] + 1) / b.params["n"]),
-        cell_samples=lambda b, rng: np.arange(b.params["n"] + 1.0),
         params={"n": n},
     )
 
@@ -468,8 +465,6 @@ def _make_discrete_uniform() -> FamilyBundle:
         factor_C=3.0,
         theta_grid=theta_grid,
         identity_axes=lambda b: (_DYADIC_SIZES, range(0, 12), _DYADIC_SIZES),
-        # every support point of the first 14 dyadic cells
-        cell_samples=lambda b, rng: np.arange(2.0 ** 14 + 1.0),
     )
 
 
@@ -489,19 +484,6 @@ def _make_poisson() -> FamilyBundle:
         t = np.arange(1, 13)
         return np.concatenate([np.geomspace(0.5, 1e4, 97), t * t, t * t + t,
                                t * t + t + 0.25, t * t + t + 0.75, np.maximum(0.5, t * t - t)])
-
-    def cell_samples(b, rng):
-        """Both ends of the cells {t^2 - t + 1 .. t^2 + t} of the first 120
-        squares, filled in full or by 25 seeded draws."""
-        samples = [0.0]
-        for t in range(1, 121):
-            a, c = t * t - t + 1, t * t + t
-            samples += [float(a), float(c)]
-            if c - a <= 25:
-                samples += [float(v) for v in range(a + 1, c)]
-            else:
-                samples += [float(v) for v in rng.integers(a, c + 1, 25)]
-        return samples
 
     inputs = FactorInputs(c_prime=1.0, c=1.0)
     return FamilyBundle(
@@ -527,7 +509,6 @@ def _make_poisson() -> FamilyBundle:
         theta_grid=theta_grid,
         identity_axes=lambda b: (np.geomspace(0.1, 100.0, 50), range(1, 51), np.unique(
             np.concatenate([[0.0, 1.0, 2.0], np.round(np.geomspace(1, 300, 47))]))),
-        cell_samples=cell_samples,
     )
 
 

@@ -65,6 +65,7 @@ from .core import (
     Piecewise,
     StatLaw,
     _CDF_EPS,
+    _INDEX_LIMIT,
     _TILE_VALUES,
     _UNIT_ROUNDOFF,
 )
@@ -243,13 +244,23 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
             out += results(theta, tile[0], parts, n)
         return out
 
-    # each theta's copies j0..j1 on the periods meeting its window (and j1 + 1)
-    reach = (law.window(np.asarray(thetas, dtype=float), tail) - pw.edges[0]) / pw.period
-    windows = [[math.floor(v) for v in row] for row in reach.tolist()]
+    # each theta's copies j0..j1 on the periods meeting its window (and j1 + 1),
+    # refused where a copy index or the copies' edges are past float resolution
+    reach = np.floor((law.window(np.asarray(thetas, dtype=float), tail) - pw.edges[0])
+                     / pw.period)
+    far = ~(np.abs(reach) < _INDEX_LIMIT).all(axis=1)
+    if far.any():
+        raise DomainError(f"theta = {thetas[int(np.argmax(far))]!r}: a copy of the periodic "
+                          "composite beyond index 2**53, where copies are no longer "
+                          "distinct floats")
+    windows = reach.astype(np.int64).tolist()
     out = [None] * len(thetas)
     for lo, hi, _, members in _copy_groups(windows):
         s = pw.period * np.arange(lo, hi + 2.0)
         edges = pw.edges[:-1, None] + s  # row i: e_i + s, shared by the group
+        if not (np.diff(edges.T.ravel()) > 0.0).all():  # copy by copy, piece by piece
+            raise DomainError(f"theta = {thetas[members[0]]!r}: the periodic composite's "
+                              "edges on the copies there are not distinct floats")
         shifted = pw.a[:, None] - pw.b[:, None] * s  # a_i - b_i s
         bounds = np.abs(pw.a)[:, None] + B[:, None] * np.abs(s)  # |a_i| + |b_i| |s|
         for k in members:

@@ -147,6 +147,45 @@ def _reference_cell_sandwich(bundle, samples=None, index=None):
     return worst, tuple(witnesses), len(xs)
 
 
+#: every bundle ``tools/report_bytes.py`` builds: the benchmark's and these
+REPORT_BYTES_CONFIGS = BENCHMARK_CONFIGS + [
+    ("binomial", {"n": 4}),
+    ("cauchy", {}),
+    ("normal_mean", {"alpha": 0.5, "n": 3}),
+    ("normal_mean", {"epsilon": 0.1}),
+    ("normal_mean", {"alpha": 1e4}),
+    ("normal_variance", {"n": 4}),
+    ("normal_variance", {"n": 5}),
+]
+
+
+def _interior_samples(bundle, per_cell=32, points_max=1024):
+    """Dense samples inside the checked cells (every cell of a net bounded
+    on both sides, else 120 from max(k_min, -60)): a discrete cell's every
+    support point when it has at most ``points_max``, else that many
+    spread over it (below 2**53); ``per_cell`` evenly spaced statistics
+    strictly inside each finite continuous cell, lifted."""
+    net = bundle.net
+    if net.k_min is not None and net.k_max is not None:
+        ks = np.arange(net.k_min, net.k_max + 1)
+    else:
+        first = max(-60 if net.k_min is None else net.k_min, -60)
+        ks = np.arange(first, first + 120)
+    if bundle.family.law.discrete:
+        samples = []
+        for before, last in bundle.cell_bounds(ks).tolist():
+            last = min(last, 2.0**53 - 1.0)
+            if last - before > points_max:
+                samples.append(np.unique(np.round(np.linspace(before + 1.0, last, points_max))))
+            elif last > before:
+                samples.append(np.arange(before + 1.0, last + 1.0))
+        return np.concatenate(samples)
+    e = bundle.estimator.edges(ks)
+    e = e[np.isfinite(e).all(axis=1)]
+    grid = np.arange(1, per_cell + 1) / (per_cell + 1.0)
+    return bundle.family.lift((e[:, :1] + (e[:, 1:] - e[:, :1]) * grid).ravel())
+
+
 def _reference_divergence_growth(bundle, pairs=None, alpha=None):
     """The growth check as a plain loop over pairs with two scalar
     divergence calls each: the reference the array pass must reproduce
@@ -504,7 +543,7 @@ class TestCellBound:
         b = make_bundle("poisson")
         samples = default_cell_samples(b)
         small = samples[:len(samples) // 4]
-        big = small + default_cell_samples(b, seed=1)[len(samples) // 2:]
+        big = np.concatenate([small, _interior_samples(b)[len(samples) // 2:]])
         assert estimate_cell_bound(b, big) >= estimate_cell_bound(b, small)
 
     @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
@@ -543,6 +582,27 @@ class TestCellBound:
         rep = check_cell_sandwich(bad)
         assert (rep.max_violation, rep.witnesses, rep.n_evaluated) == \
             _reference_cell_sandwich(bad, index=shifted)
+
+
+@pytest.mark.parametrize("name,kw", REPORT_BYTES_CONFIGS,
+                         ids=[f"{name}{kw}" for name, kw in REPORT_BYTES_CONFIGS])
+class TestCellEnds:
+    """The cell checks take each cell at its two ends, where every
+    family's divergence to the selected point peaks: dense samples inside
+    the same cells change neither check."""
+
+    def test_interior_samples_raise_no_cell_bound_and_pass_the_sandwich(self, name, kw):
+        b = make_bundle(name, **kw)
+        ends, inner = default_cell_samples(b), _interior_samples(b)
+        assert check_cell_sandwich(b, inner).passing
+        assert estimate_cell_bound(b, np.concatenate([ends, inner])) == \
+            estimate_cell_bound(b, ends)
+
+    def test_cell_reports_do_not_depend_on_the_seed(self, name, kw):
+        b = make_bundle(name, **kw)
+        reports = [run_all_checks(b, seed=seed) for seed in (0, 1, 7)]
+        for condition in ("cell_bound", "cell_sandwich"):
+            assert len({json.dumps(r[condition].to_dict()) for r in reports}) == 1, condition
 
 
 class TestCellSandwich:
@@ -764,32 +824,33 @@ class TestRunAllChecks:
             assert rep.passing, (cname, rep.max_violation)
 
     def test_the_cell_samples_lift_at_most_2_24_values(self):
-        """The cell samples lift 3,240 statistics to n-vectors: n = 5,179
+        """The cell samples lift 240 statistics to n-vectors: n = 69,906
         is refused before any value is made, where larger n once asked
         numpy for gigabytes (the lift is faked here, so no n allocates)."""
         lifted = []
-        b = make_bundle("normal_variance", n=5179)
+        b = make_bundle("normal_variance", n=69906)
         b = replace(b, family=replace(b.family, lift=lambda v: lifted.append(v) or v))
-        with pytest.raises(DomainError, match=r"family\.params\.n: 5179 .* 3240 statistics"):
+        with pytest.raises(DomainError, match=r"family\.params\.n: 69906 .* 240 statistics"):
             checker.default_cell_samples(b)
         assert lifted == []
-        assert 3240 * 5178 <= 2**24 < 3240 * 5179
+        assert 240 * 69905 <= 2**24 < 240 * 69906
 
     def test_cell_samples_built_once(self, monkeypatch):
         """The sandwich check and the cell-bound estimate share one set of
-        cell samples, drawn with the run's seed."""
+        cell samples, built from the bundle alone: the run's seed draws
+        only the reverse-triangle triples."""
         from evarify import checker
 
-        seeds = []
+        calls = []
         original = checker.default_cell_samples
 
         def counting(bundle, *args, **kwargs):
-            seeds.append(kwargs.get("seed"))
+            calls.append((args, kwargs))
             return original(bundle, *args, **kwargs)
 
         monkeypatch.setattr(checker, "default_cell_samples", counting)
         run_all_checks(make_bundle("poisson"), seed=7)
-        assert seeds == [7]
+        assert calls == [((), {})]
 
     def test_deterministic_given_seed(self):
         b = make_bundle("poisson")
@@ -839,22 +900,23 @@ class TestRunAllChecks:
 
 
 #: each condition's (n_evaluated, n_skipped) on BENCHMARK_CONFIGS, in order
+#: (the sandwich's count is the checked cells' ends)
 PINNED_COUNTS = [
-    {"cell_bound": (0, 0), "cell_sandwich": (65, 0), "divergence_growth": (185, 0),
+    {"cell_bound": (0, 0), "cell_sandwich": (14, 0), "divergence_growth": (185, 0),
      "log_ratio_identity": (22750, 0)},
-    {"cell_bound": (0, 0), "cell_sandwich": (10001, 0), "divergence_growth": (314, 0),
+    {"cell_bound": (0, 0), "cell_sandwich": (198, 0), "divergence_growth": (314, 0),
      "log_ratio_identity": (49504950, 0)},
-    {"cell_bound": (0, 0), "cell_sandwich": (16385, 0), "log_ratio_identity": (6652, 16580)},
-    {"cell_bound": (0, 0), "cell_sandwich": (3072, 0), "log_ratio_identity": (95000, 0),
+    {"cell_bound": (0, 0), "cell_sandwich": (106, 0), "log_ratio_identity": (6652, 16580)},
+    {"cell_bound": (0, 0), "cell_sandwich": (240, 0), "log_ratio_identity": (95000, 0),
      "reverse_triangle": (1500, 0), "step_lower_bound": (0, 0)},
-    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "log_ratio_identity": (17605, 34895)},
-    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "log_ratio_identity": (125000, 0),
+    {"cell_bound": (0, 0), "cell_sandwich": (240, 0), "log_ratio_identity": (17605, 34895)},
+    {"cell_bound": (0, 0), "cell_sandwich": (240, 0), "log_ratio_identity": (125000, 0),
      "reverse_triangle": (1500, 0), "step_lower_bound": (0, 0)},
-    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "log_ratio_identity": (125000, 0),
+    {"cell_bound": (0, 0), "cell_sandwich": (240, 0), "log_ratio_identity": (125000, 0),
      "reverse_triangle": (1500, 0), "step_lower_bound": (0, 0)},
-    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "log_ratio_identity": (62500, 0),
+    {"cell_bound": (0, 0), "cell_sandwich": (240, 0), "log_ratio_identity": (62500, 0),
      "reverse_triangle": (1500, 0), "step_lower_bound": (0, 0)},
-    {"cell_bound": (0, 0), "cell_sandwich": (3240, 0), "divergence_growth": (322, 0),
+    {"cell_bound": (0, 0), "cell_sandwich": (240, 0), "divergence_growth": (322, 0),
      "log_ratio_identity": (125000, 0)},
 ]
 

@@ -557,6 +557,21 @@ class TestIndicesBeyondFloatResolution:
         assert time.perf_counter() - start < 5.0
         assert "2**53" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,theta", [
+        ({"name": "normal_mean", "params": {"epsilon": 0.2}}, 9e15),
+        ({"name": "cauchy", "params": {"epsilon": 0.2}}, 2e16),
+        ({"name": "cauchy", "params": {"epsilon": 0.2}}, 1e20),
+    ])
+    def test_interpolated_row_past_float_resolution_is_a_config_error(
+            self, tmp_path, capsys, family, theta):
+        """The periodic composite's copies there are no longer distinct
+        floats: the run exits 3 naming theta, where it once passed at
+        worst E = -2 (9e15) or ended in a traceback."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": family, "theta_grid": {"values": [theta]}}))
+        assert run(["certify", "--mode", "interpolated", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"theta = {theta!r}" in capsys.readouterr().err
+
 
 def _set(cfg: dict, path: tuple, value) -> dict:
     """A copy of ``cfg`` with ``value`` at the key ``path`` names."""

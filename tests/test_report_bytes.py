@@ -150,6 +150,33 @@ def test_a_csv_report_may_move_only_with_its_json_twin(report_bytes, tmp_path, c
     assert "csv missing on one side" in capsys.readouterr().out
 
 
+def test_a_check_report_that_differs_otherwise_names_each_field(report_bytes, tmp_path,
+                                                               capsys):
+    """Beyond constants and violations the check report is still refused
+    (exit 1), and each differing field is printed with its old and new
+    value: a check's own, the report's, and one a side lacks."""
+    name = "conditions.poisson"
+    out, other = tmp_path / "out", tmp_path / "other"
+    old = _conditions(cell_sandwich=(None, 0.0), cell_bound=(1.0, 0.0))
+    new = _conditions(cell_sandwich=(None, 0.0), cell_bound=(1.0, 0.0))
+    new["checks"]["cell_sandwich"]["n_evaluated"] = 240
+    new["seed"] = 2
+    del new["checks"]["cell_bound"]["tolerance"]
+    assert report_bytes.compare_checks(new, old) is None
+    assert report_bytes.check_differences(new, old) == [
+        ("seed", 1, 2), ("cell_sandwich n_evaluated", 10, 240),
+        ("cell_bound tolerance", 1e-7, "absent")]
+    for where, doc in ((other, old), (out, new)):
+        where.mkdir()
+        (where / f"{name}.json").write_text(json.dumps(doc))
+    assert report_bytes._moves(out, other) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: differs beyond check constants and max violations",
+        f"{name}: seed 1 -> 2",
+        f"{name}: cell_sandwich n_evaluated 10 -> 240",
+        f"{name}: cell_bound tolerance 1e-07 -> absent"]
+
+
 def test_the_runs_cover_the_benchmark_and_the_bundles_it_never_builds(report_bytes):
     """The benchmark's 33 runs and 16 more, each under its own name."""
     names = [name for name, *_ in report_bytes.runs()]

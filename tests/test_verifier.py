@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -742,6 +743,18 @@ class TestOneEnginePassPerSweep:
             tracemalloc.stop()
         assert peak < 5e6
         assert rows == self._rows_alone(comp, [-1e9, 0.0, 1e9])
+
+    @pytest.mark.parametrize("name,theta", [("normal_mean", 9e15), ("cauchy", 2e16),
+                                            ("cauchy", 1e20), ("normal_mean", 1e20)])
+    def test_copies_past_float_resolution_are_refused(self, name, theta):
+        """Where a copy index reaches 2**53, or the copies' shifted edges
+        stop increasing, the sweep and ``expectation`` raise naming theta:
+        the row once read E = -2 at 9e15 and crashed further out."""
+        comp = interpolated_spike_composite(make_bundle(name, epsilon=0.2), 0.2, 3.0)
+        with pytest.raises(DomainError, match=re.escape(f"theta = {theta!r}")):
+            sweep(comp, [0.3, theta])
+        with pytest.raises(DomainError, match=re.escape(f"theta = {theta!r}")):
+            expectation(comp, theta)
 
     def test_copy_groups_span_at_most_twice_their_longest_row(self):
         from evarify.verifier import _copy_groups

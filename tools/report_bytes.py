@@ -24,14 +24,15 @@ from another checkout) it then prints, for each run whose files differ
 from OTHER_DIR's, what moved: for a certify report the largest |change|
 of any row's estimate and that row's ``error_bound`` here, for a
 check-conditions report each check's ``estimated_constant`` or
-``max_violation`` that moved.  It exits with 1 when any row's move
-exceeds that row's own bound, when a check's value moves by more than
-``CHECK_TOL``, when a report differs in anything else (beyond the rows'
-estimates and error bounds and the worst row's copies of them), or when
-the standard output differs in a verdict line or the exit code (its
-lines compared with their numbers masked, the exit code as it is).  A
-CSV report may differ only where its JSON twin differs and that move is
-accepted.
+``max_violation`` that moved, or, when it differs in anything else,
+each differing field with its old and new value.  It exits with 1 when
+any row's move exceeds that row's own bound, when a check's value moves
+by more than ``CHECK_TOL``, when a report differs in anything else
+(beyond the rows' estimates and error bounds and the worst row's copies
+of them), or when the standard output differs in a verdict line or the
+exit code (its lines compared with their numbers masked, the exit code
+as it is).  A CSV report may differ only where its JSON twin differs and
+that move is accepted.
 """
 
 from __future__ import annotations
@@ -144,6 +145,23 @@ def compare_checks(new: dict, old: dict) -> list | None:
     return moves
 
 
+def check_differences(new: dict, old: dict) -> list:
+    """Each field in which check-conditions report ``new`` differs from
+    ``old``, as (where, old value, new value): a check's field is where
+    "<check> <field>", a report's own field its key, and a field one side
+    lacks has the value ``absent`` there."""
+    def fields(doc):
+        checks = doc.get("checks") or {}
+        return {**{key: value for key, value in doc.items() if key != "checks"},
+                **{f"{check} {key}": value for check, rep in checks.items()
+                   for key, value in rep.items()}}
+
+    mine, theirs = fields(new), fields(old)
+    pairs = [(where, theirs.get(where, "absent"), mine.get(where, "absent"))
+             for where in {**mine, **theirs}]
+    return [(where, was, value) for where, was, value in pairs if repr(was) != repr(value)]
+
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
@@ -161,6 +179,8 @@ def _report_moves(name: str, new: dict, old: dict) -> int:
         moves = compare_checks(new, old)
         if moves is None:
             print(f"{name}: differs beyond check constants and max violations")
+            for where, was, value in check_differences(new, old):
+                print(f"{name}: {where} {was} -> {value}")
             return 1
         status = 0
         for check, key, was, value in moves:

@@ -50,18 +50,13 @@ A divergence of ``+inf`` is a legal value and propagates through
 impossible parameter orderings.
 
 Everything in this module is immutable after construction and safe to
-share across threads, except ``Geometric``'s cache of its points; all
-operations are pure functions of their inputs.  The cache is replaced
-whole, never edited, so a reader always holds one consistent table; two
-threads that extend it at once can drop each other's new points, which
-are then computed again, to the same bits.
+share across threads; all operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Literal
 
@@ -663,75 +658,24 @@ class Squares(Net):
 
 
 class Geometric(Net):
-    """A geometric grid {ratio^k}_{k in Z}, ratio > 1.
+    """A geometric grid {ratio^k}_{k in Z}, ratio > 1, a float: the point
+    of index k is exp(k log ratio), 0.0 below the floats and inf above
+    them."""
 
-    ``ratio`` is a float, or a :class:`Fraction` (1 + 1/sqrt(n) for square
-    n) whose points are exact rational powers rounded once to float, so
-    long index windows do not accumulate rounding error.
-    Each point is computed once (a run of consecutive new indices steps
-    the exact integer powers up) and kept in a sorted table that later
-    calls read with one array search.  A point below 2^-1076 is 0.0 and
-    one above the largest float is inf, both without taking a power.
-    """
-
-    def __init__(self, ratio: float | Fraction):
+    def __init__(self, ratio: float):
         if not 1.0 < ratio < math.inf:
             raise DomainError(f"ratio must be a finite number above 1 (got {ratio!r})")
         self.ratio = float(ratio)
-        self._exact = ratio if isinstance(ratio, Fraction) else None
         self._log_ratio = math.log(self.ratio)
-        # the indices at and below whose points are under 2^-1076, and at
-        # and above whose points exceed 2^1024 (one index of margin each)
-        below, above = (e * math.log(2.0) / self._log_ratio for e in (-1076, 1024))
-        self._reach = (max(math.floor(below) - 1, -2**53), min(math.ceil(above) + 1, 2**53))
-        # (indices, points), ascending; replaced whole, never edited
-        self._table = (np.zeros(1, dtype=np.int64), np.ones(1))
-
-    def _powers(self, ks: np.ndarray) -> list:
-        """The points of new indices, ascending."""
-        low = int(np.searchsorted(ks, self._reach[0], "right"))
-        high = int(np.searchsorted(ks, self._reach[1], "left"))
-        near = ks[low:high].tolist()
-        if self._exact is None:
-            values = [_or_inf(lambda: math.exp(k * self._log_ratio)) for k in near]
-        else:
-            values = _exact_powers(self._exact.numerator, self._exact.denominator, near)
-        return [0.0] * low + values + [math.inf] * (len(ks) - high)
 
     def _points(self, k):
-        keys, values = self._table
-        at = np.searchsorted(keys, k)
-        new = keys[np.minimum(at, len(keys) - 1)] != k
-        if new.any():
-            ks = np.unique(_int_index(k[new]))
-            at_new = np.searchsorted(keys, ks)
-            self._table = keys, values = (np.insert(keys, at_new, ks),
-                                          np.insert(values, at_new, self._powers(ks)))
-            at = np.searchsorted(keys, k)
-        return values[at]
+        with np.errstate(under="ignore", over="ignore"):
+            return np.exp(_int_index(k) * self._log_ratio)
 
     def _floor(self, t):
         if not (t > 0.0).all():
             raise DomainError("geometric net is only defined for positive reals")
         return self._repaired(_int_index(np.floor(np.log(t) / self._log_ratio)), t)
-
-
-def _exact_powers(p: int, q: int, ks: list) -> list:
-    """float(Fraction(p, q) ** k) for each of the ascending int indices:
-    the correctly rounded quotient a^m / b^m, m = |k|, (a, b) = (p, q)
-    for k >= 0 and (q, p) below.  Along consecutive exponents both powers
-    step up one factor at a time; any other exponent is a power of its
-    own, so distant indices never cost the range between them."""
-    value = {}
-    for a, b, sign in ((p, q, 1), (q, p, -1)):
-        last = None
-        for m in sorted(sign * k for k in ks if (k >= 0) == (sign > 0)):
-            if m - 1 == last:
-                num, den = num * a, den * b
-            else:
-                num, den = a ** m, b ** m
-            value[sign * m], last = _or_inf(lambda: num / den), m
-    return [value[k] for k in ks]
 
 
 def _or_inf(value: Callable[[], float]) -> float:

@@ -53,7 +53,6 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -634,8 +633,7 @@ def _make_normal_mean(alpha: float = 1.0, n: int = 1,
 def _make_normal_variance(n: int = 4) -> FamilyBundle:
     if n < 1:
         raise DomainError("n must be a positive integer")
-    root = math.isqrt(n)  # a square n gives the ratio as an exact Fraction
-    net = Geometric(1 + Fraction(1, root) if root * root == n else 1.0 + 1.0 / math.sqrt(n))
+    net = Geometric(1.0 + 1.0 / math.sqrt(n))
 
     def log_density(var, x):
         sq = x * x if n == 1 else np.sum(x * x, axis=-1)

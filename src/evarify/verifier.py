@@ -101,6 +101,11 @@ def _rng_for(seed: int, theta_index: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+#: the most Monte Carlo draws one theta takes: the piecewise path draws
+#: them in one array, 128 MiB of float64 at this size
+_MC_SAMPLES_MAX = 2**24
+
+
 @dataclass(frozen=True)
 class ExpectationPlan:
     """How to estimate E_theta[e(X)].
@@ -112,8 +117,9 @@ class ExpectationPlan:
     against the composite's sup), in [2**-51, 1e-12] (up to 1e-6 for
     Monte Carlo): below, the spike envelope's upper quantile level
     1 - tail_mass / 4 rounds to 1.  Generic quadrature aims at ``_QUAD_TOL``.
-    Monte Carlo reports a 99% CI half-width plus the mean's rounding as
-    its error bound, its draws keyed by ``seed``, an integer in [0, 2**64).
+    Monte Carlo draws ``mc_samples`` in [2, 2**24] and reports a 99% CI
+    half-width plus the mean's rounding as its error bound, its draws
+    keyed by ``seed``, an integer in [0, 2**64).
     """
 
     method: str = "auto"  # auto | monte_carlo
@@ -128,9 +134,10 @@ class ExpectationPlan:
         if not 2.0**-51 <= self.tail_mass <= cap:
             raise DomainError(f"tail_mass must lie in [2**-51, {cap:g}] for method "
                               f"{self.method!r} (got {self.tail_mass!r})")
-        if not (isinstance(self.mc_samples, int) and self.mc_samples >= 2):
+        if not (isinstance(self.mc_samples, int) and 2 <= self.mc_samples <= _MC_SAMPLES_MAX):
             # a sample variance needs two draws
-            raise DomainError(f"mc_samples must be an integer >= 2 (got {self.mc_samples!r})")
+            raise DomainError(f"mc_samples must be an integer in [2, 2**24] "
+                              f"(got {self.mc_samples!r})")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):  # a Philox key word
             raise DomainError(f"seed must be an integer in [0, 2**64) (got {self.seed!r})")
 
@@ -152,11 +159,30 @@ def _grid_index_envelope(
 ) -> tuple[int, int]:
     """Net-index range whose cells carry all but ``tail`` of the mass for
     every theta in the grid (heavy-tailed statistics are capped and the
-    remainder charged to the error bound)."""
-    ends = bundle.family.law.window(np.asarray(theta_grid, dtype=float), tail / 2.0)
-    ks = bundle.index(ends.ravel())
-    k_lo, k_hi = bundle.net._clip(np.array([ks.min() - 2, ks.max() + 2]))
-    return int(k_lo), int(k_hi)
+    remainder charged to the error bound), cut to the indices whose points
+    lie in the parameter space (a scale net's points underflow to 0 and
+    overflow to inf).  A :class:`DomainError` names a theta whose range
+    holds two indices with one point (below the normal floats), as their
+    cells are not distinct floats."""
+    law, space, net = bundle.family.law, bundle.family.param_space, bundle.net
+    grid = np.asarray(theta_grid, dtype=float)
+    ends = law.window(grid, tail / 2.0)
+    if not law.discrete:  # into the open support, where statistics lie
+        ends = np.clip(ends, np.nextafter(law.lo, np.inf), np.nextafter(law.hi, -np.inf))
+    ks = bundle.index(ends.ravel()).reshape(ends.shape)
+    lo, hi = ks.min(axis=-1) - 2, ks.max(axis=-1) + 2
+    k_lo, k_hi = (int(k) for k in net._clip(np.array([lo.min(), hi.max()])))
+    points = net.points(range(k_lo, k_hi + 1))
+    first = np.searchsorted(points, space.lo, "right" if space.lo_open else "left")
+    last = np.searchsorted(points, space.hi) - 1
+    tied = k_lo + first + np.flatnonzero(np.diff(points[first:last + 1]) <= 0.0)
+    reached = (lo[:, None] <= tied) & (tied < hi[:, None])  # k and k + 1 in a theta's range
+    if reached.any():
+        row, col = np.argwhere(reached)[0]
+        raise DomainError(f"theta = {float(grid[row])!r}: net indices {tied[col]} and "
+                          f"{tied[col] + 1} near it share the point {net.points(int(tied[col]))!r}, "
+                          "so their cells are not distinct floats")
+    return k_lo + int(first), k_lo + int(last)
 
 
 def spike_composite(

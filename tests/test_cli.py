@@ -242,8 +242,8 @@ class TestWideScaleGrids:
          [(1e-10, 0.6666666666666555, 5.395000000000001e-13),
           (1e300, 0.6666666666666666, 5.395000000000001e-13)]),
         ({"name": "normal_variance", "params": {"n": 4}},
-         [(1e-10, 0.04122037850977271, 9.050000000000001e-13),
-          (1e300, 0.041220378509774294, 9.050000000000001e-13)]),
+         [(1e-10, 0.04122037850977269, 9.050000000000001e-13),
+          (1e300, 0.0412203785097747, 9.050000000000001e-13)]),
     ])
     def test_no_overflow_warning(self, tmp_path, family, rows):
         import warnings
@@ -318,6 +318,9 @@ class TestMalformedPlanAndGrid:
          "family.params.alpha"),
         ({"family": {"name": "normal_mean", "params": {"alpha": 1e-300}}},
          "family.params.alpha"),
+        # one theta: a tree without the limit draws 2**24 + 1 values once
+        ({"plan": {"method": "monte_carlo", "samples": 2**24 + 1},
+          "theta_grid": {"values": [1.0]}}, "mc_samples"),
     ], ids=["no_samples", "negative_samples", "one_sample", "negative_abs_tol",
             "epsilon_is_no_mode_key", "unknown_plan_key", "unknown_mode_key",
             "empty_grid", "empty_grid_interpolated", "theta_outside_the_space",
@@ -333,7 +336,7 @@ class TestMalformedPlanAndGrid:
             "family_name_a_list", "family_name_an_object", "n_outside_params",
             "misspelt_theta_grid", "unknown_param", "command_of_another_subcommand",
             "index_beyond_int64", "index_at_the_net_limit", "alpha_squared_overflows",
-            "alpha_squared_underflows"])
+            "alpha_squared_underflows", "samples_above_2_24"])
     def test_exits_3_naming_the_field(self, tmp_path, capsys, config, field):
         """Each malformed plan, grid or component spec, and each null where
         a number or an object belongs, and each key outside the schema, is
@@ -570,6 +573,49 @@ class TestIndicesBeyondFloatResolution:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"family": family, "theta_grid": {"values": [theta]}}))
         assert run(["certify", "--mode", "interpolated", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"theta = {theta!r}" in capsys.readouterr().err
+
+
+class TestScaleFamiliesAtTheBottomOfTheFloats:
+    """Where a scale family's window or net points underflow, the spike
+    envelope keeps to the open support and to points in the parameter
+    space: each theta passes or exits 3 naming theta, with warnings
+    raised as errors."""
+
+    def _certify(self, tmp_path, family, theta, plan=None):
+        import warnings
+
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": family, "theta_grid": {"values": [theta]},
+                                   **({"plan": plan} if plan else {})}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(["certify", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("family,theta", [
+        ({"name": "normal_variance", "params": {"n": 1}}, 1e-300),
+        ({"name": "continuous_uniform"}, 5e-324),
+    ])
+    def test_passes_where_the_window_or_the_points_underflow(self, tmp_path, capsys,
+                                                             family, theta):
+        """The window's lower end underflows to the support's end 0, and
+        the envelope's lowest points to 0.0: once an exit 3 about the
+        geometric net's domain, or a zero-probability cell after a
+        divide warning."""
+        assert self._certify(tmp_path, family, theta) == EXIT_PASS
+        assert "-> pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("family,theta,plan", [
+        ({"name": "normal_variance", "params": {"n": 4}}, 5e-324, None),
+        ({"name": "normal_variance", "params": {"n": 64}}, 5e-324, None),
+        ({"name": "normal_variance", "params": {"n": 4}}, 1e-320,
+         {"method": "monte_carlo", "samples": 1000, "tail_mass": 1e-6}),
+    ])
+    def test_points_that_are_not_distinct_floats_exit_3_naming_theta(
+            self, tmp_path, capsys, family, theta, plan):
+        """Below the normal floats consecutive points round to one value,
+        so a cell between them is empty: exit 3 naming theta."""
+        assert self._certify(tmp_path, family, theta, plan) == EXIT_CONFIG
         assert f"theta = {theta!r}" in capsys.readouterr().err
 
 

@@ -9,7 +9,6 @@ quadrature for the calibrator normalization.
 import math
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -388,14 +387,12 @@ class TestNets:
             pts = [net.points(k) for k in ks]
             assert all(b > a for a, b in zip(pts, pts[1:]))
 
-    def test_geometric_exact_rational_powers(self):
-        from fractions import Fraction
-
-        net = Geometric(Fraction(3, 2))
-        assert net.points(3) == float(Fraction(27, 8))
-        assert net.points(-2) == float(Fraction(4, 9))
+    def test_geometric_consecutive_points_keep_the_ratio(self):
+        net = Geometric(1.5)
+        assert net.points(3) == pytest.approx(3.375, rel=1e-15)
+        assert net.points(-2) == pytest.approx(4 / 9, rel=1e-15)
         # long windows stay consistent: ratio of consecutive points is
-        # the exact ratio to the last ulp
+        # the ratio to the last few ulps
         for k in (-1000, -500, 100, 999):
             ratio = net.points(k + 1) / net.points(k)
             assert ratio == pytest.approx(1.5, rel=1e-15)
@@ -512,45 +509,52 @@ class TestEstimators:
         assert even.cell_bounds([0, 1]).tolist() == [[-1.0, 0.0], [0.0, 2.0]]
 
 
-class _CountingInt(int):
-    """An int that logs each power of it and each product with it."""
-
-    def __new__(cls, value, log):
-        self = super().__new__(cls, value)
-        self.log = log
-        return self
-
-    def __pow__(self, m):
-        self.log.append("pow")
-        return int(self) ** m
-
-    def __rmul__(self, other):
-        self.log.append("mul")
-        return other * int(self)
-
-
 class TestGeometricPoints:
-    @pytest.mark.parametrize("n", [64, 4])
-    def test_exact_points_equal_the_rational_powers(self, n):
-        """Indices from -1500 to 1500, shuffled and with duplicates, in two
-        calls (the second meets known and new indices): each point is
-        float(r**k) of the exact ratio, bit for bit."""
-        r = 1 + Fraction(1, math.isqrt(n))
+    @pytest.mark.parametrize("n", [1, 4, 9, 64, 256])
+    def test_square_n_points_are_near_the_rational_powers(self, n):
+        """Over the normal floats each point of the net of r = 1 + 1/sqrt(n)
+        lies within (|k| (1 + 2 |log r|) + 4) 2^-53 of float(r^k), relative:
+        the rounding of r, of k log r and of exp."""
         net = make_bundle("normal_variance", n=n).net
-        rng = np.random.default_rng(n)
-        ks = rng.permutation(np.concatenate([np.arange(-1500, 1501),
-                                             rng.integers(-1500, 1501, 600)]))
-        first = net.points(ks[:500].reshape(50, 10))
-        assert first.shape == (50, 10)
-        assert first.ravel().tolist() == [float(r ** int(k)) for k in ks[:500]]
-        assert net.points(ks).tolist() == [float(r ** int(k)) for k in ks]
-        assert net.points(int(ks[0])) == float(r ** int(ks[0]))
+        a, b = math.isqrt(n) + 1, math.isqrt(n)  # r = a / b
+        log_r = math.log(a / b)
+        k_lo, k_hi = math.ceil(-1022 * math.log(2) / log_r) + 1, math.floor(1024 * math.log(2) / log_r) - 1
+        got = net.points(range(k_lo, k_hi + 1)).tolist()
+        for sign, ks in ((1, range(0, k_hi + 1)), (-1, range(0, -k_lo + 1))):
+            num = den = 1
+            for m in ks:  # (a / b)^(sign m), a power stepped up by one factor
+                if m:
+                    num, den = (num * a, den * b) if sign > 0 else (num * b, den * a)
+                k = sign * m
+                exact = num / den  # the correctly rounded quotient
+                bound = (m * (1.0 + 2.0 * abs(log_r)) + 4.0) * 2.0**-53
+                assert abs(got[k - k_lo] - exact) <= bound * exact, (n, k)
 
-    def test_float_ratio_points_unchanged(self):
-        ratio = 1.0 + 1.0 / math.sqrt(5)
-        net = make_bundle("normal_variance", n=5).net
-        ks = np.random.default_rng(5).integers(-1500, 1501, 3000)
-        assert net.points(ks).tolist() == [math.exp(int(k) * math.log(ratio)) for k in ks]
+    def test_no_net_changes_its_state_across_calls(self):
+        """Points, floors and neighbours are pure: no net's attributes are
+        replaced or edited by any access."""
+        import copy
+
+        nets = [net for net, *_ in _NETS] + [make_bundle("normal_variance", n=n).net
+                                             for n in (4, 5)]
+        for net in nets:
+            before = dict(vars(net))
+            copies = copy.deepcopy(before)
+            t = np.geomspace(1e-3, 1e3, 64) if not isinstance(net, BinomialSine) \
+                else np.linspace(0.01, 0.99, 64)
+            ks = range(-40 if net.k_min is None else net.k_min,
+                       41 if net.k_max is None else net.k_max + 1)
+            net.points(ks)
+            for access in (net.pred, net.succ, net.round_index, net.round):
+                access(t)
+                access(float(t[7]))
+            net.count_between(t, t[::-1])
+            RoundToNet(net).edges(ks)
+            after = vars(net)
+            assert after.keys() == before.keys(), type(net).__name__
+            for key, value in before.items():
+                assert after[key] is value, (type(net).__name__, key)
+                assert np.array_equal(value, copies[key]), (type(net).__name__, key)
 
     @pytest.mark.parametrize("n", [64, 5])
     def test_index_at_2_53_raises(self, n):
@@ -560,25 +564,6 @@ class TestGeometricPoints:
                 net.points(k)
         with pytest.raises(DomainError, match="2\\*\\*53"):
             net.round_index(math.inf)
-
-    def test_distant_indices_cost_one_power_each(self):
-        """Two distant indices take one power of numerator and denominator
-        each and no product; a run of consecutive indices (m = 5, 6 below
-        zero, 3 to 6 above) powers only its first, then steps up by
-        products."""
-        log = []
-        p, q = _CountingInt(101, log), _CountingInt(100, log)
-        assert core._exact_powers(p, q, [-50000, 50000]) == [
-            float(Fraction(101, 100) ** -50000), float(Fraction(101, 100) ** 50000)]
-        assert log == ["pow"] * 4
-        log.clear()
-        assert core._exact_powers(p, q, [-6, -5, 3, 4, 5, 6]) == [
-            float(Fraction(101, 100) ** k) for k in (-6, -5, 3, 4, 5, 6)]
-        assert log.count("pow") == 4 and log.count("mul") == 8
-        net = Geometric(Fraction(101, 100))
-        assert net.points([-50000, 50000]).tolist() == [
-            float(Fraction(101, 100) ** -50000), float(Fraction(101, 100) ** 50000)]
-        assert net._table[0].tolist() == [-50000, 0, 50000]
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +582,9 @@ _NETS = [
     (DyadicInt(), lambda k: float(2.0 ** k), (0, 1023), range(0, 80), (0.0, 1e20)),
     (DyadicReal(), lambda k: float(2.0 ** k), (-1074, 1023), range(-1073, 1023, 7), (1e-300, 1e300)),
     (Squares(), lambda k: float(k * k), (1, 2**40), [*range(1, 200), 10**9], (0.0, 1e9)),
-    (Geometric(Fraction(9, 8)), lambda k: float(Fraction(9, 8) ** k),
+    (Geometric(1.125), lambda k: float(np.exp(k * math.log(1.125))),
      (-2000, 2000), range(-300, 300, 3), (1e-90, 1e90)),
-    (Geometric(_ROOT5), lambda k: math.exp(k * math.log(_ROOT5)), (-2000, 2000),
+    (Geometric(_ROOT5), lambda k: float(np.exp(k * math.log(_ROOT5))), (-2000, 2000),
      range(-300, 300, 3), (1e-90, 1e90)),
     (BinomialSine(64), lambda k: math.sin(math.pi * k / 16) ** 2, (1, 7), range(1, 8), (0.0, 1.0)),
 ]
@@ -832,9 +817,9 @@ class TestEdges:
 
 class TestGeometricBeyondTheFloats:
     @pytest.mark.parametrize("n", [64, 5, 10**4])
-    def test_far_points_are_zero_and_inf_without_a_power(self, n):
-        """Points below 2^-1076 are 0.0 and points above the largest
-        float inf, at once: a power of the index is never taken."""
+    def test_far_points_are_zero_and_inf_at_once(self, n):
+        """Points below the floats are 0.0 and points above the largest
+        float inf, at once, however far the index."""
         net = make_bundle("normal_variance", n=n).net
         start = time.perf_counter()
         assert net.points([-10**15, 10**15]).tolist() == [0.0, math.inf]
@@ -842,24 +827,3 @@ class TestGeometricBeyondTheFloats:
         assert net.points([-10**6, 10**6]).tolist() == [0.0, math.inf]
         k = net.round_index(1.7e308)
         assert isinstance(k, int) and net.points(k - 1) < 1.7e308
-
-    def test_exact_points_across_the_float_range(self):
-        """Every point of the 9/8 net is float((9/8)^k) bit for bit, inf
-        where that overflows, from underflow to overflow."""
-        net = make_bundle("normal_variance", n=64).net
-        ks = range(-6400, 6101)
-
-        def exact(k):
-            try:
-                return float(Fraction(9, 8) ** k)
-            except OverflowError:
-                return math.inf
-        assert net.points(ks).tolist() == [exact(k) for k in ks]
-
-    def test_float_ratio_points_across_the_float_range(self):
-        ratio = 1.0 + 1.0 / math.sqrt(5)
-        net = make_bundle("normal_variance", n=5).net
-        ks = range(-2100, 2000)
-        logs = [k * math.log(ratio) for k in ks]
-        assert net.points(ks).tolist() == [
-            math.exp(x) if x < 709.78 else math.inf for x in logs]

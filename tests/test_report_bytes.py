@@ -47,6 +47,25 @@ def test_reports_without_rows_and_other_changes(report_bytes):
     assert report_bytes.compare({"checks": {}}, {"checks": {}}) is None
 
 
+def test_a_certify_report_whose_thetas_moved_names_the_move(report_bytes, tmp_path, capsys):
+    """Rows whose thetas moved are still refused (exit 1), and the runner
+    prints how many rows moved and the largest relative move."""
+    name = "spikes.normal_variance.n64"
+    old = _report([(1.0, 0.5, 1e-3), (2.0, 0.6, 1e-3), (4.0, 0.7, 1e-3)])
+    new = _report([(1.0, 0.5, 1e-3), (2.0 + 2**-51, 0.6, 1e-3), (4.0 + 2**-49, 0.7, 1e-3)])
+    assert report_bytes.compare(new, old) is None
+    assert report_bytes.theta_moves(new, old) == (2, 2**-51)  # 2**-52 and 2**-51
+    assert report_bytes.theta_moves(old, old) is None
+    assert report_bytes.theta_moves(_report([(1.0, 0.5, 1e-3)]), old) is None
+    for where, doc in ((tmp_path / "other", old), (tmp_path / "out", new)):
+        where.mkdir()
+        (where / f"{name}.json").write_text(json.dumps(doc))
+    assert report_bytes._moves(tmp_path / "out", tmp_path / "other") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: differs beyond row estimates and error bounds",
+        f"{name}: theta moved on 2 of 3 rows, by at most 4.44e-16 relative"]
+
+
 def _conditions(**checks):
     doc = {"bundle_id": "poisson", "seed": 1, "overall": "pass", "checks": {}}
     for name, (constant, violation) in checks.items():

@@ -22,7 +22,8 @@ results when ``diff -r`` finds no difference between their OUT_DIRs.
 With ``--against OTHER_DIR`` (an OUT_DIR written earlier, for example
 from another checkout) it then prints, for each run whose files differ
 from OTHER_DIR's, what moved: for a certify report the largest |change|
-of any row's estimate and that row's ``error_bound`` here, for a
+of any row's estimate and that row's ``error_bound`` here (when rows'
+thetas moved, how many rows and the largest relative move), for a
 check-conditions report each check's ``estimated_constant`` or
 ``max_violation`` that moved, or, when it differs in anything else,
 each differing field with its old and new value.  It exits with 1 when
@@ -40,6 +41,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -113,6 +115,20 @@ def compare(new: dict, old: dict) -> tuple[float, dict | None, list] | None:
         return 0.0, None, over
     i = max(range(len(rows)), key=deltas.__getitem__)
     return deltas[i], rows[i], over
+
+
+def theta_moves(new: dict, old: dict) -> tuple[int, float] | None:
+    """How the thetas of certify report ``new``'s rows moved from
+    ``old``'s: (the number of rows whose theta moved, the largest relative
+    move), or None when no theta moved or the reports have no rows of the
+    same count."""
+    rows, old_rows = new.get("rows"), old.get("rows")
+    if rows is None or old_rows is None or len(rows) != len(old_rows):
+        return None
+    pairs = [(r["theta"], o["theta"]) for r, o in zip(rows, old_rows) if r["theta"] != o["theta"]]
+    if not pairs:
+        return None
+    return len(pairs), max(abs(t - was) / abs(was) if was else math.inf for t, was in pairs)
 
 
 #: check fields that may move, and by at most this much (perfbench's
@@ -193,6 +209,10 @@ def _report_moves(name: str, new: dict, old: dict) -> int:
     moved = compare(new, old)
     if moved is None:
         print(f"{name}: differs beyond row estimates and error bounds")
+        shifted = theta_moves(new, old)
+        if shifted is not None:
+            print(f"{name}: theta moved on {shifted[0]} of {len(new['rows'])} rows, "
+                  f"by at most {shifted[1]:.3g} relative")
         return 1
     delta, row, over = moved
     where = "" if row is None else (f" at theta = {row['theta']!r}, "

@@ -331,8 +331,14 @@ def _xlogy_once(k, p):
     p's log once, the same libm log times k (``np.log`` differs from it in
     the last bit on some values).  That log, ``xlogy(1.0, p)``, serves the
     binomial's density and its divergence, which takes it once per
-    parameter."""
-    return np.where((k == 0) & ~np.isnan(p), 0.0, k * xlogy(1.0, p))
+    parameter.  The 0s are written into the product, only at the pairs of
+    k == 0 (a per-pair mask only when some p is NaN)."""
+    out = np.asarray(k * xlogy(1.0, p))
+    zero = k == 0
+    if np.any(zero):
+        nan = np.isnan(p)
+        np.copyto(out, 0.0, where=zero & ~nan if np.any(nan) else zero)
+    return out
 
 
 #: the most trials of a binomial bundle: its maker, its cell bounds and the
@@ -358,7 +364,7 @@ def _make_binomial(n: int | None = None) -> FamilyBundle:
             + _xlogy_once(k, p)
             + _xlogy_once(n - k, 1.0 - p)
         )
-        return np.where(ok, val, -np.inf)
+        return val if np.all(ok) else np.where(ok, val, -np.inf)
 
     def divergence(g, t):
         """n (r(g, t) + r(1 - g, 1 - t)), r(x, y) = x log x - x log y, with

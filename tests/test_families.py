@@ -16,7 +16,7 @@ from evarify.core import (
     factor_from_growth,
     factor_from_steps,
 )
-from evarify.families import FAMILY_IDS, make_bundle
+from evarify.families import FAMILY_IDS, _xlogy_once, make_bundle
 from evarify.verifier import default_theta_grid
 
 
@@ -397,6 +397,36 @@ def test_binomial_density_has_the_bits_of_xlogy(n):
         same_bits(log_density(col, k), _binomial_log_density_by_xlogy(n, col, k))
         grid_p, grid_k = np.meshgrid(ps, k, indexing="ij")
         same_bits(log_density(grid_p, grid_k), _binomial_log_density_by_xlogy(n, grid_p, grid_k))
+
+
+@pytest.mark.parametrize("n", [10, 10_000])
+def test_xlogy_once_and_the_density_on_tiles_have_the_bits_of_xlogy(n):
+    """``_xlogy_once`` writes its 0s only into the k == 0 pairs, and the
+    density skips its support mask when every k is on the support: on
+    tiles of k in {0, n, -1, n + 1, 2.5} (each alone, on the support
+    only, and all of them) against p in {0, 1, NaN, -NaN, 0.3, -0.0}, as
+    a column, a scalar and a 3-d column against a column of k, both equal scipy's ``xlogy`` formula in
+    every bit, the sign of a zero and of a NaN included."""
+    log_density = make_bundle("binomial", n=n).family.log_density
+    ks = [0.0, float(n), -1.0, n + 1.0, 2.5]
+    ps = np.array([0.0, 1.0, math.nan, -math.nan, 0.3, -0.0])
+    assert np.signbit(ps[3]) and not np.signbit(ps[2])
+    tiles = [np.array([k]) for k in ks] + [np.array(ks[:2]), np.array(ks)]
+
+    def same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in tiles:
+            for p in (ps[:, None], *ps, ps[:, None, None]):
+                kk = k if np.ndim(p) < 3 else k[:, None]
+                same_bits(_xlogy_once(kk, p), xlogy(kk, p))
+                same_bits(_xlogy_once(n - kk, 1.0 - p), xlogy(n - kk, 1.0 - p))
+                same_bits(log_density(p, kk), _binomial_log_density_by_xlogy(n, p, kk))
+        same_bits(_xlogy_once(0.0, math.nan), xlogy(0.0, math.nan))
+        same_bits(_xlogy_once(0, 0.3), xlogy(0, 0.3))
 
 
 def _near_ties(t):

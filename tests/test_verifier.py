@@ -1,5 +1,6 @@
 """Expectation engines, spike suites, sweeps, and counterexamples."""
 
+import json
 import math
 import os
 import re
@@ -15,7 +16,9 @@ import pytest
 from scipy import stats
 
 from evarify.combinator import (
+    CompositeEVariable,
     EVariable,
+    _many,
     bump_weight,
     combine_discrete,
     combine_interpolated,
@@ -41,7 +44,19 @@ from evarify.verifier import (
     uniform_ceiling_budget,
     uniform_ceiling_budget_max,
 )
-from evarify.verifier import _MC_BLOCK, _QUAD_ROUNDS, _QUAD_TOL, _rng_for, _window_quadrature
+from evarify.verifier import (
+    _MC_BLOCK,
+    _QUAD_ROUNDS,
+    _QUAD_TOL,
+    _gauss_legendre,
+    _default_level,
+    _json_bytes,
+    _keyed_cells,
+    _rng_for,
+    _statistic_knots,
+    _tail_charge,
+    _window_quadrature,
+)
 
 
 class TestExpectation:
@@ -497,6 +512,20 @@ class TestSweep:
         csv = rep.to_csv()
         assert csv.splitlines()[0] == "theta,estimate,error_bound,method"
         assert len(csv.splitlines()) == 2
+
+    def test_the_json_writer_writes_what_json_dumps_writes(self):
+        """The rows are written from one per-row template, the rest by
+        json: the bytes are ``json.dumps(sort_keys=True, indent=2)``'s, on
+        rows holding NaN, +-inf, -0.0, 5e-324, 1e22 and a method with
+        non-ASCII, quote, newline and brace characters, on a report of no
+        rows and on one whose other fields hold a "rows" key."""
+        b = make_bundle("discrete_uniform")
+        rep = sweep(spike_composite(b, [4.0]), [4.0])
+        rows = ((math.nan, math.inf, -math.inf, "quadrature"), (-0.0, 5e-324, 1e22, "\u00e9t\u00e9"),
+                (1.5, -2.0, 0.1, 'a"b\n{c}\u2264'))
+        for doc in (replace(rep, rows=rows, worst_value=math.nan).to_dict(),
+                    replace(rep, rows=()).to_dict(), {"checks": {"rows": []}, "rows": [{"x": 1}]}):
+            assert _json_bytes(doc) == json.dumps(doc, sort_keys=True, indent=2).encode()
 
     @pytest.mark.parametrize("method", ["exact_sum", "quadrature"])
     def test_the_plan_rejects_an_engine_name(self, tmp_path, capsys, method):
@@ -1151,6 +1180,34 @@ class TestInterpolatedCertification:
         _, per_eps = certify_interpolated_factor(b)
         assert per_eps[0.05][0] > per_eps[0.1][0] > per_eps[0.2][0]
 
+    def test_periodic_rows_within_their_bounds_of_a_40_digit_sum_over_copies(self):
+        """The rows of ``certify --family normal_mean --epsilon 0.2 --mode
+        interpolated`` at thetas near 0 and a thousand periods away: each
+        estimate is within its error bound of the composite's expectation
+        at 40 digits, summed over its copies within 40 standard deviations
+        of theta (the mass beyond is below 1e-340), each piece's copy
+        (a - b s) dPhi + b dG with G the partial first moment.  The
+        composite is taken as computed: its float edges, a and b, shifted
+        by exact integers."""
+        b = make_bundle("normal_mean", epsilon=0.2)
+        factor, _ = certify_interpolated_factor(b, (0.05, 0.1, 0.2))
+        pw = interpolated_spike_composite(b, 0.2, factor).piecewise
+        assert pw.period == 1.0 and b.family.law.cdf(0.0, 1.0) == stats.norm.cdf(1.0)
+        thetas = [0.0, 0.3, -0.484375, 500.75, -999.0, 1000.3]
+        with mp.workdps(40):
+            edges, a, slope = ([mp.mpf(v) for v in arr.tolist()] for arr in (pw.edges, pw.a, pw.b))
+            for theta, estimate, bound, _ in sweep(interpolated_spike_composite(b, 0.2, factor),
+                                                   thetas).rows:
+                t, exact = mp.mpf(theta), mp.mpf(0)
+                for s in range(math.floor(theta) - 42, math.ceil(theta) + 42):
+                    F = [mp.ncdf(e + s, t, 1) for e in edges]
+                    pdf = [mp.npdf(e + s, t, 1) for e in edges]
+                    for i in range(len(a)):
+                        dF = F[i + 1] - F[i]
+                        dG = t * dF - (pdf[i + 1] - pdf[i])
+                        exact += (a[i] - slope[i] * s) * dF + slope[i] * dG
+                assert abs(mp.mpf(estimate) - exact) <= bound, (theta, estimate, exact, bound)
+
 
 def _lr_composite(name, kw, shift):
     """The benchmark's generic composites: likelihood ratios on the net
@@ -1245,3 +1302,148 @@ class TestGaussLegendreQuadrature:
                                  [str(Path(__file__).resolve().parents[1] / "src"),
                                   os.environ.get("PYTHONPATH", "")])})
         assert out.stdout.strip() == "[]"
+
+
+def _full_window(e, theta, b, plan=ExpectationPlan()):
+    """The generic engines on the whole window, as they were before a
+    composite's keyed cells: e evaluated at every support point of the
+    window (and 8 more above it), or Gauss-Legendre on every cell of the
+    window, with the same error terms.  (estimate, error bound)."""
+    law = b.family.law
+    lo, top = law.window(theta, plan.tail_mass).tolist()
+    if law.discrete:
+        xs = np.arange(lo, min(law.hi, top + 8.0) + 1.0)
+        pmf = np.exp(b.family.log_density(theta, xs))
+        values = _many(e, xs)
+        estimate = float(np.dot(np.where(pmf > 0, values, 0.0), pmf))
+        tail = max(0.0, 1.0 - float(np.sum(pmf)))
+        return estimate, _tail_charge(e, tail, float(np.max(values[pmf > 0], initial=0.0))) + 1e-12
+    knots = _statistic_knots(b, lo, top, None)
+    edges = np.concatenate([[lo], knots[(lo < knots) & (knots < top)], [top]])
+
+    def integrand(x):
+        p = np.exp(b.family.log_density(theta, x))
+        return np.where(p > 0.0, _many(e, x) * p, 0.0)
+
+    values, err = _gauss_legendre(integrand, edges[:-1], edges[1:])
+    total = math.fsum(values)
+    coverage = law.cdf(theta, np.array([lo, top]))
+    return total, err + _tail_charge(e, max(0.0, 1.0 - float(coverage[1] - coverage[0])),
+                                     abs(total))
+
+
+#: (family, params, theta, the likelihood ratio's alternative at key k,
+#: key sets: with gaps, partly outside the window, wholly outside it, one)
+_KEYED_CASES = [
+    ("cauchy", {"epsilon": 0.2}, 0.5, lambda b, k: k + 0.3,
+     {"gaps": (-3, -1, 2, 5), "partly_outside": (9998, 10001, 10003),
+      "wholly_outside": (20000, 20002), "single": (0,)}),
+    ("normal_mean", {"n": 1}, 0.5, lambda b, k: k + 0.4,
+     {"gaps": (-3, -1, 2, 5), "partly_outside": (6, 8, 11),
+      "wholly_outside": (-20, -15), "single": (0,)}),
+    ("poisson", {}, 30.25, lambda b, k: 1.2 * k * k + 0.5,
+     {"gaps": (1, 3, 6), "partly_outside": (8, 9, 12), "wholly_outside": (20, 25),
+      "single": (5,)}),
+    ("binomial", {"n": 64}, 0.3, lambda b, k: 0.9 * b.net.points(k) + 0.05,
+     {"gaps": (2, 4, 6), "partly_outside": (5, 6, 7), "wholly_outside": (7,),
+      "single": (3,)}),
+]
+
+
+def _window_of(b, theta):
+    """The window as a run (w0, w1] of the law's line: a discrete law's
+    points lo..top + 8 are (lo - 1, min(hi, top + 8)]."""
+    law = b.family.law
+    lo, top = law.window(theta, 1e-12).tolist()
+    return (lo - 1.0, min(law.hi, top + 8.0)) if law.discrete else (lo, top)
+
+
+class TestKeyedCells:
+    """A composite of generic components integrates only its keyed cells
+    in the window, and the runs between and beyond them at its default
+    level 1/C from CDF values; an e without keys is keyed on the whole
+    window.  The whole-window engines (``_full_window``) are the
+    reference: the two agree within the sum of their bounds."""
+
+    @pytest.mark.parametrize("case", ["gaps", "partly_outside", "wholly_outside", "single"])
+    @pytest.mark.parametrize("name,kw,theta,alt,keys", _KEYED_CASES,
+                             ids=[c[0] for c in _KEYED_CASES])
+    def test_agrees_with_the_whole_window(self, name, kw, theta, alt, keys, case):
+        b, ks = make_bundle(name, **kw), keys[case]
+        cells, (w0, w1) = b.cell_bounds(ks), _window_of(b, theta)
+        inside = (cells[:, 1] > w0) & (cells[:, 0] < w1)
+        within = (cells[:, 0] >= w0) & (cells[:, 1] <= w1)
+        assert {"gaps": inside.all() and (np.diff(ks) > 1).all(),
+                "partly_outside": inside.any() and not within.all(),
+                "wholly_outside": not inside.any(),
+                "single": len(ks) == 1}[case]
+        comp = combine_discrete(b, {k: likelihood_ratio_evar(b.family, b.net.points(k),
+                                                             alt(b, k)) for k in ks})
+        res = expectation(comp, theta)
+        old, old_bound = _full_window(comp, theta, b)
+        assert abs(res.estimate - old) <= res.error_bound + old_bound, (res, old, old_bound)
+        if case == "wholly_outside":  # the level alone, over the whole window
+            assert res.estimate == pytest.approx(float(np.diff(b.family.law.cdf(
+                theta, np.array([w0, w1])))[0]) / comp.factor_C, rel=1e-14)
+
+    @pytest.mark.parametrize("name,kw,theta,alt,keys", _KEYED_CASES,
+                             ids=[c[0] for c in _KEYED_CASES])
+    def test_an_e_without_keys_takes_the_whole_window(self, name, kw, theta, alt, keys):
+        """A bare likelihood ratio has no ``_keys``: the engine is the
+        whole-window one, to the bit."""
+        b = make_bundle(name, **kw)
+        lr = likelihood_ratio_evar(b.family, theta, alt(b, 1) if name == "binomial" else theta + 0.3)
+        res = expectation(lr, theta, b)
+        assert (res.estimate, res.error_bound) == _full_window(lr, theta, b)
+
+    def test_no_key_in_the_net_is_the_level_on_the_whole_window(self):
+        """Index 0 lies below the Poisson net (k_min = 1), so the estimator
+        never selects it: the composite is 1/C everywhere."""
+        b = make_bundle("poisson")
+        comp = combine_discrete(b, {0: likelihood_ratio_evar(b.family, 1.0, 2.0)})
+        assert comp.piecewise is None and not len(comp._keys.a)
+        res = expectation(comp, 30.25)
+        w0, w1 = _window_of(b, 30.25)
+        mass = float(np.diff(b.family.law.cdf(30.25, np.array([w0, w1])))[0])
+        assert res.estimate == (1.0 / comp.factor_C) * mass
+
+    @pytest.mark.parametrize("name,kw,theta", [("cauchy", {"epsilon": 0.2}, 0.5),
+                                               ("normal_mean", {"n": 1}, 2.25)])
+    def test_the_level_over_the_runs_within_its_charge_of_mpmath(self, name, kw, theta):
+        """The benchmark composite's three runs in its window (below key
+        -3, a gap left by dropping key 0, above key 3): the level times
+        their mass, against 30 digits, is within the derived charge, and
+        the charge holds the 2r CDF values' own errors."""
+        b, comp = _lr_composite(name, kw, 0.3)
+        comp = combine_discrete(b, {k: v for k, v in comp.components.items() if k != 0})
+        lo, hi = b.family.law.window(theta, 1e-12).tolist()
+        _, (u, v), level = _keyed_cells(comp, lo, hi)
+        rest, mass, charge = _default_level(b.family.law, theta, (u, v), level)
+        assert len(u) == 3 and level == 1.0 / comp.factor_C
+        with mp.workdps(30):
+            if name == "cauchy":
+                def cdf(x):
+                    return mp.mpf(1) / 2 + mp.atan(mp.mpf(x) - mp.mpf(theta)) / mp.pi
+            else:
+                def cdf(x):
+                    return mp.ncdf(mp.mpf(x), mp.mpf(theta), 1)
+            exact = mp.mpf(level) * mp.fsum(cdf(z) - cdf(a) for a, z in zip(u, v))
+        assert abs(rest - float(exact)) <= charge and rest == level * mass
+        assert 6 * 5e-16 * level <= charge < 1e-14
+
+    def test_the_cauchy_composite_sees_a_few_thousand_points(self, monkeypatch):
+        """The benchmark's Cauchy composite, keys -3..3 in a window of
+        about 2 * 10^4 cells: its integrand is evaluated on its 7 keyed
+        cells alone (and their bisections).  The whole-window engine
+        evaluates it on every cell, and breaks this guard."""
+        b, comp = _lr_composite("cauchy", {"epsilon": 0.2}, 0.3)
+        seen = []
+        eval_many = CompositeEVariable.eval_many
+        monkeypatch.setattr(CompositeEVariable, "eval_many",
+                            lambda self, xs: seen.append(len(xs)) or eval_many(self, xs))
+        for theta in (0.5, -1.7, 3.0):
+            expectation(comp, theta)
+        assert 0 < sum(seen) <= 3 * 4096
+        seen.clear()
+        _full_window(comp, 0.5, b)
+        assert sum(seen) > 4096

@@ -1,5 +1,5 @@
-"""Write the reports of 49 CLI runs, for comparing trees: the benchmark's
-33 and 16 that build the bundles it never builds.
+"""Write the reports of 51 CLI runs, for comparing trees: the benchmark's
+33 and 18 that build the bundles or composites it never builds.
 
     python3 tools/report_bytes.py OUT_DIR [--against OTHER_DIR]
 
@@ -12,7 +12,9 @@ the ``certify`` and ``check-conditions`` runs of each of ``EXTRA_FAMILIES``
 the interpolated certify of normal_mean with epsilon 0.1, the ``ones``
 suite of poisson, the poisson counterexample at lambda 50 and the
 check-conditions of normal_mean with alpha 1e4, whose log-ratio identity
-fails with ten witnesses (4 runs).
+fails with ten witnesses (4 runs), and the certify of a composite of
+generic components on non-adjacent keys on each of cauchy with epsilon
+0.2 and poisson (2 runs, ``extra.generic.<name>``).
 For each run it writes ``OUT_DIR/<op>.json`` (the report, absent when the run wrote
 none), ``OUT_DIR/<op>.csv`` (the same run's report with ``--format csv``)
 and ``OUT_DIR/<op>.stdout`` (standard output, then the exit code).
@@ -71,6 +73,27 @@ EXTRA_FAMILIES = (
 )
 
 
+def _generic_keys(family: dict, thetas: list, keys: list, alternative) -> dict:
+    """A certify config of likelihood-ratio components on the given net
+    indices, against the alternatives ``alternative(k)``."""
+    return {"command": "certify", "family": family, "mode": {"kind": "discrete"},
+            "theta_grid": {"values": thetas},
+            "components": [{"index": k, "type": "likelihood_ratio",
+                            "alternative": alternative(k)} for k in keys]}
+
+
+#: composites of generic components whose keys leave gaps, where the
+#: composite is its default level: (name, certify config)
+EXTRA_GENERIC = (
+    ("cauchy.eps0.2.gaps", _generic_keys({"name": "cauchy", "params": {"epsilon": "0.2"}},
+                                         [0.5, -4.25, 9.0], [-6, -2, 0, 3, 9],
+                                         lambda k: k + 0.3)),
+    ("poisson.gaps", _generic_keys({"name": "poisson", "params": {}},
+                                   [0.5, 9.0, 30.25, 200.0], [1, 3, 6, 10],
+                                   lambda k: 1.2 * k * k + 0.5)),
+)
+
+
 def runs():
     """(name, argv without --seed/--out, config or None, seed or None) of
     each run."""
@@ -86,6 +109,8 @@ def runs():
            ("certify", "--family", "normal_mean", "--epsilon", "0.1", "--mode", "interpolated"),
            None, SEED)
     yield "extra.ones.poisson", ("certify", "--family", "poisson", "--suite", "ones"), None, SEED
+    for name, config in EXTRA_GENERIC:
+        yield f"extra.generic.{name}", ("certify",), config, SEED
     yield ("extra.conditions.normal_mean.alpha1e4",
            ("check-conditions", "--family", "normal_mean", "--alpha", "1e4"), None, SEED)
     # counterexample takes no --seed

@@ -215,7 +215,10 @@ class StatLaw:
     laws that carry it are symmetric about theta, so it is real and even,
     and log-concave on t > 0 (e^-|t| and e^(-t^2/2)), so
     charfn(t + s) / charfn(t) does not grow with t: the Fourier series of
-    a periodic composite's expectation bounds its tail on that ratio.
+    a periodic composite's expectation bounds its tail on that ratio.  A
+    law with ``moment`` also has a density that does not increase away
+    from theta (unimodal at theta): the charge of a periodic sweep's far
+    copies rests on it.
     """
 
     discrete: bool

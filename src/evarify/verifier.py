@@ -10,9 +10,11 @@ comes with a derived bound (:mod:`evarify.fourier`).
 
 A composite of structured components (constants, spikes) carries a
 :class:`~evarify.core.Piecewise`, and one closed-form engine integrates it:
-E_theta = sum_i a_i dF_i + b_i dG_i over its pieces (their copies in the
-law's window, if it repeats), with F the law's CDF and G its partial first
-moment (only on ramps), plus the mass beyond.  A sweep integrates such a
+E_theta = sum_i a_i dF_i + b_i dG_i over its pieces, with F the law's CDF
+and G its partial first moment (only on ramps), plus the mass beyond; a
+composite that repeats is summed over its copies near theta, and the law's
+window's copies beyond those are one term per side at the period's mean
+level, with a derived charge.  A sweep integrates such a
 composite in one engine call over its whole grid, which builds what does not
 depend on theta once and sums its rows in tiles of thetas (a non-periodic
 composite's with one law call per tile, a periodic one's one row each); the
@@ -213,25 +215,32 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
     """E_theta of a piecewise composite at each theta of ``thetas``: sum_i a_i
     dF_i + b_i dG_i over its pieces (G, the law's partial first moment, only
     on ramps, b != 0) plus the mass beyond at the outside level.  A periodic
-    piecewise is integrated over its copies on the periods meeting the law's
+    piecewise is integrated over the copies on the periods meeting the law's
     window, the mass beyond at the sup with its spread down to the least
-    value in the bound.  Rounding: _CDF_EPS (pieces + 2) max(1, sup) for F's
-    error times a jump; ramps' a_i = value - b_i v grow with |v|, b_i with
-    1/(2 eps), so each piece adds _CDF_EPS (|a| F + |b| (|G| + |theta| F))
-    at both ends and the sum (pieces + 2) u sum_i |a_i dF_i| + |b_i dG_i|.
+    value in the bound.  On a law with ``moment``, only the copies within
+    ``_NEAR_COPIES`` of theta's own, floor((theta - e_0) / p), are summed
+    piece by piece (on any other law, all of them); the window's
+    copies beyond them, on each side, are one term f_bar dF at the period's
+    mean level, charged M / 2 times the adjacent near copy's dF, M = max
+    |f - f_bar| (:func:`_far_copies` derives it), plus f_bar's rounding.
+    Rounding: _CDF_EPS (pieces + 2) max(1, sup) for F's error times a jump,
+    each far term counted as a piece; ramps' a_i = value - b_i v grow with
+    |v|, b_i with 1/(2 eps), so each piece adds _CDF_EPS (|a| F + |b| (|G| +
+    |theta| F)) at both ends and the sum (pieces + 2) u sum_i |a_i dF_i| +
+    |b_i dG_i| (and |f_bar dF| of the far terms).
 
     The thetas go in tiles of rows, a column of thetas against a row of
     points: a non-periodic piecewise takes as many rows as fit in
     ``core._TILE_VALUES`` values per law call, each row's sums reduced over
     the tile at once (the dot products row by row, whose bits a matrix
     product does not keep).  A periodic row is a tile of its own, on its
-    copies' shifted edges e + s, which thetas with nearby windows share
+    near copies' shifted edges e + s, which thetas with nearby copies share
     with a - b s and |a| + |b| |s| in one table (:func:`_copy_groups`).
     """
     n, B = len(pw.a), np.abs(pw.b)
     if pw.period:  # the mass beyond is charged at the sup, down to the least end
-        ends = np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:])
-        spread = pw.sup - float(ends.min())
+        least = float(np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:]).min())
+        spread, far_level = pw.sup - least, _period_mean(pw, least)
 
     def at(theta, v):  # F and, for ramps, G and |G|: a row of points v per theta
         if not pw.ramps:
@@ -239,7 +248,7 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
         F, G = law.moment(theta, v)
         return F, G, np.abs(G)
 
-    def results(theta, F, parts, count):
+    def results(theta, F, parts, count, far=(0.0, 0.0, 0.0)):
         # the pieces are contiguous: the mass beyond lies below and above
         # (fmax: NaN to 0, as max(0, rest); 1 - x is never -0)
         rest = np.fmax(1.0 - (F[:, -1] - F[:, 0]), 0.0) if F.shape[1] else np.ones(len(F))
@@ -256,11 +265,14 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
                 at_edges += ((A + abs_theta * absb) * (F0 + F1)
                              + absb * (absG0 + absG1)).sum(axis=1)
                 terms += (A * np.abs(dF) + absb * np.abs(dG)).sum(axis=1)
+        # the far copies' terms (value, |value|, charge); zeros add nothing to the bits
+        estimate += far[0]
+        terms += far[1]
         estimate += rest * (pw.sup if pw.period else pw.outside)
         eb = _CDF_EPS * (count + 2.0) * max(1.0, pw.sup)
         eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
         if pw.period:
-            eb += rest * spread
+            eb += rest * spread + far[2]
         method = "exact_sum" if law.discrete else "quadrature"
         return [ExpectationResult(v, e, method) for v, e in zip(estimate.tolist(), eb.tolist())]
 
@@ -276,16 +288,21 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
 
     # each theta's copies j0..j1 on the periods meeting its window (and j1 + 1),
     # refused where a copy index or the copies' edges are past float resolution
-    reach = np.floor((law.window(np.asarray(thetas, dtype=float), tail) - pw.edges[0])
-                     / pw.period)
-    far = ~(np.abs(reach) < _INDEX_LIMIT).all(axis=1)
-    if far.any():
-        raise DomainError(f"theta = {thetas[int(np.argmax(far))]!r}: a copy of the periodic "
+    column = np.asarray(thetas, dtype=float)
+    reach = np.floor((law.window(column, tail) - pw.edges[0]) / pw.period)
+    beyond = ~(np.abs(reach) < _INDEX_LIMIT).all(axis=1)
+    if beyond.any():
+        raise DomainError(f"theta = {thetas[int(np.argmax(beyond))]!r}: a copy of the periodic "
                           "composite beyond index 2**53, where copies are no longer "
                           "distinct floats")
-    windows = reach.astype(np.int64).tolist()
+    # summed copy by copy: those within _NEAR_COPIES of theta's own, where the
+    # law's density falls away from theta (it carries moment); all of them else
+    K = _NEAR_COPIES if law.moment else math.inf
+    own = np.floor((column - pw.edges[0]) / pw.period)[:, None]
+    near = np.clip(own + [-K, K], reach[:, :1], reach[:, 1:])
+    windows, nears = reach.astype(np.int64).tolist(), near.astype(np.int64).tolist()
     out = [None] * len(thetas)
-    for lo, hi, _, members in _copy_groups(windows):
+    for lo, hi, _, members in _copy_groups(nears):
         s = pw.period * np.arange(lo, hi + 2.0)
         edges = pw.edges[:-1, None] + s  # row i: e_i + s, shared by the group
         if not (np.diff(edges.T.ravel()) > 0.0).all():  # copy by copy, piece by piece
@@ -294,7 +311,7 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
         shifted = pw.a[:, None] - pw.b[:, None] * s  # a_i - b_i s
         bounds = np.abs(pw.a)[:, None] + B[:, None] * np.abs(s)  # |a_i| + |b_i| |s|
         for k in members:
-            theta, (j0, j1) = thetas[k], windows[k]
+            theta, (j0, j1) = thetas[k], nears[k]
             o, J = j0 - lo, j1 - j0 + 1
             # the law on each piece's 1-d edge row, its results viewed as a tile of
             # one row: a (1, J + 1) slice of the table as the law's input raised
@@ -306,8 +323,87 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
                       [r[:, :J] for r in rows[i + 1]] if i + 1 < n else
                       [r[:, 1:] for r in rows[0]])
                      for i in range(n)]
-            out[k], = results(theta, rows[0][0], parts, n * J)
+            F, (w0, w1) = rows[0][0], windows[k]  # F at the near copies' starts and end
+            far = [w0 < j0, j1 < w1]  # the window's copies below, above the near ones
+            if not any(far):
+                out[k], = results(theta, F, parts, n * J)
+                continue
+            # F at the window's ends, which feed rest too
+            window = pw.edges[0] + pw.period * np.array([w0, w1 + 1.0])
+            ends = np.where(far, law.cdf(theta, window), F[0, [0, -1]])
+            terms = _far_copies(F[0, [0, 1, -2, -1]].tolist(), ends.tolist(), far, *far_level)
+            out[k], = results(theta, ends[None], parts, n * J + sum(far), terms)
     return out
+
+
+#: copies of a periodic composite summed one by one on each side of theta's
+#: own; the window's copies beyond are one term per side at the period's
+#: mean level (:func:`_far_copies`).  On Cauchy epsilon = 0.2 (window theta
+#: +/- 1e4) over its default grid, 2**10 charges at most 0.38% of a row's
+#: bound and sweeps in 16 ms, against 94 ms for the whole window (Intel
+#: Xeon); 2**8 charges up to 5.8% in 11 ms, and 2**6 up to 49% in 10 ms.
+#: normal_mean's window (about theta +/- 7.1) holds no far copy.
+_NEAR_COPIES = 2**10
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), the relative error of k roundings (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 3.1)."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _period_mean(pw: Piecewise, least: float) -> tuple[float, float, float]:
+    """A periodic piecewise f's mean over one period, the most f strays from
+    it, and the mean's rounding per unit of mass it multiplies: (mean, M,
+    rounding).  mean = sum_i (a_i + b_i (e_i + e_{i+1}) / 2) (e_{i+1} - e_i)
+    / p is the same on every copy (the copy shifted by s is a_i - b_i s on
+    e + s).  Each of its monomials takes at most n + 5 roundings (the edge
+    sum, the product with b_i, the add, the width, the product with it,
+    n - 1 adds and the division by p; halving is exact), so it is within
+    gamma_{n+5} S of the exact mean, S = sum_i (|a_i| + |b_i| (|e_i| +
+    |e_{i+1}|) / 2) (e_{i+1} - e_i) / p (Higham sec. 3.1).  f takes values
+    between ``least`` and its sup, so M = max(sup - mean, mean - least)
+    plus that rounding.  ``rounding`` = gamma_{n+7} S covers mean d for a
+    d of one subtraction: mean's roundings, d's and the product's."""
+    e0, e1 = pw.edges[:-1], pw.edges[1:]
+    width = e1 - e0
+    mean = float(np.sum((pw.a + pw.b * ((e0 + e1) / 2.0)) * width)) / pw.period
+    size = float(np.sum((np.abs(pw.a) + np.abs(pw.b) * ((np.abs(e0) + np.abs(e1)) / 2.0))
+                        * width)) / pw.period
+    n = len(pw.a)
+    deviation = max(pw.sup - mean, mean - least) + _gamma(n + 5) * size
+    return mean, deviation, _gamma(n + 7) * size
+
+
+def _far_copies(near: list, ends: list, far: list, mean: float, deviation: float,
+                rounding: float) -> tuple[float, float, float]:
+    """The window's copies of a periodic piecewise f beyond its near ones,
+    below and above theta (where ``far`` says there are), each run taken
+    whole at the period's mean level: (value, |value|, charge), value =
+    mean (F(near start) - F(window start)) + mean (F(window end) - F(near
+    end)).  ``near`` holds F at the near copies' start, the first one's
+    end, the last one's start and their end; ``ends`` F at the window's
+    ends (the near ones' where no copy lies beyond); the rest is
+    :func:`_period_mean`'s.
+
+    The charge is derived.  A law with ``moment`` has a density q symmetric
+    about theta that does not increase away from it (:class:`StatLaw`), and
+    a far copy c lies wholly on one side of theta, where q runs monotonely
+    from q_0 to q_1.  f - mean integrates to 0 over c, so int_c f q - mean
+    int_c q = int_c (f - mean)(q - k) for k = (q_0 + q_1) / 2, and |q - k|
+    <= osc_c(q) / 2 on c: at most M p osc_c(q) / 2, M = max |f - mean|.  q
+    is monotone over a side's run, so its copies' oscillations telescope
+    to at most q at the run's near end, and the adjacent near copy, nearer
+    theta, holds mass at least p q there.  So a side errs by at most M / 2
+    times that copy's dF, each of its two F values within _CDF_EPS, and the
+    products by ``rounding`` per unit of mass."""
+    lo, hi = far
+    below, above = near[0] - ends[0], ends[1] - near[3]  # 0 where no copy lies beyond
+    adjacent = ((near[1] - near[0] if lo else 0.0) + (near[3] - near[2] if hi else 0.0)
+                + 2.0 * _CDF_EPS * (lo + hi))
+    mass = abs(below) + abs(above)
+    return (mean * below + mean * above, abs(mean) * mass,
+            0.5 * deviation * adjacent + rounding * mass)
 
 
 def _copy_groups(windows: list) -> list[list]:
@@ -419,8 +515,7 @@ def _default_level(law, theta, runs, level: float) -> tuple[float, float, float]
     F = law.cdf(theta, np.concatenate([u, v]))
     dF = F[r:] - F[:r]
     mass = float(np.sum(dF))
-    gamma = (r + 1) * _UNIT_ROUNDOFF / (1.0 - (r + 1) * _UNIT_ROUNDOFF)
-    rounding = level * (2.0 * r * _CDF_EPS + gamma * float(np.sum(np.abs(dF))))
+    rounding = level * (2.0 * r * _CDF_EPS + _gamma(r + 1) * float(np.sum(np.abs(dF))))
     return level * mass, mass, rounding
 
 
@@ -548,7 +643,7 @@ def _monte_carlo(e, pw, theta, bundle, plan, theta_index) -> ExpectationResult:
     # = (m - 1) u / (1 - (m - 1) u), and the division by u |mean| (Higham,
     # Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2); the
     # computed mean of |v| is at least (1 - g)(1 - u) times the exact one
-    u, g = _UNIT_ROUNDOFF, (m - 1) * _UNIT_ROUNDOFF / (1.0 - (m - 1) * _UNIT_ROUNDOFF)
+    u, g = _UNIT_ROUNDOFF, _gamma(m - 1)
     rounding = g / ((1.0 - g) * (1.0 - u)) * float(np.mean(np.abs(values))) + u * abs(estimate)
     return ExpectationResult(estimate, half_width + rounding, "monte_carlo")
 

@@ -966,6 +966,29 @@ class TestCharacteristicFunction:
         assert np.all(np.diff(ratio) <= 1e-12 * ratio[:-1])  # exp rounds as t u
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3, -1234.5, 1e6])
+def test_laws_with_a_moment_fall_away_from_theta(theta):
+    """``StatLaw`` declares that a law with ``moment`` has a density that
+    does not increase away from theta, and the far copies' charge of a
+    periodic sweep rests on it: the masses of unit periods F(theta + k + 1)
+    - F(theta + k) do not increase in k >= 0 and mirror those at -k - 1,
+    for k up to 10^4, within the CDF values' error."""
+    from evarify.core import _CDF_EPS
+
+    laws = {(name, str(kw)): make_bundle(name, **kw).family.law for name, kw in
+            BENCHMARK_CONFIGS + ALL_BUNDLES + [("normal_mean", {"epsilon": 0.2}), ("cauchy", {})]}
+    laws = {name: law for name, law in laws.items() if law.moment is not None}
+    assert {name for name, _ in laws} == {"cauchy", "normal_mean"} and len(laws) == 4
+    k = np.arange(-10**4, 10**4 + 1.0)
+    for name, law in laws.items():
+        mass = np.diff(law.cdf(theta, theta + k))  # at k = -10^4 .. 10^4 - 1
+        above, below = mass[10**4:], mass[:10**4][::-1]  # k >= 0 and k = -1, -2, ..
+        assert np.all(np.diff(above) <= 4.0 * _CDF_EPS), name
+        assert np.all(np.diff(below) <= 4.0 * _CDF_EPS), name
+        assert np.all(np.abs(above - below) <= 4.0 * _CDF_EPS), name
+        assert above[0] > 0.1 and above[1] < above[0], name
+
+
 @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS + [("normal_mean", {"epsilon": 0.2})])
 def test_the_bundle_net_is_its_estimators(name, kw):
     """A bundle has one net, the one its estimator rounds to."""

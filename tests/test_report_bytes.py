@@ -197,10 +197,10 @@ def test_a_check_report_that_differs_otherwise_names_each_field(report_bytes, tm
 
 
 def test_the_runs_cover_the_benchmark_and_the_bundles_it_never_builds(report_bytes):
-    """The benchmark's 33 runs and 18 more, each under its own name."""
+    """The benchmark's 33 runs and 19 more, each under its own name."""
     names = [name for name, *_ in report_bytes.runs()]
-    assert len(names) == len(set(names)) == 51
-    assert sum(name.startswith("extra.") for name in names) == 18
+    assert len(names) == len(set(names)) == 52
+    assert sum(name.startswith("extra.") for name in names) == 19
 
 
 def test_every_report_is_the_bytes_of_json_dumps(report_bytes, tmp_path, capsys):

@@ -679,26 +679,58 @@ def _certified_composite(name, params, interpolated):
     return interpolated_spike_composite(b, 0.2, C)
 
 
-def _one_theta_reference(pw, law, tail, theta):
+def _one_theta_reference(pw, law, tail, theta, near=None):
     """Oracle: the closed-form engine written out for one theta, each
     copy's shifted edges and coefficients built for it alone; (estimate,
-    error bound)."""
+    error bound, the charge for the mass beyond the window, the far
+    copies' charge).  A periodic piecewise sums the copies within ``near``
+    of theta's own (``verifier._NEAR_COPIES`` when None; math.inf for the
+    whole window) one by one, and the window's copies beyond them on each
+    side as one term at the period's mean level."""
+    from evarify import verifier
     from evarify.core import _CDF_EPS, _UNIT_ROUNDOFF
 
-    n = len(pw.a)
+    n, sides, far_value, far_size, charge = len(pw.a), 0, 0.0, 0.0, 0.0
+    near = verifier._NEAR_COPIES if near is None else near
 
     def at(v):
         return np.array(law.moment(theta, v) if pw.ramps else [law.cdf(theta, v)])
     if pw.period:
-        j = [math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, tail)]
+        w = [math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, tail)]
+        own = math.floor((theta - pw.edges[0]) / pw.period)
+        j = [min(max(own - near, w[0]), w[1]), min(max(own + near, w[0]), w[1])]
         s = pw.period * np.arange(j[0], j[1] + 2.0)
         rows, J = [at(e + s) for e in pw.edges[:-1]], len(s) - 1
         parts = [(pw.a[i], pw.b[i], s[:J], rows[i][:, :J],
                   rows[i + 1][:, :J] if i + 1 < n else rows[0][:, 1:]) for i in range(n)]
+        F = rows[0][0]
+        ends = [F[0], F[-1]]
+        far = [w[0] < j[0], j[1] < w[1]]
+        sides = sum(far)
+        if sides:
+            window = law.cdf(theta, pw.edges[0] + pw.period * np.array([w[0], w[1] + 1.0]))
+            ends = [window[0] if far[0] else F[0], window[1] if far[1] else F[-1]]
+            # the mean of one period and the size of its monomials, term by term
+            mean = size = 0.0
+            for a, b, e0, e1 in zip(pw.a, pw.b, pw.edges[:-1], pw.edges[1:]):
+                mean += (a + b * ((e0 + e1) / 2.0)) * (e1 - e0)
+                size += (abs(a) + abs(b) * ((abs(e0) + abs(e1)) / 2.0)) * (e1 - e0)
+            mean, size = mean / pw.period, size / pw.period
+            gamma = [k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF) for k in (n + 5, n + 7)]
+            least = float(np.minimum(pw.a + pw.b * pw.edges[:-1],
+                                     pw.a + pw.b * pw.edges[1:]).min())
+            deviation = max(pw.sup - mean, mean - least) + gamma[0] * size
+            below, above = float(F[0] - ends[0]), float(ends[1] - F[-1])
+            adjacent = ((float(F[1] - F[0]) if far[0] else 0.0)
+                        + (float(F[-1] - F[-2]) if far[1] else 0.0) + 2.0 * _CDF_EPS * sides)
+            mass = abs(below) + abs(above)
+            far_value, far_size = mean * below + mean * above, abs(mean) * mass
+            charge = 0.5 * deviation * adjacent + gamma[1] * size * mass
+        F = np.array(ends)
     else:
         rows = [at(pw.edges)]
         parts = [(pw.a, pw.b, 0.0, rows[0][:, :n], rows[0][:, 1:])]
-    F = rows[0][0]
+        F = rows[0][0]
     rest = max(0.0, 1.0 - float(F[-1] - F[0])) if F.size else 1.0
     estimate = at_edges = terms = 0.0
     for a, b, s, (F0, *G0), (F1, *G1) in parts:
@@ -712,14 +744,18 @@ def _one_theta_reference(pw, law, tail, theta):
             at_edges += float(np.sum((A + abs(theta) * B) * (F0 + F1)
                                      + B * (np.abs(G0) + np.abs(G1))))
             terms += float(np.sum(A * np.abs(dF) + B * np.abs(dG)))
-    count = sum(part[3].shape[1] for part in parts)
+    count = sum(part[3].shape[1] for part in parts) + sides
+    estimate += far_value
+    terms += far_size
     estimate += rest * (pw.sup if pw.period else pw.outside)
     eb = _CDF_EPS * (count + 2.0) * max(1.0, pw.sup)
     eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
+    beyond = 0.0
     if pw.period:
         ends = np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:])
-        eb += rest * (pw.sup - float(ends.min()))
-    return estimate, eb
+        beyond = rest * (pw.sup - float(ends.min()))
+        eb += beyond + charge
+    return estimate, eb, beyond, charge
 
 
 class TestOneEnginePassPerSweep:
@@ -741,7 +777,7 @@ class TestOneEnginePassPerSweep:
         rows = sweep(comp, grid).rows
         assert rows == self._rows_alone(comp, grid)
         # and each the one-theta engine's floats, so reports keep their bytes
-        assert [row[1:3] for row in rows] == [_one_theta_reference(pw, law, 1e-12, t)
+        assert [row[1:3] for row in rows] == [_one_theta_reference(pw, law, 1e-12, t)[:2]
                                              for t in grid]
 
     @pytest.mark.parametrize("name", ["cauchy", "normal_mean"])
@@ -753,7 +789,7 @@ class TestOneEnginePassPerSweep:
         grid = [-1e6, 0.3, 1e6]
         rows = sweep(comp, grid).rows
         assert rows == self._rows_alone(comp, grid)
-        assert [row[1:3] for row in rows] == [_one_theta_reference(pw, law, 1e-12, t)
+        assert [row[1:3] for row in rows] == [_one_theta_reference(pw, law, 1e-12, t)[:2]
                                              for t in grid]
 
     def test_far_apart_windows_take_little_memory(self):
@@ -797,6 +833,111 @@ class TestOneEnginePassPerSweep:
             assert longest == max(windows[k][1] - windows[k][0] + 1 for k in members)
             assert hi - lo + 1 <= 2 * longest
         assert [members for *_, members in groups] == [[5], [1, 2, 0, 4], [3]]
+
+
+class TestFarCopies:
+    """A periodic row sums the copies within ``_NEAR_COPIES`` of theta's
+    own one by one, and the window's copies beyond them, on each side, as
+    one term at the period's mean level with a derived charge."""
+
+    GRID_EXTRA = [-1e6, 0.3, 1e6]
+
+    def test_rows_within_the_far_charge_of_the_whole_window(self):
+        """Against the engine summed over every copy of the window (the
+        reference at near = inf): at every default-grid theta and far out,
+        the two rows differ by at most the far charge plus both rows'
+        rounding bounds, and the far charge is at most 0.4% of a row's
+        bound on the default grid (``_NEAR_COPIES``' comment)."""
+        comp = _certified_composite("cauchy", {"epsilon": 0.2}, True)
+        law, pw = comp.bundle.family.law, comp.piecewise
+        grid = default_theta_grid(comp.bundle)
+        for theta in grid + self.GRID_EXTRA:
+            new, bound, beyond, charge = _one_theta_reference(pw, law, 1e-12, theta)
+            whole, whole_bound, whole_beyond, no_charge = _one_theta_reference(
+                pw, law, 1e-12, theta, near=math.inf)
+            assert no_charge == 0.0 < charge
+            rounding = (bound - beyond - charge) + (whole_bound - whole_beyond)
+            assert abs(new - whole) <= charge + rounding, theta
+            if theta in grid:
+                assert charge <= 0.004 * bound, theta
+
+    @pytest.mark.parametrize("name", ["cauchy", "normal_mean"])
+    def test_near_copies_past_the_window_are_the_whole_window(self, name, monkeypatch):
+        """With ``_NEAR_COPIES`` past every window the rows are the
+        whole-window sum bit for bit; normal_mean's window (about theta
+        +/- 7.1) holds no far copy at the shipped value either."""
+        from evarify import verifier
+
+        comp = _certified_composite(name, {"epsilon": 0.2}, True)
+        law, pw = comp.bundle.family.law, comp.piecewise
+        grid = default_theta_grid(comp.bundle) + self.GRID_EXTRA
+        whole = [_bits(*_one_theta_reference(pw, law, 1e-12, t, near=math.inf)[:2])
+                 for t in grid]
+        if name == "normal_mean":
+            assert [_bits(*row[1:3]) for row in sweep(comp, grid).rows] == whole
+        monkeypatch.setattr(verifier, "_NEAR_COPIES", 2**40)
+        assert [_bits(*row[1:3]) for row in sweep(comp, grid).rows] == whole
+
+    @pytest.mark.parametrize("theta", [1001.0, -4.75])
+    def test_far_copies_within_their_charge_of_mpmath(self, theta):
+        """Oracle: the far copies' integral at 30 digits, each piece of
+        each copy (a - b s) dF + b dG in closed form (F = 1/2 + atan(z) / pi,
+        G = theta F + log(1 + z^2) / (2 pi), z = v - theta), on the
+        composite as computed, shifted by exact integers.  The engine's
+        term, mean (F(near end) - F(window end)) on each side, is within
+        its charge of it, and its mean level within its rounding bound of
+        the exact mean (f_bar off by 1e-6 fails here, and a charge of 0)."""
+        from evarify import verifier
+
+        comp = _certified_composite("cauchy", {"epsilon": 0.2}, True)
+        law, pw = comp.bundle.family.law, comp.piecewise
+        n, K = len(pw.a), verifier._NEAR_COPIES
+        w0, w1 = (math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, 1e-12))
+        own = math.floor((theta - pw.edges[0]) / pw.period)
+        assert w0 < own - K and own + K < w1
+        least = float(np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:]).min())
+        level = verifier._period_mean(pw, least)
+        x = pw.edges[0] + pw.period * np.array([w0, own - K, own - K + 1, own + K, own + K + 1,
+                                                w1 + 1.0])
+        F = law.cdf(theta, x)
+        value, _, charge = verifier._far_copies(F[1:5].tolist(), F[[0, 5]].tolist(),
+                                                [True, True], *level)
+        with mp.workdps(30):
+            t, p = mp.mpf(theta), mp.mpf(pw.period)
+            e, a, slope = ([mp.mpf(v) for v in arr.tolist()] for arr in (pw.edges, pw.a, pw.b))
+            exact = mp.mpf(0)
+            for first, last in ((w0, own - K - 1), (own + K + 1, w1)):
+                # every edge of the run once: piece i of copy j runs from
+                # point 3 (j - first) + i to the next
+                z = [e[i] + j * p - t for j in range(first, last + 1) for i in range(n)]
+                z.append(e[0] + (last + 1) * p - t)
+                atan = [mp.atan(v) for v in z]
+                log = [mp.log1p(v * v) for v in z]
+                for m in range(len(z) - 1):
+                    i, s = m % n, (first + m // n) * p
+                    dF = (atan[m + 1] - atan[m]) / mp.pi
+                    dG = t * dF + (log[m + 1] - log[m]) / (2 * mp.pi)
+                    exact += (a[i] - slope[i] * s) * dF + slope[i] * dG
+            assert abs(mp.mpf(value) - exact) <= charge, (value, exact, charge)
+            exact_mean = mp.fsum((a[i] + slope[i] * (e[i] + e[i + 1]) / 2) * (e[i + 1] - e[i])
+                                 for i in range(n)) / p
+            assert abs(mp.mpf(level[0]) - exact_mean) <= level[2]
+
+    def test_the_periodic_cauchy_sweep_takes_little_memory(self):
+        """The near copies of the whole default grid fit in a table or
+        two of about 4,100 copies: the whole-window engine held about
+        5 MB live."""
+        import tracemalloc
+
+        comp = _certified_composite("cauchy", {"epsilon": 0.2}, True)
+        grid = default_theta_grid(comp.bundle)
+        tracemalloc.start()
+        try:
+            sweep(comp, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 #: thetas beyond each law's default grid: far scales, far locations, the
@@ -873,7 +1014,7 @@ class TestSweepTiles:
         calls = []
         rows = verifier._piecewise_expectations(pw, self._recorded(law, calls), 1e-12, grid)
         assert [_bits(r.estimate, r.error_bound) for r in rows] == [
-            _bits(*_one_theta_reference(pw, law, 1e-12, t)) for t in grid]
+            _bits(*_one_theta_reference(pw, law, 1e-12, t)[:2]) for t in grid]
         assert sorted(t for _, thetas, _ in calls for t in thetas) == sorted(grid)
         for shape, thetas, (width,) in calls:
             assert shape == (len(thetas), 1)

@@ -1,5 +1,5 @@
-"""Write the reports of 51 CLI runs, for comparing trees: the benchmark's
-33 and 18 that build the bundles or composites it never builds.
+"""Write the reports of 52 CLI runs, for comparing trees: the benchmark's
+33 and 19 that build the bundles or composites it never builds.
 
     python3 tools/report_bytes.py OUT_DIR [--against OTHER_DIR]
 
@@ -14,7 +14,9 @@ suite of poisson, the poisson counterexample at lambda 50 and the
 check-conditions of normal_mean with alpha 1e4, whose log-ratio identity
 fails with ten witnesses (4 runs), and the certify of a composite of
 generic components on non-adjacent keys on each of cauchy with epsilon
-0.2 and poisson (2 runs, ``extra.generic.<name>``).
+0.2 and poisson (2 runs, ``extra.generic.<name>``), and the interpolated
+certify of cauchy with epsilon 0.2 at theta -1e6, 0.3 and 1e6 (1 run,
+``extra.interpolated.cauchy.eps0.2.far``).
 For each run it writes ``OUT_DIR/<op>.json`` (the report, absent when the run wrote
 none), ``OUT_DIR/<op>.csv`` (the same run's report with ``--format csv``)
 and ``OUT_DIR/<op>.stdout`` (standard output, then the exit code).
@@ -108,6 +110,9 @@ def runs():
     yield ("extra.interpolated.normal_mean.eps0.1",
            ("certify", "--family", "normal_mean", "--epsilon", "0.1", "--mode", "interpolated"),
            None, SEED)
+    yield ("extra.interpolated.cauchy.eps0.2.far", ("certify",),
+           {"command": "certify", "family": {"name": "cauchy", "params": {"epsilon": "0.2"}},
+            "mode": {"kind": "interpolated"}, "theta_grid": {"values": [-1e6, 0.3, 1e6]}}, SEED)
     yield "extra.ones.poisson", ("certify", "--family", "poisson", "--suite", "ones"), None, SEED
     for name, config in EXTRA_GENERIC:
         yield f"extra.generic.{name}", ("certify",), config, SEED

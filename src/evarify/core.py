@@ -244,19 +244,22 @@ class StatLaw:
         """Statistic interval [lo, hi] (support points, for discrete laws)
         holding all but ``tail`` of the mass under theta -- or all but what
         lies beyond the heavy-tail cap -- clamped to the support: shape
-        theta's shape + (2,).  A NaN quantile raises :class:`DomainError`
-        naming its theta."""
+        theta's shape + (2,).  An end that is NaN, or past the floats where
+        the support is not, raises :class:`DomainError` naming its theta."""
         theta = np.asarray(theta, dtype=float)
         if self.cap is not None:
             ends = np.stack([theta - self.cap, theta + self.cap], axis=-1)
         else:
             q = np.array([tail / 2.0, 1.0 - tail / 2.0])
-            ends = self.ppf(theta[..., None], q)
-            lost = np.isnan(ends).any(axis=-1)
-            if lost.any():  # e.g. the Poisson's pdtrik beyond about 1e11
-                raise DomainError(f"theta = {float(theta[lost].flat[0])!r}: the law's quantile "
-                                  "is NaN there, so no truncation window holds its mass")
-        return np.clip(ends, self.lo, self.hi)
+            with np.errstate(over="ignore"):  # a quantile past the floats is inf
+                ends = self.ppf(theta[..., None], q)
+        ends = np.clip(ends, self.lo, self.hi)
+        lost = ~np.isfinite(ends).all(axis=-1)
+        if lost.any():  # NaN: e.g. the Poisson's pdtrik beyond about 1e11
+            what = "NaN" if np.isnan(ends[lost][0]).any() else "past the largest float"
+            raise DomainError(f"theta = {float(theta[lost].flat[0])!r}: the law's quantile is "
+                              f"{what} there, so no truncation window holds its mass")
+        return ends
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,9 +15,10 @@ and G its partial first moment (only on ramps), plus the mass beyond; a
 composite that repeats is summed over its copies near theta, and the law's
 window's copies beyond those are one term per side at the period's mean
 level, with a derived charge.  A sweep integrates such a
-composite in one engine call over its whole grid, which builds what does not
-depend on theta once and sums its rows in tiles of thetas (a non-periodic
-composite's with one law call per tile, a periodic one's one row each); the
+composite in one engine call over its whole grid, every row one row of
+pieces with one law call and one dot product: a non-periodic composite's
+rows go in tiles of thetas against its edges, and a periodic one's each
+make a tile of their own, their near copies laid out copy by copy; the
 rows of any other composite are one :func:`expectation` each.  Generic
 components fall back to exact truncated summation (discrete families) or
 Gauss-Legendre quadrature of two orders (pieces whose orders disagree by
@@ -227,112 +228,98 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
     each far term counted as a piece; ramps' a_i = value - b_i v grow with
     |v|, b_i with 1/(2 eps), so each piece adds _CDF_EPS (|a| F + |b| (|G| +
     |theta| F)) at both ends and the sum (pieces + 2) u sum_i |a_i dF_i| +
-    |b_i dG_i| (and |f_bar dF| of the far terms).
+    |b_i dG_i| (and |f_bar dF| of the far terms), in whatever order it is
+    taken (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
 
     The thetas go in tiles of rows, a column of thetas against a row of
-    points: a non-periodic piecewise takes as many rows as fit in
+    points, one law call and one dot product per row over the tile's
+    pieces: a non-periodic piecewise takes as many rows as fit in
     ``core._TILE_VALUES`` values per law call, each row's sums reduced over
     the tile at once (the dot products row by row, whose bits a matrix
-    product does not keep).  A periodic row is a tile of its own, on its
-    near copies' shifted edges e + s, which thetas with nearby copies share
-    with a - b s and |a| + |b| |s| in one table (:func:`_copy_groups`).
+    product does not keep).  A periodic row is a tile of its own, one row
+    of pieces over its near copies j0..j1 copy by copy: edges e_i + s and
+    coefficients a_i - b_i s, |a_i| + |b_i| |s| for the copy shifted by s.
     """
-    n, B = len(pw.a), np.abs(pw.b)
-    if pw.period:  # the mass beyond is charged at the sup, down to the least end
-        least = float(np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:]).min())
-        spread, far_level = pw.sup - least, _period_mean(pw, least)
+    B = np.abs(pw.b)
+    column = np.asarray(thetas, dtype=float)[:, None]
+    level, spread = pw.outside, 0.0  # the mass beyond's level and spread (periodic: below)
 
-    def at(theta, v):  # F and, for ramps, G and |G|: a row of points v per theta
-        if not pw.ramps:
-            return (law.cdf(theta, v),)
-        F, G = law.moment(theta, v)
-        return F, G, np.abs(G)
+    def at(theta, v):  # F and, for ramps, G: a column of thetas against a row of points v
+        return law.moment(theta, v) if pw.ramps else (law.cdf(theta, v),)
 
-    def results(theta, F, parts, count, far=(0.0, 0.0, 0.0)):
-        # the pieces are contiguous: the mass beyond lies below and above
-        # (fmax: NaN to 0, as max(0, rest); 1 - x is never -0)
+    def results(theta, tile, a, A, b, absb, F, count, far=(0.0, 0.0, 0.0)):
+        # the pieces run from each point of the tile's row to the next, a + b v
+        # on it with |a + b v| <= A; F at the ends of their run, the mass
+        # beyond lies below and above (fmax: NaN to 0, as max(0, rest); 1 - x
+        # is never -0)
         rest = np.fmax(1.0 - (F[:, -1] - F[:, 0]), 0.0) if F.shape[1] else np.ones(len(F))
         estimate, at_edges, terms = np.zeros((3, len(F)))
-        abs_theta = np.abs(theta)
-        # a copy shifted by s: ab = a - b s, and per piece |a - b s| <= A = |a| + |b| |s|
-        for ab, A, b, absb, (F0, *G0), (F1, *G1) in parts:
-            dF = F1 - F0
-            estimate += [np.dot(ab, row) for row in dF]
-            if pw.ramps:
-                (G0, absG0), (G1, absG1) = G0, G1
-                dG = G1 - G0
-                estimate += (b * dG).sum(axis=1)
-                at_edges += ((A + abs_theta * absb) * (F0 + F1)
-                             + absb * (absG0 + absG1)).sum(axis=1)
-                terms += (A * np.abs(dF) + absb * np.abs(dG)).sum(axis=1)
+        (F0, *G0), (F1, *G1) = [r[:, :-1] for r in tile], [r[:, 1:] for r in tile]
+        dF = F1 - F0
+        estimate += [np.dot(a, row) for row in dF]
+        if pw.ramps:
+            (G0,), (G1,) = G0, G1
+            dG = G1 - G0
+            estimate += (b * dG).sum(axis=1)
+            at_edges += ((A + np.abs(theta) * absb) * (F0 + F1)
+                         + absb * (np.abs(G0) + np.abs(G1))).sum(axis=1)
+            terms += (A * np.abs(dF) + absb * np.abs(dG)).sum(axis=1)
         # the far copies' terms (value, |value|, charge); zeros add nothing to the bits
         estimate += far[0]
         terms += far[1]
-        estimate += rest * (pw.sup if pw.period else pw.outside)
+        estimate += rest * level
         eb = _CDF_EPS * (count + 2.0) * max(1.0, pw.sup)
         eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
-        if pw.period:
-            eb += rest * spread + far[2]
+        eb += rest * spread + far[2]
         method = "exact_sum" if law.discrete else "quadrature"
         return [ExpectationResult(v, e, method) for v, e in zip(estimate.tolist(), eb.tolist())]
 
     if not pw.period:  # one copy, unshifted: a - b 0 = a and |a| + |b| 0 = |a|
-        A, per = np.abs(pw.a), max(1, _TILE_VALUES // max(1, len(pw.edges)))
-        column, out = np.asarray(thetas, dtype=float)[:, None], []
+        A, per, out = np.abs(pw.a), max(1, _TILE_VALUES // max(1, len(pw.edges))), []
         for s in range(0, len(column), per):
             theta = column[s:s + per]
             tile = at(theta, pw.edges)
-            parts = [(pw.a, A, pw.b, B, [r[:, :n] for r in tile], [r[:, 1:] for r in tile])]
-            out += results(theta, tile[0], parts, n)
+            out += results(theta, tile, pw.a, A, pw.b, B, tile[0], len(pw.a))
         return out
 
     # each theta's copies j0..j1 on the periods meeting its window (and j1 + 1),
     # refused where a copy index or the copies' edges are past float resolution
-    column = np.asarray(thetas, dtype=float)
-    reach = np.floor((law.window(column, tail) - pw.edges[0]) / pw.period)
+    reach = np.floor((law.window(column[:, 0], tail) - pw.edges[0]) / pw.period)
     beyond = ~(np.abs(reach) < _INDEX_LIMIT).all(axis=1)
     if beyond.any():
         raise DomainError(f"theta = {thetas[int(np.argmax(beyond))]!r}: a copy of the periodic "
                           "composite beyond index 2**53, where copies are no longer "
                           "distinct floats")
+    # the mass beyond is charged at the sup, down to the least end
+    least = float(np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:]).min())
+    level, spread, far_level = pw.sup, pw.sup - least, _period_mean(pw, least)
     # summed copy by copy: those within _NEAR_COPIES of theta's own, where the
     # law's density falls away from theta (it carries moment); all of them else
     K = _NEAR_COPIES if law.moment else math.inf
-    own = np.floor((column - pw.edges[0]) / pw.period)[:, None]
-    near = np.clip(own + [-K, K], reach[:, :1], reach[:, 1:])
-    windows, nears = reach.astype(np.int64).tolist(), near.astype(np.int64).tolist()
-    out = [None] * len(thetas)
-    for lo, hi, _, members in _copy_groups(nears):
-        s = pw.period * np.arange(lo, hi + 2.0)
-        edges = pw.edges[:-1, None] + s  # row i: e_i + s, shared by the group
-        if not (np.diff(edges.T.ravel()) > 0.0).all():  # copy by copy, piece by piece
-            raise DomainError(f"theta = {thetas[members[0]]!r}: the periodic composite's "
-                              "edges on the copies there are not distinct floats")
-        shifted = pw.a[:, None] - pw.b[:, None] * s  # a_i - b_i s
-        bounds = np.abs(pw.a)[:, None] + B[:, None] * np.abs(s)  # |a_i| + |b_i| |s|
-        for k in members:
-            theta, (j0, j1) = thetas[k], nears[k]
-            o, J = j0 - lo, j1 - j0 + 1
-            # the law on each piece's 1-d edge row, its results viewed as a tile of
-            # one row: a (1, J + 1) slice of the table as the law's input raised
-            # perfbench certify_spikes' peak RSS by about 1.3 MB
-            rows = [[r[None] for r in at(theta, edges[i, o:o + J + 1])] for i in range(n)]
-            # piece i runs from row i to row i + 1, the last to the next row 0
-            parts = [(shifted[i, o:o + J], bounds[i, o:o + J], pw.b[i], B[i],
-                      [r[:, :J] for r in rows[i]],
-                      [r[:, :J] for r in rows[i + 1]] if i + 1 < n else
-                      [r[:, 1:] for r in rows[0]])
-                     for i in range(n)]
-            F, (w0, w1) = rows[0][0], windows[k]  # F at the near copies' starts and end
-            far = [w0 < j0, j1 < w1]  # the window's copies below, above the near ones
-            if not any(far):
-                out[k], = results(theta, F, parts, n * J)
-                continue
-            # F at the window's ends, which feed rest too
-            window = pw.edges[0] + pw.period * np.array([w0, w1 + 1.0])
-            ends = np.where(far, law.cdf(theta, window), F[0, [0, -1]])
-            terms = _far_copies(F[0, [0, 1, -2, -1]].tolist(), ends.tolist(), far, *far_level)
-            out[k], = results(theta, ends[None], parts, n * J + sum(far), terms)
+    near = np.clip(np.floor((column - pw.edges[0]) / pw.period) + [-K, K],
+                   reach[:, :1], reach[:, 1:])
+    # one period's e_i, a_i, b_i, |a_i| and |b_i|, repeated for the most copies
+    # a row holds (and one more): a row of J copies reads the first n J + 1
+    n, out = len(pw.a), []
+    unit = np.tile(np.stack([pw.edges[:-1], pw.a, pw.b, np.abs(pw.a), B]),
+                   int((near[:, 1] - near[:, 0]).max()) + 2)
+    for k, ((w0, w1), (j0, j1)) in enumerate(zip(reach.tolist(), near.tolist())):
+        theta, m = column[k:k + 1], n * (int(j1 - j0) + 1)
+        e, a, b, absa, absb = unit[:, :m + 1]
+        s = pw.period * (j0 + np.arange(m + 1) // n)  # the shift of each point's copy
+        edges = e + s  # copy by copy, piece by piece
+        if not (edges[1:] > edges[:-1]).all():
+            raise DomainError(f"theta = {thetas[k]!r}: the periodic composite's edges on "
+                              "the copies there are not distinct floats")
+        a, A = a[:m] - b[:m] * s[:m], absa[:m] + absb[:m] * np.abs(s[:m])
+        tile = at(theta, edges)
+        # F at the window's ends where copies lie beyond the near ones, else at
+        # the near copies' ends; they feed rest too (no far copy: zero terms)
+        far, F = [w0 < j0, j1 < w1], tile[0]
+        window = pw.edges[0] + pw.period * np.array([w0, w1 + 1.0])
+        ends = np.where(far, law.cdf(theta, window), F[:, [0, -1]])
+        terms = _far_copies(F[0, [0, n, -n - 1, -1]].tolist(), ends[0].tolist(), far, *far_level)
+        out += results(theta, tile, a, A, b[:m], absb[:m], ends, m + sum(far), terms)
     return out
 
 
@@ -340,8 +327,8 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
 #: own; the window's copies beyond are one term per side at the period's
 #: mean level (:func:`_far_copies`).  On Cauchy epsilon = 0.2 (window theta
 #: +/- 1e4) over its default grid, 2**10 charges at most 0.38% of a row's
-#: bound and sweeps in 16 ms, against 94 ms for the whole window (Intel
-#: Xeon); 2**8 charges up to 5.8% in 11 ms, and 2**6 up to 49% in 10 ms.
+#: bound and sweeps in 17 ms, against 140 ms for the whole window (Intel
+#: Xeon); 2**8 charges up to 5.8% in 8 ms, and 2**6 up to 49% in 6 ms.
 #: normal_mean's window (about theta +/- 7.1) holds no far copy.
 _NEAR_COPIES = 2**10
 
@@ -404,27 +391,6 @@ def _far_copies(near: list, ends: list, far: list, mean: float, deviation: float
     mass = abs(below) + abs(above)
     return (mean * below + mean * above, abs(mean) * mass,
             0.5 * deviation * adjacent + rounding * mass)
-
-
-def _copy_groups(windows: list) -> list[list]:
-    """The rows of ``windows`` (each row's first and last copy, j0 and
-    j1) in groups that share one table of copies lo..hi + 1:
-    [lo, hi, longest row, the rows' indices].  Rows are taken by j0, and a
-    group grows while it spans at most twice its longest row, so no table
-    outgrows a constant times one row's copies, however far apart the
-    rows lie."""
-    groups = []
-    for k in sorted(range(len(windows)), key=lambda k: windows[k][0]):
-        j0, j1 = windows[k]
-        width = j1 - j0 + 1
-        if groups:
-            lo, hi, longest, members = groups[-1]
-            if max(hi, j1) - lo < 2 * max(longest, width):
-                groups[-1][1:3] = max(hi, j1), max(longest, width)
-                members.append(k)
-                continue
-        groups.append([j0, j1, width, [k]])
-    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -764,16 +764,23 @@ class TestSizesBeyondTheLimits:
         err = capsys.readouterr().err
         assert "family.params.n: 1000000000000" in err and "Traceback" not in err
 
-    def test_a_theta_whose_quantile_is_nan_exits_3_naming_it(self, tmp_path, capsys):
-        """The Poisson's quantile is NaN at lambda = 1e12; the run once
-        blamed a net index beyond 2**53."""
+    @pytest.mark.parametrize("family,theta,what", [
+        ({"name": "poisson"}, 1e12, "NaN"),
+        *(({"name": "normal_variance", "params": {"n": n}}, theta, "past the largest float")
+          for n, theta in [(4, 3e306), (4, 1e307), (4, 1e308), (4, 1.7e308), (10**4, 1.7e308)])])
+    def test_a_theta_whose_quantile_is_not_finite_exits_3_naming_it(self, tmp_path, capsys,
+                                                                    family, theta, what):
+        """The Poisson's quantile is NaN at lambda = 1e12, where the run
+        once blamed a net index beyond 2**53; normal_variance's upper
+        quantile overflows to inf near the top of the floats, where the
+        run once warned of overflows in the quantile and the cell edges,
+        then blamed cell 1748's zero probability."""
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"family": {"name": "poisson"},
-                                   "theta_grid": {"values": [1e12]}}))
+        cfg.write_text(json.dumps({"family": family, "theta_grid": {"values": [theta]}}))
         assert run(["certify", "--config", str(cfg)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "theta = 1000000000000.0" in err and "quantile is NaN" in err
-        assert "2**53" not in err
+        assert f"theta = {theta!r}" in err and f"quantile is {what}" in err
+        assert "2**53" not in err and "zero probability" not in err
 
 
 class TestNetIndicesBeyondTheFloats:

@@ -19,7 +19,11 @@ def report_bytes():
 
 
 def _report(rows):
-    return {"verdict": "PASS", "worst_value": max(r[1] for r in rows) if rows else 0.0,
+    """A certify report of rows (theta, estimate, error bound), its worst
+    row picked as ``sweep`` picks it."""
+    worst = max(rows, key=lambda r: (r[1], r[0])) if rows else (0.0, 0.0, 0.0)
+    return {"verdict": "PASS", **dict(zip(("worst_theta", "worst_value", "worst_error_bound"),
+                                          worst)),
             "rows": [{"theta": t, "estimate": e, "error_bound": b, "method": "quadrature"}
                      for t, e, b in rows]}
 
@@ -34,6 +38,32 @@ def test_every_row_is_checked_against_its_own_bound(report_bytes):
     assert over == [1.0]
     within = _report([(0.0, 0.5 + 1e-6, 1e-3), (1.0, 0.6 + 1e-13, 1e-12)])
     assert report_bytes.compare(within, old)[2] == []
+
+
+def test_near_tied_rows_may_swap_the_worst(report_bytes, tmp_path, capsys):
+    """Two rows within their bounds of each other swap which is the worst:
+    accepted (exit 0) when the new report's worst fields are its own worst
+    row, refused when they disagree with its rows."""
+    name = "interpolated.cauchy.eps0.2"
+    old = _report([(-500.0, 0.9, 3e-5), (1001.0, 0.9 + 1e-10, 3e-5), (0.3, 0.5, 3e-5)])
+    new = _report([(-500.0, 0.9 + 2e-10, 3e-5), (1001.0, 0.9 + 1e-10, 3e-5), (0.3, 0.5, 3e-5)])
+    assert (old["worst_theta"], new["worst_theta"]) == (1001.0, -500.0)
+    delta, row, over = report_bytes.compare(new, old)
+    assert delta == pytest.approx(2e-10) and row["theta"] == -500.0 and over == []
+    for where, doc in ((tmp_path / "other", old), (tmp_path / "out", new)):
+        where.mkdir()
+        (where / f"{name}.json").write_text(json.dumps(doc))
+    assert report_bytes._moves(tmp_path / "out", tmp_path / "other") == 0
+    assert capsys.readouterr().out.startswith(f"{name}: max |delta estimate| = 2e-10")
+    for key, value in (("worst_theta", 1001.0), ("worst_value", 0.9 + 1e-10),
+                       ("worst_error_bound", 1e-5)):
+        wrong = {**new, key: value}
+        assert report_bytes.compare(wrong, old) is None, key
+    # a tie in the estimate goes to the larger theta, as in sweep
+    tied = _report([(-500.0, 0.9, 3e-5), (1001.0, 0.9, 3e-5)])
+    assert tied["worst_theta"] == 1001.0
+    assert report_bytes.compare(tied, tied) == (0.0, tied["rows"][0], [])
+    assert report_bytes.compare({**tied, "worst_theta": -500.0}, tied) is None
 
 
 def test_reports_without_rows_and_other_changes(report_bytes):

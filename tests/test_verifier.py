@@ -680,13 +680,14 @@ def _certified_composite(name, params, interpolated):
 
 
 def _one_theta_reference(pw, law, tail, theta, near=None):
-    """Oracle: the closed-form engine written out for one theta, each
-    copy's shifted edges and coefficients built for it alone; (estimate,
+    """Oracle: the closed-form engine written out for one theta; (estimate,
     error bound, the charge for the mass beyond the window, the far
     copies' charge).  A periodic piecewise sums the copies within ``near``
     of theta's own (``verifier._NEAR_COPIES`` when None; math.inf for the
-    whole window) one by one, and the window's copies beyond them on each
-    side as one term at the period's mean level."""
+    whole window) as one row of pieces, copy by copy, each copy's shifted
+    edges and coefficients written out point by point, and the window's
+    copies beyond them on each side as one term at the period's mean
+    level."""
     from evarify import verifier
     from evarify.core import _CDF_EPS, _UNIT_ROUNDOFF
 
@@ -700,10 +701,12 @@ def _one_theta_reference(pw, law, tail, theta, near=None):
         own = math.floor((theta - pw.edges[0]) / pw.period)
         j = [min(max(own - near, w[0]), w[1]), min(max(own + near, w[0]), w[1])]
         s = pw.period * np.arange(j[0], j[1] + 2.0)
-        rows, J = [at(e + s) for e in pw.edges[:-1]], len(s) - 1
-        parts = [(pw.a[i], pw.b[i], s[:J], rows[i][:, :J],
-                  rows[i + 1][:, :J] if i + 1 < n else rows[0][:, 1:]) for i in range(n)]
-        F = rows[0][0]
+        # piece i of copy m runs from point m n + i of the row to the next
+        row = at(np.array([e + t for t in s[:-1] for e in pw.edges[:-1]] + [pw.edges[0] + s[-1]]))
+        J = len(s) - 1
+        parts = [(np.tile(pw.a, J), np.tile(pw.b, J), np.repeat(s[:-1], n),
+                  row[:, :-1], row[:, 1:])]
+        F = row[0, ::n]  # at the copies' starts and the last one's end
         ends = [F[0], F[-1]]
         far = [w[0] < j[0], j[1] < w[1]]
         sides = sum(far)
@@ -782,7 +785,7 @@ class TestOneEnginePassPerSweep:
 
     @pytest.mark.parametrize("name", ["cauchy", "normal_mean"])
     def test_interpolated_rows_far_apart(self, name):
-        """Windows a million periods apart each get a table of their own,
+        """Windows a million periods apart each get a row of their own,
         with the same rows."""
         comp = _certified_composite(name, {"epsilon": 0.2}, True)
         law, pw = comp.bundle.family.law, comp.piecewise
@@ -793,8 +796,8 @@ class TestOneEnginePassPerSweep:
                                              for t in grid]
 
     def test_far_apart_windows_take_little_memory(self):
-        """Each table spans at most twice its longest row: thetas 2e9
-        apart cost a few rows of copies, not a table over the 2e9 periods
+        """Each row holds its own near copies alone: thetas 2e9 apart
+        cost a few rows of copies, not a table over the 2e9 periods
         between them."""
         import tracemalloc
 
@@ -820,19 +823,6 @@ class TestOneEnginePassPerSweep:
             sweep(comp, [0.3, theta])
         with pytest.raises(DomainError, match=re.escape(f"theta = {theta!r}")):
             expectation(comp, theta)
-
-    def test_copy_groups_span_at_most_twice_their_longest_row(self):
-        from evarify.verifier import _copy_groups
-
-        windows = [[10, 20], [0, 10], [5, 15], [100, 104], [12, 30], [-10**9, -10**9 + 3]]
-        groups = _copy_groups(windows)
-        assert sorted(k for *_, members in groups for k in members) == list(range(6))
-        for lo, hi, longest, members in groups:
-            assert lo == min(windows[k][0] for k in members)
-            assert hi == max(windows[k][1] for k in members)
-            assert longest == max(windows[k][1] - windows[k][0] + 1 for k in members)
-            assert hi - lo + 1 <= 2 * longest
-        assert [members for *_, members in groups] == [[5], [1, 2, 0, 4], [3]]
 
 
 class TestFarCopies:
@@ -923,10 +913,34 @@ class TestFarCopies:
                                  for i in range(n)) / p
             assert abs(mp.mpf(level[0]) - exact_mean) <= level[2]
 
+    @pytest.mark.parametrize("name", ["cauchy", "normal_mean"])
+    def test_a_row_is_one_law_call_over_its_pieces(self, name):
+        """Each theta's near copies j0..j1 are one row of pieces, copy by
+        copy: one law call on that theta alone over their n (j1 - j0 + 1)
+        + 1 edges, plus at most one cdf call at the window's two ends,
+        with the rows of the unwrapped law."""
+        from evarify import verifier
+
+        comp = _certified_composite(name, {"epsilon": 0.2}, True)
+        law, pw = comp.bundle.family.law, comp.piecewise
+        grid = sorted(set(default_theta_grid(comp.bundle) + self.GRID_EXTRA))
+        calls = []
+        rows = verifier._piecewise_expectations(pw, TestSweepTiles._recorded(law, calls),
+                                                1e-12, grid)
+        assert rows == verifier._piecewise_expectations(pw, law, 1e-12, grid)
+        n, K = len(pw.a), verifier._NEAR_COPIES
+        for theta in grid:
+            w = [math.floor((v - pw.edges[0]) / pw.period) for v in law.window(theta, 1e-12)]
+            own = math.floor((theta - pw.edges[0]) / pw.period)
+            copies = min(own + K, w[1]) - max(own - K, w[0]) + 1
+            widths = sorted(width for _, thetas, (width,) in calls if thetas == [theta])
+            assert widths[-1] == n * copies + 1 and widths[:-1] in ([], [2]), theta
+        assert all(shape == (1, 1) for shape, _, _ in calls)
+
     def test_the_periodic_cauchy_sweep_takes_little_memory(self):
-        """The near copies of the whole default grid fit in a table or
-        two of about 4,100 copies: the whole-window engine held about
-        5 MB live."""
+        """A row holds its own near copies, about 2,050 of them, and the
+        sweep one period repeated as often: the whole-window engine held
+        about 5 MB live."""
         import tracemalloc
 
         comp = _certified_composite("cauchy", {"epsilon": 0.2}, True)

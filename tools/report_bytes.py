@@ -33,11 +33,13 @@ check-conditions report each check's ``estimated_constant`` or
 each differing field with its old and new value.  It exits with 1 when
 any row's move exceeds that row's own bound, when a check's value moves
 by more than ``CHECK_TOL``, when a report differs in anything else
-(beyond the rows' estimates and error bounds and the worst row's copies
-of them), or when the standard output differs in a verdict line or the
-exit code (its lines compared with their numbers masked, the exit code
-as it is).  A CSV report may differ only where its JSON twin differs and
-that move is accepted.
+(beyond the rows' estimates and error bounds and the worst row's theta,
+estimate and error bound, which may move to another row among near-ties
+but must be the new report's own worst row as ``sweep`` picks it), or
+when the standard output differs in a verdict line or the exit code (its
+lines compared with their numbers masked, the exit code as it is).  A CSV
+report may differ only where its JSON twin differs and that move is
+accepted.
 """
 
 from __future__ import annotations
@@ -123,8 +125,10 @@ def runs():
            ("counterexample", "--family", "poisson", "--lambda", "50"), None, None)
 
 
-#: report fields that may move within a row's error bound
-_MOVABLE = ("estimate", "error_bound", "worst_value", "worst_error_bound")
+#: report fields that may move within a row's error bound, and the worst
+#: row's copies of them (see compare)
+_WORST = ("worst_theta", "worst_value", "worst_error_bound")
+_MOVABLE = ("estimate", "error_bound", *_WORST)
 
 
 def _fixed(records: list) -> list:
@@ -134,11 +138,18 @@ def _fixed(records: list) -> list:
 def compare(new: dict, old: dict) -> tuple[float, dict | None, list] | None:
     """How report ``new`` moved from ``old``: (the largest |change| of a
     row's estimate, that row, the thetas of the rows that moved beyond
-    their own error bound), or None when they differ in anything else."""
+    their own error bound), or None when they differ in anything else or
+    ``new``'s worst row is not its own worst row, the greatest (estimate,
+    theta) as ``sweep`` picks it."""
     new, old = dict(new), dict(old)
     rows, old_rows = new.pop("rows", None), old.pop("rows", None)
     if rows is None or old_rows is None or _fixed([new, *rows]) != _fixed([old, *old_rows]):
         return None
+    if rows:
+        worst = max(rows, key=lambda r: (r["estimate"], r["theta"]))
+        if repr([new.get(k) for k in _WORST]) != repr(
+                [worst["theta"], worst["estimate"], worst["error_bound"]]):
+            return None
     deltas = [abs(r["estimate"] - o["estimate"]) for r, o in zip(rows, old_rows)]
     over = [r["theta"] for d, r in zip(deltas, rows) if not d <= r["error_bound"]]
     if not rows:

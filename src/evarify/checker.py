@@ -272,12 +272,19 @@ def _fold(tiles, n: int) -> tuple:
     hi, lo = np.full(n, -math.inf), np.full(n, math.inf)
     count, nan = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
     for on, a, positive in tiles:
-        is_nan = np.isnan(a)
-        number = positive & ~is_nan
-        top = np.max(a, axis=0, initial=-math.inf, where=number)
-        bottom = np.min(a, axis=0, initial=math.inf, where=number)
-        count[on] += np.count_nonzero(positive, axis=0)
-        nan[on] |= np.any(positive & is_nan, axis=0)
+        plain = positive.all()
+        if plain:  # every density positive: the plain extremes, unless A has a NaN
+            top, bottom = a.max(axis=0), a.min(axis=0)
+            plain = not np.isnan(top).any()  # a NaN is the max of its column
+        if plain:
+            count[on] += len(a)
+        else:
+            is_nan = np.isnan(a)
+            number = positive & ~is_nan
+            top = np.max(a, axis=0, initial=-math.inf, where=number)
+            bottom = np.min(a, axis=0, initial=math.inf, where=number)
+            count[on] += np.count_nonzero(positive, axis=0)
+            nan[on] |= np.any(positive & is_nan, axis=0)
         np.maximum(hi[on], top, out=hi[on])
         np.minimum(lo[on], bottom, out=lo[on])
     return hi, lo, count, nan

@@ -272,7 +272,13 @@ class Piecewise:
     so a value on an edge selects the estimator's piece.  A constant has
     no pieces.  With a ``period`` p the pieces make up one period,
     edges[-1] = edges[0] + p, and repeat without end (``outside`` is
-    unused): the copy of piece i shifted by j p is a[i] + b[i] (v - j p)."""
+    unused): the copy of piece i shifted by j p is a[i] + b[i] (v - j p).
+
+    Read at points, it is one search into the edges and one gather from
+    ``a`` and ``b`` padded with ``outside`` and 0; without ramps, from
+    ``a`` alone, so a -0.0 level reads -0.0 (a + 0 v gives +0.0) and a
+    piece that reaches an infinite edge reads its level there (not
+    0 * inf).  No shipped composite has a -0.0 level."""
 
     edges: np.ndarray
     a: np.ndarray
@@ -290,14 +296,28 @@ class Piecewise:
         v = np.asarray(v, dtype=float)
         if not len(self.a):
             return np.full(v.shape, self.outside)
+        if not v.ndim:  # one point as a batch of one
+            return self(v.reshape(1)).reshape(())
         if self.period is not None:  # into the first period (floor may round)
             p, e0 = self.period, self.edges[0]
             v = v - p * np.floor((v - e0) / p)
             v = v + np.where(v < e0, p, np.where(v >= self.edges[-1], -p, 0.0))
-        i = self.edges.searchsorted(v, "left" if self.right_closed else "right") - 1
-        inside = (i >= 0) & (i < len(self.a))
-        i = np.where(inside, i, 0)
-        return np.where(inside, self.a[i] + self.b[i] * v, self.outside)
+        a, b = self._padded
+        i = self.edges.searchsorted(v, "left" if self.right_closed else "right")
+        if not self.ramps:
+            return a[i]
+        out = a[i] + b[i] * v
+        if not np.isfinite(v).all():  # beyond the edges 0 * inf is NaN, not outside
+            out[(i == 0) | (i == len(self.edges))] = self.outside
+        return out
+
+    @cached_property
+    def _padded(self) -> tuple:
+        """``a`` with ``outside`` and ``b`` with 0 at both ends, indexed by
+        the search: i is the piece that ends at edge i, 0 and len(edges)
+        the points beyond."""
+        return (np.concatenate([[self.outside], self.a, [self.outside]]),
+                np.concatenate([[0.0], self.b, [0.0]]))
 
     @cached_property
     def sup(self) -> float:
@@ -490,6 +510,16 @@ def _int_index(k: np.ndarray) -> np.ndarray:
     return np.asarray(k).astype(np.int64)
 
 
+def _midpoint(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """0.5 (x + y), or 0.5 x + 0.5 y where that sum of finite points
+    overflows: every finite midpoint keeps its bits, and the midpoint of
+    two points near the largest float stays finite."""
+    with np.errstate(over="ignore"):
+        total = x + y
+    over = np.isinf(total) & np.isfinite(x) & np.isfinite(y)
+    return np.where(over, 0.5 * x + 0.5 * y, 0.5 * total)
+
+
 class Net:
     """An ordered countable parameter grid.
 
@@ -559,8 +589,7 @@ class Net:
         t = np.asarray(t, dtype=float)
         k = self._floor(t)
         lo, hi = self._clip(k), self._clip(k + 1)  # equal beyond the net's ends
-        with np.errstate(over="ignore"):  # two points near the largest float: inf
-            mid = 0.5 * (self._points(lo) + self._points(hi))
+        mid = _midpoint(self._points(lo), self._points(hi))
         return _one(lo + (hi - lo) * (t >= mid))
 
     def round(self, t):
@@ -761,8 +790,8 @@ class RoundToNet(Estimator):
     def edges(self, ks) -> np.ndarray:
         net, k = self.net, _index_array(ks)
         below, s, above = (net._points(net._clip(k + d)) for d in (-1, 0, 1))
-        lo = np.where(k == net.k_min, -np.inf, 0.5 * (below + s))
-        hi = np.where(k == net.k_max, np.inf, 0.5 * (s + above))
+        lo = np.where(k == net.k_min, -np.inf, _midpoint(below, s))
+        hi = np.where(k == net.k_max, np.inf, _midpoint(s, above))
         return np.stack([lo, hi], axis=-1)
 
 

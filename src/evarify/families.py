@@ -657,8 +657,12 @@ def _make_normal_variance(n: int = 4) -> FamilyBundle:
 
     # n g(X) / var is chi-square with n degrees of freedom
     def chi2(var, v):
+        v = np.asarray(v, dtype=float)
         with np.errstate(over="ignore"):  # inf beyond the largest float: a CDF of 1
-            return n * np.asarray(v, dtype=float) / var
+            x = n * v / var
+            if np.isinf(x).any():  # n v past the floats where v / var may not be: divide first
+                x = np.where(np.isinf(x) & np.isfinite(v), n * (v / var), x)
+        return x
 
     def theta_grid(b):
         pts = b.net.points(np.arange(-6, 7))

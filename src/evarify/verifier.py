@@ -33,7 +33,10 @@ Monte Carlo, on request, bounds its mean by the 99% CI half-width plus the
 rounding of the mean.  A piecewise is a function of the statistic alone, so
 it is read at draws on the law's line: ``law.draw_statistic`` where that
 line is not the sample (the normal mean of n > 1 draws, the normal
-variance), else located samples (``law.sample``); any other test may read
+variance), else located samples (``law.sample``).  A discrete law's draws
+are integers: when they span at most ``mc_samples`` support points, the
+piecewise is read once on those points and each draw takes its point's
+value, the bits of reading it at the draw.  Any other test may read
 more of X than its statistic and gets sample vectors, drawn in blocks.  The
 draws come from a counter-based generator keyed by (master seed, theta
 index), so sweeps are reproducible and order-independent.
@@ -593,13 +596,19 @@ def _monte_carlo(e, pw, theta, bundle, plan, theta_index) -> ExpectationResult:
     """The mean of e over ``mc_samples`` draws, its bound the 99% CI
     half-width plus the rounding of the mean.  A piecewise is a function of
     g(X) alone: it is read at draws on the law's line, from
-    ``draw_statistic`` (checked by ``on_line``) or located samples.  Any
+    ``draw_statistic`` (checked by ``on_line``) or located samples, once
+    per support point when a discrete law's draws span at most m points.  Any
     other e may read more of X than g(X), and gets sample vectors, drawn
     ``_MC_BLOCK`` at a time from one stream: the rows of one draw."""
     rng, law, m = _rng_for(plan.seed, theta_index), bundle.family.law, plan.mc_samples
     if pw is not None:
-        values = pw(bundle.on_line(law.draw_statistic(theta, m, rng)) if law.draw_statistic
-                    else bundle.locate(law.sample(theta, m, rng)))
+        x = (bundle.on_line(law.draw_statistic(theta, m, rng)) if law.draw_statistic
+             else bundle.locate(law.sample(theta, m, rng)))
+        lo, hi = (x.min(), x.max()) if law.discrete else (-math.inf, math.inf)
+        if hi - lo < m:  # support points, at most m of them: each is read once
+            values = pw(lo + np.arange(hi - lo + 1.0))[(x - lo).astype(np.intp)]
+        else:
+            values = pw(x)
     else:
         values = np.concatenate([_many(e, law.sample(theta, min(_MC_BLOCK, m - s), rng))
                                  for s in range(0, m, _MC_BLOCK)])

@@ -520,6 +520,33 @@ class TestLogRatioIdentity:
         assert rep.passing
         assert peak < 0.5 * 50 * 10_001 * 8, peak
 
+    def test_a_tile_folds_the_same_with_or_without_masks(self):
+        """A tile whose densities are all positive and whose A are not
+        NaN folds with plain extremes; one with a vanishing density or a
+        NaN A goes through the masks.  Both give the fold of the masks
+        alone (max and min are exact), with infinities among the A."""
+        rng = np.random.default_rng(5)
+
+        def masked(tiles, n):
+            hi, lo = np.full(n, -math.inf), np.full(n, math.inf)
+            count, nan = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)
+            for on, a, positive in tiles:
+                number = positive & ~np.isnan(a)
+                hi[on] = np.maximum(hi[on], np.max(a, axis=0, initial=-math.inf, where=number))
+                lo[on] = np.minimum(lo[on], np.min(a, axis=0, initial=math.inf, where=number))
+                count[on] += np.count_nonzero(positive, axis=0)
+                nan[on] |= np.any(positive & np.isnan(a), axis=0)
+            return hi, lo, count, nan
+
+        a = rng.normal(size=(6, 3, 8))
+        a[1, 2, 5], a[2, 0, 1], a[3, 1, 4] = math.inf, -math.inf, math.nan
+        positive = np.ones(a.shape, dtype=bool)
+        positive[4, 2, 6] = positive[5, :, 3] = False
+        tiles = [(slice(0, 8), a[t], positive[t]) for t in range(6)] + \
+            [(slice(4, 12), a[t], positive[t]) for t in range(3)]
+        for got, want in zip(checker._fold(tiles, 12), masked(tiles, 12)):
+            assert got.tolist() == want.tolist()
+
 
 class TestCellBound:
     def test_poisson_at_most_one(self):

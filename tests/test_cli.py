@@ -1,6 +1,7 @@
 """CLI: exit codes, report files, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -781,6 +782,24 @@ class TestSizesBeyondTheLimits:
         err = capsys.readouterr().err
         assert f"theta = {theta!r}" in err and f"quantile is {what}" in err
         assert "2**53" not in err and "zero probability" not in err
+
+    @pytest.mark.parametrize("theta", [2e306, 2.5e306])
+    def test_a_theta_whose_top_cells_reach_past_half_the_largest_float_certifies(
+            self, tmp_path, capsys, theta):
+        """normal_variance n = 4 just below the refused band: the window
+        is finite, but the spikes reach net points whose sum overflows.
+        The midpoints between them once overflowed to inf (a warning at
+        2.5e306), and n v / theta overflowed in the chi-square CDF, so
+        the run exited 3 blaming cell 1748's zero probability.  Now
+        every row is finite and the run passes."""
+        cfg, out = tmp_path / "run.json", tmp_path / "rep.json"
+        cfg.write_text(json.dumps({"family": {"name": "normal_variance", "params": {"n": 4}},
+                                   "theta_grid": {"values": [theta]}}))
+        assert run(["certify", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        assert "zero probability" not in capsys.readouterr().err
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["theta"] for r in rows] == [theta]
+        assert all(math.isfinite(r[k]) for r in rows for k in ("estimate", "error_bound"))
 
 
 class TestNetIndicesBeyondTheFloats:

@@ -827,3 +827,124 @@ class TestGeometricBeyondTheFloats:
         assert net.points([-10**6, 10**6]).tolist() == [0.0, math.inf]
         k = net.round_index(1.7e308)
         assert isinstance(k, int) and net.points(k - 1) < 1.7e308
+
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_midpoints_of_the_top_points_stay_finite(self, n):
+        """The cell edge between the two net points below the largest
+        float is their midpoint, finite and without an overflow warning
+        (their sum overflows), and rounding agrees with it; every other
+        midpoint is 0.5 (x + y), bit for bit."""
+        b = make_bundle("normal_variance", n=n)
+        net, est = b.net, b.estimator
+        top = net.round_index(1.7e308)
+        k = np.arange(top - 40, top + 1)
+        pts = net.points(k)
+        with np.errstate(over="raise"):
+            edges = est.edges(k)
+            assert np.isfinite(edges[:-1]).all() and edges[-1, 0] < math.inf
+            mids = core._midpoint(pts[:-1], pts[1:])
+            assert (net.round_index(mids) == k[1:]).all()
+            assert (net.round_index(np.nextafter(mids, 0.0)) == k[:-1]).all()
+        with np.errstate(over="ignore"):
+            plain = 0.5 * (pts[:-1] + pts[1:])
+        fits = np.isfinite(plain)
+        assert not fits.all() and (mids[fits] == plain[fits]).all()
+        assert (edges[1:, 0] == mids).all()
+
+
+def _reference_call(pw, v):
+    """``Piecewise.__call__`` as it was read before the padded gather: a
+    mask of the points inside the edges and two ``np.where``."""
+    v = np.asarray(v, dtype=float)
+    if not len(pw.a):
+        return np.full(v.shape, pw.outside)
+    if pw.period is not None:
+        p, e0 = pw.period, pw.edges[0]
+        v = v - p * np.floor((v - e0) / p)
+        v = v + np.where(v < e0, p, np.where(v >= pw.edges[-1], -p, 0.0))
+    i = pw.edges.searchsorted(v, "left" if pw.right_closed else "right") - 1
+    inside = (i >= 0) & (i < len(pw.a))
+    i = np.where(inside, i, 0)
+    return np.where(inside, pw.a[i] + pw.b[i] * v, pw.outside)
+
+
+def _test_piecewises():
+    """(id, piecewise) of each kind: constant, flat, ramped and periodic,
+    right-closed and open, with outside NaN, 0 and 1."""
+    from evarify.core import Piecewise
+
+    rng = np.random.default_rng(34)
+    edges = np.sort(rng.uniform(-5.0, 5.0, 9))
+    a = rng.uniform(0.1, 3.0, 8)
+    b = np.where(np.arange(8) % 3 == 0, 0.0, rng.uniform(-2.0, 2.0, 8))
+    shipped = combinator.interpolated_spike_composite(make_bundle("cauchy"), 0.2, 1.0).piecewise
+    for outside in (math.nan, 0.0, 1.0):
+        yield f"constant-{outside}", Piecewise.constant(outside)
+        for closed in (False, True):
+            for kind, slopes in (("flat", np.zeros(8)), ("ramped", b)):
+                yield (f"{kind}-{closed}-{outside}",
+                       Piecewise(edges, a, slopes, outside, right_closed=closed))
+            yield (f"periodic-{closed}-{outside}",
+                   Piecewise(edges[:4], a[:3], b[:3], outside, closed, edges[3] - edges[0]))
+    yield "periodic-cauchy", shipped
+
+
+def _bits(x) -> list:
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+class TestPiecewiseGather:
+    @pytest.mark.parametrize("pw", [pw for _, pw in _test_piecewises()],
+                             ids=[name for name, _ in _test_piecewises()])
+    def test_the_gather_is_the_masked_read_bit_for_bit(self, pw):
+        """One search and one gather from the padded levels give the
+        masked read's bits at random points, at every edge and its two
+        neighbours, and at the floats' special values; one point keeps
+        its 0-d shape."""
+        rng = np.random.default_rng(7)
+        e = pw.edges
+        lo, hi = (float(e[0]), float(e[-1])) if len(e) else (-1.0, 1.0)
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, -5e-324]
+        v = np.concatenate([rng.uniform(lo - 3.0 * (hi - lo), hi + 3.0 * (hi - lo), 2000),
+                            e, np.nextafter(e, -math.inf), np.nextafter(e, math.inf), special])
+        with np.errstate(invalid="ignore"):  # inf - inf into the period
+            got, want = pw(v), _reference_call(pw, v)
+            assert _bits(got) == _bits(want)
+            for x in (*special, *e[:2]):
+                one = pw(x)
+                assert isinstance(one, np.ndarray) and one.shape == ()
+                assert _bits(one) == _bits(_reference_call(pw, x))
+            grid = v[:60].reshape(3, 4, 5)
+            assert _bits(pw(grid)) == _bits(_reference_call(pw, grid))
+
+    def test_a_negative_zero_level_and_an_infinite_edge_read_as_levels(self):
+        """Where no piece ramps the gather returns a level as it is: -0.0
+        stays -0.0 (the masked read's -0.0 + 0 v gave +0.0 at v >= 0),
+        and a piece reaching -inf gives its level there (0 * -inf gave
+        NaN).  Where a piece ramps, an ``outside`` of -0.0 reads
+        -0.0 + 0 v beyond the edges."""
+        from evarify.core import Piecewise
+
+        flat = Piecewise(np.array([0.0, 1.0, 2.0]), np.array([-0.0, 2.0]), np.zeros(2), 1.0)
+        assert _bits(flat(np.array([0.5, 1.5, 3.0]))) == _bits([-0.0, 2.0, 1.0])
+        assert _bits(_reference_call(flat, 0.5)) == _bits(0.0)
+        down = Piecewise(np.array([-math.inf, 0.0]), np.array([3.0]), np.zeros(1), 1.0)
+        with np.errstate(invalid="ignore"):
+            assert down(-math.inf) == 3.0 and math.isnan(_reference_call(down, -math.inf))
+        ramp = Piecewise(np.array([0.0, 1.0]), np.array([1.0]), np.array([2.0]), -0.0)
+        assert _bits(ramp(np.array([2.0, -3.0]))) == _bits([0.0, -0.0])
+        assert _bits(_reference_call(ramp, 2.0)) == _bits(-0.0)
+
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    def test_no_shipped_composite_has_a_negative_zero_level(self, name, kw):
+        """The spikes over the default grid, the ``ones`` suite and the
+        interpolated composites have no level -0.0, in a piece or
+        outside, so the gather reads every one as the masked read did."""
+        b = make_bundle(name, **kw)
+        pws = [verifier.spike_composite(b).piecewise, combinator.combine_discrete(b, {}).piecewise]
+        if b.family.law.moment is not None:
+            pws += [combinator.interpolated_spike_composite(b, eps, 1.0).piecewise
+                    for eps in verifier._FACTOR_EPSILONS]
+        for pw in pws:
+            levels = np.append(pw.a, pw.outside)
+            assert not np.any((levels == 0.0) & np.signbit(levels))

@@ -227,10 +227,12 @@ def test_a_check_report_that_differs_otherwise_names_each_field(report_bytes, tm
 
 
 def test_the_runs_cover_the_benchmark_and_the_bundles_it_never_builds(report_bytes):
-    """The benchmark's 33 runs and 19 more, each under its own name."""
+    """The benchmark's 33 runs and 20 more, each under its own name; one
+    of those takes Monte Carlo's per-draw read of a discrete law."""
     names = [name for name, *_ in report_bytes.runs()]
-    assert len(names) == len(set(names)) == 52
-    assert sum(name.startswith("extra.") for name in names) == 19
+    assert len(names) == len(set(names)) == 53
+    assert sum(name.startswith("extra.") for name in names) == 20
+    assert "extra.mc.poisson.wide" in names
 
 
 def test_every_report_is_the_bytes_of_json_dumps(report_bytes, tmp_path, capsys):

@@ -341,6 +341,38 @@ class TestMonteCarloDraws:
         assert res.method == "monte_carlo"
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("name,kw,theta,m", [
+        ("poisson", {}, 4.0, 20_000), ("poisson", {}, 200.0, 20_000),
+        ("poisson", {}, 1e5, 20_000), ("binomial", {"n": 64}, 0.5, 20_000),
+        ("binomial", {"n": 10**4}, 0.3, 20_000), ("discrete_uniform", {}, 129.0, 20_000),
+        ("poisson", {}, 1e6, 64)])
+    def test_a_discrete_law_reads_the_composite_once_per_support_point(
+            self, monkeypatch, name, kw, theta, m):
+        """Located draws that span at most m support points read the
+        composite once, on those points, and each draw takes its point's
+        value: the composite at the draws, bit for bit.  Draws that span
+        more (Poisson at 10^6 with 64 samples span thousands) read it once
+        at the draws themselves."""
+        b = make_bundle(name, **kw)
+        comp = spike_composite(b, [theta])
+        x = b.locate(b.family.law.sample(theta, m, _rng_for(5, 3)))
+        values, span = comp.piecewise(x), x.max() - x.min() + 1.0
+        reads, call = [], Piecewise.__call__
+        monkeypatch.setattr(Piecewise, "__call__",
+                            lambda pw, v: reads.append((v, call(pw, v))) or reads[-1][1])
+        got = expectation(comp, theta, plan=ExpectationPlan(
+            method="monte_carlo", mc_samples=m, seed=5), theta_index=3)
+        monkeypatch.undo()
+        assert len(reads) == 1
+        (at, table), = reads
+        assert got.estimate == float(np.mean(values))
+        if theta == 1e6:
+            assert span > m and at.tolist() == x.tolist()
+            return
+        assert span <= m and at.tolist() == np.arange(x.min(), x.max() + 1.0).tolist()
+        assert table[(x - at[0]).astype(int)].view(np.uint64).tolist() == \
+            values.view(np.uint64).tolist()
+
 
 class TestSpikes:
     def test_discrete_uniform_cell_and_level(self):

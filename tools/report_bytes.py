@@ -1,5 +1,6 @@
-"""Write the reports of 52 CLI runs, for comparing trees: the benchmark's
-33 and 19 that build the bundles or composites it never builds.
+"""Write the reports of 53 CLI runs, for comparing trees: the benchmark's
+33 and 20 that build the bundles or composites it never builds, or take
+a path it never takes.
 
     python3 tools/report_bytes.py OUT_DIR [--against OTHER_DIR]
 
@@ -16,7 +17,11 @@ fails with ten witnesses (4 runs), and the certify of a composite of
 generic components on non-adjacent keys on each of cauchy with epsilon
 0.2 and poisson (2 runs, ``extra.generic.<name>``), and the interpolated
 certify of cauchy with epsilon 0.2 at theta -1e6, 0.3 and 1e6 (1 run,
-``extra.interpolated.cauchy.eps0.2.far``).
+``extra.interpolated.cauchy.eps0.2.far``), and the Monte Carlo certify of
+poisson's spikes at lambda 1e6 with 64 samples, whose draws span more
+support points than there are samples, so the composite is read at each
+draw, not once per support point as in the benchmark's (1 run,
+``extra.mc.poisson.wide``).
 For each run it writes ``OUT_DIR/<op>.json`` (the report, absent when the run wrote
 none), ``OUT_DIR/<op>.csv`` (the same run's report with ``--format csv``)
 and ``OUT_DIR/<op>.stdout`` (standard output, then the exit code).
@@ -115,6 +120,10 @@ def runs():
     yield ("extra.interpolated.cauchy.eps0.2.far", ("certify",),
            {"command": "certify", "family": {"name": "cauchy", "params": {"epsilon": "0.2"}},
             "mode": {"kind": "interpolated"}, "theta_grid": {"values": [-1e6, 0.3, 1e6]}}, SEED)
+    yield ("extra.mc.poisson.wide", ("certify",),
+           {"command": "certify", "family": {"name": "poisson", "params": {}},
+            "suite": "spikes", "mode": {"kind": "discrete"}, "theta_grid": {"values": [1e6]},
+            "plan": {"method": "monte_carlo", "samples": 64}}, SEED)
     yield "extra.ones.poisson", ("certify", "--family", "poisson", "--suite", "ones"), None, SEED
     for name, config in EXTRA_GENERIC:
         yield f"extra.generic.{name}", ("certify",), config, SEED

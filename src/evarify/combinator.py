@@ -400,15 +400,19 @@ def _cells_piecewise(bundle: FamilyBundle, bounds: np.ndarray, values: np.ndarra
     """values[i] on the cell bounds[i] (cells of increasing indices, so
     disjoint and in order) and ``between`` between the cells and beyond
     them: only the given cells are built, and adjacent cells share an
-    edge with no piece between them."""
+    edge with no piece between them.  Adjacent pieces whose levels have
+    the same bits are one piece (a -0.0 level never joins a +0.0 one), so
+    every point reads the same bits with one piece per run of a level."""
     if not len(bounds):
         return Piecewise.constant(between)
     gap = np.append(bounds[1:, 0] != bounds[:-1, 1], False)  # after each cell
     keep = np.column_stack([np.ones(len(gap), dtype=bool), gap]).ravel()
     ends = np.column_stack([bounds[:, 1], np.append(bounds[1:, 0], math.nan)]).ravel()
     a = np.column_stack([values, np.full(len(gap), between)]).ravel()[keep]
-    return Piecewise(np.append(bounds[0, 0], ends[keep]), a, np.zeros(len(a)), between,
-                     bundle.right_closed)
+    bits = a.view(np.int64)
+    run = np.append(bits[1:] != bits[:-1], True)  # the last piece of each run
+    return Piecewise(np.append(bounds[0, 0], ends[keep][run]), a[run], np.zeros(run.sum()),
+                     between, bundle.right_closed)
 
 
 def _frozen(components: Mapping[int, EVariable]):

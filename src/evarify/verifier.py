@@ -11,7 +11,11 @@ comes with a derived bound (:mod:`evarify.fourier`).
 A composite of structured components (constants, spikes) carries a
 :class:`~evarify.core.Piecewise`, and one closed-form engine integrates it:
 E_theta = sum_i a_i dF_i + b_i dG_i over its pieces, with F the law's CDF
-and G its partial first moment (only on ramps), plus the mass beyond; a
+and G its partial first moment (only on ramps), plus the mass beyond.  A
+select-and-scale composite's pieces are its runs of one level (adjacent
+cells whose levels have the same bits are one piece), so the spike
+composite of a location or scale bundle takes a few CDF values per theta,
+not one per cell, and the rounding charge counts those pieces.  A
 composite that repeats is summed over its copies near theta, and the law's
 window's copies beyond those are one term per side at the period's mean
 level, with a derived charge.  A sweep integrates such a

@@ -236,15 +236,17 @@ class TestConfigFile:
 class TestWideScaleGrids:
     """On a scale grid from 1e-10 to 1e300 the statistic over the scale
     overflows to inf, a CDF of 1: certify warns nothing, with warnings
-    raised as errors, and its rows are those it gave while it warned."""
+    raised as errors, and its rows are those it gave while it warned,
+    with the bounds of one piece per run of a level (both rows lie within
+    them of mpmath: ``test_verifier.TestRunsOfOneLevelAgainstMpmath``)."""
 
     @pytest.mark.parametrize("family,rows", [
         ({"name": "continuous_uniform"},
-         [(1e-10, 0.6666666666666555, 5.395000000000001e-13),
-          (1e300, 0.6666666666666666, 5.395000000000001e-13)]),
+         [(1e-10, 0.6666666666666555, 1.5000000000000001e-15),
+          (1e300, 0.6666666666666666, 1.5000000000000001e-15)]),
         ({"name": "normal_variance", "params": {"n": 4}},
-         [(1e-10, 0.04122037850977269, 9.050000000000001e-13),
-          (1e300, 0.0412203785097747, 9.050000000000001e-13)]),
+         [(1e-10, 0.0412203785097727, 7.635e-13),
+          (1e300, 0.0412203785097747, 7.635e-13)]),
     ])
     def test_no_overflow_warning(self, tmp_path, family, rows):
         import warnings

@@ -498,15 +498,34 @@ def _sparse_keys(b, k) -> list:
     return [j for j in (k - 10**6, k - 30, k - 3, k, k + 3, k + 30, k + 10**6) if usable(j)]
 
 
+def _levels(components) -> dict:
+    """Each structured component's level (a spike's or a constant's) by
+    key: a spike suite's from its table, without an object per spike."""
+    table = getattr(components, "table", None)
+    if table is not None:
+        return dict(zip(table.keys.tolist(), table.level.tolist()))
+    return {k: c.piecewise.sup for k, c in components.items()}
+
+
 def _dense_piecewise(b, components, C):
     """The structured select-and-scale composite built over every cell
-    from the least key to the greatest, each at its component's level
-    over C and 1/C where it has none."""
+    from the least key to the greatest, one piece per cell, each at its
+    component's level over C and 1/C where it has none."""
     ks = range(min(components), max(components) + 1)
-    bounds = b.cell_bounds(ks)
-    levels = np.array([components[k].piecewise.sup if k in components else 1.0 for k in ks])
+    bounds, levels = b.cell_bounds(ks), _levels(components)
+    levels = np.array([levels.get(k, 1.0) for k in ks])
     return Piecewise(np.append(bounds[:, 0], bounds[-1, 1]), levels / C, np.zeros(len(ks)),
                      1.0 / C, b.right_closed)
+
+
+def _assert_reads_as_its_cells(pw, cells):
+    """pw gives the bits of ``cells`` (sign bits and NaNs included) at
+    every cell's two ends and midpoint and at the floats on each side of
+    every edge."""
+    e = cells.edges
+    v = np.concatenate([e, 0.5 * e[:-1] + 0.5 * e[1:], np.nextafter(e, -np.inf),
+                        np.nextafter(e, np.inf)])
+    np.testing.assert_array_equal(pw(v).view(np.int64), cells(v).view(np.int64))
 
 
 class TestStructuredSparseKeys:
@@ -537,12 +556,57 @@ class TestStructuredSparseKeys:
         np.testing.assert_array_equal(values[inside], dense[inside])
         assert inside.any()
 
-    def test_contiguous_suite_keeps_its_pieces(self):
-        """A spike suite over a run of indices has one piece per cell and
-        none between them."""
-        b = make_bundle("cauchy", epsilon=0.2)
+
+#: pieces of each benchmark config's spike composite over its default
+#: grid: one per run of a level (binomial, the discrete uniform and
+#: Poisson have no equal neighbours)
+_RUNS = [7, 99, 23, 106, 1, 1, 1, 120, 28]
+
+
+class TestRunsOfOneLevel:
+    @pytest.mark.parametrize("name,kw,pieces",
+                             [(*c, n) for c, n in zip(BENCHMARK_CONFIGS, _RUNS)])
+    def test_the_spike_composite_reads_as_its_cells(self, name, kw, pieces):
+        """The spike composite over the default grid keeps one piece per
+        run of one level, and it reads the bits of the composite built
+        with one piece per cell of its suite."""
+        b = make_bundle(name, **kw)
         comp = spike_composite(b)
-        assert len(comp.piecewise.a) == len(comp.components)
+        cells = _dense_piecewise(b, comp.components, comp.factor_C)
+        assert len(cells.a) == len(comp.components)
+        assert len(comp.piecewise.a) == pieces
+        _assert_reads_as_its_cells(comp.piecewise, cells)
+
+    def test_runs_on_a_right_closed_law(self):
+        """Poisson (right-closed cells): a run of equal constants is one
+        piece, as is a run at the default level 1/C across the cells
+        without a component; a -0.0 level joins -0.0 but neither +0.0
+        neighbour, and each reads as one piece per cell."""
+        b = make_bundle("poisson")
+        comps = {k: constant_evar(2.0) for k in range(1, 11)}
+        comps.update({k: constant_evar(1.0) for k in range(11, 14)})  # 14, 15: none
+        comps.update({16: spike_evar(b, 16), 17: constant_evar(0.0), 18: constant_evar(-0.0),
+                      19: constant_evar(-0.0), 20: constant_evar(0.0)})
+        comp = combine_discrete(b, comps)
+        pw, C = comp.piecewise, comp.factor_C
+        assert b.right_closed and pw.right_closed
+        np.testing.assert_array_equal(pw.a, [2.0 / C, 1.0 / C, comps[16].sup_bound / C,
+                                             0.0, -0.0, 0.0])
+        assert np.signbit(pw.a).tolist() == [False] * 4 + [True, False]
+        starts = b.cell_bounds([1, 11, 16, 17, 18, 20])
+        np.testing.assert_array_equal(pw.edges, np.append(starts[:, 0], starts[-1, 1]))
+        _assert_reads_as_its_cells(pw, _dense_piecewise(b, comps, C))
+
+    def test_distinct_keys_keep_their_cells(self):
+        """The key piecewise of a generic composite keeps one piece per
+        key over a run of adjacent cells: distinct keys never join."""
+        b = make_bundle("cauchy", epsilon=0.2)
+        keys = range(-50, 50)
+        comp = combine_discrete(b, {k: EVariable(fn=lambda x: 1.5) for k in keys})
+        assert comp.piecewise is None
+        np.testing.assert_array_equal(comp._keys.a, keys)
+        np.testing.assert_array_equal(comp._keys.edges, np.append(
+            b.cell_bounds(keys)[:, 0], b.cell_bounds(keys)[-1, 1]))
 
 
 class TestGenericBatchPath:

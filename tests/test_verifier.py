@@ -1086,16 +1086,77 @@ class TestSweepTiles:
         assert [len(thetas) for _, thetas, _ in calls] == [10] * 14 + [5]
 
     def test_rows_wider_than_a_tile(self, monkeypatch):
-        """Cauchy epsilon = 0.2 has 22,007 edges, more than a tile: each
-        row is a call of its own."""
+        """A piecewise of more distinct levels than a tile holds values,
+        on the Cauchy law over its default grid: each row is a call of its
+        own."""
         from evarify import verifier
 
         b = make_bundle("cauchy", epsilon=0.2)
         grid = default_theta_grid(b)
-        pw = spike_composite(b, grid).piecewise
-        assert len(pw.edges) > verifier._TILE_VALUES
+        n = verifier._TILE_VALUES + 1
+        pw = Piecewise(np.linspace(-1e4, 1e4, n + 1), np.linspace(0.1, 0.9, n), np.zeros(n),
+                       1.0 / b.factor_C)
+        assert len(np.unique(pw.a)) == n and len(pw.edges) > verifier._TILE_VALUES
         calls = self._sweep(pw, b.family.law, grid, verifier._TILE_VALUES, monkeypatch)
         assert [len(thetas) for _, thetas, _ in calls] == [1] * len(grid)
+
+
+def _law_cdf_mp(name, params, theta):
+    """The law's CDF at theta in mpmath, for the bundles whose spike
+    composites have runs of one level."""
+    t = mp.mpf(theta)
+    if name == "cauchy":
+        return lambda v: mp.mpf(1) / 2 + mp.atan(mp.mpf(v) - t) / mp.pi
+    if name == "normal_mean":
+        return lambda v: mp.ncdf(mp.mpf(v), t, 1 / mp.sqrt(params["n"]))
+    if name == "normal_variance":  # n v / theta is chi-square with n degrees of freedom
+        n = params["n"]
+        assert n % 2 == 0  # P(n / 2, x) = 1 - e^-x sum_{k < n/2} x^k / k!, 1e-40 absolute
+
+        def cdf(v):
+            x = n * mp.mpf(v) / (2 * t)
+            return 1 - mp.exp(-x) * mp.fsum(x**k / mp.factorial(k) for k in range(n // 2))
+        return cdf
+    assert name == "continuous_uniform"
+    return lambda v: min(max(mp.mpf(v) / t, mp.mpf(0)), mp.mpf(1))
+
+
+class TestRunsOfOneLevelAgainstMpmath:
+    """The spike composites whose runs of one level are one piece each
+    (Cauchy, normal_mean, normal_variance, the continuous uniform): rows
+    of the closed-form sweep, the worst included, within their bounds of
+    E_theta at 40 digits, sum_i a_i dF_i over the pieces plus the mass
+    beyond at the outside level."""
+
+    @staticmethod
+    def _check(name, params, grid=None, every=1):
+        b = make_bundle(name, **params)
+        grid = default_theta_grid(b) if grid is None else grid
+        comp = spike_composite(b, grid)
+        pw, report = comp.piecewise, sweep(comp, grid)
+        rows = report.rows[::every] + tuple(r for r in report.rows if r[0] == report.worst_theta)
+        with mp.workdps(40):
+            a = [mp.mpf(v) for v in pw.a.tolist()]
+            for theta, estimate, bound, _ in rows:
+                F = [_law_cdf_mp(name, params, theta)(v) for v in pw.edges.tolist()]
+                exact = (mp.fsum(a[i] * (F[i + 1] - F[i]) for i in range(len(a)))
+                         + mp.mpf(pw.outside) * (1 - (F[-1] - F[0])))
+                assert abs(mp.mpf(estimate) - exact) <= bound, (theta, estimate, exact, bound)
+
+    @pytest.mark.parametrize("name,params,every", [
+        ("cauchy", {"epsilon": 0.2}, 3),
+        ("normal_mean", {"n": 16}, 3),
+        ("normal_variance", {"n": 64}, 4),
+        ("continuous_uniform", {}, 1),
+    ])
+    def test_default_grid_rows(self, name, params, every):
+        self._check(name, params, every=every)
+
+    @pytest.mark.parametrize("name,params", [("continuous_uniform", {}),
+                                             ("normal_variance", {"n": 4})])
+    def test_wide_scale_grid_rows(self, name, params):
+        """The grid 1e-10, 1e300 of ``test_cli.TestWideScaleGrids``."""
+        self._check(name, params, [1e-10, 1e300])
 
 
 class TestMLECounterexample:

@@ -129,11 +129,12 @@ class SpikeSuite(Mapping):
     """Spikes keyed by net index, spike k valid for net point k, held as
     the arrays of their piece ``table``: tens of thousands are built and
     combined without an object per spike; ``suite[k]`` builds one.  The
-    keys are distinct."""
+    keys are distinct.  ``own_cells``: each spike's piece is its key's
+    estimator cell, ``bundle.cell_bounds`` of its key."""
 
     def __init__(self, bundle: FamilyBundle, keys: Sequence[int], edges: np.ndarray,
-                 levels: np.ndarray):
-        self.bundle = bundle
+                 levels: np.ndarray, own_cells: bool = False):
+        self.bundle, self.own_cells = bundle, own_cells
         lo, hi = np.reshape(edges, (-1, 2)).T
         self.table = _PieceTable(np.asarray(keys, dtype=int), lo, hi,
                                  np.asarray(levels, dtype=float), np.zeros(len(lo)))
@@ -214,7 +215,7 @@ def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
         k = ks[int(np.argmin(probs > 0.0))]
         raise DomainError(
             f"cell {k} of {bundle.bundle_id} has zero probability under its own point")
-    return SpikeSuite(bundle, ks, bounds, 1.0 / probs)
+    return SpikeSuite(bundle, ks, bounds, 1.0 / probs, own_cells=True)
 
 
 def unit_cell_spikes(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
@@ -432,17 +433,18 @@ def _frozen(components: Mapping[int, EVariable]):
 
 
 def _cellwise_piecewise(
-    bundle: FamilyBundle, table: _PieceTable | None, C: float
+    bundle: FamilyBundle, table: _PieceTable | None, C: float, own_cells: bool = False
 ) -> Piecewise | None:
     """The select-and-scale composite as a piecewise: each key's cell at
     its component's value over C, and 1/C between the cells and beyond.
     None unless every component is structured and constant on its own
-    cell."""
+    cell.  With ``own_cells`` the table's pieces are those cells (a
+    :func:`spike_suite`'s), and they are not computed again."""
     if table is None:
         return None
     held = _in_net(bundle, table.keys)
     keys, lo, hi, level, out = (column[held] for column in table)
-    cell = bundle.cell_bounds(keys)
+    cell = np.column_stack([lo, hi]) if own_cells else bundle.cell_bounds(keys)
     own = (lo == cell[:, 0]) & (hi == cell[:, 1])
     if not np.all(own | (hi <= cell[:, 0]) | (lo >= cell[:, 1])):
         return None
@@ -464,8 +466,9 @@ def combine_discrete(
     """
     C = bundle.factor_C if factor_C is None else float(factor_C)
     components, table = _frozen(components)
+    own_cells = getattr(components, "own_cells", False)  # a spike suite's
     return CompositeEVariable(bundle, components, C,
-                              piecewise=_cellwise_piecewise(bundle, table, C))
+                              piecewise=_cellwise_piecewise(bundle, table, C, own_cells))
 
 
 def bump_weight(center: int, epsilon: float, x) -> float:

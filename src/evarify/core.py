@@ -163,6 +163,13 @@ class Interval:
             return False
         return True
 
+    def contains_each(self, values) -> np.ndarray:
+        """``contains`` of each value of a float array, in one pass."""
+        v = np.asarray(values, dtype=float)
+        above = (v > self.lo) | (v == self.lo) & (not self.lo_open)
+        inside = np.isfinite(v) & above & (v < self.hi)
+        return inside & (v == np.trunc(v)) if self.integer else inside
+
     def contains_closure(self, value: float) -> bool:
         """Membership in the closure (endpoints allowed, integrality kept
         only in the interior -- boundary estimates may be non-integer)."""

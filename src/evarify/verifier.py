@@ -18,10 +18,12 @@ composite of a location or scale bundle takes a few CDF values per theta,
 not one per cell, and the rounding charge counts those pieces.  A
 composite that repeats is summed over its copies near theta, and the law's
 window's copies beyond those are one term per side at the period's mean
-level, with a derived charge.  A sweep integrates such a
+level, with a derived charge.  Any other reads only the band of pieces
+its window at theta meets, the mass beyond at the middle of the
+composite's values with a derived charge.  A sweep integrates such a
 composite in one engine call over its whole grid, every row one row of
 pieces with one law call and one dot product: a non-periodic composite's
-rows go in tiles of thetas against its edges, and a periodic one's each
+rows go in tiles of thetas against their bands, and a periodic one's each
 make a tile of their own, their near copies laid out copy by copy; the
 rows of any other composite are one :func:`expectation` each.  Generic
 components fall back to exact truncated summation (discrete families) or
@@ -55,6 +57,7 @@ exceeds every fixed normalizing constant for large enough lambda.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -222,15 +225,34 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
                             thetas: Sequence[float]) -> list[ExpectationResult]:
     """E_theta of a piecewise composite at each theta of ``thetas``: sum_i a_i
     dF_i + b_i dG_i over its pieces (G, the law's partial first moment, only
-    on ramps, b != 0) plus the mass beyond at the outside level.  A periodic
-    piecewise is integrated over the copies on the periods meeting the law's
-    window, the mass beyond at the sup with its spread down to the least
-    value in the bound.  On a law with ``moment``, only the copies within
-    ``_NEAR_COPIES`` of theta's own, floor((theta - e_0) / p), are summed
-    piece by piece (on any other law, all of them); the window's
-    copies beyond them, on each side, are one term f_bar dF at the period's
-    mean level, charged M / 2 times the adjacent near copy's dF, M = max
-    |f - f_bar| (:func:`_far_copies` derives it), plus f_bar's rounding.
+    on ramps, b != 0) plus the mass beyond at the outside level.
+
+    A non-periodic row reads only its band: the pieces from the last edge
+    e_s at or below its window's low end (less 1 on a discrete law, whose
+    pieces are (e_i, e_i+1]) to the first edge e_t at or above its high
+    end, clipped to e_0 and e_n.  Below e_s and above e_t pw lies in [L, U],
+    the least and largest of outside and the pieces' end values (over every
+    piece, so where the band falls never decides soundness): the mass
+    there, F(e_s) and 1 - F(e_t), enters at m = (L + U) / 2, charged
+    (U - L) / 2 per unit.  The charge's five roundings (U - L, the factor,
+    1 - F, the products, their sum), each within u (Higham, sec. 3.1), are
+    covered by the factor (1 + 8u) / 2, so its float lies above the exact
+    charge; the F values' errors and m's rounding are those of one more
+    piece, within (pieces + 2) below, pieces the band's.  Where no piece
+    lies beyond (e_s = e_0 or e_t = e_n) that side's mass is at the outside
+    level, uncharged; a row whose band is every piece takes outside (1 -
+    (F(e_n) - F(e_0))), the bits of reading every edge.
+
+    A periodic piecewise is integrated over the copies on the periods
+    meeting the law's window, the mass beyond at the sup with its spread
+    down to the least value in the bound.  On a law with ``moment``, only
+    the copies within ``_NEAR_COPIES`` of theta's own, floor((theta - e_0)
+    / p), are summed piece by piece (on any other law, all of them); the
+    window's copies beyond them, on each side, are one term f_bar dF at the
+    period's mean level, charged M / 2 times the adjacent near copy's dF, M
+    = max |f - f_bar| (:func:`_far_copies` derives it), plus f_bar's
+    rounding.
+
     Rounding: _CDF_EPS (pieces + 2) max(1, sup) for F's error times a jump,
     each far term counted as a piece; ramps' a_i = value - b_i v grow with
     |v|, b_i with 1/(2 eps), so each piece adds _CDF_EPS (|a| F + |b| (|G| +
@@ -238,55 +260,104 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
     |b_i dG_i| (and |f_bar dF| of the far terms), in whatever order it is
     taken (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
 
-    The thetas go in tiles of rows, a column of thetas against a row of
-    points, one law call and one dot product per row over the tile's
-    pieces: a non-periodic piecewise takes as many rows as fit in
-    ``core._TILE_VALUES`` values per law call, each row's sums reduced over
-    the tile at once (the dot products row by row, whose bits a matrix
-    product does not keep).  A periodic row is a tile of its own, one row
-    of pieces over its near copies j0..j1 copy by copy: edges e_i + s and
-    coefficients a_i - b_i s, |a_i| + |b_i| |s| for the copy shifted by s.
+    The thetas go in tiles of rows, a column of thetas against rows of
+    points, one law call per tile of at most ``core._TILE_VALUES`` values
+    (a wider row is a tile alone), the bands from one ``law.window`` call.
+    The rows of every piece go first, in tiles against the edges, each a
+    dot product (whose bits a matrix product does not keep), as ever.  The
+    bands follow, each padded to its tile's widest with zero-width pieces
+    at level 0 (its last edge repeated) and summed piece by piece from +0,
+    so the pads add +0 after its pieces and a row has the same bits in any
+    tile.  A periodic row is a tile of its own, one row of pieces over its
+    near copies j0..j1 copy by copy: edges e_i + s and coefficients a_i -
+    b_i s, |a_i| + |b_i| |s| for the copy shifted by s.
     """
     B = np.abs(pw.b)
     column = np.asarray(thetas, dtype=float)[:, None]
-    level, spread = pw.outside, 0.0  # the mass beyond's level and spread (periodic: below)
 
-    def at(theta, v):  # F and, for ramps, G: a column of thetas against a row of points v
+    def at(theta, v):  # F and, for ramps, G: a column of thetas against their rows of points v
         return law.moment(theta, v) if pw.ramps else (law.cdf(theta, v),)
 
-    def results(theta, tile, a, A, b, absb, F, count, far=(0.0, 0.0, 0.0)):
-        # the pieces run from each point of the tile's row to the next, a + b v
-        # on it with |a + b v| <= A; F at the ends of their run, the mass
-        # beyond lies below and above (fmax: NaN to 0, as max(0, rest); 1 - x
-        # is never -0)
-        rest = np.fmax(1.0 - (F[:, -1] - F[:, 0]), 0.0) if F.shape[1] else np.ones(len(F))
-        estimate, at_edges, terms = np.zeros((3, len(F)))
+    def rest(F):  # the mass beyond the ends of each row of F (fmax: NaN to 0; 1 - x is never -0)
+        return np.fmax(1.0 - (F[:, -1] - F[:, 0]), 0.0) if F.shape[1] else np.ones(len(F))
+
+    def results(theta, tile, coef, whole, count, beyond, far=(0.0, 0.0, 0.0)):
+        # the pieces run from each point of a row of the tile to the next, a +
+        # b v on it with |a + b v| <= A, (a, A, b, |b|) = coef: one row of them
+        # for rows of every piece (``whole``), else one per row, its band and
+        # its pads; the mass beyond is (value, charge) = ``beyond``
+        estimate, at_edges, terms = np.zeros((3, len(theta)))
         (F0, *G0), (F1, *G1) = [r[:, :-1] for r in tile], [r[:, 1:] for r in tile]
         dF = F1 - F0
-        estimate += [np.dot(a, row) for row in dF]
+        a, A, b, absb = coef
+        if whole:
+            estimate += [np.dot(a, row) for row in dF]
+
+            def by_row(x):
+                return x.sum(axis=1)
+        else:  # each band summed piece by piece from +0: its pads add +0 after
+            # its pieces, so a row has the same bits in any tile
+            def by_row(x):
+                return functools.reduce(np.add, x.T, np.zeros(len(x)))
+            estimate += by_row(a * dF)
         if pw.ramps:
             (G0,), (G1,) = G0, G1
             dG = G1 - G0
-            estimate += (b * dG).sum(axis=1)
-            at_edges += ((A + np.abs(theta) * absb) * (F0 + F1)
-                         + absb * (np.abs(G0) + np.abs(G1))).sum(axis=1)
-            terms += (A * np.abs(dF) + absb * np.abs(dG)).sum(axis=1)
+            estimate += by_row(b * dG)
+            at_edges += by_row((A + np.abs(theta) * absb) * (F0 + F1)
+                               + absb * (np.abs(G0) + np.abs(G1)))
+            terms += by_row(A * np.abs(dF) + absb * np.abs(dG))
         # the far copies' terms (value, |value|, charge); zeros add nothing to the bits
         estimate += far[0]
         terms += far[1]
-        estimate += rest * level
+        estimate += beyond[0]
         eb = _CDF_EPS * (count + 2.0) * max(1.0, pw.sup)
         eb += _CDF_EPS * at_edges + _UNIT_ROUNDOFF * (count + 2.0) * terms
-        eb += rest * spread + far[2]
+        eb += beyond[1] + far[2]
         method = "exact_sum" if law.discrete else "quadrature"
         return [ExpectationResult(v, e, method) for v, e in zip(estimate.tolist(), eb.tolist())]
 
     if not pw.period:  # one copy, unshifted: a - b 0 = a and |a| + |b| 0 = |a|
-        A, per, out = np.abs(pw.a), max(1, _TILE_VALUES // max(1, len(pw.edges))), []
-        for s in range(0, len(column), per):
-            theta = column[s:s + per]
-            tile = at(theta, pw.edges)
-            out += results(theta, tile, pw.a, A, pw.b, B, tile[0], len(pw.a))
+        n, out = len(pw.a), [None] * len(column)
+        first = last = np.zeros(len(column), dtype=np.intp)  # no pieces: every row whole
+        if n:  # each row's band: the last edge at or below its window (a discrete
+            # law's pieces (e_i, e_i+1]: below the window's first point), the first above
+            lo, hi = (law.window(column[:, 0], tail) - [float(law.discrete), 0.0]).T
+            first = np.maximum(pw.edges.searchsorted(lo, "right") - 1, 0)
+            last = np.minimum(pw.edges.searchsorted(hi, "left"), n)
+        width = last - first
+        whole = width == n  # first == 0 and last == n
+        # beyond a band's end, pw is outside where no piece lies (at e_0 or e_n),
+        # else in [L, U]: that mass at (L + U) / 2, charged (U - L) / 2 per unit
+        # in a factor 1 + 8u that puts the charge's float above it
+        ends = [pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:]] if pw.ramps else [pw.a]
+        L, U = float(np.concatenate([[pw.outside], *ends]).min()), pw.sup
+        side = np.stack([first > 0, last < n])
+        level = np.where(side, 0.5 * L + 0.5 * U, pw.outside)
+        spread = np.where(side, (U - L) * (0.5 + 4.0 * _UNIT_ROUNDOFF), 0.0)
+        coef = (pw.a, np.abs(pw.a), pw.b, B)
+        padded = np.zeros((4, n + 1))  # a zero piece n past the last pads a band
+        padded[:, :n] = coef
+        # the rows of every piece in tiles of their own, as ever; then the bands
+        for every, part in ((True, np.flatnonzero(whole)), (False, np.flatnonzero(~whole))):
+            per = max(1, _TILE_VALUES // (int(width[part].max(initial=0)) + 1))
+            for s in range(0, len(part), per):
+                rows, theta = part[s:s + per], column[part[s:s + per]]
+                if every:  # one term at the outside level beyond e_0 and e_n
+                    tile = at(theta, pw.edges)
+                    found = results(theta, tile, coef, True, n, (rest(tile[0]) * pw.outside, 0.0))
+                else:
+                    j = np.arange(int(width[rows].max()) + 1)
+                    points = np.minimum(first[rows, None] + j, last[rows, None])  # end repeated
+                    tile = at(theta, pw.edges[points])
+                    F = tile[0]
+                    mass = np.fmax([F[:, 0], 1.0 - F[:, -1]], 0.0)  # below and above
+                    pieces = np.where(j[:-1] < width[rows, None], points[:, :-1], n)
+                    found = results(theta, tile, padded[:, pieces], False, width[rows],
+                                    ((mass * level[:, rows]).sum(axis=0),
+                                     (mass * spread[:, rows]).sum(axis=0)))
+                for k, r in zip(rows.tolist(), found):
+                    out[k] = r
         return out
 
     # each theta's copies j0..j1 on the periods meeting its window (and j1 + 1),
@@ -299,7 +370,7 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
                           "distinct floats")
     # the mass beyond is charged at the sup, down to the least end
     least = float(np.minimum(pw.a + pw.b * pw.edges[:-1], pw.a + pw.b * pw.edges[1:]).min())
-    level, spread, far_level = pw.sup, pw.sup - least, _period_mean(pw, least)
+    spread, far_level = pw.sup - least, _period_mean(pw, least)
     # summed copy by copy: those within _NEAR_COPIES of theta's own, where the
     # law's density falls away from theta (it carries moment); all of them else
     K = _NEAR_COPIES if law.moment else math.inf
@@ -326,7 +397,9 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
         window = pw.edges[0] + pw.period * np.array([w0, w1 + 1.0])
         ends = np.where(far, law.cdf(theta, window), F[:, [0, -1]])
         terms = _far_copies(F[0, [0, n, -n - 1, -1]].tolist(), ends[0].tolist(), far, *far_level)
-        out += results(theta, tile, a, A, b[:m], absb[:m], ends, m + sum(far), terms)
+        mass = rest(ends)
+        out += results(theta, tile, (a, A, b[:m], absb[:m]), True, m + sum(far),
+                       (mass * pw.sup, mass * spread), terms)
     return out
 
 
@@ -674,18 +747,25 @@ def default_theta_grid(bundle: FamilyBundle) -> list[float]:
     """Adversarial parameter grid for a bundle: its family's own points
     (``FamilyBundle.theta_grid``, written in :mod:`evarify.families`)
     that lie in the parameter space, sorted and without repeats."""
-    space = bundle.family.param_space
-    return sorted({float(v) for v in bundle.theta_grid(bundle) if space.contains(float(v))})
+    grid = np.asarray(bundle.theta_grid(bundle), dtype=float)
+    return sorted(set(grid[bundle.family.param_space.contains_each(grid)].tolist()))
 
 
 def _theta_grid(bundle: FamilyBundle, theta_grid: Sequence[float] | None) -> list[float]:
     """The grid to certify over, checked before anything is built from
     it: the default one when none is given, else a non-empty list of
-    thetas in the parameter space."""
+    thetas in the parameter space, checked as one array (a grid that
+    fails is checked theta by theta, for the error of its first bad one)."""
     if theta_grid is None:
         return default_theta_grid(bundle)
     if not len(theta_grid):
         raise DomainError("theta_grid holds no value")
+    try:
+        grid = np.asarray(theta_grid, dtype=float)
+        if grid.ndim == 1 and bundle.family.param_space.contains_each(grid).all():
+            return grid.tolist()
+    except (TypeError, ValueError, OverflowError):
+        pass
     try:
         return [bundle.family.validate_param(t) for t in theta_grid]
     except (DomainError, TypeError) as exc:  # TypeError: a null value

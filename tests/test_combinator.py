@@ -557,6 +557,30 @@ class TestStructuredSparseKeys:
         assert inside.any()
 
 
+class TestSpikeSuiteCells:
+    @pytest.mark.parametrize("name,kw", BENCHMARK_CONFIGS)
+    def test_the_spike_composite_reads_its_cells_once(self, name, kw, monkeypatch):
+        """A spike suite's table holds its keys' own cells, so the spike
+        composite computes them once, in ``spike_suite``, and its piecewise
+        has the bits of the one that computes them again for the
+        composite."""
+        from evarify.combinator import _cellwise_piecewise
+
+        b = make_bundle(name, **kw)
+        sizes, cell_bounds = [], type(b).cell_bounds
+        monkeypatch.setattr(type(b), "cell_bounds",
+                            lambda self, ks: sizes.append(len(ks)) or cell_bounds(self, ks))
+        comp = spike_composite(b)
+        monkeypatch.undo()
+        assert sizes == [len(comp.components)]
+        again = _cellwise_piecewise(b, comp.components.table, comp.factor_C)
+        for field in ("edges", "a", "b"):
+            np.testing.assert_array_equal(getattr(comp.piecewise, field).view(np.int64),
+                                          getattr(again, field).view(np.int64))
+        assert (comp.piecewise.outside, comp.piecewise.right_closed) == (
+            again.outside, again.right_closed)
+
+
 #: pieces of each benchmark config's spike composite over its default
 #: grid: one per run of a level (binomial, the discrete uniform and
 #: Poisson have no equal neighbours)

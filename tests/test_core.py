@@ -111,6 +111,19 @@ class TestFamily:
         assert swapped.divergence_fn(1.0, 3.0) == 2.0
 
 
+class TestInterval:
+    @pytest.mark.parametrize("space", [
+        core.Interval(), core.Interval(lo=0.0), core.Interval(lo=0.0, lo_open=False, integer=True),
+        core.Interval(lo=0.0, hi=1.0), core.Interval(lo=0.0, hi=1.0, lo_open=False)])
+    def test_contains_each_is_contains_of_each(self, space):
+        """The array form agrees with the scalar one at the ends, signed
+        zeros, the smallest subnormals, non-integers, the infinities and
+        NaN."""
+        values = [0.0, -0.0, 1.0, -1.0, 0.5, 1e300, math.inf, -math.inf, math.nan, 2.0**60, 3.0,
+                  5e-324, -5e-324, np.nextafter(1.0, 0.0)]
+        assert space.contains_each(np.array(values)).tolist() == [space.contains(v) for v in values]
+
+
 class TestFactorFormulas:
     """The two normalizing-factor closed forms; oracle values are
     40-digit evaluations of the same expressions."""

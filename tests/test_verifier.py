@@ -793,6 +793,12 @@ def _one_theta_reference(pw, law, tail, theta, near=None):
     return estimate, eb, beyond, charge
 
 
+#: the spike configurations whose rows read a band of their pieces, not
+#: all of them, with the stride of the rows checked against mpmath
+BANDED = {"binomial.n64": 1, "binomial.n10000": 20, "discrete_uniform": 3, "poisson": 3,
+          "normal_variance.n64": 4}
+
+
 class TestOneEnginePassPerSweep:
     """A sweep of a closed-form composite is one engine call over the
     whole grid, its non-periodic rows taken in tiles of thetas
@@ -806,14 +812,27 @@ class TestOneEnginePassPerSweep:
 
     @pytest.mark.parametrize("config", CERTIFY_SPIKES_CONFIGS)
     def test_rows_are_each_thetas_expectation(self, config):
-        comp = _certified_composite(*CERTIFY_SPIKES_CONFIGS[config])
+        """Where a row's band is the whole piecewise, or the piecewise
+        repeats, each row is the one-theta engine's floats, so reports keep
+        their bytes.  Rows that read a band (``BANDED``), the worst
+        included, lie within their bounds of E_theta at 40 digits
+        (:func:`_law_cdf_mp`; the binomial's from its pmf in log space)."""
+        name, params, interpolated = CERTIFY_SPIKES_CONFIGS[config]
+        comp = _certified_composite(name, params, interpolated)
         grid = default_theta_grid(comp.bundle)
         law, pw = comp.bundle.family.law, comp.piecewise
-        rows = sweep(comp, grid).rows
+        report = sweep(comp, grid)
+        rows = report.rows
         assert rows == self._rows_alone(comp, grid)
-        # and each the one-theta engine's floats, so reports keep their bytes
-        assert [row[1:3] for row in rows] == [_one_theta_reference(pw, law, 1e-12, t)[:2]
-                                             for t in grid]
+        if config not in BANDED:
+            assert [row[1:3] for row in rows] == [_one_theta_reference(pw, law, 1e-12, t)[:2]
+                                                 for t in grid]
+            return
+        checked = rows[::BANDED[config]] + tuple(r for r in rows if r[0] == report.worst_theta)
+        with mp.workdps(40):
+            for theta, estimate, bound, _ in checked:
+                exact = _exact_row(pw, _law_cdf_mp(name, params, theta))
+                assert abs(mp.mpf(estimate) - exact) <= bound, (theta, estimate, exact, bound)
 
     @pytest.mark.parametrize("name", ["cauchy", "normal_mean"])
     def test_interpolated_rows_far_apart(self, name):
@@ -1028,10 +1047,11 @@ class TestLawsInTiles:
 
 class TestSweepTiles:
     """A non-periodic composite is swept in tiles of thetas: each law call
-    holds a column of whole rows, at most ``_TILE_VALUES`` values unless it
-    is a single row wider than that.  With the bound cut so that the grid
-    takes several tiles and a partial last one, every theta is in exactly
-    one call and every row keeps the one-theta engine's bits."""
+    holds a column of whole rows, each row its band of edges padded to the
+    tile's widest band, at most ``_TILE_VALUES`` values unless it is a
+    single row wider than that.  With the bound cut so that the grid takes
+    several tiles and a partial last one, every theta is in exactly one
+    call and every row keeps the bits of the engine on that theta alone."""
 
     @staticmethod
     def _interpolated(name):
@@ -1044,81 +1064,238 @@ class TestSweepTiles:
         return b, combine_interpolated(b, comps, 0.2, 3.0).piecewise
 
     @staticmethod
-    def _recorded(law, calls):
-        def recorded(fn):
+    def _recorded(law, calls, quantiles=None, points=None):
+        """The law with its calls recorded, (theta's shape, the thetas, the
+        shape of the points): of cdf and moment in ``calls``, of ppf in
+        ``quantiles``, and the points of each cdf or moment call in
+        ``points``."""
+        def recorded(fn, into, values=None):
             def call(theta, v):
-                calls.append((np.shape(theta), np.ravel(theta).tolist(), np.shape(v)))
+                into.append((np.shape(theta), np.ravel(theta).tolist(), np.shape(v)))
+                if values is not None:
+                    values.append(np.array(v))
                 return fn(theta, v)
             return call
-        return replace(law, cdf=recorded(law.cdf),
-                       moment=law.moment and recorded(law.moment))
+        return replace(law, cdf=recorded(law.cdf, calls, points),
+                       moment=law.moment and recorded(law.moment, calls, points),
+                       ppf=recorded(law.ppf, [] if quantiles is None else quantiles))
 
     def _sweep(self, pw, law, grid, bound, monkeypatch):
         from evarify import verifier
 
+        alone = [_bits(r.estimate, r.error_bound) for t in grid
+                 for r in verifier._piecewise_expectations(pw, law, 1e-12, [t])]
         monkeypatch.setattr(verifier, "_TILE_VALUES", bound)
         calls = []
         rows = verifier._piecewise_expectations(pw, self._recorded(law, calls), 1e-12, grid)
-        assert [_bits(r.estimate, r.error_bound) for r in rows] == [
-            _bits(*_one_theta_reference(pw, law, 1e-12, t)[:2]) for t in grid]
+        assert [_bits(r.estimate, r.error_bound) for r in rows] == alone
         assert sorted(t for _, thetas, _ in calls for t in thetas) == sorted(grid)
-        for shape, thetas, (width,) in calls:
-            assert shape == (len(thetas), 1)
-            assert len(thetas) * width <= bound or len(thetas) == 1
-        return calls
+        for shape, thetas, points in calls:
+            assert shape == (len(thetas), 1) and points[:-1] in [(), (len(thetas),)]
+            assert len(thetas) * points[-1] <= bound or len(thetas) == 1
+        return rows, calls
 
     @pytest.mark.parametrize("name", ["cauchy", "normal_mean"])
     def test_ramps(self, name, monkeypatch):
+        """Rows on ramps, against E_theta at 40 digits (sum_i a_i dF_i +
+        b_i dG_i and the mass beyond the edges at the outside level); on
+        normal_mean the window, about theta +/- 7.1, leaves most of the
+        pieces beyond the band on most rows."""
         b, pw = self._interpolated(name)
         assert pw.ramps and not pw.period
         grid = default_theta_grid(b)
         width, per = len(pw.edges), 7
-        assert len(grid) % per
-        calls = self._sweep(pw, b.family.law, grid, per * width + width - 1, monkeypatch)
-        assert [len(thetas) for _, thetas, _ in calls] == (
-            [per] * (len(grid) // per) + [len(grid) % per])
+        rows, calls = self._sweep(pw, b.family.law, grid, per * width + width - 1, monkeypatch)
+        # the rows of every piece first, in tiles of per and a partial last
+        whole = [t for _, thetas, points in calls if points[-1] == width for t in thetas]
+        assert len(whole) % per and (name == "cauchy") == (len(whole) == len(grid))
+        assert [len(thetas) for _, thetas, _ in calls][:len(whole) // per + 1] == (
+            [per] * (len(whole) // per) + [len(whole) % per])
+        with mp.workdps(40):
+            for theta, r in zip(grid, rows):
+                exact = _exact_row(pw, _law_cdf_mp(name, {}, theta), _law_moment_mp(name, theta))
+                assert abs(mp.mpf(r.estimate) - exact) <= r.error_bound, (theta, r)
 
     def test_constant(self, monkeypatch):
         """No edges: each row's mass beyond is 1, at the constant's level."""
         b = make_bundle("poisson")
         grid = default_theta_grid(b)
-        calls = self._sweep(Piecewise.constant(2.5), b.family.law, grid, 10, monkeypatch)
+        _, calls = self._sweep(Piecewise.constant(2.5), b.family.law, grid, 10, monkeypatch)
         assert [len(thetas) for _, thetas, _ in calls] == [10] * 14 + [5]
 
     def test_rows_wider_than_a_tile(self, monkeypatch):
         """A piecewise of more distinct levels than a tile holds values,
-        on the Cauchy law over its default grid: each row is a call of its
-        own."""
+        on the Cauchy law over its default grid, with the tile cut to half
+        its size: each row's band is still wider than a tile, and each row
+        is a call of its own."""
         from evarify import verifier
 
         b = make_bundle("cauchy", epsilon=0.2)
         grid = default_theta_grid(b)
-        n = verifier._TILE_VALUES + 1
+        n, bound = verifier._TILE_VALUES + 1, verifier._TILE_VALUES // 2
         pw = Piecewise(np.linspace(-1e4, 1e4, n + 1), np.linspace(0.1, 0.9, n), np.zeros(n),
                        1.0 / b.factor_C)
-        assert len(np.unique(pw.a)) == n and len(pw.edges) > verifier._TILE_VALUES
-        calls = self._sweep(pw, b.family.law, grid, verifier._TILE_VALUES, monkeypatch)
+        assert len(np.unique(pw.a)) == n
+        _, calls = self._sweep(pw, b.family.law, grid, bound, monkeypatch)
         assert [len(thetas) for _, thetas, _ in calls] == [1] * len(grid)
+        assert min(points[-1] for *_, points in calls) > bound
+
+    def test_bands_of_different_widths(self, monkeypatch):
+        """Poisson's spike composite, tiles of 64 values: a tile holds rows
+        whose bands differ in width, each padded with its band's last edge
+        to the tile's widest, and rows whose bands start at different
+        pieces."""
+        b = make_bundle("poisson")
+        grid = default_theta_grid(b)
+        from evarify import verifier
+
+        pw = spike_composite(b, grid).piecewise
+        self._sweep(pw, b.family.law, grid, 64, monkeypatch)
+        points = []
+        verifier._piecewise_expectations(pw, self._recorded(b.family.law, [], points=points),
+                                         1e-12, grid)
+        mixed = 0
+        for tile in points:
+            widths = [len(np.unique(row)) for row in tile]
+            assert all(np.all(row[w - 1:] == row[-1]) for row, w in zip(tile, widths))
+            mixed += len(set(widths)) > 1 and len(set(tile[:, 0])) > 1
+        assert mixed
+
+    def test_the_binomial_sweep_reads_few_cdf_values(self):
+        """binomial n = 10**4: the sweep reads the CDF at most at 8 points
+        of each of its 611 thetas (each window meets at most 7 of the 99
+        pieces), and two quantiles each for the windows."""
+        from evarify import verifier
+
+        b = make_bundle("binomial", n=10_000)
+        grid = default_theta_grid(b)
+        pw = spike_composite(b, grid).piecewise
+        calls, quantiles = [], []
+        law = self._recorded(b.family.law, calls, quantiles)
+        verifier._piecewise_expectations(pw, law, 1e-12, grid)
+        assert len(grid) == 611 and len(pw.a) == 99
+        assert sum(math.prod(points) for *_, points in calls) <= 611 * 8
+        assert sum(math.prod(shape) * q[-1] for shape, _, q in quantiles) == 611 * 2
+
+
+class TestBeyondTheBand:
+    """A row that reads a band of its pieces takes the mass beyond the band
+    at the middle of [L, U], the least and largest values pw takes there,
+    charged (U - L) / 2 per unit; beyond e_0 or e_n, where no piece lies, the
+    mass is at the outside level and charged nothing."""
+
+    def test_the_charge_carries_the_bound(self):
+        """Cauchy, pieces of width 1000 at level 1 out to +/- 1e5 and 0
+        beyond (L = 0, U = 1): about 6.4e-5 of the mass lies beyond each
+        row's band (the window is theta +/- 1e4), nine tenths of it on
+        pieces, and the row reads it at 1/2.  Against E_theta at 40 digits
+        each row is off by more than half its charge, (U - L) / 2 = 1/2 per
+        unit, and a thousand times what the bound would be without it."""
+        from evarify import verifier
+        from evarify.core import _CDF_EPS
+
+        law = make_bundle("cauchy", epsilon=0.2).family.law
+        n = 200
+        pw = Piecewise(np.linspace(-1e5, 1e5, n + 1), np.ones(n), np.zeros(n), 0.0)
+        thetas = [0.0, 123.4, -5e3, 9.5e4]
+        rows = verifier._piecewise_expectations(pw, law, 1e-12, thetas)
+        with mp.workdps(40):
+            for theta, r in zip(thetas, rows):
+                error = abs(mp.mpf(r.estimate) - _exact_row(pw, _law_cdf_mp("cauchy", {}, theta)))
+                assert 1e3 * _CDF_EPS * (n + 2) < error <= r.error_bound, (theta, r)
+                assert error > 0.6 * r.error_bound, (theta, r)
+
+    @pytest.mark.parametrize("theta", [1e3, 1e4])
+    def test_windows_beyond_every_piece(self, theta):
+        """Poisson spikes at net indices 1 to 5 (the cells up to about 36):
+        far above them the row is the outside level 1/C times the mass above
+        the last edge, and the few pieces' mass below, within a bound of a
+        few CDF errors, as when every edge was read."""
+        b = make_bundle("poisson")
+        comp = combine_discrete(b, spike_suite(b, range(1, 6)))
+        res = expectation(comp, theta)
+        assert abs(res.estimate - 1.0 / comp.factor_C) <= res.error_bound < 1e-14
 
 
 def _law_cdf_mp(name, params, theta):
-    """The law's CDF at theta in mpmath, for the bundles whose spike
-    composites have runs of one level."""
+    """The law's CDF at theta in mpmath, for the bundles of the spike
+    configurations (a discrete law's at support points, 40 digits)."""
     t = mp.mpf(theta)
     if name == "cauchy":
         return lambda v: mp.mpf(1) / 2 + mp.atan(mp.mpf(v) - t) / mp.pi
     if name == "normal_mean":
-        return lambda v: mp.ncdf(mp.mpf(v), t, 1 / mp.sqrt(params["n"]))
+        return lambda v: mp.ncdf(mp.mpf(v), t, 1 / mp.sqrt(params.get("n", 1)))
     if name == "normal_variance":  # n v / theta is chi-square with n degrees of freedom
         n = params["n"]
         assert n % 2 == 0  # P(n / 2, x) = 1 - e^-x sum_{k < n/2} x^k / k!, 1e-40 absolute
-
         def cdf(v):
             x = n * mp.mpf(v) / (2 * t)
             return 1 - mp.exp(-x) * mp.fsum(x**k / mp.factorial(k) for k in range(n // 2))
         return cdf
+    if name == "discrete_uniform":  # P(X <= k) = (k + 1) / (N + 1) on 0..N
+        return lambda v: min(max(mp.mpf(math.floor(v) + 1) / (t + 1), mp.mpf(0)), mp.mpf(1))
+    if name == "binomial":  # pmf(x + 1) / pmf(x) = (n - x) p / ((x + 1) (1 - p))
+        n = params["n"]
+        mode = min(n, math.floor((n + 1) * theta))
+        log_mode = (mp.loggamma(n + 1) - mp.loggamma(mode + 1) - mp.loggamma(n - mode + 1)
+                    + mode * mp.log(t) + (n - mode) * mp.log(1 - t))
+        return _cdf_from_pmf(log_mode, mode, n, lambda x: (n - x) * t / ((x + 1) * (1 - t)))
+    if name == "poisson":  # pmf(x + 1) / pmf(x) = lambda / (x + 1)
+        mode = math.floor(theta)
+        log_mode = -t + mode * mp.log(t) - mp.loggamma(mode + 1)
+        return _cdf_from_pmf(log_mode, mode, math.inf, lambda x: t / (x + 1))
     assert name == "continuous_uniform"
     return lambda v: min(max(mp.mpf(v) / t, mp.mpf(0)), mp.mpf(1))
+
+
+def _cdf_from_pmf(log_mode, mode, top, ratio):
+    """P(X <= v) of a log-concave law on the integers 0..top (inf: no
+    end) from its pmf in log space: log pmf at the mode, then each
+    neighbour's pmf by ratio(x) = pmf(x + 1) / pmf(x), out to where the pmf
+    falls below 1e-60 of the mode's, with the mass beyond below 1e-55 (the
+    ratios shrink away from the mode).  mpmath's incomplete beta does not
+    converge in the tails at n = 10**4."""
+    pmf = {mode: mp.exp(log_mode)}
+    small = pmf[mode] * mp.mpf(10) ** -60
+    x = mode
+    while x < top and pmf[x] > small:
+        pmf[x + 1] = pmf[x] * ratio(x)
+        x += 1
+    x = mode
+    while x > 0 and pmf[x] > small:
+        pmf[x - 1] = pmf[x] / ratio(x - 1)
+        x -= 1
+    xs = sorted(pmf)
+    cum = [mp.mpf(0)]
+    for k in xs:
+        cum.append(cum[-1] + pmf[k])
+
+    def cdf(v):  # the points xs[0]..k, k the largest at or below v
+        return cum[int(np.searchsorted(xs, math.floor(v), "right"))]
+    return cdf
+
+
+def _exact_row(pw, F, G=None):
+    """E_theta of a non-periodic piecewise from the law's F (and, on ramps,
+    its partial first moment G) at its edges: sum_i a_i dF_i + b_i dG_i
+    over its pieces plus the mass beyond its edges at the outside level."""
+    Fe = [F(v) for v in pw.edges.tolist()]
+    Ge = [G(v) for v in pw.edges.tolist()] if G else [0] * len(Fe)
+    pieces = zip(pw.a.tolist(), pw.b.tolist(), range(len(pw.a)))
+    return (mp.fsum(mp.mpf(a) * (Fe[i + 1] - Fe[i]) + mp.mpf(b) * (Ge[i + 1] - Ge[i])
+                    for a, b, i in pieces)
+            + mp.mpf(pw.outside) * (1 - (Fe[-1] - Fe[0]) if Fe else 1))
+
+
+def _law_moment_mp(name, theta):
+    """G(v) = int^v t p_theta(t) dt of the laws with ``moment`` (unit
+    scale) in mpmath: Cauchy theta F + log(1 + z^2) / (2 pi), normal theta
+    F - phi(z), z = v - theta."""
+    t = mp.mpf(theta)
+    F = _law_cdf_mp(name, {}, theta)
+    if name == "cauchy":
+        return lambda v: t * F(v) + mp.log1p((mp.mpf(v) - t) ** 2) / (2 * mp.pi)
+    return lambda v: t * F(v) - mp.npdf(mp.mpf(v), t, 1)
 
 
 class TestRunsOfOneLevelAgainstMpmath:
@@ -1136,11 +1313,8 @@ class TestRunsOfOneLevelAgainstMpmath:
         pw, report = comp.piecewise, sweep(comp, grid)
         rows = report.rows[::every] + tuple(r for r in report.rows if r[0] == report.worst_theta)
         with mp.workdps(40):
-            a = [mp.mpf(v) for v in pw.a.tolist()]
             for theta, estimate, bound, _ in rows:
-                F = [_law_cdf_mp(name, params, theta)(v) for v in pw.edges.tolist()]
-                exact = (mp.fsum(a[i] * (F[i + 1] - F[i]) for i in range(len(a)))
-                         + mp.mpf(pw.outside) * (1 - (F[-1] - F[0])))
+                exact = _exact_row(pw, _law_cdf_mp(name, params, theta))
                 assert abs(mp.mpf(estimate) - exact) <= bound, (theta, estimate, exact, bound)
 
     @pytest.mark.parametrize("name,params,every", [

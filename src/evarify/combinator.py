@@ -129,12 +129,15 @@ class SpikeSuite(Mapping):
     """Spikes keyed by net index, spike k valid for net point k, held as
     the arrays of their piece ``table``: tens of thousands are built and
     combined without an object per spike; ``suite[k]`` builds one.  The
-    keys are distinct.  ``own_cells``: each spike's piece is its key's
-    estimator cell, ``bundle.cell_bounds`` of its key."""
+    keys are distinct."""
+
+    #: each spike's piece is its key's estimator cell, ``bundle.cell_bounds``
+    #: of its key (set by :func:`spike_suite` alone)
+    _own_cells = False
 
     def __init__(self, bundle: FamilyBundle, keys: Sequence[int], edges: np.ndarray,
-                 levels: np.ndarray, own_cells: bool = False):
-        self.bundle, self.own_cells = bundle, own_cells
+                 levels: np.ndarray):
+        self.bundle = bundle
         lo, hi = np.reshape(edges, (-1, 2)).T
         self.table = _PieceTable(np.asarray(keys, dtype=int), lo, hi,
                                  np.asarray(levels, dtype=float), np.zeros(len(lo)))
@@ -215,7 +218,9 @@ def spike_suite(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
         k = ks[int(np.argmin(probs > 0.0))]
         raise DomainError(
             f"cell {k} of {bundle.bundle_id} has zero probability under its own point")
-    return SpikeSuite(bundle, ks, bounds, 1.0 / probs, own_cells=True)
+    suite = SpikeSuite(bundle, ks, bounds, 1.0 / probs)
+    suite._own_cells = True
+    return suite
 
 
 def unit_cell_spikes(bundle: FamilyBundle, indices: Sequence[int]) -> SpikeSuite:
@@ -439,7 +444,7 @@ def _cellwise_piecewise(
     its component's value over C, and 1/C between the cells and beyond.
     None unless every component is structured and constant on its own
     cell.  With ``own_cells`` the table's pieces are those cells (a
-    :func:`spike_suite`'s), and they are not computed again."""
+    :func:`spike_suite`'s on this bundle), and they are not computed again."""
     if table is None:
         return None
     held = _in_net(bundle, table.keys)
@@ -466,7 +471,9 @@ def combine_discrete(
     """
     C = bundle.factor_C if factor_C is None else float(factor_C)
     components, table = _frozen(components)
-    own_cells = getattr(components, "own_cells", False)  # a spike suite's
+    # a spike suite's own cells on this very bundle are not computed again
+    own_cells = isinstance(components, SpikeSuite) and components._own_cells and (
+        components.bundle is bundle)
     return CompositeEVariable(bundle, components, C,
                               piecewise=_cellwise_piecewise(bundle, table, C, own_cells))
 

@@ -254,19 +254,25 @@ class StatLaw:
         theta's shape + (2,).  An end that is NaN, or past the floats where
         the support is not, raises :class:`DomainError` naming its theta."""
         theta = np.asarray(theta, dtype=float)
-        if self.cap is not None:
-            ends = np.stack([theta - self.cap, theta + self.cap], axis=-1)
-        else:
-            q = np.array([tail / 2.0, 1.0 - tail / 2.0])
-            with np.errstate(over="ignore"):  # a quantile past the floats is inf
-                ends = self.ppf(theta[..., None], q)
-        ends = np.clip(ends, self.lo, self.hi)
+        ends = self.window_ends(theta, tail)
         lost = ~np.isfinite(ends).all(axis=-1)
         if lost.any():  # NaN: e.g. the Poisson's pdtrik beyond about 1e11
             what = "NaN" if np.isnan(ends[lost][0]).any() else "past the largest float"
             raise DomainError(f"theta = {float(theta[lost].flat[0])!r}: the law's quantile is "
                               f"{what} there, so no truncation window holds its mass")
         return ends
+
+    def window_ends(self, theta, tail: float) -> np.ndarray:
+        """The ends of :meth:`window`, unchecked: NaN or infinite where no
+        window holds the mass."""
+        theta = np.asarray(theta, dtype=float)
+        if self.cap is not None:
+            ends = np.stack([theta - self.cap, theta + self.cap], axis=-1)
+        else:
+            q = np.array([tail / 2.0, 1.0 - tail / 2.0])
+            with np.errstate(over="ignore"):  # a quantile past the floats is inf
+                ends = self.ppf(theta[..., None], q)
+        return np.clip(ends, self.lo, self.hi)
 
 
 @dataclass(frozen=True, eq=False)

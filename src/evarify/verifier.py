@@ -19,8 +19,9 @@ not one per cell, and the rounding charge counts those pieces.  A
 composite that repeats is summed over its copies near theta, and the law's
 window's copies beyond those are one term per side at the period's mean
 level, with a derived charge.  Any other reads only the band of pieces
-its window at theta meets, the mass beyond at the middle of the
-composite's values with a derived charge.  A sweep integrates such a
+its window at theta meets (every piece where no window holds the mass),
+the mass beyond at the middle of the composite's values with a derived
+charge.  A sweep integrates such a
 composite in one engine call over its whole grid, every row one row of
 pieces with one law call and one dot product: a non-periodic composite's
 rows go in tiles of thetas against their bands, and a periodic one's each
@@ -57,7 +58,6 @@ exceeds every fixed normalizing constant for large enough lambda.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -262,15 +262,15 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
 
     The thetas go in tiles of rows, a column of thetas against rows of
     points, one law call per tile of at most ``core._TILE_VALUES`` values
-    (a wider row is a tile alone), the bands from one ``law.window`` call.
-    The rows of every piece go first, in tiles against the edges, each a
-    dot product (whose bits a matrix product does not keep), as ever.  The
-    bands follow, each padded to its tile's widest with zero-width pieces
-    at level 0 (its last edge repeated) and summed piece by piece from +0,
-    so the pads add +0 after its pieces and a row has the same bits in any
-    tile.  A periodic row is a tile of its own, one row of pieces over its
-    near copies j0..j1 copy by copy: edges e_i + s and coefficients a_i -
-    b_i s, |a_i| + |b_i| |s| for the copy shifted by s.
+    (a wider row is a tile alone), the bands from one ``law.window_ends``
+    call; a row whose window has an end that is NaN or infinite reads every
+    piece.  The widest bands go first, each tile as wide as its first; a
+    narrower band is padded with its last edge repeated, and each row's
+    sums run over its own band alone (a dot product, whose bits a matrix
+    product does not keep), so a row has the same bits in any tile.  A
+    periodic row is a tile of its own, one row of pieces over its near
+    copies j0..j1 copy by copy: edges e_i + s and coefficients a_i - b_i s,
+    |a_i| + |b_i| |s| for the copy shifted by s.
     """
     B = np.abs(pw.b)
     column = np.asarray(thetas, dtype=float)[:, None]
@@ -281,25 +281,20 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
     def rest(F):  # the mass beyond the ends of each row of F (fmax: NaN to 0; 1 - x is never -0)
         return np.fmax(1.0 - (F[:, -1] - F[:, 0]), 0.0) if F.shape[1] else np.ones(len(F))
 
-    def results(theta, tile, coef, whole, count, beyond, far=(0.0, 0.0, 0.0)):
+    def results(theta, tile, coef, width, count, beyond, far=(0.0, 0.0, 0.0)):
         # the pieces run from each point of a row of the tile to the next, a +
-        # b v on it with |a + b v| <= A, (a, A, b, |b|) = coef: one row of them
-        # for rows of every piece (``whole``), else one per row, its band and
-        # its pads; the mass beyond is (value, charge) = ``beyond``
+        # b v on it with |a + b v| <= A, (a, A, b, |b|) = coef, a row of them
+        # for each row; a row's first ``width`` pieces are summed on their own,
+        # the pads beyond them never, so it has the same bits in any tile; the
+        # mass beyond is (value, charge) = ``beyond``
         estimate, at_edges, terms = np.zeros((3, len(theta)))
         (F0, *G0), (F1, *G1) = [r[:, :-1] for r in tile], [r[:, 1:] for r in tile]
         dF = F1 - F0
         a, A, b, absb = coef
-        if whole:
-            estimate += [np.dot(a, row) for row in dF]
 
-            def by_row(x):
-                return x.sum(axis=1)
-        else:  # each band summed piece by piece from +0: its pads add +0 after
-            # its pieces, so a row has the same bits in any tile
-            def by_row(x):
-                return functools.reduce(np.add, x.T, np.zeros(len(x)))
-            estimate += by_row(a * dF)
+        def by_row(x):
+            return [row[:w].sum() for row, w in zip(x, width)]
+        estimate += [np.dot(c[:w], row[:w]) for c, row, w in zip(a, dF, width)]
         if pw.ramps:
             (G0,), (G1,) = G0, G1
             dG = G1 - G0
@@ -319,14 +314,15 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
 
     if not pw.period:  # one copy, unshifted: a - b 0 = a and |a| + |b| 0 = |a|
         n, out = len(pw.a), [None] * len(column)
-        first = last = np.zeros(len(column), dtype=np.intp)  # no pieces: every row whole
+        first, last = np.zeros(len(column), dtype=np.intp), np.full(len(column), n)
         if n:  # each row's band: the last edge at or below its window (a discrete
-            # law's pieces (e_i, e_i+1]: below the window's first point), the first above
-            lo, hi = (law.window(column[:, 0], tail) - [float(law.discrete), 0.0]).T
-            first = np.maximum(pw.edges.searchsorted(lo, "right") - 1, 0)
-            last = np.minimum(pw.edges.searchsorted(hi, "left"), n)
+            # law's pieces (e_i, e_i+1]: below the window's first point), the first
+            # above; every piece where no finite window holds the mass
+            lo, hi = (law.window_ends(column[:, 0], tail) - [float(law.discrete), 0.0]).T
+            held = np.isfinite(lo) & np.isfinite(hi)
+            first[held] = np.maximum(pw.edges.searchsorted(lo[held], "right") - 1, 0)
+            last[held] = np.minimum(pw.edges.searchsorted(hi[held], "left"), n)
         width = last - first
-        whole = width == n  # first == 0 and last == n
         # beyond a band's end, pw is outside where no piece lies (at e_0 or e_n),
         # else in [L, U]: that mass at (L + U) / 2, charged (U - L) / 2 per unit
         # in a factor 1 + 8u that puts the charge's float above it
@@ -335,29 +331,28 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
         side = np.stack([first > 0, last < n])
         level = np.where(side, 0.5 * L + 0.5 * U, pw.outside)
         spread = np.where(side, (U - L) * (0.5 + 4.0 * _UNIT_ROUNDOFF), 0.0)
-        coef = (pw.a, np.abs(pw.a), pw.b, B)
-        padded = np.zeros((4, n + 1))  # a zero piece n past the last pads a band
-        padded[:, :n] = coef
-        # the rows of every piece in tiles of their own, as ever; then the bands
-        for every, part in ((True, np.flatnonzero(whole)), (False, np.flatnonzero(~whole))):
-            per = max(1, _TILE_VALUES // (int(width[part].max(initial=0)) + 1))
-            for s in range(0, len(part), per):
-                rows, theta = part[s:s + per], column[part[s:s + per]]
-                if every:  # one term at the outside level beyond e_0 and e_n
-                    tile = at(theta, pw.edges)
-                    found = results(theta, tile, coef, True, n, (rest(tile[0]) * pw.outside, 0.0))
-                else:
-                    j = np.arange(int(width[rows].max()) + 1)
-                    points = np.minimum(first[rows, None] + j, last[rows, None])  # end repeated
-                    tile = at(theta, pw.edges[points])
-                    F = tile[0]
-                    mass = np.fmax([F[:, 0], 1.0 - F[:, -1]], 0.0)  # below and above
-                    pieces = np.where(j[:-1] < width[rows, None], points[:, :-1], n)
-                    found = results(theta, tile, padded[:, pieces], False, width[rows],
-                                    ((mass * level[:, rows]).sum(axis=0),
-                                     (mass * spread[:, rows]).sum(axis=0)))
-                for k, r in zip(rows.tolist(), found):
-                    out[k] = r
+        padded = np.zeros((4, n + 1))  # a pad's piece may be n, past the last: never summed
+        padded[:, :n] = pw.a, np.abs(pw.a), pw.b, B
+        order = np.argsort(-width, kind="stable")  # the widest first: a tile is its first's width
+        s = 0
+        while s < len(order):
+            rows = order[s:s + max(1, _TILE_VALUES // (int(width[order[s]]) + 1))]
+            s += len(rows)
+            theta, whole = column[rows], width[rows] == n  # first == 0 and last == n
+            j = np.arange(min(int(width[rows[0]]) + 1, len(pw.edges)))  # no edges: no points
+            points = np.minimum(first[rows, None] + j, last[rows, None])  # the last repeated
+            tile = at(theta, pw.edges[points])
+            F = tile[0]
+            # beyond a row of every piece, one term at the outside level, as ever
+            beyond = [rest(F) * pw.outside, np.zeros(len(rows))]
+            if not whole.all():  # beyond a band, the mass below and above it
+                mass = np.fmax([F[:, 0], 1.0 - F[:, -1]], 0.0)
+                beyond = [np.where(whole, beyond[0], (mass * level[:, rows]).sum(axis=0)),
+                          (mass * spread[:, rows]).sum(axis=0)]
+            coef = [row[points[:, :-1]] for row in padded]  # each C-contiguous, as np.dot's
+            found = results(theta, tile, coef, width[rows], width[rows], beyond)
+            for k, r in zip(rows.tolist(), found):
+                out[k] = r
         return out
 
     # each theta's copies j0..j1 on the periods meeting its window (and j1 + 1),
@@ -398,8 +393,8 @@ def _piecewise_expectations(pw: Piecewise, law: StatLaw, tail: float,
         ends = np.where(far, law.cdf(theta, window), F[:, [0, -1]])
         terms = _far_copies(F[0, [0, n, -n - 1, -1]].tolist(), ends[0].tolist(), far, *far_level)
         mass = rest(ends)
-        out += results(theta, tile, (a, A, b[:m], absb[:m]), True, m + sum(far),
-                       (mass * pw.sup, mass * spread), terms)
+        out += results(theta, tile, (a[None], A[None], b[None, :m], absb[None, :m]), [m],
+                       m + sum(far), (mass * pw.sup, mass * spread), terms)
     return out
 
 

@@ -580,6 +580,38 @@ class TestSpikeSuiteCells:
         assert (comp.piecewise.outside, comp.piecewise.right_closed) == (
             again.outside, again.right_closed)
 
+    @pytest.mark.parametrize("name,kw,other", [
+        ("cauchy", {"epsilon": 0.2}, {"epsilon": 0.1}),
+        ("cauchy", {"epsilon": 0.2}, {"epsilon": 0.2}),
+        ("normal_mean", {"n": 16}, {"n": 1}),
+        ("normal_variance", {"n": 64}, {"n": 4}),
+        ("binomial", {"n": 64}, {"n": 65}),
+        ("poisson", {}, {}),
+    ])
+    def test_a_suite_on_another_bundle_has_its_cells_computed(self, name, kw, other,
+                                                              monkeypatch):
+        """A spike suite combined with a bundle other than its own (other
+        parameters, or the same ones in another object) has that bundle's
+        cells computed and compared with its pieces: the composite's
+        piecewise is the one built from those cells, or None where the
+        pieces are not the cells."""
+        from evarify.combinator import _cellwise_piecewise
+
+        b = make_bundle(name, **other)
+        suite = spike_suite(make_bundle(name, **kw), range(1, 8 if b.net.k_max else 41))
+        sizes, cell_bounds = [], type(b).cell_bounds
+        monkeypatch.setattr(type(b), "cell_bounds",
+                            lambda self, ks: sizes.append(len(ks)) or cell_bounds(self, ks))
+        got = combine_discrete(b, suite).piecewise
+        monkeypatch.undo()
+        assert sizes and sizes[-1] == len(suite)
+        want = _cellwise_piecewise(b, suite.table, b.factor_C)
+        assert (got is None) == (want is None)
+        if want is not None:
+            for field in ("edges", "a", "b"):
+                np.testing.assert_array_equal(getattr(got, field).view(np.int64),
+                                              getattr(want, field).view(np.int64))
+
 
 #: pieces of each benchmark config's spike composite over its default
 #: grid: one per run of a level (binomial, the discrete uniform and

@@ -1081,36 +1081,47 @@ class TestSweepTiles:
                        ppf=recorded(law.ppf, [] if quantiles is None else quantiles))
 
     def _sweep(self, pw, law, grid, bound, monkeypatch):
+        """The rows of the tiled sweep, its law calls and the thetas of the
+        rows that read every edge, each such row checked against the
+        one-theta reference bit for bit."""
         from evarify import verifier
 
         alone = [_bits(r.estimate, r.error_bound) for t in grid
                  for r in verifier._piecewise_expectations(pw, law, 1e-12, [t])]
         monkeypatch.setattr(verifier, "_TILE_VALUES", bound)
-        calls = []
-        rows = verifier._piecewise_expectations(pw, self._recorded(law, calls), 1e-12, grid)
+        calls, points = [], []
+        rows = verifier._piecewise_expectations(pw, self._recorded(law, calls, points=points),
+                                                1e-12, grid)
         assert [_bits(r.estimate, r.error_bound) for r in rows] == alone
         assert sorted(t for _, thetas, _ in calls for t in thetas) == sorted(grid)
-        for shape, thetas, points in calls:
-            assert shape == (len(thetas), 1) and points[:-1] in [(), (len(thetas),)]
-            assert len(thetas) * points[-1] <= bound or len(thetas) == 1
-        return rows, calls
+        for shape, thetas, size in calls:
+            assert shape == (len(thetas), 1) and size[:-1] in [(), (len(thetas),)]
+            assert len(thetas) * size[-1] <= bound or len(thetas) == 1
+        whole = {t for (_, thetas, _), v in zip(calls, points)
+                 for t, row in zip(thetas, np.broadcast_to(v, (len(thetas), v.shape[-1])))
+                 if np.array_equal(row, pw.edges)}
+        for t, r in zip(grid, rows):
+            if t in whole:
+                assert (r.estimate, r.error_bound) == _one_theta_reference(pw, law, 1e-12, t)[:2]
+        return rows, calls, whole
 
     @pytest.mark.parametrize("name", ["cauchy", "normal_mean"])
     def test_ramps(self, name, monkeypatch):
         """Rows on ramps, against E_theta at 40 digits (sum_i a_i dF_i +
         b_i dG_i and the mass beyond the edges at the outside level); on
         normal_mean the window, about theta +/- 7.1, leaves most of the
-        pieces beyond the band on most rows."""
+        pieces beyond the band on most rows.  The rows go widest band
+        first, each tile as many as fit its first row's width."""
         b, pw = self._interpolated(name)
         assert pw.ramps and not pw.period
         grid = default_theta_grid(b)
         width, per = len(pw.edges), 7
-        rows, calls = self._sweep(pw, b.family.law, grid, per * width + width - 1, monkeypatch)
-        # the rows of every piece first, in tiles of per and a partial last
-        whole = [t for _, thetas, points in calls if points[-1] == width for t in thetas]
-        assert len(whole) % per and (name == "cauchy") == (len(whole) == len(grid))
-        assert [len(thetas) for _, thetas, _ in calls][:len(whole) // per + 1] == (
-            [per] * (len(whole) // per) + [len(whole) % per])
+        bound = per * width + width - 1
+        rows, calls, whole = self._sweep(pw, b.family.law, grid, bound, monkeypatch)
+        assert (name == "cauchy") == (len(whole) == len(grid)) and len(whole) % per
+        sizes = [size[-1] for *_, size in calls]
+        assert sizes == sorted(sizes, reverse=True) and sizes[0] == width
+        assert [len(thetas) for _, thetas, _ in calls][:-1] == [bound // v for v in sizes[:-1]]
         with mp.workdps(40):
             for theta, r in zip(grid, rows):
                 exact = _exact_row(pw, _law_cdf_mp(name, {}, theta), _law_moment_mp(name, theta))
@@ -1120,14 +1131,17 @@ class TestSweepTiles:
         """No edges: each row's mass beyond is 1, at the constant's level."""
         b = make_bundle("poisson")
         grid = default_theta_grid(b)
-        _, calls = self._sweep(Piecewise.constant(2.5), b.family.law, grid, 10, monkeypatch)
+        _, calls, whole = self._sweep(Piecewise.constant(2.5), b.family.law, grid, 10,
+                                      monkeypatch)
         assert [len(thetas) for _, thetas, _ in calls] == [10] * 14 + [5]
+        assert whole == set(grid)
 
     def test_rows_wider_than_a_tile(self, monkeypatch):
         """A piecewise of more distinct levels than a tile holds values,
         on the Cauchy law over its default grid, with the tile cut to half
-        its size: each row's band is still wider than a tile, and each row
-        is a call of its own."""
+        its size: each row's band is still wider than a tile, each row is a
+        call of its own, and rows lie within their bounds of E_theta at 40
+        digits."""
         from evarify import verifier
 
         b = make_bundle("cauchy", epsilon=0.2)
@@ -1136,9 +1150,14 @@ class TestSweepTiles:
         pw = Piecewise(np.linspace(-1e4, 1e4, n + 1), np.linspace(0.1, 0.9, n), np.zeros(n),
                        1.0 / b.factor_C)
         assert len(np.unique(pw.a)) == n
-        _, calls = self._sweep(pw, b.family.law, grid, bound, monkeypatch)
+        rows, calls, _ = self._sweep(pw, b.family.law, grid, bound, monkeypatch)
         assert [len(thetas) for _, thetas, _ in calls] == [1] * len(grid)
         assert min(points[-1] for *_, points in calls) > bound
+        checked = list(zip(grid, rows))[::len(grid) // 6]
+        with mp.workdps(40):
+            for theta, r in checked:
+                exact = _exact_row(pw, _law_cdf_mp("cauchy", {}, theta))
+                assert abs(mp.mpf(r.estimate) - exact) <= r.error_bound, (theta, r)
 
     def test_bands_of_different_widths(self, monkeypatch):
         """Poisson's spike composite, tiles of 64 values: a tile holds rows
@@ -1215,6 +1234,22 @@ class TestBeyondTheBand:
         comp = combine_discrete(b, spike_suite(b, range(1, 6)))
         res = expectation(comp, theta)
         assert abs(res.estimate - 1.0 / comp.factor_C) <= res.error_bound < 1e-14
+
+    def test_a_row_without_a_window_reads_every_piece(self):
+        """Poisson at theta = 1e12, where the law's quantile is NaN and no
+        window holds the mass: the row reads every piece, with the bits of
+        the one-theta reference, and a sweep holding that theta keeps each
+        other row's own bits."""
+        b = make_bundle("poisson")
+        comp = combine_discrete(b, {3: constant_evar(2.0)})
+        law, pw = b.family.law, comp.piecewise
+        assert not np.isfinite(law.window_ends(1e12, 1e-12)).all()
+        res = expectation(comp, 1e12)
+        assert (res.estimate, res.error_bound) == _one_theta_reference(pw, law, 1e-12, 1e12)[:2]
+        grid = [6.0, 1e12, 30.25]
+        alone = [expectation(comp, t) for t in grid]
+        assert sweep(comp, grid).rows == tuple(
+            (t, r.estimate, r.error_bound, r.method) for t, r in zip(grid, alone))
 
 
 def _law_cdf_mp(name, params, theta):
